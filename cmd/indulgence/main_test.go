@@ -1,12 +1,22 @@
 package main
 
 import (
+	"fmt"
+	"net"
 	"os"
+	"strings"
 	"testing"
+	"time"
 
 	"indulgence"
 	"indulgence/internal/check"
+	"indulgence/internal/core"
+	"indulgence/internal/journal"
+	"indulgence/internal/model"
+	"indulgence/internal/service"
 	"indulgence/internal/shard"
+	"indulgence/internal/transport"
+	"indulgence/internal/wire"
 )
 
 func TestRunSubcommands(t *testing.T) {
@@ -173,6 +183,70 @@ func TestServeJournalAndReplay(t *testing.T) {
 	}
 	if err := run([]string{"replay", "-journal", dir, "-quiet", "-limit", "1"}); err != nil {
 		t.Fatalf("replay quiet: %v", err)
+	}
+
+	// A peer-mode member journals through the same path: with -adaptive
+	// it writes a decision trace per instance beside its start claims,
+	// and `replay -traces` audits each trace's chosen rung against the
+	// claim's tag. -inflight 1 makes every claim block one instance
+	// wide, so every trace has a tagged claim to agree with. p2 and p3
+	// are in-test members over the same peer list.
+	addrs := make([]string, 3)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = fmt.Sprintf("p%d=%s", i+1, ln.Addr())
+		_ = ln.Close()
+	}
+	spec := strings.Join(addrs, ",")
+	for id := model.ProcessID(2); id <= 3; id++ {
+		cfg, err := transport.ParsePeers(id, "", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep, err := transport.NewTCPEndpoint(cfg, transport.TCPOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close()
+		svc, err := service.New(service.Config{
+			N: 3, T: 1, Factory: core.New(core.Options{}), BaseTimeout: 10 * time.Millisecond,
+		}, []transport.Transport{ep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Abort()
+	}
+	peerDir := t.TempDir() + "/member"
+	if err := serveWithStdin(t, "1\n2\n3\n", "-peers", spec, "-self", "1", "-t", "1",
+		"-timeout", "10ms", "-batch", "2", "-inflight", "1", "-adaptive", "-journal", peerDir); err != nil {
+		t.Fatalf("adaptive peer-mode serve: %v", err)
+	}
+	if err := run([]string{"replay", "-journal", peerDir, "-traces"}); err != nil {
+		t.Fatalf("replay -traces of a member journal: %v", err)
+	}
+	claimed := make(map[uint64]string)
+	var traces []wire.DecisionTraceRecord
+	if _, err := journal.Replay(peerDir, func(e journal.Entry) error {
+		switch {
+		case e.Trace != nil:
+			traces = append(traces, *e.Trace)
+		case e.Start:
+			claimed[e.Instance()] = e.Alg
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(traces) == 0 {
+		t.Fatal("adaptive member journaled no decision traces")
+	}
+	for _, tr := range traces {
+		if alg, ok := claimed[tr.Instance]; !ok || alg == "" || alg != tr.Chosen {
+			t.Fatalf("instance %d: trace chose %q, start claim says %q (on record: %v)", tr.Instance, tr.Chosen, alg, ok)
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"indulgence/internal/check"
 	"indulgence/internal/journal"
 	"indulgence/internal/model"
-	"indulgence/internal/service"
 	"indulgence/internal/shard"
 	"indulgence/internal/stats"
 	"indulgence/internal/transport"
@@ -66,123 +65,85 @@ func servePeer(f serviceFlags, explicit map[string]bool) error {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
+	policy, err := f.policy()
+	if err != nil {
+		return err
+	}
 	ep, err := transport.NewTCPEndpoint(cfg, opts)
 	if err != nil {
 		return err
 	}
-	defer ep.Close()
 
+	// The one endpoint is what makes this process a member: the service
+	// hosts p<self> and reaches the rest of the peer list through it.
 	// Algorithm selection stays off in peer mode: one member cannot
 	// switch a shared slot's protocol unilaterally.
-	peerOpts := service.PeerOptions{
-		T:           *f.t,
-		Factory:     factory,
-		BaseTimeout: *f.timeout,
-		MaxBatch:    *f.batch,
-		Linger:      *f.linger,
-		MaxInflight: *f.inflight,
-		JoinTimeout: *f.joinTimeout,
-		Adaptive:    f.adaptConfig(false),
-	}
-	if *f.groups > 1 {
-		return servePeerShard(f, cfg, peerOpts, ep, self)
-	}
-	if *f.groups < 1 {
-		return fmt.Errorf("need at least one consensus group, got -groups %d", *f.groups)
-	}
-
-	var jn *journal.Journal
-	if *f.journal != "" {
-		jn, err = journal.Open(*f.journal, journal.Options{SegmentBytes: *f.segment})
-		if err != nil {
-			return err
-		}
-		defer jn.Close()
-	}
-	peerOpts.Journal = jn
-	svc, err := service.NewPeer(peerOpts, cfg.N(), ep)
+	svcCfg := f.serviceConfig(factory)
+	svcCfg.N = cfg.N()
+	svcCfg.Adaptive = f.adaptConfig(false)
+	s, err := f.startOn(svcCfg, policy, []transport.Transport{ep}, func() { _ = ep.Close() })
 	if err != nil {
 		return err
 	}
+	defer s.cleanup()
 
-	fmt.Printf("peer member up: p%d of %d (%s), %s, t=%d, listening on %s, batch ≤ %d, ≤ %d slots inflight\n",
-		self, cfg.N(), cfg.ClusterID(), *f.algo, *f.t, ep.Addr(), *f.batch, *f.inflight)
+	fmt.Printf("peer member up: p%d of %d (%s), %s, t=%d, listening on %s, ",
+		self, cfg.N(), cfg.ClusterID(), *f.algo, *f.t, ep.Addr())
+	if s.rt != nil {
+		// Every member of the cluster must be launched with the same
+		// -groups value — a slot's owning group is slot mod groups on
+		// every member.
+		fmt.Printf("%d groups (%s placement), batch ≤ %d, ≤ %d slots inflight/group\n",
+			s.rt.Groups(), s.rt.Policy(), *f.batch, *f.inflight)
+	} else {
+		fmt.Printf("batch ≤ %d, ≤ %d slots inflight\n", *f.batch, *f.inflight)
+	}
 	if *f.adaptive {
 		fmt.Println("adaptive control plane on: batch/linger tuning + admission (algorithm selection is single-process only)")
 	}
-	if jn != nil {
-		printJournalRecovery(jn)
+	if s.jn != nil {
+		printJournalRecovery(s.jn)
+	}
+	if s.rt != nil {
+		for _, jn := range s.rt.Journals() {
+			printJournalRecovery(jn)
+		}
 	}
 	fmt.Println("enter one integer proposal per line (EOF to stop):")
 
-	scanErr := serveLoop(svc)
-	if err := svc.Close(); err != nil {
+	scanErr := serveLoop(s.sink())
+	if err := s.close(); err != nil {
 		return err
 	}
-	st := svc.Snapshot()
+	if s.rt != nil {
+		roll := s.rt.Snapshot()
+		joined := 0
+		for _, st := range roll.Groups {
+			joined += st.JoinedInstances
+		}
+		fmt.Printf("served %d proposals over %d instances across %d groups (%d joined from peers)\n",
+			roll.Resolved, roll.Instances, s.rt.Groups(), joined)
+		for g, st := range roll.Groups {
+			fmt.Printf("  group %d: %d proposals over %d instances (%d joined); latency %s\n",
+				g, st.Resolved, st.Instances, st.JoinedInstances, st.Latency)
+		}
+		printShardJournals(s.rt.Journals())
+		if len(roll.Violations) > 0 {
+			return fmt.Errorf("%d consensus violations: %v", len(roll.Violations), roll.Violations)
+		}
+		return scanErr
+	}
+	st := s.svc.Snapshot()
 	fmt.Printf("served %d proposals over %d instances (%d joined from peers); latency %s\n",
 		st.Resolved, st.Instances, st.JoinedInstances, st.Latency)
 	if *f.adaptive {
 		fmt.Printf("control plane: %d adjustments over %d ticks, final batch ≤ %d linger %s, %d proposals shed\n",
 			st.Control.Adjustments, st.Control.Ticks, st.Control.Batch, st.Control.Linger, st.Overloads)
 	}
-	if jn != nil {
-		js := jn.Snapshot()
+	if s.jn != nil {
+		js := s.jn.Snapshot()
 		fmt.Printf("journal: %d decisions durable over %d fsyncs; fsync %s\n",
 			js.Decisions, js.Syncs, js.SyncLatency)
-	}
-	return scanErr
-}
-
-// servePeerShard is peer mode with -groups > 1: this member runs one
-// service.PeerService per group over a single group-aware mux, with the
-// placement router in front. Every member of the cluster must be
-// launched with the same -groups value — a slot's owning group is slot
-// mod groups on every member.
-func servePeerShard(f serviceFlags, cfg transport.PeerConfig, peerOpts service.PeerOptions, ep *transport.TCPEndpoint, self model.ProcessID) error {
-	policy, err := shard.ParsePolicy(*f.placement)
-	if err != nil {
-		return err
-	}
-	rt, err := shard.NewPeer(shard.PeerConfig{
-		Peer:           peerOpts,
-		Groups:         *f.groups,
-		Placement:      policy,
-		JournalDir:     *f.journal,
-		JournalOptions: journal.Options{SegmentBytes: *f.segment},
-	}, cfg.N(), ep)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("peer member up: p%d of %d (%s), %s, t=%d, listening on %s, %d groups (%s placement), batch ≤ %d, ≤ %d slots inflight/group\n",
-		self, cfg.N(), cfg.ClusterID(), *f.algo, *f.t, ep.Addr(), rt.Groups(), rt.Policy(), *f.batch, *f.inflight)
-	if *f.adaptive {
-		fmt.Println("adaptive control plane on: batch/linger tuning + admission (algorithm selection is single-process only)")
-	}
-	for _, jn := range rt.Journals() {
-		printJournalRecovery(jn)
-	}
-	fmt.Println("enter one integer proposal per line (EOF to stop):")
-
-	scanErr := serveLoop(rt)
-	if err := rt.Close(); err != nil {
-		return err
-	}
-	roll := rt.Snapshot()
-	joined := 0
-	for _, st := range roll.Groups {
-		joined += st.JoinedInstances
-	}
-	fmt.Printf("served %d proposals over %d instances across %d groups (%d joined from peers)\n",
-		roll.Resolved, roll.Instances, rt.Groups(), joined)
-	for g, st := range roll.Groups {
-		fmt.Printf("  group %d: %d proposals over %d instances (%d joined); latency %s\n",
-			g, st.Resolved, st.Instances, st.JoinedInstances, st.Latency)
-	}
-	printShardJournals(rt.Journals())
-	if len(roll.Violations) > 0 {
-		return fmt.Errorf("%d consensus violations: %v", len(roll.Violations), roll.Violations)
 	}
 	return scanErr
 }

@@ -156,7 +156,8 @@ func (f serviceFlags) adaptConfig(selectAlgos bool) *adapt.Config {
 
 // started bundles whichever runtime shape the flags produced: one
 // service.Service for -groups 1 (byte-identical to the pre-sharding
-// path), or a shard.Runtime routing across G groups otherwise.
+// path), or a shard.Runtime routing across G groups otherwise. Either
+// hosts all n processes (serve, bench-service) or one (serve -peers).
 type started struct {
 	svc     *service.Service // -groups 1
 	rt      *shard.Runtime   // -groups > 1
@@ -182,19 +183,39 @@ func (s *started) close() error {
 	return s.svc.Close()
 }
 
+// policy validates -groups and parses -placement — the checks both
+// serve modes run before building any transport.
+func (f serviceFlags) policy() (shard.Policy, error) {
+	if *f.groups < 1 {
+		return nil, fmt.Errorf("need at least one consensus group, got -groups %d", *f.groups)
+	}
+	return shard.ParsePolicy(*f.placement)
+}
+
+// serviceConfig is the service template the flags describe; the caller
+// adds N, the control plane and the registry.
+func (f serviceFlags) serviceConfig(factory model.Factory) service.Config {
+	return service.Config{
+		T:           *f.t,
+		Factory:     factory,
+		BaseTimeout: *f.timeout,
+		MaxBatch:    *f.batch,
+		Linger:      *f.linger,
+		MaxInflight: *f.inflight,
+		JoinTimeout: *f.joinTimeout,
+	}
+}
+
 // start builds the transport, the optional journal(s) and the service —
-// or the sharded runtime for -groups > 1 — from the parsed flags. The
-// returned cleanup closes the transport and the journal; call it after
-// the service is closed.
+// or the sharded runtime for -groups > 1 — from the parsed flags, hosting
+// all n processes. The returned cleanup closes the transport and the
+// journal; call it after the service is closed.
 func (f serviceFlags) start() (*started, error) {
 	factory, err := factoryByName(*f.algo)
 	if err != nil {
 		return nil, err
 	}
-	if *f.groups < 1 {
-		return nil, fmt.Errorf("need at least one consensus group, got -groups %d", *f.groups)
-	}
-	policy, err := shard.ParsePolicy(*f.placement)
+	policy, err := f.policy()
 	if err != nil {
 		return nil, err
 	}
@@ -220,16 +241,23 @@ func (f serviceFlags) start() (*started, error) {
 			closeTransport()
 		}
 	}
-	cfg := service.Config{
-		N: *f.n, T: *f.t,
-		Factory:     factory,
-		BaseTimeout: *f.timeout,
-		MaxBatch:    *f.batch,
-		Linger:      *f.linger,
-		MaxInflight: *f.inflight,
-		Adaptive:    f.adaptConfig(true),
-		Metrics:     reg,
+	cfg := f.serviceConfig(factory)
+	cfg.N = *f.n
+	cfg.Adaptive = f.adaptConfig(true)
+	cfg.Metrics = reg
+	s, err := f.startOn(cfg, policy, eps, cleanup)
+	if err != nil {
+		return nil, err
 	}
+	s.hub, s.ops = hub, ops
+	return s, nil
+}
+
+// startOn starts the service (or, for -groups > 1, the sharded runtime)
+// that hosts the processes behind eps, with the journal(s) -journal asks
+// for. cleanup releases what the caller built underneath; startOn runs
+// it on failure and extends it with the journal's close on success.
+func (f serviceFlags) startOn(cfg service.Config, policy shard.Policy, eps []transport.Transport, cleanup func()) (*started, error) {
 	if *f.groups > 1 {
 		rt, err := shard.New(shard.Config{
 			Service:        cfg,
@@ -242,15 +270,16 @@ func (f serviceFlags) start() (*started, error) {
 			cleanup()
 			return nil, err
 		}
-		return &started{rt: rt, hub: hub, ops: ops, cleanup: cleanup}, nil
+		return &started{rt: rt, cleanup: cleanup}, nil
 	}
 	var jn *journal.Journal
 	if *f.journal != "" {
 		jo := journal.Options{SegmentBytes: *f.segment}
-		if reg != nil {
-			jo.Metrics = reg
+		if cfg.Metrics != nil {
+			jo.Metrics = cfg.Metrics
 			jo.MetricsLabels = []metrics.Label{{Key: "group", Value: "0"}}
 		}
+		var err error
 		jn, err = journal.Open(*f.journal, jo)
 		if err != nil {
 			cleanup()
@@ -268,11 +297,11 @@ func (f serviceFlags) start() (*started, error) {
 		cleanup()
 		return nil, err
 	}
-	return &started{svc: svc, hub: hub, jn: jn, ops: ops, cleanup: cleanup}, nil
+	return &started{svc: svc, jn: jn, cleanup: cleanup}, nil
 }
 
-// proposalSink is what the stdin loop needs from either service shape
-// (the in-process Service or a multi-process PeerService member).
+// proposalSink is what the stdin loop needs from either runtime shape
+// (one Service or a sharded Runtime).
 type proposalSink interface {
 	Propose(ctx context.Context, v model.Value) (*service.Future, error)
 }

@@ -367,15 +367,17 @@ type (
 	ServiceStats = service.Stats
 	// Mux multiplexes consensus instances over one transport endpoint.
 	Mux = transport.Mux
-	// PeerService is one process's member of a multi-process consensus
-	// cluster (one `serve -peers` per OS process).
-	PeerService = service.PeerService
-	// PeerServiceOptions describes one multi-process member.
-	PeerServiceOptions = service.PeerOptions
+	// PeerService is a Service hosting one process of a multi-process
+	// consensus cluster (one `serve -peers` per OS process). The type is
+	// the same — a service hosts whichever processes' endpoints it is
+	// handed — and the name remains for callers written against it.
+	PeerService = service.Service
+	// PeerServiceOptions is ServiceConfig under its member-era name;
+	// NewPeerService fills N in.
+	PeerServiceOptions = service.Config
 	// AdaptiveConfig describes the feedback control plane attached via
-	// ServiceConfig.Adaptive / PeerServiceOptions.Adaptive: AIMD
-	// batch/linger tuning, per-instance algorithm selection, and
-	// overload admission control.
+	// ServiceConfig.Adaptive: AIMD batch/linger tuning, per-instance
+	// algorithm selection, and overload admission control.
 	AdaptiveConfig = adapt.Config
 	// AdaptiveStats is the control plane's snapshot inside ServiceStats.
 	AdaptiveStats = adapt.Stats
@@ -385,15 +387,20 @@ type (
 // admission control; callers back off and retry.
 var ErrOverload = adapt.ErrOverload
 
-// NewService starts a consensus service over one endpoint per process.
+// NewService starts a consensus service hosting the processes whose
+// endpoints it is handed (ascending by process ID): all cfg.N of them
+// for the single-process service, fewer for a member of a multi-process
+// cluster.
 func NewService(cfg ServiceConfig, endpoints []Transport) (*Service, error) {
 	return service.New(cfg, endpoints)
 }
 
 // NewPeerService starts one member of an n-process cluster over its own
-// transport endpoint; the other members run in other OS processes.
+// transport endpoint; the other members run in other OS processes. It is
+// NewService with cfg.N = n and the one endpoint.
 func NewPeerService(cfg PeerServiceOptions, n int, ep Transport) (*PeerService, error) {
-	return service.NewPeer(cfg, n, ep)
+	cfg.N = n
+	return service.New(cfg, []Transport{ep})
 }
 
 // NewMux multiplexes instance-addressed streams over one endpoint.

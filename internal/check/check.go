@@ -169,12 +169,18 @@ func Instance(decisions []model.OptValue, proposals []model.Value, crashed model
 // of one member — means two groups ran the same instance ID and is
 // flagged as an agreement violation (pre-group records carry group 0,
 // the compatibility group, and conflict only with records of other
-// groups). Class tags are audited the same way: an instance is decided
-// exactly once, so two records of one instance under different SLO
-// classes mean two conflicting decision events were journaled — an
-// agreement violation — and a class outside wire's encodable range
-// [0, MaxClassValue] is a validity violation (classless records carry
-// class 0 and conflict only with explicitly classed duplicates).
+// groups). Class tags are audited the same way: two records of one
+// instance under different non-zero SLO classes mean two conflicting
+// decision events were journaled — an agreement violation — and a class
+// outside wire's encodable range [0, MaxClassValue] is a validity
+// violation. Class 0 is compatible with every class, as an untagged
+// claim is with every algorithm: a record's class is the journaling
+// service's own batch's, and when the journals of several members of
+// one cluster are audited together a member that joined the slot with
+// nothing classed aboard says 0 where the initiator says its class.
+// (Two members initiating one slot with differently classed batches
+// would still be flagged; classes do not travel on the wire, so a
+// cluster that classes traffic on several members audits them apart.)
 // Structurally impossible records (non-positive round or
 // batch) are flagged as validity violations: no decision can legally
 // produce them, so their presence means the log was not written by a
@@ -233,7 +239,12 @@ func Replay(records []wire.DecisionRecord, starts []wire.StartRecord, live map[u
 					fmt.Sprintf("agreement: instance %d journaled as %d and again as %d",
 						r.Instance, prev.Value, r.Value))
 			}
-			if prev.Class != r.Class {
+			switch {
+			case prev.Class == 0:
+				// The first classed record is the one later ones must match.
+				prev.Class = r.Class
+				seen[r.Instance] = prev
+			case r.Class != 0 && r.Class != prev.Class:
 				rep.Agreement = false
 				rep.Violations = append(rep.Violations,
 					fmt.Sprintf("agreement: instance %d journaled at class %d and again at class %d",

@@ -306,8 +306,12 @@ func TestReplayClassConflict(t *testing.T) {
 		{Instance: 11, Value: 6, Round: 3, Batch: 2, Class: 3},
 		{Instance: 11, Value: 6, Round: 3, Batch: 2, Class: 3},
 		{Instance: 12, Value: 7, Round: 3, Batch: 1},
-	}, nil, map[uint64]model.Value{11: 6, 12: 7})
+		// One member initiated the slot at class 2, another joined it
+		// with nothing classed aboard.
+		{Instance: 13, Value: 8, Round: 3, Batch: 2, Class: 2},
+		{Instance: 13, Value: 8, Round: 3, Batch: 1},
+	}, nil, map[uint64]model.Value{11: 6, 12: 7, 13: 8})
 	if !clean.OK() {
-		t.Fatalf("same-class duplicate flagged: %+v", clean)
+		t.Fatalf("same-class or classless duplicate flagged: %+v", clean)
 	}
 }

@@ -16,8 +16,8 @@
 // many Clusters concurrently over virtual endpoints of a transport.Mux,
 // so every instance gets fresh per-shard state but all instances share
 // one set of sockets and mailboxes. Run blocks for the common
-// one-instance case; Start/Decisions/Stop expose the same execution
-// non-blockingly for multiplexed callers.
+// one-instance case; Start/Collect/Stop are its three steps, for callers
+// that must keep a decided instance flooding after they have its results.
 //
 // The runtime is where indulgence becomes visible as an engineering
 // property: injected delays cause false suspicions and slow decisions but
@@ -227,16 +227,23 @@ func (c *Cluster) Stop() {
 	c.wg.Wait()
 }
 
-// Run starts every member process and blocks until all of them have
-// delivered a result, the context is done, or every node has stopped. It
-// returns one result per process; entries for processes running in other
-// OS processes (outside Members) are zero-valued placeholders.
+// Run starts every member process, collects their results (see Collect)
+// and stops them.
 func (c *Cluster) Run(ctx context.Context) ([]NodeResult, error) {
 	if err := c.Start(ctx); err != nil {
 		return nil, err
 	}
 	defer c.Stop()
+	return c.Collect(ctx)
+}
 
+// Collect blocks until every member of a started cluster has delivered
+// its result or the context is done, and returns one result per process;
+// entries for processes running in other OS processes (outside Members)
+// are zero-valued placeholders. The nodes keep running — decided ones
+// flooding DECIDE — until Stop, which is what lets a caller with remote
+// peers resolve its clients at the decision and stop flooding later.
+func (c *Cluster) Collect(ctx context.Context) ([]NodeResult, error) {
 	results := make([]NodeResult, c.cfg.N)
 	for i := range results {
 		results[i] = NodeResult{ID: model.ProcessID(i + 1)}

@@ -230,51 +230,74 @@ func TestServiceAdaptiveJournalTagsAcrossRestart(t *testing.T) {
 // TestServiceAdaptiveOverload freezes the pipeline with never-deciding
 // instances and floods intake: admission control must start shedding
 // with adapt.ErrOverload, and the sheds must show in Stats.Overloads.
+// The member row floods a service hosting one process of the three at
+// SLO class 1: the shed must be the typed refusal and count per class,
+// exactly as for the single-process service.
 func TestServiceAdaptiveOverload(t *testing.T) {
 	const n, tt = 3, 1
-	_, eps := hubEndpoints(t, n)
-	svc, err := service.New(service.Config{
-		N: n, T: tt,
-		Factory:         neverFactory,
-		BaseTimeout:     5 * time.Millisecond,
-		MaxBatch:        2,
-		Linger:          100 * time.Microsecond,
-		MaxInflight:     1,
-		InstanceTimeout: time.Hour, // the stalled instance must hold its slot
-		Adaptive: &adapt.Config{
-			MaxBatch:   2, // tiny intake so the flood saturates it instantly
-			Interval:   time.Millisecond,
-			AdmitHigh:  0.5,
-			AdmitLow:   0.1,
-			AdmitTicks: 1,
-		},
-	}, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Abort()
+	for _, tc := range []struct {
+		name          string
+		hosted, class int
+	}{
+		{"all hosted", n, 0},
+		{"member", 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, eps := hubEndpoints(t, n)
+			svc, err := service.New(service.Config{
+				N: n, T: tt,
+				Factory:         neverFactory,
+				BaseTimeout:     5 * time.Millisecond,
+				MaxBatch:        2,
+				Linger:          100 * time.Microsecond,
+				MaxInflight:     1,
+				InstanceTimeout: time.Hour, // the stalled instance must hold its slot
+				Adaptive: &adapt.Config{
+					MaxBatch:   2, // tiny intake so the flood saturates it instantly
+					Interval:   time.Millisecond,
+					AdmitHigh:  0.5,
+					AdmitLow:   0.1,
+					AdmitTicks: 1,
+					Classes:    2,
+					AdmitTop:   0.5, // class 1 trips at the same occupancy as class 0
+				},
+			}, eps[:tc.hosted])
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Abort()
 
-	deadline := time.Now().Add(30 * time.Second)
-	var shed bool
-	for time.Now().Before(deadline) && !shed {
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-		_, err := svc.Propose(ctx, 1)
-		cancel()
-		switch {
-		case errors.Is(err, adapt.ErrOverload):
-			shed = true
-		case err == nil, errors.Is(err, context.DeadlineExceeded):
-			// Accepted (filling the queue) or blocked on a full intake —
-			// keep flooding until the gate trips.
-		default:
-			t.Fatalf("unexpected propose error: %v", err)
-		}
-	}
-	if !shed {
-		t.Fatal("admission control never shed under a frozen pipeline")
-	}
-	if st := svc.Snapshot(); st.Overloads == 0 {
-		t.Fatalf("sheds not counted: %+v", st.Overloads)
+			deadline := time.Now().Add(30 * time.Second)
+			var shed bool
+			for time.Now().Before(deadline) && !shed {
+				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+				_, err := svc.ProposeClass(ctx, tc.class, 1)
+				cancel()
+				switch {
+				case errors.Is(err, adapt.ErrOverload):
+					shed = true
+					var oe *adapt.OverloadError
+					if !errors.As(err, &oe) || oe.Class != tc.class {
+						t.Fatalf("shed error %v (%T) is not the class-%d typed refusal", err, err, tc.class)
+					}
+				case err == nil, errors.Is(err, context.DeadlineExceeded):
+					// Accepted (filling the queue) or blocked on a full intake —
+					// keep flooding until the gate trips.
+				default:
+					t.Fatalf("unexpected propose error: %v", err)
+				}
+			}
+			if !shed {
+				t.Fatal("admission control never shed under a frozen pipeline")
+			}
+			st := svc.Snapshot()
+			if st.Overloads == 0 {
+				t.Fatalf("sheds not counted: %+v", st.Overloads)
+			}
+			if tc.class > 0 && (len(st.OverloadsByClass) != tc.class+1 || st.OverloadsByClass[tc.class] == 0) {
+				t.Fatalf("class-%d sheds not counted per class: %v", tc.class, st.OverloadsByClass)
+			}
+		})
 	}
 }
 

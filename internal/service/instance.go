@@ -14,16 +14,26 @@ import (
 	"indulgence/internal/wire"
 )
 
-// runInstance executes one consensus instance for a batch of proposals:
-// it opens the instance's virtual endpoints on every process's mux,
-// spreads the batch's values round-robin over the n processes as their
-// proposals, runs a fresh runtime.Cluster to quiescence under the
-// instance's algorithm choice (the selector's pick, or the static
-// configuration), audits the outcome with check.Instance, and resolves
-// the batch's futures. The instance slot is released on exit, unblocking
-// the next queued batch.
-func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Choice) {
+// runInstance executes the hosted processes' nodes of one consensus
+// instance for a batch of proposals: it opens the instance's virtual
+// endpoint on every hosted process's mux, spreads the batch's values
+// round-robin over the hosted processes as their proposals, runs a fresh
+// runtime.Cluster under the instance's algorithm choice (the selector's
+// pick, or the static configuration) until every hosted node has
+// reported, journals the decision and resolves the batch's futures. With
+// every process hosted the instance is then over and is audited with
+// check.Instance; with a remote process the decided nodes keep flooding
+// for FloodGrace first. A joined instance (a peer started it) may carry
+// an empty batch.
+func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Choice, joined bool) {
 	defer s.wg.Done()
+	if s.remote {
+		defer func() {
+			s.slotMu.Lock()
+			delete(s.active, instance)
+			s.slotMu.Unlock()
+		}()
+	}
 	begin := s.cfg.Clock.Now()
 	// The instance slot bounds concurrent consensus runs — round loops,
 	// detectors, in-flight frames. It is released as soon as the run is
@@ -44,25 +54,39 @@ func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Ch
 		}
 	}
 
+	// Endpoints and proposals are indexed by process; entries of remote
+	// processes stay zero and are never consulted. The k-th hosted
+	// process proposes batch[k mod len(batch)] — the round-robin spread
+	// when every process is hosted, batch[0] for a lone member — or the
+	// noop when a join launched an empty batch.
 	eps := make([]transport.Transport, s.cfg.N)
-	for i, m := range s.muxes {
+	props := make([]model.Value, s.cfg.N)
+	for k, m := range s.muxes {
+		id := m.Self()
 		ep, err := m.OpenGroup(s.cfg.Group, instance)
 		if err != nil {
 			retire()
-			s.failInstance(batch, fmt.Errorf("service: open instance %d on p%d: %w", instance, i+1, err))
+			// A join can race the slot's retirement (one stale signal
+			// after the instance finished): with no futures aboard that
+			// is not a failure, there is nothing to do. Anything else
+			// losing its endpoint is one.
+			if !joined || len(batch) > 0 {
+				s.failInstance(batch, fmt.Errorf("service: open instance %d on p%d: %w", instance, id, err))
+			}
 			return
 		}
-		eps[i] = ep
-	}
-	props := make([]model.Value, s.cfg.N)
-	for i := range props {
-		props[i] = batch[i%len(batch)].value
+		eps[id-1] = ep
+		props[id-1] = s.cfg.NoopValue
+		if len(batch) > 0 {
+			props[id-1] = batch[k%len(batch)].value
+		}
 	}
 	cl, err := runtime.New(runtime.Config{
 		N: s.cfg.N, T: s.cfg.T,
 		Factory:     choice.Factory,
 		Proposals:   props,
 		Endpoints:   eps,
+		Members:     s.hosted,
 		WaitPolicy:  choice.WaitPolicy,
 		BaseTimeout: s.cfg.BaseTimeout,
 		MaxRounds:   s.cfg.MaxRounds,
@@ -77,10 +101,37 @@ func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Ch
 	if s.cfg.OnInstance != nil {
 		s.cfg.OnInstance(instance, cl)
 	}
-	ctx, cancel := clock.WithTimeout(s.runCtx, s.cfg.Clock, s.cfg.InstanceTimeout)
-	results, runErr := cl.Run(ctx)
-	cancel()
-	retire()
+	// Joined slots carrying no local futures may fail quietly and soon;
+	// anything with real proposals aboard gets the full deadline.
+	deadline := s.cfg.InstanceTimeout
+	if joined && len(batch) == 0 {
+		deadline = s.cfg.JoinTimeout
+	}
+	ctx, cancel := clock.WithTimeout(s.runCtx, s.cfg.Clock, deadline)
+	// finish ends the instance locally: stop the nodes (and with them the
+	// DECIDE flood), release the deadline timer, retire the streams.
+	finished := false
+	finish := func() {
+		if !finished {
+			finished = true
+			cl.Stop()
+			cancel()
+			retire()
+		}
+	}
+	defer finish()
+	if err := cl.Start(ctx); err != nil {
+		s.failInstance(batch, fmt.Errorf("service: instance %d: %w", instance, err))
+		return
+	}
+	results, runErr := cl.Collect(ctx)
+	if !s.remote {
+		// Every node has reported to this goroutine, so nobody is left
+		// to flood for: the instance is over now, and no grace timer is
+		// ever armed (the virtual-clock schedule of a single-process run
+		// holds no event a remote peer would need).
+		finish()
+	}
 	releaseSlot()
 
 	decisions := make([]model.OptValue, s.cfg.N)
@@ -114,18 +165,25 @@ func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Ch
 		return
 	}
 	decided := s.cfg.Clock.Since(begin)
-	// An instance cancelled by service shutdown (Abort, or a Close racing
-	// a kill) had its undecided nodes die with the service — that is a
-	// crash-stop, not a termination violation, so they are excused the
-	// way crash-injected processes are. Safety is still audited in full.
-	if runErr != nil && s.runCtx.Err() != nil {
-		for i, d := range decisions {
-			if _, ok := d.Get(); !ok {
-				crashed.Add(model.ProcessID(i + 1))
+	// The local audit needs every process's proposal and decision, so it
+	// runs only with every process hosted; a member cannot see its peers'
+	// proposals, and cross-member agreement stays with check.Replay.
+	var rep check.Report
+	if !s.remote {
+		// An instance cancelled by service shutdown (Abort, or a Close
+		// racing a kill) had its undecided nodes die with the service —
+		// that is a crash-stop, not a termination violation, so they are
+		// excused the way crash-injected processes are. Safety is still
+		// audited in full.
+		if runErr != nil && s.runCtx.Err() != nil {
+			for i, d := range decisions {
+				if _, ok := d.Get(); !ok {
+					crashed.Add(model.ProcessID(i + 1))
+				}
 			}
 		}
+		rep = check.Instance(decisions, props, crashed)
 	}
-	rep := check.Instance(decisions, props, crashed)
 
 	// The batch's SLO class is its highest member class: the instance did
 	// that class's work, so the journal record and decision carry it.
@@ -141,16 +199,19 @@ func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Ch
 	// acknowledgement but never an acknowledged decision. A journal
 	// failure fails the batch — clients retry onto a fresh instance —
 	// because resolving an unjournaled decision would let a restart
-	// re-run the instance.
+	// re-run the instance. Batch counts local proposals; a joined slot's
+	// noop is a real proposal, so the record never claims an impossible
+	// batch of 0.
+	size := max(len(batch), 1)
 	if s.cfg.Journal != nil {
-		rec := wire.DecisionRecord{Instance: instance, Value: value, Round: round, Batch: len(batch), Group: s.cfg.Group, Class: batchClass}
+		rec := wire.DecisionRecord{Instance: instance, Value: value, Round: round, Batch: size, Group: s.cfg.Group, Class: batchClass}
 		if err := s.cfg.Journal.Append(rec); err != nil {
 			s.failInstance(batch, fmt.Errorf("service: journal instance %d: %w", instance, err))
 			return
 		}
 	}
 
-	dec := Decision{Instance: instance, Value: value, Round: round, Batch: len(batch), Class: batchClass}
+	dec := Decision{Instance: instance, Value: value, Round: round, Batch: size, Class: batchClass}
 	now := s.cfg.Clock.Now()
 	var latencies []time.Duration
 	for _, p := range batch {
@@ -160,6 +221,9 @@ func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Ch
 
 	s.countMu.Lock()
 	s.instances++
+	if joined {
+		s.joined++
+	}
 	s.resolved += len(batch)
 	if batchClass > s.maxClass {
 		s.maxClass = batchClass
@@ -194,11 +258,25 @@ func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Ch
 	if s.plane != nil {
 		s.plane.ObserveDecision(latencies, suspicions)
 	}
+
+	if s.remote {
+		// Peers whose nodes are a round or two behind still need this
+		// instance's DECIDE flood to satisfy their wait policies. The
+		// slot ticket and the futures were released at the decision, so
+		// the grace throttles nothing.
+		grace := s.cfg.Clock.NewTimer(s.cfg.FloodGrace)
+		select {
+		case <-grace.C():
+		case <-s.runCtx.Done():
+			grace.Stop()
+		}
+	}
 }
 
 // failInstance resolves a batch's futures with err and records the
 // failure — a missed decision the selector treats as the strongest
-// distrust signal.
+// distrust signal. A joined instance may fail with an empty batch: only
+// the instance counters move.
 func (s *Service) failInstance(batch []*pending, err error) {
 	failBatch(batch, err)
 	if s.plane != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"indulgence/internal/adapt"
 	"indulgence/internal/check"
 	"indulgence/internal/core"
 	"indulgence/internal/journal"
@@ -51,10 +52,10 @@ func peerEndpoint(t *testing.T, id model.ProcessID, addrs []string) *transport.T
 	return ep
 }
 
-// peerOpts is the fast-test member configuration.
-func peerOpts(jn *journal.Journal) PeerOptions {
-	return PeerOptions{
-		T:           1,
+// peerOpts is the fast-test member configuration of an n-process cluster.
+func peerOpts(n int, jn *journal.Journal) Config {
+	return Config{
+		N: n, T: 1,
 		Factory:     core.New(core.Options{}),
 		BaseTimeout: 15 * time.Millisecond,
 		MaxBatch:    2,
@@ -69,7 +70,7 @@ func peerOpts(jn *journal.Journal) PeerOptions {
 // proposeAll drives count proposals into member svc and records each
 // resolved instance/value pair into live (guarded by mu), failing the
 // test on any error.
-func proposeAll(t *testing.T, svc *PeerService, base, count int, live map[uint64]model.Value, mu *sync.Mutex, wg *sync.WaitGroup) {
+func proposeAll(t *testing.T, svc *Service, base, count int, live map[uint64]model.Value, mu *sync.Mutex, wg *sync.WaitGroup) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	for i := 0; i < count; i++ {
@@ -136,7 +137,7 @@ func TestPeerServiceAgreement(t *testing.T) {
 	addrs := reserveAddrs(t, n)
 	dir := t.TempDir()
 
-	members := make([]*PeerService, n)
+	members := make([]*Service, n)
 	dirs := make([]string, n)
 	live := make(map[uint64]model.Value)
 	var mu sync.Mutex
@@ -151,7 +152,7 @@ func TestPeerServiceAgreement(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = jn.Close() })
-		svc, err := NewPeer(peerOpts(jn), n, ep)
+		svc, err := New(peerOpts(n, jn), []transport.Transport{ep})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,13 +163,34 @@ func TestPeerServiceAgreement(t *testing.T) {
 		proposeAll(t, svc, 100*(i+1), 6, live, &mu, &wg)
 	}
 	wg.Wait()
+	// A member serves what it journaled, SLO class included.
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	fut, err := members[0].ProposeClass(ctx, 2, 777)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := fut.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := members[0].Lookup(dec.Instance); !ok || got != dec || got.Class != 2 {
+		t.Fatalf("Lookup(%d) = %+v, %v; want the class-2 decision %+v", dec.Instance, got, ok, dec)
+	}
+	mu.Lock()
+	live[dec.Instance] = dec.Value
+	mu.Unlock()
 	for i, svc := range members {
 		if err := svc.Close(); err != nil {
 			t.Fatalf("close member %d: %v", i+1, err)
 		}
 		st := svc.Snapshot()
-		if st.Resolved != 6 {
-			t.Fatalf("member %d resolved %d of 6 (failed %d)", i+1, st.Resolved, st.Failed)
+		want := 6
+		if i == 0 {
+			want++ // the classed proposal
+		}
+		if st.Resolved != want {
+			t.Fatalf("member %d resolved %d of %d (failed %d)", i+1, st.Resolved, want, st.Failed)
 		}
 	}
 	// Journals are auditable only once their members closed them.
@@ -194,7 +216,7 @@ func TestPeerServiceRestartRejoin(t *testing.T) {
 	dirs := make([]string, n)
 	eps := make([]*transport.TCPEndpoint, n)
 	jns := make([]*journal.Journal, n)
-	members := make([]*PeerService, n)
+	members := make([]*Service, n)
 	for i := 0; i < n; i++ {
 		id := model.ProcessID(i + 1)
 		eps[i] = peerEndpoint(t, id, addrs)
@@ -204,7 +226,7 @@ func TestPeerServiceRestartRejoin(t *testing.T) {
 			t.Fatal(err)
 		}
 		jns[i] = jn
-		svc, err := NewPeer(peerOpts(jn), n, eps[i])
+		svc, err := New(peerOpts(n, jn), []transport.Transport{eps[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +268,7 @@ func TestPeerServiceRestartRejoin(t *testing.T) {
 		t.Fatalf("reopen journal after crash: %v", err)
 	}
 	jns[2] = jn3
-	svc3, err := NewPeer(peerOpts(jn3), n, eps[2])
+	svc3, err := New(peerOpts(n, jn3), []transport.Transport{eps[2]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,46 +303,89 @@ func TestPeerServiceRestartRejoin(t *testing.T) {
 // TestPeerServiceHubMembers runs members over plain hub endpoints — the
 // member layer is transport-agnostic, so an in-memory "multi-process"
 // cluster must behave identically (and much faster, which keeps this in
-// the default -race sweep).
+// the default -race sweep). The rows partition one cluster's processes
+// over services every way the endpoint rule allows: one service hosting
+// all of them, one process per service, and — partial membership — two
+// apiece. Every service proposes; proposeAll fails the test if two
+// futures of one instance ever carry different values.
 func TestPeerServiceHubMembers(t *testing.T) {
-	const n = 3
-	hub, err := transport.NewHub(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	live := make(map[uint64]model.Value)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	members := make([]*PeerService, n)
-	for i := 0; i < n; i++ {
-		ep, err := hub.Endpoint(model.ProcessID(i + 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc, err := NewPeer(peerOpts(nil), n, ep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		members[i] = svc
-	}
-	for i, svc := range members {
-		proposeAll(t, svc, 10*(i+1), 8, live, &mu, &wg)
-	}
-	wg.Wait()
-	total := 0
-	for i, svc := range members {
-		if err := svc.Close(); err != nil {
-			t.Fatalf("close member %d: %v", i+1, err)
-		}
-		st := svc.Snapshot()
-		total += st.Resolved
-		if st.Failed > 0 {
-			t.Fatalf("member %d failed %d proposals", i+1, st.Failed)
-		}
-	}
-	if total != 3*8 {
-		t.Fatalf("resolved %d of %d proposals", total, 3*8)
+	for _, tc := range []struct {
+		name      string
+		n         int
+		hosts     []int // processes hosted per service, in process order
+		journaled bool
+	}{
+		{"3 as 1+1+1", 3, []int{1, 1, 1}, false},
+		{"4 as 4", 4, []int{4}, true},
+		{"4 as 2+2", 4, []int{2, 2}, true},
+		{"4 as 1+1+1+1", 4, []int{1, 1, 1, 1}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hub, err := transport.NewHub(tc.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hub.Close()
+			dir := t.TempDir()
+			live := make(map[uint64]model.Value)
+			var mu sync.Mutex
+			var wg sync.WaitGroup
+			var members []*Service
+			var dirs []string
+			var jns []*journal.Journal
+			next := model.ProcessID(1)
+			for i, hosted := range tc.hosts {
+				eps := make([]transport.Transport, hosted)
+				for k := range eps {
+					if eps[k], err = hub.Endpoint(next); err != nil {
+						t.Fatal(err)
+					}
+					next++
+				}
+				var jn *journal.Journal
+				if tc.journaled {
+					dirs = append(dirs, filepath.Join(dir, fmt.Sprintf("s%d", i)))
+					if jn, err = journal.Open(dirs[i], journal.Options{GroupWindow: time.Millisecond}); err != nil {
+						t.Fatal(err)
+					}
+					jns = append(jns, jn)
+				}
+				svc, err := New(peerOpts(tc.n, jn), eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				members = append(members, svc)
+			}
+			for i, svc := range members {
+				proposeAll(t, svc, 10*(i+1), 8, live, &mu, &wg)
+			}
+			wg.Wait()
+			total := 0
+			for i, svc := range members {
+				if err := svc.Close(); err != nil {
+					t.Fatalf("close member %d: %v", i+1, err)
+				}
+				st := svc.Snapshot()
+				total += st.Resolved
+				if st.Failed > 0 {
+					t.Fatalf("member %d failed %d proposals", i+1, st.Failed)
+				}
+				if len(st.Violations) > 0 {
+					t.Fatalf("member %d violations: %v", i+1, st.Violations)
+				}
+			}
+			if total != len(members)*8 {
+				t.Fatalf("resolved %d of %d proposals", total, len(members)*8)
+			}
+			for _, jn := range jns {
+				if err := jn.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			auditJournals(t, live, dirs...)
+		})
 	}
 }
 
@@ -335,15 +400,15 @@ func TestNewPeerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPeer(peerOpts(nil), 1, ep); err == nil {
+	if _, err := New(peerOpts(1, nil), []transport.Transport{ep}); err == nil {
 		t.Fatal("n=1 accepted")
 	}
-	if _, err := NewPeer(peerOpts(nil), 2, nil); err == nil {
+	if _, err := New(peerOpts(2, nil), []transport.Transport{nil}); err == nil {
 		t.Fatal("nil endpoint accepted")
 	}
-	opts := peerOpts(nil)
+	opts := peerOpts(2, nil)
 	opts.Factory = nil
-	if _, err := NewPeer(opts, 2, ep); err == nil {
+	if _, err := New(opts, []transport.Transport{ep}); err == nil {
 		t.Fatal("nil factory accepted")
 	}
 	// Self outside 1..n.
@@ -356,7 +421,16 @@ func TestNewPeerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPeer(peerOpts(nil), 2, ep3); err == nil {
+	if _, err := New(peerOpts(2, nil), []transport.Transport{ep3}); err == nil {
 		t.Fatal("endpoint outside the cluster accepted")
+	}
+	if _, err := New(peerOpts(3, nil), []transport.Transport{ep3, ep3}); err == nil {
+		t.Fatal("duplicate Self() among the endpoints accepted")
+	}
+	// A member cannot pick a shared slot's algorithm on its own.
+	opts = peerOpts(3, nil)
+	opts.Adaptive = &adapt.Config{SelectAlgorithms: true}
+	if _, err := New(opts, []transport.Transport{ep3}); err == nil {
+		t.Fatal("SelectAlgorithms with a remote process accepted")
 	}
 }

@@ -288,6 +288,11 @@ func (cb *crashBattery) runLifetime(kill bool) bool {
 		if err := svc.Close(); err != nil {
 			t.Fatalf("close service: %v", err)
 		}
+	} else {
+		// A kill that fired before svcBox held the service aborted
+		// nothing; left running, its muxes would steal the successor's
+		// frames off the shared endpoints. Abort is idempotent.
+		svc.Abort()
 	}
 	if st := svc.Snapshot(); len(st.Violations) != 0 {
 		t.Fatalf("check violations in lifetime: %v", st.Violations)

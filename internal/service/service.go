@@ -17,6 +17,21 @@
 // proves cannot happen, and which the service therefore treats as a
 // defect detector — is retained in the Stats snapshot.
 //
+// Where the n processes run is not the service's business: New hosts the
+// processes whose endpoints it is handed. All n endpoints is the
+// single-process service; a subset — typically one — makes the service a
+// member of a multi-process cluster whose other processes are hosted by
+// other services (other OS processes, usually) and reached through the
+// transport. Nothing but that endpoint set selects between the two. With
+// a remote process, instance IDs are global slots shared by all members:
+// a member initiates a slot when it cuts a local batch and joins one — on
+// the mux's pending-frame signal — when a peer initiated it. Two members
+// initiating one slot concurrently is not a conflict, it is consensus:
+// both propose, the round protocol picks one value, both resolve their
+// local futures to it. A member audits only what it can see; cross-member
+// uniform agreement is audited offline by check.Replay over the members'
+// journals (`indulgence cluster` does exactly that).
+//
 // With a journal configured, every decision is made durable before its
 // futures resolve (journal-before-complete), and a restarted service
 // recovers from the log: it serves journaled decisions via Lookup
@@ -34,6 +49,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -79,6 +95,28 @@ type Config struct {
 	// InstanceTimeout is the per-instance deadline (default 30s). An
 	// instance that misses it fails its batch's futures.
 	InstanceTimeout time.Duration
+	// JoinTimeout is the deadline of instances joined on a peer's signal
+	// with no local proposals aboard (default 10s; unused when every
+	// process is hosted). Such an instance carries no futures, so a join
+	// that never decides — stale flood traffic from before a restart, or
+	// a cluster that lost too many members — fails quietly after this
+	// long instead of holding a slot for InstanceTimeout.
+	JoinTimeout time.Duration
+	// FloodGrace is how long a decided instance keeps flooding DECIDE
+	// before a service with a remote process retires it (default 150ms),
+	// so peers whose nodes are a round or two behind still satisfy their
+	// wait policies. Futures resolve at the decision, not after the
+	// grace. With every process hosted nobody is behind — the instance
+	// ends when its last node reports — and no grace is taken.
+	FloodGrace time.Duration
+	// NoopValue is what a hosted process proposes when it joins an
+	// instance with no local proposals queued (default MaxInt64, the
+	// identity of the min-based estimate adoption the paper's algorithms
+	// use — so a noop loses to every real proposal and wins only an
+	// instance in which every proposer proposed one). A zero value
+	// selects the default; to make noops competitive on purpose, pick
+	// any other value.
+	NoopValue model.Value
 	// Journal, when non-nil, makes decisions durable: every instance's
 	// decision record is appended and fsynced (group-committed across
 	// concurrent instances) before the batch's futures resolve —
@@ -93,7 +131,10 @@ type Config struct {
 	// proposals with adapt.ErrOverload, and — with SelectAlgorithms —
 	// every instance runs the algorithm the selector currently trusts,
 	// its choice journaled in the instance's start claim. The intake
-	// buffer is sized to the controller's batch ceiling.
+	// buffer is sized to the controller's batch ceiling. SelectAlgorithms
+	// needs every process hosted: a member cannot unilaterally change the
+	// protocol of a slot it shares with its peers, so New rejects it when
+	// a process is remote.
 	Adaptive *adapt.Config
 	// OnInstance, when non-nil, is invoked on the instance goroutine
 	// after the instance's cluster is assembled and immediately before
@@ -146,6 +187,15 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.InstanceTimeout == 0 {
 		cfg.InstanceTimeout = 30 * time.Second
+	}
+	if cfg.JoinTimeout == 0 {
+		cfg.JoinTimeout = 10 * time.Second
+	}
+	if cfg.FloodGrace == 0 {
+		cfg.FloodGrace = 150 * time.Millisecond
+	}
+	if cfg.NoopValue == 0 {
+		cfg.NoopValue = model.Value(math.MaxInt64)
 	}
 	if cfg.Groups == 0 {
 		cfg.Groups = 1
@@ -211,15 +261,17 @@ type Stats struct {
 	// Instances counts decided instances; InstanceFailures counts
 	// instances that timed out or errored without a decision.
 	Instances, InstanceFailures int
-	// JoinedInstances counts instances this process adopted on a peer's
-	// signal rather than initiating (multi-process members only; always
-	// 0 for the single-process service).
+	// JoinedInstances counts decided instances the service adopted on a
+	// peer's signal rather than initiating (always 0 when every process
+	// is hosted).
 	JoinedInstances int
 	// Violations lists every consensus-property violation detected by
 	// check.Instance over resolved instances — validity, agreement, and
 	// termination (a correct process undecided at instance end, e.g. on
 	// an instance timeout). The paper's theorems say the safety entries
-	// stay empty; the service checks anyway.
+	// stay empty; the service checks anyway. Always empty with a remote
+	// process: the audit needs every process's proposal and decision,
+	// and cross-member evidence lives in the journals (check.Replay).
 	Violations []string
 	// Latency summarizes per-proposal latency (enqueue to resolution)
 	// over a bounded uniform sample of the service's lifetime (the
@@ -263,10 +315,18 @@ type Stats struct {
 	Algorithms map[string]int
 }
 
-// Service multiplexes consensus instances over one live cluster.
+// Service multiplexes consensus instances over the processes it hosts
+// of one live cluster.
 type Service struct {
-	cfg   Config
-	muxes []*transport.Mux
+	cfg Config
+	// muxes holds one mux per hosted process, ascending by process ID;
+	// hosted is the same set in the form runtime.Config.Members takes,
+	// and remote reports that some process of the cluster is hosted
+	// elsewhere — the one fact every member-only behaviour (joins, noop
+	// proposals, flood grace, no local audit) hangs off.
+	muxes  []*transport.Mux
+	hosted model.PIDSet
+	remote bool
 	// ownsMuxes reports whether Close/Abort shut the muxes down: true
 	// when New built them, false when a shard runtime shares one set of
 	// muxes across many group services (NewOnMuxes).
@@ -281,7 +341,10 @@ type Service struct {
 	static adapt.Choice
 	plane  *adapt.Plane
 
-	intake      chan *pending
+	intake chan *pending
+	// joins carries the slots peers have started (see Join); nil when
+	// every process is hosted, which removes the batcher's join case.
+	joins       chan uint64
 	slots       chan struct{}
 	runCtx      context.Context
 	runCancel   context.CancelFunc
@@ -302,6 +365,12 @@ type Service struct {
 	nextInstance   uint64
 	claimedThrough uint64
 
+	// slotMu guards active: the slots currently running here, which
+	// dedupes join signals against initiated and already-joined slots
+	// (maintained only with a remote process).
+	slotMu sync.Mutex
+	active map[uint64]struct{}
+
 	// countMu guards the counters, which instance goroutines update while
 	// proposers hold mu only for reading.
 	countMu      sync.Mutex
@@ -309,6 +378,7 @@ type Service struct {
 	resolved     int
 	failed       int
 	instances    int
+	joined       int
 	instanceFail int
 	overloads    int
 	violations   []string
@@ -349,64 +419,101 @@ type Service struct {
 // while the percentiles stay unbiased over the whole lifetime.
 const maxSamples = 1 << 16
 
-// New starts a service over one transport endpoint per process
-// (endpoints[i] must answer Self() == i+1). The service wraps each
-// endpoint in a transport.Mux and owns all reads from it; the endpoints
-// themselves remain owned by the caller and are not closed by Close.
+// New starts a service hosting the processes whose transport endpoints
+// it is handed: every endpoint's Self() must lie in 1..N, and the slice
+// must be ascending by process ID without repeats. All N endpoints is
+// the single-process service; fewer makes it a member of a multi-process
+// cluster (see the package comment). The service wraps each endpoint in
+// a transport.Mux and owns all reads from it; the endpoints themselves
+// remain owned by the caller and are not closed by Close.
 func New(cfg Config, endpoints []transport.Transport) (*Service, error) {
-	cfg = cfg.withDefaults()
-	if cfg.N >= 2 && len(endpoints) != cfg.N {
-		return nil, fmt.Errorf("service: need %d endpoints, got %d", cfg.N, len(endpoints))
-	}
+	ids := make([]model.ProcessID, len(endpoints))
 	for i, ep := range endpoints {
-		if ep.Self() != model.ProcessID(i+1) {
-			return nil, fmt.Errorf("service: endpoint %d answers Self()=%d", i+1, ep.Self())
+		if ep == nil {
+			return nil, errors.New("service: nil endpoint")
+		}
+		ids[i] = ep.Self()
+	}
+	s, err := newService(cfg, ids)
+	if err != nil {
+		return nil, err
+	}
+	// Frames for a slot this service has not opened mean a peer started
+	// it: that is the join signal. With every process hosted the service
+	// opens all of an instance's streams itself before any frame exists,
+	// so no callback is installed.
+	var onPending func(group, instance uint64)
+	if s.remote {
+		onPending = func(group, instance uint64) {
+			if group == s.cfg.Group {
+				s.Join(instance)
+			}
 		}
 	}
 	muxes := make([]*transport.Mux, len(endpoints))
 	for i, ep := range endpoints {
-		muxes[i] = transport.NewMux(ep)
+		muxes[i] = transport.NewMuxGroupNotify(ep, onPending)
 	}
-	s, err := newService(cfg, muxes, true)
-	if err != nil {
-		for _, m := range muxes {
-			_ = m.Close()
-		}
-		return nil, err
-	}
+	s.start(muxes, true)
 	return s, nil
 }
 
-// NewOnMuxes starts a service over already-built muxes — the sharded
-// runtime's constructor, where many group services (each with its own
-// cfg.Group) multiplex over one set of muxes per member process. The
-// muxes stay owned by the caller: Close and Abort leave them open, and
-// the service confines itself to its group's streams (OpenGroup /
-// RetireGroup under cfg.Group), so sibling groups never observe it.
+// NewOnMuxes starts a service over already-built muxes, one per hosted
+// process under New's ordering rule — the sharded runtime's constructor,
+// where many group services (each with its own cfg.Group) multiplex over
+// one set of muxes. The muxes stay owned by the caller: Close and Abort
+// leave them open, the service confines itself to its group's streams
+// (OpenGroup / RetireGroup under cfg.Group) so sibling groups never
+// observe it, and join signals are the caller's to deliver — whoever
+// owns the muxes' pending callback routes each (group, instance) signal
+// to the owning service's Join.
 func NewOnMuxes(cfg Config, muxes []*transport.Mux) (*Service, error) {
-	cfg = cfg.withDefaults()
-	if cfg.N >= 2 && len(muxes) != cfg.N {
-		return nil, fmt.Errorf("service: need %d muxes, got %d", cfg.N, len(muxes))
-	}
+	ids := make([]model.ProcessID, len(muxes))
 	for i, m := range muxes {
-		if m.Self() != model.ProcessID(i+1) {
-			return nil, fmt.Errorf("service: mux %d answers Self()=%d", i+1, m.Self())
+		if m == nil {
+			return nil, errors.New("service: nil mux")
 		}
+		ids[i] = m.Self()
 	}
-	return newService(cfg, muxes, false)
+	s, err := newService(cfg, ids)
+	if err != nil {
+		return nil, err
+	}
+	s.start(muxes, false)
+	return s, nil
 }
 
-// newService is the shared constructor behind New and NewOnMuxes; cfg
-// already has defaults applied and muxes are validated.
-func newService(cfg Config, muxes []*transport.Mux, ownsMuxes bool) (*Service, error) {
+// newService validates cfg against the hosted process IDs and builds the
+// service's core — everything but the muxes, which New and NewOnMuxes
+// attach through start (a mux's pending callback needs the service to
+// exist first).
+func newService(cfg Config, hosted []model.ProcessID) (*Service, error) {
+	cfg = cfg.withDefaults()
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("service: need at least 2 processes, got %d", cfg.N)
 	}
+	if len(hosted) == 0 {
+		return nil, errors.New("service: need at least one endpoint")
+	}
+	var members model.PIDSet
+	for i, id := range hosted {
+		if id < 1 || int(id) > cfg.N {
+			return nil, fmt.Errorf("service: endpoint Self()=%d outside 1..%d", id, cfg.N)
+		}
+		if i > 0 && id <= hosted[i-1] {
+			return nil, fmt.Errorf("service: endpoints must ascend by process ID without repeats (p%d after p%d)", id, hosted[i-1])
+		}
+		members.Add(id)
+	}
+	remote := len(hosted) < cfg.N
 	if cfg.Factory == nil {
 		return nil, errors.New("service: nil factory")
 	}
 	if cfg.Groups < 1 || cfg.Group >= uint64(cfg.Groups) {
 		return nil, fmt.Errorf("service: group %d out of range for %d groups", cfg.Group, cfg.Groups)
+	}
+	if remote && cfg.Adaptive != nil && cfg.Adaptive.SelectAlgorithms {
+		return nil, errors.New("service: peer members cannot select algorithms per instance (the protocol of a shared slot is cluster-wide; run selection on the single-process service)")
 	}
 	static := adapt.Choice{
 		Name:       adapt.ProbeName(cfg.Factory, cfg.N, cfg.T),
@@ -441,8 +548,8 @@ func newService(cfg Config, muxes []*transport.Mux, ownsMuxes bool) (*Service, e
 	}
 	s := &Service{
 		cfg:         cfg,
-		muxes:       muxes,
-		ownsMuxes:   ownsMuxes,
+		hosted:      members,
+		remote:      remote,
 		stride:      uint64(cfg.Groups),
 		static:      static,
 		plane:       plane,
@@ -455,6 +562,13 @@ func newService(cfg Config, muxes []*transport.Mux, ownsMuxes bool) (*Service, e
 		roundLat:    stats.NewReservoirSeeded[time.Duration](maxSamples, uint64(cfg.Group)<<3|3),
 		fills:       stats.NewReservoirSeeded[int](maxSamples, uint64(cfg.Group)<<3|4),
 		algs:        make(map[string]int),
+	}
+	if remote {
+		// Sized to absorb a burst of distinct slots between two batcher
+		// turns; a signal dropped at the bound re-fires on the slot's
+		// next inbound frame (see Join).
+		s.joins = make(chan uint64, 256)
+		s.active = make(map[uint64]struct{})
 	}
 	reg := cfg.Metrics
 	s.reg = reg
@@ -476,56 +590,79 @@ func newService(cfg Config, muxes []*transport.Mux, ownsMuxes bool) (*Service, e
 		"proposal latency, enqueue to resolution, in nanoseconds", 1<<12, 1<<34, labels...)
 	s.mDecLat = reg.Histogram("indulgence_decision_latency_ns",
 		"instance latency, batch cut to decision, in nanoseconds", 1<<12, 1<<34, labels...)
-	if reg != nil && ownsMuxes {
+	return s, nil
+}
+
+// start finishes construction once the muxes exist: frame counters,
+// journal recovery, then the batcher and control loop.
+func (s *Service) start(muxes []*transport.Mux, ownsMuxes bool) {
+	s.muxes, s.ownsMuxes = muxes, ownsMuxes
+	if s.reg != nil && ownsMuxes {
 		// A service that owns its muxes owns all their traffic, so the
 		// frame counters carry its group label; shared muxes (NewOnMuxes)
 		// are instrumented by their owner instead.
-		fin := reg.Counter("indulgence_frames_in_total",
-			"well-formed inbound frames routed or buffered by the mux", labels...)
-		fout := reg.Counter("indulgence_frames_out_total",
-			"frames sent through the mux's virtual endpoints", labels...)
+		fin := s.reg.Counter("indulgence_frames_in_total",
+			"well-formed inbound frames routed or buffered by the mux", s.metricsLabels...)
+		fout := s.reg.Counter("indulgence_frames_out_total",
+			"frames sent through the mux's virtual endpoints", s.metricsLabels...)
 		for _, m := range muxes {
 			m.Instrument(fin, fout)
 		}
 	}
 	// The first instance of group g is g itself; every later one adds
 	// the stride, so the assigned IDs are exactly {g, g+G, g+2G, …}.
-	s.nextInstance = cfg.Group
+	s.nextInstance = s.cfg.Group
 	s.claimedThrough = s.nextInstance
-	if cfg.Journal != nil {
+	if s.cfg.Journal != nil {
 		// Recovery: resume the instance-ID frontier past every journaled
 		// start claim and decision — aligned up to the group's residue
 		// class — and bulk-retire the journaled range of this group's
 		// streams on every mux, so stale flood frames from a previous
 		// process lifetime are dropped instead of buffering for instances
-		// nobody will open.
-		s.nextInstance = alignInstance(cfg.Journal.Frontier(), cfg.Group, s.stride)
+		// nobody will open. The frontier covers joined slots too: a
+		// restarted member must never re-run an instance its previous
+		// lifetime touched — rejoining one with reset algorithm state
+		// would be amnesia, not a crash-stop.
+		s.nextInstance = alignInstance(s.cfg.Journal.Frontier(), s.cfg.Group, s.stride)
 		s.claimedThrough = s.nextInstance
 		for _, m := range s.muxes {
-			m.RetireGroupBelow(cfg.Group, s.nextInstance)
+			m.RetireGroupBelow(s.cfg.Group, s.nextInstance)
 		}
 	}
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
 	go s.batcher()
 	if s.plane != nil {
-		go controlLoop(s.runCtx, cfg.Clock, s.plane, s.intake, s.slots)
+		go s.controlLoop()
 	}
-	return s, nil
 }
 
-// controlLoop ticks a control plane at its interval with the live
-// queue/slot occupancy until the service's run context ends. Both
-// service shapes share it.
-func controlLoop(ctx context.Context, clk clock.Clock, plane *adapt.Plane, intake chan *pending, slots chan struct{}) {
-	t := clk.NewTicker(plane.Interval())
+// controlLoop ticks the control plane at its interval with the live
+// queue/slot occupancy until the service's run context ends.
+func (s *Service) controlLoop() {
+	t := s.cfg.Clock.NewTicker(s.plane.Interval())
 	defer t.Stop()
 	for {
 		select {
-		case <-ctx.Done():
+		case <-s.runCtx.Done():
 			return
 		case <-t.C():
-			plane.Tick(len(intake), cap(intake), len(slots), cap(slots))
+			s.plane.Tick(len(s.intake), cap(s.intake), len(s.slots), cap(s.slots))
 		}
+	}
+}
+
+// Join signals that inbound frames exist for a slot this service has not
+// opened, so a peer started it and the hosted processes should adopt it.
+// It never blocks — callable straight from a mux router goroutine; a
+// dropped signal re-fires on the slot's next inbound frame. New wires it
+// as the pending callback of the muxes it builds; a sharded runtime,
+// which owns its shared muxes' callback, calls it on the group service
+// each signal addresses. A no-op when every process is hosted. Slots
+// outside the service's group are dropped by the batcher.
+func (s *Service) Join(slot uint64) {
+	select {
+	case s.joins <- slot:
+	default:
 	}
 }
 
@@ -701,6 +838,7 @@ func (s *Service) Snapshot() Stats {
 		Resolved:         s.resolved,
 		Failed:           s.failed,
 		Instances:        s.instances,
+		JoinedInstances:  s.joined,
 		InstanceFailures: s.instanceFail,
 		Overloads:        s.overloads,
 		OverloadsByClass: overloadsBy,
@@ -753,8 +891,8 @@ func (s *Service) roundsHist(alg string) *metrics.Histogram {
 }
 
 // recordCut accounts one dispatched batch's fill with both sinks
-// (Stats.BatchFill and the control plane's window) — the one piece of
-// accounting both service shapes must keep identical.
+// (Stats.BatchFill and the control plane's window), whether the batch
+// was flushed onto a fresh slot or rode a joined one.
 func (s *Service) recordCut(n int) {
 	fill := cutFill(n, s.batchLimit())
 	s.countMu.Lock()
@@ -765,11 +903,14 @@ func (s *Service) recordCut(n int) {
 	}
 }
 
-// batcher cuts the intake stream into batches: a batch closes when it
-// reaches the effective batch limit or its oldest proposal has waited
-// the effective linger (both live values of the control plane when one
-// is attached). Each batch then claims an instance slot (blocking — the
-// bounded-shard backpressure) and launches its instance.
+// batcher owns slot assignment. It cuts the intake stream into batches:
+// a batch closes when it reaches the effective batch limit or its oldest
+// proposal has waited the effective linger (both live values of the
+// control plane when one is attached), takes the next free instance ID
+// of the group and launches. With a remote process it additionally
+// serves join signals: a join adopts the peer's slot and pushes
+// nextInstance past it, which keeps every member's counter roughly in
+// step with the cluster's.
 func (s *Service) batcher() {
 	defer close(s.batcherDone)
 	var (
@@ -791,84 +932,9 @@ func (s *Service) batcher() {
 		b := batch
 		batch = nil
 		s.recordCut(len(b))
-		select {
-		case s.slots <- struct{}{}:
-		case <-s.runCtx.Done():
-			failBatch(b, s.runCtx.Err())
-			return
-		}
 		instance := s.nextInstance
 		s.nextInstance += s.stride
-		choice := s.static
-		var cctx adapt.ChoiceContext
-		if s.plane != nil {
-			// One lock acquisition yields both the pick and the control-
-			// plane context behind it, so the decision-trace record below
-			// can never disagree with the choice it annotates.
-			choice, cctx = s.plane.PickContext()
-		}
-		if s.cfg.Journal != nil {
-			// Claim instance IDs before any of their frames can reach
-			// the network: the recovered frontier must cover
-			// crash-undecided instances too, or their in-flight frames
-			// could leak into a successor service's instance of the
-			// same ID. The static path claims MaxInflight-sized blocks
-			// with one written (not fsynced — see journal.AppendStart)
-			// record; with algorithm selection every instance claims
-			// individually so its chosen algorithm is on record before
-			// the choice can act, keeping check.Replay's cross-restart
-			// algorithm audit exact.
-			switch {
-			case s.plane != nil && s.plane.Selecting():
-				rec := wire.StartRecord{Instance: instance, Alg: choice.Name, Group: s.cfg.Group}
-				if err := s.cfg.Journal.AppendStartRecord(rec); err != nil {
-					<-s.slots
-					failBatch(b, fmt.Errorf("service: claim instance %d: %w", instance, err))
-					return
-				}
-				if instance >= s.claimedThrough {
-					s.claimedThrough = instance + s.stride
-				}
-			case instance >= s.claimedThrough:
-				through, err := claimBlock(s.cfg.Journal, instance, s.cfg.MaxInflight, s.static.Name, s.cfg.Group, s.stride)
-				if err != nil {
-					<-s.slots
-					failBatch(b, err)
-					return
-				}
-				s.claimedThrough = through
-			}
-			if s.plane != nil {
-				// Decision-trace record: the controller/selector/admission
-				// context behind this launch, journaled after the start
-				// claim and before any of the instance's frames can reach
-				// the network, so replay can audit why each rung was
-				// chosen. Same durability class as start claims (written,
-				// not fsynced).
-				trace := wire.DecisionTraceRecord{
-					Instance:    instance,
-					Group:       s.cfg.Group,
-					Level:       cctx.Level,
-					Chosen:      cctx.Chosen,
-					NotTaken:    cctx.NotTaken,
-					Suspicions:  uint64(cctx.Suspicions),
-					QueueLen:    uint64(len(s.intake)),
-					QueueCap:    uint64(cap(s.intake)),
-					BatchFill:   cutFill(len(b), cctx.BatchLimit),
-					BatchLimit:  cctx.BatchLimit,
-					LingerNanos: int64(cctx.Linger),
-					EWMANanos:   int64(cctx.EWMA),
-					ShedMask:    uint64(cctx.ShedMask),
-				}
-				if err := s.cfg.Journal.AppendDecisionTrace(trace); err != nil {
-					<-s.slots
-					failBatch(b, fmt.Errorf("service: trace instance %d: %w", instance, err))
-					return
-				}
-			}
-		}
-		s.wg.Add(1)
-		go s.runInstance(instance, b, choice)
+		s.launch(instance, b, false)
 	}
 	for {
 		select {
@@ -893,8 +959,83 @@ func (s *Service) batcher() {
 			if closed {
 				return
 			}
+		case slot := <-s.joins:
+			if slot%s.stride != s.cfg.Group {
+				continue // another group's slot — not this service's to run
+			}
+			if s.isActive(slot) {
+				continue
+			}
+			if s.cfg.Journal != nil {
+				if _, done := s.cfg.Journal.Get(slot); done {
+					continue // decided in this lifetime; retire race
+				}
+			}
+			// A lingering local batch rides the joined slot instead of
+			// waiting for its own: the join must propose something
+			// anyway, and a real proposal beats a noop. Only fresh
+			// slots (never seen before, so never retired locally) may
+			// carry it — a stale duplicate signal for a slot that
+			// already ran must not drag real proposals into a
+			// mux.Open failure.
+			var b []*pending
+			if slot >= s.nextInstance {
+				s.nextInstance = slot + s.stride
+				stopLinger()
+				b, batch = batch, nil
+			}
+			if len(b) > 0 {
+				// The ride is a batch cut like any other: the fill
+				// signal must see it or a mostly-joining member's
+				// controller runs blind.
+				s.recordCut(len(b))
+			}
+			s.launch(slot, b, true)
 		}
 	}
+}
+
+// launch claims an instance slot ticket (blocking — the bounded-shard
+// backpressure), picks the instance's algorithm, journals its claim and
+// decision trace (see claim), and starts the run. Only the batcher calls
+// it.
+func (s *Service) launch(instance uint64, b []*pending, joined bool) {
+	select {
+	case s.slots <- struct{}{}:
+	case <-s.runCtx.Done():
+		failBatch(b, s.runCtx.Err())
+		return
+	}
+	choice := s.static
+	var cctx adapt.ChoiceContext
+	if s.plane != nil {
+		// One lock acquisition yields both the pick and the control-
+		// plane context behind it, so the decision-trace record can
+		// never disagree with the choice it annotates.
+		choice, cctx = s.plane.PickContext()
+	}
+	if s.cfg.Journal != nil {
+		if err := s.claim(instance, len(b), choice, cctx); err != nil {
+			<-s.slots
+			s.failInstance(b, err)
+			return
+		}
+	}
+	if s.remote {
+		s.slotMu.Lock()
+		s.active[instance] = struct{}{}
+		s.slotMu.Unlock()
+	}
+	s.wg.Add(1)
+	go s.runInstance(instance, b, choice, joined)
+}
+
+// isActive reports whether the slot is currently running here.
+func (s *Service) isActive(slot uint64) bool {
+	s.slotMu.Lock()
+	defer s.slotMu.Unlock()
+	_, ok := s.active[slot]
+	return ok
 }
 
 // failBatch resolves every future of a batch with err.
@@ -917,10 +1058,10 @@ func cutFill(n, limit int) int {
 
 // drainIntake appends the immediately available proposals to batch, up
 // to limit, without blocking; closed reports that intake was closed and
-// fully drained (the caller flushes and exits). Both batchers run it
+// fully drained (the caller flushes and exits). The batcher runs it
 // when a cut is due, so a short (or zero) linger still yields full
 // batches under load instead of racing the timer one proposal at a
-// time — and the closed-channel handling has one owner.
+// time.
 func drainIntake(intake <-chan *pending, batch []*pending, limit int) (out []*pending, closed bool) {
 	for len(batch) < limit {
 		select {
@@ -936,21 +1077,64 @@ func drainIntake(intake <-chan *pending, batch []*pending, limit int) (out []*pe
 	return batch, false
 }
 
-// claimBlock journals a start-claim covering instance and the rest of
-// its inflight-sized ID block — the block spans inflight IDs of the
-// claiming group's strided space, so its highest member is instance +
-// stride*(inflight-1) — returning the new claimed-through frontier
-// (first group ID not covered). alg tags the claim with the statically
-// configured algorithm every instance of the block runs (adaptive
-// selection claims per instance instead — see the batcher). Both
-// batchers share it so the claim arithmetic — which restart recovery
-// depends on — has one owner.
-func claimBlock(j *journal.Journal, instance uint64, inflight int, alg string, group, stride uint64) (uint64, error) {
-	claim := instance + stride*(uint64(inflight)-1)
-	if err := j.AppendStartRecord(wire.StartRecord{Instance: claim, Alg: alg, Group: group}); err != nil {
-		return 0, fmt.Errorf("service: claim instances through %d: %w", claim, err)
+// claim journals an instance's start claim and, with a control plane
+// attached, its decision trace — both before any of the instance's
+// frames can reach the network, joined slots included: the recovered
+// frontier must cover crash-undecided instances too, or their in-flight
+// frames could leak into a successor service's instance of the same ID.
+// The static path claims MaxInflight-sized blocks with one written (not
+// fsynced — see journal.AppendStart) record: the block spans MaxInflight
+// IDs of the group's strided space, so its highest member is instance +
+// stride*(MaxInflight-1), tagged with the statically configured
+// algorithm every instance of the block runs. With algorithm selection
+// every instance claims individually so its chosen algorithm is on
+// record before the choice can act, keeping check.Replay's cross-restart
+// algorithm audit exact. Restart recovery depends on this arithmetic.
+// Only the batcher goroutine calls it (it owns claimedThrough).
+func (s *Service) claim(instance uint64, batchLen int, choice adapt.Choice, cctx adapt.ChoiceContext) error {
+	switch {
+	case s.plane != nil && s.plane.Selecting():
+		rec := wire.StartRecord{Instance: instance, Alg: choice.Name, Group: s.cfg.Group}
+		if err := s.cfg.Journal.AppendStartRecord(rec); err != nil {
+			return fmt.Errorf("service: claim instance %d: %w", instance, err)
+		}
+		if instance >= s.claimedThrough {
+			s.claimedThrough = instance + s.stride
+		}
+	case instance >= s.claimedThrough:
+		last := instance + s.stride*(uint64(s.cfg.MaxInflight)-1)
+		rec := wire.StartRecord{Instance: last, Alg: s.static.Name, Group: s.cfg.Group}
+		if err := s.cfg.Journal.AppendStartRecord(rec); err != nil {
+			return fmt.Errorf("service: claim instances through %d: %w", last, err)
+		}
+		s.claimedThrough = last + s.stride
 	}
-	return claim + stride, nil
+	if s.plane == nil {
+		return nil
+	}
+	// Decision-trace record: the controller/selector/admission context
+	// behind this launch, journaled after the start claim so replay can
+	// audit why each rung was chosen. Same durability class as start
+	// claims (written, not fsynced).
+	trace := wire.DecisionTraceRecord{
+		Instance:    instance,
+		Group:       s.cfg.Group,
+		Level:       cctx.Level,
+		Chosen:      cctx.Chosen,
+		NotTaken:    cctx.NotTaken,
+		Suspicions:  uint64(cctx.Suspicions),
+		QueueLen:    uint64(len(s.intake)),
+		QueueCap:    uint64(cap(s.intake)),
+		BatchFill:   cutFill(batchLen, cctx.BatchLimit),
+		BatchLimit:  cctx.BatchLimit,
+		LingerNanos: int64(cctx.Linger),
+		EWMANanos:   int64(cctx.EWMA),
+		ShedMask:    uint64(cctx.ShedMask),
+	}
+	if err := s.cfg.Journal.AppendDecisionTrace(trace); err != nil {
+		return fmt.Errorf("service: trace instance %d: %w", instance, err)
+	}
+	return nil
 }
 
 // alignInstance returns the smallest instance ID at or above frontier

@@ -318,8 +318,10 @@ func TestServiceConfigErrors(t *testing.T) {
 	if _, err := service.New(service.Config{N: 4, T: 1}, eps); err == nil {
 		t.Fatal("nil factory accepted")
 	}
-	if _, err := service.New(service.Config{N: 4, T: 1, Factory: core.New(core.Options{})}, eps[:2]); err == nil {
-		t.Fatal("short endpoint slice accepted")
+	// A short slice is a member hosting a subset now; only an empty one
+	// hosts nothing.
+	if _, err := service.New(service.Config{N: 4, T: 1, Factory: core.New(core.Options{})}, eps[:0]); err == nil {
+		t.Fatal("empty endpoint slice accepted")
 	}
 	if _, err := service.New(service.Config{N: 2, T: 0, Factory: core.New(core.Options{})},
 		[]transport.Transport{eps[1], eps[0]}); err == nil {

@@ -24,8 +24,8 @@ import (
 )
 
 // Group is the load view a placement policy sees of one consensus
-// group. Both service shapes satisfy it (service.Service and
-// service.PeerService).
+// group: service.Service satisfies it, and the policy property tests
+// substitute scripted loads.
 type Group interface {
 	// Group returns the group's consensus group number.
 	Group() uint64

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"indulgence/internal/journal"
@@ -17,7 +18,7 @@ import (
 	"indulgence/internal/wire"
 )
 
-// Config describes a sharded single-process runtime.
+// Config describes a sharded runtime.
 type Config struct {
 	// Service is the per-group service template: every group runs a
 	// service.Service with this configuration. Its Group, Groups and
@@ -28,13 +29,19 @@ type Config struct {
 	// frames once for the whole runtime, and per-group journals register
 	// their entry counters group-labelled too.
 	Service service.Config
-	// Groups is the number of consensus groups (default 1).
+	// Groups is the number of consensus groups (default 1). In a
+	// multi-process cluster every member must agree on it — a slot's
+	// owning group is slot mod Groups on every member.
 	Groups int
 	// Placement routes proposals to groups (default round-robin).
+	// Members of one cluster may differ here; placement only decides
+	// where a proposal enters, and any member joins any group's slot on
+	// the wire signal.
 	Placement Policy
 	// JournalDir, when non-empty, gives every group a durable journal
 	// in its own subdirectory (see GroupDir). Empty runs without
-	// durability.
+	// durability. The directory is this runtime's own — members of one
+	// cluster never share journals.
 	JournalDir string
 	// JournalOptions configures every group's journal.
 	JournalOptions journal.Options
@@ -48,11 +55,15 @@ func GroupDir(root string, group int) string {
 	return filepath.Join(root, fmt.Sprintf("group-%04d", group))
 }
 
-// Runtime is the sharded single-process runtime: G service.Service
-// groups over one shared set of muxes, with the placement router in
-// front. It satisfies the same Propose/Snapshot/Close surface the
-// single-group service offers, so callers (the CLI's serve and
-// bench-service paths) treat one group and many uniformly.
+// Runtime is the sharded runtime: G service.Service groups over one
+// shared mux per hosted process, with the placement router in front. It
+// satisfies the same Propose/Snapshot/Close surface the single-group
+// service offers, so callers (the CLI's serve and bench-service paths)
+// treat one group and many uniformly. Like the service, it hosts the
+// processes whose endpoints it is handed; with a process hosted
+// elsewhere it owns the muxes' pending callback and routes each (group,
+// instance) join signal to the group service that owns it, so a
+// proposal entering any member reaches every member's matching group.
 type Runtime struct {
 	groups   []*service.Service
 	journals []*journal.Journal
@@ -61,12 +72,26 @@ type Runtime struct {
 	views    []Group
 	seq      atomic.Uint64
 	closed   atomic.Bool
+
+	// joinMu orders early join signals against construction: a mux
+	// starts routing (and signalling) the moment it exists, before the
+	// group services do, so signals arriving in the window buffer in
+	// backlog and flush once every group is up.
+	joinMu  sync.Mutex
+	ready   bool
+	backlog [][2]uint64
 }
 
-// New starts a sharded runtime over one transport endpoint per process
-// (endpoints[i] must answer Self() == i+1). The endpoints stay owned by
-// the caller; the runtime wraps each in a group-aware mux shared by all
-// its groups and owns all reads from it.
+// joinBacklog bounds the pre-ready backlog. Signals beyond it drop
+// harmlessly: a join signal re-fires on the slot's next inbound frame.
+const joinBacklog = 1024
+
+// New starts a sharded runtime hosting the processes whose transport
+// endpoints it is handed, under service.New's rule: every Self() in
+// 1..cfg.Service.N, ascending, no repeats; all N is the single-process
+// runtime, fewer a member of a multi-process cluster. The endpoints stay
+// owned by the caller; the runtime wraps each in a group-aware mux
+// shared by all its groups and owns all reads from it.
 func New(cfg Config, endpoints []transport.Transport) (*Runtime, error) {
 	if cfg.Groups == 0 {
 		cfg.Groups = 1
@@ -80,17 +105,23 @@ func New(cfg Config, endpoints []transport.Transport) (*Runtime, error) {
 	if cfg.Placement == nil {
 		cfg.Placement = NewRoundRobin()
 	}
-	for i, ep := range endpoints {
-		if ep.Self() != model.ProcessID(i+1) {
-			return nil, fmt.Errorf("shard: endpoint %d answers Self()=%d", i+1, ep.Self())
+	for _, ep := range endpoints {
+		if ep == nil {
+			return nil, errors.New("shard: nil endpoint")
 		}
 	}
 	r := &Runtime{
 		muxes:  make([]*transport.Mux, len(endpoints)),
 		policy: cfg.Placement,
 	}
+	// Join signals exist only with a process hosted elsewhere (see
+	// service.New); the group services validate the endpoint set itself.
+	var onPending func(group, instance uint64)
+	if len(endpoints) < cfg.Service.N {
+		onPending = r.dispatch
+	}
 	for i, ep := range endpoints {
-		r.muxes[i] = transport.NewMux(ep)
+		r.muxes[i] = transport.NewMuxGroupNotify(ep, onPending)
 	}
 	if reg := cfg.Service.Metrics; reg != nil {
 		// The muxes are shared by every group, so their frame counters
@@ -130,7 +161,41 @@ func New(cfg Config, endpoints []transport.Transport) (*Runtime, error) {
 		r.groups = append(r.groups, svc)
 		r.views = append(r.views, svc)
 	}
+	r.joinMu.Lock()
+	r.ready = true
+	backlog := r.backlog
+	r.backlog = nil
+	r.joinMu.Unlock()
+	for _, sig := range backlog {
+		r.deliver(sig[0], sig[1])
+	}
 	return r, nil
+}
+
+// dispatch is the shared muxes' pending callback: route the join signal
+// to the owning group service, or buffer it while construction is still
+// assembling the groups. Runs on a mux router goroutine — it must never
+// block, and deliver only does a non-blocking channel send.
+func (r *Runtime) dispatch(group, instance uint64) {
+	r.joinMu.Lock()
+	if !r.ready {
+		if len(r.backlog) < joinBacklog {
+			r.backlog = append(r.backlog, [2]uint64{group, instance})
+		}
+		r.joinMu.Unlock()
+		return
+	}
+	r.joinMu.Unlock()
+	r.deliver(group, instance)
+}
+
+// deliver hands one join signal to its group service. Signals for groups
+// this runtime does not run (a peer misconfigured with more groups) are
+// dropped — it cannot join a group it has no service for.
+func (r *Runtime) deliver(group, instance uint64) {
+	if group < uint64(len(r.groups)) {
+		r.groups[group].Join(instance)
+	}
 }
 
 // teardown unwinds a partially constructed runtime.
@@ -222,20 +287,8 @@ type Rollup struct {
 
 // Snapshot returns the cross-group rollup.
 func (r *Runtime) Snapshot() Rollup {
-	views := make([]groupStats, len(r.groups))
-	for i, svc := range r.groups {
-		views[i] = svc
-	}
-	return rollup(views)
-}
-
-// groupStats is the snapshot surface both service shapes share.
-type groupStats interface{ Snapshot() service.Stats }
-
-// rollup aggregates per-group snapshots; both runtime shapes share it.
-func rollup(groups []groupStats) Rollup {
 	var out Rollup
-	for g, svc := range groups {
+	for g, svc := range r.groups {
 		st := svc.Snapshot()
 		out.Groups = append(out.Groups, st)
 		out.Proposals += st.Proposals

@@ -204,11 +204,11 @@ func TestReplayDirFlagsCrossGroupInstance(t *testing.T) {
 func TestPeerRuntimeMultiGroup(t *testing.T) {
 	const n, groups = 3, 2
 	eps := hubEndpoints(t, n)
-	members := make([]*shard.PeerRuntime, n)
+	members := make([]*shard.Runtime, n)
 	for i := 0; i < n; i++ {
-		cfg := shard.PeerConfig{
-			Peer: service.PeerOptions{
-				T:           1,
+		cfg := shard.Config{
+			Service: service.Config{
+				N: n, T: 1,
 				Factory:     core.New(core.Options{}),
 				BaseTimeout: 20 * time.Millisecond,
 				Linger:      time.Millisecond,
@@ -217,7 +217,7 @@ func TestPeerRuntimeMultiGroup(t *testing.T) {
 			Groups:    groups,
 			Placement: shard.NewKeyAffinity(),
 		}
-		m, err := shard.NewPeer(cfg, n, eps[i])
+		m, err := shard.New(cfg, eps[i:i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,9 +251,9 @@ func TestPeerRuntimeMultiGroup(t *testing.T) {
 		}
 		resolved[dec.Instance] = dec.Value
 	}
-	for _, m := range members {
+	for i, m := range members {
 		if roll := m.Snapshot(); len(roll.Violations) != 0 {
-			t.Fatalf("member %d violations: %v", m.Self(), roll.Violations)
+			t.Fatalf("member %d violations: %v", i+1, roll.Violations)
 		}
 	}
 }

@@ -64,32 +64,15 @@ type Mux struct {
 // ep.Recv directly.
 func NewMux(ep Transport) *Mux { return NewMuxGroupNotify(ep, nil) }
 
-// NewMuxNotify is NewMux with a pending-instance callback for group 0:
-// onPending (when non-nil) is invoked from the router goroutine every
-// time a frame arrives for a group-0 instance that is not currently
-// open locally — the signal a single-group multi-process service member
-// uses to join an instance a peer started. Frames of other groups
-// buffer without notifying. The callback must not block (it stalls
-// every instance's inbound traffic if it does) and may be invoked
-// repeatedly for the same instance while it stays unopened, so
-// receivers dedupe.
-func NewMuxNotify(ep Transport, onPending func(instance uint64)) *Mux {
-	if onPending == nil {
-		return NewMuxGroupNotify(ep, nil)
-	}
-	return NewMuxGroupNotify(ep, func(group, instance uint64) {
-		if group == 0 {
-			onPending(instance)
-		}
-	})
-}
-
 // NewMuxGroupNotify is NewMux with the group-aware pending callback:
 // onPending (when non-nil) is invoked from the router goroutine every
 // time a frame arrives for a (group, instance) stream that is not
-// currently open locally. The sharded peer runtime uses it to route
-// join signals to the owning group's service. The same non-blocking and
-// dedupe requirements as NewMuxNotify apply.
+// currently open locally — the signal a service with a remote process
+// uses to join an instance a peer started (a sharded runtime routes it
+// to the owning group's service). The callback must not block (it
+// stalls every instance's inbound traffic if it does) and may be invoked
+// repeatedly for the same instance while it stays unopened, so receivers
+// dedupe.
 func NewMuxGroupNotify(ep Transport, onPending func(group, instance uint64)) *Mux {
 	m := &Mux{
 		ep:         ep,

@@ -555,7 +555,7 @@ func TestMuxPendingNotification(t *testing.T) {
 	notified := make(chan uint64, 16)
 	ma := NewMux(a)
 	defer ma.Close()
-	mb := NewMuxNotify(b, func(instance uint64) {
+	mb := NewMuxGroupNotify(b, func(_, instance uint64) {
 		select {
 		case notified <- instance:
 		default:
@@ -681,8 +681,7 @@ func TestMuxGroupRetireIndependent(t *testing.T) {
 	}
 }
 
-// TestMuxGroupNotify checks the group-aware pending callback and the
-// group-0 scoping of the legacy callback.
+// TestMuxGroupNotify checks the group-aware pending callback.
 func TestMuxGroupNotify(t *testing.T) {
 	hub, err := NewHub(2)
 	if err != nil {
@@ -718,59 +717,6 @@ func TestMuxGroupNotify(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no pending notification")
-	}
-
-	// The legacy single-ID callback must not fire for non-zero groups.
-	c, err := NewHub(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ca, _ := c.Endpoint(1)
-	cb, _ := c.Endpoint(2)
-	legacy := make(chan uint64, 16)
-	mca := NewMux(ca)
-	defer mca.Close()
-	mcb := NewMuxNotify(cb, func(instance uint64) {
-		select {
-		case legacy <- instance:
-		default:
-		}
-	})
-	defer mcb.Close()
-	sg, err := mca.OpenGroup(2, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sg.Send(2, msgFrame(t, 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "router to buffer the grouped frame", func() bool {
-		mcb.mu.Lock()
-		defer mcb.mu.Unlock()
-		_, ok := mcb.streams[streamKey{2, 9}]
-		return ok
-	})
-	select {
-	case got := <-legacy:
-		t.Fatalf("legacy callback fired for group 2 instance %d", got)
-	default:
-	}
-	// And it still fires for group 0.
-	s0, err := mca.Open(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s0.Send(2, msgFrame(t, 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case got := <-legacy:
-		if got != 6 {
-			t.Fatalf("legacy pending instance %d, want 6", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("legacy callback never fired for group 0")
 	}
 }
 
