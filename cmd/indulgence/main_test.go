@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"strings"
 	"testing"
@@ -11,12 +14,10 @@ import (
 	"indulgence"
 	"indulgence/internal/check"
 	"indulgence/internal/core"
-	"indulgence/internal/journal"
 	"indulgence/internal/model"
 	"indulgence/internal/service"
 	"indulgence/internal/shard"
 	"indulgence/internal/transport"
-	"indulgence/internal/wire"
 )
 
 func TestRunSubcommands(t *testing.T) {
@@ -145,6 +146,62 @@ func TestServiceSubcommandErrors(t *testing.T) {
 	}
 }
 
+// peerCompanions starts members p2 and p3 of a three-member loopback
+// cluster in-test and returns the peer list, so a `serve -peers ... -self
+// 1` under test has a quorum to decide with.
+func peerCompanions(t *testing.T) string {
+	t.Helper()
+	addrs := make([]string, 3)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = fmt.Sprintf("p%d=%s", i+1, ln.Addr())
+		_ = ln.Close()
+	}
+	spec := strings.Join(addrs, ",")
+	for id := model.ProcessID(2); id <= 3; id++ {
+		cfg, err := transport.ParsePeers(id, "", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep, err := transport.NewTCPEndpoint(cfg, transport.TCPOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := service.New(service.Config{
+			N: 3, T: 1, Factory: core.New(core.Options{}), BaseTimeout: 10 * time.Millisecond,
+		}, []transport.Transport{ep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { svc.Abort(); _ = ep.Close() })
+	}
+	return spec
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	err = fn()
+	os.Stdout = old
+	_ = w.Close()
+	return <-out, err
+}
+
 // serveWithStdin runs the serve subcommand with the given lines piped to
 // stdin.
 func serveWithStdin(t *testing.T, input string, args ...string) error {
@@ -191,34 +248,7 @@ func TestServeJournalAndReplay(t *testing.T) {
 	// claim's tag. -inflight 1 makes every claim block one instance
 	// wide, so every trace has a tagged claim to agree with. p2 and p3
 	// are in-test members over the same peer list.
-	addrs := make([]string, 3)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = fmt.Sprintf("p%d=%s", i+1, ln.Addr())
-		_ = ln.Close()
-	}
-	spec := strings.Join(addrs, ",")
-	for id := model.ProcessID(2); id <= 3; id++ {
-		cfg, err := transport.ParsePeers(id, "", spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ep, err := transport.NewTCPEndpoint(cfg, transport.TCPOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ep.Close()
-		svc, err := service.New(service.Config{
-			N: 3, T: 1, Factory: core.New(core.Options{}), BaseTimeout: 10 * time.Millisecond,
-		}, []transport.Transport{ep})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer svc.Abort()
-	}
+	spec := peerCompanions(t)
 	peerDir := t.TempDir() + "/member"
 	if err := serveWithStdin(t, "1\n2\n3\n", "-peers", spec, "-self", "1", "-t", "1",
 		"-timeout", "10ms", "-batch", "2", "-inflight", "1", "-adaptive", "-journal", peerDir); err != nil {
@@ -227,23 +257,18 @@ func TestServeJournalAndReplay(t *testing.T) {
 	if err := run([]string{"replay", "-journal", peerDir, "-traces"}); err != nil {
 		t.Fatalf("replay -traces of a member journal: %v", err)
 	}
-	claimed := make(map[uint64]string)
-	var traces []wire.DecisionTraceRecord
-	if _, err := journal.Replay(peerDir, func(e journal.Entry) error {
-		switch {
-		case e.Trace != nil:
-			traces = append(traces, *e.Trace)
-		case e.Start:
-			claimed[e.Instance()] = e.Alg
-		}
-		return nil
-	}); err != nil {
+	hist, err := shard.ReplayDir(peerDir, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(traces) == 0 {
+	claimed := make(map[uint64]string)
+	for _, st := range hist.Starts {
+		claimed[st.Instance] = st.Alg
+	}
+	if len(hist.Traces) == 0 {
 		t.Fatal("adaptive member journaled no decision traces")
 	}
-	for _, tr := range traces {
+	for _, tr := range hist.Traces {
 		if alg, ok := claimed[tr.Instance]; !ok || alg == "" || alg != tr.Chosen {
 			t.Fatalf("instance %d: trace chose %q, start claim says %q (on record: %v)", tr.Instance, tr.Chosen, alg, ok)
 		}
@@ -278,18 +303,18 @@ func TestServeShardSubcommand(t *testing.T) {
 		t.Fatalf("second sharded serve lifetime: %v", err)
 	}
 	for g := 0; g < groups; g++ {
-		if err := run([]string{"replay", "-journal", shard.GroupDir(dir, g)}); err != nil {
+		if err := run([]string{"replay", "-journal", shard.GroupDir(dir, g, groups)}); err != nil {
 			t.Fatalf("replay group %d: %v", g, err)
 		}
 	}
-	records, starts, err := shard.ReplayDir(dir, groups)
+	hist, err := shard.ReplayDir(dir, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(records) == 0 {
+	if len(hist.Records) == 0 {
 		t.Fatal("sharded serve journaled no decisions")
 	}
-	if rep := check.Replay(records, starts, nil); !rep.OK() {
+	if rep := check.Replay(hist.Records, hist.Starts, nil); !rep.OK() {
 		t.Fatalf("cross-group audit failed: %v", rep.Violations)
 	}
 }
@@ -304,6 +329,143 @@ func TestBenchServiceShardSubcommand(t *testing.T) {
 		"-groups", "2", "-placement", "key-affinity",
 		"-proposals", "24", "-clients", "6", "-timeout", "10ms"}); err != nil {
 		t.Fatalf("bench-service sharded tcp: %v", err)
+	}
+}
+
+// TestOneReportEveryGroupCount runs serve and bench-service at one group
+// and at three through one table: the group count is a parameter value,
+// so the same rows — summed counters, per-group distributions, the
+// control plane's under -adaptive, the journals' under -journal — must
+// be there at every G, and two lifetimes must share a journal root.
+func TestOneReportEveryGroupCount(t *testing.T) {
+	cases := []struct {
+		name  string
+		stdin string // serve input; the second lifetime replays it
+		args  []string
+		want  []string // lines every G prints
+		perG  []string // row prefixes every group g prints as "group g <prefix>"
+	}{
+		{name: "serve", stdin: "1\n2\n3\n4\n5\n6\n",
+			args: []string{"serve", "-n", "3", "-t", "1", "-timeout", "10ms", "-batch", "2", "-linger", "5ms"},
+			want: []string{"served 6 proposals", "resuming at instance", "journal group 0:"}},
+		{name: "serve adaptive", stdin: "1\n2\n3\n",
+			args: []string{"serve", "-n", "3", "-t", "1", "-timeout", "10ms", "-adaptive"},
+			want: []string{"served 3 proposals", "control plane:", "selector transitions", "final batch ≤"}},
+		{name: "bench",
+			args: []string{"bench-service", "-n", "3", "-t", "1", "-proposals", "48", "-clients", "12",
+				"-batch", "4", "-inflight", "8", "-timeout", "5ms", "-segment-bytes", "4096"},
+			want: []string{"proposals resolved", "proposals/sec", "proposals shed (overload)", "check violations"},
+			perG: []string{"load", "latency", "decision / round latency p50", "rounds min..max (t+2 floor)", "journal"}},
+		{name: "bench adaptive",
+			args: []string{"bench-service", "-n", "3", "-t", "1", "-proposals", "48", "-clients", "12",
+				"-timeout", "5ms", "-adaptive", "-burst", "16", "-burst-idle", "10ms"},
+			want: []string{"controller adjustments", "controller ticks", "selector transitions", "algorithms"},
+			perG: []string{"latency", "effective batch / linger (final)"}},
+	}
+	for _, tc := range cases {
+		for _, groups := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/groups=%d", tc.name, groups), func(t *testing.T) {
+				dir := t.TempDir() + "/journal"
+				args := append(append([]string{}, tc.args...), "-groups", fmt.Sprint(groups), "-journal", dir)
+				lifetime := func() string {
+					out, err := captureStdout(t, func() error {
+						if args[0] == "serve" {
+							return serveWithStdin(t, tc.stdin, args[1:]...)
+						}
+						return run(args)
+					})
+					if err != nil {
+						t.Fatalf("%v: %v\n%s", args, err, out)
+					}
+					return out
+				}
+				lifetime()
+				out := lifetime()
+				for _, w := range tc.want {
+					if !strings.Contains(out, w) {
+						t.Errorf("second lifetime prints no %q:\n%s", w, out)
+					}
+				}
+				for g := 0; g < groups; g++ {
+					for _, w := range tc.perG {
+						if row := fmt.Sprintf("group %d %s ", g, w); !strings.Contains(out, row) {
+							t.Errorf("no %q row:\n%s", row, out)
+						}
+					}
+				}
+				hist, err := shard.ReplayDir(dir, groups)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep := check.Replay(hist.Records, hist.Starts, nil); !rep.OK() || len(hist.Records) == 0 {
+					t.Fatalf("audit of %d records over both lifetimes: %v", len(hist.Records), rep.Violations)
+				}
+			})
+		}
+	}
+}
+
+// TestServePeerMetricsAddr scrapes a live `serve -peers` member: peer
+// mode builds its ops endpoint in the same startOn every other mode
+// does, so the member's decisions show up group-labelled on /metrics.
+func TestServePeerMetricsAddr(t *testing.T) {
+	spec := peerCompanions(t)
+	stdinR, stdinW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdoutR, stdoutW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldIn, oldOut := os.Stdin, os.Stdout
+	os.Stdin, os.Stdout = stdinR, stdoutW
+	defer func() { os.Stdin, os.Stdout = oldIn, oldOut }()
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"serve", "-peers", spec, "-self", "1", "-t", "1",
+			"-timeout", "10ms", "-metrics-addr", "127.0.0.1:0"})
+		_ = stdoutW.Close()
+	}()
+
+	// awaitLine reads the member's output up to the first line with the
+	// given prefix.
+	lines := bufio.NewScanner(stdoutR)
+	awaitLine := func(prefix string) string {
+		for lines.Scan() {
+			if strings.HasPrefix(lines.Text(), prefix) {
+				return lines.Text()
+			}
+		}
+		t.Fatalf("member exited before printing %q (run: %v)", prefix, <-done)
+		return ""
+	}
+	var addr string
+	if _, err := fmt.Sscanf(awaitLine("ops: "), "ops: http://%s", &addr); err != nil {
+		t.Fatal(err)
+	}
+	addr = strings.TrimSuffix(addr, "/metrics")
+	if _, err := stdinW.WriteString("7\n"); err != nil {
+		t.Fatal(err)
+	}
+	awaitLine("proposal 7 -> instance")
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), `indulgence_decisions_total{group="0"} 1`) {
+		t.Fatalf("scrape carries no decision for group 0:\n%s", body)
+	}
+	_ = stdinW.Close()
+	for lines.Scan() {
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("peer-mode serve with -metrics-addr: %v", err)
 	}
 }
 

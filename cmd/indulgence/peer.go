@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"indulgence/internal/check"
-	"indulgence/internal/journal"
 	"indulgence/internal/model"
 	"indulgence/internal/shard"
 	"indulgence/internal/stats"
@@ -87,65 +86,14 @@ func servePeer(f serviceFlags, explicit map[string]bool) error {
 	}
 	defer s.cleanup()
 
-	fmt.Printf("peer member up: p%d of %d (%s), %s, t=%d, listening on %s, ",
-		self, cfg.N(), cfg.ClusterID(), *f.algo, *f.t, ep.Addr())
-	if s.rt != nil {
-		// Every member of the cluster must be launched with the same
-		// -groups value — a slot's owning group is slot mod groups on
-		// every member.
-		fmt.Printf("%d groups (%s placement), batch ≤ %d, ≤ %d slots inflight/group\n",
-			s.rt.Groups(), s.rt.Policy(), *f.batch, *f.inflight)
-	} else {
-		fmt.Printf("batch ≤ %d, ≤ %d slots inflight\n", *f.batch, *f.inflight)
-	}
+	// Every member of the cluster must be launched with the same -groups
+	// value — a slot's owning group is slot mod groups on every member.
+	fmt.Printf("peer member up: p%d of %d (%s), %s, t=%d, listening on %s, %d groups (%s placement), batch ≤ %d, ≤ %d slots inflight/group\n",
+		self, cfg.N(), cfg.ClusterID(), *f.algo, *f.t, ep.Addr(), s.rt.Groups(), s.rt.Policy(), *f.batch, *f.inflight)
 	if *f.adaptive {
 		fmt.Println("adaptive control plane on: batch/linger tuning + admission (algorithm selection is single-process only)")
 	}
-	if s.jn != nil {
-		printJournalRecovery(s.jn)
-	}
-	if s.rt != nil {
-		for _, jn := range s.rt.Journals() {
-			printJournalRecovery(jn)
-		}
-	}
-	fmt.Println("enter one integer proposal per line (EOF to stop):")
-
-	scanErr := serveLoop(s.sink())
-	if err := s.close(); err != nil {
-		return err
-	}
-	if s.rt != nil {
-		roll := s.rt.Snapshot()
-		joined := 0
-		for _, st := range roll.Groups {
-			joined += st.JoinedInstances
-		}
-		fmt.Printf("served %d proposals over %d instances across %d groups (%d joined from peers)\n",
-			roll.Resolved, roll.Instances, s.rt.Groups(), joined)
-		for g, st := range roll.Groups {
-			fmt.Printf("  group %d: %d proposals over %d instances (%d joined); latency %s\n",
-				g, st.Resolved, st.Instances, st.JoinedInstances, st.Latency)
-		}
-		printShardJournals(s.rt.Journals())
-		if len(roll.Violations) > 0 {
-			return fmt.Errorf("%d consensus violations: %v", len(roll.Violations), roll.Violations)
-		}
-		return scanErr
-	}
-	st := s.svc.Snapshot()
-	fmt.Printf("served %d proposals over %d instances (%d joined from peers); latency %s\n",
-		st.Resolved, st.Instances, st.JoinedInstances, st.Latency)
-	if *f.adaptive {
-		fmt.Printf("control plane: %d adjustments over %d ticks, final batch ≤ %d linger %s, %d proposals shed\n",
-			st.Control.Adjustments, st.Control.Ticks, st.Control.Batch, st.Control.Linger, st.Overloads)
-	}
-	if s.jn != nil {
-		js := s.jn.Snapshot()
-		fmt.Printf("journal: %d decisions durable over %d fsyncs; fsync %s\n",
-			js.Decisions, js.Syncs, js.SyncLatency)
-	}
-	return scanErr
+	return s.serve(*f.adaptive)
 }
 
 // clusterChild is one spawned `serve -peers` process of the cluster
@@ -340,9 +288,7 @@ func cmdCluster(args []string) error {
 				"-batch", fmt.Sprint(*batch), "-inflight", fmt.Sprint(*inflight),
 				"-timeout", timeout.String(), "-join-timeout", "5s",
 				"-journal", filepath.Join(base, fmt.Sprintf("p%d", id)),
-			}
-			if *groups > 1 {
-				childArgs = append(childArgs, "-groups", fmt.Sprint(*groups), "-placement", *placement)
+				"-groups", fmt.Sprint(*groups), "-placement", *placement,
 			}
 			children[i] = &clusterChild{id: id, args: childArgs}
 		}
@@ -465,32 +411,15 @@ func cmdCluster(args []string) error {
 	var records []wire.DecisionRecord
 	var starts []wire.StartRecord
 	for i := 1; i <= *n; i++ {
+		// Every group journal of the member in one stream, so
+		// check.Replay's cross-group instance audit sees it whole.
 		dir := filepath.Join(base, fmt.Sprintf("p%d", i))
-		if *groups > 1 {
-			// Sharded members journal per group under dir; merge every
-			// group's stream so check.Replay's cross-group instance
-			// audit sees the member whole.
-			recs, sts, err := shard.ReplayDir(dir, *groups)
-			if err != nil {
-				return fmt.Errorf("cluster: replay %s: %w", dir, err)
-			}
-			records = append(records, recs...)
-			starts = append(starts, sts...)
-			continue
-		}
-		if _, err := journal.Replay(dir, func(e journal.Entry) error {
-			switch {
-			case e.Trace != nil:
-				// Introspection context, not part of the consensus audit.
-			case e.Start:
-				starts = append(starts, wire.StartRecord{Instance: e.Instance(), Alg: e.Alg, Group: e.Decision.Group})
-			default:
-				records = append(records, e.Decision)
-			}
-			return nil
-		}); err != nil {
+		hist, err := shard.ReplayDir(dir, *groups)
+		if err != nil {
 			return fmt.Errorf("cluster: replay %s: %w", dir, err)
 		}
+		records = append(records, hist.Records...)
+		starts = append(starts, hist.Starts...)
 	}
 	audit.mu.Lock()
 	rep := check.Replay(records, starts, audit.live)

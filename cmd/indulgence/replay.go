@@ -8,9 +8,8 @@ import (
 	"time"
 
 	"indulgence/internal/check"
-	"indulgence/internal/journal"
+	"indulgence/internal/shard"
 	"indulgence/internal/stats"
-	"indulgence/internal/wire"
 )
 
 // cmdReplay dumps and verifies a decision journal: it replays every
@@ -38,25 +37,14 @@ func cmdReplay(args []string) error {
 		return fmt.Errorf("replay: -journal is required")
 	}
 
-	var recs []wire.DecisionRecord
-	var starts []wire.StartRecord
-	var trecs []wire.DecisionTraceRecord
-	info, err := journal.Replay(*dir, func(e journal.Entry) error {
-		switch {
-		case e.Trace != nil:
-			trecs = append(trecs, *e.Trace)
-		case e.Start:
-			// Keep the group tag: a sharded group's journal replayed on
-			// its own must not look like a start/decision group mismatch.
-			starts = append(starts, wire.StartRecord{Instance: e.Instance(), Alg: e.Alg, Group: e.Decision.Group})
-		default:
-			recs = append(recs, e.Decision)
-		}
-		return nil
-	})
+	// The directory is read as a one-group journal root (shard.GroupDir's
+	// layout rule): what serve -journal DIR writes at -groups 1, or one
+	// group-NNNN subdirectory of a wider runtime audited on its own.
+	hist, err := shard.ReplayDir(*dir, 1)
 	if err != nil {
 		return err
 	}
+	recs, starts, trecs := hist.Records, hist.Starts, hist.Traces
 
 	// The claimed algorithm of each decided instance, when on record.
 	// Only a tagged claim for the exact instance counts: a selecting
@@ -109,10 +97,10 @@ func cmdReplay(args []string) error {
 		}
 	}
 	fmt.Printf("%d decisions, %d instance starts, %d decision traces, %d segments; frontier %d\n",
-		info.Decisions, len(starts), len(trecs), info.Segments, info.Frontier)
-	if info.TornBytes > 0 {
+		len(recs), len(starts), len(trecs), hist.Segments, hist.Frontier)
+	if hist.TornBytes > 0 {
 		fmt.Printf("torn tail: %d trailing bytes of the final segment are not intact records (recovery drops them)\n",
-			info.TornBytes)
+			hist.TornBytes)
 	}
 
 	if *verify {

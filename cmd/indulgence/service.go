@@ -73,9 +73,9 @@ type serviceFlags struct {
 	// registry as Prometheus text and JSON plus net/http/pprof.
 	metricsAddr *string
 
-	// Sharding (internal/shard): -groups > 1 runs G consensus groups
-	// over the shared transport, each owning a strided slice of the
-	// instance-ID space, with a placement router in front.
+	// Sharding (internal/shard): the runtime runs -groups consensus
+	// groups over the shared transport, each owning a strided slice of
+	// the instance-ID space, with a placement router in front.
 	groups    *int
 	placement *string
 
@@ -154,33 +154,13 @@ func (f serviceFlags) adaptConfig(selectAlgos bool) *adapt.Config {
 	return cfg
 }
 
-// started bundles whichever runtime shape the flags produced: one
-// service.Service for -groups 1 (byte-identical to the pre-sharding
-// path), or a shard.Runtime routing across G groups otherwise. Either
-// hosts all n processes (serve, bench-service) or one (serve -peers).
+// started is the running shard.Runtime — the one shape every flag
+// combination produces, hosting all n processes (serve, bench-service) or
+// one (serve -peers) — plus what was built underneath it.
 type started struct {
-	svc     *service.Service // -groups 1
-	rt      *shard.Runtime   // -groups > 1
-	hub     *transport.Hub
-	jn      *journal.Journal   // single-group journal; sharded ones live in rt
-	ops     *metrics.OpsServer // -metrics-addr endpoint (nil = off)
+	rt      *shard.Runtime
+	hub     *transport.Hub // memory transport only (delay injection)
 	cleanup func()
-}
-
-// sink returns the proposal entry point of whichever shape started.
-func (s *started) sink() proposalSink {
-	if s.rt != nil {
-		return s.rt
-	}
-	return s.svc
-}
-
-// close drains and stops the runtime (transport cleanup stays separate).
-func (s *started) close() error {
-	if s.rt != nil {
-		return s.rt.Close()
-	}
-	return s.svc.Close()
 }
 
 // policy validates -groups and parses -placement — the checks both
@@ -206,10 +186,9 @@ func (f serviceFlags) serviceConfig(factory model.Factory) service.Config {
 	}
 }
 
-// start builds the transport, the optional journal(s) and the service —
-// or the sharded runtime for -groups > 1 — from the parsed flags, hosting
-// all n processes. The returned cleanup closes the transport and the
-// journal; call it after the service is closed.
+// start builds the transport and the runtime hosting all n processes on
+// it from the parsed flags. The returned cleanup closes the transport and
+// the ops endpoint; call it after the runtime is closed.
 func (f serviceFlags) start() (*started, error) {
 	factory, err := factoryByName(*f.algo)
 	if err != nil {
@@ -223,87 +202,52 @@ func (f serviceFlags) start() (*started, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The ops endpoint and the registry it serves: one registry spans
-	// the whole runtime — every group's service, control plane and
-	// journal registers on it — so one scrape shows the full picture.
-	var reg *metrics.Registry
-	var ops *metrics.OpsServer
-	cleanup := closeTransport
-	if *f.metricsAddr != "" {
-		reg = metrics.NewRegistry()
-		ops, err = metrics.ServeOps(*f.metricsAddr, reg)
-		if err != nil {
-			closeTransport()
-			return nil, fmt.Errorf("ops endpoint: %w", err)
-		}
-		cleanup = func() {
-			_ = ops.Close()
-			closeTransport()
-		}
-	}
 	cfg := f.serviceConfig(factory)
 	cfg.N = *f.n
 	cfg.Adaptive = f.adaptConfig(true)
-	cfg.Metrics = reg
-	s, err := f.startOn(cfg, policy, eps, cleanup)
+	s, err := f.startOn(cfg, policy, eps, closeTransport)
 	if err != nil {
 		return nil, err
 	}
-	s.hub, s.ops = hub, ops
+	s.hub = hub
 	return s, nil
 }
 
-// startOn starts the service (or, for -groups > 1, the sharded runtime)
-// that hosts the processes behind eps, with the journal(s) -journal asks
-// for. cleanup releases what the caller built underneath; startOn runs
-// it on failure and extends it with the journal's close on success.
+// startOn starts the runtime that hosts the processes behind eps, with
+// the ops endpoint -metrics-addr and the journals -journal ask for.
+// cleanup releases what the caller built underneath; startOn runs it on
+// failure and extends it with the ops endpoint's close on success.
 func (f serviceFlags) startOn(cfg service.Config, policy shard.Policy, eps []transport.Transport, cleanup func()) (*started, error) {
-	if *f.groups > 1 {
-		rt, err := shard.New(shard.Config{
-			Service:        cfg,
-			Groups:         *f.groups,
-			Placement:      policy,
-			JournalDir:     *f.journal,
-			JournalOptions: journal.Options{SegmentBytes: *f.segment},
-		}, eps)
+	s := &started{cleanup: cleanup}
+	if *f.metricsAddr != "" {
+		// One registry spans the whole runtime — every group's service,
+		// control plane and journal registers on it — so one scrape
+		// shows the full picture.
+		cfg.Metrics = metrics.NewRegistry()
+		ops, err := metrics.ServeOps(*f.metricsAddr, cfg.Metrics)
 		if err != nil {
 			cleanup()
-			return nil, err
+			return nil, fmt.Errorf("ops endpoint: %w", err)
 		}
-		return &started{rt: rt, cleanup: cleanup}, nil
-	}
-	var jn *journal.Journal
-	if *f.journal != "" {
-		jo := journal.Options{SegmentBytes: *f.segment}
-		if cfg.Metrics != nil {
-			jo.Metrics = cfg.Metrics
-			jo.MetricsLabels = []metrics.Label{{Key: "group", Value: "0"}}
-		}
-		var err error
-		jn, err = journal.Open(*f.journal, jo)
-		if err != nil {
+		s.cleanup = func() {
+			_ = ops.Close()
 			cleanup()
-			return nil, err
 		}
-		prev := cleanup
-		cleanup = func() {
-			prev()
-			_ = jn.Close()
-		}
+		fmt.Printf("ops: http://%s/metrics (Prometheus text), /metrics.json (snapshot), /debug/pprof\n", ops.Addr())
 	}
-	cfg.Journal = jn
-	svc, err := service.New(cfg, eps)
+	rt, err := shard.New(shard.Config{
+		Service:        cfg,
+		Groups:         *f.groups,
+		Placement:      policy,
+		JournalDir:     *f.journal,
+		JournalOptions: journal.Options{SegmentBytes: *f.segment},
+	}, eps)
 	if err != nil {
-		cleanup()
+		s.cleanup()
 		return nil, err
 	}
-	return &started{svc: svc, jn: jn, cleanup: cleanup}, nil
-}
-
-// proposalSink is what the stdin loop needs from either runtime shape
-// (one Service or a sharded Runtime).
-type proposalSink interface {
-	Propose(ctx context.Context, v model.Value) (*service.Future, error)
+	s.rt = rt
+	return s, nil
 }
 
 // printJournalRecovery reports what a freshly opened journal recovered.
@@ -320,7 +264,7 @@ func printJournalRecovery(jn *journal.Journal) {
 // serveLoop reads one integer proposal per stdin line, proposes each, and
 // prints its decision when the instance it rode resolves. It returns when
 // stdin hits EOF and every future has fired.
-func serveLoop(svc proposalSink) error {
+func serveLoop(rt *shard.Runtime) error {
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	var scanErr error
@@ -335,7 +279,7 @@ func serveLoop(svc proposalSink) error {
 			fmt.Printf("not a proposal: %q\n", line)
 			continue
 		}
-		fut, err := svc.Propose(ctx, model.Value(v))
+		fut, err := rt.Propose(ctx, model.Value(v))
 		if err != nil {
 			scanErr = err
 			break
@@ -371,9 +315,6 @@ func cmdServe(args []string) error {
 		return err
 	}
 	if *f.peers != "" || *f.peersFile != "" {
-		if *f.metricsAddr != "" {
-			return errors.New("-metrics-addr is not supported in peer mode yet")
-		}
 		explicit := make(map[string]bool)
 		fs.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
 		return servePeer(f, explicit)
@@ -384,12 +325,8 @@ func cmdServe(args []string) error {
 	}
 	defer s.cleanup()
 
-	fmt.Printf("consensus service up: %s, n=%d t=%d, %s transport, batch ≤ %d, linger %s, ≤ %d instances inflight\n",
-		*f.algo, *f.n, *f.t, *f.trans, *f.batch, *f.linger, *f.inflight)
-	if s.rt != nil {
-		fmt.Printf("sharded: %d consensus groups, %s placement, strided instance-ID spaces\n",
-			s.rt.Groups(), s.rt.Policy())
-	}
+	fmt.Printf("consensus service up: %s, n=%d t=%d, %s transport, %d groups (%s placement), batch ≤ %d, linger %s, ≤ %d instances inflight/group\n",
+		*f.algo, *f.n, *f.t, *f.trans, s.rt.Groups(), s.rt.Policy(), *f.batch, *f.linger, *f.inflight)
 	if *f.adaptive {
 		mode := "batch/linger tuning + admission"
 		if *f.adaptSelect {
@@ -397,63 +334,59 @@ func cmdServe(args []string) error {
 		}
 		fmt.Printf("adaptive control plane on: %s (decision log with -verbose)\n", mode)
 	}
-	if s.jn != nil {
-		printJournalRecovery(s.jn)
-	}
-	if s.rt != nil {
-		for _, jn := range s.rt.Journals() {
-			printJournalRecovery(jn)
+	return s.serve(*f.adaptive)
+}
+
+// serve is what both serve modes do once their runtime is up and
+// announced: report what the journals recovered, pump stdin proposals
+// until EOF, drain, and summarize — counters summed across groups,
+// latency per group (percentiles do not merge). Any live consensus
+// violation is a non-zero exit.
+func (s *started) serve(adaptive bool) error {
+	for _, jn := range s.rt.Journals() {
+		st := jn.Snapshot()
+		fmt.Printf("journal: %s — recovered %d decisions (+%d starts), resuming at instance %d",
+			jn.Dir(), st.Decisions, st.Starts, st.Frontier)
+		if st.TornBytes > 0 {
+			fmt.Printf(" (dropped a %d-byte torn tail)", st.TornBytes)
 		}
-	}
-	if s.ops != nil {
-		fmt.Printf("ops: http://%s/metrics (Prometheus text), /metrics.json (snapshot), /debug/pprof\n", s.ops.Addr())
+		fmt.Println()
 	}
 	fmt.Println("enter one integer proposal per line (EOF to stop):")
 
-	scanErr := serveLoop(s.sink())
-	if err := s.close(); err != nil {
+	scanErr := serveLoop(s.rt)
+	if err := s.rt.Close(); err != nil {
 		return err
 	}
-	if s.rt != nil {
-		roll := s.rt.Snapshot()
-		fmt.Printf("served %d proposals over %d instances across %d groups\n",
-			roll.Resolved, roll.Instances, s.rt.Groups())
+	roll := s.rt.Snapshot()
+	fmt.Printf("served %d proposals over %d instances across %d group(s) (%d joined from peers)\n",
+		roll.Resolved, roll.Instances, s.rt.Groups(), roll.JoinedInstances)
+	for g, st := range roll.Groups {
+		fmt.Printf("  group %d: %d proposals over %d instances (%d joined); latency %s\n",
+			g, st.Resolved, st.Instances, st.JoinedInstances, st.Latency)
+	}
+	if adaptive {
+		fmt.Printf("control plane: %d adjustments over %d ticks, %d selector transitions, %d proposals shed; algorithms %s\n",
+			roll.Adjustments, roll.Ticks, roll.Transitions, roll.Overloads, formatAlgs(roll.Algorithms))
 		for g, st := range roll.Groups {
-			fmt.Printf("  group %d: %d proposals over %d instances; latency %s\n",
-				g, st.Resolved, st.Instances, st.Latency)
+			fmt.Printf("  group %d: final batch ≤ %d linger %s\n", g, st.Control.Batch, st.Control.Linger)
 		}
-		printShardJournals(s.rt.Journals())
-		if len(roll.Violations) > 0 {
-			return fmt.Errorf("%d consensus violations: %v", len(roll.Violations), roll.Violations)
-		}
-		return scanErr
 	}
-	st := s.svc.Snapshot()
-	fmt.Printf("served %d proposals over %d instances; latency %s\n",
-		st.Resolved, st.Instances, st.Latency)
-	if *f.adaptive {
-		fmt.Printf("control plane: %d adjustments over %d ticks, final batch ≤ %d linger %s, %d selector transitions, %d proposals shed; algorithms %s\n",
-			st.Control.Adjustments, st.Control.Ticks, st.Control.Batch, st.Control.Linger,
-			st.Control.Transitions, st.Overloads, formatAlgs(st.Algorithms))
-	}
-	if s.jn != nil {
-		js := s.jn.Snapshot()
-		fmt.Printf("journal: %d decisions durable over %d fsyncs; fsync %s\n",
-			js.Decisions, js.Syncs, js.SyncLatency)
-	}
-	if len(st.Violations) > 0 {
-		return fmt.Errorf("%d consensus violations: %v", len(st.Violations), st.Violations)
-	}
-	return scanErr
-}
-
-// printShardJournals reports the per-group journals' durability summary.
-func printShardJournals(jns []*journal.Journal) {
-	for g, jn := range jns {
+	for g, jn := range s.rt.Journals() {
 		js := jn.Snapshot()
 		fmt.Printf("journal group %d: %d decisions durable over %d fsyncs; fsync %s\n",
 			g, js.Decisions, js.Syncs, js.SyncLatency)
 	}
+	return violationsErr(roll.Violations, scanErr)
+}
+
+// violationsErr is the exit rule every report shares: a live consensus
+// violation fails the run; otherwise the run's own error (if any) stands.
+func violationsErr(violations []string, err error) error {
+	if len(violations) > 0 {
+		return fmt.Errorf("%d consensus violations: %v", len(violations), violations)
+	}
+	return err
 }
 
 // formatAlgs renders an instances-per-algorithm map as a stable
@@ -511,10 +444,6 @@ func cmdBenchService(args []string) error {
 		return err
 	}
 	defer s.cleanup()
-	if s.ops != nil {
-		fmt.Printf("ops: http://%s/metrics (Prometheus text), /metrics.json (snapshot), /debug/pprof\n", s.ops.Addr())
-	}
-	svc := s.sink()
 	if *delay > 0 {
 		if s.hub == nil {
 			return fmt.Errorf("delay injection needs the memory transport")
@@ -562,7 +491,7 @@ func cmdBenchService(args []string) error {
 			defer wg.Done()
 			for v := range next {
 				for {
-					fut, err := svc.Propose(ctx, v)
+					fut, err := s.rt.Propose(ctx, v)
 					if err == nil {
 						_, err = fut.Wait(ctx)
 					}
@@ -590,106 +519,65 @@ func cmdBenchService(args []string) error {
 	}
 	wg.Wait()
 	elapsed := time.Since(begin)
-	if err := s.close(); err != nil {
+	if err := s.rt.Close(); err != nil {
 		return err
 	}
 	if firstErr != nil {
 		return firstErr
 	}
-	if s.rt != nil {
-		return benchShardReport(f, s.rt, elapsed, *clients, *burst, *burstIdle)
-	}
 
-	st := s.svc.Snapshot()
-	title := fmt.Sprintf("bench-service: %s, n=%d t=%d, %s transport, %d clients, batch ≤ %d, ≤ %d inflight",
-		*f.algo, *f.n, *f.t, *f.trans, *clients, *f.batch, *f.inflight)
+	// One table for every group count: counters are summed across
+	// groups (aggregate throughput is the number sharding exists to
+	// raise), distributions get one row per group because percentiles
+	// do not merge.
+	roll := s.rt.Snapshot()
+	title := fmt.Sprintf("bench-service: %s, n=%d t=%d, %s transport, %d clients, %d groups (%s placement), batch ≤ %d, ≤ %d inflight/group",
+		*f.algo, *f.n, *f.t, *f.trans, *clients, s.rt.Groups(), s.rt.Policy(), *f.batch, *f.inflight)
 	if *f.adaptive {
 		title += ", adaptive"
 	}
 	if *burst > 0 {
 		title += fmt.Sprintf(", bursts of %d every %s", *burst, *burstIdle)
 	}
+	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 	table := stats.NewTable(title, "metric", "value")
-	table.AddRowf("proposals resolved", st.Resolved)
-	table.AddRowf("instances decided", st.Instances)
+	table.AddRowf("proposals resolved", roll.Resolved)
+	table.AddRowf("instances decided", roll.Instances)
 	table.AddRowf("wall time", elapsed.Round(time.Millisecond))
-	table.AddRowf("proposals/sec", fmt.Sprintf("%.0f", float64(st.Resolved)/elapsed.Seconds()))
-	table.AddRowf("decisions/sec (instances)", fmt.Sprintf("%.0f", float64(st.Instances)/elapsed.Seconds()))
-	table.AddRowf("mean batch", fmt.Sprintf("%.2f", float64(st.Resolved)/float64(max(st.Instances, 1))))
-	table.AddRowf("batch fill mean %", fmt.Sprintf("%.0f", st.BatchFill.Mean))
-	table.AddRowf("latency p50", st.Latency.P50.Round(time.Microsecond))
-	table.AddRowf("latency p90", st.Latency.P90.Round(time.Microsecond))
-	table.AddRowf("latency p99", st.Latency.P99.Round(time.Microsecond))
-	table.AddRowf("latency max", st.Latency.Max.Round(time.Microsecond))
-	table.AddRowf("decision latency p50", st.DecisionLatency.P50.Round(time.Microsecond))
-	table.AddRowf("round latency p50", st.RoundLatency.P50.Round(time.Microsecond))
-	table.AddRowf("rounds min..max (t+2 floor)", fmt.Sprintf("%d..%d (%d)", st.Rounds.Min, st.Rounds.Max, *f.t+2))
-	table.AddRowf("check violations", len(st.Violations))
-	if *f.adaptive {
-		table.AddRowf("controller adjustments", st.Control.Adjustments)
-		table.AddRowf("controller ticks", st.Control.Ticks)
-		table.AddRowf("effective batch (final)", st.Control.Batch)
-		table.AddRowf("effective linger (final)", st.Control.Linger)
-		table.AddRowf("selector transitions", st.Control.Transitions)
-		table.AddRowf("proposals shed (overload)", st.Overloads)
-		table.AddRowf("algorithms", formatAlgs(st.Algorithms))
-	}
-	if s.jn != nil {
-		js := s.jn.Snapshot()
-		table.AddRowf("journal decisions durable", js.Decisions)
-		table.AddRowf("journal fsyncs (group commits)", js.Syncs)
-		table.AddRowf("journal fsync p99", js.SyncLatency.P99.Round(time.Microsecond))
-		table.AddRowf("journal segments", js.Segments)
-	}
-	table.Render(os.Stdout)
-	if len(st.Violations) > 0 {
-		return fmt.Errorf("%d consensus violations: %v", len(st.Violations), st.Violations)
-	}
-	if st.Failed > 0 || st.InstanceFailures > 0 {
-		return fmt.Errorf("%d proposals / %d instances failed", st.Failed, st.InstanceFailures)
-	}
-	return nil
-}
-
-// benchShardReport renders the sharded bench table: aggregate throughput
-// across every group (the number the sharding exists to raise) plus one
-// row per group, since latency percentiles do not merge across groups.
-func benchShardReport(f serviceFlags, rt *shard.Runtime, elapsed time.Duration, clients, burst int, burstIdle time.Duration) error {
-	roll := rt.Snapshot()
-	title := fmt.Sprintf("bench-service: %s, n=%d t=%d, %s transport, %d clients, %d groups (%s placement), batch ≤ %d, ≤ %d inflight/group",
-		*f.algo, *f.n, *f.t, *f.trans, clients, rt.Groups(), rt.Policy(), *f.batch, *f.inflight)
-	if *f.adaptive {
-		title += ", adaptive"
-	}
-	if burst > 0 {
-		title += fmt.Sprintf(", bursts of %d every %s", burst, burstIdle)
-	}
-	table := stats.NewTable(title, "metric", "value")
-	table.AddRowf("proposals resolved (all groups)", roll.Resolved)
-	table.AddRowf("instances decided (all groups)", roll.Instances)
-	table.AddRowf("wall time", elapsed.Round(time.Millisecond))
-	table.AddRowf("aggregate proposals/sec", fmt.Sprintf("%.0f", float64(roll.Resolved)/elapsed.Seconds()))
-	table.AddRowf("aggregate decisions/sec", fmt.Sprintf("%.0f", float64(roll.Instances)/elapsed.Seconds()))
+	table.AddRowf("proposals/sec", fmt.Sprintf("%.0f", float64(roll.Resolved)/elapsed.Seconds()))
+	table.AddRowf("decisions/sec (instances)", fmt.Sprintf("%.0f", float64(roll.Instances)/elapsed.Seconds()))
 	table.AddRowf("mean batch", fmt.Sprintf("%.2f", float64(roll.Resolved)/float64(max(roll.Instances, 1))))
 	table.AddRowf("proposals shed (overload)", roll.Overloads)
-	for g, st := range roll.Groups {
-		table.AddRowf(fmt.Sprintf("group %d", g),
-			fmt.Sprintf("%d proposals / %d instances, p50 %s p99 %s",
-				st.Resolved, st.Instances,
-				st.Latency.P50.Round(time.Microsecond), st.Latency.P99.Round(time.Microsecond)))
-	}
 	table.AddRowf("check violations", len(roll.Violations))
-	for g, jn := range rt.Journals() {
-		js := jn.Snapshot()
-		table.AddRowf(fmt.Sprintf("journal group %d", g),
-			fmt.Sprintf("%d decisions durable / %d fsyncs", js.Decisions, js.Syncs))
+	if *f.adaptive {
+		table.AddRowf("controller adjustments", roll.Adjustments)
+		table.AddRowf("controller ticks", roll.Ticks)
+		table.AddRowf("selector transitions", roll.Transitions)
+		table.AddRowf("algorithms", formatAlgs(roll.Algorithms))
+	}
+	journals := s.rt.Journals()
+	for g, st := range roll.Groups {
+		row := func(metric, format string, args ...any) {
+			table.AddRowf(fmt.Sprintf("group %d %s", g, metric), fmt.Sprintf(format, args...))
+		}
+		row("load", "%d proposals / %d instances, batch fill mean %.0f%%", st.Resolved, st.Instances, st.BatchFill.Mean)
+		row("latency", "p50 %s p90 %s p99 %s max %s",
+			us(st.Latency.P50), us(st.Latency.P90), us(st.Latency.P99), us(st.Latency.Max))
+		row("decision / round latency p50", "%s / %s", us(st.DecisionLatency.P50), us(st.RoundLatency.P50))
+		row("rounds min..max (t+2 floor)", "%d..%d (%d)", st.Rounds.Min, st.Rounds.Max, *f.t+2)
+		if *f.adaptive {
+			row("effective batch / linger (final)", "%d / %s", st.Control.Batch, st.Control.Linger)
+		}
+		if journals != nil {
+			js := journals[g].Snapshot()
+			row("journal", "%d decisions durable / %d fsyncs (group commits), fsync p99 %s, %d segments",
+				js.Decisions, js.Syncs, us(js.SyncLatency.P99), js.Segments)
+		}
 	}
 	table.Render(os.Stdout)
-	if len(roll.Violations) > 0 {
-		return fmt.Errorf("%d consensus violations: %v", len(roll.Violations), roll.Violations)
-	}
+	var failed error
 	if roll.Failed > 0 || roll.InstanceFailures > 0 {
-		return fmt.Errorf("%d proposals / %d instances failed", roll.Failed, roll.InstanceFailures)
+		failed = fmt.Errorf("%d proposals / %d instances failed", roll.Failed, roll.InstanceFailures)
 	}
-	return nil
+	return violationsErr(roll.Violations, failed)
 }

@@ -19,6 +19,7 @@ import (
 	"indulgence/internal/adapt"
 	"indulgence/internal/chaos"
 	"indulgence/internal/service"
+	"indulgence/internal/shard"
 	"indulgence/internal/stats"
 	"indulgence/internal/wire"
 	"indulgence/internal/workload"
@@ -176,13 +177,6 @@ func runWorkloadLive(f serviceFlags, spec *workload.Spec, recordPath string, lim
 
 	ctx, cancel := context.WithTimeout(context.Background(), limit)
 	defer cancel()
-	propose := func(e workload.Event) (*service.Future, error) {
-		if s.rt != nil {
-			return s.rt.ProposeKeyClass(ctx, e.Key, e.Class, e.Value)
-		}
-		return s.svc.ProposeClass(ctx, e.Class, e.Value)
-	}
-
 	outcomes := make([]wire.TraceOutcomeRecord, len(events))
 	var wg sync.WaitGroup
 	begin := time.Now()
@@ -196,12 +190,12 @@ func runWorkloadLive(f serviceFlags, spec *workload.Spec, recordPath string, lim
 		wg.Add(1)
 		go func(e workload.Event) {
 			defer wg.Done()
-			outcomes[e.Seq] = driveEvent(ctx, propose, e, *f.groups)
+			outcomes[e.Seq] = driveEvent(ctx, s.rt, e)
 		}(e)
 	}
 	wg.Wait()
 	elapsed := time.Since(begin)
-	if err := s.close(); err != nil {
+	if err := s.rt.Close(); err != nil {
 		return err
 	}
 	if w != nil {
@@ -215,20 +209,20 @@ func runWorkloadLive(f serviceFlags, spec *workload.Spec, recordPath string, lim
 		}
 		fmt.Printf("live trace written to %s (audit with: indulgence replay-trace %s)\n", recordPath, recordPath)
 	}
-	return workloadReport(f, s, spec, events, outcomes, elapsed)
+	return workloadReport(f, s.rt.Snapshot(), spec, events, outcomes, elapsed)
 }
 
 // driveEvent submits one workload event and resolves its fate. Shed
 // proposals retry on the control plane's own terms — back off
 // RetryAfter, give up once the class's retry budget is spent — so
 // higher classes, with their larger budgets, outlast overload.
-func driveEvent(ctx context.Context, propose func(workload.Event) (*service.Future, error), e workload.Event, groups int) wire.TraceOutcomeRecord {
+func driveEvent(ctx context.Context, rt *shard.Runtime, e workload.Event) wire.TraceOutcomeRecord {
 	rec := wire.TraceOutcomeRecord{Seq: uint64(e.Seq), Class: e.Class}
 	start := time.Now()
 	retries := 0
 	for {
 		var dec service.Decision
-		fut, err := propose(e)
+		fut, err := rt.ProposeKeyClass(ctx, e.Key, e.Class, e.Value)
 		if err == nil {
 			dec, err = fut.Wait(ctx)
 		}
@@ -259,9 +253,7 @@ func driveEvent(ctx context.Context, propose func(workload.Event) (*service.Futu
 		rec.Round = dec.Round
 		rec.Batch = dec.Batch
 		rec.Class = dec.Class
-		if groups > 1 {
-			rec.Group = dec.Instance % uint64(groups)
-		}
+		rec.Group = dec.Instance % uint64(rt.Groups())
 		rec.LatencyNanos = int64(time.Since(start))
 		return rec
 	}
@@ -273,7 +265,7 @@ func driveEvent(ctx context.Context, propose func(workload.Event) (*service.Futu
 // Class attribution follows the submitting event, not the decision —
 // a decision carries its batch's class (the highest member), but the
 // SLO a client experiences is its own cohort's.
-func workloadReport(f serviceFlags, s *started, spec *workload.Spec, events []workload.Event, outcomes []wire.TraceOutcomeRecord, elapsed time.Duration) error {
+func workloadReport(f serviceFlags, roll shard.Rollup, spec *workload.Spec, events []workload.Event, outcomes []wire.TraceOutcomeRecord, elapsed time.Duration) error {
 	classes := spec.Classes()
 	if *f.classes > classes {
 		classes = *f.classes
@@ -296,11 +288,8 @@ func workloadReport(f serviceFlags, s *started, spec *workload.Spec, events []wo
 			failed++
 		}
 	}
-	title := fmt.Sprintf("workload: %s, n=%d t=%d, %s transport, %d cohorts, %d classes, %d events",
-		*f.algo, *f.n, *f.t, *f.trans, len(spec.Cohorts), classes, len(outcomes))
-	if *f.groups > 1 {
-		title += fmt.Sprintf(", %d groups", *f.groups)
-	}
+	title := fmt.Sprintf("workload: %s, n=%d t=%d, %s transport, %d cohorts, %d classes, %d events, %d groups",
+		*f.algo, *f.n, *f.t, *f.trans, len(spec.Cohorts), classes, len(outcomes), len(roll.Groups))
 	table := stats.NewTable(title, "metric", "value")
 	table.AddRowf("events decided", decided)
 	table.AddRowf("events shed (budget spent)", shed)
@@ -315,31 +304,17 @@ func workloadReport(f serviceFlags, s *started, spec *workload.Spec, events []wo
 				sum.P50.Round(time.Microsecond), sum.P90.Round(time.Microsecond),
 				sum.P99.Round(time.Microsecond), sum.P999.Round(time.Microsecond)))
 	}
-	var violations []string
-	if s.rt != nil {
-		roll := s.rt.Snapshot()
-		violations = roll.Violations
-		table.AddRowf("service sheds (admission)", roll.Overloads)
-		if len(roll.OverloadsByClass) > 0 {
-			table.AddRowf("sheds by class", fmt.Sprintf("%v", roll.OverloadsByClass))
-		}
-	} else {
-		st := s.svc.Snapshot()
-		violations = st.Violations
-		table.AddRowf("service sheds (admission)", st.Overloads)
-		if len(st.OverloadsByClass) > 0 {
-			table.AddRowf("sheds by class", fmt.Sprintf("%v", st.OverloadsByClass))
-		}
+	table.AddRowf("service sheds (admission)", roll.Overloads)
+	if len(roll.OverloadsByClass) > 0 {
+		table.AddRowf("sheds by class", fmt.Sprintf("%v", roll.OverloadsByClass))
 	}
-	table.AddRowf("check violations", len(violations))
+	table.AddRowf("check violations", len(roll.Violations))
 	table.Render(os.Stdout)
-	if len(violations) > 0 {
-		return fmt.Errorf("%d consensus violations: %v", len(violations), violations)
-	}
+	var failErr error
 	if failed > 0 {
-		return fmt.Errorf("%d events failed", failed)
+		failErr = fmt.Errorf("%d events failed", failed)
 	}
-	return nil
+	return violationsErr(roll.Violations, failErr)
 }
 
 // cmdReplayTrace replays a recorded workload trace and audits it. A

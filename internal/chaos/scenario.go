@@ -119,13 +119,11 @@ type Scenario struct {
 	// Horizon is the fault horizon: dropped frames deliver shortly
 	// after it, and all fault windows end at or before it.
 	Horizon time.Duration
-	// Groups, when above 1, runs the scenario on the sharded runtime
-	// (internal/shard): Groups consensus groups over the shared
-	// endpoints, proposals placed round-robin, every group journaling
-	// into its own subdirectory and audited per group. 0 or 1 runs the
-	// single-group service exactly as before the field existed; the
-	// field is omitted from the JSON encoding when 0, so legacy specs
-	// replay byte-identically.
+	// Groups is the scenario's consensus group count on the runtime
+	// under test (internal/shard): proposals placed round-robin, every
+	// group journaling and audited on its own (shard.GroupDir has the
+	// directory layout). 0 means 1; the field is omitted from the JSON
+	// encoding when 0, so specs that predate it replay byte-identically.
 	Groups int `json:",omitempty"`
 	// Workload, when set, replaces the fixed wave load with a generated
 	// workload (internal/workload): every generated event is submitted
@@ -184,11 +182,7 @@ func (sc Scenario) Validate() error {
 		if err := sc.Workload.Validate(); err != nil {
 			return fmt.Errorf("chaos: workload: %w", err)
 		}
-		groups := sc.Groups
-		if groups < 1 {
-			groups = 1
-		}
-		if bound := sc.MaxBatch * sc.MaxInflight * groups; sc.Workload.MaxEvents < 1 || sc.Workload.MaxEvents > bound {
+		if bound := sc.MaxBatch * sc.MaxInflight * max(sc.Groups, 1); sc.Workload.MaxEvents < 1 || sc.Workload.MaxEvents > bound {
 			return fmt.Errorf("chaos: workload MaxEvents %d outside [1,%d] (MaxBatch×MaxInflight×groups — scenario load must never block the clock driver)",
 				sc.Workload.MaxEvents, bound)
 		}

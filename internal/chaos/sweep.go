@@ -174,11 +174,6 @@ func Run(sc Scenario, opts Options) Result {
 		eps[i] = nw.Wrap(ep)
 	}
 
-	groups := sc.Groups
-	if groups < 1 {
-		groups = 1
-	}
-
 	cp := &crashPlan{down: make(map[model.ProcessID]bool)}
 	for _, c := range sc.Crashes {
 		c := c
@@ -205,78 +200,18 @@ func Run(sc Scenario, opts Options) Result {
 	if sc.Adaptive {
 		cfg.Adaptive = &adapt.Config{Classes: sc.Classes}
 	}
-	// The two runtime shapes — the single-group service and the sharded
-	// multi-group runtime — are abstracted behind four closures so the
-	// schedule driver and the audits below stay shared. NoSync on every
-	// journal: it is an audit trail here, not a durability promise, and
-	// fsync stalls would leak wall time into the virtual schedule.
-	var (
-		propose  func(context.Context, int, model.Value) (*service.Future, error)
-		abortSvc func()
-		closeSvc func()
-		// liveViolations reads the live check.Instance findings after
-		// shutdown; replayAll reads back every journaled record and
-		// claim (all groups of a sharded run in one stream, arming
-		// check.Replay's cross-group instance audit).
-		liveViolations func() []string
-		replayAll      func() ([]wire.DecisionRecord, []wire.StartRecord, error)
-	)
-	if groups > 1 {
-		rt, err := shard.New(shard.Config{
-			Service:        cfg,
-			Groups:         groups,
-			JournalDir:     dir,
-			JournalOptions: journal.Options{NoSync: true},
-		}, eps)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		propose = rt.ProposeClass
-		abortSvc = rt.Abort
-		closeSvc = func() { rt.Close() }
-		liveViolations = func() []string { return rt.Snapshot().Violations }
-		replayAll = func() ([]wire.DecisionRecord, []wire.StartRecord, error) {
-			return shard.ReplayDir(dir, groups)
-		}
-	} else {
-		j, err := journal.Open(dir, journal.Options{
-			NoSync:        true,
-			Metrics:       reg,
-			MetricsLabels: []metrics.Label{{Key: "group", Value: "0"}},
-		})
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		cfg.Journal = j
-		svc, err := service.New(cfg, eps)
-		if err != nil {
-			j.Close()
-			res.Err = err
-			return res
-		}
-		propose = svc.ProposeClass
-		abortSvc = svc.Abort
-		closeSvc = func() { svc.Close() }
-		liveViolations = func() []string { return svc.Snapshot().Violations }
-		replayAll = func() ([]wire.DecisionRecord, []wire.StartRecord, error) {
-			j.Close()
-			var recs []wire.DecisionRecord
-			var starts []wire.StartRecord
-			_, err := journal.Replay(dir, func(e journal.Entry) error {
-				switch {
-				case e.Trace != nil:
-					// Introspection context, not a claim or outcome.
-				case e.Start:
-					starts = append(starts, wire.StartRecord{Instance: e.Instance(), Alg: e.Alg})
-				default:
-					recs = append(recs, e.Decision)
-				}
-				return nil
-			})
-			return recs, starts, err
-		}
+	// The runtime under test, one group or many. NoSync on every journal:
+	// it is an audit trail here, not a durability promise, and fsync
+	// stalls would leak wall time into the virtual schedule.
+	rt, err := shard.New(shard.Config{
+		Service:        cfg,
+		Groups:         sc.Groups,
+		JournalDir:     dir,
+		JournalOptions: journal.Options{NoSync: true},
+	}, eps)
+	if err != nil {
+		res.Err = err
+		return res
 	}
 
 	// Proposal load. Wave scenarios submit Waves fixed waves on the
@@ -310,7 +245,7 @@ func Run(sc Scenario, opts Options) Result {
 	// future to a waiter goroutine. Callers hold loadMu.
 	submitOne := func(i, class int, v model.Value) {
 		start := clk.Now()
-		fut, err := propose(context.Background(), class, v)
+		fut, err := rt.ProposeClass(context.Background(), class, v)
 		if err != nil {
 			outs[i] = outcome{err: err, shed: errors.Is(err, adapt.ErrOverload), class: class}
 			wg.Done()
@@ -428,13 +363,13 @@ func Run(sc Scenario, opts Options) Result {
 			wg.Done()
 		}
 		loadMu.Unlock()
-		abortSvc()
+		rt.Abort()
 		<-done
 		res.Violations = append(res.Violations,
 			//indulgence:wallclock wedge report quotes real elapsed time
 			fmt.Sprintf("wedged after %v virtual / %v wall", clk.Now().Sub(virtStart), time.Since(wallStart)))
 	} else {
-		closeSvc()
+		rt.Close()
 	}
 
 	res.Virtual = clk.Now().Sub(virtStart)
@@ -448,11 +383,13 @@ func Run(sc Scenario, opts Options) Result {
 	// force.
 	res.Metrics = stripFrameSeries(reg.Text())
 
-	// Audit 1: the service's own live check.Instance findings.
-	res.Violations = append(res.Violations, liveViolations()...)
+	// Audit 1: every group's own live check.Instance findings.
+	res.Violations = append(res.Violations, rt.Snapshot().Violations...)
 
-	// Audit 2: replay the journals against the futures' view.
-	recs, starts, err := replayAll()
+	// Audit 2: replay the journals against the futures' view — every
+	// group in one stream, which arms check.Replay's cross-group
+	// instance audit.
+	hist, err := shard.ReplayDir(dir, rt.Groups())
 	if err != nil {
 		res.Err = fmt.Errorf("chaos: replay journal: %w", err)
 		return res
@@ -463,7 +400,7 @@ func Run(sc Scenario, opts Options) Result {
 			live[o.dec.Instance] = o.dec.Value
 		}
 	}
-	rep := check.Replay(recs, starts, live)
+	rep := check.Replay(hist.Records, hist.Starts, live)
 	res.Violations = append(res.Violations, rep.Violations...)
 
 	// The canonical decision log (wave format unchanged — legacy specs
@@ -491,7 +428,7 @@ func Run(sc Scenario, opts Options) Result {
 				rec.Value = o.dec.Value
 				rec.Round = o.dec.Round
 				rec.Batch = o.dec.Batch
-				rec.Group = o.dec.Instance % uint64(groups)
+				rec.Group = o.dec.Instance % uint64(rt.Groups())
 				rec.Class = o.dec.Class
 				fmt.Fprintf(&b, "e%04d c%d v=%d -> inst=%d val=%d round=%d batch=%d class=%d\n",
 					i, o.class, events[i].Value, o.dec.Instance, o.dec.Value, o.dec.Round, o.dec.Batch, o.dec.Class)
@@ -565,11 +502,7 @@ func SweepWorkload(baseSeed int64, count, groups int, spec *workload.Spec, opts 
 // adaptive plane.
 func WorkloadScenario(sc Scenario, spec *workload.Spec) Scenario {
 	w := *spec
-	groups := sc.Groups
-	if groups < 1 {
-		groups = 1
-	}
-	bound := sc.MaxBatch * sc.MaxInflight * groups
+	bound := sc.MaxBatch * sc.MaxInflight * max(sc.Groups, 1)
 	if w.MaxEvents == 0 || w.MaxEvents > bound {
 		w.MaxEvents = bound
 	}

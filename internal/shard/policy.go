@@ -1,8 +1,10 @@
-// Package shard is the multi-group runtime: it runs G independent
-// consensus groups — each with its own strided slice of the instance-ID
-// space, its own journal directory and its own adaptive control plane —
-// multiplexed over one shared set of transport muxes, with a router in
-// front that places each proposal on a group under a pluggable policy.
+// Package shard is the runtime every caller above the service layer
+// starts: it runs G ≥ 1 independent consensus groups — each with its own
+// strided slice of the instance-ID space, its own journal directory and
+// its own adaptive control plane — multiplexed over one shared set of
+// transport muxes, with a router in front that places each proposal on
+// a group under a pluggable policy. One group is a parameter value, not
+// a second code path.
 //
 // The paper's price of indulgence is a per-instance quantity: every
 // instance pays its t+2 round floor no matter what. Sharding does not

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -39,7 +38,7 @@ type Config struct {
 	// the wire signal.
 	Placement Policy
 	// JournalDir, when non-empty, gives every group a durable journal
-	// in its own subdirectory (see GroupDir). Empty runs without
+	// under it (see GroupDir for the layout). Empty runs without
 	// durability. The directory is this runtime's own — members of one
 	// cluster never share journals.
 	JournalDir string
@@ -47,23 +46,32 @@ type Config struct {
 	JournalOptions journal.Options
 }
 
-// GroupDir returns the journal directory of one group under a runtime's
-// journal root. The layout is stable — restart recovery and the offline
-// cross-group audit (check.Replay over every group's entries) both
-// address journals through it.
-func GroupDir(root string, group int) string {
+// GroupDir returns the journal directory of one group of a groups-wide
+// runtime under its journal root — the on-disk rule, stated once: a
+// one-group runtime journals in the root itself, a runtime of more
+// groups gives group g the subdirectory group-NNNN. The layout is
+// stable: restart recovery and the offline audit (ReplayDir) both
+// address journals through it, a directory a bare service.Service
+// journaled into is a one-group root, and a single group-NNNN
+// subdirectory read on its own is one too.
+func GroupDir(root string, group, groups int) string {
+	if groups == 1 {
+		return root
+	}
 	return filepath.Join(root, fmt.Sprintf("group-%04d", group))
 }
 
-// Runtime is the sharded runtime: G service.Service groups over one
-// shared mux per hosted process, with the placement router in front. It
-// satisfies the same Propose/Snapshot/Close surface the single-group
-// service offers, so callers (the CLI's serve and bench-service paths)
-// treat one group and many uniformly. Like the service, it hosts the
-// processes whose endpoints it is handed; with a process hosted
-// elsewhere it owns the muxes' pending callback and routes each (group,
-// instance) join signal to the group service that owns it, so a
-// proposal entering any member reaches every member's matching group.
+// Runtime is the runtime every caller above the service layer starts
+// (the CLI's serve, bench-service and cluster paths, the chaos harness):
+// G ≥ 1 service.Service groups over one shared mux per hosted process,
+// with the placement router in front. One group is a parameter value,
+// not a second system — a Service is one group of a Runtime, and
+// service.New is the library constructor for exactly that group on its
+// own. Like the service, the runtime hosts the processes whose endpoints
+// it is handed; with a process hosted elsewhere it owns the muxes'
+// pending callback and routes each (group, instance) join signal to the
+// group service that owns it, so a proposal entering any member reaches
+// every member's matching group.
 type Runtime struct {
 	groups   []*service.Service
 	journals []*journal.Journal
@@ -145,7 +153,7 @@ func New(cfg Config, endpoints []transport.Transport) (*Runtime, error) {
 				jo.Metrics = cfg.Service.Metrics
 				jo.MetricsLabels = []metrics.Label{{Key: "group", Value: strconv.Itoa(g)}}
 			}
-			j, err := journal.Open(GroupDir(cfg.JournalDir, g), jo)
+			j, err := journal.Open(GroupDir(cfg.JournalDir, g, cfg.Groups), jo)
 			if err != nil {
 				r.teardown()
 				return nil, fmt.Errorf("shard: open group %d journal: %w", g, err)
@@ -270,11 +278,18 @@ func (r *Runtime) Lookup(instance uint64) (service.Decision, bool) {
 type Rollup struct {
 	// Groups holds each group's service snapshot, indexed by group ID.
 	Groups []service.Stats
-	// Proposals, Resolved, Failed, Instances, InstanceFailures and
-	// Overloads are the sums of the per-group counters.
+	// Proposals, Resolved, Failed, Instances, InstanceFailures,
+	// JoinedInstances and Overloads are the sums of the per-group
+	// counters.
 	Proposals, Resolved, Failed int
 	Instances, InstanceFailures int
-	Overloads                   int
+	JoinedInstances, Overloads  int
+	// Adjustments, Ticks and Transitions sum the groups' control-plane
+	// counters (each group runs its own plane; all zero when static).
+	Adjustments, Ticks, Transitions int
+	// Algorithms counts decided instances per algorithm name across
+	// groups.
+	Algorithms map[string]int
 	// OverloadsByClass and ResolvedByClass are the per-SLO-class sums
 	// across groups, indexed by class and sized to the highest class any
 	// group saw (nil when every group ran classless).
@@ -287,7 +302,7 @@ type Rollup struct {
 
 // Snapshot returns the cross-group rollup.
 func (r *Runtime) Snapshot() Rollup {
-	var out Rollup
+	out := Rollup{Algorithms: make(map[string]int)}
 	for g, svc := range r.groups {
 		st := svc.Snapshot()
 		out.Groups = append(out.Groups, st)
@@ -296,7 +311,14 @@ func (r *Runtime) Snapshot() Rollup {
 		out.Failed += st.Failed
 		out.Instances += st.Instances
 		out.InstanceFailures += st.InstanceFailures
+		out.JoinedInstances += st.JoinedInstances
 		out.Overloads += st.Overloads
+		out.Adjustments += st.Control.Adjustments
+		out.Ticks += st.Control.Ticks
+		out.Transitions += st.Control.Transitions
+		for alg, n := range st.Algorithms {
+			out.Algorithms[alg] += n
+		}
 		out.OverloadsByClass = addByClass(out.OverloadsByClass, st.OverloadsByClass)
 		out.ResolvedByClass = addByClass(out.ResolvedByClass, st.ResolvedByClass)
 		for _, v := range st.Violations {
@@ -361,36 +383,53 @@ func (r *Runtime) Abort() {
 	}
 }
 
-// ReplayDir replays every group journal under a runtime's journal root
-// (the GroupDir layout) into one decision-record and start-claim
-// stream, in ascending group order — the input shape check.Replay
-// audits: feeding all groups of one member to a single Replay call is
-// exactly what arms its cross-group instance-ID audit. Group
-// directories that do not exist are skipped (a fresh member may not
-// have journaled every group yet).
-func ReplayDir(root string, groups int) (records []wire.DecisionRecord, starts []wire.StartRecord, err error) {
+// History is a runtime's journaled history read back from disk: every
+// group's decisions, start claims and decision traces in ascending group
+// order (append order within a group).
+type History struct {
+	// Records and Starts are the input shape check.Replay audits.
+	// Feeding all groups of one member to a single Replay call is
+	// exactly what arms its cross-group instance-ID audit.
+	Records []wire.DecisionRecord
+	Starts  []wire.StartRecord
+	// Traces are the decision-trace entries — introspection context, not
+	// claims or outcomes, so the consensus audit does not read them.
+	Traces []wire.DecisionTraceRecord
+	// Segments and TornBytes total the segment files read and the torn
+	// final-segment tails dropped; Frontier is 1 + the highest instance
+	// ID on file in any group (0 when empty).
+	Segments, TornBytes int
+	Frontier            uint64
+}
+
+// ReplayDir reads back every group journal under the journal root of a
+// groups-wide runtime (the GroupDir layout) — the one place journal
+// entries become audit records, for every caller and every group count.
+// It opens nothing for writing and tolerates a torn final tail as
+// recovery does.
+func ReplayDir(root string, groups int) (History, error) {
+	var h History
 	for g := 0; g < groups; g++ {
-		dir := GroupDir(root, g)
-		_, err := journal.Replay(dir, func(e journal.Entry) error {
+		info, err := journal.Replay(GroupDir(root, g, groups), func(e journal.Entry) error {
 			switch {
 			case e.Trace != nil:
-				// Decision-trace entries are introspection context,
-				// not claims or outcomes; the consensus audit skips
-				// them.
+				h.Traces = append(h.Traces, *e.Trace)
 			case e.Start:
-				starts = append(starts, wire.StartRecord{
-					Instance: e.Decision.Instance, Alg: e.Alg, Group: e.Decision.Group})
+				// Keep the group tag: one group's journal audited on its
+				// own must not look like a start/decision group mismatch.
+				h.Starts = append(h.Starts, wire.StartRecord{
+					Instance: e.Instance(), Alg: e.Alg, Group: e.Decision.Group})
 			default:
-				records = append(records, e.Decision)
+				h.Records = append(h.Records, e.Decision)
 			}
 			return nil
 		})
 		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				continue
-			}
-			return nil, nil, fmt.Errorf("shard: replay group %d: %w", g, err)
+			return History{}, fmt.Errorf("shard: replay group %d of %d under %s: %w", g, groups, root, err)
 		}
+		h.Segments += info.Segments
+		h.TornBytes += info.TornBytes
+		h.Frontier = max(h.Frontier, info.Frontier)
 	}
-	return records, starts, nil
+	return h, nil
 }

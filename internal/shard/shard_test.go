@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -144,15 +145,15 @@ func TestRuntimeJournalRecovery(t *testing.T) {
 	run(1000)
 	run(2000) // the successor lifetime, recovering per-group frontiers
 
-	records, starts, err := shard.ReplayDir(dir, groups)
+	hist, err := shard.ReplayDir(dir, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(records) == 0 || len(starts) == 0 {
-		t.Fatalf("replayed %d records, %d starts", len(records), len(starts))
+	if len(hist.Records) == 0 || len(hist.Starts) == 0 {
+		t.Fatalf("replayed %d records, %d starts", len(hist.Records), len(hist.Starts))
 	}
 	perGroup := make(map[uint64]int)
-	for _, r := range records {
+	for _, r := range hist.Records {
 		if r.Instance%groups != r.Group {
 			t.Fatalf("instance %d journaled under group %d (not its residue class)", r.Instance, r.Group)
 		}
@@ -161,8 +162,96 @@ func TestRuntimeJournalRecovery(t *testing.T) {
 	if len(perGroup) != groups {
 		t.Fatalf("decisions landed in %d groups, want %d", len(perGroup), groups)
 	}
-	if rep := check.Replay(records, starts, live); !rep.OK() {
+	if rep := check.Replay(hist.Records, hist.Starts, live); !rep.OK() {
 		t.Fatalf("cross-group replay audit failed: %v", rep.Violations)
+	}
+}
+
+// TestOneGroupRuntimeJournalsInRoot pins the layout rule GroupDir
+// states: a one-group runtime journals in the root itself, so a
+// directory a bare service.Service journaled into is resumed by
+// shard.New(Groups: 1) past its frontier — never re-deciding an instance
+// — and ReplayDir(dir, 1) reads back exactly what journal.Replay does.
+func TestOneGroupRuntimeJournalsInRoot(t *testing.T) {
+	dir := t.TempDir()
+	cfg := runtimeConfig(1)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	j, err := journal.Open(dir, cfg.JournalOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svcCfg := cfg.Service
+	svcCfg.Journal = j
+	svc, err := service.New(svcCfg, hubEndpoints(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := make(map[uint64]model.Value)
+	for i := 0; i < 6; i++ {
+		f, err := svc.Propose(ctx, model.Value(100+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := f.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[dec.Instance] = dec.Value
+	}
+	svc.Abort()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var want []wire.DecisionRecord
+	info, err := journal.Replay(dir, func(e journal.Entry) error {
+		if !e.Start && e.Trace == nil {
+			want = append(want, e.Decision)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist, err := shard.ReplayDir(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(hist.Records, want) || len(want) == 0 || hist.Frontier != info.Frontier {
+		t.Fatalf("ReplayDir(dir, 1) = %d records, frontier %d; journal.Replay = %d records, frontier %d",
+			len(hist.Records), hist.Frontier, len(want), info.Frontier)
+	}
+
+	cfg.JournalDir = dir
+	rt, err := shard.New(cfg, hubEndpoints(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jns := rt.Journals(); len(jns) != 1 || jns[0].Dir() != dir || jns[0].Frontier() != info.Frontier {
+		t.Fatalf("one-group runtime did not recover the root journal at frontier %d: %v", info.Frontier, jns)
+	}
+	f, err := rt.Propose(ctx, 999)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := f.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Instance < info.Frontier {
+		t.Fatalf("successor decided instance %d below the recovered frontier %d", dec.Instance, info.Frontier)
+	}
+	live[dec.Instance] = dec.Value
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if hist, err = shard.ReplayDir(dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	if rep := check.Replay(hist.Records, hist.Starts, live); !rep.OK() {
+		t.Fatalf("audit across the service and runtime lifetimes failed: %v", rep.Violations)
 	}
 }
 
@@ -176,7 +265,7 @@ func TestReplayDirFlagsCrossGroupInstance(t *testing.T) {
 		{Instance: 5, Value: 7, Round: 3, Batch: 1, Group: 0},
 		{Instance: 5, Value: 7, Round: 3, Batch: 1, Group: 1},
 	} {
-		j, err := journal.Open(shard.GroupDir(dir, g), journal.Options{NoSync: true})
+		j, err := journal.Open(shard.GroupDir(dir, g, 2), journal.Options{NoSync: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,11 +276,11 @@ func TestReplayDirFlagsCrossGroupInstance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	records, starts, err := shard.ReplayDir(dir, 2)
+	hist, err := shard.ReplayDir(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := check.Replay(records, starts, nil)
+	rep := check.Replay(hist.Records, hist.Starts, nil)
 	if rep.Agreement {
 		t.Fatalf("cross-group instance not flagged: %+v", rep)
 	}
