@@ -44,7 +44,6 @@ import (
 	"os"
 	"time"
 
-	"indulgence/internal/baseline"
 	"indulgence/internal/check"
 	"indulgence/internal/core"
 	"indulgence/internal/experiments"
@@ -124,32 +123,6 @@ func usage() {
 run 'indulgence <cmd> -h' for the flags of each subcommand.`)
 }
 
-// factoryByName resolves an algorithm name to its factory.
-func factoryByName(name string) (model.Factory, error) {
-	switch name {
-	case "atplus2":
-		return core.New(core.Options{}), nil
-	case "atplus2ff":
-		return core.New(core.Options{FailureFreeFast: true}), nil
-	case "diamonds":
-		return core.NewDiamondS(), nil
-	case "afplus2":
-		return core.NewAfPlus2(), nil
-	case "floodset":
-		return baseline.NewFloodSet(), nil
-	case "floodsetws":
-		return baseline.NewFloodSetWS(), nil
-	case "ct":
-		return baseline.NewCT(), nil
-	case "hurfinraynal":
-		return baseline.NewHurfinRaynal(), nil
-	case "amr":
-		return baseline.NewAMR(), nil
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", name)
-	}
-}
-
 // scheduleByName builds a schedule from a generator name.
 func scheduleByName(name string, n, t int, gsr model.Round, seed int64) (*sched.Schedule, model.Synchrony, error) {
 	switch name {
@@ -195,7 +168,7 @@ func cmdRun(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	factory, err := factoryByName(*algo)
+	factory, _, err := core.ByName(*algo)
 	if err != nil {
 		return err
 	}
@@ -270,7 +243,7 @@ func cmdWorst(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	factory, err := factoryByName(*algo)
+	factory, _, err := core.ByName(*algo)
 	if err != nil {
 		return err
 	}
@@ -372,19 +345,24 @@ func cmdLive(args []string) error {
 		heal    = fs.Duration("heal", 200*time.Millisecond, "when to heal the injected delay")
 		crash   = fs.Int("crash", 0, "crash this process shortly after start (0 = none)")
 		timeout = fs.Duration("timeout", 25*time.Millisecond, "base suspicion timeout")
-		wait    = fs.String("wait", "unsuspected", "wait policy: unsuspected or quorum")
+		wait    = fs.String("wait", "", "wait policy: unsuspected or quorum (default: the discipline -algo needs)")
 		limit   = fs.Duration("limit", 30*time.Second, "overall deadline")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	factory, err := factoryByName(*algo)
+	factory, policy, err := core.ByName(*algo)
 	if err != nil {
 		return err
 	}
-	policy := core.WaitUnsuspected
-	if *wait == "quorum" {
+	switch *wait {
+	case "": // the algorithm's own discipline
+	case "unsuspected":
+		policy = core.WaitUnsuspected
+	case "quorum":
 		policy = core.WaitQuorum
+	default:
+		return fmt.Errorf("unknown wait policy %q", *wait)
 	}
 
 	eps, hub, closeTransport, err := buildEndpoints(*trans, *n)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -128,6 +129,10 @@ func TestBenchServiceSubcommand(t *testing.T) {
 	if err := run([]string{"bench-service", "-n", "3", "-t", "1", "-transport", "tcp",
 		"-proposals", "32", "-clients", "8", "-timeout", "10ms"}); err != nil {
 		t.Fatalf("bench-service tcp: %v", err)
+	}
+	if err := run([]string{"bench-service", "-algo", "diamonds", "-n", "4", "-t", "1",
+		"-proposals", "64", "-clients", "16", "-timeout", "10ms"}); err != nil {
+		t.Fatalf("bench-service A_dS under wait-quorum: %v", err)
 	}
 }
 
@@ -491,5 +496,38 @@ func TestReplayErrors(t *testing.T) {
 	}
 	if err := run([]string{"replay", "-journal", t.TempDir() + "/missing"}); err == nil {
 		t.Error("replay of a missing directory succeeded")
+	}
+}
+
+// TestServiceConfigWaitPolicy pins the receive discipline the service
+// subcommands run each -algo under: serve, bench-service and a cluster
+// member (a spawned `serve -peers`) all parse newServiceFlags and build
+// their service.Config in serviceFlags.serviceConfig, which takes
+// factory and wait policy paired from core.ByName — so A_◇S runs under
+// WaitQuorum, the only discipline it is live under, and not under the
+// runtime's WaitUnsuspected default.
+func TestServiceConfigWaitPolicy(t *testing.T) {
+	for _, algo := range []string{"atplus2", "atplus2ff", "diamonds", "afplus2",
+		"floodset", "floodsetws", "ct", "hurfinraynal", "amr"} {
+		_, want, err := core.ByName(algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if quorum := algo == "diamonds"; quorum != (want == core.WaitQuorum) {
+			t.Errorf("core.ByName(%q) pairs it with %s", algo, want)
+		}
+		fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+		f := newServiceFlags(fs)
+		if err := fs.Parse([]string{"-algo", algo}); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := f.serviceConfig()
+		if err != nil {
+			t.Fatalf("-algo %s: %v", algo, err)
+		}
+		if cfg.Factory == nil || cfg.WaitPolicy != want {
+			t.Errorf("-algo %s: factory set %v, wait policy %s, want %s",
+				algo, cfg.Factory != nil, cfg.WaitPolicy, want)
+		}
 	}
 }

@@ -28,7 +28,7 @@ import (
 // flags the user actually set, so silently-overridden ones can error
 // instead.
 func servePeer(f serviceFlags, explicit map[string]bool) error {
-	factory, err := factoryByName(*f.algo)
+	svcCfg, err := f.serviceConfig()
 	if err != nil {
 		return err
 	}
@@ -77,7 +77,6 @@ func servePeer(f serviceFlags, explicit map[string]bool) error {
 	// hosts p<self> and reaches the rest of the peer list through it.
 	// Algorithm selection stays off in peer mode: one member cannot
 	// switch a shared slot's protocol unilaterally.
-	svcCfg := f.serviceConfig(factory)
 	svcCfg.N = cfg.N()
 	svcCfg.Adaptive = f.adaptConfig(false)
 	s, err := f.startOn(svcCfg, policy, []transport.Transport{ep}, func() { _ = ep.Close() })

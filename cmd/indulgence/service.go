@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"indulgence/internal/adapt"
+	"indulgence/internal/core"
 	"indulgence/internal/journal"
 	"indulgence/internal/metrics"
 	"indulgence/internal/model"
@@ -172,25 +173,28 @@ func (f serviceFlags) policy() (shard.Policy, error) {
 	return shard.ParsePolicy(*f.placement)
 }
 
-// serviceConfig is the service template the flags describe; the caller
-// adds N, the control plane and the registry.
-func (f serviceFlags) serviceConfig(factory model.Factory) service.Config {
+// serviceConfig is the service template the flags describe — -algo
+// resolved to its factory and the receive discipline it needs; the
+// caller adds N, the control plane and the registry.
+func (f serviceFlags) serviceConfig() (service.Config, error) {
+	factory, wait, err := core.ByName(*f.algo)
 	return service.Config{
 		T:           *f.t,
 		Factory:     factory,
+		WaitPolicy:  wait,
 		BaseTimeout: *f.timeout,
 		MaxBatch:    *f.batch,
 		Linger:      *f.linger,
 		MaxInflight: *f.inflight,
 		JoinTimeout: *f.joinTimeout,
-	}
+	}, err
 }
 
 // start builds the transport and the runtime hosting all n processes on
 // it from the parsed flags. The returned cleanup closes the transport and
 // the ops endpoint; call it after the runtime is closed.
 func (f serviceFlags) start() (*started, error) {
-	factory, err := factoryByName(*f.algo)
+	cfg, err := f.serviceConfig()
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +206,6 @@ func (f serviceFlags) start() (*started, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := f.serviceConfig(factory)
 	cfg.N = *f.n
 	cfg.Adaptive = f.adaptConfig(true)
 	s, err := f.startOn(cfg, policy, eps, closeTransport)
@@ -248,17 +251,6 @@ func (f serviceFlags) startOn(cfg service.Config, policy shard.Policy, eps []tra
 	}
 	s.rt = rt
 	return s, nil
-}
-
-// printJournalRecovery reports what a freshly opened journal recovered.
-func printJournalRecovery(jn *journal.Journal) {
-	st := jn.Snapshot()
-	fmt.Printf("journal: %s — recovered %d decisions (+%d starts), resuming at instance %d",
-		jn.Dir(), st.Decisions, st.Starts, st.Frontier)
-	if st.TornBytes > 0 {
-		fmt.Printf(" (dropped a %d-byte torn tail)", st.TornBytes)
-	}
-	fmt.Println()
 }
 
 // serveLoop reads one integer proposal per stdin line, proposes each, and

@@ -58,27 +58,30 @@ func NewSelector(n, t, climbAfter int) *Selector {
 	if climbAfter <= 0 {
 		climbAfter = 8
 	}
-	fast := Choice{
-		Name:       core.AfPlus2Name,
-		Factory:    core.NewAfPlus2(),
-		WaitPolicy: core.WaitUnsuspected,
-	}
+	fast := rung("afplus2", core.AfPlus2Name)
 	if 3*t >= n {
-		fast = Choice{
-			Name:       core.AtPlus2Name + "+ff",
-			Factory:    core.New(core.Options{FailureFreeFast: true}),
-			WaitPolicy: core.WaitUnsuspected,
-		}
+		fast = rung("atplus2ff", core.AtPlus2Name+"+ff")
 	}
 	return &Selector{
 		ladder: []Choice{
 			fast,
-			{Name: core.DiamondSName, Factory: core.NewDiamondS(), WaitPolicy: core.WaitQuorum},
-			{Name: core.AtPlus2Name, Factory: core.New(core.Options{}), WaitPolicy: core.WaitUnsuspected},
+			rung("diamonds", core.DiamondSName),
+			rung("atplus2", core.AtPlus2Name),
 		},
 		climbAfter: climbAfter,
 		picks:      make(map[string]int),
 	}
+}
+
+// rung builds the ladder rung for one of core.ByName's algorithms —
+// factory and receive discipline come paired from there — under the
+// name its start claims are journaled with.
+func rung(algo, name string) Choice {
+	factory, wait, err := core.ByName(algo)
+	if err != nil {
+		panic(err) // algo is a constant of NewSelector
+	}
+	return Choice{Name: name, Factory: factory, WaitPolicy: wait}
 }
 
 // Pick returns the current level's choice and accounts the pick.

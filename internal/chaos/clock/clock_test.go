@@ -110,17 +110,27 @@ func TestVirtualRunWakesBlockedGoroutine(t *testing.T) {
 		<-tm.C()
 		close(done)
 	}()
-	if !v.Run(done) {
+	if !v.Run(done, func() bool { return false }) {
 		t.Fatal("Run reported wedged")
 	}
 }
 
-// TestVirtualRunWedge: no events, done never closes — Run must report
-// the wedge instead of spinning.
+// TestVirtualRunWedge: done never closes — Run must report the wedge
+// instead of spinning, both when the queue is dry and when the caller's
+// give-up predicate (a virtual cap) fires while a ticker keeps it alive.
 func TestVirtualRunWedge(t *testing.T) {
 	v := NewVirtual()
-	if v.Run(make(chan struct{})) {
+	if v.Run(make(chan struct{}), func() bool { return false }) {
 		t.Fatal("Run reported success with nothing scheduled")
+	}
+	tk := v.NewTicker(100 * time.Millisecond)
+	defer tk.Stop()
+	start := v.Now()
+	if v.Run(make(chan struct{}), func() bool { return v.Since(start) > time.Second }) {
+		t.Fatal("Run reported success past the virtual cap")
+	}
+	if got := v.Since(start); got <= time.Second || got > time.Second+100*time.Millisecond {
+		t.Fatalf("gave up at %v virtual, want just past the 1s cap", got)
 	}
 }
 

@@ -335,17 +335,21 @@ func (v *Virtual) Step() bool {
 	return true
 }
 
-// Run drives the clock until done is closed (reporting true) or the
-// event queue runs dry with the simulation settled and done still open
-// (reporting false — the wedged verdict). It is the standard harness
-// loop: settle, check done, step.
-func (v *Virtual) Run(done <-chan struct{}) bool {
+// Run drives the clock until done is closed (reporting true), or until
+// giveUp reports true or the event queue runs dry with the simulation
+// settled and done still open (reporting false — the wedged verdict).
+// It is the standard harness loop: settle, check done, ask giveUp —
+// the caller's virtual cap and wall watchdog — then step.
+func (v *Virtual) Run(done <-chan struct{}, giveUp func() bool) bool {
 	for {
 		v.Settle()
 		select {
 		case <-done:
 			return true
 		default:
+		}
+		if giveUp() {
+			return false
 		}
 		if !v.Step() {
 			// One more settle+check: the final event may have resolved

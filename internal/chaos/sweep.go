@@ -13,6 +13,7 @@ import (
 	"indulgence/internal/adapt"
 	"indulgence/internal/chaos/clock"
 	"indulgence/internal/check"
+	"indulgence/internal/core"
 	"indulgence/internal/journal"
 	"indulgence/internal/metrics"
 	"indulgence/internal/model"
@@ -133,7 +134,7 @@ func Run(sc Scenario, opts Options) Result {
 		res.Err = err
 		return res
 	}
-	factory, policy, err := algByName(sc.Algorithm)
+	factory, policy, err := core.ByName(sc.Algorithm)
 	if err != nil {
 		res.Err = err
 		return res
@@ -326,35 +327,10 @@ func Run(sc Scenario, opts Options) Result {
 		virtualCap += sc.Workload.Duration()
 	}
 	wallDeadline := wallStart.Add(opts.MaxWall)
-	finished := false
-	for !finished {
-		clk.Settle()
-		select {
-		case <-done:
-			finished = true
-			continue
-		default:
-		}
+	res.Wedged = !clk.Run(done, func() bool {
 		//indulgence:wallclock wedge watchdog compares real elapsed time against the wall cap
-		if clk.Now().Sub(virtStart) > virtualCap || time.Now().After(wallDeadline) {
-			res.Wedged = true
-			break
-		}
-		if !clk.Step() {
-			// Out of events with unresolved futures: settle once more
-			// in case the last step's work is still propagating.
-			clk.Settle()
-			select {
-			case <-done:
-				finished = true
-			default:
-				res.Wedged = true
-			}
-			if res.Wedged {
-				break
-			}
-		}
-	}
+		return clk.Now().Sub(virtStart) > virtualCap || time.Now().After(wallDeadline)
+	})
 	if res.Wedged {
 		loadMu.Lock()
 		aborted = true

@@ -21,10 +21,11 @@ import (
 // liveScenario describes one live execution, served through the
 // consensus service layer.
 type liveScenario struct {
-	name        string
-	n, t        int
-	factory     model.Factory
-	policy      core.WaitPolicy
+	name string
+	n, t int
+	// algo is the algorithm's core.ByName name; the receive discipline
+	// comes paired with the factory from there.
+	algo        string
 	baseTimeout time.Duration
 	// adaptive, when true, attaches the control plane with per-instance
 	// algorithm selection.
@@ -58,32 +59,31 @@ func e9Scenarios() []liveScenario {
 	return []liveScenario{
 		{
 			name: "quiet network, A_t+2", n: 5, t: 2,
-			factory:     core.New(core.Options{}),
+			algo:        "atplus2",
 			baseTimeout: 50 * time.Millisecond,
 			wantRound:   4, // t+2
 		},
 		{
 			name: "quiet network, A_t+2+ff", n: 5, t: 2,
-			factory:     core.New(core.Options{FailureFreeFast: true}),
+			algo:        "atplus2ff",
 			baseTimeout: 50 * time.Millisecond,
 			wantRound:   2,
 		},
 		{
 			name: "quiet network, A_dS (wait-quorum)", n: 5, t: 2,
-			factory:     core.NewDiamondS(),
-			policy:      core.WaitQuorum,
+			algo:        "diamonds",
 			baseTimeout: 50 * time.Millisecond,
 		},
 		{
 			name: "quiet network, adaptive selection", n: 4, t: 1,
-			factory:     core.New(core.Options{}),
+			algo:        "atplus2",
 			baseTimeout: 50 * time.Millisecond,
 			adaptive:    true,
 			wantAlg:     core.AfPlus2Name, // synchronous + trusted => the fast rung
 		},
 		{
 			name: "async period: p1 delayed 80ms, A_t+2", n: 5, t: 2,
-			factory:     core.New(core.Options{}),
+			algo:        "atplus2",
 			baseTimeout: 10 * time.Millisecond,
 			disturb: func(clk clock.Clock, hub *transport.Hub, _ *runtime.Cluster) int {
 				hub.DelayProcess(1, 80*time.Millisecond)
@@ -93,7 +93,7 @@ func e9Scenarios() []liveScenario {
 		},
 		{
 			name: "crash p2 at start, A_t+2", n: 5, t: 2,
-			factory:     core.New(core.Options{}),
+			algo:        "atplus2",
 			baseTimeout: 10 * time.Millisecond,
 			disturb: func(_ clock.Clock, _ *transport.Hub, cl *runtime.Cluster) int {
 				_ = cl.Crash(2)
@@ -102,7 +102,7 @@ func e9Scenarios() []liveScenario {
 		},
 		{
 			name: "crash p1+p2, A_f+2", n: 7, t: 2,
-			factory:     core.NewAfPlus2(),
+			algo:        "afplus2",
 			baseTimeout: 10 * time.Millisecond,
 			disturb: func(_ clock.Clock, _ *transport.Hub, cl *runtime.Cluster) int {
 				_ = cl.Crash(1)
@@ -202,11 +202,15 @@ func runLiveScenario(sc liveScenario, seed int64) liveRow {
 		}
 		eps[i] = nw.Wrap(ep)
 	}
+	factory, wait, err := core.ByName(sc.algo)
+	if err != nil {
+		return fail("%v", err)
+	}
 	crashes := 0
 	cfg := service.Config{
 		N: sc.n, T: sc.t,
-		Factory:     sc.factory,
-		WaitPolicy:  sc.policy,
+		Factory:     factory,
+		WaitPolicy:  wait,
 		BaseTimeout: sc.baseTimeout,
 		MaxBatch:    sc.n,
 		Linger:      500 * time.Millisecond, // the batch fills to n long before this
@@ -261,30 +265,9 @@ func runLiveScenario(sc liveScenario, seed int64) liveRow {
 	// forever, so a dry queue is not the wedge signal here).
 	const virtualCap = 30 * time.Second
 	wallDeadline := time.Now().Add(15 * time.Second)
-	finished := false
-	for !finished {
-		clk.Settle()
-		select {
-		case <-done:
-			finished = true
-			continue
-		default:
-		}
-		if clk.Now().Sub(virtStart) > virtualCap || time.Now().After(wallDeadline) {
-			break
-		}
-		if !clk.Step() {
-			clk.Settle()
-			select {
-			case <-done:
-				finished = true
-			default:
-			}
-			if !finished {
-				break
-			}
-		}
-	}
+	finished := clk.Run(done, func() bool {
+		return clk.Now().Sub(virtStart) > virtualCap || time.Now().After(wallDeadline)
+	})
 	if !finished {
 		svc.Abort()
 		<-done

@@ -2,7 +2,6 @@ package journal
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"testing"
 
 	"indulgence/internal/model"
@@ -30,11 +29,11 @@ func FuzzSegmentTornTail(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	// A legacy start frame — marker + instance, no tag length — as
 	// journals written before the algorithm tag contain.
-	legacyPayload := []byte{0x05, 0x07}
-	var legacy [frameHeader]byte
-	binary.BigEndian.PutUint32(legacy[:4], uint32(len(legacyPayload)))
-	binary.BigEndian.PutUint32(legacy[4:], crc32.Checksum(legacyPayload, castagnoli))
-	f.Add(append(legacy[:], legacyPayload...))
+	legacy, err := wire.AppendCRCFrame(nil, func(dst []byte) ([]byte, error) { return append(dst, 0x05, 0x07), nil })
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		recs, intact, torn := scanSegment(b)
@@ -139,12 +138,12 @@ func FuzzReplayPrefix(f *testing.F) {
 // a record that the CRC does not endorse.
 func FuzzFrameHeader(f *testing.F) {
 	valid := appendFrame(nil, Entry{Decision: wire.DecisionRecord{Instance: 1, Value: 2, Round: 3, Batch: 4}})
-	f.Add(uint32(len(valid)-frameHeader), binary.BigEndian.Uint32(valid[4:8]), valid[frameHeader:])
+	f.Add(uint32(len(valid)-wire.CRCFrameHeader), binary.BigEndian.Uint32(valid[4:8]), valid[wire.CRCFrameHeader:])
 	f.Add(uint32(0), uint32(0), []byte{})
 	f.Add(^uint32(0), uint32(1), []byte{1, 2, 3})
 
 	f.Fuzz(func(t *testing.T, size, sum uint32, payload []byte) {
-		frame := make([]byte, frameHeader, frameHeader+len(payload))
+		frame := make([]byte, wire.CRCFrameHeader, wire.CRCFrameHeader+len(payload))
 		binary.BigEndian.PutUint32(frame[:4], size)
 		binary.BigEndian.PutUint32(frame[4:], sum)
 		frame = append(frame, payload...)
@@ -152,7 +151,7 @@ func FuzzFrameHeader(f *testing.F) {
 		if len(recs) > 1 {
 			t.Fatalf("single frame yielded %d records", len(recs))
 		}
-		if len(recs) == 1 && intact != frameHeader+int(size) {
+		if len(recs) == 1 && intact != wire.CRCFrameHeader+int(size) {
 			t.Fatalf("accepted frame of size %d but consumed %d", size, intact)
 		}
 	})

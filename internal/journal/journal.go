@@ -10,9 +10,9 @@
 // # Disk format
 //
 // A journal is a directory of segment files seg-00000000.wal,
-// seg-00000001.wal, ... Each segment is a sequence of frames: a 4-byte
-// length, a 4-byte CRC-32C, and one record of the wire envelope family
-// — a wire.DecisionRecord, a wire.StartRecord claiming an instance
+// seg-00000001.wal, ... Each segment is a sequence of wire CRC frames
+// (see package wire, "Decoding"), each holding one record of the wire
+// envelope family — a wire.DecisionRecord, a wire.StartRecord claiming an instance
 // ID before its first frame may touch the network (so a recovered
 // frontier can never collide with in-flight frames of an instance that
 // crashed undecided), or a wire.DecisionTraceRecord carrying the
@@ -108,8 +108,8 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes == 0 {
 		o.SegmentBytes = 1 << 20
 	}
-	if o.SegmentBytes < frameHeader {
-		o.SegmentBytes = frameHeader
+	if o.SegmentBytes < wire.CRCFrameHeader {
+		o.SegmentBytes = wire.CRCFrameHeader
 	}
 	if o.GroupWindow == 0 {
 		o.GroupWindow = time.Millisecond

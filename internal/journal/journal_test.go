@@ -227,9 +227,9 @@ func TestCorruptionVariants(t *testing.T) {
 		tail []byte
 	}{
 		{"short header", whole[:4]},
-		{"short payload", whole[:frameHeader+2]},
+		{"short payload", whole[:wire.CRCFrameHeader+2]},
 		{"bogus length", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}},
-		{"zero length", make([]byte, frameHeader)},
+		{"zero length", make([]byte, wire.CRCFrameHeader)},
 		{"payload bit flip", flipByte(whole, len(whole)-1)},
 		{"crc byte flip", flipByte(whole, 5)},
 		{"garbage", []byte{0x42, 0x42, 0x42}},
@@ -577,6 +577,32 @@ func TestClassRoundTrip(t *testing.T) {
 	for i, r := range recs {
 		if r != want[i] {
 			t.Fatalf("record %d = %+v, want %+v", i, r, want[i])
+		}
+	}
+}
+
+// TestDecodeEntryDispatch pins recovery's per-record cost and accept
+// set: the marker byte selects the one decoder that runs, so a decision
+// payload — 200k of them in a large recovery — decodes without building
+// another kind's decode error (0 allocations), and a well-formed record
+// of a kind the journal does not hold is not an entry.
+func TestDecodeEntryDispatch(t *testing.T) {
+	payload := wire.AppendDecisionRecord(nil, rec(7))
+	if allocs := testing.AllocsPerRun(100, func() {
+		if e, ok := decodeEntry(payload); !ok || e.Decision != rec(7) {
+			t.Fatalf("decision payload decoded as %+v, %v", e, ok)
+		}
+	}); allocs != 0 {
+		t.Fatalf("decodeEntry allocates %.0f times per decision record, want 0", allocs)
+	}
+	hello, err := wire.AppendHelloRecord(nil, wire.HelloRecord{Cluster: "c", Sender: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{nil, hello, wire.AppendTraceEventRecord(nil, wire.TraceEventRecord{Seq: 1}),
+		append(append([]byte(nil), payload...), 0x80)} {
+		if e, ok := decodeEntry(b); ok {
+			t.Fatalf("payload % x accepted as %+v", b, e)
 		}
 	}
 }

@@ -1,9 +1,7 @@
 package journal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,22 +10,6 @@ import (
 
 	"indulgence/internal/wire"
 )
-
-// Segment frame layout: a 4-byte big-endian payload length, a 4-byte
-// big-endian CRC-32C of the payload, then the payload (one wire
-// DecisionRecord). The CRC is what makes torn writes detectable: a crash
-// mid-frame leaves either a short header, a short payload, or a payload
-// that no longer matches its checksum — all of which recovery treats as
-// the torn tail.
-const frameHeader = 8
-
-// maxRecordSize bounds frame payloads, mirroring wire.MaxFrameSize; any
-// larger length field is treated as tail corruption.
-const maxRecordSize = wire.MaxFrameSize
-
-// castagnoli is the CRC-32C table (the polynomial used by modern storage
-// formats, hardware-accelerated on amd64/arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Entry is one journal record: an instance-start claim (appended
 // before the instance's first frame may reach the network), a
@@ -60,101 +42,70 @@ func (e Entry) Instance() uint64 {
 	return e.Decision.Instance
 }
 
-// appendFrame appends the framed encoding of e to dst. An oversized
-// algorithm tag is truncated rather than erroring: the tag is an audit
-// annotation, and a claim must never fail for its label's sake.
+// appendFrame appends the framed encoding of e to dst. Annotations are
+// cut to the codec's bounds rather than erroring — an oversized
+// algorithm tag is truncated, a trace record clamped: a claim must never
+// fail for its label's sake — so the encoders cannot fail here.
 func appendFrame(dst []byte, e Entry) []byte {
-	var payload []byte
-	switch {
-	case e.Trace != nil:
-		payload, _ = wire.AppendDecisionTraceRecord(nil, sanitizeTrace(*e.Trace))
-	case e.Start:
-		alg := e.Alg
-		if len(alg) > wire.MaxAlgNameLen {
-			alg = alg[:wire.MaxAlgNameLen]
+	dst, err := wire.AppendCRCFrame(dst, func(dst []byte) ([]byte, error) {
+		switch {
+		case e.Trace != nil:
+			return wire.AppendDecisionTraceRecord(dst, e.Trace.Clamped())
+		case e.Start:
+			return wire.AppendStartRecord(dst, wire.StartRecord{Instance: e.Decision.Instance,
+				Alg: e.Alg[:min(len(e.Alg), wire.MaxAlgNameLen)], Group: e.Decision.Group})
+		default:
+			return wire.AppendDecisionRecord(dst, e.Decision), nil
 		}
-		payload, _ = wire.AppendStartRecord(nil, wire.StartRecord{
-			Instance: e.Decision.Instance, Alg: alg, Group: e.Decision.Group})
-	default:
-		payload = wire.AppendDecisionRecord(nil, e.Decision)
+	})
+	if err != nil {
+		panic(fmt.Sprintf("journal: in-bounds record failed to encode: %v", err))
 	}
-	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	return append(append(dst, hdr[:]...), payload...)
+	return dst
 }
 
-// sanitizeTrace clamps a trace record's annotation fields into the
-// codec's bounds: like a start claim's algorithm tag, introspection
-// context must never make a journal write fail for its label's sake.
-func sanitizeTrace(r wire.DecisionTraceRecord) wire.DecisionTraceRecord {
-	clampAlg := func(s string) string {
-		if len(s) > wire.MaxAlgNameLen {
-			return s[:wire.MaxAlgNameLen]
-		}
-		return s
-	}
-	clampInt := func(v, hi int) int {
-		return max(0, min(v, hi))
-	}
-	r.Chosen = clampAlg(r.Chosen)
-	if len(r.NotTaken) > wire.MaxTraceAlternatives {
-		r.NotTaken = r.NotTaken[:wire.MaxTraceAlternatives]
-	}
-	for i, alg := range r.NotTaken {
-		r.NotTaken[i] = clampAlg(alg)
-	}
-	r.Level = clampInt(r.Level, wire.MaxTraceAlternatives)
-	r.BatchFill = clampInt(r.BatchFill, wire.MaxFrameSize)
-	r.BatchLimit = clampInt(r.BatchLimit, wire.MaxFrameSize)
-	r.QueueLen = min(r.QueueLen, wire.MaxFrameSize)
-	r.QueueCap = min(r.QueueCap, wire.MaxFrameSize)
-	r.ShedMask &= wire.MaxShedMask
-	return r
-}
-
-// decodeEntry decodes one frame payload of any record kind; ok
-// requires the payload to be exactly one well-formed record.
+// decodeEntry decodes one frame payload, running the one decoder its
+// marker byte selects; ok requires the payload to be exactly one
+// well-formed record.
 func decodeEntry(payload []byte) (Entry, bool) {
-	if len(payload) == 0 {
+	var (
+		e   Entry
+		n   int
+		err error
+	)
+	switch wire.KindOf(payload) {
+	case wire.KindDecision:
+		e.Decision, n, err = wire.DecodeDecisionRecord(payload)
+	case wire.KindStart:
+		var rec wire.StartRecord
+		rec, n, err = wire.DecodeStartRecord(payload)
+		e = Entry{Start: true, Alg: rec.Alg,
+			Decision: wire.DecisionRecord{Instance: rec.Instance, Group: rec.Group}}
+	case wire.KindDecisionTrace:
+		e.Trace = new(wire.DecisionTraceRecord)
+		*e.Trace, n, err = wire.DecodeDecisionTraceRecord(payload)
+	default:
 		return Entry{}, false
 	}
-	if rec, n, err := wire.DecodeStartRecord(payload); err == nil {
-		return Entry{Start: true, Alg: rec.Alg,
-			Decision: wire.DecisionRecord{Instance: rec.Instance, Group: rec.Group}}, n == len(payload)
-	}
-	if rec, n, err := wire.DecodeDecisionTraceRecord(payload); err == nil {
-		return Entry{Trace: &rec}, n == len(payload)
-	}
-	rec, n, err := wire.DecodeDecisionRecord(payload)
 	if err != nil || n != len(payload) {
 		return Entry{}, false
 	}
-	return Entry{Decision: rec}, true
+	return e, true
 }
 
-// scanSegment parses one segment's bytes into its longest intact prefix
-// of entries. It returns the entries, the byte offset parsing stopped
-// at, and whether trailing bytes were dropped (a torn tail: incomplete
-// header, bogus length, short payload, CRC mismatch, or a payload that
-// is not exactly one well-formed record). scanSegment never fails —
-// every input has a well-defined intact prefix, possibly empty.
+// scanSegment parses one segment's bytes — a sequence of wire CRC frames
+// (see package wire, "Decoding"), one record each — into its longest
+// intact prefix of entries. It returns the entries, the byte offset
+// parsing stopped at, and whether trailing bytes were dropped. The
+// journal's tolerance policy is that anything wrong is the torn tail at
+// that offset: whatever wire.ReadCRCFrame reports (a short header or
+// payload, a bogus length, a CRC mismatch) and a payload that is not
+// exactly one well-formed record alike. scanSegment never fails — every
+// input has a well-defined intact prefix, possibly empty.
 func scanSegment(b []byte) (entries []Entry, intact int, torn bool) {
-	off := 0
-	for {
-		if off == len(b) {
-			return entries, off, false
-		}
-		if len(b)-off < frameHeader {
-			return entries, off, true
-		}
-		size := int(binary.BigEndian.Uint32(b[off:]))
-		sum := binary.BigEndian.Uint32(b[off+4:])
-		if size == 0 || size > maxRecordSize || off+frameHeader+size > len(b) {
-			return entries, off, true
-		}
-		payload := b[off+frameHeader : off+frameHeader+size]
-		if crc32.Checksum(payload, castagnoli) != sum {
+	for off := 0; off < len(b); {
+		payload, n, err := wire.ReadCRCFrame(b[off:])
+		if err != nil {
 			return entries, off, true
 		}
 		e, ok := decodeEntry(payload)
@@ -162,8 +113,9 @@ func scanSegment(b []byte) (entries []Entry, intact int, torn bool) {
 			return entries, off, true
 		}
 		entries = append(entries, e)
-		off += frameHeader + size
+		off += n
 	}
+	return entries, len(b), false
 }
 
 // segmentName formats the file name of segment idx.

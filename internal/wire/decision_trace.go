@@ -5,14 +5,6 @@ import (
 	"fmt"
 )
 
-// decisionTraceMarker opens a decision-trace record, the journal's
-// introspection record kind: the controller/selector/admission context
-// a service held at the moment it chose how to launch one consensus
-// instance. Like the other record markers it is an odd byte below
-// 0x80, so it can never open a version-0 frame and the kind is
-// decidable from the first byte alone.
-const decisionTraceMarker byte = 0x11
-
 // MaxTraceAlternatives bounds the not-taken rungs a decision-trace
 // record may carry; it comfortably exceeds the algorithm ladder's
 // length (three rungs plus the probe).
@@ -21,6 +13,9 @@ const MaxTraceAlternatives = 8
 // MaxShedMask bounds the admission mask a decision-trace record may
 // carry: one bit per SLO class, classes 0..MaxClassValue.
 const MaxShedMask = 1<<(MaxClassValue+1) - 1
+
+// maxTraceNanos bounds the durations a decision-trace record may carry.
+const maxTraceNanos = 1 << 62
 
 // DecisionTraceRecord captures why a service launched one consensus
 // instance the way it did: the rung the selector chose (and the rungs
@@ -105,126 +100,57 @@ func AppendDecisionTraceRecord(dst []byte, r DecisionTraceRecord) ([]byte, error
 	dst = binary.AppendUvarint(dst, r.QueueCap)
 	dst = binary.AppendUvarint(dst, uint64(r.BatchFill))
 	dst = binary.AppendUvarint(dst, uint64(r.BatchLimit))
-	dst = binary.AppendUvarint(dst, clampNanos(r.LingerNanos))
-	dst = binary.AppendUvarint(dst, clampNanos(r.EWMANanos))
+	dst = binary.AppendUvarint(dst, uint64(max(r.LingerNanos, 0)))
+	dst = binary.AppendUvarint(dst, uint64(max(r.EWMANanos, 0)))
 	dst = binary.AppendUvarint(dst, r.ShedMask)
 	return dst, nil
 }
 
-func clampNanos(v int64) uint64 {
-	if v < 0 {
-		return 0
+// Clamped returns r with every annotation field forced into the bounds
+// AppendDecisionTraceRecord enforces, so appending the result cannot
+// fail: introspection context must never make a journal write fail for
+// its label's sake. Over-long names in r.NotTaken are cut in place.
+func (r DecisionTraceRecord) Clamped() DecisionTraceRecord {
+	clampAlg := func(s string) string { return s[:min(len(s), MaxAlgNameLen)] }
+	r.Chosen = clampAlg(r.Chosen)
+	r.NotTaken = r.NotTaken[:min(len(r.NotTaken), MaxTraceAlternatives)]
+	for i, alg := range r.NotTaken {
+		r.NotTaken[i] = clampAlg(alg)
 	}
-	return uint64(v)
+	r.Level = max(0, min(r.Level, MaxTraceAlternatives))
+	r.BatchFill = max(0, min(r.BatchFill, MaxFrameSize))
+	r.BatchLimit = max(0, min(r.BatchLimit, MaxFrameSize))
+	r.QueueLen = min(r.QueueLen, MaxFrameSize)
+	r.QueueCap = min(r.QueueCap, MaxFrameSize)
+	r.LingerNanos = max(0, min(r.LingerNanos, maxTraceNanos))
+	r.EWMANanos = max(0, min(r.EWMANanos, maxTraceNanos))
+	r.ShedMask &= MaxShedMask
+	return r
 }
 
 // DecodeDecisionTraceRecord decodes one decision-trace record from b,
 // returning it and the number of bytes consumed.
 func DecodeDecisionTraceRecord(b []byte) (DecisionTraceRecord, int, error) {
-	var r DecisionTraceRecord
-	if len(b) == 0 {
-		return r, 0, fmt.Errorf("%w: empty record", ErrTruncated)
+	c := openRecord(b, KindDecisionTrace)
+	r := DecisionTraceRecord{
+		Instance: c.uvarint("instance"),
+		Group:    c.uvarint("group"),
+		Level:    int(c.bounded("level", MaxTraceAlternatives)),
+		Chosen:   c.str("chosen algorithm", MaxAlgNameLen),
 	}
-	if b[0] != decisionTraceMarker {
-		return r, 0, fmt.Errorf("%w: decision-trace marker %#x", ErrUnknownPayload, b[0])
+	for i := c.bounded("not-taken count", MaxTraceAlternatives); i > 0; i-- {
+		r.NotTaken = append(r.NotTaken, c.str("not-taken algorithm", MaxAlgNameLen))
 	}
-	off := 1
-	uv := func(field string) (uint64, error) {
-		v, n := binary.Uvarint(b[off:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: decision-trace %s", ErrTruncated, field)
-		}
-		off += n
-		return v, nil
+	r.Suspicions = c.uvarint("suspicions")
+	r.QueueLen = c.bounded("queue length", MaxFrameSize)
+	r.QueueCap = c.bounded("queue capacity", MaxFrameSize)
+	r.BatchFill = int(c.bounded("batch fill", MaxFrameSize))
+	r.BatchLimit = int(c.bounded("batch limit", MaxFrameSize))
+	r.LingerNanos = int64(c.bounded("linger", maxTraceNanos))
+	r.EWMANanos = int64(c.bounded("ewma", maxTraceNanos))
+	r.ShedMask = c.bounded("shed mask", MaxShedMask)
+	if c.err != nil {
+		return DecisionTraceRecord{}, 0, c.err
 	}
-	str := func(field string) (string, error) {
-		alen, err := uv(field + " length")
-		if err != nil {
-			return "", err
-		}
-		if alen > MaxAlgNameLen {
-			return "", fmt.Errorf("%w: decision-trace %s of %d bytes", ErrUnknownPayload, field, alen)
-		}
-		if uint64(len(b)-off) < alen {
-			return "", fmt.Errorf("%w: decision-trace %s", ErrTruncated, field)
-		}
-		s := string(b[off : off+int(alen)])
-		off += int(alen)
-		return s, nil
-	}
-	var err error
-	if r.Instance, err = uv("instance"); err != nil {
-		return DecisionTraceRecord{}, 0, err
-	}
-	if r.Group, err = uv("group"); err != nil {
-		return DecisionTraceRecord{}, 0, err
-	}
-	level, err := uv("level")
-	if err != nil {
-		return DecisionTraceRecord{}, 0, err
-	}
-	if level > MaxTraceAlternatives {
-		return DecisionTraceRecord{}, 0, fmt.Errorf("%w: decision-trace level %d", ErrUnknownPayload, level)
-	}
-	r.Level = int(level)
-	if r.Chosen, err = str("chosen algorithm"); err != nil {
-		return DecisionTraceRecord{}, 0, err
-	}
-	count, err := uv("not-taken count")
-	if err != nil {
-		return DecisionTraceRecord{}, 0, err
-	}
-	if count > MaxTraceAlternatives {
-		return DecisionTraceRecord{}, 0, fmt.Errorf("%w: decision-trace with %d not-taken rungs", ErrUnknownPayload, count)
-	}
-	for i := uint64(0); i < count; i++ {
-		alg, err := str("not-taken algorithm")
-		if err != nil {
-			return DecisionTraceRecord{}, 0, err
-		}
-		r.NotTaken = append(r.NotTaken, alg)
-	}
-	if r.Suspicions, err = uv("suspicions"); err != nil {
-		return DecisionTraceRecord{}, 0, err
-	}
-	if r.QueueLen, err = uv("queue length"); err != nil {
-		return DecisionTraceRecord{}, 0, err
-	}
-	if r.QueueCap, err = uv("queue capacity"); err != nil {
-		return DecisionTraceRecord{}, 0, err
-	}
-	fill, err := uv("batch fill")
-	if err != nil {
-		return DecisionTraceRecord{}, 0, err
-	}
-	limit, err := uv("batch limit")
-	if err != nil {
-		return DecisionTraceRecord{}, 0, err
-	}
-	if r.QueueLen > MaxFrameSize || r.QueueCap > MaxFrameSize ||
-		fill > MaxFrameSize || limit > MaxFrameSize {
-		return DecisionTraceRecord{}, 0, fmt.Errorf("%w: decision-trace occupancy out of range", ErrUnknownPayload)
-	}
-	r.BatchFill = int(fill)
-	r.BatchLimit = int(limit)
-	linger, err := uv("linger")
-	if err != nil {
-		return DecisionTraceRecord{}, 0, err
-	}
-	ewma, err := uv("ewma")
-	if err != nil {
-		return DecisionTraceRecord{}, 0, err
-	}
-	if linger > 1<<62 || ewma > 1<<62 {
-		return DecisionTraceRecord{}, 0, fmt.Errorf("%w: decision-trace duration out of range", ErrUnknownPayload)
-	}
-	r.LingerNanos = int64(linger)
-	r.EWMANanos = int64(ewma)
-	if r.ShedMask, err = uv("shed mask"); err != nil {
-		return DecisionTraceRecord{}, 0, err
-	}
-	if r.ShedMask > MaxShedMask {
-		return DecisionTraceRecord{}, 0, fmt.Errorf("%w: decision-trace shed mask %#x", ErrUnknownPayload, r.ShedMask)
-	}
-	return r, off, nil
+	return r, c.off, nil
 }

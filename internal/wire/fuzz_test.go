@@ -5,47 +5,43 @@ import (
 	"testing"
 
 	"indulgence/internal/model"
-	"indulgence/internal/payload"
 )
 
-// FuzzDecodeInstanceMessage hammers the instance-envelope decode path with
-// arbitrary bytes: it must never panic, and whenever it reports success the
-// result must re-encode to an equivalent frame (decode/encode/decode fixed
-// point). The seed corpus covers both frame versions and the marker-byte
-// boundary cases.
+// FuzzDecodeInstanceMessage hammers the frame decode path with arbitrary
+// bytes: it must never panic, and whenever it reports success the result
+// must re-encode to an equivalent frame (decode/encode/decode fixed
+// point). The seed corpus covers both pre-group frame versions and the
+// marker-byte boundary cases.
 func FuzzDecodeInstanceMessage(f *testing.F) {
-	seed := func(frame []byte, err error) {
-		if err == nil {
-			f.Add(frame)
-		}
+	for _, seed := range instanceMessageSeeds() {
+		f.Add(seed)
 	}
-	seed(EncodeMessage(nil, model.Message{From: 1, Round: 1, Payload: nil}))
-	seed(EncodeMessage(nil, model.Message{From: 64, Round: 7, Payload: payload.Decide{V: -3}}))
-	seed(EncodeInstanceMessage(nil, 0, model.Message{From: 2, Round: 2, Payload: payload.Propose{V: 9}}))
-	seed(EncodeInstanceMessage(nil, 1<<40, model.Message{From: 3, Round: 3,
-		Payload: payload.EstHalt{Est: 1, Halt: model.NewPIDSet(1, 2)}}))
-	f.Add([]byte{instanceMarker})
-	f.Add([]byte{instanceMarker, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		instance, m, n, err := DecodeInstanceMessage(frame)
+		group, instance, m, n, err := decodeFrame(frame)
 		if err != nil {
 			return
 		}
 		if n > len(frame) {
 			t.Fatalf("consumed %d of %d bytes", n, len(frame))
 		}
-		reenc, err := EncodeInstanceMessage(nil, instance, m)
+		// Group 0 re-encodes under the explicit instance envelope, never
+		// bare: a decoded sender need not be a valid process, and a bare
+		// frame led by one could itself open with a marker byte.
+		hdr := AppendInstanceHeader(nil, instance)
+		if group != 0 {
+			hdr = AppendGroupHeader(nil, group, instance)
+		}
+		reenc, err := EncodeMessage(hdr, m)
 		if err != nil {
 			t.Fatalf("re-encode of decoded message failed: %v", err)
 		}
-		inst2, m2, _, err := DecodeInstanceMessage(reenc)
+		g2, inst2, m2, _, err := decodeFrame(reenc)
 		if err != nil {
 			t.Fatalf("decode of re-encoding failed: %v", err)
 		}
-		if inst2 != instance || !reflect.DeepEqual(m2, m) {
-			t.Fatalf("decode/encode not a fixed point: (%d, %v) vs (%d, %v)",
-				instance, m, inst2, m2)
+		if g2 != group || inst2 != instance || !reflect.DeepEqual(m2, m) {
+			t.Fatalf("decode/encode not a fixed point: (%d, %d, %v) vs (%d, %d, %v)",
+				group, instance, m, g2, inst2, m2)
 		}
 	})
 }
@@ -55,14 +51,9 @@ func FuzzDecodeInstanceMessage(f *testing.F) {
 // a decode/encode fixed point that consumes exactly the bytes the encoder
 // would emit.
 func FuzzDecodeDecisionRecord(f *testing.F) {
-	f.Add(AppendDecisionRecord(nil, DecisionRecord{}))
-	f.Add(AppendDecisionRecord(nil, DecisionRecord{Instance: 1, Value: 7, Round: 4, Batch: 1}))
-	f.Add(AppendDecisionRecord(nil, DecisionRecord{Instance: 1<<64 - 1, Value: -3, Round: 300, Batch: 8}))
-	f.Add(AppendDecisionRecord(nil, DecisionRecord{Instance: 4, Value: 9, Round: 2, Batch: 3, Group: 2, Class: 3}))
-	f.Add(AppendDecisionRecord(nil, DecisionRecord{Instance: 5, Value: 1, Round: 1, Batch: 1, Class: 7}))
-	f.Add([]byte{recordMarker})
-	f.Add([]byte{recordMarker, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-
+	for _, seed := range decisionRecordSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rec, n, err := DecodeDecisionRecord(b)
 		if err != nil {
@@ -83,40 +74,36 @@ func FuzzDecodeDecisionRecord(f *testing.F) {
 	})
 }
 
+// decodeTraceRecord dispatches on KindOf the way workload.DecodeTrace
+// does, boxing the record so one fuzz body covers the three kinds.
+func decodeTraceRecord(b []byte) (any, int, error) {
+	switch KindOf(b) {
+	case KindTraceHeader:
+		return boxed(DecodeTraceHeaderRecord(b))
+	case KindTraceEvent:
+		return boxed(DecodeTraceEventRecord(b))
+	case KindTraceOutcome:
+		return boxed(DecodeTraceOutcomeRecord(b))
+	default:
+		return nil, 0, ErrUnknownPayload
+	}
+}
+
+func boxed[R any](r R, n int, err error) (any, int, error) { return r, n, err }
+
 // FuzzDecodeTraceRecord covers the workload trace file's three record
-// kinds through the dispatching decoder: arbitrary bytes must never
+// kinds through the kind dispatch: arbitrary bytes must never
 // panic any of the decoders, every accepted record must satisfy its
 // bounds (class caps, string caps, status range), and re-encoding must
 // be a decode fixed point that consumes exactly the bytes the encoder
 // emits — the property the trace replayer's byte-identity contract
 // rests on.
 func FuzzDecodeTraceRecord(f *testing.F) {
-	hdr, err := AppendTraceHeaderRecord(nil, TraceHeaderRecord{
-		Version: TraceFormatVersion, Deterministic: true, Seed: 42,
-		N: 5, T: 2, Groups: 3, MaxBatch: 8, MaxInflight: 4,
-		LingerNanos: 1e6, TimeoutNanos: 1e7,
-		Algorithm: "atplus2", Placement: "hash",
-		Classes: 3, Spec: `{"seed":42}`,
-	})
-	if err != nil {
-		f.Fatal(err)
+	for _, seed := range traceRecordSeeds() {
+		f.Add(seed)
 	}
-	f.Add(hdr)
-	f.Add(AppendTraceEventRecord(nil, TraceEventRecord{
-		Seq: 9, AtNanos: 1234567, Cohort: 1, Client: 3, Class: 2,
-		Key: 1 << 40, Value: -77, Payload: 512,
-	}))
-	f.Add(AppendTraceOutcomeRecord(nil, TraceOutcomeRecord{
-		Seq: 9, Status: TraceDecided, Instance: 17, Value: -77,
-		Round: 4, Batch: 6, Group: 2, Class: 2, LatencyNanos: 2500,
-	}))
-	f.Add(AppendTraceOutcomeRecord(nil, TraceOutcomeRecord{Seq: 3, Status: TraceShed, Class: 1}))
-	f.Add([]byte{traceHeaderMarker})
-	f.Add([]byte{traceEventMarker, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	f.Add([]byte{traceOutcomeMarker, 0x01, 0x03}) // status over the cap
-
 	f.Fuzz(func(t *testing.T, b []byte) {
-		rec, n, err := DecodeTraceRecord(b)
+		rec, n, err := decodeTraceRecord(b)
 		if err != nil {
 			return
 		}
@@ -143,7 +130,7 @@ func FuzzDecodeTraceRecord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
-		rec2, n2, err := DecodeTraceRecord(reenc)
+		rec2, n2, err := decodeTraceRecord(reenc)
 		if err != nil {
 			t.Fatalf("decode of re-encoding failed: %v", err)
 		}
@@ -161,16 +148,9 @@ func FuzzDecodeTraceRecord(f *testing.F) {
 // without the tag-length byte decode as Alg == "" and re-encode to the
 // canonical tagged form, which must itself decode back unchanged).
 func FuzzDecodeStartRecord(f *testing.F) {
-	for _, r := range []StartRecord{{}, {Instance: 7, Alg: "A_f+2"}, {Instance: 1<<64 - 1, Alg: "A_t+2+ff"}} {
-		enc, err := AppendStartRecord(nil, r)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(enc)
+	for _, seed := range startRecordSeeds() {
+		f.Add(seed)
 	}
-	f.Add([]byte{startMarker, 0x07})       // legacy: no tag length
-	f.Add([]byte{startMarker, 0x01, 0x7F}) // tag length over the cap
-
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rec, n, err := DecodeStartRecord(b)
 		if err != nil {
@@ -202,25 +182,9 @@ func FuzzDecodeStartRecord(f *testing.F) {
 // must satisfy the tag, count and mask bounds, and re-encoding must be
 // a decode fixed point.
 func FuzzDecodeDecisionTraceRecord(f *testing.F) {
-	for _, r := range []DecisionTraceRecord{
-		{},
-		{Instance: 7, Chosen: "A_f+2", NotTaken: []string{"A_<>S", "A_t+2"}},
-		{
-			Instance: 1<<64 - 1, Group: 3, Level: 2, Chosen: "A_t+2",
-			NotTaken: []string{"A_f+2", "A_<>S"}, Suspicions: 42,
-			QueueLen: 17, QueueCap: 64, BatchFill: 87, BatchLimit: 32,
-			LingerNanos: 2_500_000, EWMANanos: 1_300_000, ShedMask: 0b101,
-		},
-	} {
-		enc, err := AppendDecisionTraceRecord(nil, r)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(enc)
+	for _, seed := range decisionTraceRecordSeeds() {
+		f.Add(seed)
 	}
-	f.Add([]byte{decisionTraceMarker, 0x00, 0x00, 0x09})             // level over the cap
-	f.Add([]byte{decisionTraceMarker, 0x01, 0x00, 0x00, 0x00, 0x09}) // not-taken count over the cap
-
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rec, n, err := DecodeDecisionTraceRecord(b)
 		if err != nil {
@@ -242,6 +206,40 @@ func FuzzDecodeDecisionTraceRecord(f *testing.F) {
 			t.Fatalf("decode of re-encoding failed: %v", err)
 		}
 		if !reflect.DeepEqual(rec2, rec) || n2 != len(reenc) {
+			t.Fatalf("decode/encode not a fixed point: %+v (%d) vs %+v (%d)",
+				rec, n, rec2, n2)
+		}
+	})
+}
+
+// FuzzDecodeHelloRecord covers the TCP handshake decoder, the one record
+// kind read straight off the network: arbitrary bytes must never panic
+// it, every accepted hello must satisfy the cluster-ID and sender
+// bounds, and re-encoding must be a decode fixed point.
+func FuzzDecodeHelloRecord(f *testing.F) {
+	for _, seed := range helloRecordSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rec, n, err := DecodeHelloRecord(b)
+		if err != nil {
+			return
+		}
+		if n > len(b) {
+			t.Fatalf("consumed %d of %d bytes", n, len(b))
+		}
+		if len(rec.Cluster) > MaxClusterIDLen || rec.Sender < 1 || rec.Sender > model.MaxProcesses {
+			t.Fatalf("accepted an out-of-range hello: %+v", rec)
+		}
+		reenc, err := AppendHelloRecord(nil, rec)
+		if err != nil {
+			t.Fatalf("re-encode failed: %v", err)
+		}
+		rec2, n2, err := DecodeHelloRecord(reenc)
+		if err != nil {
+			t.Fatalf("decode of re-encoding failed: %v", err)
+		}
+		if rec2 != rec || n2 != len(reenc) {
 			t.Fatalf("decode/encode not a fixed point: %+v (%d) vs %+v (%d)",
 				rec, n, rec2, n2)
 		}

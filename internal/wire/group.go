@@ -3,20 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-
-	"indulgence/internal/model"
 )
-
-// groupMarker opens a version-2 (group-addressed) frame: the sharded
-// runtime's envelope, carrying a consensus-group ID and an instance ID
-// so many independent groups multiplex one physical connection. Like
-// the other envelope markers it is an odd byte below 0x80, so it can
-// never open a version-0 frame (positive senders zigzag-encode to even
-// first bytes; continuation bytes have the high bit set) and is
-// disjoint from the instance envelope (0x01) and the record markers
-// (0x03, 0x05, 0x07): frame kind stays decidable from the first byte
-// alone.
-const groupMarker byte = 0x09
 
 // AppendGroupHeader appends the envelope header addressing (group,
 // instance) to dst. Group 0 is the compatibility group and emits the
@@ -61,25 +48,4 @@ func StripGroup(frame []byte) (group, instance uint64, inner []byte, err error) 
 		return 0, 0, nil, fmt.Errorf("%w: group instance id", ErrTruncated)
 	}
 	return g, id, frame[off+n:], nil
-}
-
-// EncodeGroupMessage appends the encoding of m addressed to (group,
-// instance). Group 0 emits the legacy layouts (see AppendGroupHeader).
-func EncodeGroupMessage(dst []byte, group, instance uint64, m model.Message) ([]byte, error) {
-	return EncodeMessage(AppendGroupHeader(dst, group, instance), m)
-}
-
-// DecodeGroupMessage decodes a frame of any envelope version, returning
-// its group (0 for pre-group frames), instance, message and the bytes
-// consumed.
-func DecodeGroupMessage(b []byte) (group, instance uint64, m model.Message, n int, err error) {
-	group, instance, inner, err := StripGroup(b)
-	if err != nil {
-		return 0, 0, model.Message{}, 0, err
-	}
-	m, used, err := DecodeMessage(inner)
-	if err != nil {
-		return 0, 0, model.Message{}, 0, err
-	}
-	return group, instance, m, len(b) - len(inner) + used, nil
 }

@@ -16,14 +16,11 @@ func TestGroupEnvelopeRoundTrip(t *testing.T) {
 	m := model.Message{From: 5, Round: 9, Payload: payload.Estimate{Est: 4, TS: 2}}
 	for _, group := range []uint64{1, 2, 127, 128, 1 << 20, 1<<64 - 1} {
 		for _, instance := range []uint64{0, 1, 127, 128, 1 << 40} {
-			enc, err := EncodeGroupMessage(nil, group, instance, m)
-			if err != nil {
-				t.Fatal(err)
-			}
+			enc := groupFrame(group, instance, m)
 			if enc[0] != groupMarker {
 				t.Fatalf("group frame missing marker: % x", enc)
 			}
-			g, inst, dec, n, err := DecodeGroupMessage(enc)
+			g, inst, dec, n, err := decodeFrame(enc)
 			if err != nil {
 				t.Fatalf("decode (%d, %d): %v", group, instance, err)
 			}
@@ -50,18 +47,16 @@ func TestGroupZeroEmitsLegacyLayouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EncodeGroupMessage(nil, 0, 0, m)
-	if err != nil || !bytes.Equal(got, bare) {
-		t.Fatalf("group 0 instance 0: % x != % x (err %v)", got, bare, err)
+	if got := groupFrame(0, 0, m); !bytes.Equal(got, bare) {
+		t.Fatalf("group 0 instance 0: % x != % x", got, bare)
 	}
 	for _, instance := range []uint64{1, 127, 1 << 30} {
 		v1, err := EncodeInstanceMessage(nil, instance, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := EncodeGroupMessage(nil, 0, instance, m)
-		if err != nil || !bytes.Equal(got, v1) {
-			t.Fatalf("group 0 instance %d: % x != % x (err %v)", instance, got, v1, err)
+		if got := groupFrame(0, instance, m); !bytes.Equal(got, v1) {
+			t.Fatalf("group 0 instance %d: % x != % x", instance, got, v1)
 		}
 	}
 }
@@ -191,20 +186,9 @@ func TestRecordGroupTags(t *testing.T) {
 // invert AppendGroupHeader (strip/wrap/strip fixed point). The
 // committed corpus under testdata/fuzz seeds every legacy frame kind.
 func FuzzDecodeGroupEnvelope(f *testing.F) {
-	m := model.Message{From: 3, Round: 2, Payload: payload.Propose{V: 8}}
-	seed := func(frame []byte, err error) {
-		if err == nil {
-			f.Add(frame)
-		}
+	for _, seed := range groupEnvelopeSeeds() {
+		f.Add(seed)
 	}
-	seed(EncodeMessage(nil, m))
-	seed(EncodeInstanceMessage(nil, 77, m))
-	seed(EncodeGroupMessage(nil, 1, 0, m))
-	seed(EncodeGroupMessage(nil, 4, 1<<33, m))
-	f.Add(AppendDecisionRecord(nil, DecisionRecord{Instance: 2, Value: 1, Round: 3, Batch: 1, Group: 2}))
-	f.Add([]byte{groupMarker})
-	f.Add([]byte{groupMarker, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		group, instance, inner, err := StripGroup(frame)
 		if err != nil {

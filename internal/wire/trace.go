@@ -4,23 +4,13 @@ package wire
 // record/replay traces (internal/workload). A trace file is a sequence
 // of CRC-framed records — one TraceHeaderRecord describing the run,
 // then one TraceEventRecord per recorded proposal arrival and one
-// TraceOutcomeRecord per resolved proposal. The three markers extend
-// the odd-byte family documented in the package comment: 0x0B, 0x0D
-// and 0x0F can never open a version-0 frame, so record kind is
-// decidable from the first byte alone.
+// TraceOutcomeRecord per resolved proposal.
 
 import (
 	"encoding/binary"
 	"fmt"
 
 	"indulgence/internal/model"
-)
-
-// Trace record markers.
-const (
-	traceHeaderMarker  byte = 0x0B
-	traceEventMarker   byte = 0x0D
-	traceOutcomeMarker byte = 0x0F
 )
 
 // TraceFormatVersion is the trace format this package encodes. Decoders
@@ -122,93 +112,34 @@ func AppendTraceHeaderRecord(dst []byte, r TraceHeaderRecord) ([]byte, error) {
 // DecodeTraceHeaderRecord decodes one trace header from b, returning it
 // and the number of bytes consumed.
 func DecodeTraceHeaderRecord(b []byte) (TraceHeaderRecord, int, error) {
-	var r TraceHeaderRecord
-	if len(b) == 0 {
-		return r, 0, fmt.Errorf("%w: empty trace header", ErrTruncated)
+	c := openRecord(b, KindTraceHeader)
+	if v := c.uvarint("version"); v != TraceFormatVersion {
+		c.reject("version", v)
 	}
-	if b[0] != traceHeaderMarker {
-		return r, 0, fmt.Errorf("%w: trace header marker %#x", ErrUnknownPayload, b[0])
-	}
-	off := 1
-	version, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: trace version", ErrTruncated)
-	}
-	if version != TraceFormatVersion {
-		return r, 0, fmt.Errorf("%w: trace version %d", ErrUnknownPayload, version)
-	}
-	off += n
-	if off >= len(b) {
-		return r, 0, fmt.Errorf("%w: trace flags", ErrTruncated)
-	}
-	flags := b[off]
+	flags := c.byte("flags")
 	if flags > 1 {
-		return r, 0, fmt.Errorf("%w: trace flags %#x", ErrUnknownPayload, flags)
+		c.reject("flags", flags)
 	}
-	off++
-	seed, n := binary.Varint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: trace seed", ErrTruncated)
+	r := TraceHeaderRecord{
+		Version:       TraceFormatVersion,
+		Deterministic: flags&1 != 0,
+		Seed:          c.varint("seed"),
+		N:             int(c.bounded("n", MaxFrameSize)),
+		T:             int(c.bounded("t", MaxFrameSize)),
+		Groups:        int(c.bounded("groups", MaxFrameSize)),
+		MaxBatch:      int(c.bounded("batch", MaxFrameSize)),
+		MaxInflight:   int(c.bounded("inflight", MaxFrameSize)),
+		LingerNanos:   c.varint("linger"),
+		TimeoutNanos:  c.varint("timeout"),
+		Algorithm:     c.str("algorithm", MaxAlgNameLen),
+		Placement:     c.str("placement", MaxAlgNameLen),
+		Spec:          c.str("spec", MaxTraceSpecLen),
+		Classes:       int(c.bounded("classes", MaxClassValue+1)),
 	}
-	off += n
-	var u [5]uint64
-	for i, field := range []string{"n", "t", "groups", "batch", "inflight"} {
-		v, vn := binary.Uvarint(b[off:])
-		if vn <= 0 {
-			return r, 0, fmt.Errorf("%w: trace %s", ErrTruncated, field)
-		}
-		if v > MaxFrameSize {
-			return r, 0, fmt.Errorf("%w: trace %s %d", ErrUnknownPayload, field, v)
-		}
-		off += vn
-		u[i] = v
+	if c.err != nil {
+		return TraceHeaderRecord{}, 0, c.err
 	}
-	linger, n := binary.Varint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: trace linger", ErrTruncated)
-	}
-	off += n
-	timeout, n := binary.Varint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: trace timeout", ErrTruncated)
-	}
-	off += n
-	var s [3]string
-	for i, field := range []struct {
-		name string
-		max  int
-	}{{"algorithm", MaxAlgNameLen}, {"placement", MaxAlgNameLen}, {"spec", MaxTraceSpecLen}} {
-		slen, sn := binary.Uvarint(b[off:])
-		if sn <= 0 {
-			return r, 0, fmt.Errorf("%w: trace %s length", ErrTruncated, field.name)
-		}
-		if slen > uint64(field.max) {
-			return r, 0, fmt.Errorf("%w: trace %s of %d bytes", ErrUnknownPayload, field.name, slen)
-		}
-		off += sn
-		if uint64(len(b)-off) < slen {
-			return r, 0, fmt.Errorf("%w: trace %s", ErrTruncated, field.name)
-		}
-		s[i] = string(b[off : off+int(slen)])
-		off += int(slen)
-	}
-	classes, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: trace classes", ErrTruncated)
-	}
-	if classes > MaxClassValue+1 {
-		return r, 0, fmt.Errorf("%w: trace classes %d", ErrUnknownPayload, classes)
-	}
-	off += n
-	r.Version = int(version)
-	r.Deterministic = flags&1 != 0
-	r.Seed = seed
-	r.N, r.T, r.Groups = int(u[0]), int(u[1]), int(u[2])
-	r.MaxBatch, r.MaxInflight = int(u[3]), int(u[4])
-	r.LingerNanos, r.TimeoutNanos = linger, timeout
-	r.Algorithm, r.Placement, r.Spec = s[0], s[1], s[2]
-	r.Classes = int(classes)
-	return r, off, nil
+	return r, c.off, nil
 }
 
 // TraceEventRecord is one recorded proposal arrival: the instant load
@@ -252,73 +183,21 @@ func AppendTraceEventRecord(dst []byte, r TraceEventRecord) []byte {
 // DecodeTraceEventRecord decodes one trace event from b, returning it
 // and the number of bytes consumed.
 func DecodeTraceEventRecord(b []byte) (TraceEventRecord, int, error) {
-	var r TraceEventRecord
-	if len(b) == 0 {
-		return r, 0, fmt.Errorf("%w: empty trace event", ErrTruncated)
+	c := openRecord(b, KindTraceEvent)
+	r := TraceEventRecord{
+		Seq:     c.uvarint("seq"),
+		AtNanos: c.varint("at"),
+		Cohort:  int(c.bounded("cohort", MaxFrameSize)),
+		Client:  int(c.bounded("client", MaxFrameSize)),
+		Class:   int(c.bounded("class", MaxClassValue)),
+		Key:     c.uvarint("key"),
+		Value:   model.Value(c.varint("value")),
+		Payload: int(c.bounded("payload", MaxFrameSize)),
 	}
-	if b[0] != traceEventMarker {
-		return r, 0, fmt.Errorf("%w: trace event marker %#x", ErrUnknownPayload, b[0])
+	if c.err != nil {
+		return TraceEventRecord{}, 0, c.err
 	}
-	off := 1
-	seq, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: event seq", ErrTruncated)
-	}
-	off += n
-	at, n := binary.Varint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: event at", ErrTruncated)
-	}
-	off += n
-	cohort, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: event cohort", ErrTruncated)
-	}
-	if cohort > MaxFrameSize {
-		return r, 0, fmt.Errorf("%w: event cohort %d", ErrUnknownPayload, cohort)
-	}
-	off += n
-	client, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: event client", ErrTruncated)
-	}
-	if client > MaxFrameSize {
-		return r, 0, fmt.Errorf("%w: event client %d", ErrUnknownPayload, client)
-	}
-	off += n
-	class, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: event class", ErrTruncated)
-	}
-	if class > MaxClassValue {
-		return r, 0, fmt.Errorf("%w: event class %d", ErrUnknownPayload, class)
-	}
-	off += n
-	key, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: event key", ErrTruncated)
-	}
-	off += n
-	value, n := binary.Varint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: event value", ErrTruncated)
-	}
-	off += n
-	size, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: event payload", ErrTruncated)
-	}
-	if size > MaxFrameSize {
-		return r, 0, fmt.Errorf("%w: event payload %d", ErrUnknownPayload, size)
-	}
-	off += n
-	r.Seq = seq
-	r.AtNanos = at
-	r.Cohort, r.Client, r.Class = int(cohort), int(client), int(class)
-	r.Key = key
-	r.Value = model.Value(value)
-	r.Payload = int(size)
-	return r, off, nil
+	return r, c.off, nil
 }
 
 // TraceOutcomeRecord is the fate of one recorded arrival: the decision
@@ -361,107 +240,20 @@ func AppendTraceOutcomeRecord(dst []byte, r TraceOutcomeRecord) []byte {
 // DecodeTraceOutcomeRecord decodes one trace outcome from b, returning
 // it and the number of bytes consumed.
 func DecodeTraceOutcomeRecord(b []byte) (TraceOutcomeRecord, int, error) {
-	var r TraceOutcomeRecord
-	if len(b) == 0 {
-		return r, 0, fmt.Errorf("%w: empty trace outcome", ErrTruncated)
+	c := openRecord(b, KindTraceOutcome)
+	r := TraceOutcomeRecord{
+		Seq:          c.uvarint("seq"),
+		Status:       int(c.bounded("status", TraceFailed)),
+		Instance:     c.uvarint("instance"),
+		Value:        model.Value(c.varint("value")),
+		Round:        model.Round(c.varint("round")),
+		Batch:        int(c.bounded("batch", MaxFrameSize)),
+		Group:        c.uvarint("group"),
+		Class:        int(c.bounded("class", MaxClassValue)),
+		LatencyNanos: c.varint("latency"),
 	}
-	if b[0] != traceOutcomeMarker {
-		return r, 0, fmt.Errorf("%w: trace outcome marker %#x", ErrUnknownPayload, b[0])
+	if c.err != nil {
+		return TraceOutcomeRecord{}, 0, c.err
 	}
-	off := 1
-	seq, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: outcome seq", ErrTruncated)
-	}
-	off += n
-	status, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: outcome status", ErrTruncated)
-	}
-	if status > TraceFailed {
-		return r, 0, fmt.Errorf("%w: outcome status %d", ErrUnknownPayload, status)
-	}
-	off += n
-	instance, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: outcome instance", ErrTruncated)
-	}
-	off += n
-	value, n := binary.Varint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: outcome value", ErrTruncated)
-	}
-	off += n
-	round, n := binary.Varint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: outcome round", ErrTruncated)
-	}
-	off += n
-	batch, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: outcome batch", ErrTruncated)
-	}
-	if batch > MaxFrameSize {
-		return r, 0, fmt.Errorf("%w: outcome batch %d", ErrUnknownPayload, batch)
-	}
-	off += n
-	group, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: outcome group", ErrTruncated)
-	}
-	off += n
-	class, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: outcome class", ErrTruncated)
-	}
-	if class > MaxClassValue {
-		return r, 0, fmt.Errorf("%w: outcome class %d", ErrUnknownPayload, class)
-	}
-	off += n
-	latency, n := binary.Varint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: outcome latency", ErrTruncated)
-	}
-	off += n
-	r.Seq = seq
-	r.Status = int(status)
-	r.Instance = instance
-	r.Value = model.Value(value)
-	r.Round = model.Round(round)
-	r.Batch = int(batch)
-	r.Group = group
-	r.Class = int(class)
-	r.LatencyNanos = latency
-	return r, off, nil
-}
-
-// DecodeTraceRecord decodes one trace record of any kind from b,
-// dispatching on the marker byte. The returned value is a
-// TraceHeaderRecord, TraceEventRecord or TraceOutcomeRecord.
-func DecodeTraceRecord(b []byte) (any, int, error) {
-	if len(b) == 0 {
-		return nil, 0, fmt.Errorf("%w: empty trace record", ErrTruncated)
-	}
-	switch b[0] {
-	case traceHeaderMarker:
-		r, n, err := DecodeTraceHeaderRecord(b)
-		if err != nil {
-			return nil, 0, err
-		}
-		return r, n, nil
-	case traceEventMarker:
-		r, n, err := DecodeTraceEventRecord(b)
-		if err != nil {
-			return nil, 0, err
-		}
-		return r, n, nil
-	case traceOutcomeMarker:
-		r, n, err := DecodeTraceOutcomeRecord(b)
-		if err != nil {
-			return nil, 0, err
-		}
-		return r, n, nil
-	default:
-		return nil, 0, fmt.Errorf("%w: trace marker %#x", ErrUnknownPayload, b[0])
-	}
+	return r, c.off, nil
 }

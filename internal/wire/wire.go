@@ -29,24 +29,36 @@
 //
 // # Record kinds
 //
-// The decision journal reuses the envelope family for its on-disk
-// records: a DecisionRecord opens with the marker byte 0x03 followed by
-// the instance ID and the decided outcome, and a StartRecord — the
-// claim that an instance ID is about to touch the network, optionally
-// tagged with the algorithm the instance is launched with — opens with
-// 0x05. The multi-process TCP transport's connection handshake — a
-// HelloRecord naming the cluster and the sender — opens with 0x07. The
-// workload engine's trace files (see trace.go) add three more kinds:
-// a TraceHeaderRecord opens with 0x0B, a TraceEventRecord (one recorded
-// proposal arrival) with 0x0D, and a TraceOutcomeRecord (the decision
-// that proposal received) with 0x0F. The introspection plane adds a
-// DecisionTraceRecord (see decision_trace.go) — the controller/
-// selector/admission context a service held when it launched an
-// instance — opening with 0x11. Like 0x01, the odd bytes 0x03, 0x05,
-// 0x07, 0x0B, 0x0D, 0x0F and 0x11 can never open a version-0 frame
-// (positive senders zigzag-encode to even first bytes, and continuation
-// bytes have the high bit set), so every kind is distinguishable from
-// its first byte alone.
+// The envelope family carries seven record kinds besides messages, each
+// opening with its own marker byte (table in record.go): the decision
+// journal's DecisionRecord (0x03), StartRecord (0x05) — the claim that an
+// instance ID is about to touch the network, tagged with the algorithm
+// it is launched with — and DecisionTraceRecord (0x11, the control-plane
+// context of one launch choice); the TCP handshake's HelloRecord (0x07);
+// and the workload trace files' TraceHeaderRecord (0x0B),
+// TraceEventRecord (0x0D) and TraceOutcomeRecord (0x0F). Like the
+// envelope markers these odd bytes can never open a version-0 frame, so
+// every kind is decidable from its first byte.
+//
+// # Decoding
+//
+// Every record decoder runs on one unexported cursor (record.go):
+// openRecord checks the marker, each field read advances, and the first
+// failure sticks — input that ends early is ErrTruncated, a value out of
+// range ErrUnknownPayload, both naming kind and field — so a decoder is
+// a struct literal reading the fields in wire order plus one error
+// check, and an optional trailing field (the legacy pre-group, pre-class
+// and tag-less layouts) is one "if more bytes remain". A reader of mixed
+// records switches on KindOf, so one decoder runs per payload.
+//
+// On disk, records travel in CRC frames: AppendCRCFrame puts a 4-byte
+// length and a 4-byte CRC-32C in front of a payload encoded in place;
+// ReadCRCFrame tells a frame the input ends inside, an oversized length
+// and a checksum mismatch apart. What each means is the caller's policy:
+// to the journal any of them, or a payload that is not exactly one
+// record, is the torn tail at that offset; a trace file drops a frame it
+// ends inside, or a final frame failing its checksum, as the torn tail
+// and fails on anything else.
 package wire
 
 import (
@@ -88,12 +100,6 @@ const (
 // message in this repository).
 const MaxFrameSize = 1 << 20
 
-// instanceMarker opens a version-1 (instance-addressed) frame. It can
-// never open a version-0 frame: those start with the zigzag varint of a
-// sender in [1, model.MaxProcesses], which encodes to an even byte or a
-// continuation byte (high bit set), never 0x01.
-const instanceMarker byte = 0x01
-
 // AppendInstanceHeader appends the version-1 envelope header addressing
 // instance to dst. The bytes of a version-0 frame appended afterwards form
 // a complete version-1 frame; StripInstance undoes exactly this header.
@@ -126,28 +132,6 @@ func StripInstance(frame []byte) (instance uint64, inner []byte, err error) {
 func EncodeInstanceMessage(dst []byte, instance uint64, m model.Message) ([]byte, error) {
 	return EncodeMessage(AppendInstanceHeader(dst, instance), m)
 }
-
-// DecodeInstanceMessage decodes a frame of either version, returning the
-// instance ID (0 for version-0 frames), the message, and the bytes
-// consumed.
-func DecodeInstanceMessage(b []byte) (uint64, model.Message, int, error) {
-	instance, inner, err := StripInstance(b)
-	if err != nil {
-		return 0, model.Message{}, 0, err
-	}
-	m, n, err := DecodeMessage(inner)
-	if err != nil {
-		return 0, model.Message{}, 0, err
-	}
-	return instance, m, len(b) - len(inner) + n, nil
-}
-
-// recordMarker opens a decision record, the journal's on-disk record
-// kind. Like instanceMarker it can never open a version-0 frame — 0x03
-// is odd (positive senders zigzag-encode to even first bytes) and below
-// 0x80 (not a varint continuation byte) — and it differs from
-// instanceMarker, so frame kind is decidable from the first byte.
-const recordMarker byte = 0x03
 
 // DecisionRecord is the durable record of one decided consensus
 // instance: what the journal appends before a decision is served and
@@ -204,68 +188,24 @@ func AppendDecisionRecord(dst []byte, r DecisionRecord) []byte {
 // DecodeDecisionRecord decodes one record from b, returning it and the
 // number of bytes consumed.
 func DecodeDecisionRecord(b []byte) (DecisionRecord, int, error) {
-	var r DecisionRecord
-	if len(b) == 0 {
-		return r, 0, fmt.Errorf("%w: empty record", ErrTruncated)
+	c := openRecord(b, KindDecision)
+	r := DecisionRecord{
+		Instance: c.uvarint("instance"),
+		Value:    model.Value(c.varint("value")),
+		Round:    model.Round(c.varint("round")),
+		Batch:    int(c.bounded("batch", MaxFrameSize)),
 	}
-	if b[0] != recordMarker {
-		return r, 0, fmt.Errorf("%w: record marker %#x", ErrUnknownPayload, b[0])
+	if c.more() {
+		r.Group = c.uvarint("group")
 	}
-	off := 1
-	instance, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: record instance", ErrTruncated)
+	if c.more() {
+		r.Class = int(c.bounded("class", MaxClassValue))
 	}
-	off += n
-	value, n := binary.Varint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: record value", ErrTruncated)
+	if c.err != nil {
+		return DecisionRecord{}, 0, c.err
 	}
-	off += n
-	round, n := binary.Varint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: record round", ErrTruncated)
-	}
-	off += n
-	batch, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: record batch", ErrTruncated)
-	}
-	if batch > MaxFrameSize {
-		return r, 0, fmt.Errorf("%w: record batch %d", ErrUnknownPayload, batch)
-	}
-	off += n
-	r.Instance = instance
-	r.Value = model.Value(value)
-	r.Round = model.Round(round)
-	r.Batch = int(batch)
-	if off < len(b) {
-		group, n := binary.Uvarint(b[off:])
-		if n <= 0 {
-			return DecisionRecord{}, 0, fmt.Errorf("%w: record group", ErrTruncated)
-		}
-		off += n
-		r.Group = group
-	}
-	if off < len(b) {
-		class, n := binary.Uvarint(b[off:])
-		if n <= 0 {
-			return DecisionRecord{}, 0, fmt.Errorf("%w: record class", ErrTruncated)
-		}
-		if class > MaxClassValue {
-			return DecisionRecord{}, 0, fmt.Errorf("%w: record class %d", ErrUnknownPayload, class)
-		}
-		off += n
-		r.Class = int(class)
-	}
-	return r, off, nil
+	return r, c.off, nil
 }
-
-// startMarker opens an instance-start record, the journal's second
-// record kind: the durable claim of an instance ID, written before any
-// frame of that instance may reach the network so that no ID that ever
-// touched the wire can be reassigned after a crash.
-const startMarker byte = 0x05
 
 // MaxAlgNameLen bounds the algorithm tag a start record may carry.
 const MaxAlgNameLen = 64
@@ -312,53 +252,19 @@ func AppendStartRecord(dst []byte, r StartRecord) ([]byte, error) {
 // the number of bytes consumed. A record ending right after its
 // instance — the pre-tag layout — decodes with an empty Alg.
 func DecodeStartRecord(b []byte) (StartRecord, int, error) {
-	var r StartRecord
-	if len(b) == 0 {
-		return r, 0, fmt.Errorf("%w: empty record", ErrTruncated)
+	c := openRecord(b, KindStart)
+	r := StartRecord{Instance: c.uvarint("instance")}
+	if c.more() {
+		r.Alg = c.str("algorithm", MaxAlgNameLen)
 	}
-	if b[0] != startMarker {
-		return r, 0, fmt.Errorf("%w: start marker %#x", ErrUnknownPayload, b[0])
+	if c.more() {
+		r.Group = c.uvarint("group")
 	}
-	instance, n := binary.Uvarint(b[1:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: start instance", ErrTruncated)
+	if c.err != nil {
+		return StartRecord{}, 0, c.err
 	}
-	r.Instance = instance
-	off := 1 + n
-	if off == len(b) {
-		return r, off, nil // legacy record: no algorithm tag
-	}
-	alen, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: start algorithm length", ErrTruncated)
-	}
-	if alen > MaxAlgNameLen {
-		return r, 0, fmt.Errorf("%w: start algorithm of %d bytes", ErrUnknownPayload, alen)
-	}
-	off += n
-	if uint64(len(b)-off) < alen {
-		return r, 0, fmt.Errorf("%w: start algorithm tag", ErrTruncated)
-	}
-	r.Alg = string(b[off : off+int(alen)])
-	off += int(alen)
-	if off < len(b) {
-		group, n := binary.Uvarint(b[off:])
-		if n <= 0 {
-			return StartRecord{}, 0, fmt.Errorf("%w: start group", ErrTruncated)
-		}
-		off += n
-		r.Group = group
-	}
-	return r, off, nil
+	return r, c.off, nil
 }
-
-// helloMarker opens a handshake (hello) frame, the first frame either
-// side of a multi-process TCP connection sends: the cluster ID and the
-// sender's process ID, so endpoints identify themselves instead of being
-// identified by dial order. Like the other envelope markers it is an odd
-// byte below 0x80, so it can never open a version-0 frame and the frame
-// kind is decidable from the first byte alone.
-const helloMarker byte = 0x07
 
 // MaxClusterIDLen bounds the cluster ID a hello frame may carry.
 const MaxClusterIDLen = 256
@@ -394,36 +300,16 @@ func AppendHelloRecord(dst []byte, r HelloRecord) ([]byte, error) {
 // DecodeHelloRecord decodes one hello record from b, returning it and
 // the number of bytes consumed.
 func DecodeHelloRecord(b []byte) (HelloRecord, int, error) {
-	var r HelloRecord
-	if len(b) == 0 {
-		return r, 0, fmt.Errorf("%w: empty hello", ErrTruncated)
-	}
-	if b[0] != helloMarker {
-		return r, 0, fmt.Errorf("%w: hello marker %#x", ErrUnknownPayload, b[0])
-	}
-	off := 1
-	clen, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: hello cluster length", ErrTruncated)
-	}
-	if clen > MaxClusterIDLen {
-		return r, 0, fmt.Errorf("%w: hello cluster of %d bytes", ErrUnknownPayload, clen)
-	}
-	off += n
-	if uint64(len(b)-off) < clen {
-		return r, 0, fmt.Errorf("%w: hello cluster id", ErrTruncated)
-	}
-	r.Cluster = string(b[off : off+int(clen)])
-	off += int(clen)
-	sender, n := binary.Varint(b[off:])
-	if n <= 0 {
-		return r, 0, fmt.Errorf("%w: hello sender", ErrTruncated)
-	}
+	c := openRecord(b, KindHello)
+	cluster := c.str("cluster id", MaxClusterIDLen)
+	sender := c.varint("sender")
 	if sender < 1 || sender > model.MaxProcesses {
-		return r, 0, fmt.Errorf("%w: hello sender %d", ErrUnknownPayload, sender)
+		c.reject("sender", sender)
 	}
-	r.Sender = model.ProcessID(sender)
-	return r, off + n, nil
+	if c.err != nil {
+		return HelloRecord{}, 0, c.err
+	}
+	return HelloRecord{Cluster: cluster, Sender: model.ProcessID(sender)}, c.off, nil
 }
 
 // EncodePayload appends the tag-prefixed encoding of a payload (possibly

@@ -170,7 +170,7 @@ func TestLegacyFrameDecodesAsInstanceZero(t *testing.T) {
 		if legacy[0] == instanceMarker {
 			t.Fatalf("legacy frame for %v starts with the instance marker", m)
 		}
-		inst, dec, n, err := DecodeInstanceMessage(legacy)
+		_, inst, dec, n, err := decodeFrame(legacy)
 		if err != nil {
 			t.Fatalf("decode legacy %v: %v", m, err)
 		}
@@ -197,7 +197,7 @@ func TestInstanceEnvelopeRoundTrip(t *testing.T) {
 		if enc[0] != instanceMarker {
 			t.Fatalf("instance frame missing marker: % x", enc)
 		}
-		gotInst, dec, n, err := DecodeInstanceMessage(enc)
+		_, gotInst, dec, n, err := decodeFrame(enc)
 		if err != nil {
 			t.Fatalf("decode instance %d: %v", instance, err)
 		}

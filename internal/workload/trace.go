@@ -1,18 +1,17 @@
 package workload
 
-// Trace file IO. A trace is a flat file of CRC-framed wire records —
-// the journal's exact frame discipline (4-byte big-endian length,
-// 4-byte big-endian CRC-32C of the payload, payload) applied to the
-// trace record kinds: one TraceHeaderRecord first, then
-// TraceEventRecords and TraceOutcomeRecords in any order. Like a
-// journal segment, a trace tolerates a torn tail (a crash mid-append)
-// by truncating to the longest intact prefix; any corruption before
-// the tail is an error.
+// Trace file IO. A trace is a flat file of wire CRC frames (see package
+// wire, "Decoding"), each holding one trace record: one
+// TraceHeaderRecord first, then TraceEventRecords and
+// TraceOutcomeRecords in any order. This package's tolerance policy: a
+// frame the file ends inside is the torn tail of a crash mid-append and
+// is dropped, as is a checksum mismatch on the final frame; a checksum
+// mismatch anywhere earlier, an oversized length or a malformed record
+// is an error.
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sort"
 	"sync"
@@ -20,17 +19,18 @@ import (
 	"indulgence/internal/wire"
 )
 
-// frameHeader is the per-record overhead: length + CRC.
-const frameHeader = 8
+// appendHeader, appendEvent and appendOutcome append one CRC-framed
+// trace record to dst.
+func appendHeader(dst []byte, r wire.TraceHeaderRecord) ([]byte, error) {
+	return wire.AppendCRCFrame(dst, func(dst []byte) ([]byte, error) { return wire.AppendTraceHeaderRecord(dst, r) })
+}
 
-// castagnoli is the CRC-32C table (the journal's checksum).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+func appendEvent(dst []byte, r wire.TraceEventRecord) ([]byte, error) {
+	return wire.AppendCRCFrame(dst, func(dst []byte) ([]byte, error) { return wire.AppendTraceEventRecord(dst, r), nil })
+}
 
-// appendFrame appends one CRC-framed record to dst.
-func appendFrame(dst, rec []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rec)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(rec, castagnoli))
-	return append(dst, rec...)
+func appendOutcome(dst []byte, r wire.TraceOutcomeRecord) ([]byte, error) {
+	return wire.AppendCRCFrame(dst, func(dst []byte) ([]byte, error) { return wire.AppendTraceOutcomeRecord(dst, r), nil })
 }
 
 // Trace is one decoded trace file.
@@ -59,20 +59,23 @@ func (t *Trace) EventList() []Event {
 // Seq, outcomes by Seq — the form whose bytes the record→replay
 // fixed-point property compares. The receiver is not modified.
 func (t *Trace) Encode() ([]byte, error) {
-	hdr, err := wire.AppendTraceHeaderRecord(nil, t.Header)
+	buf, err := appendHeader(nil, t.Header)
 	if err != nil {
 		return nil, err
 	}
-	buf := appendFrame(nil, hdr)
 	events := append([]wire.TraceEventRecord(nil), t.Events...)
 	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
 	for _, e := range events {
-		buf = appendFrame(buf, wire.AppendTraceEventRecord(nil, e))
+		if buf, err = appendEvent(buf, e); err != nil {
+			return nil, err
+		}
 	}
 	outcomes := append([]wire.TraceOutcomeRecord(nil), t.Outcomes...)
 	sort.Slice(outcomes, func(i, j int) bool { return outcomes[i].Seq < outcomes[j].Seq })
 	for _, o := range outcomes {
-		buf = appendFrame(buf, wire.AppendTraceOutcomeRecord(nil, o))
+		if buf, err = appendOutcome(buf, o); err != nil {
+			return nil, err
+		}
 	}
 	return buf, nil
 }
@@ -83,59 +86,45 @@ func (t *Trace) Encode() ([]byte, error) {
 // unknown records anywhere else are errors.
 func DecodeTrace(b []byte) (*Trace, error) {
 	t := &Trace{}
-	off := 0
 	sawHeader := false
-	for off < len(b) {
-		rest := len(b) - off
-		if rest < frameHeader {
-			t.TornBytes = rest
+	for off := 0; off < len(b); {
+		rec, n, err := wire.ReadCRCFrame(b[off:])
+		if errors.Is(err, wire.ErrShortFrame) || (errors.Is(err, wire.ErrChecksum) && off+n == len(b)) {
+			t.TornBytes = len(b) - off
 			break
 		}
-		size := int(binary.BigEndian.Uint32(b[off:]))
-		want := binary.BigEndian.Uint32(b[off+4:])
-		if size > wire.MaxFrameSize {
-			return nil, fmt.Errorf("workload: trace frame of %d bytes at offset %d", size, off)
-		}
-		if rest < frameHeader+size {
-			t.TornBytes = rest
-			break
-		}
-		rec := b[off+frameHeader : off+frameHeader+size]
-		if crc32.Checksum(rec, castagnoli) != want {
-			// A CRC mismatch on the final frame is a torn append; any
-			// earlier mismatch is corruption.
-			if off+frameHeader+size == len(b) {
-				t.TornBytes = rest
-				break
-			}
-			return nil, fmt.Errorf("workload: trace CRC mismatch at offset %d", off)
-		}
-		dec, n, err := wire.DecodeTraceRecord(rec)
 		if err != nil {
-			return nil, fmt.Errorf("workload: trace record at offset %d: %w", off, err)
+			return nil, fmt.Errorf("workload: trace frame at offset %d: %w", off, err)
 		}
-		if n != len(rec) {
-			return nil, fmt.Errorf("workload: trace record at offset %d: %d trailing bytes", off, len(rec)-n)
-		}
-		switch r := dec.(type) {
-		case wire.TraceHeaderRecord:
+		kind, used := wire.KindOf(rec), 0
+		switch kind {
+		case wire.KindTraceHeader:
 			if sawHeader {
 				return nil, fmt.Errorf("workload: duplicate trace header at offset %d", off)
 			}
 			sawHeader = true
-			t.Header = r
-		case wire.TraceEventRecord:
-			if !sawHeader {
-				return nil, fmt.Errorf("workload: trace event before header")
-			}
+			t.Header, used, err = wire.DecodeTraceHeaderRecord(rec)
+		case wire.KindTraceEvent:
+			var r wire.TraceEventRecord
+			r, used, err = wire.DecodeTraceEventRecord(rec)
 			t.Events = append(t.Events, r)
-		case wire.TraceOutcomeRecord:
-			if !sawHeader {
-				return nil, fmt.Errorf("workload: trace outcome before header")
-			}
+		case wire.KindTraceOutcome:
+			var r wire.TraceOutcomeRecord
+			r, used, err = wire.DecodeTraceOutcomeRecord(rec)
 			t.Outcomes = append(t.Outcomes, r)
+		default:
+			err = fmt.Errorf("%w: not a trace record", wire.ErrUnknownPayload)
 		}
-		off += frameHeader + size
+		if err != nil {
+			return nil, fmt.Errorf("workload: trace record at offset %d: %w", off, err)
+		}
+		if !sawHeader {
+			return nil, fmt.Errorf("workload: %s before header", kind)
+		}
+		if used != len(rec) {
+			return nil, fmt.Errorf("workload: trace record at offset %d: %d trailing bytes", off, len(rec)-used)
+		}
+		off += n
 	}
 	if !sawHeader {
 		return nil, fmt.Errorf("workload: trace has no header")
@@ -176,7 +165,7 @@ type Writer struct {
 
 // NewWriter creates path and writes the header frame.
 func NewWriter(path string, hdr wire.TraceHeaderRecord) (*Writer, error) {
-	enc, err := wire.AppendTraceHeaderRecord(nil, hdr)
+	enc, err := appendHeader(nil, hdr)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +173,7 @@ func NewWriter(path string, hdr wire.TraceHeaderRecord) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write(appendFrame(nil, enc)); err != nil {
+	if _, err := f.Write(enc); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -193,25 +182,26 @@ func NewWriter(path string, hdr wire.TraceHeaderRecord) (*Writer, error) {
 
 // Event appends one arrival record.
 func (w *Writer) Event(r wire.TraceEventRecord) error {
-	return w.append(wire.AppendTraceEventRecord(nil, r))
+	return w.write(appendEvent(nil, r))
 }
 
 // Outcome appends one outcome record.
 func (w *Writer) Outcome(r wire.TraceOutcomeRecord) error {
-	return w.append(wire.AppendTraceOutcomeRecord(nil, r))
+	return w.write(appendOutcome(nil, r))
 }
 
-func (w *Writer) append(rec []byte) error {
+// write appends one encoded frame; the first failure latches.
+func (w *Writer) write(frame []byte, err error) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return w.err
 	}
-	if _, err := w.f.Write(appendFrame(nil, rec)); err != nil {
-		w.err = err
-		return err
+	if err == nil {
+		_, err = w.f.Write(frame)
 	}
-	return nil
+	w.err = err
+	return err
 }
 
 // Close flushes and closes the file.

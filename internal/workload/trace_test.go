@@ -9,7 +9,7 @@ import (
 	"indulgence/internal/wire"
 )
 
-func sampleTrace(t *testing.T) *Trace {
+func sampleTrace(t testing.TB) *Trace {
 	t.Helper()
 	spec := GenSpec(5, 32)
 	tr := &Trace{
@@ -127,7 +127,10 @@ func TestTraceHeaderRequired(t *testing.T) {
 	if _, err := DecodeTrace(nil); err == nil {
 		t.Fatal("empty trace decoded without error")
 	}
-	ev := appendFrame(nil, wire.AppendTraceEventRecord(nil, wire.TraceEventRecord{Seq: 1}))
+	ev, err := appendEvent(nil, wire.TraceEventRecord{Seq: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := DecodeTrace(ev); err == nil {
 		t.Fatal("headerless trace decoded without error")
 	}
@@ -185,4 +188,53 @@ func TestTraceWriter(t *testing.T) {
 	if torn.TornBytes == 0 {
 		t.Fatal("torn streamed trace reported no torn tail")
 	}
+}
+
+// FuzzDecodeTrace covers the trace file reader, whose input is a file
+// from outside the program: arbitrary bytes must never panic it, the
+// torn tail it reports must lie inside the input, and whatever it
+// accepts must re-encode to canonical bytes that decode tear-free and
+// re-encode to themselves (decode∘encode is a fixed point).
+func FuzzDecodeTrace(f *testing.F) {
+	whole, err := sampleTrace(f).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(whole)
+	f.Add(whole[:len(whole)-3]) // torn tail
+	f.Add(whole[:40])           // torn inside the header frame
+	corrupt := append([]byte(nil), whole...)
+	corrupt[len(corrupt)/2] ^= 0xFF
+	f.Add(corrupt)
+	headerless, err := appendEvent(nil, wire.TraceEventRecord{Seq: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(headerless)
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tr, err := DecodeTrace(b)
+		if err != nil {
+			return
+		}
+		if tr.TornBytes < 0 || tr.TornBytes > len(b) {
+			t.Fatalf("torn tail of %d bytes in a %d-byte input", tr.TornBytes, len(b))
+		}
+		enc, err := tr.Encode()
+		if err != nil {
+			t.Fatalf("re-encode of a decoded trace failed: %v", err)
+		}
+		again, err := DecodeTrace(enc)
+		if err != nil {
+			t.Fatalf("decode of re-encoding failed: %v", err)
+		}
+		if again.TornBytes != 0 {
+			t.Fatalf("canonical re-encoding decoded with a %d-byte torn tail", again.TornBytes)
+		}
+		enc2, err := again.Encode()
+		if err != nil || !bytes.Equal(enc2, enc) {
+			t.Fatalf("decode∘encode is not a fixed point (err %v)", err)
+		}
+	})
 }
