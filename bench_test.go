@@ -1,141 +1,51 @@
 // The benchmark harness regenerates every experiment table of the paper
-// (EXPERIMENTS.md). Each BenchmarkE* target executes one experiment — the
-// workload generation, parameter sweep, baselines and checks — and prints
-// its tables on the first iteration, so
+// (EXPERIMENTS.md): BenchmarkExperiments runs the experiment catalogue,
+// one sub-benchmark per experiment — workload generation, parameter
+// sweep, baselines and checks — and prints each experiment's tables on
+// its first iteration, so
 //
-//	go test -bench=. -benchmem
+//	go test -bench=Experiments -benchtime=1x
 //
-// reproduces the full evaluation. BenchmarkMicro* targets measure the
-// substrate itself (simulator throughput, codec, exploration).
+// reproduces the full evaluation. The three BenchmarkMicro* targets time
+// simulator-side substrate the perfbench ladder has no row for; they are
+// working tools with no numbers of record — every number the repository
+// stands behind lives in perfbench/BASELINE.json.
 package indulgence_test
 
 import (
-	"context"
 	"fmt"
-	"sync"
+	"math/rand"
 	"testing"
-	"time"
 
 	"indulgence"
 	"indulgence/internal/experiments"
-	"indulgence/internal/model"
-	"indulgence/internal/wire"
 )
 
-// printOnce renders each experiment's tables a single time across the
-// whole bench run, keeping -bench output readable when Go re-runs a bench
-// to calibrate b.N.
-var (
-	printMu      sync.Mutex
-	printedBench = make(map[string]bool)
-)
-
-func runExperimentBench(b *testing.B, id string, run func() (*experiments.Outcome, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		o, err := run()
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if !o.OK() {
-			b.Fatalf("%s failed: %v", id, o.Failures)
-		}
-		printMu.Lock()
-		if !printedBench[id] {
-			printedBench[id] = true
-			fmt.Println(o)
-		}
-		printMu.Unlock()
+// BenchmarkExperiments regenerates every table of the catalogue with the
+// parameters `indulgence table` and experiments.All use.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Catalog {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				o, err := e.Run(experiments.DefaultSamples, experiments.DefaultSeed)
+				if err != nil {
+					b.Fatalf("%s: %v", e.ID, err)
+				}
+				if !o.OK() {
+					b.Fatalf("%s failed: %v", e.ID, o.Failures)
+				}
+				// Go re-runs a bench to calibrate b.N; print once.
+				if i == 0 && b.N == 1 {
+					fmt.Println(o)
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkE1LowerBound regenerates the Proposition 1 table: exhaustive
-// worst cases of A_{t+2} plus the executed Claim 5.1 constructions.
-func BenchmarkE1LowerBound(b *testing.B) {
-	runExperimentBench(b, "E1", experiments.E1LowerBound)
-}
-
-// BenchmarkE2FastDecision regenerates the Lemma 13 table (decision rounds
-// exactly t+2 in synchronous runs), with a heavier random sweep than the
-// unit tests.
-func BenchmarkE2FastDecision(b *testing.B) {
-	runExperimentBench(b, "E2", func() (*experiments.Outcome, error) {
-		return experiments.E2FastDecision(500, 1)
-	})
-}
-
-// BenchmarkE3PriceTable regenerates the headline price-of-indulgence
-// table for t = 1..3.
-func BenchmarkE3PriceTable(b *testing.B) {
-	runExperimentBench(b, "E3", func() (*experiments.Outcome, error) {
-		return experiments.E3PriceTable(3)
-	})
-}
-
-// BenchmarkE4FailureFree regenerates the Fig. 4 failure-free table.
-func BenchmarkE4FailureFree(b *testing.B) {
-	runExperimentBench(b, "E4", experiments.E4FailureFree)
-}
-
-// BenchmarkE5EarlyDecision regenerates the early-decision (f+2) table.
-func BenchmarkE5EarlyDecision(b *testing.B) {
-	runExperimentBench(b, "E5", experiments.E5EarlyDecision)
-}
-
-// BenchmarkE6EventualFast regenerates the Sect. 6 separation tables
-// (k+f+2 for A_{f+2} vs k+2f+2 for AMR).
-func BenchmarkE6EventualFast(b *testing.B) {
-	runExperimentBench(b, "E6", experiments.E6EventualFast)
-}
-
-// BenchmarkE7FDSimulation regenerates the Sect. 4 failure-detector
-// simulation table.
-func BenchmarkE7FDSimulation(b *testing.B) {
-	runExperimentBench(b, "E7", func() (*experiments.Outcome, error) {
-		return experiments.E7FDSimulation(300, 1)
-	})
-}
-
-// BenchmarkE8ResiliencePrice regenerates the split-brain table.
-func BenchmarkE8ResiliencePrice(b *testing.B) {
-	runExperimentBench(b, "E8", experiments.E8ResiliencePrice)
-}
-
-// BenchmarkE9LiveRuntime regenerates the live-cluster table (wall-clock
-// latencies under delays and crashes).
-func BenchmarkE9LiveRuntime(b *testing.B) {
-	runExperimentBench(b, "E9", experiments.E9LiveRuntime)
-}
-
-// BenchmarkE10AverageCase regenerates the average-case distribution table.
-func BenchmarkE10AverageCase(b *testing.B) {
-	runExperimentBench(b, "E10", experiments.E10AverageCase)
-}
-
-// BenchmarkAblationPhase1 regenerates the Phase-1-length ablation.
-func BenchmarkAblationPhase1(b *testing.B) {
-	runExperimentBench(b, "A1", experiments.AblationPhase1)
-}
-
-// BenchmarkAblationHaltExchange regenerates the Halt-exchange ablation.
-func BenchmarkAblationHaltExchange(b *testing.B) {
-	runExperimentBench(b, "A2", experiments.AblationHaltExchange)
-}
-
-// BenchmarkAblationThreshold regenerates the detector-threshold ablation.
-func BenchmarkAblationThreshold(b *testing.B) {
-	runExperimentBench(b, "A3", experiments.AblationThreshold)
-}
-
-// BenchmarkAblationPlurality regenerates the A_{f+2} plurality-rule
-// ablation.
-func BenchmarkAblationPlurality(b *testing.B) {
-	runExperimentBench(b, "A4", experiments.AblationPlurality)
-}
-
 // BenchmarkMicroSimulatedRun measures one full simulated A_{t+2} run
-// (n=5, t=2, failure-free): the substrate cost per data point of every
-// table above.
+// (n=5, t=2, failure-free) with trace and validation on: the substrate
+// cost per data point of every experiment table.
 func BenchmarkMicroSimulatedRun(b *testing.B) {
 	proposals := []indulgence.Value{3, 1, 4, 1, 5}
 	factory := indulgence.NewAtPlus2(indulgence.AtPlus2Options{})
@@ -156,52 +66,8 @@ func BenchmarkMicroSimulatedRun(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroSimulatedRunLean measures the traceless run used by the
-// exhaustive explorer.
-func BenchmarkMicroSimulatedRunLean(b *testing.B) {
-	proposals := []indulgence.Value{3, 1, 4, 1, 5}
-	factory := indulgence.NewAtPlus2(indulgence.AtPlus2Options{})
-	s := indulgence.FailureFree(5, 2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := indulgence.Simulate(indulgence.SimConfig{
-			Synchrony:      indulgence.ES,
-			Schedule:       s,
-			Proposals:      proposals,
-			Factory:        factory,
-			SkipTrace:      true,
-			SkipValidation: true,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMicroSimulatedRunPooled measures the traceless run on a reused
-// Simulator — the exact per-run cost inside the explorer and the batched
-// sweeps, with all scratch state amortized.
-func BenchmarkMicroSimulatedRunPooled(b *testing.B) {
-	proposals := []indulgence.Value{3, 1, 4, 1, 5}
-	factory := indulgence.NewAtPlus2(indulgence.AtPlus2Options{})
-	s := indulgence.FailureFree(5, 2)
-	sm := indulgence.NewSimulator()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sm.Run(indulgence.SimConfig{
-			Synchrony:      indulgence.ES,
-			Schedule:       s,
-			Proposals:      proposals,
-			Factory:        factory,
-			SkipTrace:      true,
-			SkipValidation: true,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMicroSimulateBatch measures a 64-run batch through the worker
-// pool (per-run cost; compare with the Lean and Pooled variants).
+// BenchmarkMicroSimulateBatch measures a 64-run batch of traceless runs
+// through the worker pool (per-run cost).
 func BenchmarkMicroSimulateBatch(b *testing.B) {
 	proposals := []indulgence.Value{3, 1, 4, 1, 5}
 	factory := indulgence.NewAtPlus2(indulgence.AtPlus2Options{})
@@ -225,54 +91,10 @@ func BenchmarkMicroSimulateBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroExplore measures a complete exhaustive exploration
-// (n=3, t=1, crash rounds 1..3, all subsets — 37 serial runs).
-func BenchmarkMicroExplore(b *testing.B) {
-	factory := indulgence.NewAtPlus2(indulgence.AtPlus2Options{})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := indulgence.Explore(indulgence.ExploreConfig{
-			N: 3, T: 1,
-			Synchrony:     indulgence.ES,
-			Factory:       factory,
-			Proposals:     []indulgence.Value{1, 2, 3},
-			MaxCrashRound: 3,
-			Mode:          indulgence.AllSubsets,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.WorstRound != 3 {
-			b.Fatalf("worst = %d", res.WorstRound)
-		}
-	}
-}
-
-// BenchmarkMicroWireRoundTrip measures the codec on a Phase-1 message.
-func BenchmarkMicroWireRoundTrip(b *testing.B) {
-	m := model.Message{From: 3, Round: 7, Payload: wireBenchPayload}
-	buf := make([]byte, 0, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		enc, err := wire.EncodeMessage(buf[:0], m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := wire.DecodeMessage(enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-var wireBenchPayload = func() model.Payload {
-	// An EstHalt with a populated Halt set, the densest common payload.
-	return benchEstHalt()
-}()
-
 // BenchmarkMicroRandomES measures random eventually synchronous schedule
 // generation plus validation (the E7 workload generator).
 func BenchmarkMicroRandomES(b *testing.B) {
-	rng := benchRng()
+	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := indulgence.RandomES(5, 2, 4, indulgence.RandomOpts{Rng: rng})
@@ -280,193 +102,4 @@ func BenchmarkMicroRandomES(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkMicroSimHR measures a Hurfin–Raynal worst-case run (the most
-// round-hungry baseline data point).
-func BenchmarkMicroSimHR(b *testing.B) {
-	proposals := []indulgence.Value{1, 2, 3, 4, 5}
-	factory := indulgence.NewHurfinRaynal()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := indulgence.Simulate(indulgence.SimConfig{
-			Synchrony: indulgence.ES,
-			Schedule:  indulgence.KillCoordinators(5, 2, 2),
-			Proposals: proposals,
-			Factory:   factory,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if gdr, _ := res.GlobalDecisionRound(); gdr != 6 {
-			b.Fatalf("gdr = %d", gdr)
-		}
-	}
-}
-
-// BenchmarkMicroServiceThroughput measures the consensus service end to
-// end: one iteration drives 256 closed-loop proposals through batched
-// concurrent instances over an in-memory cluster and reports
-// decisions/sec (instances) and proposals/sec as custom metrics.
-func BenchmarkMicroServiceThroughput(b *testing.B) {
-	const (
-		n, t      = 4, 1
-		proposals = 256
-		clients   = 32
-	)
-	b.ReportAllocs()
-	var totalProps, totalInstances int
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		hub, err := indulgence.NewHub(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eps := make([]indulgence.Transport, n)
-		for j := range eps {
-			if eps[j], err = hub.Endpoint(indulgence.ProcessID(j + 1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		svc, err := indulgence.NewService(indulgence.ServiceConfig{
-			N: n, T: t,
-			Factory:     indulgence.NewAtPlus2(indulgence.AtPlus2Options{}),
-			BaseTimeout: 5 * time.Millisecond,
-			MaxBatch:    4,
-			Linger:      time.Millisecond,
-			MaxInflight: 32,
-		}, eps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx := context.Background()
-		var wg sync.WaitGroup
-		next := make(chan indulgence.Value, proposals)
-		for v := 1; v <= proposals; v++ {
-			next <- indulgence.Value(v)
-		}
-		close(next)
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for v := range next {
-					fut, err := svc.Propose(ctx, v)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if _, err := fut.Wait(ctx); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if err := svc.Close(); err != nil {
-			b.Fatal(err)
-		}
-		st := svc.Snapshot()
-		if len(st.Violations) != 0 {
-			b.Fatalf("consensus violations: %v", st.Violations)
-		}
-		totalProps += st.Resolved
-		totalInstances += st.Instances
-		_ = hub.Close()
-	}
-	elapsed := time.Since(start).Seconds()
-	b.ReportMetric(float64(totalProps)/elapsed, "proposals/sec")
-	b.ReportMetric(float64(totalInstances)/elapsed, "decisions/sec")
-}
-
-// BenchmarkMicroServiceThroughputJournal is BenchmarkMicroServiceThroughput
-// with the durable decision journal in the write path: every instance
-// start and every decision is fsynced (group-committed) before the
-// batch's futures resolve. The spread between the two benchmarks is the
-// full price of durability; the baseline file records it.
-func BenchmarkMicroServiceThroughputJournal(b *testing.B) {
-	const (
-		n, t      = 4, 1
-		proposals = 256
-		clients   = 32
-	)
-	b.ReportAllocs()
-	var totalProps, totalInstances, totalSyncs int
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		jn, err := indulgence.OpenJournal(b.TempDir(), indulgence.JournalOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		hub, err := indulgence.NewHub(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eps := make([]indulgence.Transport, n)
-		for j := range eps {
-			if eps[j], err = hub.Endpoint(indulgence.ProcessID(j + 1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		svc, err := indulgence.NewService(indulgence.ServiceConfig{
-			N: n, T: t,
-			Factory:     indulgence.NewAtPlus2(indulgence.AtPlus2Options{}),
-			BaseTimeout: 5 * time.Millisecond,
-			MaxBatch:    4,
-			Linger:      time.Millisecond,
-			MaxInflight: 32,
-			Journal:     jn,
-		}, eps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx := context.Background()
-		var wg sync.WaitGroup
-		next := make(chan indulgence.Value, proposals)
-		for v := 1; v <= proposals; v++ {
-			next <- indulgence.Value(v)
-		}
-		close(next)
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for v := range next {
-					fut, err := svc.Propose(ctx, v)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if _, err := fut.Wait(ctx); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if err := svc.Close(); err != nil {
-			b.Fatal(err)
-		}
-		st := svc.Snapshot()
-		if len(st.Violations) != 0 {
-			b.Fatalf("consensus violations: %v", st.Violations)
-		}
-		js := jn.Snapshot()
-		if js.Decisions != st.Instances {
-			b.Fatalf("journal holds %d decisions, service decided %d", js.Decisions, st.Instances)
-		}
-		totalProps += st.Resolved
-		totalInstances += st.Instances
-		totalSyncs += js.Syncs
-		if err := jn.Close(); err != nil {
-			b.Fatal(err)
-		}
-		_ = hub.Close()
-	}
-	elapsed := time.Since(start).Seconds()
-	b.ReportMetric(float64(totalProps)/elapsed, "proposals/sec")
-	b.ReportMetric(float64(totalInstances)/elapsed, "decisions/sec")
-	b.ReportMetric(float64(totalSyncs)/float64(max(b.N, 1)), "fsyncs/op")
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"indulgence/internal/chaos"
+	"indulgence/internal/workload"
 )
 
 // cmdChaos runs seeded chaos scenarios on virtual time and audits every
@@ -62,17 +63,15 @@ func cmdChaos(args []string) error {
 			printChaosResult(r, *verbose)
 		}
 	}
-	wallStart := time.Now()
-	var st chaos.SweepStats
+	var wspec *workload.Spec // nil keeps each scenario's own wave load
 	if *wl != "" {
-		wspec, err := parseWorkloadSpec(*wl)
-		if err != nil {
+		var err error
+		if wspec, err = parseWorkloadSpec(*wl); err != nil {
 			return err
 		}
-		st = chaos.SweepWorkload(*seed, *count, *groups, wspec, opts, onRun)
-	} else {
-		st = chaos.SweepGroups(*seed, *count, *groups, opts, onRun)
 	}
+	wallStart := time.Now()
+	st := chaos.Sweep(*seed, *count, *groups, wspec, opts, onRun)
 	wall := time.Since(wallStart)
 	perSec := float64(st.Runs) / wall.Seconds()
 	speedup := float64(st.Virtual) / float64(wall)

@@ -287,41 +287,26 @@ func cmdTable(args []string) error {
 	fs := flag.NewFlagSet("table", flag.ContinueOnError)
 	var (
 		id      = fs.String("id", "all", "experiment id (E1..E9, A1..A4, all)")
-		samples = fs.Int("samples", 200, "sample count for randomized experiments")
-		seed    = fs.Int64("seed", 1, "random seed")
+		samples = fs.Int("samples", experiments.DefaultSamples, "sample count for randomized experiments")
+		seed    = fs.Int64("seed", experiments.DefaultSeed, "random seed")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	runners := map[string]func() (*experiments.Outcome, error){
-		"E1":  experiments.E1LowerBound,
-		"E2":  func() (*experiments.Outcome, error) { return experiments.E2FastDecision(*samples, *seed) },
-		"E3":  func() (*experiments.Outcome, error) { return experiments.E3PriceTable(3) },
-		"E4":  experiments.E4FailureFree,
-		"E5":  experiments.E5EarlyDecision,
-		"E6":  experiments.E6EventualFast,
-		"E7":  func() (*experiments.Outcome, error) { return experiments.E7FDSimulation(*samples, *seed) },
-		"E8":  experiments.E8ResiliencePrice,
-		"E9":  experiments.E9LiveRuntime,
-		"E10": experiments.E10AverageCase,
-		"A1":  experiments.AblationPhase1,
-		"A2":  experiments.AblationHaltExchange,
-		"A3":  experiments.AblationThreshold,
-		"A4":  experiments.AblationPlurality,
-	}
-	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "A1", "A2", "A3", "A4"}
-	ids := order
-	if *id != "all" {
-		if _, ok := runners[*id]; !ok {
-			return fmt.Errorf("unknown experiment %q", *id)
+	var picked []experiments.Experiment
+	for _, e := range experiments.Catalog {
+		if *id == "all" || e.ID == *id {
+			picked = append(picked, e)
 		}
-		ids = []string{*id}
+	}
+	if picked == nil {
+		return fmt.Errorf("unknown experiment %q", *id)
 	}
 	failed := 0
-	for _, eid := range ids {
-		o, err := runners[eid]()
+	for _, e := range picked {
+		o, err := e.Run(*samples, *seed)
 		if err != nil {
-			return fmt.Errorf("%s: %w", eid, err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		fmt.Println(o)
 		if !o.OK() {

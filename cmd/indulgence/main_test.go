@@ -366,6 +366,13 @@ func TestOneReportEveryGroupCount(t *testing.T) {
 				"-timeout", "5ms", "-adaptive", "-burst", "16", "-burst-idle", "10ms"},
 			want: []string{"controller adjustments", "controller ticks", "selector transitions", "algorithms"},
 			perG: []string{"latency", "effective batch / linger (final)"}},
+		// Two workers, three waves (4, 4, 1): every event waits for its
+		// wave and for a free worker, and all nine resolve.
+		{name: "bench burst",
+			args: []string{"bench-service", "-n", "3", "-t", "1", "-proposals", "9", "-clients", "2",
+				"-timeout", "5ms", "-burst", "4", "-burst-idle", "5ms"},
+			want: []string{"2 clients", "bursts of 4 every 5ms", "proposals resolved 9", "proposals shed (overload) 0", "check violations 0"},
+			perG: []string{"load", "latency", "journal"}},
 	}
 	for _, tc := range cases {
 		for _, groups := range []int{1, 3} {
@@ -386,8 +393,10 @@ func TestOneReportEveryGroupCount(t *testing.T) {
 				}
 				lifetime()
 				out := lifetime()
+				// Table columns are space-padded; wants are written unpadded.
+				flat := strings.Join(strings.Fields(out), " ")
 				for _, w := range tc.want {
-					if !strings.Contains(out, w) {
+					if !strings.Contains(flat, w) {
 						t.Errorf("second lifetime prints no %q:\n%s", w, out)
 					}
 				}

@@ -22,6 +22,8 @@ import (
 	"indulgence/internal/shard"
 	"indulgence/internal/stats"
 	"indulgence/internal/transport"
+	"indulgence/internal/wire"
+	"indulgence/internal/workload"
 )
 
 // buildEndpoints assembles n transport endpoints over the chosen
@@ -399,14 +401,14 @@ func formatAlgs(algs map[string]int) string {
 	return strings.Join(parts, " ")
 }
 
-// cmdBenchService is the closed-loop load generator: C client workers
-// each submit proposals back-to-back (propose, wait, repeat) until P
-// proposals have resolved, optionally under an injected asynchronous
-// period or a bursty arrival pattern (-burst releases proposals in
-// waves separated by idle gaps — the shape the adaptive controller is
-// built for), and the run reports throughput and latency percentiles.
-// Proposals shed by admission control (-adaptive under saturation) are
-// retried after a short backoff and reported.
+// cmdBenchService is the closed-loop load generator: P proposals are
+// released to C client workers (each proposes, waits, takes the next),
+// optionally under an injected asynchronous period or a bursty arrival
+// pattern (-burst releases proposals in waves separated by idle gaps —
+// the shape the adaptive controller is built for), and the run reports
+// throughput and latency percentiles. Proposals shed by admission
+// control (-adaptive under saturation) retry on the control plane's
+// terms (driveEvent); one that spends its budget fails the run.
 func cmdBenchService(args []string) error {
 	fs := flag.NewFlagSet("bench-service", flag.ContinueOnError)
 	f := newServiceFlags(fs)
@@ -444,78 +446,24 @@ func cmdBenchService(args []string) error {
 		time.AfterFunc(*heal, s.hub.Heal)
 	}
 
+	// The closed loop is an event list like any workload: everything due
+	// at once for the steady loop, or -burst sized waves -burst-idle
+	// apart (the workers idle through a gap, so the service sees real
+	// silence between waves), released to -clients workers.
+	events := workload.Waves(*proposals, *burst, *burstIdle, func(i int) model.Value { return model.Value(i + 1) })
 	ctx, cancel := context.WithTimeout(context.Background(), *limit)
 	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-		next     = make(chan model.Value, *proposals)
-	)
-	// The feeder shapes the offered load: everything at once for the
-	// steady closed loop, or waves separated by idle gaps for bursts
-	// (clients block on the empty channel during a gap, so the service
-	// sees real silence between waves).
-	go func() {
-		defer close(next)
-		for i := 0; i < *proposals; {
-			wave := *proposals - i
-			if *burst > 0 && *burst < wave {
-				wave = *burst
-			}
-			for j := 0; j < wave; j++ {
-				next <- model.Value(i + j + 1)
-			}
-			i += wave
-			if *burst > 0 && i < *proposals {
-				select {
-				case <-time.After(*burstIdle):
-				case <-ctx.Done():
-					return
-				}
-			}
-		}
-	}()
 	begin := time.Now()
-	for c := 0; c < *clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for v := range next {
-				for {
-					fut, err := s.rt.Propose(ctx, v)
-					if err == nil {
-						_, err = fut.Wait(ctx)
-					}
-					if errors.Is(err, adapt.ErrOverload) {
-						// Shed: back off and retry the same proposal.
-						select {
-						case <-time.After(time.Millisecond):
-							continue
-						case <-ctx.Done():
-							err = ctx.Err()
-						}
-					}
-					if err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("proposal %d: %w", v, err)
-						}
-						errMu.Unlock()
-						return
-					}
-					break
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	outcomes := drive(ctx, s.rt, events, *clients)
 	elapsed := time.Since(begin)
 	if err := s.rt.Close(); err != nil {
 		return err
 	}
-	if firstErr != nil {
-		return firstErr
+	unresolved := 0
+	for _, o := range outcomes {
+		if o.Status != wire.TraceDecided {
+			unresolved++
+		}
 	}
 
 	// One table for every group count: counters are summed across
@@ -568,8 +516,9 @@ func cmdBenchService(args []string) error {
 	}
 	table.Render(os.Stdout)
 	var failed error
-	if roll.Failed > 0 || roll.InstanceFailures > 0 {
-		failed = fmt.Errorf("%d proposals / %d instances failed", roll.Failed, roll.InstanceFailures)
+	if roll.Failed > 0 || roll.InstanceFailures > 0 || unresolved > 0 {
+		failed = fmt.Errorf("%d proposals / %d instances failed; %d of %d proposals ended undecided (shed past their retry budget, or failed)",
+			roll.Failed, roll.InstanceFailures, unresolved, len(outcomes))
 	}
 	return violationsErr(roll.Violations, failed)
 }

@@ -129,11 +129,10 @@ func recordWorkload(f serviceFlags, spec *workload.Spec, path string) error {
 }
 
 // runWorkloadLive drives the workload open-loop against the real-clock
-// service: every event is submitted at its generated arrival offset
-// regardless of how earlier events are faring (unlike the closed loop,
-// arrivals do not slow down when the service does — that is what makes
-// saturation and class shedding observable). With a record path the run
-// streams to a live (non-deterministic) trace.
+// service (drive with no client bound: arrivals do not slow down when
+// the service does — that is what makes saturation and class shedding
+// observable). With a record path the run streams to a live
+// (non-deterministic) trace.
 func runWorkloadLive(f serviceFlags, spec *workload.Spec, recordPath string, limit time.Duration) error {
 	events := spec.Events()
 	if len(events) == 0 {
@@ -177,23 +176,8 @@ func runWorkloadLive(f serviceFlags, spec *workload.Spec, recordPath string, lim
 
 	ctx, cancel := context.WithTimeout(context.Background(), limit)
 	defer cancel()
-	outcomes := make([]wire.TraceOutcomeRecord, len(events))
-	var wg sync.WaitGroup
 	begin := time.Now()
-	for _, e := range events {
-		if d := e.At - time.Since(begin); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-			}
-		}
-		wg.Add(1)
-		go func(e workload.Event) {
-			defer wg.Done()
-			outcomes[e.Seq] = driveEvent(ctx, s.rt, e)
-		}(e)
-	}
-	wg.Wait()
+	outcomes := drive(ctx, s.rt, events, 0)
 	elapsed := time.Since(begin)
 	if err := s.rt.Close(); err != nil {
 		return err
@@ -212,50 +196,75 @@ func runWorkloadLive(f serviceFlags, spec *workload.Spec, recordPath string, lim
 	return workloadReport(f, s.rt.Snapshot(), spec, events, outcomes, elapsed)
 }
 
+// drive is the real clock's load driver: it releases each event at its
+// At offset to one of at most clients concurrent workers, all running
+// driveEvent, and returns one outcome per event, in event order, once
+// every event has resolved. clients < 1 lifts the bound — the open loop,
+// where an event never waits for an earlier one; with a bound an event
+// due while every worker is busy waits for one, which is the closed
+// loop. Events must be At-sorted. When ctx ends, the events not yet
+// resolved fail.
+func drive(ctx context.Context, rt *shard.Runtime, events []workload.Event, clients int) []wire.TraceOutcomeRecord {
+	if clients < 1 {
+		clients = len(events)
+	}
+	outcomes := make([]wire.TraceOutcomeRecord, len(events))
+	free := make(chan struct{}, clients)
+	var wg sync.WaitGroup
+	begin := time.Now()
+	for i, e := range events {
+		if d := e.At - time.Since(begin); d > 0 {
+			select {
+			case <-time.After(d):
+			case <-ctx.Done():
+			}
+		}
+		// No ctx case: once ctx ends every busy worker's driveEvent
+		// returns at once, so a slot frees.
+		free <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outcomes[i] = driveEvent(ctx, rt, e)
+			<-free
+		}()
+	}
+	wg.Wait()
+	return outcomes
+}
+
 // driveEvent submits one workload event and resolves its fate. Shed
 // proposals retry on the control plane's own terms — back off
 // RetryAfter, give up once the class's retry budget is spent — so
 // higher classes, with their larger budgets, outlast overload.
-func driveEvent(ctx context.Context, rt *shard.Runtime, e workload.Event) wire.TraceOutcomeRecord {
-	rec := wire.TraceOutcomeRecord{Seq: uint64(e.Seq), Class: e.Class}
+func driveEvent(ctx context.Context, rt *shard.Runtime, e workload.Event) (rec wire.TraceOutcomeRecord) {
+	rec = wire.TraceOutcomeRecord{Seq: uint64(e.Seq), Class: e.Class, Status: wire.TraceFailed}
 	start := time.Now()
-	retries := 0
-	for {
+	defer func() { rec.LatencyNanos = int64(time.Since(start)) }()
+	for retries := 0; ; retries++ {
 		var dec service.Decision
 		fut, err := rt.ProposeKeyClass(ctx, e.Key, e.Class, e.Value)
 		if err == nil {
 			dec, err = fut.Wait(ctx)
 		}
 		var oe *adapt.OverloadError
-		if errors.As(err, &oe) {
-			if retries < oe.Budget {
-				retries++
-				select {
-				case <-time.After(oe.RetryAfter):
-					continue
-				case <-ctx.Done():
-					err = ctx.Err()
-				}
-			} else {
-				rec.Status = wire.TraceShed
-				rec.LatencyNanos = int64(time.Since(start))
-				return rec
-			}
-		}
-		if err != nil {
-			rec.Status = wire.TraceFailed
-			rec.LatencyNanos = int64(time.Since(start))
+		switch {
+		case err == nil:
+			rec.Status = wire.TraceDecided
+			rec.Instance, rec.Value, rec.Round, rec.Batch, rec.Class = dec.Instance, dec.Value, dec.Round, dec.Batch, dec.Class
+			rec.Group = dec.Instance % uint64(rt.Groups())
+			return rec
+		case !errors.As(err, &oe):
+			return rec
+		case retries >= oe.Budget:
+			rec.Status = wire.TraceShed
 			return rec
 		}
-		rec.Status = wire.TraceDecided
-		rec.Instance = dec.Instance
-		rec.Value = dec.Value
-		rec.Round = dec.Round
-		rec.Batch = dec.Batch
-		rec.Class = dec.Class
-		rec.Group = dec.Instance % uint64(rt.Groups())
-		rec.LatencyNanos = int64(time.Since(start))
-		return rec
+		select {
+		case <-time.After(oe.RetryAfter):
+		case <-ctx.Done():
+			return rec
+		}
 	}
 }
 

@@ -61,9 +61,9 @@ var Table = map[string][]string{
 	// no table entry lists it, which is the rule's encoding.
 	"chaos": {"adapt", "chaos/clock", "check", "core", "journal", "metrics",
 		"model", "runtime", "service", "shard", "transport", "wire", "workload"},
-	"experiments": {"adapt", "baseline", "chaos", "chaos/clock", "check", "core",
-		"fd", "lowerbound", "model", "runtime", "sched", "service", "sim",
-		"stats", "transport", "wire", "workload"},
+	"experiments": {"adapt", "baseline", "chaos", "check", "core", "fd",
+		"lowerbound", "model", "runtime", "sched", "service", "shard", "sim",
+		"stats", "wire", "workload"},
 
 	// The static-analysis suite itself: pure stdlib plus its own
 	// framework, below everything it checks.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"indulgence/internal/model"
+	"indulgence/internal/workload"
 )
 
 // pin serializes goroutine scheduling for the reproducibility contract:
@@ -97,6 +98,65 @@ func TestRunReproducible(t *testing.T) {
 	}
 }
 
+// TestWaveScenarioIsItsEventList: a wave scenario is nothing but an
+// event list. Each scenario runs twice — through Run, which derives the
+// list with workload.Waves, and through run on a list built here the way
+// the retired wave scheduler cut its waves (per = ceil(Proposals/Waves),
+// wave w covering [w·per, min((w+1)·per, Proposals)) at w·WaveGap) — and
+// both must decide the same proposals in the same instances.
+func TestWaveScenarioIsItsEventList(t *testing.T) {
+	pin(t)
+	quiet := Scenario{
+		Seed: 7, N: 4, T: 1,
+		Algorithm:       "atplus2",
+		BaseTimeout:     25 * time.Millisecond,
+		MaxBatch:        4,
+		Linger:          2 * time.Millisecond,
+		MaxInflight:     4,
+		InstanceTimeout: 2 * time.Second,
+		Proposals:       7,
+		Waves:           3,
+		WaveGap:         10 * time.Millisecond,
+		Horizon:         500 * time.Millisecond,
+	}
+	for _, sc := range []Scenario{quiet, Generate(3), Generate(9), GenerateGroups(33, 2)} {
+		if err := sc.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", sc.Seed, err)
+		}
+		var events []workload.Event
+		waves := max(sc.Waves, 1)
+		per := (sc.Proposals + waves - 1) / waves
+		for w := 0; w < waves; w++ {
+			for i := w * per; i < min((w+1)*per, sc.Proposals); i++ {
+				events = append(events, workload.Event{
+					Seq: i, Key: uint64(i), At: time.Duration(w) * sc.WaveGap,
+					Value: model.Value(int64(i+1)*1_000_003 + sc.Seed),
+				})
+			}
+		}
+		byWaves, byList := Run(sc, Options{}), run(sc, events, Options{})
+		if byWaves.Err != nil || byList.Err != nil {
+			t.Fatalf("seed %d: %v / %v", sc.Seed, byWaves.Err, byList.Err)
+		}
+		if byWaves.Decided != byList.Decided || byWaves.Shed != byList.Shed || byWaves.Failed != byList.Failed {
+			t.Errorf("seed %d: waves decided/shed/failed %d/%d/%d, event list %d/%d/%d", sc.Seed,
+				byWaves.Decided, byWaves.Shed, byWaves.Failed, byList.Decided, byList.Shed, byList.Failed)
+		}
+		if len(byWaves.Outcomes) != sc.Proposals || len(byList.Outcomes) != sc.Proposals {
+			t.Fatalf("seed %d: %d / %d outcomes for %d proposals", sc.Seed,
+				len(byWaves.Outcomes), len(byList.Outcomes), sc.Proposals)
+		}
+		for i := range byWaves.Outcomes {
+			if a, b := byWaves.Outcomes[i], byList.Outcomes[i]; a != b {
+				t.Errorf("seed %d proposal %d: waves %+v, event list %+v", sc.Seed, i, a, b)
+			}
+		}
+		if byWaves.Log != byList.Log {
+			t.Errorf("seed %d: decision logs differ\nwaves:\n%s\nevent list:\n%s", sc.Seed, byWaves.Log, byList.Log)
+		}
+	}
+}
+
 // TestSweepSmoke: a seeded batch of generated scenarios runs clean —
 // no violations, no wedges, no failed proposals — and the virtual
 // schedule compresses (virtual time exceeds wall time).
@@ -106,7 +166,7 @@ func TestSweepSmoke(t *testing.T) {
 	if testing.Short() {
 		count = 8
 	}
-	st := Sweep(1000, count, Options{}, nil)
+	st := Sweep(1000, count, 1, nil, Options{}, nil)
 	for _, f := range st.Failures {
 		t.Errorf("seed %d: wedged=%v failed=%d violations=%v\nspec: %s\nlog:\n%s",
 			f.Scenario.Seed, f.Wedged, f.Failed, f.Violations, f.Scenario.JSON(), f.Log)
@@ -197,7 +257,7 @@ func TestMultiGroupSweep(t *testing.T) {
 	if testing.Short() {
 		count = 5
 	}
-	st := SweepGroups(4000, count, 3, Options{}, func(r Result) {
+	st := Sweep(4000, count, 3, nil, Options{}, func(r Result) {
 		if r.Scenario.Groups != 3 {
 			t.Fatalf("seed %d: scenario ran with %d groups", r.Scenario.Seed, r.Scenario.Groups)
 		}

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"hash/fnv"
-	"sync/atomic"
 	"time"
 
 	"indulgence/internal/chaos/clock"
@@ -22,16 +21,17 @@ import (
 // of goroutine interleaving inside one virtual instant.
 type Network struct {
 	sc    Scenario
-	clk   clock.Clock
+	clk   *clock.Virtual
 	start time.Time
 	links map[linkKey]LinkFault
 }
 
 type linkKey struct{ from, to model.ProcessID }
 
-// NewNetwork builds the fabric for sc on clk. The scenario's time
-// offsets are measured from clk's current instant.
-func NewNetwork(sc Scenario, clk clock.Clock) *Network {
+// newNetwork builds the fault network for sc on clk (NewFabric is its
+// one caller). The scenario's time offsets are measured from clk's
+// current instant.
+func newNetwork(sc Scenario, clk *clock.Virtual) *Network {
 	nw := &Network{
 		sc:    sc,
 		clk:   clk,
@@ -77,17 +77,6 @@ func (e *endpoint) Self() model.ProcessID { return e.self }
 func (e *endpoint) Recv() <-chan []byte   { return e.inner.Recv() }
 func (e *endpoint) Close() error          { return e.inner.Close() }
 
-// SharedFrameCounter exposes the inner transport's in-flight frame
-// counter so a Mux stacked on the wrapped endpoint still feeds the
-// virtual clock's idle check. Frames the injector itself holds are
-// clock events, which the clock already accounts for.
-func (e *endpoint) SharedFrameCounter() *atomic.Int64 {
-	if fc, ok := e.inner.(interface{ SharedFrameCounter() *atomic.Int64 }); ok {
-		return fc.SharedFrameCounter()
-	}
-	return nil
-}
-
 // hopDelay is the floor on every cross-process delivery: even an
 // unfaulted frame takes one virtual microsecond. This is what makes a
 // run replayable — every delivery is a clock event, so the set of
@@ -96,13 +85,6 @@ func (e *endpoint) SharedFrameCounter() *atomic.Int64 {
 // instant deliveries fire in frame-hash order via the clock's tagged
 // events (see clock.Virtual's AfterFuncTagged).
 const hopDelay = time.Microsecond
-
-// tagged is the deterministic same-instant ordering hook of
-// clock.Virtual. Other clocks (the wall clock) fall back to plain
-// AfterFunc: real time breaks its own ties.
-type tagged interface {
-	AfterFuncTagged(d time.Duration, tag uint64, f func()) clock.Timer
-}
 
 func (e *endpoint) Send(to model.ProcessID, frame []byte) error {
 	if to == e.self {
@@ -115,14 +97,8 @@ func (e *endpoint) Send(to model.ProcessID, frame []byte) error {
 		// after Send returns. A send racing the hub's close simply
 		// vanishes — the scenario is over by then.
 		fr := append([]byte(nil), frame...)
-		d += hopDelay
-		if tc, ok := e.nw.clk.(tagged); ok {
-			tag := e.nw.hash(e.self, to, saltTag+i, frame)
-			tc.AfterFuncTagged(d, tag|1, func() { _ = e.inner.Send(to, fr) })
-		} else {
-			//indulgence:untagged fallback for non-virtual clocks, where real time breaks its own ties
-			e.nw.clk.AfterFunc(d, func() { _ = e.inner.Send(to, fr) })
-		}
+		tag := e.nw.hash(e.self, to, saltTag+i, frame)
+		e.nw.clk.AfterFuncTagged(d+hopDelay, tag|1, func() { _ = e.inner.Send(to, fr) })
 	}
 	return nil
 }

@@ -157,6 +157,20 @@ func (sc Scenario) JSON() string {
 	return string(b)
 }
 
+// Events is the scenario's proposal load as the event list the submitter
+// drives: the generated workload's arrivals, or Proposals class-0
+// proposals split over Waves equal waves WaveGap apart. Values are
+// workload.Value(Seed, i) under both generators. The scenario must be
+// valid.
+func (sc Scenario) Events() []workload.Event {
+	if sc.Workload != nil {
+		return sc.Workload.Events()
+	}
+	waves := max(sc.Waves, 1)
+	return workload.Waves(sc.Proposals, (sc.Proposals+waves-1)/waves, sc.WaveGap,
+		func(i int) model.Value { return workload.Value(sc.Seed, i) })
+}
+
 // ParseScenario decodes a spec printed by JSON.
 func ParseScenario(b []byte) (Scenario, error) {
 	var sc Scenario

@@ -1,8 +1,6 @@
 package chaos
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -11,7 +9,6 @@ import (
 	"time"
 
 	"indulgence/internal/adapt"
-	"indulgence/internal/chaos/clock"
 	"indulgence/internal/check"
 	"indulgence/internal/core"
 	"indulgence/internal/journal"
@@ -20,7 +17,6 @@ import (
 	"indulgence/internal/runtime"
 	"indulgence/internal/service"
 	"indulgence/internal/shard"
-	"indulgence/internal/transport"
 	"indulgence/internal/wire"
 	"indulgence/internal/workload"
 )
@@ -31,11 +27,6 @@ type Options struct {
 	// private temp directory, removed after the run). A kept journal is
 	// the post-mortem artifact of a failing seed.
 	JournalDir string
-	// MaxWall is the wall-clock watchdog (default 15s): a run that
-	// cannot finish its virtual schedule within it is reported wedged.
-	// Virtual-time runs finish in milliseconds; the watchdog only fires
-	// on a genuine livelock.
-	MaxWall time.Duration
 }
 
 // Result is the audited outcome of one scenario run.
@@ -68,10 +59,9 @@ type Result struct {
 	// mid-stride, so their totals are an artifact of teardown timing,
 	// not of the seed.
 	Metrics string
-	// Outcomes holds one trace outcome record per workload event, by
-	// event sequence number — only populated for workload scenarios.
-	// Together with the regenerable event stream they form the run's
-	// trace (see ExecuteTrace).
+	// Outcomes holds one trace outcome record per load event, by event
+	// sequence number. Together with a workload scenario's regenerable
+	// event stream they form the run's trace (see RecordTrace).
 	Outcomes []wire.TraceOutcomeRecord
 	// Virtual and Wall are the simulated and wall-clock durations.
 	Virtual, Wall time.Duration
@@ -84,10 +74,6 @@ type Result struct {
 func (r Result) OK() bool {
 	return r.Err == nil && !r.Wedged && len(r.Violations) == 0
 }
-
-// errAborted marks proposals whose futures were cut off by a wedge
-// abort (distinct from service failures, which carry their own error).
-var errAborted = errors.New("chaos: run aborted")
 
 // crashPlan tracks which processes are down and applies crashes to
 // every cluster the service has started. Instances started while a
@@ -129,18 +115,21 @@ func (cp *crashPlan) onInstance(_ uint64, cl *runtime.Cluster) {
 
 // Run executes one scenario on a fresh virtual clock and audits it.
 func Run(sc Scenario, opts Options) Result {
-	res := Result{Scenario: sc}
 	if err := sc.Validate(); err != nil {
-		res.Err = err
-		return res
+		return Result{Scenario: sc, Err: err}
 	}
+	return run(sc, sc.Events(), opts)
+}
+
+// run executes the valid scenario sc under the given load — sc.Events()
+// for every caller but the test that pins a wave scenario against its
+// hand-built event list.
+func run(sc Scenario, events []workload.Event, opts Options) Result {
+	res := Result{Scenario: sc}
 	factory, policy, err := core.ByName(sc.Algorithm)
 	if err != nil {
 		res.Err = err
 		return res
-	}
-	if opts.MaxWall <= 0 {
-		opts.MaxWall = 15 * time.Second
 	}
 	dir := opts.JournalDir
 	if dir == "" {
@@ -153,31 +142,19 @@ func Run(sc Scenario, opts Options) Result {
 		dir = tmp
 	}
 
-	clk := clock.NewVirtual()
-	virtStart := clk.Now()
-	//indulgence:wallclock wedge watchdog measures real elapsed time, outside the virtual run
+	//indulgence:wallclock Result.Wall reports real elapsed run time by definition
 	wallStart := time.Now()
-
-	hub, err := transport.NewHubClock(sc.N, clk)
+	fab, err := NewFabric(sc)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	defer hub.Close()
-	nw := NewNetwork(sc, clk)
-	eps := make([]transport.Transport, sc.N)
-	for i := range eps {
-		ep, err := hub.Endpoint(model.ProcessID(i + 1))
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		eps[i] = nw.Wrap(ep)
-	}
+	defer fab.Hub.Close()
+	clk := fab.Clock
+	virtStart := clk.Now()
 
 	cp := &crashPlan{down: make(map[model.ProcessID]bool)}
 	for _, c := range sc.Crashes {
-		c := c
 		clk.AfterFuncTagged(c.At, 0, func() { cp.crash(c.P) })
 		if c.Restart > 0 {
 			clk.AfterFuncTagged(c.Restart, 0, func() { cp.restart(c.P) })
@@ -209,148 +186,29 @@ func Run(sc Scenario, opts Options) Result {
 		Groups:         sc.Groups,
 		JournalDir:     dir,
 		JournalOptions: journal.Options{NoSync: true},
-	}, eps)
+	}, fab.Endpoints)
 	if err != nil {
 		res.Err = err
 		return res
 	}
 
-	// Proposal load. Wave scenarios submit Waves fixed waves on the
-	// clock driver; workload scenarios submit each generated event at
-	// its arrival instant, at its cohort's SLO class. Either way every
-	// future is awaited by its own goroutine and outs is indexed by
-	// proposal/event number, so the decision log's order is the load
-	// order, not the resolution order.
-	type outcome struct {
-		dec     service.Decision
-		err     error
-		shed    bool
-		class   int
-		latency time.Duration
+	// Every instance carries a virtual deadline, so a healthy run
+	// terminates on its own; the virtual cap only catches bugs.
+	virtualCap := sc.Horizon + 2*sc.InstanceTimeout + time.Second
+	if len(events) > 0 {
+		virtualCap += events[len(events)-1].At
 	}
-	var events []workload.Event
-	nProps := sc.Proposals
-	if sc.Workload != nil {
-		events = sc.Workload.Events()
-		nProps = len(events)
-	}
-	outs := make([]outcome, nProps)
-	var wg sync.WaitGroup
-	wg.Add(nProps)
-	var loadMu sync.Mutex
-	submitted, aborted := 0, false
-	value := func(idx int) model.Value {
-		return model.Value(int64(idx+1)*1_000_003 + sc.Seed)
-	}
-	// submitOne proposes one load item (class-tagged) and hands its
-	// future to a waiter goroutine. Callers hold loadMu.
-	submitOne := func(i, class int, v model.Value) {
-		start := clk.Now()
-		fut, err := rt.ProposeClass(context.Background(), class, v)
-		if err != nil {
-			outs[i] = outcome{err: err, shed: errors.Is(err, adapt.ErrOverload), class: class}
-			wg.Done()
-			return
-		}
-		go func() {
-			defer wg.Done()
-			dec, err := fut.Wait(context.Background())
-			outs[i] = outcome{dec: dec, err: err, class: class, latency: clk.Now().Sub(start)}
-		}()
-	}
-	submitWave := func(lo, hi int) {
-		loadMu.Lock()
-		defer loadMu.Unlock()
-		if aborted {
-			for i := lo; i < hi; i++ {
-				outs[i] = outcome{err: errAborted}
-				wg.Done()
-			}
-			return
-		}
-		for i := lo; i < hi; i++ {
-			submitOne(i, 0, value(i))
-		}
-		if hi > submitted {
-			submitted = hi
-		}
-	}
-	submitEvent := func(e workload.Event) {
-		loadMu.Lock()
-		defer loadMu.Unlock()
-		if aborted {
-			outs[e.Seq] = outcome{err: errAborted, class: e.Class}
-			wg.Done()
-			return
-		}
-		submitOne(int(e.Seq), e.Class, e.Value)
-		if int(e.Seq)+1 > submitted {
-			submitted = int(e.Seq) + 1
-		}
-	}
-	waves := sc.Waves
-	if waves < 1 {
-		waves = 1
-	}
-	if sc.Workload != nil {
-		// Events are At-sorted and same-instant callbacks fire in
-		// registration order, so submission order is event order.
-		for _, e := range events {
-			e := e
-			clk.AfterFuncTagged(e.At, 0, func() { submitEvent(e) })
-		}
-	} else {
-		per := (sc.Proposals + waves - 1) / waves
-		for w := 0; w < waves; w++ {
-			lo := w * per
-			hi := lo + per
-			if hi > sc.Proposals {
-				hi = sc.Proposals
-			}
-			if lo >= hi {
-				break
-			}
-			clk.AfterFuncTagged(time.Duration(w)*sc.WaveGap, 0, func() { submitWave(lo, hi) })
-		}
-	}
-
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-
-	// Drive the virtual schedule: settle the goroutine fabric, then
-	// fire the next instant, until every future has resolved. Every
-	// instance carries a virtual deadline, so a healthy run terminates
-	// on its own; the virtual cap and wall watchdog only catch bugs.
-	virtualCap := sc.Horizon + 2*sc.InstanceTimeout +
-		time.Duration(waves)*sc.WaveGap + time.Second
-	if sc.Workload != nil {
-		virtualCap += sc.Workload.Duration()
-	}
-	wallDeadline := wallStart.Add(opts.MaxWall)
-	res.Wedged = !clk.Run(done, func() bool {
-		//indulgence:wallclock wedge watchdog compares real elapsed time against the wall cap
-		return clk.Now().Sub(virtStart) > virtualCap || time.Now().After(wallDeadline)
-	})
-	if res.Wedged {
-		loadMu.Lock()
-		aborted = true
-		for i := submitted; i < nProps; i++ {
-			outs[i] = outcome{err: errAborted}
-			wg.Done()
-		}
-		loadMu.Unlock()
-		rt.Abort()
-		<-done
-		res.Violations = append(res.Violations,
-			//indulgence:wallclock wedge report quotes real elapsed time
-			fmt.Sprintf("wedged after %v virtual / %v wall", clk.Now().Sub(virtStart), time.Since(wallStart)))
-	} else {
-		rt.Close()
-	}
-
+	var errs []error
+	res.Outcomes, errs, res.Wedged = fab.Submit(rt, events, virtualCap)
 	res.Virtual = clk.Now().Sub(virtStart)
 	//indulgence:wallclock Result.Wall reports real elapsed run time by definition
 	res.Wall = time.Since(wallStart)
+	if res.Wedged {
+		res.Violations = append(res.Violations,
+			fmt.Sprintf("wedged after %v virtual / %v wall", res.Virtual, res.Wall))
+	} else {
+		rt.Close()
+	}
 
 	// The final registry snapshot, at quiescence: every instrument fed
 	// by the run has settled, so this render is the run's deterministic
@@ -370,64 +228,40 @@ func Run(sc Scenario, opts Options) Result {
 		res.Err = fmt.Errorf("chaos: replay journal: %w", err)
 		return res
 	}
+	// The canonical decision log, in load order (not resolution order).
+	// Wave scenarios keep the pre-workload line format — legacy specs
+	// must keep producing byte-identical logs. Latency rides the outcome
+	// record but stays out of the log: it is a measurement, not a
+	// decision.
 	live := make(map[uint64]model.Value)
-	for _, o := range outs {
-		if o.err == nil {
-			live[o.dec.Instance] = o.dec.Value
-		}
-	}
-	rep := check.Replay(hist.Records, hist.Starts, live)
-	res.Violations = append(res.Violations, rep.Violations...)
-
-	// The canonical decision log (wave format unchanged — legacy specs
-	// must keep producing byte-identical logs) and, for workload runs,
-	// the trace outcomes. Latency rides the outcome record but stays out
-	// of the log: it is a measurement, not a decision.
 	var b strings.Builder
-	if sc.Workload != nil {
-		res.Outcomes = make([]wire.TraceOutcomeRecord, nProps)
-		for i, o := range outs {
-			rec := wire.TraceOutcomeRecord{Seq: uint64(i), Class: o.class, LatencyNanos: int64(o.latency)}
-			switch {
-			case o.shed:
-				res.Shed++
-				rec.Status = wire.TraceShed
-				fmt.Fprintf(&b, "e%04d c%d shed\n", i, o.class)
-			case o.err != nil:
-				res.Failed++
-				rec.Status = wire.TraceFailed
-				fmt.Fprintf(&b, "e%04d c%d failed: %v\n", i, o.class, o.err)
-			default:
-				res.Decided++
-				rec.Status = wire.TraceDecided
-				rec.Instance = o.dec.Instance
-				rec.Value = o.dec.Value
-				rec.Round = o.dec.Round
-				rec.Batch = o.dec.Batch
-				rec.Group = o.dec.Instance % uint64(rt.Groups())
-				rec.Class = o.dec.Class
-				fmt.Fprintf(&b, "e%04d c%d v=%d -> inst=%d val=%d round=%d batch=%d class=%d\n",
-					i, o.class, events[i].Value, o.dec.Instance, o.dec.Value, o.dec.Round, o.dec.Batch, o.dec.Class)
-			}
-			res.Outcomes[i] = rec
+	for i, o := range res.Outcomes {
+		if sc.Workload != nil {
+			fmt.Fprintf(&b, "e%04d c%d ", i, events[i].Class)
+		} else {
+			fmt.Fprintf(&b, "p%03d ", i)
 		}
-	} else {
-		for i, o := range outs {
-			switch {
-			case o.shed:
-				res.Shed++
-				fmt.Fprintf(&b, "p%03d shed\n", i)
-			case o.err != nil:
-				res.Failed++
-				fmt.Fprintf(&b, "p%03d failed: %v\n", i, o.err)
-			default:
-				res.Decided++
-				fmt.Fprintf(&b, "p%03d v=%d -> inst=%d val=%d round=%d batch=%d\n",
-					i, value(i), o.dec.Instance, o.dec.Value, o.dec.Round, o.dec.Batch)
+		switch o.Status {
+		case wire.TraceShed:
+			res.Shed++
+			b.WriteString("shed\n")
+		case wire.TraceFailed:
+			res.Failed++
+			fmt.Fprintf(&b, "failed: %v\n", errs[i])
+		default:
+			res.Decided++
+			live[o.Instance] = o.Value
+			fmt.Fprintf(&b, "v=%d -> inst=%d val=%d round=%d batch=%d",
+				events[i].Value, o.Instance, o.Value, o.Round, o.Batch)
+			if sc.Workload != nil {
+				fmt.Fprintf(&b, " class=%d", o.Class)
 			}
+			b.WriteByte('\n')
 		}
 	}
 	res.Log = b.String()
+	rep := check.Replay(hist.Records, hist.Starts, live)
+	res.Violations = append(res.Violations, rep.Violations...)
 	return res
 }
 
@@ -442,33 +276,6 @@ type SweepStats struct {
 	// Virtual and Wall total the simulated and wall-clock durations —
 	// the virtual/wall ratio is the harness's time-compression factor.
 	Virtual, Wall time.Duration
-}
-
-// Sweep generates and runs count scenarios from consecutive seeds
-// starting at baseSeed. onRun, when non-nil, observes every result as
-// it completes (the CLI uses it for progress and failure printing).
-func Sweep(baseSeed int64, count int, opts Options, onRun func(Result)) SweepStats {
-	return SweepGroups(baseSeed, count, 1, opts, onRun)
-}
-
-// SweepGroups is Sweep on the sharded runtime: every generated scenario
-// runs with the given group count (via GenerateGroups, so the fault
-// schedules match Sweep's seed for seed — the sweep exercises the same
-// adversaries against the multi-group stack). groups <= 1 is exactly
-// Sweep.
-func SweepGroups(baseSeed int64, count, groups int, opts Options, onRun func(Result)) SweepStats {
-	return sweepWith(func(seed int64) Scenario { return GenerateGroups(seed, groups) },
-		baseSeed, count, opts, onRun)
-}
-
-// SweepWorkload runs the generated adversaries of SweepGroups with each
-// scenario's fixed wave load replaced by the given workload (clamped per
-// scenario via WorkloadScenario): the same seeded partitions, gray links
-// and crashes, now exercised under classed multi-cohort arrivals.
-func SweepWorkload(baseSeed int64, count, groups int, spec *workload.Spec, opts Options, onRun func(Result)) SweepStats {
-	return sweepWith(func(seed int64) Scenario {
-		return WorkloadScenario(GenerateGroups(seed, groups), spec)
-	}, baseSeed, count, opts, onRun)
 }
 
 // WorkloadScenario replaces sc's wave load with a generated workload:
@@ -491,12 +298,23 @@ func WorkloadScenario(sc Scenario, spec *workload.Spec) Scenario {
 	return sc
 }
 
-// sweepWith drives one batch of seeded scenario runs; the sweep shapes
-// share it.
-func sweepWith(gen func(int64) Scenario, baseSeed int64, count int, opts Options, onRun func(Result)) SweepStats {
+// Sweep generates and runs count scenarios from consecutive seeds
+// starting at baseSeed, each on groups consensus groups (GenerateGroups:
+// the fault schedules match seed for seed at every group count, so the
+// same adversaries meet the multi-group stack). A non-nil spec replaces
+// every scenario's wave load with that workload, clamped per scenario
+// (WorkloadScenario): the same seeded partitions, gray links and
+// crashes under classed multi-cohort arrivals. onRun, when non-nil,
+// observes every result as it completes (the CLI uses it for progress
+// and failure printing).
+func Sweep(baseSeed int64, count, groups int, spec *workload.Spec, opts Options, onRun func(Result)) SweepStats {
 	var st SweepStats
 	for i := 0; i < count; i++ {
-		r := Run(gen(baseSeed+int64(i)), opts)
+		sc := GenerateGroups(baseSeed+int64(i), groups)
+		if spec != nil {
+			sc = WorkloadScenario(sc, spec)
+		}
+		r := Run(sc, opts)
 		st.Runs++
 		st.Decided += r.Decided
 		st.Shed += r.Shed

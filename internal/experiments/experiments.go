@@ -71,28 +71,61 @@ func distinctProposals(n int) []model.Value {
 	return out
 }
 
-// All runs every simulator-backed experiment (E1–E8 and the four
-// ablations) with test-sized parameters and returns the outcomes in order.
-// The live-runtime experiment E9 is separate (it needs wall-clock time).
+// Experiment is one entry of the catalogue.
+type Experiment struct {
+	// ID is the experiment identifier (E1..E10, A1..A4).
+	ID string
+	// Run executes the experiment. samples and seed size the randomized
+	// sweeps (E2, E7); every other experiment is exhaustive or
+	// constructed and ignores them.
+	Run func(samples int, seed int64) (*Outcome, error)
+	// Live marks the experiment that drives the live service stack (E9)
+	// instead of the simulator; All leaves it to its own tests.
+	Live bool
+}
+
+// DefaultSamples and DefaultSeed are the parameters All runs the
+// randomized experiments with, and the `table` subcommand's defaults.
+const (
+	DefaultSamples       = 200
+	DefaultSeed    int64 = 1
+)
+
+// fixed adapts an experiment that takes no parameters.
+func fixed(run func() (*Outcome, error)) func(int, int64) (*Outcome, error) {
+	return func(int, int64) (*Outcome, error) { return run() }
+}
+
+// Catalog lists every experiment once, in report order. The CLI's
+// `table`, All and the benchmark harness all read it, so an experiment
+// runs with the same parameters wherever it is regenerated.
+var Catalog = []Experiment{
+	{ID: "E1", Run: fixed(E1LowerBound)},
+	{ID: "E2", Run: E2FastDecision},
+	{ID: "E3", Run: fixed(func() (*Outcome, error) { return E3PriceTable(3) })},
+	{ID: "E4", Run: fixed(E4FailureFree)},
+	{ID: "E5", Run: fixed(E5EarlyDecision)},
+	{ID: "E6", Run: fixed(E6EventualFast)},
+	{ID: "E7", Run: E7FDSimulation},
+	{ID: "E8", Run: fixed(E8ResiliencePrice)},
+	{ID: "E9", Run: fixed(E9LiveRuntime), Live: true},
+	{ID: "E10", Run: fixed(E10AverageCase)},
+	{ID: "A1", Run: fixed(AblationPhase1)},
+	{ID: "A2", Run: fixed(AblationHaltExchange)},
+	{ID: "A3", Run: fixed(AblationThreshold)},
+	{ID: "A4", Run: fixed(AblationPlurality)},
+}
+
+// All runs every simulator-backed experiment of the catalogue (E1–E8,
+// E10 and the four ablations) at the default parameters and returns the
+// outcomes in order. The live experiment E9 is separate.
 func All() ([]*Outcome, error) {
-	runners := []func() (*Outcome, error){
-		E1LowerBound,
-		func() (*Outcome, error) { return E2FastDecision(200, 1) },
-		func() (*Outcome, error) { return E3PriceTable(2) },
-		E4FailureFree,
-		E5EarlyDecision,
-		E6EventualFast,
-		func() (*Outcome, error) { return E7FDSimulation(100, 1) },
-		E8ResiliencePrice,
-		E10AverageCase,
-		AblationPhase1,
-		AblationHaltExchange,
-		AblationThreshold,
-		AblationPlurality,
-	}
-	out := make([]*Outcome, 0, len(runners))
-	for _, r := range runners {
-		o, err := r()
+	var out []*Outcome
+	for _, e := range Catalog {
+		if e.Live {
+			continue
+		}
+		o, err := e.Run(DefaultSamples, DefaultSeed)
 		if err != nil {
 			return out, err
 		}

@@ -1,21 +1,20 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
+	goruntime "runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"indulgence/internal/adapt"
 	"indulgence/internal/chaos"
-	"indulgence/internal/chaos/clock"
 	"indulgence/internal/core"
 	"indulgence/internal/model"
 	"indulgence/internal/runtime"
 	"indulgence/internal/service"
+	"indulgence/internal/shard"
 	"indulgence/internal/stats"
-	"indulgence/internal/transport"
+	"indulgence/internal/workload"
 )
 
 // liveScenario describes one live execution, served through the
@@ -32,10 +31,10 @@ type liveScenario struct {
 	adaptive bool
 	// disturb, if non-nil, runs on the instance's OnInstance hook —
 	// after the cluster is assembled, before its rounds start — with the
-	// scenario's clock (for scheduling the heal), hub (delay injection)
-	// and cluster (crash injection); it returns the number of crashed
-	// processes.
-	disturb func(clk clock.Clock, hub *transport.Hub, cl *runtime.Cluster) int
+	// scenario's fabric (its hub for delay injection, its clock for
+	// scheduling the heal) and cluster (crash injection); it returns the
+	// number of crashed processes.
+	disturb func(fab *chaos.Fabric, cl *runtime.Cluster) int
 	// wantRound, if non-zero, is the exact global decision round
 	// expected of the instance.
 	wantRound model.Round
@@ -85,9 +84,9 @@ func e9Scenarios() []liveScenario {
 			name: "async period: p1 delayed 80ms, A_t+2", n: 5, t: 2,
 			algo:        "atplus2",
 			baseTimeout: 10 * time.Millisecond,
-			disturb: func(clk clock.Clock, hub *transport.Hub, _ *runtime.Cluster) int {
-				hub.DelayProcess(1, 80*time.Millisecond)
-				clk.AfterFunc(200*time.Millisecond, hub.Heal)
+			disturb: func(fab *chaos.Fabric, _ *runtime.Cluster) int {
+				fab.Hub.DelayProcess(1, 80*time.Millisecond)
+				fab.Clock.AfterFunc(200*time.Millisecond, fab.Hub.Heal)
 				return 0
 			},
 		},
@@ -95,7 +94,7 @@ func e9Scenarios() []liveScenario {
 			name: "crash p2 at start, A_t+2", n: 5, t: 2,
 			algo:        "atplus2",
 			baseTimeout: 10 * time.Millisecond,
-			disturb: func(_ clock.Clock, _ *transport.Hub, cl *runtime.Cluster) int {
+			disturb: func(_ *chaos.Fabric, cl *runtime.Cluster) int {
 				_ = cl.Crash(2)
 				return 1
 			},
@@ -104,7 +103,7 @@ func e9Scenarios() []liveScenario {
 			name: "crash p1+p2, A_f+2", n: 7, t: 2,
 			algo:        "afplus2",
 			baseTimeout: 10 * time.Millisecond,
-			disturb: func(_ clock.Clock, _ *transport.Hub, cl *runtime.Cluster) int {
+			disturb: func(_ *chaos.Fabric, cl *runtime.Cluster) int {
 				_ = cl.Crash(1)
 				_ = cl.Crash(2)
 				return 2
@@ -155,10 +154,10 @@ func E9LiveRuntime() (*Outcome, error) {
 
 // E9DecisionLog runs every E9 scenario on virtual clocks and returns the
 // canonical decision log plus any failures. The log is the experiment's
-// reproducibility witness: for one seed, two runs (on a cooperatively
-// scheduled runtime — pin GOMAXPROCS to 1) must produce identical bytes,
-// because every cross-process frame is a tagged clock event whose
-// ordering is a pure function of (seed, frame contents).
+// reproducibility witness: for one seed, two runs must produce identical
+// bytes, because every cross-process frame is a tagged clock event whose
+// ordering is a pure function of (seed, frame contents) and each
+// scenario runs on one scheduler thread.
 func E9DecisionLog(seed int64) (string, []string) {
 	var b strings.Builder
 	var fails []string
@@ -170,13 +169,13 @@ func E9DecisionLog(seed int64) (string, []string) {
 	return b.String(), fails
 }
 
-// runLiveScenario drives one scenario through a dedicated service on a
-// fresh virtual clock: the n distinct proposals batch into a single
-// consensus instance, the scenario's disturbance fires on the instance
-// hook, and the service's snapshot (check.Instance audit included) is
-// the verdict. The endpoints are wrapped in a quiet chaos fabric — no
-// faults, but every cross-process frame becomes a seed-tagged clock
-// event, which is what makes the schedule replayable.
+// runLiveScenario drives one scenario through a dedicated one-group
+// runtime on a quiet chaos fabric — no faults, but every cross-process
+// frame a seed-tagged clock event, which is what makes the schedule
+// replayable: the chaos harness's submitter proposes the n distinct
+// values at the first instant, they batch into a single consensus
+// instance, the scenario's disturbance fires on the instance hook, and
+// the runtime's snapshot (check.Instance audit included) is the verdict.
 func runLiveScenario(sc liveScenario, seed int64) liveRow {
 	fail := func(format string, args ...any) liveRow {
 		msg := fmt.Sprintf("E9 %s: %s", sc.name, fmt.Sprintf(format, args...))
@@ -186,22 +185,16 @@ func runLiveScenario(sc liveScenario, seed int64) liveRow {
 			fails: []string{msg},
 		}
 	}
-	clk := clock.NewVirtual()
-	virtStart := clk.Now()
-	hub, err := transport.NewHubClock(sc.n, clk)
+	// One scheduler thread, as chaos.RecordTrace pins it: the virtual
+	// clock's settling is exact only under cooperative scheduling, and on
+	// a loaded multi-P box it can call the first instant quiescent before
+	// the batcher has run — a spurious wedge.
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	fab, err := chaos.NewFabric(chaos.Scenario{Seed: seed, N: sc.n})
 	if err != nil {
 		return fail("%v", err)
 	}
-	defer func() { _ = hub.Close() }()
-	nw := chaos.NewNetwork(chaos.Scenario{Seed: seed}, clk)
-	eps := make([]transport.Transport, sc.n)
-	for i := 0; i < sc.n; i++ {
-		ep, err := hub.Endpoint(model.ProcessID(i + 1))
-		if err != nil {
-			return fail("%v", err)
-		}
-		eps[i] = nw.Wrap(ep)
-	}
+	defer func() { _ = fab.Hub.Close() }()
 	factory, wait, err := core.ByName(sc.algo)
 	if err != nil {
 		return fail("%v", err)
@@ -215,10 +208,10 @@ func runLiveScenario(sc liveScenario, seed int64) liveRow {
 		MaxBatch:    sc.n,
 		Linger:      500 * time.Millisecond, // the batch fills to n long before this
 		MaxInflight: 1,
-		Clock:       clk,
+		Clock:       fab.Clock,
 		OnInstance: func(_ uint64, cl *runtime.Cluster) {
 			if sc.disturb != nil {
-				crashes = sc.disturb(clk, hub, cl)
+				crashes = sc.disturb(fab, cl)
 			}
 		},
 	}
@@ -233,61 +226,34 @@ func runLiveScenario(sc liveScenario, seed int64) liveRow {
 			MinLinger: cfg.Linger, MaxLinger: cfg.Linger,
 		}
 	}
-	svc, err := service.New(cfg, eps)
+	rt, err := shard.New(shard.Config{Service: cfg}, fab.Endpoints)
 	if err != nil {
 		return fail("%v", err)
 	}
-	defer func() { _ = svc.Close() }()
 
-	futs := make([]*service.Future, sc.n)
-	for i := range futs {
-		if futs[i], err = svc.Propose(context.Background(), model.Value(i+1)); err != nil {
-			return fail("propose: %v", err)
-		}
-	}
-	decs := make([]service.Decision, sc.n)
-	errs := make([]error, sc.n)
-	var wg sync.WaitGroup
-	wg.Add(sc.n)
-	for i, fut := range futs {
-		i, fut := i, fut
-		go func() {
-			defer wg.Done()
-			decs[i], errs[i] = fut.Wait(context.Background())
-		}()
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-
-	// Drive the virtual schedule until every future resolves. A healthy
-	// scenario finishes well inside a virtual second; the cap and wall
-	// watchdog only catch bugs (fd tickers keep the event queue alive
-	// forever, so a dry queue is not the wedge signal here).
+	// A healthy scenario finishes well inside a virtual second; the cap
+	// only catches bugs (fd tickers keep the event queue alive forever,
+	// so a dry queue is not the wedge signal here).
 	const virtualCap = 30 * time.Second
-	wallDeadline := time.Now().Add(15 * time.Second)
-	finished := clk.Run(done, func() bool {
-		return clk.Now().Sub(virtStart) > virtualCap || time.Now().After(wallDeadline)
-	})
-	if !finished {
-		svc.Abort()
-		<-done
-		return fail("wedged after %v virtual", clk.Now().Sub(virtStart))
+	virtStart := fab.Clock.Now()
+	load := workload.Waves(sc.n, 0, 0, func(i int) model.Value { return model.Value(i + 1) })
+	outs, errs, wedged := fab.Submit(rt, load, virtualCap)
+	if wedged {
+		return fail("wedged after %v virtual", fab.Clock.Now().Sub(virtStart))
 	}
-	var dec service.Decision
-	for i := range futs {
-		if errs[i] != nil {
-			return fail("wait: %v", errs[i])
-		}
-		if i == 0 {
-			dec = decs[i]
-		} else if decs[i] != dec {
-			return fail("batch split across decisions: %+v vs %+v", decs[i], dec)
-		}
-	}
-	if err := svc.Close(); err != nil {
+	if err := rt.Close(); err != nil {
 		return fail("close: %v", err)
 	}
-	st := svc.Snapshot()
+	dec := outs[0]
+	for i, o := range outs {
+		if errs[i] != nil {
+			return fail("proposal %d: %v", i+1, errs[i])
+		}
+		if o.Instance != dec.Instance || o.Value != dec.Value || o.Round != dec.Round || o.Batch != dec.Batch {
+			return fail("batch split across decisions: %+v vs %+v", o, dec)
+		}
+	}
+	st := rt.Snapshot().Groups[0]
 
 	latency := st.DecisionLatency.Max.Round(time.Microsecond)
 	row := liveRow{

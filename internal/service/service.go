@@ -297,8 +297,10 @@ type Stats struct {
 	// Overloads counts proposals shed by admission control with
 	// adapt.ErrOverload (always 0 without an adaptive config).
 	Overloads int
-	// OverloadsByClass splits Overloads per SLO class (index = class;
-	// length = highest class the service has seen + 1).
+	// OverloadsByClass splits Overloads per SLO class (index = the class
+	// admission judged the proposal as; length = highest class the
+	// service has seen + 1). Both are Control.OverloadsByClass, summed
+	// and trimmed.
 	OverloadsByClass []int
 	// ResolvedByClass splits Resolved per SLO class.
 	ResolvedByClass []int
@@ -380,7 +382,6 @@ type Service struct {
 	instances    int
 	joined       int
 	instanceFail int
-	overloads    int
 	violations   []string
 	latencies    *stats.Reservoir[time.Duration]
 	rounds       *stats.Reservoir[int]
@@ -389,12 +390,12 @@ type Service struct {
 	fills        *stats.Reservoir[int]
 	algs         map[string]int
 	// Per-class accounting (index = SLO class). maxClass is the highest
-	// class any proposal has carried; Snapshot trims the exported
-	// slices to it. classLat reservoirs allocate lazily per class.
-	maxClass    int
-	overloadsBy [adapt.MaxClasses]int
-	resolvedBy  [adapt.MaxClasses]int
-	classLat    [adapt.MaxClasses]*stats.Reservoir[time.Duration]
+	// class any admitted proposal has carried; Snapshot trims the
+	// exported slices to it (or to the highest class shed, if higher).
+	// classLat reservoirs allocate lazily per class.
+	maxClass   int
+	resolvedBy [adapt.MaxClasses]int
+	classLat   [adapt.MaxClasses]*stats.Reservoir[time.Duration]
 
 	// Registry instruments (nil without Config.Metrics; nil instruments
 	// no-op). algHist holds the per-algorithm rounds-per-decision
@@ -710,14 +711,7 @@ func (s *Service) ProposeClass(ctx context.Context, class int, v model.Value) (*
 	}
 	if s.plane != nil {
 		if oe := s.plane.AdmitClass(class); oe != nil {
-			s.countMu.Lock()
-			s.overloads++
-			s.overloadsBy[class]++
-			if class > s.maxClass {
-				s.maxClass = class
-			}
-			s.countMu.Unlock()
-			return nil, oe
+			return nil, oe // counted once, by the plane (see Snapshot)
 		}
 	}
 	select {
@@ -814,6 +808,17 @@ func (s *Service) Snapshot() Stats {
 	if s.plane != nil {
 		control = s.plane.Snapshot()
 	}
+	// Sheds are a view over the plane's per-class refusal counters — the
+	// one place a shed is counted — so a proposal whose class exceeds the
+	// plane's configured Classes shows under the class admission judged
+	// it as (AdmitClass clamps).
+	overloads, topClass := 0, 0
+	for c, k := range control.OverloadsByClass {
+		overloads += k
+		if k > 0 {
+			topClass = c
+		}
+	}
 	s.countMu.Lock()
 	defer s.countMu.Unlock()
 	algs := make(map[string]int, len(s.algs))
@@ -822,9 +827,10 @@ func (s *Service) Snapshot() Stats {
 	}
 	var overloadsBy, resolvedBy []int
 	var classLat []stats.LatencySummary
-	if s.maxClass > 0 {
-		n := s.maxClass + 1
-		overloadsBy = append(overloadsBy, s.overloadsBy[:n]...)
+	if topClass = max(topClass, s.maxClass); topClass > 0 {
+		n := topClass + 1
+		overloadsBy = make([]int, n)
+		copy(overloadsBy, control.OverloadsByClass)
 		resolvedBy = append(resolvedBy, s.resolvedBy[:n]...)
 		classLat = make([]stats.LatencySummary, n)
 		for c := 0; c < n; c++ {
@@ -840,7 +846,7 @@ func (s *Service) Snapshot() Stats {
 		Instances:        s.instances,
 		JoinedInstances:  s.joined,
 		InstanceFailures: s.instanceFail,
-		Overloads:        s.overloads,
+		Overloads:        overloads,
 		OverloadsByClass: overloadsBy,
 		ResolvedByClass:  resolvedBy,
 		ClassLatency:     classLat,

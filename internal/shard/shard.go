@@ -233,28 +233,17 @@ func (r *Runtime) Group(g int) *service.Service { return r.groups[g] }
 // when the runtime was built without a JournalDir).
 func (r *Runtime) Journals() []*journal.Journal { return r.journals }
 
-// Propose routes a proposal to a group under the placement policy and
-// enqueues it there. Proposals without a natural key use an internal
-// sequence number, so affinity policies still spread them.
+// Propose routes a class-0 proposal to a group under the placement
+// policy and enqueues it there. Proposals without a natural key use an
+// internal sequence number, so affinity policies still spread them.
 func (r *Runtime) Propose(ctx context.Context, v model.Value) (*service.Future, error) {
-	return r.ProposeKey(ctx, r.seq.Add(1)-1, v)
-}
-
-// ProposeKey routes a proposal by its routing key: affinity placement
-// sends every proposal of one key through one group's batcher (ordering
-// everything about the key), other policies ignore the key.
-func (r *Runtime) ProposeKey(ctx context.Context, key uint64, v model.Value) (*service.Future, error) {
-	return r.ProposeKeyClass(ctx, key, 0, v)
-}
-
-// ProposeClass routes a classed proposal under the placement policy,
-// keyed by the internal sequence like Propose.
-func (r *Runtime) ProposeClass(ctx context.Context, class int, v model.Value) (*service.Future, error) {
-	return r.ProposeKeyClass(ctx, r.seq.Add(1)-1, class, v)
+	return r.ProposeKeyClass(ctx, r.seq.Add(1)-1, 0, v)
 }
 
 // ProposeKeyClass routes a proposal by key at an SLO class — the full
-// submission surface. The class gates admission in the chosen group
+// submission surface. Affinity placement sends every proposal of one key
+// through one group's batcher (ordering everything about the key), other
+// policies ignore the key. The class gates admission in the chosen group
 // (see service.ProposeClass) after placement: routing is class-blind,
 // so a high-class proposal still lands on its key's group rather than
 // shopping for an unshedding one.

@@ -323,7 +323,7 @@ func TestPeerRuntimeMultiGroup(t *testing.T) {
 	var futs []tagged
 	for i := 0; i < 12; i++ {
 		member := members[i%n]
-		f, err := member.ProposeKey(ctx, uint64(i%4), model.Value(500+i))
+		f, err := member.ProposeKeyClass(ctx, uint64(i%4), 0, model.Value(500+i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,10 +19,15 @@ import (
 // The hub runs on an injected clock: delayed deliveries are clock
 // timers, so under the chaos harness's virtual clock an 80ms injected
 // delay costs one discrete event instead of 80ms of wall time. The hub
-// also shares an in-flight frame counter across its mailboxes (and, via
-// SharedFrameCounter, across any Mux layered on an endpoint); with a
-// virtual clock it registers the counter as an idle check, so simulated
-// time never advances over a frame that is already deliverable.
+// also counts the frames its mailboxes have accepted but not yet handed
+// to a receiver; with a virtual clock it registers the count as an idle
+// check, so simulated time never advances over a frame that is already
+// deliverable. Only the hub's own mailboxes are counted: their consumers
+// (a Mux router, or a node's round loop) always drain, so the count
+// provably returns to zero once the goroutine fabric quiesces. Frames
+// buffered further up in a Mux's per-instance streams are deliberately
+// not — a crashed process stops reading its stream, and counting its
+// backlog would hold virtual time still forever.
 type Hub struct {
 	n       int
 	clk     clock.Clock
@@ -163,7 +168,6 @@ type hubEndpoint struct {
 }
 
 var _ Transport = (*hubEndpoint)(nil)
-var _ frameCounted = (*hubEndpoint)(nil)
 
 // Self implements Transport.
 func (e *hubEndpoint) Self() model.ProcessID { return e.self }
@@ -175,11 +179,6 @@ func (e *hubEndpoint) Send(to model.ProcessID, frame []byte) error {
 
 // Recv implements Transport.
 func (e *hubEndpoint) Recv() <-chan []byte { return e.hub.boxes[e.self-1].out }
-
-// SharedFrameCounter exposes the hub's in-flight frame counter so a Mux
-// (or a chaos injector) layered on this endpoint keeps its buffered
-// frames in the same account.
-func (e *hubEndpoint) SharedFrameCounter() *atomic.Int64 { return &e.hub.pending }
 
 // Close implements Transport. Closing one endpoint only detaches its
 // mailbox; the hub itself is closed with Hub.Close.

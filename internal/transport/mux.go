@@ -159,10 +159,6 @@ func (m *Mux) RetireGroup(group, instance uint64) {
 	}
 }
 
-// RetireBelow bulk-retires group-0 instances; it is
-// RetireGroupBelow(0, frontier).
-func (m *Mux) RetireBelow(frontier uint64) { m.RetireGroupBelow(0, frontier) }
-
 // RetireGroupBelow retires every instance of group with ID below
 // frontier at once — the recovery path's bulk retirement. A restarted
 // service raises its group's frontier past every journaled instance, so

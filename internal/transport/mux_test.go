@@ -500,7 +500,7 @@ func TestMuxRetireBelow(t *testing.T) {
 	// through.
 	m2.Retire(5)
 
-	m2.RetireBelow(5)
+	m2.RetireGroupBelow(0, 5)
 
 	if _, ok := <-low.Recv(); ok {
 		t.Fatal("stream below frontier still delivering")
@@ -513,7 +513,7 @@ func TestMuxRetireBelow(t *testing.T) {
 		t.Fatalf("retiredBelow=%d set=%d, want 6 (5 compacted through) and 0", below, setLen)
 	}
 	if stale {
-		t.Fatal("buffered stale stream survived RetireBelow")
+		t.Fatal("buffered stale stream survived RetireGroupBelow")
 	}
 	if _, err := m2.Open(2); err == nil {
 		t.Fatal("opening below the frontier succeeded")
@@ -533,7 +533,7 @@ func TestMuxRetireBelow(t *testing.T) {
 	}
 
 	// Monotonic: lowering the frontier is a no-op.
-	m2.RetireBelow(2)
+	m2.RetireGroupBelow(0, 2)
 	below, _ = retiredState(m2, 0)
 	if below != 6 {
 		t.Fatalf("frontier regressed to %d", below)

@@ -53,21 +53,6 @@ type Transport interface {
 	Close() error
 }
 
-// frameCounted is implemented by transports that share a live count of
-// frames accepted but not yet handed to a receiver. The chaos harness's
-// virtual clock reads the counter as an idle check — time must not
-// advance over a frame still in flight at the current instant. Only the
-// hub's own mailboxes participate: their consumers (a Mux router, or a
-// node's round loop) always drain, so the count provably returns to
-// zero once the goroutine fabric quiesces. Frames buffered further up
-// in a Mux's per-instance streams are deliberately NOT counted — a
-// crashed process stops reading its stream, and counting its backlog
-// would hold virtual time still forever. The hub's endpoints implement
-// the interface; so does the chaos fault injector, by delegation.
-type frameCounted interface {
-	SharedFrameCounter() *atomic.Int64
-}
-
 // mailbox is an unbounded, closable FIFO of frames feeding a channel. The
 // unbounded buffer is deliberate: a sender must never block on a slow
 // receiver (that would let one crashed process wedge the cluster), and

@@ -50,20 +50,6 @@ func (e Event) Record() wire.TraceEventRecord {
 	}
 }
 
-// EventFromRecord converts a trace-file record back to an event.
-func EventFromRecord(r wire.TraceEventRecord) Event {
-	return Event{
-		Seq:     int(r.Seq),
-		At:      time.Duration(r.AtNanos),
-		Cohort:  r.Cohort,
-		Client:  r.Client,
-		Class:   r.Class,
-		Key:     r.Key,
-		Value:   r.Value,
-		Payload: r.Payload,
-	}
-}
-
 // interArrival samples the event-th raw inter-arrival gap (in seconds,
 // at phase multiplier 1) of one client's stream.
 func interArrival(s *Spec, cohort int, c Cohort, client, event int) float64 {
@@ -211,6 +197,22 @@ func (s *Spec) Events() []Event {
 		all[i].Value = Value(s.Seed, i)
 	}
 	return all
+}
+
+// Waves is the fixed-wave load as an event list: total class-0
+// proposals released per at a time (per < 1 releases all at once), wave
+// w at offset w×gap, event i carrying value(i) and routed by key i. It
+// is Spec.Events' sibling generator — the chaos harness's wave
+// scenarios and bench-service's -burst shape are both this list.
+func Waves(total, per int, gap time.Duration, value func(i int) model.Value) []Event {
+	if per < 1 {
+		per = max(total, 1)
+	}
+	events := make([]Event, total)
+	for i := range events {
+		events[i] = Event{Seq: i, At: time.Duration(i/per) * gap, Key: uint64(i), Value: value(i)}
+	}
+	return events
 }
 
 // EventLog renders events one per line in a canonical text form — the

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"indulgence/internal/model"
 )
 
 // sampleStats draws n inter-arrival gaps from one stream and returns
@@ -162,6 +164,52 @@ func TestMaxEventsCap(t *testing.T) {
 	}
 	if EventLog(got) != EventLog(fullEvents[:10]) {
 		t.Fatal("capped sequence is not the prefix of the full sequence")
+	}
+}
+
+// TestWaves pins the wave generator against the two loops it replaced:
+// the chaos harness's per = ceil(Proposals/Waves) split and
+// bench-service's fixed -burst size, plus the all-at-once default — and
+// the list contract every driver leans on (At-sorted, Seq dense, class
+// 0, key = seq).
+func TestWaves(t *testing.T) {
+	const gap = 10 * time.Millisecond
+	cases := []struct {
+		name       string
+		total, per int
+		wantSizes  []int // events per wave, wave w at w×gap
+	}{
+		{name: "chaos: 7 proposals in 3 waves", total: 7, per: (7 + 3 - 1) / 3, wantSizes: []int{3, 3, 1}},
+		{name: "bench-service: 10 proposals, -burst 4", total: 10, per: 4, wantSizes: []int{4, 4, 2}},
+		{name: "steady: everything at once", total: 5, per: 0, wantSizes: []int{5}},
+		{name: "burst wider than the load", total: 3, per: 8, wantSizes: []int{3}},
+		{name: "empty", total: 0, per: 0, wantSizes: nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			events := Waves(tc.total, tc.per, gap, func(i int) model.Value { return model.Value(100 + i) })
+			if len(events) != tc.total {
+				t.Fatalf("%d events, want %d", len(events), tc.total)
+			}
+			sizes := make(map[time.Duration]int)
+			for i, e := range events {
+				if e.Seq != i || e.Key != uint64(i) || e.Class != 0 || e.Value != model.Value(100+i) {
+					t.Fatalf("event %d = %+v", i, e)
+				}
+				if i > 0 && e.At < events[i-1].At {
+					t.Fatalf("event %d arrives before its predecessor", i)
+				}
+				sizes[e.At]++
+			}
+			if len(sizes) != len(tc.wantSizes) {
+				t.Fatalf("%d distinct instants, want %d: %v", len(sizes), len(tc.wantSizes), sizes)
+			}
+			for w, want := range tc.wantSizes {
+				if got := sizes[time.Duration(w)*gap]; got != want {
+					t.Errorf("wave %d at %v holds %d events, want %d", w, time.Duration(w)*gap, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -46,15 +46,6 @@ type Trace struct {
 	TornBytes int
 }
 
-// EventList converts the trace's event records to generator events.
-func (t *Trace) EventList() []Event {
-	evs := make([]Event, 0, len(t.Events))
-	for _, r := range t.Events {
-		evs = append(evs, EventFromRecord(r))
-	}
-	return evs
-}
-
 // Encode renders the trace in canonical byte order — header, events by
 // Seq, outcomes by Seq — the form whose bytes the record→replay
 // fixed-point property compares. The receiver is not modified.
