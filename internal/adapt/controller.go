@@ -66,11 +66,10 @@ type Setting struct {
 // scripted observation sequences reproduce exact trajectories. Not safe
 // for concurrent use; the Plane serializes access.
 type Controller struct {
-	cfg         Config
-	setting     Setting
-	ewma        time.Duration // EWMA of observed proposal latency
-	lowFill     int           // consecutive low-fill windows (decay hysteresis)
-	adjustments int
+	cfg     Config
+	setting Setting
+	ewma    time.Duration // EWMA of observed proposal latency
+	lowFill int           // consecutive low-fill windows (decay hysteresis)
 }
 
 // NewController returns a controller starting from the given setting,
@@ -85,9 +84,6 @@ func NewController(cfg Config, start Setting) *Controller {
 
 // Setting returns the current effective setting.
 func (c *Controller) Setting() Setting { return c.setting }
-
-// Adjustments returns how many ticks changed the setting.
-func (c *Controller) Adjustments() int { return c.adjustments }
 
 // EWMA returns the controller's decision-latency baseline (0 until
 // the first decided window) — the reference the linger law compares
@@ -169,11 +165,7 @@ func (c *Controller) Tick(obs Observation) (Setting, bool) {
 			c.ewma = (3*c.ewma + obs.Latency) / 4
 		}
 	}
-	changed := c.setting != prev
-	if changed {
-		c.adjustments++
-	}
-	return c.setting, changed
+	return c.setting, c.setting != prev
 }
 
 func clampInt(v, lo, hi int) int {

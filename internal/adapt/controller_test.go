@@ -80,14 +80,22 @@ func TestControllerTrajectory(t *testing.T) {
 			FillPercent: 100, QueueLen: 60, QueueCap: 64, Busy: 16, Slots: 16},
 			adapt.Setting{Batch: 3, Linger: 171386 * time.Nanosecond}},
 	}
+	prev, adjusted := c.Setting(), 0
 	for i, st := range steps {
-		got, _ := c.Tick(st.obs)
+		got, changed := c.Tick(st.obs)
 		if got != st.want {
 			t.Fatalf("step %d (%s): setting = %+v, want %+v", i, st.name, got, st.want)
 		}
+		if changed != (got != prev) {
+			t.Fatalf("step %d (%s): changed = %v moving %+v to %+v", i, st.name, changed, prev, got)
+		}
+		if changed {
+			adjusted++
+		}
+		prev = got
 	}
-	if c.Adjustments() == 0 {
-		t.Fatal("no adjustments counted")
+	if adjusted == 0 {
+		t.Fatal("no tick reported an adjustment")
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 	"indulgence/internal/metrics"
 )
 
-// Stats is a point-in-time snapshot of the control plane.
+// Stats is a point-in-time snapshot of the control plane; its counters
+// are reads of the plane's registry instruments.
 type Stats struct {
 	// Batch and Linger are the current effective setting.
 	Batch int
@@ -29,37 +30,30 @@ type Stats struct {
 	// OverloadsByClass counts proposals denied by AdmitClass per class
 	// (length Config.Classes).
 	OverloadsByClass []int
-	// Algorithm is the selector's current choice ("" without selection).
-	Algorithm string
 	// Transitions counts selector level changes.
 	Transitions int
 }
 
 // Plane is the assembled control plane one service embeds: the
 // controller, the optional selector and the admission gate behind one
-// lock, with the actuated setting mirrored into atomics so the
-// batcher's and Propose's hot paths never contend with a tick.
+// lock, with the actuated setting published through the mBatch/mLinger
+// gauges (atomics) so the batcher's and Propose's hot paths never
+// contend with a tick.
 type Plane struct {
 	cfg    Config
 	static Choice
 
-	batch  atomic.Int64
-	linger atomic.Int64
 	// shedMask is the per-class shedding state: bit c set means class c
 	// is currently shed. The invariant bit c+1 ⇒ bit c (lower classes
 	// shed first) is maintained by Tick.
 	shedMask atomic.Uint32
-	// denied counts AdmitClass refusals per class.
-	denied [MaxClasses]atomic.Int64
 
-	mu          sync.Mutex
-	ctl         *Controller
-	sel         *Selector // nil unless SelectAlgorithms
-	hotTicks    [MaxClasses]int
-	ticks       int
-	transitions int
-	suspicions  int // cumulative suspicion events across decided instances
-	lastTick    time.Time
+	mu         sync.Mutex
+	ctl        *Controller
+	sel        *Selector // nil unless SelectAlgorithms
+	hotTicks   [MaxClasses]int
+	suspicions int // cumulative suspicion events across decided instances
+	lastTick   time.Time
 	// Window accumulators, reset every tick.
 	wDecided  int
 	wFailed   int
@@ -68,8 +62,10 @@ type Plane struct {
 	wFillSum  int
 	wCuts     int
 
-	// Registry instruments (nil without Config.Metrics; nil
-	// instruments no-op).
+	// The instruments every counted event is counted in, once, and the
+	// published setting lives in (live but unrendered without
+	// Config.Metrics): mBatch/mLinger are the effective setting,
+	// mDenied[c] counts AdmitClass refusals of class c.
 	mBatch, mLinger, mEwma, mLevel *metrics.Gauge
 	mShedding                      [MaxClasses]*metrics.Gauge
 	mDenied                        [MaxClasses]*metrics.Counter
@@ -101,10 +97,6 @@ func NewPlane(cfg Config, static Choice, start Setting, n, t int) *Plane {
 	if cfg.SelectAlgorithms {
 		p.sel = NewSelector(n, t, cfg.ClimbAfter)
 	}
-	s := p.ctl.Setting()
-	p.batch.Store(int64(s.Batch))
-	p.linger.Store(int64(s.Linger))
-
 	reg := cfg.Metrics
 	p.mBatch = reg.Gauge("indulgence_adapt_batch_limit",
 		"effective batch-size limit set by the controller", cfg.MetricsLabels...)
@@ -127,9 +119,14 @@ func NewPlane(cfg Config, static Choice, start Setting, n, t int) *Plane {
 		p.mDenied[c] = reg.Counter("indulgence_sheds_total",
 			"proposals refused by per-class admission control", classLabels...)
 	}
+	p.publish(p.ctl.Setting())
+	return p
+}
+
+// publish makes s the setting the hot paths read.
+func (p *Plane) publish(s Setting) {
 	p.mBatch.Set(int64(s.Batch))
 	p.mLinger.Set(int64(s.Linger))
-	return p
 }
 
 // Interval returns the control-loop period the owning service should
@@ -141,10 +138,10 @@ func (p *Plane) Interval() time.Duration { return p.cfg.Interval }
 func (p *Plane) BatchCeiling() int { return p.cfg.MaxBatch }
 
 // BatchLimit returns the current effective batch limit.
-func (p *Plane) BatchLimit() int { return int(p.batch.Load()) }
+func (p *Plane) BatchLimit() int { return int(p.mBatch.Value()) }
 
 // Linger returns the current effective linger.
-func (p *Plane) Linger() time.Duration { return time.Duration(p.linger.Load()) }
+func (p *Plane) Linger() time.Duration { return time.Duration(p.mLinger.Value()) }
 
 // Admit reports whether a new class-0 proposal may enter intake; false
 // means the caller should fail the proposal with ErrOverload. Class 0
@@ -169,7 +166,6 @@ func (p *Plane) AdmitClass(class int) *OverloadError {
 	if p.shedMask.Load()&(1<<uint(class)) == 0 {
 		return nil
 	}
-	p.denied[class].Add(1)
 	p.mDenied[class].Inc()
 	return &OverloadError{
 		Class:      class,
@@ -202,17 +198,6 @@ func (p *Plane) admitLow(c int) float64 {
 // Selecting reports whether per-instance algorithm selection is on.
 func (p *Plane) Selecting() bool { return p.sel != nil }
 
-// Pick returns the algorithm choice for the next instance: the
-// selector's current level, or the static choice when selection is off.
-func (p *Plane) Pick() Choice {
-	if p.sel == nil {
-		return p.static
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sel.Pick()
-}
-
 // ChoiceContext is the control plane's state at the moment one
 // instance's launch was chosen — what the service journals as a
 // decision-trace record. It deliberately carries no wire types: the
@@ -243,8 +228,8 @@ func (p *Plane) PickContext() (Choice, ChoiceContext) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ctx := ChoiceContext{
-		BatchLimit: int(p.batch.Load()),
-		Linger:     time.Duration(p.linger.Load()),
+		BatchLimit: p.BatchLimit(),
+		Linger:     p.Linger(),
 		EWMA:       p.ctl.EWMA(),
 		ShedMask:   p.shedMask.Load(),
 		Suspicions: p.suspicions,
@@ -266,7 +251,7 @@ func (p *Plane) PickContext() (Choice, ChoiceContext) {
 // ObserveCut records one batch cut by its fill — the cut size as a
 // percentage of the effective limit at the cut. The service computes
 // the percentage once and feeds this window accumulator and its own
-// Stats.BatchFill reservoir from the same number, so the controller
+// Stats.BatchFill summary from the same number, so the controller
 // and the exported stats can never disagree about a cut.
 func (p *Plane) ObserveCut(fillPercent int) {
 	p.mu.Lock()
@@ -291,7 +276,6 @@ func (p *Plane) ObserveDecision(latencies []time.Duration, suspicions int) {
 	}
 	if p.sel != nil {
 		if tr := p.sel.Report(Outcome{Suspicions: suspicions}); tr != "" {
-			p.transitions++
 			p.mTransitions.Inc()
 			transition = tr
 		}
@@ -310,7 +294,6 @@ func (p *Plane) ObserveFailure() {
 	p.wFailed++
 	if p.sel != nil {
 		if tr := p.sel.Report(Outcome{Failed: true}); tr != "" {
-			p.transitions++
 			p.mTransitions.Inc()
 			transition = tr
 		}
@@ -350,17 +333,12 @@ func (p *Plane) Tick(queueLen, queueCap, busy, slots int) Setting {
 	}
 	p.wDecided, p.wFailed, p.wLatSum, p.wLatCount, p.wFillSum, p.wCuts = 0, 0, 0, 0, 0, 0
 	p.lastTick = now
-	p.ticks++
-
 	p.mTicks.Inc()
 	setting, changed := p.ctl.Tick(obs)
 	p.mEwma.Set(int64(p.ctl.EWMA()))
 	if changed {
-		p.batch.Store(int64(setting.Batch))
-		p.linger.Store(int64(setting.Linger))
 		p.mAdjust.Inc()
-		p.mBatch.Set(int64(setting.Batch))
-		p.mLinger.Set(int64(setting.Linger))
+		p.publish(setting)
 		if p.cfg.Logf != nil {
 			logs = append(logs, fmt.Sprintf("adapt: batch=%d linger=%s (queue %d/%d, busy %d/%d, fill %d%%, lat %s, window %s)",
 				setting.Batch, setting.Linger, queueLen, queueCap, busy, slots,
@@ -432,19 +410,16 @@ func (p *Plane) Snapshot() Stats {
 	st := Stats{
 		Batch:       p.ctl.Setting().Batch,
 		Linger:      p.ctl.Setting().Linger,
-		Adjustments: p.ctl.Adjustments(),
-		Ticks:       p.ticks,
+		Adjustments: int(p.mAdjust.Value()),
+		Ticks:       int(p.mTicks.Value()),
 		Shedding:    mask&1 != 0,
-		Transitions: p.transitions,
+		Transitions: int(p.mTransitions.Value()),
 	}
 	st.SheddingByClass = make([]bool, p.cfg.Classes)
 	st.OverloadsByClass = make([]int, p.cfg.Classes)
 	for c := 0; c < p.cfg.Classes; c++ {
 		st.SheddingByClass[c] = mask&(1<<uint(c)) != 0
-		st.OverloadsByClass[c] = int(p.denied[c].Load())
-	}
-	if p.sel != nil {
-		st.Algorithm = p.sel.Current().Name
+		st.OverloadsByClass[c] = int(p.mDenied[c].Value())
 	}
 	return st
 }

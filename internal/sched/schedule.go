@@ -117,9 +117,6 @@ func (s *Schedule) T() int { return s.t }
 // GSR returns the global stabilization round K (1 for synchronous runs).
 func (s *Schedule) GSR() model.Round { return s.gsr }
 
-// SetGSR updates the global stabilization round.
-func (s *Schedule) SetGSR(k model.Round) { s.gsr = k }
-
 // Crash schedules process p to crash in round r: p sends its round-r
 // messages according to their scheduled fates (default: delivered on time)
 // and does not complete round r (it receives nothing in round r and sends

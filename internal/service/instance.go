@@ -9,7 +9,6 @@ import (
 	"indulgence/internal/check"
 	"indulgence/internal/model"
 	"indulgence/internal/runtime"
-	"indulgence/internal/stats"
 	"indulgence/internal/transport"
 	"indulgence/internal/wire"
 )
@@ -76,7 +75,7 @@ func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Ch
 			return
 		}
 		eps[id-1] = ep
-		props[id-1] = s.cfg.NoopValue
+		props[id-1] = noopValue
 		if len(batch) > 0 {
 			props[id-1] = batch[k%len(batch)].value
 		}
@@ -219,24 +218,13 @@ func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Ch
 		p.fut.resolve(dec, nil)
 	}
 
-	s.countMu.Lock()
-	s.instances++
+	s.sampleMu.Lock()
 	if joined {
 		s.joined++
 	}
-	s.resolved += len(batch)
-	if batchClass > s.maxClass {
-		s.maxClass = batchClass
-	}
-	for i, l := range latencies {
+	for _, l := range latencies {
 		s.latencies.Add(l)
 		s.mPropLat.Observe(int64(l))
-		c := batch[i].class
-		s.resolvedBy[c]++
-		if s.classLat[c] == nil {
-			s.classLat[c] = stats.NewReservoirSeeded[time.Duration](1024, uint64(c)+1)
-		}
-		s.classLat[c].Add(l)
 	}
 	s.rounds.Add(int(round))
 	s.instLat.Add(decided)
@@ -245,14 +233,13 @@ func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Ch
 		s.roundLat.Add(decided / time.Duration(round))
 	}
 	if choice.Name != "" {
-		s.algs[choice.Name]++
 		s.roundsHist(choice.Name).Observe(int64(round))
 	}
 	for _, v := range rep.Violations {
 		s.violations = append(s.violations,
 			fmt.Sprintf("instance %d: %s", instance, v))
 	}
-	s.countMu.Unlock()
+	s.sampleMu.Unlock()
 	s.mDecisions.Inc()
 	s.mResolved.Add(int64(len(batch)))
 	if s.plane != nil {
@@ -282,10 +269,6 @@ func (s *Service) failInstance(batch []*pending, err error) {
 	if s.plane != nil {
 		s.plane.ObserveFailure()
 	}
-	s.countMu.Lock()
-	s.instanceFail++
-	s.failed += len(batch)
-	s.countMu.Unlock()
 	s.mInstFail.Inc()
 	s.mFailed.Add(int64(len(batch)))
 }

@@ -147,7 +147,7 @@ func TestPeerServiceAgreement(t *testing.T) {
 		ep := peerEndpoint(t, id, addrs)
 		t.Cleanup(func() { _ = ep.Close() })
 		dirs[i] = filepath.Join(dir, fmt.Sprintf("p%d", id))
-		jn, err := journal.Open(dirs[i], journal.Options{GroupWindow: time.Millisecond})
+		jn, err := journal.Open(dirs[i], journal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestPeerServiceRestartRejoin(t *testing.T) {
 		id := model.ProcessID(i + 1)
 		eps[i] = peerEndpoint(t, id, addrs)
 		dirs[i] = filepath.Join(dir, fmt.Sprintf("p%d", id))
-		jn, err := journal.Open(dirs[i], journal.Options{GroupWindow: time.Millisecond})
+		jn, err := journal.Open(dirs[i], journal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestPeerServiceRestartRejoin(t *testing.T) {
 	// process state. Its transport links re-land via the peers' bounded
 	// backoff, its frontier resumes past both lifetimes' claims.
 	eps[2] = peerEndpoint(t, 3, addrs)
-	jn3, err := journal.Open(dirs[2], journal.Options{GroupWindow: time.Millisecond})
+	jn3, err := journal.Open(dirs[2], journal.Options{})
 	if err != nil {
 		t.Fatalf("reopen journal after crash: %v", err)
 	}
@@ -345,7 +345,7 @@ func TestPeerServiceHubMembers(t *testing.T) {
 				var jn *journal.Journal
 				if tc.journaled {
 					dirs = append(dirs, filepath.Join(dir, fmt.Sprintf("s%d", i)))
-					if jn, err = journal.Open(dirs[i], journal.Options{GroupWindow: time.Millisecond}); err != nil {
+					if jn, err = journal.Open(dirs[i], journal.Options{}); err != nil {
 						t.Fatal(err)
 					}
 					jns = append(jns, jn)

@@ -109,14 +109,6 @@ type Config struct {
 	// grace. With every process hosted nobody is behind — the instance
 	// ends when its last node reports — and no grace is taken.
 	FloodGrace time.Duration
-	// NoopValue is what a hosted process proposes when it joins an
-	// instance with no local proposals queued (default MaxInt64, the
-	// identity of the min-based estimate adoption the paper's algorithms
-	// use — so a noop loses to every real proposal and wins only an
-	// instance in which every proposer proposed one). A zero value
-	// selects the default; to make noops competitive on purpose, pick
-	// any other value.
-	NoopValue model.Value
 	// Journal, when non-nil, makes decisions durable: every instance's
 	// decision record is appended and fsynced (group-committed across
 	// concurrent instances) before the batch's futures resolve —
@@ -194,15 +186,19 @@ func (cfg Config) withDefaults() Config {
 	if cfg.FloodGrace == 0 {
 		cfg.FloodGrace = 150 * time.Millisecond
 	}
-	if cfg.NoopValue == 0 {
-		cfg.NoopValue = model.Value(math.MaxInt64)
-	}
 	if cfg.Groups == 0 {
 		cfg.Groups = 1
 	}
 	cfg.Clock = clock.Or(cfg.Clock)
 	return cfg
 }
+
+// noopValue is what a hosted process proposes when it joins an instance
+// with no local proposals queued: the identity of the min-based estimate
+// adoption the paper's algorithms use, so a noop loses to every real
+// proposal and wins only an instance in which every proposer proposed
+// one.
+const noopValue = model.Value(math.MaxInt64)
 
 // Decision is the resolution of a proposal: the instance it was batched
 // into and the value that instance decided.
@@ -253,7 +249,12 @@ type pending struct {
 	fut      *Future
 }
 
-// Stats is a point-in-time snapshot of service counters.
+// Stats is a point-in-time snapshot of the service. Every counter in it
+// is a read of the registry instrument that counts the event (Proposals
+// is indulgence_proposals_total, Instances indulgence_decisions_total,
+// Algorithms the per-rung indulgence_rounds_per_decision counts, …), with
+// or without a Config.Metrics to render them — so a scrape and a Stats
+// taken at the same quiescent instant cannot disagree.
 type Stats struct {
 	// Proposals counts accepted proposals; Resolved and Failed partition
 	// the ones whose futures have fired.
@@ -273,43 +274,42 @@ type Stats struct {
 	// process: the audit needs every process's proposal and decision,
 	// and cross-member evidence lives in the journals (check.Replay).
 	Violations []string
-	// Latency summarizes per-proposal latency (enqueue to resolution)
-	// over a bounded uniform sample of the service's lifetime (the
-	// retained history is capped, so Count may be below Resolved on very
-	// long runs).
+	// Latency summarizes per-proposal latency (enqueue to resolution).
+	// Count and Mean are exact over the service's lifetime — the
+	// indulgence_proposal_latency_ns histogram's count and sum/count, so
+	// two snapshots subtract correctly however long the run; Min, Max and
+	// the percentiles are over a bounded uniform sample of it (65,536
+	// proposals, exact up to there).
 	Latency stats.LatencySummary
 	// Rounds summarizes global decision rounds across decided instances —
-	// the t+2 price floor in round units — over the same kind of bounded
-	// sample.
+	// the t+2 price floor in round units — exactly, over every decision.
 	Rounds stats.Summary
 	// DecisionLatency summarizes per-instance latency from batch cut to
 	// decision — the consensus cost alone, with queueing and linger
-	// excluded — over the same kind of bounded sample.
+	// excluded. Exact Count and Mean (indulgence_decision_latency_ns),
+	// sampled extremes and percentiles, as for Latency.
 	DecisionLatency stats.LatencySummary
 	// RoundLatency summarizes the wall-clock cost of one round
 	// (per-instance decision latency divided by its decision round):
 	// the quantity that turns the paper's round prices into seconds.
+	// No histogram carries it, so all of it, Count included, is over
+	// the same kind of bounded sample.
 	RoundLatency stats.LatencySummary
-	// BatchFill summarizes the fill of cut batches as a percentage of
-	// the effective batch limit at each cut (can exceed 100 when the
-	// controller shrank the limit under a filling batch).
+	// BatchFill summarizes, exactly, the fill of cut batches as a
+	// percentage of the effective batch limit at each cut (can exceed 100
+	// when the controller shrank the limit under a filling batch).
 	BatchFill stats.Summary
 	// Overloads counts proposals shed by admission control with
 	// adapt.ErrOverload (always 0 without an adaptive config).
 	Overloads int
-	// OverloadsByClass splits Overloads per SLO class (index = the class
-	// admission judged the proposal as; length = highest class the
-	// service has seen + 1). Both are Control.OverloadsByClass, summed
-	// and trimmed.
+	// OverloadsByClass splits Overloads per SLO class: it is
+	// Control.OverloadsByClass as is — index = the class admission judged
+	// the proposal as, length = the plane's configured Classes — and nil
+	// when the plane distinguishes a single class (or there is no plane).
 	OverloadsByClass []int
-	// ResolvedByClass splits Resolved per SLO class.
-	ResolvedByClass []int
-	// ClassLatency summarizes per-proposal latency per SLO class over
-	// the same kind of bounded sample as Latency.
-	ClassLatency []stats.LatencySummary
 	// Control is the adaptive control plane's snapshot: the current
-	// effective batch/linger, adjustment and transition counts, and the
-	// selector's current algorithm. Zero when the service runs static.
+	// effective batch/linger and the adjustment, tick, transition and
+	// shed counts. Zero when the service runs static.
 	Control adapt.Stats
 	// Algorithms counts decided instances per algorithm name (the
 	// statically configured algorithm's name when selection is off, as
@@ -373,34 +373,25 @@ type Service struct {
 	slotMu sync.Mutex
 	active map[uint64]struct{}
 
-	// countMu guards the counters, which instance goroutines update while
-	// proposers hold mu only for reading.
-	countMu      sync.Mutex
-	proposals    int
-	resolved     int
-	failed       int
-	instances    int
-	joined       int
-	instanceFail int
-	violations   []string
-	latencies    *stats.Reservoir[time.Duration]
-	rounds       *stats.Reservoir[int]
-	instLat      *stats.Reservoir[time.Duration]
-	roundLat     *stats.Reservoir[time.Duration]
-	fills        *stats.Reservoir[int]
-	algs         map[string]int
-	// Per-class accounting (index = SLO class). maxClass is the highest
-	// class any admitted proposal has carried; Snapshot trims the
-	// exported slices to it (or to the highest class shed, if higher).
-	// classLat reservoirs allocate lazily per class.
-	maxClass   int
-	resolvedBy [adapt.MaxClasses]int
-	classLat   [adapt.MaxClasses]*stats.Reservoir[time.Duration]
+	// sampleMu guards what no instrument carries: the duration samples
+	// behind the exact percentiles and extremes (power-of-two buckets hold
+	// neither), the running round and fill summaries, the violation log,
+	// joined — the one counted event without a metric family — and the
+	// algHist map. Instance goroutines and the batcher take it; proposers
+	// never do.
+	sampleMu   sync.Mutex
+	joined     int
+	violations []string
+	latencies  *stats.Reservoir[time.Duration]
+	instLat    *stats.Reservoir[time.Duration]
+	roundLat   *stats.Reservoir[time.Duration]
+	rounds     stats.Running
+	fills      stats.Running
 
-	// Registry instruments (nil without Config.Metrics; nil instruments
-	// no-op). algHist holds the per-algorithm rounds-per-decision
-	// histograms, registered lazily at an algorithm's first decision;
-	// countMu guards it.
+	// The instruments every counted event is counted in, once (live but
+	// unrendered without Config.Metrics); Snapshot reads them back.
+	// algHist holds the per-algorithm rounds-per-decision histograms,
+	// registered lazily at an algorithm's first decision.
 	reg           *metrics.Registry
 	metricsLabels []metrics.Label
 	mProposals    *metrics.Counter
@@ -414,10 +405,10 @@ type Service struct {
 	algHist       map[string]*metrics.Histogram
 }
 
-// maxSamples bounds the latency/round history a long-running service
-// retains: summaries are computed over a uniform reservoir sample of the
-// stream (stats.Reservoir), so memory and Snapshot cost stay constant
-// while the percentiles stay unbiased over the whole lifetime.
+// maxSamples bounds the latency history a long-running service retains:
+// percentiles are computed over a uniform reservoir sample of the stream
+// (stats.Reservoir), so memory and Snapshot cost stay constant while the
+// percentiles stay unbiased over the whole lifetime.
 const maxSamples = 1 << 16
 
 // New starts a service hosting the processes whose transport endpoints
@@ -558,11 +549,8 @@ func newService(cfg Config, hosted []model.ProcessID) (*Service, error) {
 		slots:       make(chan struct{}, cfg.MaxInflight),
 		batcherDone: make(chan struct{}),
 		latencies:   stats.NewReservoirSeeded[time.Duration](maxSamples, uint64(cfg.Group)<<3|0),
-		rounds:      stats.NewReservoirSeeded[int](maxSamples, uint64(cfg.Group)<<3|1),
 		instLat:     stats.NewReservoirSeeded[time.Duration](maxSamples, uint64(cfg.Group)<<3|2),
 		roundLat:    stats.NewReservoirSeeded[time.Duration](maxSamples, uint64(cfg.Group)<<3|3),
-		fills:       stats.NewReservoirSeeded[int](maxSamples, uint64(cfg.Group)<<3|4),
-		algs:        make(map[string]int),
 	}
 	if remote {
 		// Sized to absorb a burst of distinct slots between two batcher
@@ -697,8 +685,7 @@ func (s *Service) Propose(ctx context.Context, v model.Value) (*Future, error) {
 // classed proposal fails with an *adapt.OverloadError carrying the class's
 // suggested back-off and retry budget; errors.Is(err, adapt.ErrOverload)
 // matches it. The class rides with the proposal end to end: the deciding
-// instance is journaled under the batch's highest class, and latency is
-// additionally accounted per class.
+// instance is journaled under the batch's highest class.
 func (s *Service) ProposeClass(ctx context.Context, class int, v model.Value) (*Future, error) {
 	if class < 0 || class >= adapt.MaxClasses {
 		return nil, fmt.Errorf("service: class %d outside [0, %d]", class, adapt.MaxClasses-1)
@@ -719,12 +706,6 @@ func (s *Service) ProposeClass(ctx context.Context, class int, v model.Value) (*
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	s.countMu.Lock()
-	s.proposals++
-	if class > s.maxClass {
-		s.maxClass = class
-	}
-	s.countMu.Unlock()
 	s.mProposals.Inc()
 	return p.fut, nil
 }
@@ -804,61 +785,49 @@ func (s *Service) Shedding() bool {
 
 // Snapshot returns current counters and latency/round summaries.
 func (s *Service) Snapshot() Stats {
-	var control adapt.Stats
+	st := Stats{
+		Proposals:        int(s.mProposals.Value()),
+		Resolved:         int(s.mResolved.Value()),
+		Failed:           int(s.mFailed.Value()),
+		Instances:        int(s.mDecisions.Value()),
+		InstanceFailures: int(s.mInstFail.Value()),
+		Algorithms:       make(map[string]int),
+	}
 	if s.plane != nil {
-		control = s.plane.Snapshot()
-	}
-	// Sheds are a view over the plane's per-class refusal counters — the
-	// one place a shed is counted — so a proposal whose class exceeds the
-	// plane's configured Classes shows under the class admission judged
-	// it as (AdmitClass clamps).
-	overloads, topClass := 0, 0
-	for c, k := range control.OverloadsByClass {
-		overloads += k
-		if k > 0 {
-			topClass = c
+		// Sheds are the plane's per-class refusal counters — the one place
+		// a shed is counted — so a proposal whose class exceeds the plane's
+		// configured Classes shows under the class admission judged it as
+		// (AdmitClass clamps).
+		st.Control = s.plane.Snapshot()
+		for _, k := range st.Control.OverloadsByClass {
+			st.Overloads += k
+		}
+		if len(st.Control.OverloadsByClass) > 1 {
+			st.OverloadsByClass = st.Control.OverloadsByClass
 		}
 	}
-	s.countMu.Lock()
-	defer s.countMu.Unlock()
-	algs := make(map[string]int, len(s.algs))
-	for k, v := range s.algs {
-		algs[k] = v
+	s.sampleMu.Lock()
+	defer s.sampleMu.Unlock()
+	for alg, h := range s.algHist {
+		st.Algorithms[alg] = int(h.Count())
 	}
-	var overloadsBy, resolvedBy []int
-	var classLat []stats.LatencySummary
-	if topClass = max(topClass, s.maxClass); topClass > 0 {
-		n := topClass + 1
-		overloadsBy = make([]int, n)
-		copy(overloadsBy, control.OverloadsByClass)
-		resolvedBy = append(resolvedBy, s.resolvedBy[:n]...)
-		classLat = make([]stats.LatencySummary, n)
-		for c := 0; c < n; c++ {
-			if r := s.classLat[c]; r != nil {
-				classLat[c] = stats.SummarizeDurations(r.Values())
-			}
-		}
+	st.JoinedInstances = s.joined
+	st.Violations = append([]string(nil), s.violations...)
+	st.Latency = exactMean(stats.SummarizeDurations(s.latencies.Values()), s.mPropLat)
+	st.DecisionLatency = exactMean(stats.SummarizeDurations(s.instLat.Values()), s.mDecLat)
+	st.RoundLatency = stats.SummarizeDurations(s.roundLat.Values())
+	st.Rounds = s.rounds.Summary()
+	st.BatchFill = s.fills.Summary()
+	return st
+}
+
+// exactMean replaces a sampled summary's Count and Mean with the exact
+// ones of the histogram every sampled duration was also observed into.
+func exactMean(sum stats.LatencySummary, h *metrics.Histogram) stats.LatencySummary {
+	if n := h.Count(); n > 0 {
+		sum.Count, sum.Mean = int(n), time.Duration(h.Sum()/n)
 	}
-	return Stats{
-		Proposals:        s.proposals,
-		Resolved:         s.resolved,
-		Failed:           s.failed,
-		Instances:        s.instances,
-		JoinedInstances:  s.joined,
-		InstanceFailures: s.instanceFail,
-		Overloads:        overloads,
-		OverloadsByClass: overloadsBy,
-		ResolvedByClass:  resolvedBy,
-		ClassLatency:     classLat,
-		Violations:       append([]string(nil), s.violations...),
-		Latency:          stats.SummarizeDurations(s.latencies.Values()),
-		Rounds:           stats.Summarize(s.rounds.Values()),
-		DecisionLatency:  stats.SummarizeDurations(s.instLat.Values()),
-		RoundLatency:     stats.SummarizeDurations(s.roundLat.Values()),
-		BatchFill:        stats.Summarize(s.fills.Values()),
-		Control:          control,
-		Algorithms:       algs,
-	}
+	return sum
 }
 
 // batchLimit returns the effective batch-size limit: the controller's
@@ -881,11 +850,8 @@ func (s *Service) lingerFor() time.Duration {
 // roundsHist returns (registering at an algorithm's first decision) its
 // rounds-per-decision histogram — the paper's price gap as a live
 // series: the A_f+2 rung's mass sits at f+2 rounds while A_t+2's sits
-// at its t+2 floor. Callers hold countMu; nil without a registry.
+// at its t+2 floor. Callers hold sampleMu.
 func (s *Service) roundsHist(alg string) *metrics.Histogram {
-	if s.reg == nil {
-		return nil
-	}
 	h, ok := s.algHist[alg]
 	if !ok {
 		labels := append([]metrics.Label{{Key: "alg", Value: alg}}, s.metricsLabels...)
@@ -901,9 +867,9 @@ func (s *Service) roundsHist(alg string) *metrics.Histogram {
 // was flushed onto a fresh slot or rode a joined one.
 func (s *Service) recordCut(n int) {
 	fill := cutFill(n, s.batchLimit())
-	s.countMu.Lock()
+	s.sampleMu.Lock()
 	s.fills.Add(fill)
-	s.countMu.Unlock()
+	s.sampleMu.Unlock()
 	if s.plane != nil {
 		s.plane.ObserveCut(fill)
 	}

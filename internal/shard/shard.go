@@ -279,11 +279,10 @@ type Rollup struct {
 	// Algorithms counts decided instances per algorithm name across
 	// groups.
 	Algorithms map[string]int
-	// OverloadsByClass and ResolvedByClass are the per-SLO-class sums
-	// across groups, indexed by class and sized to the highest class any
-	// group saw (nil when every group ran classless).
+	// OverloadsByClass sums the groups' service.Stats.OverloadsByClass:
+	// indexed by class, length = the planes' configured Classes, nil when
+	// they distinguish a single class or the groups run static.
 	OverloadsByClass []int
-	ResolvedByClass  []int
 	// Violations collects every group's consensus-property violations,
 	// each prefixed with its group ("group 3: instance 7: ...").
 	Violations []string
@@ -309,7 +308,6 @@ func (r *Runtime) Snapshot() Rollup {
 			out.Algorithms[alg] += n
 		}
 		out.OverloadsByClass = addByClass(out.OverloadsByClass, st.OverloadsByClass)
-		out.ResolvedByClass = addByClass(out.ResolvedByClass, st.ResolvedByClass)
 		for _, v := range st.Violations {
 			out.Violations = append(out.Violations, fmt.Sprintf("group %d: %s", g, v))
 		}

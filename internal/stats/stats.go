@@ -123,6 +123,34 @@ func (s Summary) String() string {
 	return fmt.Sprintf("n=%d min=%d max=%d mean=%.2f", s.Count, s.Min, s.Max, s.Mean)
 }
 
+// Running accumulates a Summary one observation at a time in constant
+// memory: a Summary has no quantile, so count, extremes and sum carry it
+// exactly however long the stream runs. The zero value is empty. Not
+// safe for concurrent use.
+type Running struct {
+	count, min, max, sum int
+}
+
+// Add folds one observation in.
+func (r *Running) Add(x int) {
+	if r.count == 0 || x < r.min {
+		r.min = x
+	}
+	if r.count == 0 || x > r.max {
+		r.max = x
+	}
+	r.count++
+	r.sum += x
+}
+
+// Summary returns what Summarize would over every observation added.
+func (r *Running) Summary() Summary {
+	if r.count == 0 {
+		return Summary{}
+	}
+	return Summary{Count: r.count, Min: r.min, Max: r.max, Mean: float64(r.sum) / float64(r.count)}
+}
+
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of sorted by the
 // nearest-rank method (index ⌈q·n⌉−1); sorted must be ascending. Zero
 // observations yield zero.
@@ -192,8 +220,8 @@ func (s LatencySummary) String() string {
 // Reservoir keeps a bounded uniform sample of a stream (Vitter's
 // Algorithm R), so summaries over arbitrarily long runs use constant
 // memory while staying unbiased over the whole lifetime. Both the service
-// (proposal latencies, decision rounds) and the journal (fsync latencies)
-// sample through it. Sampling decisions come from a per-reservoir
+// (proposal, decision and round latencies) and the journal (fsync
+// latencies) sample through it. Sampling decisions come from a per-reservoir
 // splitmix64 generator seeded at construction — never from global PRNG
 // state — so the retained sample is a pure function of (seed, stream)
 // and two reservoirs never perturb each other's sequences. Not safe for
@@ -205,15 +233,10 @@ type Reservoir[T any] struct {
 	buf      []T
 }
 
-// NewReservoir returns a reservoir holding at most capacity samples
-// (capacity < 1 selects 1 << 16) with a fixed default seed. Callers
-// running several reservoirs over correlated streams should use
-// NewReservoirSeeded with distinct seeds to decorrelate their samples.
-func NewReservoir[T any](capacity int) *Reservoir[T] {
-	return NewReservoirSeeded[T](capacity, 0x1905b1ec5e58e7a1)
-}
-
-// NewReservoirSeeded is NewReservoir with an explicit sampling seed.
+// NewReservoirSeeded returns a reservoir holding at most capacity samples
+// (capacity < 1 selects 1 << 16) whose sampling stream starts at seed.
+// Callers running several reservoirs over correlated streams give them
+// distinct seeds to decorrelate their samples.
 func NewReservoirSeeded[T any](capacity int, seed uint64) *Reservoir[T] {
 	if capacity < 1 {
 		capacity = 1 << 16

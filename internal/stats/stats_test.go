@@ -224,8 +224,39 @@ func TestSummarizeEdgeCases(t *testing.T) {
 	}
 }
 
+// TestRunningMatchesSummarize: the constant-memory accumulator reports
+// exactly what Summarize does over the same observations, including past
+// the size any bounded sample would have clamped Count at.
+func TestRunningMatchesSummarize(t *testing.T) {
+	long := make([]int, 1<<17)
+	for i := range long {
+		long[i] = (i*7919)%1000 - 3
+	}
+	for _, tc := range []struct {
+		name string
+		xs   []int
+	}{
+		{"empty", nil},
+		{"single", []int{9}},
+		{"single zero", []int{0}},
+		{"signed", []int{-2, 2}},
+		{"all negative", []int{-5, -1, -9}},
+		{"descending", []int{4, 3, 3, 1}},
+		{"rounds at the floor", []int{3, 3, 4, 3, 5, 3}},
+		{"longer than a reservoir", long},
+	} {
+		var r Running
+		for _, x := range tc.xs {
+			r.Add(x)
+		}
+		if got, want := r.Summary(), Summarize(tc.xs); got != want {
+			t.Errorf("%s: running %+v, Summarize %+v", tc.name, got, want)
+		}
+	}
+}
+
 func TestReservoir(t *testing.T) {
-	r := NewReservoir[int](4)
+	r := NewReservoirSeeded[int](4, 1)
 	for i := 1; i <= 3; i++ {
 		r.Add(i)
 	}
@@ -243,7 +274,7 @@ func TestReservoir(t *testing.T) {
 			t.Fatalf("sample %d outside the stream", v)
 		}
 	}
-	if NewReservoir[int](0).capacity != 1<<16 {
+	if NewReservoirSeeded[int](0, 1).capacity != 1<<16 {
 		t.Fatal("default capacity not applied")
 	}
 }

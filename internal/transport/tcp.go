@@ -12,6 +12,11 @@ import (
 	"indulgence/internal/wire"
 )
 
+// handshakeTimeout bounds how long an accepted connection may take to
+// present its hello frame, and how long writing the outbound hello may
+// take.
+const handshakeTimeout = 3 * time.Second
+
 // TCPOptions tunes a multi-process TCP endpoint. The zero value is
 // usable: sane timeouts, silent diagnostics.
 type TCPOptions struct {
@@ -20,10 +25,6 @@ type TCPOptions struct {
 	// it the attempt fails, the error names the peer, and the bounded
 	// backoff below schedules the next try.
 	DialTimeout time.Duration
-	// HandshakeTimeout bounds how long an accepted connection may take
-	// to present its hello frame, and how long writing the outbound
-	// hello may take (default 3s).
-	HandshakeTimeout time.Duration
 	// RetryMin and RetryMax bound the reconnect backoff: the first
 	// redial waits RetryMin, doubling per failure up to RetryMax
 	// (defaults 50ms and 2s). A restarted peer is therefore re-reached
@@ -45,9 +46,6 @@ type TCPOptions struct {
 func (o TCPOptions) withDefaults() TCPOptions {
 	if o.DialTimeout == 0 {
 		o.DialTimeout = 3 * time.Second
-	}
-	if o.HandshakeTimeout == 0 {
-		o.HandshakeTimeout = 3 * time.Second
 	}
 	if o.RetryMin == 0 {
 		o.RetryMin = 50 * time.Millisecond
@@ -305,7 +303,7 @@ func (e *TCPEndpoint) serveInbound(conn net.Conn) {
 		_ = conn.Close()
 	}()
 	//indulgence:wallclock socket deadlines are enforced by the kernel against wall time
-	_ = conn.SetReadDeadline(time.Now().Add(e.opts.HandshakeTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	frame, err := wire.ReadFrame(conn)
 	if err != nil {
 		e.logf("transport: p%d: inbound %s: no hello: %v", e.cfg.Self, conn.RemoteAddr(), err)
@@ -335,7 +333,7 @@ func (e *TCPEndpoint) serveInbound(conn net.Conn) {
 		return
 	}
 	//indulgence:wallclock socket deadlines are enforced by the kernel against wall time
-	_ = conn.SetWriteDeadline(time.Now().Add(e.opts.HandshakeTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(handshakeTimeout))
 	if err := wire.WriteFrame(conn, ack); err != nil {
 		e.logf("transport: p%d: inbound %s: ack: %v", e.cfg.Self, conn.RemoteAddr(), err)
 		return
@@ -559,7 +557,7 @@ func (l *peerLink) dialOnce() (net.Conn, error) {
 		return fail(err)
 	}
 	//indulgence:wallclock socket deadlines are enforced by the kernel against wall time
-	deadline := time.Now().Add(l.ep.opts.HandshakeTimeout)
+	deadline := time.Now().Add(handshakeTimeout)
 	_ = conn.SetDeadline(deadline)
 	if err := wire.WriteFrame(conn, hello); err != nil {
 		return fail(err)
