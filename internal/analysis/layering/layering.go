@@ -49,7 +49,7 @@ var Table = map[string][]string{
 	"adapt":     {"core", "metrics", "model"},
 	"journal":   {"metrics", "stats", "wire"},
 	"transport": {"chaos/clock", "metrics", "model", "wire"},
-	"runtime":   {"chaos/clock", "core", "fd", "metrics", "model", "transport", "wire"},
+	"runtime":   {"chaos/clock", "core", "fd", "metrics", "model", "payload", "transport", "wire"},
 	"service": {"adapt", "chaos/clock", "check", "core", "journal", "metrics",
 		"model", "runtime", "stats", "transport", "wire"},
 	"shard": {"chaos/clock", "journal", "metrics", "model", "service", "transport",

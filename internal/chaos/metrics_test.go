@@ -42,8 +42,9 @@ func TestRunMetricsSnapshot(t *testing.T) {
 			t.Errorf("snapshot missing %q\nsnapshot:\n%s", series, r.Metrics)
 		}
 	}
-	// Frame counters are live-stack instruments, but their totals are
-	// teardown timing, not seed — the chaos snapshot strips them.
+	// Frame counters are live-stack instruments, but the inbound total
+	// depends on frames racing a retirement, not on the seed — the chaos
+	// snapshot strips them.
 	if strings.Contains(r.Metrics, "indulgence_frames_") {
 		t.Errorf("snapshot still carries frame counters:\n%s", r.Metrics)
 	}

@@ -54,10 +54,8 @@ type Result struct {
 	// virtual-clock durations and schedule-driven counters, so two runs
 	// of the same spec must produce byte-identical snapshots — the same
 	// contract Log carries, extended to the introspection plane. The one
-	// exception is stripped before the snapshot lands here: transport
-	// frame counters tally decide-flooding that shutdown cuts off
-	// mid-stride, so their totals are an artifact of teardown timing,
-	// not of the seed.
+	// exception is stripped before the snapshot lands here: the transport
+	// frame counters (see stripFrameSeries).
 	Metrics string
 	// Outcomes holds one trace outcome record per load event, by event
 	// sequence number. Together with a workload scenario's regenerable
@@ -212,9 +210,8 @@ func run(sc Scenario, events []workload.Event, opts Options) Result {
 
 	// The final registry snapshot, at quiescence: every instrument fed
 	// by the run has settled, so this render is the run's deterministic
-	// introspection record — minus the frame counters, which count
-	// flood frames shutdown truncates at a point the schedule does not
-	// force.
+	// introspection record — minus the frame counters, whose inbound
+	// total depends on how frames racing a retirement interleave.
 	res.Metrics = stripFrameSeries(reg.Text())
 
 	// Audit 1: every group's own live check.Instance findings.
@@ -338,11 +335,12 @@ func Sweep(baseSeed int64, count, groups int, spec *workload.Spec, opts Options,
 }
 
 // stripFrameSeries drops the transport frame-counter families from a
-// rendered snapshot. A decided node floods its DECIDE until Stop
-// reaches it, and shutdown truncates that flood at a point the virtual
-// schedule does not force — so frame totals are the one instrument
-// family that is teardown timing, not seed. Everything else in the
-// snapshot stays byte-identical run over run.
+// rendered snapshot. Sends are seed-stable, but a frame — typically a
+// relayed DECIDE — can reach a stream its receiver retires in the same
+// virtual instant, and whether the mux counts it first is goroutine
+// interleaving: frames_in moved by 1–7 between two -race runs of the
+// parity seeds while frames_out held. Everything else in the snapshot
+// stays byte-identical run over run.
 func stripFrameSeries(text string) string {
 	var b strings.Builder
 	for _, line := range strings.SplitAfter(text, "\n") {

@@ -145,7 +145,7 @@ func E2FastDecision(samples int, seed int64) (*Outcome, error) {
 	// t = 3 sweeps are exercised by the benchmark harness; the largest
 	// exhaustive case here keeps the suite fast.
 	for _, tc := range []struct{ n, t int }{{3, 1}, {5, 1}, {5, 2}, {7, 2}} {
-		sr, err := serialWorst(core.New(core.Options{}), tc.n, tc.t, model.Round(tc.t+2), lowerbound.PrefixSubsets)
+		sr, err := serialWorst(core.New(core.Options{}), model.ES, tc.n, tc.t, model.Round(tc.t+2), lowerbound.PrefixSubsets)
 		if err != nil {
 			return nil, fmt.Errorf("E2 serial n=%d t=%d: %w", tc.n, tc.t, err)
 		}

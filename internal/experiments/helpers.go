@@ -23,38 +23,13 @@ type sweepResult struct {
 	haltClaimErrs   int
 }
 
-// serialWorst explores all serial runs of a factory and reports the worst
-// and earliest decision rounds.
-func serialWorst(factory model.Factory, n, t int, maxCrashRound model.Round, mode lowerbound.SubsetMode) (*sweepResult, error) {
+// serialWorst explores all serial runs of a factory under syn (ES, or SCS
+// for the synchronous crash-stop algorithms FloodSet and FloodSetWS) and
+// reports the worst and earliest decision rounds.
+func serialWorst(factory model.Factory, syn model.Synchrony, n, t int, maxCrashRound model.Round, mode lowerbound.SubsetMode) (*sweepResult, error) {
 	res, err := lowerbound.Explore(lowerbound.Config{
 		N: n, T: t,
-		Synchrony:     model.ES,
-		Factory:       factory,
-		Proposals:     distinctProposals(n),
-		MaxCrashRound: maxCrashRound,
-		Mode:          mode,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &sweepResult{
-		runs:      res.Runs,
-		worst:     res.WorstRound,
-		earliest:  res.WitnessEarliest,
-		undecided: res.Undecided,
-	}
-	if res.PropertyViolation != nil {
-		out.violations = 1
-	}
-	return out, nil
-}
-
-// serialWorstSCS is serialWorst for algorithms that live in the
-// synchronous crash-stop model (FloodSet, FloodSetWS).
-func serialWorstSCS(factory model.Factory, n, t int, maxCrashRound model.Round, mode lowerbound.SubsetMode) (*sweepResult, error) {
-	res, err := lowerbound.Explore(lowerbound.Config{
-		N: n, T: t,
-		Synchrony:     model.SCS,
+		Synchrony:     syn,
 		Factory:       factory,
 		Proposals:     distinctProposals(n),
 		MaxCrashRound: maxCrashRound,
@@ -192,20 +167,10 @@ func gdrOf(res *sim.Result) model.Round {
 	return gdr
 }
 
-// schedFailureFree returns the failure-free synchronous schedule.
-func schedFailureFree(n, t int) *sched.Schedule { return sched.FailureFree(n, t) }
-
-// schedpkgSchedule aliases the schedule type for experiment tables.
-type schedpkgSchedule = sched.Schedule
-
-// witnessFailureFree is the worst-run witness of the flooding algorithms,
-// whose decision round is the same in every synchronous run.
-func witnessFailureFree(n, t int) *schedpkgSchedule { return sched.FailureFree(n, t) }
-
 // witnessKiller returns the coordinator-killer witness builder for a
 // rotating-coordinator algorithm with the given phase length.
-func witnessKiller(roundsPerPhase int) func(n, t int) *schedpkgSchedule {
-	return func(n, t int) *schedpkgSchedule {
+func witnessKiller(roundsPerPhase int) func(n, t int) *sched.Schedule {
+	return func(n, t int) *sched.Schedule {
 		return sched.KillCoordinators(n, t, roundsPerPhase)
 	}
 }

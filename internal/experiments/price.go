@@ -7,6 +7,7 @@ import (
 	"indulgence/internal/core"
 	"indulgence/internal/lowerbound"
 	"indulgence/internal/model"
+	"indulgence/internal/sched"
 	"indulgence/internal/sim"
 	"indulgence/internal/stats"
 )
@@ -37,48 +38,48 @@ func E3PriceTable(maxT int) (*Outcome, error) {
 	type algo struct {
 		name    string
 		factory model.Factory
-		scs     bool
+		syn     model.Synchrony
 		// formula computes the expected worst-case round for a given t.
 		formula func(t int) int
 		label   string
 		// horizon computes the last round worth crashing in.
 		horizon func(t int) model.Round
 		// witness builds the known-worst schedule for large t.
-		witness func(n, t int) *schedpkgSchedule
+		witness func(n, t int) *sched.Schedule
 	}
 	algos := []algo{
 		{
-			name: "FloodSet (SCS)", factory: baseline.NewFloodSet(), scs: true,
+			name: "FloodSet (SCS)", factory: baseline.NewFloodSet(), syn: model.SCS,
 			formula: func(t int) int { return t + 1 }, label: "t+1",
 			horizon: func(t int) model.Round { return model.Round(t + 1) },
-			witness: witnessFailureFree,
+			witness: sched.FailureFree,
 		},
 		{
-			name: "FloodSetWS (SCS/P)", factory: baseline.NewFloodSetWS(), scs: true,
+			name: "FloodSetWS (SCS/P)", factory: baseline.NewFloodSetWS(), syn: model.SCS,
 			formula: func(t int) int { return t + 1 }, label: "t+1",
 			horizon: func(t int) model.Round { return model.Round(t + 1) },
-			witness: witnessFailureFree,
+			witness: sched.FailureFree,
 		},
 		{
-			name: "A_t+2 (ES)", factory: core.New(core.Options{}),
+			name: "A_t+2 (ES)", factory: core.New(core.Options{}), syn: model.ES,
 			formula: func(t int) int { return t + 2 }, label: "t+2",
 			horizon: func(t int) model.Round { return model.Round(t + 2) },
-			witness: witnessFailureFree,
+			witness: sched.FailureFree,
 		},
 		{
-			name: "A_diamondS (ES+dS)", factory: core.NewDiamondS(),
+			name: "A_diamondS (ES+dS)", factory: core.NewDiamondS(), syn: model.ES,
 			formula: func(t int) int { return t + 2 }, label: "t+2",
 			horizon: func(t int) model.Round { return model.Round(t + 2) },
-			witness: witnessFailureFree,
+			witness: sched.FailureFree,
 		},
 		{
-			name: "HurfinRaynal (ES+dS)", factory: baseline.NewHurfinRaynal(),
+			name: "HurfinRaynal (ES+dS)", factory: baseline.NewHurfinRaynal(), syn: model.ES,
 			formula: func(t int) int { return 2*t + 2 }, label: "2t+2",
 			horizon: func(t int) model.Round { return model.Round(2*t + 2) },
 			witness: witnessKiller(baseline.RoundsPerPhaseHR),
 		},
 		{
-			name: "CT rotating coord (ES+dS)", factory: baseline.NewCT(),
+			name: "CT rotating coord (ES+dS)", factory: baseline.NewCT(), syn: model.ES,
 			formula: func(t int) int { return 3*t + 3 }, label: "3t+3",
 			horizon: func(t int) model.Round { return model.Round(3*t + 3) },
 			witness: witnessKiller(baseline.RoundsPerPhaseCT),
@@ -102,15 +103,7 @@ func E3PriceTable(maxT int) (*Outcome, error) {
 				suffix   string
 			)
 			if t <= maxExploreT {
-				var (
-					sr  *sweepResult
-					err error
-				)
-				if a.scs {
-					sr, err = serialWorstSCS(a.factory, n, t, a.horizon(t), lowerbound.PrefixSubsets)
-				} else {
-					sr, err = serialWorst(a.factory, n, t, a.horizon(t), lowerbound.PrefixSubsets)
-				}
+				sr, err := serialWorst(a.factory, a.syn, n, t, a.horizon(t), lowerbound.PrefixSubsets)
 				if err != nil {
 					return nil, fmt.Errorf("E3 %s t=%d: %w", a.name, t, err)
 				}
@@ -118,12 +111,8 @@ func E3PriceTable(maxT int) (*Outcome, error) {
 				o.expect(sr.violations == 0, "E3: %s t=%d consensus violation", a.name, t)
 				o.expect(!sr.undecided, "E3: %s t=%d undecided run", a.name, t)
 			} else {
-				syn := model.ES
-				if a.scs {
-					syn = model.SCS
-				}
 				res, err := sim.Run(sim.Config{
-					Synchrony: syn,
+					Synchrony: a.syn,
 					Schedule:  a.witness(n, t),
 					Proposals: distinctProposals(n),
 					Factory:   a.factory,
@@ -182,7 +171,7 @@ func E4FailureFree() (*Outcome, error) {
 	for _, a := range algos {
 		row := []string{a.name, a.label}
 		for _, c := range cases {
-			res, rep, err := runOnce(a.factory(c.t), schedFailureFree(c.n, c.t), distinctProposals(c.n))
+			res, rep, err := runOnce(a.factory(c.t), sched.FailureFree(c.n, c.t), distinctProposals(c.n))
 			if err != nil {
 				return nil, fmt.Errorf("E4 %s n=%d: %w", a.name, c.n, err)
 			}

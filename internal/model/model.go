@@ -204,10 +204,12 @@ type Payload interface {
 //     PayloadMutator and receives private clones instead.
 //
 // Decision reports the decided value as soon as the algorithm decides;
-// once set it must never change (the checkers verify this). Algorithms
-// must keep participating after deciding (deciders flood DECIDE messages)
-// so that the t-resilience guarantee remains satisfiable for processes
-// that have not yet decided.
+// once set it must never change (the checkers verify this). Once decided,
+// StartRound must return a DECIDE for every later round and EndRound must
+// adopt a DECIDE delivered in any round, so that processes that have not
+// yet decided still can: the lockstep simulator keeps deciders
+// participating (they flood DECIDE every round), while the live runtime
+// broadcasts one more round — the relay — and halts the decider.
 type Algorithm interface {
 	// Name returns a short human-readable algorithm name.
 	Name() string

@@ -21,8 +21,8 @@ func OfRound(k model.Round, delivered []model.Message) []model.Message {
 
 // FindDecide scans delivered (any send round) for a Decide payload and
 // returns the smallest decided value found. Every algorithm in this
-// repository floods DECIDE after deciding and adopts any DECIDE it
-// receives; by uniform agreement all flooded values are equal, so the
+// repository sends DECIDE after deciding and adopts any DECIDE it
+// receives; by uniform agreement all sent values are equal, so the
 // minimum is just a deterministic choice.
 func FindDecide(delivered []model.Message) (model.Value, bool) {
 	var (

@@ -110,7 +110,8 @@ func (p NewEstimate) ClonePayload() model.Payload { return p }
 // String implements fmt.Stringer.
 func (p NewEstimate) String() string { return fmt.Sprintf("NEWESTIMATE(%v)", p.NE) }
 
-// Decide floods a decision value.
+// Decide announces a decision value: flooded every round by the
+// simulator's deciders, relayed once by the live runtime's.
 type Decide struct {
 	// V is the decided value.
 	V model.Value

@@ -4,11 +4,11 @@ import (
 	"context"
 	"sort"
 	"sync"
-	"time"
 
 	"indulgence/internal/core"
 	"indulgence/internal/fd"
 	"indulgence/internal/model"
+	"indulgence/internal/payload"
 	"indulgence/internal/transport"
 	"indulgence/internal/wire"
 )
@@ -47,6 +47,7 @@ func (n *node) start(ctx context.Context, wg *sync.WaitGroup) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer cancel()
 		n.loop(nodeCtx)
 	}()
 }
@@ -63,8 +64,36 @@ func (n *node) crash() {
 	}
 }
 
-// report emits the node's terminal result exactly once.
-func (n *node) report(decided model.OptValue, round model.Round, start time.Time) {
+// loop is the node's round engine. It ends at the node's decision, a
+// crash, context cancellation or MaxRounds, and reports its one result on
+// the way out. A node that decides at the end of round k relays DECIDE
+// once — the round-k+1 broadcast, since every algorithm's StartRound
+// returns payload.Decide once decided — and halts. The relay goes out
+// before the report, so no caller can stop the node between its decision
+// and its relay; a relay in hand ends any receiver's wait (see collect).
+func (n *node) loop(ctx context.Context) {
+	start := n.cfg.Clock.Now()
+	var (
+		decided model.OptValue
+		round   model.Round
+	)
+	for k := model.Round(1); k <= n.cfg.MaxRounds && ctx.Err() == nil; k++ {
+		if err := n.broadcast(k); err != nil {
+			break
+		}
+		msgs, ok := n.collect(ctx, k)
+		if !ok {
+			break
+		}
+		n.alg.EndRound(k, msgs)
+		if v, has := n.alg.Decision(); has {
+			decided, round = model.Some(v), k
+			if ctx.Err() == nil {
+				_ = n.broadcast(k + 1)
+			}
+			break
+		}
+	}
 	n.crashMu.Lock()
 	crashed := n.crashed
 	n.crashMu.Unlock()
@@ -75,40 +104,6 @@ func (n *node) report(decided model.OptValue, round model.Round, start time.Time
 		Elapsed:    n.cfg.Clock.Since(start),
 		Crashed:    crashed,
 		Suspicions: n.detector.SuspectEvents(),
-	}
-}
-
-// loop is the node's round engine.
-func (n *node) loop(ctx context.Context) {
-	start := n.cfg.Clock.Now()
-	var (
-		decided      model.OptValue
-		decidedRound model.Round
-		reported     bool
-	)
-	for k := model.Round(1); k <= n.cfg.MaxRounds; k++ {
-		if ctx.Err() != nil {
-			break
-		}
-		if err := n.broadcast(k); err != nil {
-			break
-		}
-		msgs, ok := n.collect(ctx, k)
-		if !ok {
-			break
-		}
-		n.alg.EndRound(k, msgs)
-		if v, has := n.alg.Decision(); has && decided.IsBottom() {
-			decided = model.Some(v)
-			decidedRound = k
-			n.report(decided, decidedRound, start)
-			reported = true
-			// Keep participating (flooding DECIDE) until the cluster
-			// stops us, so slower processes can still decide.
-		}
-	}
-	if !reported {
-		n.report(decided, decidedRound, start)
 	}
 }
 
@@ -133,17 +128,26 @@ func (n *node) broadcast(k model.Round) error {
 // from every process the timeout detector does not suspect. Messages from
 // earlier rounds buffered since the last receive phase are delivered
 // alongside (the ES delayed-message semantics); future-round messages stay
-// buffered.
+// buffered. A DECIDE of round k or earlier — buffered for this round or
+// arriving during it — ends the receive phase whatever the policy: its
+// sender has halted, and the algorithm decides on it.
 func (n *node) collect(ctx context.Context, k model.Round) ([]model.Message, bool) {
 	quorum := n.cfg.N - n.cfg.T
 	roundMsgs := n.buffered[k]
 	delete(n.buffered, k)
-	var heard model.PIDSet
+	var (
+		heard  model.PIDSet
+		decide bool
+	)
 	for _, m := range roundMsgs {
 		heard.Add(m.From)
+		decide = decide || isDecide(m)
 	}
 
 	satisfied := func() bool {
+		if decide {
+			return true
+		}
 		if len(roundMsgs) < quorum {
 			return false
 		}
@@ -175,9 +179,11 @@ func (n *node) collect(ctx context.Context, k model.Round) ([]model.Message, boo
 				if !heard.Has(m.From) {
 					heard.Add(m.From)
 					roundMsgs = append(roundMsgs, m)
+					decide = decide || isDecide(m)
 				}
 			case m.Round < k:
 				n.late = append(n.late, m)
+				decide = decide || isDecide(m)
 			default:
 				n.buffered[m.Round] = append(n.buffered[m.Round], m)
 			}
@@ -198,4 +204,10 @@ func (n *node) collect(ctx context.Context, k model.Round) ([]model.Message, boo
 		return delivered[a].From < delivered[b].From
 	})
 	return delivered, true
+}
+
+// isDecide reports whether m carries a relayed decision.
+func isDecide(m model.Message) bool {
+	_, ok := m.Payload.(payload.Decide)
+	return ok
 }

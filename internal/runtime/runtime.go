@@ -9,15 +9,22 @@
 // network yields exactly the ES behaviour the paper assumes: finitely many
 // false suspicions, then synchrony.
 //
+// A process that decides relays DECIDE once and halts, as in the paper:
+// its next round's broadcast is the relay (every algorithm's StartRound
+// returns DECIDE once decided), and a DECIDE of the current or an earlier
+// round ends any receiver's wait. Every decider relays before it reports,
+// so by induction on the smallest decision round every correct undecided
+// process eventually decides. (The lockstep simulator keeps deciders
+// flooding; only the live node halts.)
+//
 // A Cluster executes one consensus instance; everything a Cluster owns —
 // round loops, algorithm state machines, timeout detectors, wait policy —
 // is instantiated per instance, while the transport endpoints underneath
 // may be shared. The service layer exploits exactly this split: it runs
 // many Clusters concurrently over virtual endpoints of a transport.Mux,
 // so every instance gets fresh per-shard state but all instances share
-// one set of sockets and mailboxes. Run blocks for the common
-// one-instance case; Start/Collect/Stop are its three steps, for callers
-// that must keep a decided instance flooding after they have its results.
+// one set of sockets and mailboxes. Run is the whole lifecycle: its
+// nodes halt on their own, so it returns when the last member has.
 //
 // The runtime is where indulgence becomes visible as an engineering
 // property: injected delays cause false suspicions and slow decisions but
@@ -29,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"indulgence/internal/chaos/clock"
@@ -87,7 +95,8 @@ type NodeResult struct {
 	Decision model.OptValue
 	// Round is the round at the end of which the process decided.
 	Round model.Round
-	// Elapsed is the wall-clock time from start to decision.
+	// Elapsed is the time on the cluster's clock from start to the
+	// node's halt (for a decider: its decision plus the relay's sends).
 	Elapsed time.Duration
 	// Crashed reports whether the process was crash-injected.
 	Crashed bool
@@ -103,15 +112,11 @@ type Cluster struct {
 	cfg       Config
 	nodes     []*node
 	decisions chan NodeResult
-
-	mu      sync.Mutex
-	started bool
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
+	started   atomic.Bool
 }
 
 // New validates the configuration and assembles a cluster (no goroutines
-// start until Start or Run).
+// start until Run).
 func New(cfg Config) (*Cluster, error) {
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("runtime: need at least 2 processes, got %d", cfg.N)
@@ -175,8 +180,9 @@ func New(cfg Config) (*Cluster, error) {
 }
 
 // Crash kills process p: its goroutine stops sending and receiving, like a
-// crash-stop failure. Safe to call at any time after Start has run. Only
-// members of this cluster object can be crashed through it.
+// crash-stop failure. Safe to call at any time — a crash requested before
+// Run takes effect as the node starts, one after the node halted is a
+// no-op. Only members of this cluster object can be crashed through it.
 func (c *Cluster) Crash(p model.ProcessID) error {
 	if p < 1 || int(p) > c.cfg.N {
 		return fmt.Errorf("runtime: no process %d", p)
@@ -188,62 +194,23 @@ func (c *Cluster) Crash(p model.ProcessID) error {
 	return nil
 }
 
-// Start launches every process and returns immediately. Each process
-// delivers exactly one NodeResult on Decisions: at its first decision, or
-// — if it stops without one (crash, context cancellation, MaxRounds) — at
-// exit. The caller must eventually call Stop to release the goroutines; a
-// decided node keeps flooding DECIDE until then so that slower processes
-// still decide.
-func (c *Cluster) Start(ctx context.Context) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.started {
-		return errors.New("runtime: cluster already ran")
+// Run starts every member process and blocks until each has halted —
+// decided and relayed, crashed, or out of rounds — or ctx is done, then
+// waits for their goroutines to exit. It returns one result per process;
+// entries for processes running in other OS processes (outside Members)
+// are zero-valued placeholders, and on ctx's end so are the members that
+// had not reported yet. A cluster runs once.
+func (c *Cluster) Run(ctx context.Context) ([]NodeResult, error) {
+	if !c.started.CompareAndSwap(false, true) {
+		return nil, errors.New("runtime: cluster already ran")
 	}
-	c.started = true
-	runCtx, cancel := context.WithCancel(ctx)
-	c.cancel = cancel
+	var wg sync.WaitGroup
+	defer wg.Wait()
 	for _, n := range c.nodes {
 		if n != nil {
-			n.start(runCtx, &c.wg)
+			n.start(ctx, &wg)
 		}
 	}
-	return nil
-}
-
-// Decisions returns the channel carrying one NodeResult per process. The
-// channel is buffered for the whole cluster and never closed.
-func (c *Cluster) Decisions() <-chan NodeResult { return c.decisions }
-
-// Stop cancels every process and waits for their goroutines to exit. It
-// is idempotent and safe to call concurrently with Decisions readers.
-func (c *Cluster) Stop() {
-	c.mu.Lock()
-	cancel := c.cancel
-	c.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	c.wg.Wait()
-}
-
-// Run starts every member process, collects their results (see Collect)
-// and stops them.
-func (c *Cluster) Run(ctx context.Context) ([]NodeResult, error) {
-	if err := c.Start(ctx); err != nil {
-		return nil, err
-	}
-	defer c.Stop()
-	return c.Collect(ctx)
-}
-
-// Collect blocks until every member of a started cluster has delivered
-// its result or the context is done, and returns one result per process;
-// entries for processes running in other OS processes (outside Members)
-// are zero-valued placeholders. The nodes keep running — decided ones
-// flooding DECIDE — until Stop, which is what lets a caller with remote
-// peers resolve its clients at the decision and stop flooding later.
-func (c *Cluster) Collect(ctx context.Context) ([]NodeResult, error) {
 	results := make([]NodeResult, c.cfg.N)
 	for i := range results {
 		results[i] = NodeResult{ID: model.ProcessID(i + 1)}

@@ -2,6 +2,8 @@ package runtime_test
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -230,9 +232,9 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-// TestStartDecisionsStop drives the non-blocking API directly: two
-// clusters share one hub's sockets through muxes, run concurrently as
-// separate consensus instances, and both reach agreement.
+// TestStartDecisionsStop runs two clusters concurrently as separate
+// consensus instances over one hub's sockets shared through muxes: both
+// reach agreement, and a cluster that ran refuses a second Run.
 func TestStartDecisionsStop(t *testing.T) {
 	const n, tt = 5, 2
 	hub, err := transport.NewHub(n)
@@ -275,29 +277,120 @@ func TestStartDecisionsStop(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	for _, cl := range clusters {
-		if err := cl.Start(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
+	results := make([][]runtime.NodeResult, len(clusters))
+	errs := make([]error, len(clusters))
+	var wg sync.WaitGroup
 	for inst, cl := range clusters {
-		results := make([]runtime.NodeResult, 0, n)
-		for len(results) < n {
-			select {
-			case res := <-cl.Decisions():
-				results = append(results, res)
-			case <-ctx.Done():
-				t.Fatalf("instance %d: %v", inst, ctx.Err())
-			}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[inst], errs[inst] = cl.Run(ctx)
+		}()
+	}
+	wg.Wait()
+	for inst := range clusters {
+		if errs[inst] != nil {
+			t.Fatalf("instance %d: %v", inst, errs[inst])
 		}
-		if got := assertAgreement(t, results); got != n {
+		if got := assertAgreement(t, results[inst]); got != n {
 			t.Fatalf("instance %d: %d of %d nodes decided", inst, got, n)
 		}
-		cl.Stop()
-		cl.Stop() // idempotent
 	}
-	if err := clusters[0].Start(ctx); err == nil {
-		t.Fatal("restarting a stopped cluster succeeded")
+	if _, err := clusters[0].Run(ctx); err == nil {
+		t.Fatal("rerunning a finished cluster succeeded")
+	}
+}
+
+// countingTransport counts the frames its process sends.
+type countingTransport struct {
+	transport.Transport
+	sent atomic.Int64
+}
+
+func (c *countingTransport) Send(to model.ProcessID, frame []byte) error {
+	c.sent.Add(1)
+	return c.Transport.Send(to, frame)
+}
+
+// TestLaggardDecidesOnRelay is the relay-once rule in the multi-process
+// shape: four single-member clusters on one hub, p4's outbound links
+// delayed well past the detector timeout, so p1–p3 decide without it and
+// p4 (|Halt| > t) cannot decide at t+2 on its own — it must finish on the
+// DECIDE its halted peers relayed. Every member sends exactly its
+// decision round's broadcasts plus one relay, and every Run returns.
+func TestLaggardDecidesOnRelay(t *testing.T) {
+	const n, tt = 4, 1
+	// ByName pairs each algorithm with its discipline: diamonds runs
+	// under WaitQuorum, the other two under WaitUnsuspected.
+	for _, name := range []string{"atplus2", "diamonds", "afplus2"} {
+		t.Run(name, func(t *testing.T) {
+			factory, wait, err := core.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hub, err := transport.NewHub(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = hub.Close() })
+			hub.DelayProcess(n, 60*time.Millisecond)
+
+			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+			defer cancel()
+			counters := make([]*countingTransport, n)
+			results := make([]runtime.NodeResult, n)
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			for i := range counters {
+				id := model.ProcessID(i + 1)
+				ep, err := hub.Endpoint(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				counters[i] = &countingTransport{Transport: ep}
+				eps := make([]transport.Transport, n)
+				eps[i] = counters[i]
+				var members model.PIDSet
+				members.Add(id)
+				cl, err := runtime.New(runtime.Config{
+					N: n, T: tt,
+					Factory:     factory,
+					Proposals:   props(n),
+					Endpoints:   eps,
+					Members:     members,
+					WaitPolicy:  wait,
+					BaseTimeout: 10 * time.Millisecond,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					res, err := cl.Run(ctx)
+					if err == nil {
+						results[i] = res[i]
+					}
+					errs[i] = err
+				}()
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("p%d: Run: %v", i+1, err)
+				}
+			}
+			if got := assertAgreement(t, results); got != n {
+				t.Fatalf("%d of %d members decided", got, n)
+			}
+			for i, r := range results {
+				want := int64(r.Round+1) * n
+				if got := counters[i].sent.Load(); got != want {
+					t.Errorf("p%d decided at round %d and sent %d frames, want (%d+1)·%d = %d",
+						i+1, r.Round, got, r.Round, n, want)
+				}
+			}
+		})
 	}
 }
 

@@ -18,39 +18,28 @@ import (
 // endpoint on every hosted process's mux, spreads the batch's values
 // round-robin over the hosted processes as their proposals, runs a fresh
 // runtime.Cluster under the instance's algorithm choice (the selector's
-// pick, or the static configuration) until every hosted node has
-// reported, journals the decision and resolves the batch's futures. With
-// every process hosted the instance is then over and is audited with
-// check.Instance; with a remote process the decided nodes keep flooding
-// for FloodGrace first. A joined instance (a peer started it) may carry
-// an empty batch.
+// pick, or the static configuration) until every hosted node has halted
+// — a decided node halts once it has relayed DECIDE, so the instance is
+// over for this service either way — and then retires it, journals the
+// decision and resolves the batch's futures. With every process hosted
+// the decision is also audited with check.Instance. A joined instance (a
+// peer started it) may carry an empty batch.
 func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Choice, joined bool) {
 	defer s.wg.Done()
-	if s.remote {
-		defer func() {
-			s.slotMu.Lock()
-			delete(s.active, instance)
-			s.slotMu.Unlock()
-		}()
-	}
 	begin := s.cfg.Clock.Now()
-	// The instance slot bounds concurrent consensus runs — round loops,
-	// detectors, in-flight frames. It is released as soon as the run is
-	// over (releaseSlot below), before the journal fsync and future
-	// resolution, so durability latency overlaps the next instance's
-	// consensus instead of throttling slot turnover.
-	slotHeld := true
-	releaseSlot := func() {
-		if slotHeld {
-			slotHeld = false
-			<-s.slots
-		}
-	}
-	defer releaseSlot()
-	retire := func() {
+	// end gives back everything the instance holds here: its streams on
+	// every mux (later frames for it are dropped), its join-dedupe entry,
+	// and the slot ticket bounding concurrent consensus runs — before the
+	// journal fsync and future resolution, so durability latency overlaps
+	// the next instance's consensus instead of throttling slot turnover.
+	end := func() {
 		for _, m := range s.muxes {
 			m.RetireGroup(s.cfg.Group, instance)
 		}
+		s.slotMu.Lock()
+		delete(s.active, instance)
+		s.slotMu.Unlock()
+		<-s.slots
 	}
 
 	// Endpoints and proposals are indexed by process; entries of remote
@@ -64,7 +53,7 @@ func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Ch
 		id := m.Self()
 		ep, err := m.OpenGroup(s.cfg.Group, instance)
 		if err != nil {
-			retire()
+			end()
 			// A join can race the slot's retirement (one stale signal
 			// after the instance finished): with no futures aboard that
 			// is not a failure, there is nothing to do. Anything else
@@ -93,7 +82,7 @@ func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Ch
 		Suspicions:  s.mSuspicions,
 	})
 	if err != nil {
-		retire()
+		end()
 		s.failInstance(batch, fmt.Errorf("service: instance %d: %w", instance, err))
 		return
 	}
@@ -107,31 +96,9 @@ func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Ch
 		deadline = s.cfg.JoinTimeout
 	}
 	ctx, cancel := clock.WithTimeout(s.runCtx, s.cfg.Clock, deadline)
-	// finish ends the instance locally: stop the nodes (and with them the
-	// DECIDE flood), release the deadline timer, retire the streams.
-	finished := false
-	finish := func() {
-		if !finished {
-			finished = true
-			cl.Stop()
-			cancel()
-			retire()
-		}
-	}
-	defer finish()
-	if err := cl.Start(ctx); err != nil {
-		s.failInstance(batch, fmt.Errorf("service: instance %d: %w", instance, err))
-		return
-	}
-	results, runErr := cl.Collect(ctx)
-	if !s.remote {
-		// Every node has reported to this goroutine, so nobody is left
-		// to flood for: the instance is over now, and no grace timer is
-		// ever armed (the virtual-clock schedule of a single-process run
-		// holds no event a remote peer would need).
-		finish()
-	}
-	releaseSlot()
+	results, runErr := cl.Run(ctx)
+	cancel()
+	end()
 
 	decisions := make([]model.OptValue, s.cfg.N)
 	var crashed model.PIDSet
@@ -244,19 +211,6 @@ func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Ch
 	s.mResolved.Add(int64(len(batch)))
 	if s.plane != nil {
 		s.plane.ObserveDecision(latencies, suspicions)
-	}
-
-	if s.remote {
-		// Peers whose nodes are a round or two behind still need this
-		// instance's DECIDE flood to satisfy their wait policies. The
-		// slot ticket and the futures were released at the decision, so
-		// the grace throttles nothing.
-		grace := s.cfg.Clock.NewTimer(s.cfg.FloodGrace)
-		select {
-		case <-grace.C():
-		case <-s.runCtx.Done():
-			grace.Stop()
-		}
 	}
 }
 

@@ -62,7 +62,6 @@ func peerOpts(n int, jn *journal.Journal) Config {
 		Linger:      2 * time.Millisecond,
 		MaxInflight: 4,
 		JoinTimeout: 5 * time.Second,
-		FloodGrace:  75 * time.Millisecond,
 		Journal:     jn,
 	}
 }
@@ -307,18 +306,23 @@ func TestPeerServiceRestartRejoin(t *testing.T) {
 // over services every way the endpoint rule allows: one service hosting
 // all of them, one process per service, and — partial membership — two
 // apiece. Every service proposes; proposeAll fails the test if two
-// futures of one instance ever carry different values.
+// futures of one instance ever carry different values. The laggard row
+// delays p3's outbound links past the detector timeout, so p1 and p2
+// decide without it and p3 — whose decided peers have halted — must
+// finish every instance on their one relayed DECIDE.
 func TestPeerServiceHubMembers(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		n         int
 		hosts     []int // processes hosted per service, in process order
 		journaled bool
+		laggard   model.ProcessID // 0: no delayed process
 	}{
-		{"3 as 1+1+1", 3, []int{1, 1, 1}, false},
-		{"4 as 4", 4, []int{4}, true},
-		{"4 as 2+2", 4, []int{2, 2}, true},
-		{"4 as 1+1+1+1", 4, []int{1, 1, 1, 1}, true},
+		{"3 as 1+1+1", 3, []int{1, 1, 1}, false, 0},
+		{"3 as 1+1+1, p3 laggard", 3, []int{1, 1, 1}, true, 3},
+		{"4 as 4", 4, []int{4}, true, 0},
+		{"4 as 2+2", 4, []int{2, 2}, true, 0},
+		{"4 as 1+1+1+1", 4, []int{1, 1, 1, 1}, true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hub, err := transport.NewHub(tc.n)
@@ -326,6 +330,9 @@ func TestPeerServiceHubMembers(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer hub.Close()
+			if tc.laggard != 0 {
+				hub.DelayProcess(tc.laggard, 30*time.Millisecond)
+			}
 			dir := t.TempDir()
 			live := make(map[uint64]model.Value)
 			var mu sync.Mutex

@@ -98,17 +98,10 @@ type Config struct {
 	// JoinTimeout is the deadline of instances joined on a peer's signal
 	// with no local proposals aboard (default 10s; unused when every
 	// process is hosted). Such an instance carries no futures, so a join
-	// that never decides — stale flood traffic from before a restart, or
-	// a cluster that lost too many members — fails quietly after this
-	// long instead of holding a slot for InstanceTimeout.
+	// that never decides — stale round or relay traffic from before a
+	// restart, or a cluster that lost too many members — fails quietly
+	// after this long instead of holding a slot for InstanceTimeout.
 	JoinTimeout time.Duration
-	// FloodGrace is how long a decided instance keeps flooding DECIDE
-	// before a service with a remote process retires it (default 150ms),
-	// so peers whose nodes are a round or two behind still satisfy their
-	// wait policies. Futures resolve at the decision, not after the
-	// grace. With every process hosted nobody is behind — the instance
-	// ends when its last node reports — and no grace is taken.
-	FloodGrace time.Duration
 	// Journal, when non-nil, makes decisions durable: every instance's
 	// decision record is appended and fsynced (group-committed across
 	// concurrent instances) before the batch's futures resolve —
@@ -135,7 +128,7 @@ type Config struct {
 	// delay links of a specific instance. The hook may retain cl to
 	// inject faults for as long as the instance runs (Crash is safe at
 	// any point of the cluster's lifetime, and is a no-op once the
-	// instance has stopped), but must not call cl's run/stop methods.
+	// instance has stopped), but must not call cl.Run.
 	OnInstance func(instance uint64, cl *runtime.Cluster)
 	// Clock is the time source for batching lingers, instance deadlines,
 	// latency accounting and the control loop (default the wall clock).
@@ -182,9 +175,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.JoinTimeout == 0 {
 		cfg.JoinTimeout = 10 * time.Second
-	}
-	if cfg.FloodGrace == 0 {
-		cfg.FloodGrace = 150 * time.Millisecond
 	}
 	if cfg.Groups == 0 {
 		cfg.Groups = 1
@@ -278,8 +268,8 @@ type Stats struct {
 	// Count and Mean are exact over the service's lifetime — the
 	// indulgence_proposal_latency_ns histogram's count and sum/count, so
 	// two snapshots subtract correctly however long the run; Min, Max and
-	// the percentiles are over a bounded uniform sample of it (65,536
-	// proposals, exact up to there).
+	// the percentiles are over a bounded uniform sample of it (exact up
+	// to 8,192 proposals).
 	Latency stats.LatencySummary
 	// Rounds summarizes global decision rounds across decided instances —
 	// the t+2 price floor in round units — exactly, over every decision.
@@ -325,7 +315,7 @@ type Service struct {
 	// hosted is the same set in the form runtime.Config.Members takes,
 	// and remote reports that some process of the cluster is hosted
 	// elsewhere — the one fact every member-only behaviour (joins, noop
-	// proposals, flood grace, no local audit) hangs off.
+	// proposals, no local audit) hangs off.
 	muxes  []*transport.Mux
 	hosted model.PIDSet
 	remote bool
@@ -369,7 +359,8 @@ type Service struct {
 
 	// slotMu guards active: the slots currently running here, which
 	// dedupes join signals against initiated and already-joined slots
-	// (maintained only with a remote process).
+	// (filled only with a remote process; nil, so deletes are no-ops,
+	// otherwise).
 	slotMu sync.Mutex
 	active map[uint64]struct{}
 
@@ -408,8 +399,10 @@ type Service struct {
 // maxSamples bounds the latency history a long-running service retains:
 // percentiles are computed over a uniform reservoir sample of the stream
 // (stats.Reservoir), so memory and Snapshot cost stay constant while the
-// percentiles stay unbiased over the whole lifetime.
-const maxSamples = 1 << 16
+// percentiles stay unbiased over the whole lifetime. The three duration
+// reservoirs are the one per-service structure that grows with decisions
+// made, so the bound is kept small.
+const maxSamples = 1 << 13
 
 // New starts a service hosting the processes whose transport endpoints
 // it is handed: every endpoint's Self() must lie in 1..N, and the slice
@@ -606,9 +599,9 @@ func (s *Service) start(muxes []*transport.Mux, ownsMuxes bool) {
 		// Recovery: resume the instance-ID frontier past every journaled
 		// start claim and decision — aligned up to the group's residue
 		// class — and bulk-retire the journaled range of this group's
-		// streams on every mux, so stale flood frames from a previous
-		// process lifetime are dropped instead of buffering for instances
-		// nobody will open. The frontier covers joined slots too: a
+		// streams on every mux, so stale round and relay frames from a
+		// previous process lifetime are dropped instead of buffering for
+		// instances nobody will open. The frontier covers joined slots too: a
 		// restarted member must never re-run an instance its previous
 		// lifetime touched — rejoining one with reset algorithm state
 		// would be amnesia, not a crash-stop.

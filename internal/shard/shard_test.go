@@ -301,7 +301,6 @@ func TestPeerRuntimeMultiGroup(t *testing.T) {
 				Factory:     core.New(core.Options{}),
 				BaseTimeout: 20 * time.Millisecond,
 				Linger:      time.Millisecond,
-				FloodGrace:  50 * time.Millisecond,
 			},
 			Groups:    groups,
 			Placement: shard.NewKeyAffinity(),

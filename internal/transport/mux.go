@@ -42,7 +42,8 @@ type groupRetired struct {
 // buffered, never dropped — a peer shard may legitimately start an
 // instance and broadcast before this process opens it, and the reliable-
 // channel axiom must survive multiplexing. Frames for a retired (closed)
-// instance are dropped: they can only be post-decision flood traffic.
+// instance are dropped: they can only be relay or round traffic reaching
+// a process that has already finished the instance.
 // Retirement state is tracked per group, so each group's frontier
 // advances independently of its neighbors'.
 type Mux struct {
@@ -162,8 +163,8 @@ func (m *Mux) RetireGroup(group, instance uint64) {
 // RetireGroupBelow retires every instance of group with ID below
 // frontier at once — the recovery path's bulk retirement. A restarted
 // service raises its group's frontier past every journaled instance, so
-// frames still in flight from a previous process lifetime (flood
-// traffic of instances decided before the crash) are dropped on arrival
+// frames still in flight from a previous process lifetime (round and
+// relay traffic of instances run before the crash) are dropped on arrival
 // instead of buffering forever for instances nobody will open. Buffered
 // frames of such instances are discarded too; other groups' streams are
 // untouched. A no-op when frontier does not extend the group's retired

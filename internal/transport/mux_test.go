@@ -403,8 +403,8 @@ func TestMuxNeverOpenedBufferedInstance(t *testing.T) {
 // sender floods an instance while the receiver retires it mid-stream.
 // Frames must arrive until the retirement point and be dropped after it,
 // with no panic, deadlock, or send error either side — the scenario of a
-// decided instance's flood traffic arriving at a shard that has moved
-// on. Run with -race, this is also the locking test for the
+// finished instance's late round or relay traffic arriving at a shard
+// that has moved on. Run with -race, this is also the locking test for the
 // router/Retire interleaving.
 func TestMuxRetireMidFlight(t *testing.T) {
 	_, m1, m2 := muxPair(t)
