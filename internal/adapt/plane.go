@@ -52,7 +52,7 @@ type Plane struct {
 	ctl        *Controller
 	sel        *Selector // nil unless SelectAlgorithms
 	hotTicks   [MaxClasses]int
-	suspicions int // cumulative suspicion events across decided instances
+	suspicions int // cumulative Outcome.Suspicions across decided instances
 	lastTick   time.Time
 	// Window accumulators, reset every tick.
 	wDecided  int
@@ -209,8 +209,8 @@ type ChoiceContext struct {
 	// other rungs in ladder order (empty with selection off).
 	Chosen   string
 	NotTaken []string
-	// Suspicions is the cumulative failure-detector suspicion count
-	// across decided instances at choice time.
+	// Suspicions is the cumulative Outcome.Suspicions signal across
+	// decided instances at choice time.
 	Suspicions int
 	// BatchLimit and Linger are the effective setting in force.
 	BatchLimit int
@@ -261,7 +261,7 @@ func (p *Plane) ObserveCut(fillPercent int) {
 }
 
 // ObserveDecision records one decided instance: the latencies of the
-// proposals it resolved and the suspicion events its nodes observed.
+// proposals it resolved and its suspicion signal (Outcome.Suspicions).
 // The selector sees the outcome immediately (selection is per instance,
 // not per tick); the controller sees the window aggregate at the next
 // tick.

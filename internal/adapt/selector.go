@@ -12,9 +12,14 @@ type Outcome struct {
 	// Failed reports a missed decision: the instance timed out or
 	// errored without deciding.
 	Failed bool
-	// Suspicions is the total number of failure-detector suspicion
-	// events observed across the instance's nodes (internal/fd timeout
-	// detectors; 0 in a synchronous trusted run).
+	// Suspicions sums two counts over the instance's nodes (see
+	// runtime.NodeResult.Suspicions): the trusted-to-suspected
+	// transitions they raised, and the peers their process's detector
+	// still suspected when they halted. The detectors are shared by every
+	// instance a process runs, so a standing suspicion — a crashed peer,
+	// or a stale false one — raises no new transition; the second term
+	// keeps it visible, and the ladder off its fast rung, for as long as
+	// it stands. 0 in a synchronous trusted run.
 	Suspicions int
 }
 

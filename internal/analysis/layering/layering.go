@@ -50,7 +50,7 @@ var Table = map[string][]string{
 	"journal":   {"metrics", "stats", "wire"},
 	"transport": {"chaos/clock", "metrics", "model", "wire"},
 	"runtime":   {"chaos/clock", "core", "fd", "metrics", "model", "payload", "transport", "wire"},
-	"service": {"adapt", "chaos/clock", "check", "core", "journal", "metrics",
+	"service": {"adapt", "chaos/clock", "check", "core", "fd", "journal", "metrics",
 		"model", "runtime", "stats", "transport", "wire"},
 	"shard": {"chaos/clock", "journal", "metrics", "model", "service", "transport",
 		"wire"},

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"indulgence/internal/chaos/clock"
+	"indulgence/internal/metrics"
 	"indulgence/internal/model"
 	"indulgence/internal/payload"
 	"indulgence/internal/trace"
@@ -133,68 +135,186 @@ func TestCheckDiamondPViolations(t *testing.T) {
 	}
 }
 
+// advance moves the virtual clock d forward.
+func advance(v *clock.Virtual, d time.Duration) {
+	v.AfterFunc(d, func() {})
+	v.Step()
+}
+
 func TestTimeoutDetector(t *testing.T) {
-	d := NewTimeoutDetector(10 * time.Millisecond)
-	if got := d.TimeoutFor(1); got != 10*time.Millisecond {
+	const base = 10 * time.Millisecond
+	v := clock.NewVirtual()
+	d := NewTimeoutDetectorClock(base, v)
+	if got := d.TimeoutFor(1); got != base {
 		t.Fatalf("initial timeout %v", got)
 	}
-	d.Suspect(1)
-	if !d.Suspected().Has(1) {
-		t.Fatal("suspect not recorded")
+	// Timeouts run from the caller's round start, not from any state of
+	// the detector's own.
+	round := v.Now()
+	advance(v, base-time.Nanosecond)
+	if got := d.SuspectOverdue(3, 3, 0, round); !got.IsEmpty() {
+		t.Fatalf("suspected %v before the timeout", got)
+	}
+	advance(v, time.Nanosecond)
+	// Self (3) and the heard set (2) are never suspected.
+	if got := d.SuspectOverdue(3, 3, model.NewPIDSet(2), round); got != model.NewPIDSet(1) {
+		t.Fatalf("overdue: found %v, want {1}", got)
+	}
+	// Reads show the suspicion from the next instant on.
+	if got := d.Suspected(); !got.IsEmpty() {
+		t.Fatalf("suspicion visible at the instant it was raised: %v", got)
+	}
+	advance(v, time.Nanosecond)
+	if got := d.Suspected(); got != model.NewPIDSet(1) {
+		t.Fatalf("suspected = %v, want {1}", got)
 	}
 	// Hearing from a suspected process unsuspects it and doubles its
 	// timeout (the adaptive step that yields eventual accuracy).
 	d.Heard(1)
-	if d.Suspected().Has(1) {
-		t.Fatal("false suspicion not cleared")
+	advance(v, time.Nanosecond)
+	if got := d.Suspected(); !got.IsEmpty() {
+		t.Fatalf("false suspicion not cleared: %v", got)
 	}
-	if got := d.TimeoutFor(1); got != 20*time.Millisecond {
+	if got := d.TimeoutFor(1); got != 2*base {
 		t.Fatalf("timeout after false suspicion %v", got)
+	}
+	// The doubled timeout holds for every later round start.
+	round = v.Now()
+	advance(v, base)
+	if got := d.SuspectOverdue(2, 2, 0, round); !got.IsEmpty() {
+		t.Fatalf("suspected %v under the doubled timeout", got)
 	}
 	// Hearing from an unsuspected process changes nothing.
 	d.Heard(2)
-	if got := d.TimeoutFor(2); got != 10*time.Millisecond {
+	if got := d.TimeoutFor(2); got != base {
 		t.Fatalf("unsuspected timeout grew to %v", got)
 	}
 	// Cap at 64x base.
 	for i := 0; i < 20; i++ {
-		d.Suspect(1)
+		round = v.Now()
+		advance(v, d.TimeoutFor(1))
+		d.SuspectOverdue(2, 2, 0, round)
+		advance(v, time.Nanosecond)
 		d.Heard(1)
 	}
-	if got := d.TimeoutFor(1); got != 640*time.Millisecond {
+	if got := d.TimeoutFor(1); got != 64*base {
 		t.Fatalf("cap violated: %v", got)
 	}
 }
 
 func TestTimeoutDetectorSuspectEvents(t *testing.T) {
-	d := NewTimeoutDetector(10 * time.Millisecond)
-	if got := d.SuspectEvents(); got != 0 {
-		t.Fatalf("fresh detector reports %d events", got)
+	v := clock.NewVirtual()
+	d := NewTimeoutDetectorClock(time.Millisecond, v)
+	c := metrics.NewRegistry().Counter("suspicions", "test")
+	d.Instrument(c)
+	round := v.Now()
+	advance(v, time.Millisecond)
+	both := model.NewPIDSet(2, 3)
+	if got := d.SuspectOverdue(3, 1, 0, round); got != both {
+		t.Fatalf("first poll found %v, want %v", got, both)
 	}
-	// Re-suspecting an already-suspected process is not a new event (the
-	// round loop calls Suspect on every ticker tick while p is unheard).
-	d.Suspect(1)
-	d.Suspect(1)
-	d.Suspect(2)
-	if got := d.SuspectEvents(); got != 2 {
-		t.Fatalf("events = %d, want 2", got)
+	// A second caller at the same instant — another instance's node —
+	// is credited the same transitions, which count once.
+	if got := d.SuspectOverdue(3, 1, 0, round); got != both {
+		t.Fatalf("same-instant poll found %v, want %v", got, both)
 	}
-	// A trusted-again process suspected anew is a new event.
-	d.Heard(1)
-	d.Suspect(1)
-	if got := d.SuspectEvents(); got != 3 {
-		t.Fatalf("events after re-suspicion = %d, want 3", got)
+	// A frame heard at the instant a suspicion was raised does not lift it.
+	d.Heard(2)
+	advance(v, time.Nanosecond)
+	if got := d.Suspected(); got != both {
+		t.Fatalf("suspected = %v, want %v", got, both)
+	}
+	// A standing suspicion is not a new event.
+	if got := d.SuspectOverdue(3, 1, 0, round); !got.IsEmpty() {
+		t.Fatalf("re-poll found %v", got)
+	}
+	// A trusted-again process suspected anew is a new event — but not at
+	// the instant it was lifted.
+	d.Heard(2)
+	if got := d.SuspectOverdue(3, 1, 0, round); !got.IsEmpty() {
+		t.Fatalf("re-suspected %v at the instant of its lift", got)
+	}
+	advance(v, time.Millisecond) // past p2's doubled timeout
+	if got := d.SuspectOverdue(3, 1, 0, round); got != model.NewPIDSet(2) {
+		t.Fatalf("re-suspicion found %v, want {2}", got)
+	}
+	if got := c.Value(); got != 3 {
+		t.Fatalf("instrument counted %d, want 3", got)
 	}
 }
 
+// TestTimeoutDetectorInstantOrderFree applies one instant's operations —
+// two nodes' polls with different round starts and heard sets, frames
+// from a suspected and from a trusted peer — in every order, and demands
+// the same outcome: what each poll found, the suspicions and timeouts
+// from the next instant on, and the instrument's count.
+func TestTimeoutDetectorInstantOrderFree(t *testing.T) {
+	const base = time.Millisecond
+	type outcome struct {
+		foundA, foundB, suspected model.PIDSet
+		timeouts                  [4]time.Duration
+		events                    int64
+	}
+	run := func(order []int) outcome {
+		v := clock.NewVirtual()
+		d := NewTimeoutDetectorClock(base, v)
+		c := metrics.NewRegistry().Counter("suspicions", "test")
+		d.Instrument(c)
+		// Before the instant: p2 suspected, p3 and p4 trusted.
+		early := v.Now()
+		advance(v, base)
+		d.SuspectOverdue(4, 1, model.NewPIDSet(3, 4), early)
+		lateA, lateB := v.Now(), early.Add(base/2)
+		advance(v, base)
+		var o outcome
+		ops := []func(){
+			func() { o.foundA = d.SuspectOverdue(4, 1, 0, lateA) },
+			func() { o.foundB = d.SuspectOverdue(4, 1, model.NewPIDSet(4), lateB) },
+			func() { d.Heard(2) },
+			func() { d.Heard(3) },
+		}
+		for _, i := range order {
+			ops[i]()
+		}
+		advance(v, time.Nanosecond)
+		o.suspected = d.Suspected()
+		for p := range o.timeouts {
+			o.timeouts[p] = d.TimeoutFor(model.ProcessID(p + 1))
+		}
+		o.events = c.Value()
+		return o
+	}
+	want := run([]int{0, 1, 2, 3})
+	if want.foundA != model.NewPIDSet(3, 4) || want.foundB != model.NewPIDSet(3) || want.suspected != model.NewPIDSet(3, 4) {
+		t.Fatalf("reference outcome %+v", want)
+	}
+	var permute func(prefix, rest []int)
+	permute = func(prefix, rest []int) {
+		if len(rest) == 0 {
+			if got := run(prefix); got != want {
+				t.Errorf("order %v: %+v, want %+v", prefix, got, want)
+			}
+			return
+		}
+		for i := range rest {
+			next := append(append([]int(nil), rest[:i]...), rest[i+1:]...)
+			permute(append(append([]int(nil), prefix...), rest[i]), next)
+		}
+	}
+	permute(nil, []int{0, 1, 2, 3})
+}
+
 func TestTimeoutDetectorConcurrent(t *testing.T) {
-	d := NewTimeoutDetector(time.Millisecond)
+	v := clock.NewVirtual()
+	d := NewTimeoutDetectorClock(time.Millisecond, v)
+	round := v.Now()
+	advance(v, time.Millisecond)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 1000; i++ {
-			d.Suspect(model.ProcessID(rng.Intn(5) + 1))
+			d.SuspectOverdue(5, 1, model.NewPIDSet(model.ProcessID(rng.Intn(5)+1)), round)
 		}
 	}()
 	rng := rand.New(rand.NewSource(2))

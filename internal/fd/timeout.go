@@ -9,40 +9,48 @@ import (
 	"indulgence/internal/model"
 )
 
-// TimeoutDetector is the live runtime's unreliable failure detector: a
-// process is suspected when it has not been heard from within its current
-// timeout. Every time a suspicion is revealed to be false — a message from
-// a suspected process arrives — that process's timeout doubles, so in any
-// eventually synchronous execution each process is falsely suspected only
-// finitely often: the detector converges to ◇P, exactly the behaviour the
-// paper's ES model abstracts. The zero value is not usable; construct with
-// NewTimeoutDetector.
+// TimeoutDetector is the live runtime's unreliable failure detector for
+// one hosted process: a peer is suspected when it has not been heard from
+// within its current timeout of a round's start. It is process state, not
+// instance state — every consensus instance the process runs consults
+// and feeds the same detector, which indulgence makes safe: an indulgent
+// algorithm's agreement and validity never depend on the detector being
+// right, so sharing what it learned can only change when a round ends.
 //
-// The detector measures elapsed time on an injected clock: under the
-// chaos harness's virtual clock, suspicion timing is simulated-time
-// exact instead of wall-clock approximate. The round loop marks the
-// start of each receive phase with BeginRound and asks SuspectOverdue
-// to raise whatever suspicions the elapsed round time justifies.
+// A suspicion raised in one instance holds in every instance, so a
+// crashed peer costs one timeout per observing process, not one per
+// instance. Hearing a suspected peer — a frame from it in any instance —
+// proves the suspicion false: the peer is trusted again and its timeout
+// doubles, capped at 64× the base. That one rule also covers a restarted
+// peer. Each peer whose delay stays below the cap is therefore falsely
+// suspected only finitely often across the process's whole stream of
+// instances — the ◇P behaviour the paper's ES model abstracts. Only a
+// frame delivered to a live instance counts as heard: a peer whose every
+// frame lands after its instance ended stays suspected.
+//
+// The detector measures elapsed time on an injected clock, so under the
+// chaos harness's virtual clock suspicion timing is simulated-time exact.
+// The round start is the caller's: each node passes its own to
+// SuspectOverdue. Safe for concurrent use, and order-free within one
+// instant of the clock, so instances racing through the same virtual
+// instant cannot make a schedule depend on goroutine order: every read
+// sees the suspicions as they stood when the instant began, a suspicion
+// raised at an instant is not lifted by a frame heard at that instant,
+// and one lifted at an instant is not raised again at it.
 type TimeoutDetector struct {
 	clk       clock.Clock
 	mu        sync.Mutex
 	base      time.Duration
 	max       time.Duration
 	timeouts  map[model.ProcessID]time.Duration
-	suspected model.PIDSet
-	events    int
-	roundAt   time.Time
+	suspected model.PIDSet // including the current instant's changes
+	flipped   model.PIDSet // peers whose suspicion changed at instant at
+	at        time.Time
 	mEvents   *metrics.Counter
 }
 
-// NewTimeoutDetector returns a detector with the given initial per-process
-// timeout, measuring on the wall clock. Timeouts double on each false
-// suspicion, capped at 64× the base.
-func NewTimeoutDetector(base time.Duration) *TimeoutDetector {
-	return NewTimeoutDetectorClock(base, clock.Real{})
-}
-
-// NewTimeoutDetectorClock is NewTimeoutDetector on an explicit clock.
+// NewTimeoutDetectorClock returns a detector on clk with the given
+// initial per-process timeout.
 func NewTimeoutDetectorClock(base time.Duration, clk clock.Clock) *TimeoutDetector {
 	return &TimeoutDetector{
 		clk:      clock.Or(clk),
@@ -61,96 +69,74 @@ func (d *TimeoutDetector) Instrument(c *metrics.Counter) {
 	d.mEvents = c
 }
 
-// BeginRound marks the start of a receive phase: SuspectOverdue measures
-// per-process timeouts from this instant.
-func (d *TimeoutDetector) BeginRound() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.roundAt = d.clk.Now()
+// settledLocked returns the suspicion set as it stood when the current
+// instant began, first forgetting the flips of any earlier instant.
+func (d *TimeoutDetector) settledLocked() model.PIDSet {
+	if now := d.clk.Now(); !now.Equal(d.at) {
+		d.at, d.flipped = now, 0
+	}
+	return d.suspected ^ d.flipped
 }
 
 // SuspectOverdue suspects every process in 1..n — except self and the
-// already-heard set — whose timeout has expired since BeginRound. The
-// round loop calls it on its polling tick; under a virtual clock the
-// elapsed time is exact, so a run's suspicion pattern is a function of
-// the schedule, not of host scheduling jitter.
-func (d *TimeoutDetector) SuspectOverdue(n int, self model.ProcessID, heard model.PIDSet) {
+// heard set — that was trusted when this instant began and whose timeout
+// has expired since the round start since. It returns the peers it found
+// so: each is one trusted-to-suspected transition, counted once in the
+// instrument however many callers find it at the same instant, and
+// credited to every one of them. The round loop calls it on its polling
+// tick.
+func (d *TimeoutDetector) SuspectOverdue(n int, self model.ProcessID, heard model.PIDSet, since time.Time) model.PIDSet {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	elapsed := d.clk.Now().Sub(d.roundAt)
+	settled := d.settledLocked()
+	elapsed := d.at.Sub(since)
+	var found model.PIDSet
 	for q := model.ProcessID(1); int(q) <= n; q++ {
-		if q == self || heard.Has(q) {
+		if q == self || heard.Has(q) || settled.Has(q) || elapsed < d.timeoutLocked(q) {
 			continue
 		}
-		t, ok := d.timeouts[q]
-		if !ok {
-			t = d.base
-		}
-		if elapsed >= t {
-			if !d.suspected.Has(q) {
-				d.events++
-				d.mEvents.Inc()
-			}
+		found.Add(q)
+		if !d.suspected.Has(q) {
 			d.suspected.Add(q)
+			d.flipped.Add(q)
+			d.mEvents.Inc()
 		}
 	}
+	return found
 }
 
 // TimeoutFor returns the current timeout for p.
 func (d *TimeoutDetector) TimeoutFor(p model.ProcessID) time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.timeoutLocked(p)
+}
+
+func (d *TimeoutDetector) timeoutLocked(p model.ProcessID) time.Duration {
 	if t, ok := d.timeouts[p]; ok {
 		return t
 	}
 	return d.base
 }
 
-// Suspect marks p as suspected (its timeout expired unheard).
-func (d *TimeoutDetector) Suspect(p model.ProcessID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.suspected.Has(p) {
-		d.events++
-		d.mEvents.Inc()
-	}
-	d.suspected.Add(p)
-}
-
-// SuspectEvents returns how many distinct suspicion events the detector
-// has raised: transitions of a process from trusted to suspected, each
-// counted once per transition (a process unsuspected by Heard and
-// suspected again counts again). The adaptive control plane reads this
-// as its per-instance trust signal.
-func (d *TimeoutDetector) SuspectEvents() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.events
-}
-
-// Heard records a message from p. If p was suspected, the suspicion was
-// false: p is unsuspected and its timeout doubles.
+// Heard records a message from p. If p was suspected when this instant
+// began, the suspicion was false: p is trusted again and its timeout
+// doubles.
 func (d *TimeoutDetector) Heard(p model.ProcessID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.suspected.Has(p) {
+	if !d.settledLocked().Has(p) || d.flipped.Has(p) {
 		return
 	}
 	d.suspected.Remove(p)
-	t, ok := d.timeouts[p]
-	if !ok {
-		t = d.base
-	}
-	t *= 2
-	if t > d.max {
-		t = d.max
-	}
-	d.timeouts[p] = t
+	d.flipped.Add(p)
+	d.timeouts[p] = min(2*d.timeoutLocked(p), d.max)
 }
 
-// Suspected returns the current suspicion set.
+// Suspected returns the suspicion set as it stood when the current
+// instant began.
 func (d *TimeoutDetector) Suspected() model.PIDSet {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.suspected
+	return d.settledLocked()
 }

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"context"
-	"sort"
 	"sync"
 
 	"indulgence/internal/core"
@@ -13,17 +12,19 @@ import (
 	"indulgence/internal/wire"
 )
 
-// node is one live process: the per-shard unit of the runtime. Each node
-// owns its round loop, its algorithm state machine, and its timeout
-// detector; only the transport endpoint underneath (and, when the
-// endpoint is a mux stream, the sockets and mailboxes behind it) is
-// shared with other instances.
+// node is one live process in one instance. Each node owns its round
+// loop and its algorithm state machine; its timeout detector and the
+// transport endpoint underneath (and, when the endpoint is a mux stream,
+// the sockets and mailboxes behind it) may be shared with the process's
+// other instances.
 type node struct {
 	id        model.ProcessID
 	cfg       *Config
 	alg       model.Algorithm
 	ep        transport.Transport
 	detector  *fd.TimeoutDetector
+	raised    int          // suspicion transitions credited to this node's polls
+	overdue   model.PIDSet // peers its own polls found overdue, unheard since
 	buffered  map[model.Round][]model.Message
 	late      []model.Message // older-round messages awaiting delivery
 	decisions chan<- NodeResult
@@ -103,7 +104,7 @@ func (n *node) loop(ctx context.Context) {
 		Round:      round,
 		Elapsed:    n.cfg.Clock.Since(start),
 		Crashed:    crashed,
-		Suspicions: n.detector.SuspectEvents(),
+		Suspicions: n.raised + n.suspected().Len(),
 	}
 }
 
@@ -154,11 +155,11 @@ func (n *node) collect(ctx context.Context, k model.Round) ([]model.Message, boo
 		if n.cfg.WaitPolicy == core.WaitQuorum {
 			return true
 		}
-		unsuspected := model.FullPIDSet(n.cfg.N).Diff(n.detector.Suspected())
+		unsuspected := model.FullPIDSet(n.cfg.N).Diff(n.suspected())
 		return unsuspected.Diff(heard).IsEmpty()
 	}
 
-	n.detector.BeginRound()
+	roundAt := n.cfg.Clock.Now()
 	ticker := n.cfg.Clock.NewTicker(n.cfg.BaseTimeout / 4)
 	defer ticker.Stop()
 	for !satisfied() {
@@ -174,6 +175,7 @@ func (n *node) collect(ctx context.Context, k model.Round) ([]model.Message, boo
 				continue // a malformed frame is dropped, not fatal
 			}
 			n.detector.Heard(m.From)
+			n.overdue.Remove(m.From)
 			switch {
 			case m.Round == k:
 				if !heard.Has(m.From) {
@@ -189,21 +191,41 @@ func (n *node) collect(ctx context.Context, k model.Round) ([]model.Message, boo
 			}
 		case <-ticker.C():
 			// Suspect every unheard process whose timeout has expired
-			// this round (the detector measures from BeginRound on the
-			// cluster's clock).
-			n.detector.SuspectOverdue(n.cfg.N, n.id, heard)
+			// since this round began, on the cluster's clock.
+			found := n.detector.SuspectOverdue(n.cfg.N, n.id, heard, roundAt)
+			n.raised += found.Len()
+			n.overdue = n.overdue.Union(found)
 		}
 	}
 
 	delivered := append(roundMsgs, n.late...)
 	n.late = nil
-	sort.Slice(delivered, func(a, b int) bool {
-		if delivered[a].Round != delivered[b].Round {
-			return delivered[a].Round < delivered[b].Round
-		}
-		return delivered[a].From < delivered[b].From
-	})
+	sortReceived(delivered)
 	return delivered, true
+}
+
+// sortReceived orders a receive set by (Round, From) in place. An
+// insertion sort: the set holds a few rounds of at most n messages each,
+// and sort.Slice's closure and swapper cost more than the shifts on sets
+// this small.
+func sortReceived(msgs []model.Message) {
+	for i := 1; i < len(msgs); i++ {
+		m := msgs[i]
+		j := i
+		for ; j > 0 && (m.Round < msgs[j-1].Round ||
+			m.Round == msgs[j-1].Round && m.From < msgs[j-1].From); j-- {
+			msgs[j] = msgs[j-1]
+		}
+		msgs[j] = m
+	}
+}
+
+// suspected returns the peers this node does not wait for: its shared
+// detector's suspicions and its own overdue set. The detector shows a
+// suspicion only from the instant after it is raised; the overdue set
+// lets the node act on its own at once.
+func (n *node) suspected() model.PIDSet {
+	return n.detector.Suspected().Union(n.overdue)
 }
 
 // isDecide reports whether m carries a relayed decision.

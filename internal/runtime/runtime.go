@@ -17,14 +17,16 @@
 // process eventually decides. (The lockstep simulator keeps deciders
 // flooding; only the live node halts.)
 //
-// A Cluster executes one consensus instance; everything a Cluster owns —
-// round loops, algorithm state machines, timeout detectors, wait policy —
-// is instantiated per instance, while the transport endpoints underneath
-// may be shared. The service layer exploits exactly this split: it runs
-// many Clusters concurrently over virtual endpoints of a transport.Mux,
-// so every instance gets fresh per-shard state but all instances share
-// one set of sockets and mailboxes. Run is the whole lifecycle: its
-// nodes halt on their own, so it returns when the last member has.
+// A Cluster executes one consensus instance. Its round loops, algorithm
+// state machines and wait policy are instantiated per instance; the
+// transport endpoints and the timeout detectors underneath are process
+// state and may be shared. The service layer exploits exactly this
+// split: it runs many Clusters concurrently over virtual endpoints of a
+// transport.Mux and hands every one the same detector per hosted
+// process, so every instance gets fresh algorithm state but all
+// instances share one set of sockets and mailboxes and one view of which
+// peers are down. Run is the whole lifecycle: its nodes halt on their
+// own, so it returns when the last member has.
 //
 // The runtime is where indulgence becomes visible as an engineering
 // property: injected delays cause false suspicions and slow decisions but
@@ -42,10 +44,13 @@ import (
 	"indulgence/internal/chaos/clock"
 	"indulgence/internal/core"
 	"indulgence/internal/fd"
-	"indulgence/internal/metrics"
 	"indulgence/internal/model"
 	"indulgence/internal/transport"
 )
+
+// DefaultBaseTimeout is the initial per-process suspicion timeout when a
+// configuration leaves it zero.
+const DefaultBaseTimeout = 25 * time.Millisecond
 
 // Config describes a live cluster.
 type Config struct {
@@ -81,10 +86,12 @@ type Config struct {
 	// clock here, turning timeout behaviour into a deterministic
 	// function of the simulated schedule.
 	Clock clock.Clock
-	// Suspicions, when non-nil, is incremented once per suspicion event
-	// any member's timeout detector raises (trusted-to-suspected
-	// transitions). The service layer passes its per-group counter here.
-	Suspicions *metrics.Counter
+	// Detectors holds one failure detector per process, indexed like
+	// Endpoints. A detector is process state: the service passes the same
+	// one to every instance a hosted process runs, so what one instance
+	// learns ends the others' waits. A nil slice or nil entry gets a fresh
+	// detector on Clock from BaseTimeout, private to this cluster.
+	Detectors []*fd.TimeoutDetector
 }
 
 // NodeResult is one process's outcome.
@@ -100,10 +107,12 @@ type NodeResult struct {
 	Elapsed time.Duration
 	// Crashed reports whether the process was crash-injected.
 	Crashed bool
-	// Suspicions is the number of suspicion events this process's
-	// timeout detector raised by the time the result was reported — the
-	// trust signal the adaptive control plane aggregates per instance
-	// (0 in a synchronous trusted run).
+	// Suspicions is the trust signal the adaptive control plane
+	// aggregates per instance: the trusted-to-suspected transitions this
+	// node raised, plus the number of peers its detector still suspected
+	// when it halted. The second term keeps a suspicion carried in from an
+	// earlier instance visible, since a shared detector raises it only
+	// once. 0 in a synchronous trusted run.
 	Suspicions int
 }
 
@@ -132,7 +141,7 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.WaitPolicy = core.WaitUnsuspected
 	}
 	if cfg.BaseTimeout == 0 {
-		cfg.BaseTimeout = 25 * time.Millisecond
+		cfg.BaseTimeout = DefaultBaseTimeout
 	}
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = 256
@@ -164,8 +173,13 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("runtime: build algorithm for p%d: %w", id, err)
 		}
-		detector := fd.NewTimeoutDetectorClock(cfg.BaseTimeout, cfg.Clock)
-		detector.Instrument(cfg.Suspicions)
+		var detector *fd.TimeoutDetector
+		if i < len(cfg.Detectors) {
+			detector = cfg.Detectors[i]
+		}
+		if detector == nil {
+			detector = fd.NewTimeoutDetectorClock(cfg.BaseTimeout, cfg.Clock)
+		}
 		c.nodes[i] = &node{
 			id:        id,
 			cfg:       &c.cfg,

@@ -79,7 +79,7 @@ func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Ch
 		BaseTimeout: s.cfg.BaseTimeout,
 		MaxRounds:   s.cfg.MaxRounds,
 		Clock:       s.cfg.Clock,
-		Suspicions:  s.mSuspicions,
+		Detectors:   s.detectors,
 	})
 	if err != nil {
 		end()

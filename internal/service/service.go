@@ -5,9 +5,12 @@
 // assigns each batch to a fresh consensus instance, and runs up to
 // MaxInflight instances concurrently, each as its own runtime.Cluster
 // over virtual endpoints of per-process transport.Muxes. Every instance
-// therefore gets its own round loops, timeout detectors and wait policy,
-// while all instances share one set of physical connections — one Hub
-// mailbox or one TCP connection per ordered process pair.
+// therefore gets its own round loops and wait policy, while all
+// instances share one set of physical connections — one Hub mailbox or
+// one TCP connection per ordered process pair — and one failure detector
+// per hosted process, so a crashed peer is suspected once, not once per
+// instance. The detectors are per service, which in a sharded runtime
+// means per group.
 //
 // The decided value of an instance is, by validity, the proposal of one
 // of the batch's members (proposals are spread round-robin over the n
@@ -57,6 +60,7 @@ import (
 	"indulgence/internal/adapt"
 	"indulgence/internal/chaos/clock"
 	"indulgence/internal/core"
+	"indulgence/internal/fd"
 	"indulgence/internal/journal"
 	"indulgence/internal/metrics"
 	"indulgence/internal/model"
@@ -77,8 +81,8 @@ type Config struct {
 	Factory model.Factory
 	// WaitPolicy selects the receive discipline (default WaitUnsuspected).
 	WaitPolicy core.WaitPolicy
-	// BaseTimeout is the initial per-process suspicion timeout of every
-	// instance (default 25ms).
+	// BaseTimeout is the initial per-peer suspicion timeout of every
+	// hosted process's failure detector (default 25ms).
 	BaseTimeout time.Duration
 	// MaxRounds aborts an instance's node after this many rounds
 	// (default 256).
@@ -137,8 +141,8 @@ type Config struct {
 	Clock clock.Clock
 	// Metrics, when non-nil, registers the service's instruments on this
 	// registry, every series labelled with the service's group:
-	// proposal/decision/failure counters, suspicion events (threaded down
-	// to every instance's timeout detectors), proposal- and
+	// proposal/decision/failure counters, suspicion events (raised by the
+	// hosted processes' timeout detectors), proposal- and
 	// decision-latency histograms, and — the paper's price gap as a live
 	// series — indulgence_rounds_per_decision histograms per algorithm
 	// rung. The registry is shared with the adaptive control plane, and —
@@ -166,6 +170,9 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Linger == 0 {
 		cfg.Linger = 2 * time.Millisecond
+	}
+	if cfg.BaseTimeout == 0 {
+		cfg.BaseTimeout = runtime.DefaultBaseTimeout
 	}
 	if cfg.MaxInflight == 0 {
 		cfg.MaxInflight = 16
@@ -357,6 +364,12 @@ type Service struct {
 	nextInstance   uint64
 	claimedThrough uint64
 
+	// detectors holds one failure detector per hosted process, indexed by
+	// process ID − 1 (nil for remote processes): built once, on the
+	// service's clock, and handed to every instance, so a peer suspected
+	// in one instance is suspected in all of them.
+	detectors []*fd.TimeoutDetector
+
 	// slotMu guards active: the slots currently running here, which
 	// dedupes join signals against initiated and already-joined slots
 	// (filled only with a remote process; nil, so deletes are no-ops,
@@ -390,7 +403,6 @@ type Service struct {
 	mFailed       *metrics.Counter
 	mDecisions    *metrics.Counter
 	mInstFail     *metrics.Counter
-	mSuspicions   *metrics.Counter
 	mPropLat      *metrics.Histogram
 	mDecLat       *metrics.Histogram
 	algHist       map[string]*metrics.Histogram
@@ -566,8 +578,14 @@ func newService(cfg Config, hosted []model.ProcessID) (*Service, error) {
 		"consensus instances decided", labels...)
 	s.mInstFail = reg.Counter("indulgence_instance_failures_total",
 		"consensus instances that missed their decision", labels...)
-	s.mSuspicions = reg.Counter("indulgence_suspicions_total",
+	suspicions := reg.Counter("indulgence_suspicions_total",
 		"failure-detector suspicion events raised across the service's instances", labels...)
+	s.detectors = make([]*fd.TimeoutDetector, cfg.N)
+	for _, id := range hosted {
+		d := fd.NewTimeoutDetectorClock(cfg.BaseTimeout, cfg.Clock)
+		d.Instrument(suspicions)
+		s.detectors[id-1] = d
+	}
 	s.mPropLat = reg.Histogram("indulgence_proposal_latency_ns",
 		"proposal latency, enqueue to resolution, in nanoseconds", 1<<12, 1<<34, labels...)
 	s.mDecLat = reg.Histogram("indulgence_decision_latency_ns",
