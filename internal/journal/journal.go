@@ -24,12 +24,14 @@
 // # Durability and recovery contract
 //
 // The two record kinds carry two durability classes. Append (decisions)
-// returns only after an fsync, with every decision written inside one
-// group-commit window sharing that window's single fsync, so fsync
-// count scales with elapsed windows, not with decisions. AppendStart
-// (instance-ID claims) returns after its write completes, without
-// waiting for fsync: the in-flight frames a
-// start record guards against can only survive a process crash, which
+// returns only after an fsync. The writer takes no timer: it writes
+// whatever has queued, fsyncs once, and the decisions that queue during
+// that fsync form the next group (group commit). A lone decision is
+// fsynced at once, without waiting for company; under load the fsync's
+// own duration is the window, so fsyncs per decision fall as load
+// rises. AppendStart (instance-ID claims) returns after its write
+// completes, without waiting for fsync: the in-flight frames a start
+// record guards against can only survive a process crash, which
 // page-cache writes survive too, and a machine crash that could lose
 // the write also loses the frames — while every later decision fsync
 // makes earlier start writes durable as a side effect.
@@ -44,10 +46,12 @@
 package journal
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"syscall"
 	"time"
@@ -115,9 +119,12 @@ type Stats struct {
 	// (replayed at Open plus appended since); Decisions counts
 	// distinct instances.
 	Decisions, Starts, Traces int
-	// Appends counts entries appended by this process; Batches and
-	// Syncs count the group commits and fsyncs that carried them
-	// (Appends/Syncs is the group-commit fan-in).
+	// Appends counts entries appended by this process. Batches counts
+	// the group commits that resolved decisions; Syncs counts completed
+	// fsyncs, one per group commit plus one per segment rotation. The
+	// two differ otherwise only once the journal has failed: a group
+	// resolved by a latched write or fsync error is a batch without an
+	// fsync. Appends/Syncs is the group-commit fan-in.
 	Appends, Batches, Syncs int
 	// Segments is the number of segment files.
 	Segments int
@@ -130,15 +137,9 @@ type Stats struct {
 	SyncLatency stats.LatencySummary
 }
 
-// groupWindow is how long a decision append may wait for companions to
-// share its fsync (group commit), measured from the first pending
-// decision after the previous fsync. The window is what keeps fsync count
-// proportional to elapsed windows instead of to decisions when decisions
-// arrive slower than an fsync completes.
-const groupWindow = time.Millisecond
-
-// maxGroup bounds how many decisions one fsync may carry, purely as a
-// backstop against unbounded pending growth if a timer is ever starved.
+// maxGroup bounds how many decisions one fsync may carry: the writer
+// fsyncs early if its drain of intake never finds it empty, so appenders
+// that keep arriving cannot hold a group's durability back forever.
 const maxGroup = 1024
 
 // appendReq is one enqueued append waiting for persistence: a write for
@@ -162,9 +163,13 @@ type Journal struct {
 	// mu guards closed and the recovered/live state below; Append
 	// holds it for reading across the intake send so Close never
 	// closes the channel under a sender.
-	mu        sync.RWMutex
-	closed    bool
-	index     map[uint64]wire.DecisionRecord
+	mu     sync.RWMutex
+	closed bool
+	// index holds one record per decided instance, sorted by Instance:
+	// a map of the same records costs about twice the memory, and
+	// decisions arrive nearly in instance order (replay almost exactly,
+	// live ones at most about the service's inflight bound apart).
+	index     []wire.DecisionRecord
 	frontier  uint64
 	appends   int
 	batches   int
@@ -217,7 +222,6 @@ func Open(dir string, opts Options) (*Journal, error) {
 		lockFile:   lock,
 		intake:     make(chan appendReq, 256),
 		writerDone: make(chan struct{}),
-		index:      make(map[uint64]wire.DecisionRecord),
 		syncLat:    stats.NewReservoirSeeded[time.Duration](1<<14, 0x6a6f75726e616c), // "journal"
 	}
 	kind := func(k string) []metrics.Label {
@@ -275,9 +279,10 @@ func Open(dir string, opts Options) (*Journal, error) {
 func (j *Journal) Dir() string { return j.dir }
 
 // Append makes the decision record rec durable and returns once it is
-// fsynced (or the write failed). Concurrent appends share one fsync
-// when they land within the same group-commit window, so durability
-// costs one fsync per batch, not per decision.
+// fsynced (or the write failed). An append that finds the writer idle
+// is fsynced at once; appends that queue while an fsync runs share the
+// next one, so under load durability costs one fsync per group, not per
+// decision.
 func (j *Journal) Append(rec wire.DecisionRecord) error {
 	return j.append(Entry{Decision: rec}, true)
 }
@@ -337,8 +342,13 @@ func (j *Journal) append(e Entry, sync bool) error {
 func (j *Journal) Get(instance uint64) (wire.DecisionRecord, bool) {
 	j.mu.RLock()
 	defer j.mu.RUnlock()
-	rec, ok := j.index[instance]
-	return rec, ok
+	i, ok := slices.BinarySearchFunc(j.index, instance, func(r wire.DecisionRecord, instance uint64) int {
+		return cmp.Compare(r.Instance, instance)
+	})
+	if !ok {
+		return wire.DecisionRecord{}, false
+	}
+	return j.index[i], true
 }
 
 // Frontier returns 1 + the highest journaled instance ID (0 when the
@@ -393,30 +403,21 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// writer is the single disk-writing goroutine. Every append is written
-// to the segment as it arrives; start appends resolve right after their
-// write, while decision appends join the pending group commit. The
-// first pending decision opens a group-commit window
-// (groupWindow); every decision written before it closes shares
-// the one fsync taken at its close, so fsync count scales with elapsed
-// windows, not with decisions — a decision's durability latency is
-// bounded by one window plus one fsync.
+// writer is the single disk-writing goroutine. It blocks for one append,
+// then drains intake without blocking, writing each append to the
+// segment as it arrives: start appends resolve right after their write,
+// decision appends join the pending group. Once intake is empty it
+// fsyncs the group once and resolves it. Appends that arrive during
+// that fsync queue in intake and form the next group, so the group size
+// is set by the fsync's duration, not by a timer — a decision's
+// durability latency is at most the fsync in progress plus its own.
 func (j *Journal) writer() {
 	defer close(j.writerDone)
 	var (
 		pending []appendReq // written decisions awaiting their fsync
 		fatal   error       // first disk error; latches the journal failed
-		windowT *time.Timer
-		windowC <-chan time.Time
 	)
-	stopWindow := func() {
-		if windowT != nil {
-			windowT.Stop()
-			windowT, windowC = nil, nil
-		}
-	}
 	flush := func() {
-		stopWindow()
 		if len(pending) == 0 {
 			return
 		}
@@ -444,54 +445,56 @@ func (j *Journal) writer() {
 		}
 		pending = pending[:0]
 	}
-	for {
-		select {
-		case req, ok := <-j.intake:
-			if !ok {
-				flush()
-				return
-			}
-			if fatal != nil {
-				req.done <- fatal
-				continue
-			}
-			if err := j.write(req.entry); err != nil {
-				// A failed write may have left a partial frame in the
-				// segment: every frame appended after it would sit past
-				// the torn point and be silently dropped by recovery
-				// even if fsynced — an acknowledged-but-unrecoverable
-				// record. Latch the error so every later append fails
-				// instead, after one last fsync attempt for the intact
-				// frames already pending (they precede the tear).
-				fatal = err
-				flush()
-				req.done <- err
-				continue
-			}
-			if req.sync && !j.opts.NoSync {
-				pending = append(pending, req)
-				if len(pending) == 1 {
-					windowT = time.NewTimer(groupWindow)
-					windowC = windowT.C
-				}
-				if len(pending) >= maxGroup {
-					flush()
-				}
-				continue
-			}
-			// Start records (and every append under NoSync) resolve at
-			// write completion.
-			j.mu.Lock()
-			j.appends++
-			j.publish(req.entry)
-			j.mu.Unlock()
-			if j.opts.OnAppend != nil {
-				j.opts.OnAppend(req.entry)
-			}
-			req.done <- nil
-		case <-windowC:
-			windowT, windowC = nil, nil
+	take := func(req appendReq) {
+		if fatal != nil {
+			req.done <- fatal
+			return
+		}
+		if err := j.write(req.entry); err != nil {
+			// A failed write may have left a partial frame in the
+			// segment: every frame appended after it would sit past the
+			// torn point and be silently dropped by recovery even if
+			// fsynced — an acknowledged-but-unrecoverable record. Latch
+			// the error so every later append fails instead, after one
+			// last fsync attempt for the intact frames already pending
+			// (they precede the tear).
+			fatal = err
 			flush()
+			req.done <- err
+			return
+		}
+		if req.sync && !j.opts.NoSync {
+			pending = append(pending, req)
+			if len(pending) >= maxGroup {
+				flush()
+			}
+			return
+		}
+		// Start records (and every append under NoSync) resolve at write
+		// completion.
+		j.mu.Lock()
+		j.appends++
+		j.publish(req.entry)
+		j.mu.Unlock()
+		if j.opts.OnAppend != nil {
+			j.opts.OnAppend(req.entry)
+		}
+		req.done <- nil
+	}
+	for {
+		req, open := <-j.intake // block for the group's first append
+	drain:
+		for open {
+			take(req)
+			select {
+			case req, open = <-j.intake:
+			default:
+				break drain
+			}
+		}
+		flush()
+		if !open {
+			return
 		}
 	}
 }
@@ -531,12 +534,28 @@ func (j *Journal) publish(e Entry) {
 	case e.Start:
 		j.mStarts.Inc()
 	default:
-		j.index[e.Decision.Instance] = e.Decision
+		j.index = insertSorted(j.index, e.Decision)
 		j.mDecisions.Inc()
 	}
 	if e.Instance() >= j.frontier {
 		j.frontier = e.Instance() + 1
 	}
+}
+
+// insertSorted places rec in index, which is sorted by Instance, and
+// returns the index. It walks back from the tail, where nearly every
+// decision lands; a record of an instance already present replaces it
+// (the last journaled record of an instance wins).
+func insertSorted(index []wire.DecisionRecord, rec wire.DecisionRecord) []wire.DecisionRecord {
+	i := len(index)
+	for i > 0 && index[i-1].Instance > rec.Instance {
+		i--
+	}
+	if i > 0 && index[i-1].Instance == rec.Instance {
+		index[i-1] = rec
+		return index
+	}
+	return slices.Insert(index, i, rec)
 }
 
 // recordSync accounts one fsync; the stats lock guards the sample.

@@ -2,10 +2,12 @@ package journal
 
 import (
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"indulgence/internal/model"
 	"indulgence/internal/wire"
@@ -306,7 +308,7 @@ func TestMidJournalCorruptionFails(t *testing.T) {
 
 // TestConcurrentAppendsGroupCommit checks the group-commit fan-in:
 // concurrent appenders all become durable, the index is complete, and
-// fsyncs number well below appends.
+// fsyncs number below appends (some fsync carried more than one).
 func TestConcurrentAppendsGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{})
@@ -338,7 +340,7 @@ func TestConcurrentAppendsGroupCommit(t *testing.T) {
 	if st.Appends != workers*each || j.Len() != workers*each {
 		t.Fatalf("stats = %+v, len = %d", st, j.Len())
 	}
-	if st.Syncs != st.Batches || st.Batches > st.Appends {
+	if st.Syncs != st.Batches || st.Syncs >= st.Appends {
 		t.Fatalf("%d syncs / %d batches / %d appends: group commit broken",
 			st.Syncs, st.Batches, st.Appends)
 	}
@@ -349,6 +351,127 @@ func TestConcurrentAppendsGroupCommit(t *testing.T) {
 	if len(recs) != workers*each {
 		t.Fatalf("replayed %d of %d", len(recs), workers*each)
 	}
+}
+
+// TestGroupCommitDrainsIntake pins the timerless group commit: the
+// appends that queue while the writer is busy are written and fsynced
+// together, exactly once, and a lone append on an idle journal costs
+// exactly one fsync — it waits for no company.
+func TestGroupCommitDrainsIntake(t *testing.T) {
+	const k = 16
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	j, err := Open(t.TempDir(), Options{OnAppend: func(Entry) {
+		once.Do(func() { close(held); <-release })
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = j.Close() }()
+	first := make(chan error, 1)
+	go func() { first <- j.Append(rec(0)) }()
+	<-held // append #1 is durable; the writer is parked in its hook
+	before := j.Snapshot()
+	if before.Syncs != 1 || before.Batches != 1 || before.Appends != 1 {
+		t.Fatalf("after the first append: %+v", before)
+	}
+	errs := make(chan error, k)
+	for i := uint64(1); i <= k; i++ {
+		go func() { errs <- j.Append(rec(i)) }()
+	}
+	for len(j.intake) < k {
+		time.Sleep(50 * time.Microsecond)
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	for range k {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	group := j.Snapshot()
+	if group.Syncs-before.Syncs != 1 || group.Batches-before.Batches != 1 || group.Appends != k+1 {
+		t.Fatalf("%d queued appends took %d fsyncs in %d batches, want 1 and 1 (stats %+v)",
+			k, group.Syncs-before.Syncs, group.Batches-before.Batches, group)
+	}
+	if err := j.Append(rec(k + 1)); err != nil {
+		t.Fatal(err)
+	}
+	lone := j.Snapshot()
+	if lone.Syncs-group.Syncs != 1 || lone.Batches-group.Batches != 1 {
+		t.Fatalf("a lone append took %d fsyncs in %d batches, want 1 and 1",
+			lone.Syncs-group.Syncs, lone.Batches-group.Batches)
+	}
+	if j.Len() != k+2 {
+		t.Fatalf("len = %d, want %d", j.Len(), k+2)
+	}
+}
+
+// TestIndexMatchesMapOracle drives the sorted decision index through
+// Append in the orders it must absorb — permutations within a 32-wide
+// window (live decisions finish out of order by up to the inflight
+// bound), duplicate instances (the last record wins) and one instance
+// far below the tail — and checks Get, Len and Frontier against a map,
+// live and again after reopening.
+func TestIndexMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const blocks, width = 8, 32
+	// Instances are 6, 9, 12, ...: every record has a miss on each side.
+	var order []wire.DecisionRecord
+	for b := range blocks {
+		for _, p := range rng.Perm(width) {
+			order = append(order, rec(uint64(6+3*(b*width+p))))
+		}
+	}
+	for i := range 20 {
+		dup := order[rng.Intn(len(order))]
+		dup.Value += model.Value(1000 + i)
+		order = append(order, dup)
+	}
+	order = append(order, rec(10))
+
+	dir := t.TempDir()
+	j, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := map[uint64]wire.DecisionRecord{}
+	var top uint64
+	for _, r := range order {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		oracle[r.Instance] = r
+		top = max(top, r.Instance)
+	}
+	check := func(j *Journal, when string) {
+		t.Helper()
+		for i := uint64(0); i <= top+8; i++ {
+			got, ok := j.Get(i)
+			want, wantOK := oracle[i]
+			if ok != wantOK || got != want {
+				t.Fatalf("%s: Get(%d) = %+v, %v; want %+v, %v", when, i, got, ok, want, wantOK)
+			}
+		}
+		if j.Len() != len(oracle) || j.Snapshot().Decisions != len(oracle) {
+			t.Fatalf("%s: len %d, decisions %d, want %d", when, j.Len(), j.Snapshot().Decisions, len(oracle))
+		}
+		if j.Frontier() != top+1 {
+			t.Fatalf("%s: frontier %d, want %d", when, j.Frontier(), top+1)
+		}
+	}
+	check(j, "live")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = j2.Close() }()
+	check(j2, "reopened")
 }
 
 func TestAppendAfterClose(t *testing.T) {
