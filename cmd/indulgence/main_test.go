@@ -2,12 +2,15 @@ package main
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +18,7 @@ import (
 	"indulgence"
 	"indulgence/internal/check"
 	"indulgence/internal/core"
+	"indulgence/internal/journal"
 	"indulgence/internal/model"
 	"indulgence/internal/service"
 	"indulgence/internal/shard"
@@ -262,7 +266,7 @@ func TestServeJournalAndReplay(t *testing.T) {
 	if err := run([]string{"replay", "-journal", peerDir, "-traces"}); err != nil {
 		t.Fatalf("replay -traces of a member journal: %v", err)
 	}
-	hist, err := shard.ReplayDir(peerDir, 1)
+	hist, err := shard.ReplayDir(peerDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,34 +297,92 @@ func TestBenchServiceJournal(t *testing.T) {
 }
 
 // TestServeShardSubcommand is the CLI tour of sharding: two sharded
-// serve lifetimes share one journal root, each group journals its own
-// subdirectory, every group's journal replays and audits on its own,
-// and the merged stream passes the cross-group audit.
+// serve lifetimes share one journal, which replays and passes the
+// cross-group audit with decisions of both groups on file. A root in the
+// retired per-group layout is refused by serve and by replay, while one
+// of its group-NNNN subdirectories still replays and audits on its own.
 func TestServeShardSubcommand(t *testing.T) {
 	const groups = 2
 	dir := t.TempDir() + "/journal"
 	common := []string{"-n", "3", "-t", "1", "-timeout", "10ms", "-batch", "2",
-		"-linger", "5ms", "-groups", "2", "-journal", dir}
-	if err := serveWithStdin(t, "1\n2\n3\n4\n", common...); err != nil {
+		"-linger", "5ms", "-groups", "2"}
+	if err := serveWithStdin(t, "1\n2\n3\n4\n", append(common, "-journal", dir)...); err != nil {
 		t.Fatalf("first sharded serve lifetime: %v", err)
 	}
-	if err := serveWithStdin(t, "5\n6\n", common...); err != nil {
+	if err := serveWithStdin(t, "5\n6\n", append(common, "-journal", dir)...); err != nil {
 		t.Fatalf("second sharded serve lifetime: %v", err)
 	}
-	for g := 0; g < groups; g++ {
-		if err := run([]string{"replay", "-journal", shard.GroupDir(dir, g, groups)}); err != nil {
-			t.Fatalf("replay group %d: %v", g, err)
-		}
+	if err := run([]string{"replay", "-journal", dir}); err != nil {
+		t.Fatalf("replay: %v", err)
 	}
-	hist, err := shard.ReplayDir(dir, groups)
+	hist, err := shard.ReplayDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hist.Records) == 0 {
-		t.Fatal("sharded serve journaled no decisions")
+	seen := make(map[uint64]bool)
+	for _, r := range hist.Records {
+		seen[r.Group] = true
+	}
+	if len(seen) != groups {
+		t.Fatalf("the shared journal holds decisions of %d groups, want %d", len(seen), groups)
 	}
 	if rep := check.Replay(hist.Records, hist.Starts, nil); !rep.OK() {
 		t.Fatalf("cross-group audit failed: %v", rep.Violations)
+	}
+
+	// The retired layout: group g of 2 journaled alone in root/group-000g.
+	root := t.TempDir()
+	for g := 0; g < groups; g++ {
+		writeGroupJournal(t, filepath.Join(root, fmt.Sprintf("group-%04d", g)), g, groups)
+	}
+	if err := serveWithStdin(t, "1\n", append(common, "-journal", root)...); !errors.Is(err, shard.ErrGroupLayout) {
+		t.Fatalf("serve on a per-group root: %v, want ErrGroupLayout", err)
+	}
+	if err := run([]string{"replay", "-journal", root}); !errors.Is(err, shard.ErrGroupLayout) {
+		t.Fatalf("replay of a per-group root: %v, want ErrGroupLayout", err)
+	}
+	if err := run([]string{"replay", "-journal", filepath.Join(root, "group-0001")}); err != nil {
+		t.Fatalf("replay of one per-group subdirectory: %v", err)
+	}
+}
+
+// writeGroupJournal journals a few decisions of group g of groups into
+// dir, as one group of a runtime of the retired per-group layout did: a
+// group service alone on its own journal.
+func writeGroupJournal(t *testing.T, dir string, g, groups int) {
+	t.Helper()
+	jn, err := journal.Open(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = jn.Close() }()
+	hub, err := transport.NewHub(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = hub.Close() }()
+	eps := make([]transport.Transport, 3)
+	for i := range eps {
+		if eps[i], err = hub.Endpoint(model.ProcessID(i + 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc, err := service.New(service.Config{N: 3, T: 1, Factory: core.New(core.Options{}),
+		BaseTimeout: 10 * time.Millisecond, Journal: jn, Group: uint64(g), Groups: groups}, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range 3 {
+		fut, err := svc.Propose(context.Background(), model.Value(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fut.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -340,8 +402,8 @@ func TestBenchServiceShardSubcommand(t *testing.T) {
 // TestOneReportEveryGroupCount runs serve and bench-service at one group
 // and at three through one table: the group count is a parameter value,
 // so the same rows — summed counters, per-group distributions, the
-// control plane's under -adaptive, the journals' under -journal — must
-// be there at every G, and two lifetimes must share a journal root.
+// control plane's under -adaptive, the one journal's under -journal —
+// must be there at every G, and two lifetimes must share a journal.
 func TestOneReportEveryGroupCount(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -352,15 +414,15 @@ func TestOneReportEveryGroupCount(t *testing.T) {
 	}{
 		{name: "serve", stdin: "1\n2\n3\n4\n5\n6\n",
 			args: []string{"serve", "-n", "3", "-t", "1", "-timeout", "10ms", "-batch", "2", "-linger", "5ms"},
-			want: []string{"served 6 proposals", "resuming at instance", "journal group 0:"}},
+			want: []string{"served 6 proposals", "resuming at instance", "decisions durable over"}},
 		{name: "serve adaptive", stdin: "1\n2\n3\n",
 			args: []string{"serve", "-n", "3", "-t", "1", "-timeout", "10ms", "-adaptive"},
 			want: []string{"served 3 proposals", "control plane:", "selector transitions", "final batch ≤"}},
 		{name: "bench",
 			args: []string{"bench-service", "-n", "3", "-t", "1", "-proposals", "48", "-clients", "12",
 				"-batch", "4", "-inflight", "8", "-timeout", "5ms", "-segment-bytes", "4096"},
-			want: []string{"proposals resolved", "proposals/sec", "proposals shed (overload)", "check violations"},
-			perG: []string{"load", "latency", "decision / round latency p50", "rounds min..max (t+2 floor)", "journal"}},
+			want: []string{"proposals resolved", "proposals/sec", "proposals shed (overload)", "check violations", "fsyncs (group commits)"},
+			perG: []string{"load", "latency", "decision / round latency p50", "rounds min..max (t+2 floor)"}},
 		{name: "bench adaptive",
 			args: []string{"bench-service", "-n", "3", "-t", "1", "-proposals", "48", "-clients", "12",
 				"-timeout", "5ms", "-adaptive", "-burst", "16", "-burst-idle", "10ms"},
@@ -371,8 +433,8 @@ func TestOneReportEveryGroupCount(t *testing.T) {
 		{name: "bench burst",
 			args: []string{"bench-service", "-n", "3", "-t", "1", "-proposals", "9", "-clients", "2",
 				"-timeout", "5ms", "-burst", "4", "-burst-idle", "5ms"},
-			want: []string{"2 clients", "bursts of 4 every 5ms", "proposals resolved 9", "proposals shed (overload) 0", "check violations 0"},
-			perG: []string{"load", "latency", "journal"}},
+			want: []string{"2 clients", "bursts of 4 every 5ms", "proposals resolved 9", "proposals shed (overload) 0", "check violations 0", "fsyncs (group commits)"},
+			perG: []string{"load", "latency"}},
 	}
 	for _, tc := range cases {
 		for _, groups := range []int{1, 3} {
@@ -407,7 +469,10 @@ func TestOneReportEveryGroupCount(t *testing.T) {
 						}
 					}
 				}
-				hist, err := shard.ReplayDir(dir, groups)
+				if n := strings.Count(out, "durable"); n != 1 {
+					t.Errorf("%d journal summaries, want one for every G:\n%s", n, out)
+				}
+				hist, err := shard.ReplayDir(dir)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -410,10 +410,10 @@ func cmdCluster(args []string) error {
 	var records []wire.DecisionRecord
 	var starts []wire.StartRecord
 	for i := 1; i <= *n; i++ {
-		// Every group journal of the member in one stream, so
+		// The member's one journal carries every group, so
 		// check.Replay's cross-group instance audit sees it whole.
 		dir := filepath.Join(base, fmt.Sprintf("p%d", i))
-		hist, err := shard.ReplayDir(dir, *groups)
+		hist, err := shard.ReplayDir(dir)
 		if err != nil {
 			return fmt.Errorf("cluster: replay %s: %w", dir, err)
 		}

@@ -37,10 +37,10 @@ func cmdReplay(args []string) error {
 		return fmt.Errorf("replay: -journal is required")
 	}
 
-	// The directory is read as a one-group journal root (shard.GroupDir's
-	// layout rule): what serve -journal DIR writes at -groups 1, or one
-	// group-NNNN subdirectory of a wider runtime audited on its own.
-	hist, err := shard.ReplayDir(*dir, 1)
+	// The directory is one journal: what serve -journal DIR writes at any
+	// -groups, or one group-NNNN subdirectory of the retired per-group
+	// layout audited on its own.
+	hist, err := shard.ReplayDir(*dir)
 	if err != nil {
 		return err
 	}

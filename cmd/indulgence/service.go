@@ -117,7 +117,7 @@ func newServiceFlags(fs *flag.FlagSet) serviceFlags {
 
 		metricsAddr: fs.String("metrics-addr", "", "ops endpoint address (host:port or :port) serving /metrics, /metrics.json and /debug/pprof (empty = off)"),
 
-		groups:    fs.Int("groups", 1, "consensus groups multiplexed over the shared transport (each owns a strided instance-ID slice and its own journal subdirectory)"),
+		groups:    fs.Int("groups", 1, "consensus groups multiplexed over the shared transport and journal (each owns a strided instance-ID slice)"),
 		placement: fs.String("placement", "round-robin", "proposal placement across groups: round-robin, least-loaded or key-affinity"),
 
 		adaptive:      fs.Bool("adaptive", false, "attach the feedback control plane: batch/linger tuned from observed latency and backlog, overload shed with a typed error"),
@@ -162,7 +162,8 @@ func (f serviceFlags) adaptConfig(selectAlgos bool) *adapt.Config {
 // one (serve -peers) — plus what was built underneath it.
 type started struct {
 	rt      *shard.Runtime
-	hub     *transport.Hub // memory transport only (delay injection)
+	journal *journal.Journal // nil without -journal
+	hub     *transport.Hub   // memory transport only (delay injection)
 	cleanup func()
 }
 
@@ -219,14 +220,20 @@ func (f serviceFlags) start() (*started, error) {
 }
 
 // startOn starts the runtime that hosts the processes behind eps, with
-// the ops endpoint -metrics-addr and the journals -journal ask for.
+// the ops endpoint -metrics-addr and the journal -journal ask for.
 // cleanup releases what the caller built underneath; startOn runs it on
-// failure and extends it with the ops endpoint's close on success.
+// failure, and on success extends it to close the runtime, then the
+// journal its groups share, then the ops endpoint first.
 func (f serviceFlags) startOn(cfg service.Config, policy shard.Policy, eps []transport.Transport, cleanup func()) (*started, error) {
 	s := &started{cleanup: cleanup}
+	// then runs release before what cleanup already releases.
+	then := func(release func()) {
+		below := s.cleanup
+		s.cleanup = func() { release(); below() }
+	}
 	if *f.metricsAddr != "" {
 		// One registry spans the whole runtime — every group's service,
-		// control plane and journal registers on it — so one scrape
+		// control plane and the journal register on it — so one scrape
 		// shows the full picture.
 		cfg.Metrics = metrics.NewRegistry()
 		ops, err := metrics.ServeOps(*f.metricsAddr, cfg.Metrics)
@@ -234,23 +241,24 @@ func (f serviceFlags) startOn(cfg service.Config, policy shard.Policy, eps []tra
 			cleanup()
 			return nil, fmt.Errorf("ops endpoint: %w", err)
 		}
-		s.cleanup = func() {
-			_ = ops.Close()
-			cleanup()
-		}
+		then(func() { _ = ops.Close() })
 		fmt.Printf("ops: http://%s/metrics (Prometheus text), /metrics.json (snapshot), /debug/pprof\n", ops.Addr())
 	}
-	rt, err := shard.New(shard.Config{
-		Service:        cfg,
-		Groups:         *f.groups,
-		Placement:      policy,
-		JournalDir:     *f.journal,
-		JournalOptions: journal.Options{SegmentBytes: *f.segment},
-	}, eps)
+	if *f.journal != "" {
+		jn, err := journal.Open(*f.journal, journal.Options{SegmentBytes: *f.segment, Metrics: cfg.Metrics})
+		if err != nil {
+			s.cleanup()
+			return nil, err
+		}
+		then(func() { _ = jn.Close() })
+		s.journal, cfg.Journal = jn, jn
+	}
+	rt, err := shard.New(shard.Config{Service: cfg, Groups: *f.groups, Placement: policy}, eps)
 	if err != nil {
 		s.cleanup()
 		return nil, err
 	}
+	then(func() { _ = rt.Close() })
 	s.rt = rt
 	return s, nil
 }
@@ -332,12 +340,13 @@ func cmdServe(args []string) error {
 }
 
 // serve is what both serve modes do once their runtime is up and
-// announced: report what the journals recovered, pump stdin proposals
+// announced: report what the journal recovered, pump stdin proposals
 // until EOF, drain, and summarize — counters summed across groups,
 // latency per group (percentiles do not merge). Any live consensus
 // violation is a non-zero exit.
 func (s *started) serve(adaptive bool) error {
-	for _, jn := range s.rt.Journals() {
+	jn := s.journal
+	if jn != nil {
 		st := jn.Snapshot()
 		fmt.Printf("journal: %s — recovered %d decisions (+%d starts), resuming at instance %d",
 			jn.Dir(), st.Decisions, st.Starts, st.Frontier)
@@ -366,10 +375,10 @@ func (s *started) serve(adaptive bool) error {
 			fmt.Printf("  group %d: final batch ≤ %d linger %s\n", g, st.Control.Batch, st.Control.Linger)
 		}
 	}
-	for g, jn := range s.rt.Journals() {
+	if jn != nil {
 		js := jn.Snapshot()
-		fmt.Printf("journal group %d: %d decisions durable over %d fsyncs; fsync %s\n",
-			g, js.Decisions, js.Syncs, js.SyncLatency)
+		fmt.Printf("journal: %d decisions durable over %d fsyncs; fsync %s\n",
+			js.Decisions, js.Syncs, js.SyncLatency)
 	}
 	return violationsErr(roll.Violations, scanErr)
 }
@@ -495,7 +504,11 @@ func cmdBenchService(args []string) error {
 		table.AddRowf("selector transitions", roll.Transitions)
 		table.AddRowf("algorithms", formatAlgs(roll.Algorithms))
 	}
-	journals := s.rt.Journals()
+	if s.journal != nil {
+		js := s.journal.Snapshot()
+		table.AddRowf("journal", fmt.Sprintf("%d decisions durable / %d fsyncs (group commits), fsync p99 %s, %d segments",
+			js.Decisions, js.Syncs, us(js.SyncLatency.P99), js.Segments))
+	}
 	for g, st := range roll.Groups {
 		row := func(metric, format string, args ...any) {
 			table.AddRowf(fmt.Sprintf("group %d %s", g, metric), fmt.Sprintf(format, args...))
@@ -507,11 +520,6 @@ func cmdBenchService(args []string) error {
 		row("rounds min..max (t+2 floor)", "%d..%d (%d)", st.Rounds.Min, st.Rounds.Max, *f.t+2)
 		if *f.adaptive {
 			row("effective batch / linger (final)", "%d / %s", st.Control.Batch, st.Control.Linger)
-		}
-		if journals != nil {
-			js := journals[g].Snapshot()
-			row("journal", "%d decisions durable / %d fsyncs (group commits), fsync p99 %s, %d segments",
-				js.Decisions, js.Syncs, us(js.SyncLatency.P99), js.Segments)
 		}
 	}
 	table.Render(os.Stdout)

@@ -36,7 +36,7 @@ func TestRunMetricsSnapshot(t *testing.T) {
 		"indulgence_resolved_total{group=\"0\"} 8",
 		"indulgence_rounds_per_decision_bucket{alg=\"A_t+2\",group=\"0\",le=",
 		"indulgence_decision_latency_ns_count{group=\"0\"}",
-		"indulgence_journal_entries_total{group=\"0\",kind=\"decision\"}",
+		"indulgence_journal_entries_total{kind=\"decision\"}",
 	} {
 		if !strings.Contains(r.Metrics, series) {
 			t.Errorf("snapshot missing %q\nsnapshot:\n%s", series, r.Metrics)

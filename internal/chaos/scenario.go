@@ -120,9 +120,10 @@ type Scenario struct {
 	Horizon time.Duration
 	// Groups is the scenario's consensus group count on the runtime
 	// under test (internal/shard): proposals placed round-robin, every
-	// group journaling and audited on its own (shard.GroupDir has the
-	// directory layout). 0 means 1; the field is omitted from the JSON
-	// encoding when 0, so specs that predate it replay byte-identically.
+	// group audited live on its own and appending to the run's one
+	// journal, which is audited across groups. 0 means 1; the field is
+	// omitted from the JSON encoding when 0, so specs that predate it
+	// replay byte-identically.
 	Groups int `json:",omitempty"`
 	// Workload, when set, replaces the fixed wave load with a generated
 	// workload (internal/workload): every generated event is submitted

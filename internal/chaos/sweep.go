@@ -176,15 +176,17 @@ func run(sc Scenario, events []workload.Event, opts Options) Result {
 	if sc.Adaptive {
 		cfg.Adaptive = &adapt.Config{Classes: sc.Classes}
 	}
-	// The runtime under test, one group or many. NoSync on every journal:
-	// it is an audit trail here, not a durability promise, and fsync
-	// stalls would leak wall time into the virtual schedule.
-	rt, err := shard.New(shard.Config{
-		Service:        cfg,
-		Groups:         sc.Groups,
-		JournalDir:     dir,
-		JournalOptions: journal.Options{NoSync: true},
-	}, fab.Endpoints)
+	// The runtime under test, one group or many, over one journal. NoSync:
+	// the journal is an audit trail here, not a durability promise, and
+	// fsync stalls would leak wall time into the virtual schedule.
+	jn, err := journal.Open(dir, journal.Options{NoSync: true, Metrics: reg})
+	if err != nil {
+		res.Err = err
+		return res
+	}
+	defer jn.Close()
+	cfg.Journal = jn
+	rt, err := shard.New(shard.Config{Service: cfg, Groups: sc.Groups}, fab.Endpoints)
 	if err != nil {
 		res.Err = err
 		return res
@@ -217,10 +219,10 @@ func run(sc Scenario, events []workload.Event, opts Options) Result {
 	// Audit 1: every group's own live check.Instance findings.
 	res.Violations = append(res.Violations, rt.Snapshot().Violations...)
 
-	// Audit 2: replay the journals against the futures' view — every
+	// Audit 2: replay the journal against the futures' view — every
 	// group in one stream, which arms check.Replay's cross-group
 	// instance audit.
-	hist, err := shard.ReplayDir(dir, rt.Groups())
+	hist, err := shard.ReplayDir(dir)
 	if err != nil {
 		res.Err = fmt.Errorf("chaos: replay journal: %w", err)
 		return res

@@ -165,8 +165,8 @@ func Instance(decisions []model.OptValue, proposals []model.Value, crashed model
 // instance ID belongs to exactly one consensus group (the strided
 // allocation makes the spaces disjoint), so an instance claimed or
 // decided under two different groups — across the claims and records
-// of every journal fed to one Replay call, such as all group journals
-// of one member — means two groups ran the same instance ID and is
+// of every journal fed to one Replay call, such as the one journal all
+// groups of a member share — means two groups ran the same instance ID and is
 // flagged as an agreement violation (pre-group records carry group 0,
 // the compatibility group, and conflict only with records of other
 // groups). Class tags are audited the same way: two records of one

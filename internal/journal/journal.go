@@ -91,13 +91,10 @@ type Options struct {
 	OnAppend func(Entry)
 	// Metrics, when non-nil, registers the journal's instruments on
 	// this registry (entries by kind, fsync count and latency, segment
-	// count), labelled with MetricsLabels — the sharded runtime passes
-	// its group label here. Entry counters include the entries
-	// replayed at Open, so a recovered journal's series resume at
-	// their true totals.
+	// count). They carry no group label: one journal serves every group
+	// of a process. Entry counters include the entries replayed at Open,
+	// so a recovered journal's series resume at their true totals.
 	Metrics *metrics.Registry
-	// MetricsLabels are attached to every series Metrics registers.
-	MetricsLabels []metrics.Label
 }
 
 // withDefaults returns o with zero fields replaced by defaults.
@@ -224,19 +221,17 @@ func Open(dir string, opts Options) (*Journal, error) {
 		writerDone: make(chan struct{}),
 		syncLat:    stats.NewReservoirSeeded[time.Duration](1<<14, 0x6a6f75726e616c), // "journal"
 	}
-	kind := func(k string) []metrics.Label {
-		return append([]metrics.Label{{Key: "kind", Value: k}}, opts.MetricsLabels...)
-	}
+	kind := func(k string) metrics.Label { return metrics.Label{Key: "kind", Value: k} }
 	const entriesHelp = "intact journal entries by record kind, replayed at open plus appended since"
-	j.mDecisions = opts.Metrics.Counter("indulgence_journal_entries_total", entriesHelp, kind("decision")...)
-	j.mStarts = opts.Metrics.Counter("indulgence_journal_entries_total", entriesHelp, kind("start")...)
-	j.mTraces = opts.Metrics.Counter("indulgence_journal_entries_total", entriesHelp, kind("trace")...)
+	j.mDecisions = opts.Metrics.Counter("indulgence_journal_entries_total", entriesHelp, kind("decision"))
+	j.mStarts = opts.Metrics.Counter("indulgence_journal_entries_total", entriesHelp, kind("start"))
+	j.mTraces = opts.Metrics.Counter("indulgence_journal_entries_total", entriesHelp, kind("trace"))
 	j.mSyncs = opts.Metrics.Counter("indulgence_journal_fsyncs_total",
-		"fsyncs taken by the journal writer (group commits)", opts.MetricsLabels...)
+		"fsyncs taken by the journal writer (group commits)")
 	j.mSyncNs = opts.Metrics.Histogram("indulgence_journal_fsync_ns",
-		"fsync wall-clock latency in nanoseconds", 1<<12, 1<<30, opts.MetricsLabels...)
+		"fsync wall-clock latency in nanoseconds", 1<<12, 1<<30)
 	j.mSegments = opts.Metrics.Gauge("indulgence_journal_segments",
-		"segment files in the journal directory", opts.MetricsLabels...)
+		"segment files in the journal directory")
 
 	fail := func(err error) (*Journal, error) {
 		_ = lock.Close() // closing the fd drops the flock

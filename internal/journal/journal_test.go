@@ -356,9 +356,12 @@ func TestConcurrentAppendsGroupCommit(t *testing.T) {
 // TestGroupCommitDrainsIntake pins the timerless group commit: the
 // appends that queue while the writer is busy are written and fsynced
 // together, exactly once, and a lone append on an idle journal costs
-// exactly one fsync — it waits for no company.
+// exactly one fsync — it waits for no company. The queued decisions
+// belong to three consensus groups (group g owns instances g, g+3, …),
+// as in a sharded runtime's one journal: one fsync carries all three,
+// where a journal per group would have paid one each.
 func TestGroupCommitDrainsIntake(t *testing.T) {
-	const k = 16
+	const k, groups = 16, 3
 	held, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	j, err := Open(t.TempDir(), Options{OnAppend: func(Entry) {
@@ -377,7 +380,9 @@ func TestGroupCommitDrainsIntake(t *testing.T) {
 	}
 	errs := make(chan error, k)
 	for i := uint64(1); i <= k; i++ {
-		go func() { errs <- j.Append(rec(i)) }()
+		r := rec(i)
+		r.Group = i % groups
+		go func() { errs <- j.Append(r) }()
 	}
 	for len(j.intake) < k {
 		time.Sleep(50 * time.Microsecond)
@@ -395,6 +400,11 @@ func TestGroupCommitDrainsIntake(t *testing.T) {
 	if group.Syncs-before.Syncs != 1 || group.Batches-before.Batches != 1 || group.Appends != k+1 {
 		t.Fatalf("%d queued appends took %d fsyncs in %d batches, want 1 and 1 (stats %+v)",
 			k, group.Syncs-before.Syncs, group.Batches-before.Batches, group)
+	}
+	for i := uint64(1); i <= k; i++ {
+		if r, ok := j.Get(i); !ok || r.Group != i%groups {
+			t.Fatalf("instance %d not durable under group %d: %+v (present %v)", i, i%groups, r, ok)
+		}
 	}
 	if err := j.Append(rec(k + 1)); err != nil {
 		t.Fatal(err)

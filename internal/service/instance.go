@@ -186,9 +186,6 @@ func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Ch
 	}
 
 	s.sampleMu.Lock()
-	if joined {
-		s.joined++
-	}
 	for _, l := range latencies {
 		s.latencies.Add(l)
 		s.mPropLat.Observe(int64(l))
@@ -207,6 +204,10 @@ func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Ch
 			fmt.Sprintf("instance %d: %s", instance, v))
 	}
 	s.sampleMu.Unlock()
+	s.mViolations.Add(int64(len(rep.Violations)))
+	if joined {
+		s.mJoined.Inc()
+	}
 	s.mDecisions.Inc()
 	s.mResolved.Add(int64(len(batch)))
 	if s.plane != nil {

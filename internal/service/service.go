@@ -112,7 +112,9 @@ type Config struct {
 	// journal-before-complete — and the service resumes its instance-ID
 	// frontier past the highest journaled instance, so a restarted
 	// service never re-runs an instance it already decided. The journal
-	// is owned by the caller and is not closed by Close.
+	// is owned by the caller and is not closed by Close. A sharded
+	// runtime hands every group the same journal: strided instance IDs
+	// never collide, so one index and one frontier serve all groups.
 	Journal *journal.Journal
 	// Adaptive, when non-nil, attaches the feedback control plane
 	// (internal/adapt): MaxBatch and Linger become the controller's
@@ -270,6 +272,7 @@ type Stats struct {
 	// stay empty; the service checks anyway. Always empty with a remote
 	// process: the audit needs every process's proposal and decision,
 	// and cross-member evidence lives in the journals (check.Replay).
+	// indulgence_violations_total counts the entries.
 	Violations []string
 	// Latency summarizes per-proposal latency (enqueue to resolution).
 	// Count and Mean are exact over the service's lifetime — the
@@ -379,12 +382,10 @@ type Service struct {
 
 	// sampleMu guards what no instrument carries: the duration samples
 	// behind the exact percentiles and extremes (power-of-two buckets hold
-	// neither), the running round and fill summaries, the violation log,
-	// joined — the one counted event without a metric family — and the
-	// algHist map. Instance goroutines and the batcher take it; proposers
-	// never do.
+	// neither), the running round and fill summaries, the violation texts
+	// and the algHist map. Instance goroutines and the batcher take it;
+	// proposers never do.
 	sampleMu   sync.Mutex
-	joined     int
 	violations []string
 	latencies  *stats.Reservoir[time.Duration]
 	instLat    *stats.Reservoir[time.Duration]
@@ -403,6 +404,8 @@ type Service struct {
 	mFailed       *metrics.Counter
 	mDecisions    *metrics.Counter
 	mInstFail     *metrics.Counter
+	mJoined       *metrics.Counter
+	mViolations   *metrics.Counter
 	mPropLat      *metrics.Histogram
 	mDecLat       *metrics.Histogram
 	algHist       map[string]*metrics.Histogram
@@ -578,6 +581,10 @@ func newService(cfg Config, hosted []model.ProcessID) (*Service, error) {
 		"consensus instances decided", labels...)
 	s.mInstFail = reg.Counter("indulgence_instance_failures_total",
 		"consensus instances that missed their decision", labels...)
+	s.mJoined = reg.Counter("indulgence_joined_total",
+		"decided instances adopted on a peer's join signal rather than initiated", labels...)
+	s.mViolations = reg.Counter("indulgence_violations_total",
+		"consensus-property violations the per-instance audit found", labels...)
 	suspicions := reg.Counter("indulgence_suspicions_total",
 		"failure-detector suspicion events raised across the service's instances", labels...)
 	s.detectors = make([]*fd.TimeoutDetector, cfg.N)
@@ -802,6 +809,7 @@ func (s *Service) Snapshot() Stats {
 		Failed:           int(s.mFailed.Value()),
 		Instances:        int(s.mDecisions.Value()),
 		InstanceFailures: int(s.mInstFail.Value()),
+		JoinedInstances:  int(s.mJoined.Value()),
 		Algorithms:       make(map[string]int),
 	}
 	if s.plane != nil {
@@ -822,7 +830,6 @@ func (s *Service) Snapshot() Stats {
 	for alg, h := range s.algHist {
 		st.Algorithms[alg] = int(h.Count())
 	}
-	st.JoinedInstances = s.joined
 	st.Violations = append([]string(nil), s.violations...)
 	st.Latency = exactMean(stats.SummarizeDurations(s.latencies.Values()), s.mPropLat)
 	st.DecisionLatency = exactMean(stats.SummarizeDurations(s.instLat.Values()), s.mDecLat)

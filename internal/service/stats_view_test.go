@@ -12,6 +12,7 @@ import (
 	"indulgence/internal/journal"
 	"indulgence/internal/metrics"
 	"indulgence/internal/service"
+	"indulgence/internal/transport"
 )
 
 // parseSeries maps every sample line of a Prometheus text render to its
@@ -109,6 +110,8 @@ func TestStatsIsInstrumentView(t *testing.T) {
 		"indulgence_failed_total{" + g + "}":                     st.Failed,
 		"indulgence_decisions_total{" + g + "}":                  st.Instances,
 		"indulgence_instance_failures_total{" + g + "}":          st.InstanceFailures,
+		"indulgence_joined_total{" + g + "}":                     st.JoinedInstances,
+		"indulgence_violations_total{" + g + "}":                 len(st.Violations),
 		"indulgence_proposal_latency_ns_count{" + g + "}":        st.Latency.Count,
 		"indulgence_decision_latency_ns_count{" + g + "}":        st.DecisionLatency.Count,
 		"indulgence_adapt_adjustments_total{" + g + "}":          st.Control.Adjustments,
@@ -156,22 +159,56 @@ func TestStatsIsInstrumentView(t *testing.T) {
 	if bare.text != "" {
 		t.Errorf("nil registry rendered:\n%s", bare.text)
 	}
-	counts := func(r result) [12]int {
+	counts := func(r result) [14]int {
 		decided := 0
 		for _, k := range r.st.Algorithms {
 			decided += k
 		}
-		return [12]int{r.st.Proposals, r.st.Resolved, r.st.Failed, r.st.Instances, r.st.InstanceFailures,
+		return [14]int{r.st.Proposals, r.st.Resolved, r.st.Failed, r.st.Instances, r.st.InstanceFailures,
 			r.st.Latency.Count, r.st.DecisionLatency.Count, r.st.Rounds.Count, decided,
-			r.js.Decisions, r.js.Starts, r.js.Traces}
+			r.js.Decisions, r.js.Starts, r.js.Traces, r.st.JoinedInstances, len(r.st.Violations)}
 	}
 	if a, b := counts(r), counts(bare); a != b {
 		t.Errorf("counts with a registry %v, without %v", a, b)
 	}
-	if want := [12]int{total, total, 0, total, 0, total, total, total, total, total, total, total}; counts(bare) != want {
+	if want := [14]int{total, total, 0, total, 0, total, total, total, total, total, total, total, 0, 0}; counts(bare) != want {
 		t.Errorf("counts without a registry %v, want %v", counts(bare), want)
 	}
 	if bare.st.Control.Ticks == 0 || bare.js.Syncs == 0 || bare.js.Segments < 2 || bare.st.BatchFill.Mean != 100 {
 		t.Errorf("unrendered instruments did not count: control %+v, journal %+v, fill %+v", bare.st.Control, bare.js, bare.st.BatchFill)
+	}
+
+	// Joins happen only with a process hosted elsewhere. Two members split
+	// the cluster; the one that never proposes decides only instances it
+	// joined, so its joined count is its decision count, in Stats and in
+	// the render alike.
+	reg := metrics.NewRegistry()
+	_, eps := hubEndpoints(t, n)
+	member := func(eps []transport.Transport, reg *metrics.Registry) *service.Service {
+		svc, err := service.New(service.Config{
+			N: n, T: tt,
+			Factory:     core.New(core.Options{}),
+			BaseTimeout: 15 * time.Millisecond,
+			JoinTimeout: 5 * time.Second,
+			Metrics:     reg,
+		}, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	proposer, joiner := member(eps[:2], nil), member(eps[2:], reg)
+	driveProposals(t, proposer, 4, 16)
+	for _, svc := range []*service.Service{joiner, proposer} {
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jst := joiner.Snapshot()
+	if jst.JoinedInstances == 0 || jst.JoinedInstances != jst.Instances {
+		t.Errorf("joiner decided %d instances, %d of them joined; want all, at least one", jst.Instances, jst.JoinedInstances)
+	}
+	if have := parseSeries(t, reg.Text())["indulgence_joined_total{"+g+"}"]; have != jst.JoinedInstances {
+		t.Errorf("indulgence_joined_total renders %d, Stats says %d", have, jst.JoinedInstances)
 	}
 }

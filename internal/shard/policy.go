@@ -1,22 +1,22 @@
 // Package shard is the runtime every caller above the service layer
 // starts: it runs G ≥ 1 independent consensus groups — each with its own
-// strided slice of the instance-ID space, its own journal directory and
-// its own adaptive control plane — multiplexed over one shared set of
-// transport muxes, with a router in front that places each proposal on
-// a group under a pluggable policy. One group is a parameter value, not
-// a second code path.
+// strided slice of the instance-ID space and its own adaptive control
+// plane — multiplexed over one shared set of transport muxes and
+// appending to the caller's one journal, with a router in front that
+// places each proposal on a group under a pluggable policy. One group is
+// a parameter value, not a second code path.
 //
 // The paper's price of indulgence is a per-instance quantity: every
 // instance pays its t+2 round floor no matter what. Sharding does not
 // lower that price; it buys aggregate throughput by paying it on G
-// instances concurrently — groups share the physical connections but
-// nothing else, so one group's slow instance (an injected partition, a
-// crashed member) never holds another group's batches. The group-aware
-// wire envelope keeps the groups' frames apart on the shared transport,
-// and the strided allocation keeps their instance IDs globally unique,
-// which is what lets check.Replay audit all group journals of a member
-// in one pass and call any instance ID seen under two groups a
-// violation.
+// instances concurrently — groups share the physical connections and the
+// journal but no batch or instance, so one group's slow instance (an
+// injected partition, a crashed member) never holds another group's
+// batches. The group-aware wire envelope keeps the groups' frames apart
+// on the shared transport, and the strided allocation keeps their
+// instance IDs globally unique, which is what lets every group append to
+// one journal and check.Replay audit a member's journal in one pass,
+// calling any instance ID seen under two groups a violation.
 package shard
 
 import (

@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
-	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"indulgence/internal/journal"
-	"indulgence/internal/metrics"
 	"indulgence/internal/model"
 	"indulgence/internal/service"
 	"indulgence/internal/transport"
@@ -20,13 +20,12 @@ import (
 // Config describes a sharded runtime.
 type Config struct {
 	// Service is the per-group service template: every group runs a
-	// service.Service with this configuration. Its Group, Groups and
-	// Journal fields must be zero — the runtime assigns the first two
-	// and opens a per-group journal itself when JournalDir is set. A
-	// Metrics registry on the template is shared by every group: each
-	// group's series carry its own group label, the shared muxes count
-	// frames once for the whole runtime, and per-group journals register
-	// their entry counters group-labelled too.
+	// service.Service with this configuration. Its Group and Groups
+	// fields must be zero — the runtime assigns them. Its Journal and
+	// Metrics registry are shared by every group: strided instance IDs
+	// never collide in the one journal, which stays the caller's to open
+	// and close, and each group's series carry its own group label, while
+	// the shared muxes count frames once for the whole runtime.
 	Service service.Config
 	// Groups is the number of consensus groups (default 1). In a
 	// multi-process cluster every member must agree on it — a slot's
@@ -37,28 +36,28 @@ type Config struct {
 	// where a proposal enters, and any member joins any group's slot on
 	// the wire signal.
 	Placement Policy
-	// JournalDir, when non-empty, gives every group a durable journal
-	// under it (see GroupDir for the layout). Empty runs without
-	// durability. The directory is this runtime's own — members of one
-	// cluster never share journals.
-	JournalDir string
-	// JournalOptions configures every group's journal.
-	JournalOptions journal.Options
 }
 
-// GroupDir returns the journal directory of one group of a groups-wide
-// runtime under its journal root — the on-disk rule, stated once: a
-// one-group runtime journals in the root itself, a runtime of more
-// groups gives group g the subdirectory group-NNNN. The layout is
-// stable: restart recovery and the offline audit (ReplayDir) both
-// address journals through it, a directory a bare service.Service
-// journaled into is a one-group root, and a single group-NNNN
-// subdirectory read on its own is one too.
-func GroupDir(root string, group, groups int) string {
-	if groups == 1 {
-		return root
+// ErrGroupLayout refuses a journal directory in the retired per-group
+// layout (one group-NNNN subdirectory per group): resuming there would
+// restart the frontier below IDs that already touched the network, and
+// auditing its empty top level would pass vacuously. Each subdirectory
+// still reads on its own as a plain journal.
+var ErrGroupLayout = errors.New("shard: journal directory holds per-group group-NNNN subdirectories (the retired layout; read each one on its own)")
+
+// checkLayout refuses a journal directory holding group-NNNN
+// subdirectories with ErrGroupLayout.
+func checkLayout(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
 	}
-	return filepath.Join(root, fmt.Sprintf("group-%04d", group))
+	for _, e := range entries {
+		if e.IsDir() && strings.HasPrefix(e.Name(), "group-") {
+			return fmt.Errorf("%w: %s", ErrGroupLayout, filepath.Join(dir, e.Name()))
+		}
+	}
+	return nil
 }
 
 // Runtime is the runtime every caller above the service layer starts
@@ -73,13 +72,12 @@ func GroupDir(root string, group, groups int) string {
 // group service that owns it, so a proposal entering any member reaches
 // every member's matching group.
 type Runtime struct {
-	groups   []*service.Service
-	journals []*journal.Journal
-	muxes    []*transport.Mux
-	policy   Policy
-	views    []Group
-	seq      atomic.Uint64
-	closed   atomic.Bool
+	groups []*service.Service
+	muxes  []*transport.Mux
+	policy Policy
+	views  []Group
+	seq    atomic.Uint64
+	closed atomic.Bool
 
 	// joinMu orders early join signals against construction: a mux
 	// starts routing (and signalling) the moment it exists, before the
@@ -107,8 +105,13 @@ func New(cfg Config, endpoints []transport.Transport) (*Runtime, error) {
 	if cfg.Groups < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 group, got %d", cfg.Groups)
 	}
-	if cfg.Service.Group != 0 || cfg.Service.Groups != 0 || cfg.Service.Journal != nil {
-		return nil, errors.New("shard: the service template's Group, Groups and Journal must be unset")
+	if cfg.Service.Group != 0 || cfg.Service.Groups != 0 {
+		return nil, errors.New("shard: the service template's Group and Groups must be unset")
+	}
+	if j := cfg.Service.Journal; j != nil {
+		if err := checkLayout(j.Dir()); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.Placement == nil {
 		cfg.Placement = NewRoundRobin()
@@ -147,20 +150,6 @@ func New(cfg Config, endpoints []transport.Transport) (*Runtime, error) {
 		svcCfg := cfg.Service
 		svcCfg.Group = uint64(g)
 		svcCfg.Groups = cfg.Groups
-		if cfg.JournalDir != "" {
-			jo := cfg.JournalOptions
-			if cfg.Service.Metrics != nil && jo.Metrics == nil {
-				jo.Metrics = cfg.Service.Metrics
-				jo.MetricsLabels = []metrics.Label{{Key: "group", Value: strconv.Itoa(g)}}
-			}
-			j, err := journal.Open(GroupDir(cfg.JournalDir, g, cfg.Groups), jo)
-			if err != nil {
-				r.teardown()
-				return nil, fmt.Errorf("shard: open group %d journal: %w", g, err)
-			}
-			r.journals = append(r.journals, j)
-			svcCfg.Journal = j
-		}
 		svc, err := service.NewOnMuxes(svcCfg, r.muxes)
 		if err != nil {
 			r.teardown()
@@ -214,9 +203,6 @@ func (r *Runtime) teardown() {
 	for _, m := range r.muxes {
 		_ = m.Close()
 	}
-	for _, j := range r.journals {
-		_ = j.Close()
-	}
 }
 
 // Groups returns the number of consensus groups.
@@ -228,10 +214,6 @@ func (r *Runtime) Policy() string { return r.policy.Name() }
 // Group returns one group's service — the per-group escape hatch the
 // tests and the chaos harness use to address a specific group.
 func (r *Runtime) Group(g int) *service.Service { return r.groups[g] }
-
-// Journals returns the per-group journals, indexed by group ID (empty
-// when the runtime was built without a JournalDir).
-func (r *Runtime) Journals() []*journal.Journal { return r.journals }
 
 // Propose routes a class-0 proposal to a group under the placement
 // policy and enqueues it there. Proposals without a natural key use an
@@ -328,8 +310,9 @@ func addByClass(sum, add []int) []int {
 }
 
 // Close stops every group (flushing pending batches and waiting for
-// inflight instances), then the shared muxes, then the journals. The
-// endpoints stay with the caller. Idempotent.
+// inflight instances), then the shared muxes. The endpoints and the
+// journal stay with the caller, who closes the journal after this.
+// Idempotent.
 func (r *Runtime) Close() error {
 	if !r.closed.CompareAndSwap(false, true) {
 		return nil
@@ -343,18 +326,13 @@ func (r *Runtime) Close() error {
 	for _, m := range r.muxes {
 		_ = m.Close()
 	}
-	for _, j := range r.journals {
-		if err := j.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
 	return first
 }
 
 // Abort hard-stops every group without flushing — the crash shutdown
-// shape, recoverable only through the journals (see service.Abort).
-// Journals are closed so a successor runtime can take the directories
-// over; records already durable survive.
+// shape, recoverable only through the journal (see service.Abort).
+// Records already durable survive; the journal stays with the caller,
+// who closes it before a successor runtime reopens the directory.
 func (r *Runtime) Abort() {
 	if !r.closed.CompareAndSwap(false, true) {
 		return
@@ -365,14 +343,10 @@ func (r *Runtime) Abort() {
 	for _, m := range r.muxes {
 		_ = m.Close()
 	}
-	for _, j := range r.journals {
-		_ = j.Close()
-	}
 }
 
 // History is a runtime's journaled history read back from disk: every
-// group's decisions, start claims and decision traces in ascending group
-// order (append order within a group).
+// group's decisions, start claims and decision traces in append order.
 type History struct {
 	// Records and Starts are the input shape check.Replay audits.
 	// Feeding all groups of one member to a single Replay call is
@@ -382,41 +356,40 @@ type History struct {
 	// Traces are the decision-trace entries — introspection context, not
 	// claims or outcomes, so the consensus audit does not read them.
 	Traces []wire.DecisionTraceRecord
-	// Segments and TornBytes total the segment files read and the torn
-	// final-segment tails dropped; Frontier is 1 + the highest instance
+	// Segments and TornBytes count the segment files read and the torn
+	// final-segment tail dropped; Frontier is 1 + the highest instance
 	// ID on file in any group (0 when empty).
 	Segments, TornBytes int
 	Frontier            uint64
 }
 
-// ReplayDir reads back every group journal under the journal root of a
-// groups-wide runtime (the GroupDir layout) — the one place journal
-// entries become audit records, for every caller and every group count.
-// It opens nothing for writing and tolerates a torn final tail as
-// recovery does.
-func ReplayDir(root string, groups int) (History, error) {
-	var h History
-	for g := 0; g < groups; g++ {
-		info, err := journal.Replay(GroupDir(root, g, groups), func(e journal.Entry) error {
-			switch {
-			case e.Trace != nil:
-				h.Traces = append(h.Traces, *e.Trace)
-			case e.Start:
-				// Keep the group tag: one group's journal audited on its
-				// own must not look like a start/decision group mismatch.
-				h.Starts = append(h.Starts, wire.StartRecord{
-					Instance: e.Instance(), Alg: e.Alg, Group: e.Decision.Group})
-			default:
-				h.Records = append(h.Records, e.Decision)
-			}
-			return nil
-		})
-		if err != nil {
-			return History{}, fmt.Errorf("shard: replay group %d of %d under %s: %w", g, groups, root, err)
-		}
-		h.Segments += info.Segments
-		h.TornBytes += info.TornBytes
-		h.Frontier = max(h.Frontier, info.Frontier)
+// ReplayDir reads back the journal a runtime's groups share — the one
+// place journal entries become audit records, for every caller and every
+// group count. It opens nothing for writing and tolerates a torn final
+// tail as recovery does. A directory in the retired per-group layout
+// fails with ErrGroupLayout.
+func ReplayDir(dir string) (History, error) {
+	if err := checkLayout(dir); err != nil {
+		return History{}, err
 	}
+	var h History
+	info, err := journal.Replay(dir, func(e journal.Entry) error {
+		switch {
+		case e.Trace != nil:
+			h.Traces = append(h.Traces, *e.Trace)
+		case e.Start:
+			// Keep the group tag: check.Replay audits the claim's group
+			// against every other record of the instance.
+			h.Starts = append(h.Starts, wire.StartRecord{
+				Instance: e.Instance(), Alg: e.Alg, Group: e.Decision.Group})
+		default:
+			h.Records = append(h.Records, e.Decision)
+		}
+		return nil
+	})
+	if err != nil {
+		return History{}, fmt.Errorf("shard: replay %s: %w", dir, err)
+	}
+	h.Segments, h.TornBytes, h.Frontier = info.Segments, info.TornBytes, info.Frontier
 	return h, nil
 }

@@ -2,6 +2,9 @@ package shard_test
 
 import (
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -43,9 +46,27 @@ func runtimeConfig(groups int) shard.Config {
 			BaseTimeout: 20 * time.Millisecond,
 			Linger:      time.Millisecond,
 		},
-		Groups:         groups,
-		JournalOptions: journal.Options{NoSync: true},
+		Groups: groups,
 	}
+}
+
+// openJournal opens a NoSync journal in dir, closed at test cleanup
+// unless the test closes it first.
+func openJournal(t *testing.T, dir string) *journal.Journal {
+	t.Helper()
+	j, err := journal.Open(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = j.Close() })
+	return j
+}
+
+// alignUp is the smallest instance ID at or above frontier in group g's
+// strided space of stride groups: where a recovered group resumes.
+func alignUp(frontier, g, groups uint64) uint64 {
+	x := max(frontier, g)
+	return x + (groups-(x-g)%groups)%groups
 }
 
 // TestRuntimeShardsDisjoint drives proposals through a multi-group
@@ -101,19 +122,24 @@ func TestRuntimeShardsDisjoint(t *testing.T) {
 }
 
 // TestRuntimeJournalRecovery is the cross-group restart audit: a
-// journaled multi-group runtime is aborted mid-life and restarted on
-// the same directory tree; the successor must resume every group past
-// its own frontier (no instance ID re-used, in any group), and the
-// offline replay of all group journals together must pass check.Replay
-// — including its cross-group instance audit.
+// multi-group runtime journaling into one caller-owned journal is
+// aborted mid-life, the journal closed and reopened, and a successor
+// runtime started on it. The successor must resume every group at or
+// above the process-wide frontier aligned into the group's residue class
+// (no instance ID re-used, in any group), and the offline replay of the
+// journal must pass check.Replay — including its cross-group instance
+// audit.
 func TestRuntimeJournalRecovery(t *testing.T) {
 	const groups = 3
 	dir := t.TempDir()
 	live := make(map[uint64]model.Value)
 
-	run := func(base int) {
+	// run is one lifetime; it returns the instances it decided and the
+	// journal's frontier at its end.
+	run := func(base int) (decided []uint64, frontier uint64) {
+		j := openJournal(t, dir)
 		cfg := runtimeConfig(groups)
-		cfg.JournalDir = dir
+		cfg.Service.Journal = j
 		rt, err := shard.New(cfg, hubEndpoints(t, 3))
 		if err != nil {
 			t.Fatal(err)
@@ -137,15 +163,28 @@ func TestRuntimeJournalRecovery(t *testing.T) {
 				t.Fatalf("instance %d resolved %d and later %d", dec.Instance, prev, dec.Value)
 			}
 			live[dec.Instance] = dec.Value
+			decided = append(decided, dec.Instance)
 		}
 		// Abort, not Close: restart recovery must work from the crash
 		// shutdown shape.
 		rt.Abort()
+		frontier = j.Frontier()
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return decided, frontier
 	}
-	run(1000)
-	run(2000) // the successor lifetime, recovering per-group frontiers
+	_, first := run(1000)
+	second, _ := run(2000) // the successor lifetime, recovering the shared frontier
+	for _, inst := range second {
+		g := inst % groups
+		if floor := alignUp(first, g, groups); inst < floor {
+			t.Fatalf("group %d resumed at instance %d, below the first lifetime's frontier %d aligned to %d",
+				g, inst, first, floor)
+		}
+	}
 
-	hist, err := shard.ReplayDir(dir, groups)
+	hist, err := shard.ReplayDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,21 +206,18 @@ func TestRuntimeJournalRecovery(t *testing.T) {
 	}
 }
 
-// TestOneGroupRuntimeJournalsInRoot pins the layout rule GroupDir
-// states: a one-group runtime journals in the root itself, so a
-// directory a bare service.Service journaled into is resumed by
-// shard.New(Groups: 1) past its frontier — never re-deciding an instance
-// — and ReplayDir(dir, 1) reads back exactly what journal.Replay does.
+// TestOneGroupRuntimeJournalsInRoot pins that a runtime and a bare
+// service.Service journal alike: a directory a bare service journaled
+// into is resumed by shard.New(Groups: 1) on the reopened journal past
+// its frontier — never re-deciding an instance — and ReplayDir reads back
+// exactly what journal.Replay does.
 func TestOneGroupRuntimeJournalsInRoot(t *testing.T) {
 	dir := t.TempDir()
 	cfg := runtimeConfig(1)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
-	j, err := journal.Open(dir, cfg.JournalOptions)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openJournal(t, dir)
 	svcCfg := cfg.Service
 	svcCfg.Journal = j
 	svc, err := service.New(svcCfg, hubEndpoints(t, 3))
@@ -215,22 +251,23 @@ func TestOneGroupRuntimeJournalsInRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, err := shard.ReplayDir(dir, 1)
+	hist, err := shard.ReplayDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(hist.Records, want) || len(want) == 0 || hist.Frontier != info.Frontier {
-		t.Fatalf("ReplayDir(dir, 1) = %d records, frontier %d; journal.Replay = %d records, frontier %d",
+		t.Fatalf("ReplayDir = %d records, frontier %d; journal.Replay = %d records, frontier %d",
 			len(hist.Records), hist.Frontier, len(want), info.Frontier)
 	}
 
-	cfg.JournalDir = dir
+	j = openJournal(t, dir)
+	if j.Frontier() != info.Frontier {
+		t.Fatalf("reopened journal at frontier %d, want %d", j.Frontier(), info.Frontier)
+	}
+	cfg.Service.Journal = j
 	rt, err := shard.New(cfg, hubEndpoints(t, 3))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if jns := rt.Journals(); len(jns) != 1 || jns[0].Dir() != dir || jns[0].Frontier() != info.Frontier {
-		t.Fatalf("one-group runtime did not recover the root journal at frontier %d: %v", info.Frontier, jns)
 	}
 	f, err := rt.Propose(ctx, 999)
 	if err != nil {
@@ -247,7 +284,7 @@ func TestOneGroupRuntimeJournalsInRoot(t *testing.T) {
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if hist, err = shard.ReplayDir(dir, 1); err != nil {
+	if hist, err = shard.ReplayDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	if rep := check.Replay(hist.Records, hist.Starts, live); !rep.OK() {
@@ -256,33 +293,57 @@ func TestOneGroupRuntimeJournalsInRoot(t *testing.T) {
 }
 
 // TestReplayDirFlagsCrossGroupInstance plants the violation the audit
-// exists to catch: one instance ID journaled by two different groups.
-// The strided allocation makes this impossible for a correct runtime,
-// so check.Replay over the combined stream must flag it.
+// exists to catch: one instance ID journaled by two different groups
+// into the journal they share. The strided allocation makes this
+// impossible for a correct runtime, so check.Replay over the replayed
+// stream must flag it.
 func TestReplayDirFlagsCrossGroupInstance(t *testing.T) {
 	dir := t.TempDir()
-	for g, rec := range []wire.DecisionRecord{
+	j := openJournal(t, dir)
+	for _, rec := range []wire.DecisionRecord{
 		{Instance: 5, Value: 7, Round: 3, Batch: 1, Group: 0},
 		{Instance: 5, Value: 7, Round: 3, Batch: 1, Group: 1},
 	} {
-		j, err := journal.Open(shard.GroupDir(dir, g, 2), journal.Options{NoSync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if err := j.Append(rec); err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
-	hist, err := shard.ReplayDir(dir, 2)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hist, err := shard.ReplayDir(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(hist.Records) != 2 {
+		t.Fatalf("replayed %d records, want both conflicting ones", len(hist.Records))
 	}
 	rep := check.Replay(hist.Records, hist.Starts, nil)
 	if rep.Agreement {
 		t.Fatalf("cross-group instance not flagged: %+v", rep)
+	}
+}
+
+// TestGroupLayoutRefused pins the refusal of the retired per-group
+// layout, a root holding group-NNNN subdirectories: shard.New on a
+// journal opened there and ReplayDir of the root both fail with
+// ErrGroupLayout. (TestServeShardSubcommand reads one subdirectory on its
+// own.)
+func TestGroupLayoutRefused(t *testing.T) {
+	root := t.TempDir()
+	if err := os.Mkdir(filepath.Join(root, "group-0000"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := shard.ReplayDir(root); !errors.Is(err, shard.ErrGroupLayout) {
+		t.Fatalf("ReplayDir of a per-group root: %v, want ErrGroupLayout", err)
+	}
+	cfg := runtimeConfig(2)
+	cfg.Service.Journal = openJournal(t, root)
+	if rt, err := shard.New(cfg, hubEndpoints(t, 3)); !errors.Is(err, shard.ErrGroupLayout) {
+		if rt != nil {
+			_ = rt.Close()
+		}
+		t.Fatalf("shard.New on a per-group root: %v, want ErrGroupLayout", err)
 	}
 }
 
