@@ -93,12 +93,12 @@ func (e *endpoint) Send(to model.ProcessID, frame []byte) error {
 		return e.inner.Send(to, frame)
 	}
 	for i, d := range e.nw.plan(e.self, to, frame) {
-		// The delivered copy is cloned: the caller may reuse its buffer
-		// after Send returns. A send racing the hub's close simply
+		// Every delivered copy is the frame itself: a frame is immutable
+		// once sent (see transport.Transport), and fault rolls hash its
+		// bytes, not its identity. A send racing the hub's close simply
 		// vanishes — the scenario is over by then.
-		fr := append([]byte(nil), frame...)
 		tag := e.nw.hash(e.self, to, saltTag+i, frame)
-		e.nw.clk.AfterFuncTagged(d+hopDelay, tag|1, func() { _ = e.inner.Send(to, fr) })
+		e.nw.clk.AfterFuncTagged(d+hopDelay, tag|1, func() { _ = e.inner.Send(to, frame) })
 	}
 	return nil
 }

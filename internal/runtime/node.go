@@ -108,20 +108,10 @@ func (n *node) loop(ctx context.Context) {
 	}
 }
 
-// broadcast encodes and sends the round-k message to every process,
-// including this one.
+// broadcast sends the round-k message to every process, including this
+// one, as one frame encoded once.
 func (n *node) broadcast(k model.Round) error {
-	payloadMsg := model.Message{From: n.id, Round: k, Payload: n.alg.StartRound(k)}
-	frame, err := wire.EncodeMessage(nil, payloadMsg)
-	if err != nil {
-		return err
-	}
-	for q := model.ProcessID(1); int(q) <= n.cfg.N; q++ {
-		if err := n.ep.Send(q, frame); err != nil {
-			return err
-		}
-	}
-	return nil
+	return transport.Broadcast(n.ep, n.cfg.N, model.Message{From: n.id, Round: k, Payload: n.alg.StartRound(k)})
 }
 
 // collect gathers the round-k receive set according to the wait policy:
@@ -134,8 +124,13 @@ func (n *node) broadcast(k model.Round) error {
 // sender has halted, and the algorithm decides on it.
 func (n *node) collect(ctx context.Context, k model.Round) ([]model.Message, bool) {
 	quorum := n.cfg.N - n.cfg.T
-	roundMsgs := n.buffered[k]
+	// The receive set is sized once: room for a message from every
+	// process plus the late ones, so neither the receive loop nor the
+	// append that delivers the late messages regrows it.
+	early := n.buffered[k]
 	delete(n.buffered, k)
+	roundMsgs := make([]model.Message, len(early), max(len(early), n.cfg.N)+len(n.late))
+	copy(roundMsgs, early)
 	var (
 		heard  model.PIDSet
 		decide bool

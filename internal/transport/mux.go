@@ -331,12 +331,9 @@ func (s *muxStream) Self() model.ProcessID { return s.mux.Self() }
 // past the recovered frontier, the instance IDs) never sees their
 // frames.
 func (s *muxStream) Send(to model.ProcessID, frame []byte) error {
-	s.mux.mu.Lock()
-	dead := s.mux.closed || s.mux.isRetiredLocked(s.key)
-	out := s.mux.mOut
-	s.mux.mu.Unlock()
-	if dead {
-		return ErrClosed
+	out, err := s.live()
+	if err != nil {
+		return err
 	}
 	out.Inc()
 	if s.key.group == 0 && s.key.instance == 0 {
@@ -344,6 +341,55 @@ func (s *muxStream) Send(to model.ProcessID, frame []byte) error {
 	}
 	wrapped := wire.AppendGroupHeader(make([]byte, 0, len(frame)+20), s.key.group, s.key.instance)
 	return s.mux.ep.Send(to, append(wrapped, frame...))
+}
+
+// broadcastHeadroom sizes a broadcast's one frame buffer: the largest
+// group envelope header plus a round message of any common payload, so
+// the encoding lands without regrowing the buffer.
+const broadcastHeadroom = 64
+
+// Broadcast encodes m once and sends the one frame to every process
+// 1..n through ep, in ascending order. On a mux stream the frame carries
+// the stream's envelope and goes straight to the mux's underlying
+// endpoint, byte-identical to n calls of the stream's Send: the stream
+// is checked for closure or retirement once (ErrClosed, nothing sent),
+// and every frame still counts on the mux's outbound counter. Any other
+// endpoint gets the bare encoding. The n sends share the frame (see
+// Transport.Send); the first send error ends the broadcast.
+func Broadcast(ep Transport, n int, m model.Message) error {
+	dst := ep
+	buf := make([]byte, 0, broadcastHeadroom)
+	var out *metrics.Counter
+	if s, ok := ep.(*muxStream); ok {
+		var err error
+		if out, err = s.live(); err != nil {
+			return err
+		}
+		dst = s.mux.ep
+		buf = wire.AppendGroupHeader(buf, s.key.group, s.key.instance)
+	}
+	frame, err := wire.EncodeMessage(buf, m)
+	if err != nil {
+		return err
+	}
+	for q := model.ProcessID(1); int(q) <= n; q++ {
+		out.Inc()
+		if err := dst.Send(q, frame); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// live returns the mux's outbound counter, or ErrClosed once the mux is
+// closed or the stream retired.
+func (s *muxStream) live() (*metrics.Counter, error) {
+	s.mux.mu.Lock()
+	defer s.mux.mu.Unlock()
+	if s.mux.closed || s.mux.isRetiredLocked(s.key) {
+		return nil, ErrClosed
+	}
+	return s.mux.mOut, nil
 }
 
 // Recv implements Transport.

@@ -1,11 +1,16 @@
 package transport
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
+	"indulgence/internal/metrics"
 	"indulgence/internal/model"
+	"indulgence/internal/payload"
 	"indulgence/internal/wire"
 )
 
@@ -45,7 +50,7 @@ func queuedFrames(m *Mux, instance uint64) int {
 	}
 	s.box.mu.Lock()
 	defer s.box.mu.Unlock()
-	return len(s.box.queue)
+	return s.box.queue.len()
 }
 
 // retiredState returns a group's retirement frontier and leftover set
@@ -755,5 +760,150 @@ func TestMuxGroupOverTCP(t *testing.T) {
 		if got := recvFrame(t, recv); string(got) != string(frame) {
 			t.Fatalf("TCP group %d frame mangled: % x", group, got)
 		}
+	}
+}
+
+// recordingTransport records every Send; its receive channel never
+// delivers, so a mux over it only sends.
+type recordingTransport struct {
+	mu     sync.Mutex
+	to     []model.ProcessID
+	frames [][]byte
+	recv   chan []byte
+}
+
+func newRecordingTransport() *recordingTransport {
+	return &recordingTransport{recv: make(chan []byte)}
+}
+
+func (r *recordingTransport) Self() model.ProcessID { return 1 }
+func (r *recordingTransport) Recv() <-chan []byte   { return r.recv }
+func (r *recordingTransport) Close() error          { return nil }
+
+func (r *recordingTransport) Send(to model.ProcessID, frame []byte) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.to = append(r.to, to)
+	r.frames = append(r.frames, frame)
+	return nil
+}
+
+// sent returns the recorded destinations and frames so far.
+func (r *recordingTransport) sent() ([]model.ProcessID, [][]byte) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]model.ProcessID(nil), r.to...), append([][]byte(nil), r.frames...)
+}
+
+// broadcastMessage is the round message the Broadcast tests send.
+var broadcastMessage = model.Message{From: 2, Round: 5,
+	Payload: payload.EstHalt{Est: -7, Halt: model.NewPIDSet(1, 3)}}
+
+// TestBroadcastSharesOneFrame pins the fan-out: one Broadcast on a mux
+// stream is n sends, in destination order, of one shared frame whose
+// bytes equal the stream's single-frame Send of the bare encoding — the
+// bare frame for (0, 0), the version-1 envelope for other group-0
+// instances and the group envelope above group 0 — and each counts on
+// the outbound counter.
+func TestBroadcastSharesOneFrame(t *testing.T) {
+	const n = 4
+	bare, err := wire.EncodeMessage(nil, broadcastMessage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []streamKey{{0, 0}, {0, 7}, {3, 9}} {
+		rec := newRecordingTransport()
+		m := NewMux(rec)
+		var out metrics.Counter
+		m.Instrument(nil, &out)
+		s, err := m.OpenGroup(key.group, key.instance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Broadcast(s, n, broadcastMessage); err != nil {
+			t.Fatal(err)
+		}
+		to, frames := rec.sent()
+		if len(frames) != n || out.Value() != n {
+			t.Fatalf("%v: %d sends, %d counted, want %d", key, len(frames), out.Value(), n)
+		}
+		for i, f := range frames {
+			if to[i] != model.ProcessID(i+1) {
+				t.Fatalf("%v: send %d went to p%d", key, i, to[i])
+			}
+			if &f[0] != &frames[0][0] {
+				t.Fatalf("%v: send %d has its own backing array", key, i)
+			}
+		}
+		// The single-frame path is the reference for the wire bytes.
+		if err := s.Send(1, bare); err != nil {
+			t.Fatal(err)
+		}
+		_, frames = rec.sent()
+		if want := frames[n]; !bytes.Equal(frames[0], want) {
+			t.Fatalf("%v: broadcast frame % x, Send wraps % x", key, frames[0], want)
+		}
+		_ = m.Close()
+	}
+}
+
+// nopTransport accepts and discards every frame.
+type nopTransport struct{}
+
+func (nopTransport) Self() model.ProcessID              { return 1 }
+func (nopTransport) Send(model.ProcessID, []byte) error { return nil }
+func (nopTransport) Recv() <-chan []byte                { return nil }
+func (nopTransport) Close() error                       { return nil }
+
+// TestBroadcastAllocatesOnce pins the encode-once contract: a broadcast
+// to n processes costs one allocation — its frame — on a bare endpoint
+// and on a mux stream alike.
+func TestBroadcastAllocatesOnce(t *testing.T) {
+	m := NewMux(nopTransport{})
+	defer m.Close()
+	s, err := m.OpenGroup(3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ep := range map[string]Transport{"bare": nopTransport{}, "mux": s} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := Broadcast(ep, 4, broadcastMessage); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%s: Broadcast allocates %v times, want 1", name, allocs)
+		}
+	}
+}
+
+// TestBroadcastClosedStream checks that a retired stream, and any
+// stream of a closed mux, refuses a broadcast with ErrClosed before
+// sending a single frame.
+func TestBroadcastClosedStream(t *testing.T) {
+	rec := newRecordingTransport()
+	m := NewMux(rec)
+	retired, err := m.Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := m.Open(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := retired.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := Broadcast(retired, 4, broadcastMessage); !errors.Is(err, ErrClosed) {
+		t.Fatalf("retired stream: %v, want ErrClosed", err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := Broadcast(live, 4, broadcastMessage); !errors.Is(err, ErrClosed) {
+		t.Fatalf("closed mux: %v, want ErrClosed", err)
+	}
+	if _, frames := rec.sent(); len(frames) != 0 {
+		t.Fatalf("%d frames sent on closed streams", len(frames))
 	}
 }

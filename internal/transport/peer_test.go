@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -227,21 +228,26 @@ func TestTCPEndpointReconnect(t *testing.T) {
 	}
 	waitFor(t, "link to the dead peer to sever", func() bool { return !a.Connected().Has(2) })
 
-	// Frames sent into the outage queue without blocking or erroring.
-	for _, m := range []string{"during-1", "during-2"} {
-		if err := a.Send(2, []byte(m)); err != nil {
+	// Frames sent into the outage queue without blocking or erroring —
+	// more than two write batches of them, so the flush spans several
+	// batches and the link's ring wraps and grows while it fills.
+	outage := make([]string, 2*maxWriteBatch+5)
+	for i := range outage {
+		outage[i] = fmt.Sprintf("during-%d", i)
+		if err := a.Send(2, []byte(outage[i])); err != nil {
 			t.Fatalf("send during outage: %v", err)
 		}
 	}
 
 	// The restarted peer (same address, fresh listener) receives the
-	// queued frames, in order, without anyone restarting the cluster.
+	// queued frames, complete and in order, without anyone restarting
+	// the cluster.
 	b2, err := NewTCPEndpoint(cfgs[1], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b2.Close()
-	for _, want := range []string{"during-1", "during-2"} {
+	for _, want := range outage {
 		if got := recvWithTimeout(t, b2, 10*time.Second); string(got) != want {
 			t.Fatalf("after restart got %q, want %q", got, want)
 		}

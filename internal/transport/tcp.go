@@ -361,19 +361,21 @@ type peerLink struct {
 	wake chan struct{}
 
 	mu      sync.Mutex
-	queue   [][]byte
+	queue   fifo
 	conn    net.Conn // live outbound connection, severed by Close
 	lastErr error
 
-	// pace is the reconnect pacing state (see reconnectPacer), touched
-	// only by the writer goroutine.
-	pace reconnectPacer
+	// pace is the reconnect pacing state (see reconnectPacer), and batch
+	// the frames of the write in progress, copied out of queue; both are
+	// touched only by the writer goroutine.
+	pace  reconnectPacer
+	batch [][]byte
 }
 
 // enqueue appends a frame for the writer goroutine.
 func (l *peerLink) enqueue(frame []byte) {
 	l.mu.Lock()
-	l.queue = append(l.queue, frame)
+	l.queue.push(frame)
 	l.mu.Unlock()
 	select {
 	case l.wake <- struct{}{}:
@@ -411,6 +413,7 @@ func (l *peerLink) run() {
 			// Send already bounds frame sizes; AppendFrame cannot fail.
 			buf, _ = wire.AppendFrame(buf, f)
 		}
+		clear(frames) // the batch must not pin frames once they are copied
 		if _, err := conn.Write(buf); err != nil {
 			l.sever(fmt.Errorf("transport: write p%d->p%d: %w", l.ep.cfg.Self, l.peer, err))
 			continue
@@ -420,19 +423,16 @@ func (l *peerLink) run() {
 	}
 }
 
-// peekBatch blocks until frames are queued, returning up to
-// maxWriteBatch of them without removing any, or reports the endpoint
-// closed.
+// peekBatch blocks until frames are queued, copying up to
+// maxWriteBatch of them into the link's batch without removing any, or
+// reports the endpoint closed.
 func (l *peerLink) peekBatch() ([][]byte, bool) {
 	for {
 		l.mu.Lock()
-		if n := len(l.queue); n > 0 {
-			if n > maxWriteBatch {
-				n = maxWriteBatch
-			}
-			frames := l.queue[:n:n]
+		if l.queue.len() > 0 {
+			l.batch = l.queue.peek(l.batch[:0], maxWriteBatch)
 			l.mu.Unlock()
-			return frames, true
+			return l.batch, true
 		}
 		l.mu.Unlock()
 		select {
@@ -446,7 +446,7 @@ func (l *peerLink) peekBatch() ([][]byte, bool) {
 // popN removes the n frames peekBatch returned after a successful write.
 func (l *peerLink) popN(n int) {
 	l.mu.Lock()
-	l.queue = l.queue[n:]
+	l.queue.drop(n)
 	l.mu.Unlock()
 }
 

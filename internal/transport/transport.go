@@ -44,13 +44,70 @@ type Transport interface {
 	// Self returns the identity this endpoint sends as.
 	Self() model.ProcessID
 	// Send enqueues a frame for delivery to the given process (including
-	// to itself). It never blocks on the receiver.
+	// to itself). It never blocks on the receiver. A frame is immutable
+	// once passed to Send: neither the caller nor any transport writes to
+	// it afterwards, and the same slice may reach several receivers (a
+	// Broadcast hands one frame to every destination).
 	Send(to model.ProcessID, frame []byte) error
 	// Recv returns the channel on which inbound frames arrive. The
 	// channel is closed when the transport is closed.
 	Recv() <-chan []byte
 	// Close releases the endpoint. Further Sends fail with ErrClosed.
 	Close() error
+}
+
+// fifo is an unbounded FIFO of frames on a power-of-two ring: a push
+// into a full ring doubles it, and a pop nils its slot so the ring does
+// not keep a delivered frame alive. It is the one queue of the package —
+// a mailbox's and a TCP link's — and is guarded by its owner's lock.
+type fifo struct {
+	ring  [][]byte
+	head  int
+	count int
+}
+
+// fifoMinCap is a fifo's first ring size: a consumer that keeps up
+// rarely has more than one round of a small cluster's frames queued.
+const fifoMinCap = 4
+
+// len returns the number of queued frames.
+func (q *fifo) len() int { return q.count }
+
+// push appends frame at the tail.
+func (q *fifo) push(frame []byte) {
+	if q.count == len(q.ring) {
+		ring := make([][]byte, max(2*len(q.ring), fifoMinCap))
+		n := copy(ring, q.ring[q.head:])
+		copy(ring[n:], q.ring[:q.head])
+		q.ring, q.head = ring, 0
+	}
+	q.ring[(q.head+q.count)&(len(q.ring)-1)] = frame
+	q.count++
+}
+
+// pop removes and returns the head frame; the queue must not be empty.
+func (q *fifo) pop() []byte {
+	frame := q.ring[q.head]
+	q.drop(1)
+	return frame
+}
+
+// peek appends up to limit frames from the head to dst without removing
+// them.
+func (q *fifo) peek(dst [][]byte, limit int) [][]byte {
+	for i := 0; i < q.count && i < limit; i++ {
+		dst = append(dst, q.ring[(q.head+i)&(len(q.ring)-1)])
+	}
+	return dst
+}
+
+// drop removes the n head frames; n must not exceed len.
+func (q *fifo) drop(n int) {
+	for ; n > 0; n-- {
+		q.ring[q.head] = nil
+		q.head = (q.head + 1) & (len(q.ring) - 1)
+		q.count--
+	}
 }
 
 // mailbox is an unbounded, closable FIFO of frames feeding a channel. The
@@ -65,7 +122,7 @@ type Transport interface {
 type mailbox struct {
 	track  *atomic.Int64
 	mu     sync.Mutex
-	queue  [][]byte
+	queue  fifo
 	wake   chan struct{}
 	out    chan []byte
 	closed bool
@@ -92,7 +149,7 @@ func (m *mailbox) put(frame []byte) {
 		m.mu.Unlock()
 		return
 	}
-	m.queue = append(m.queue, frame)
+	m.queue.push(frame)
 	if m.track != nil {
 		m.track.Add(1)
 	}
@@ -108,7 +165,7 @@ func (m *mailbox) pump() {
 	defer close(m.out)
 	for {
 		m.mu.Lock()
-		for len(m.queue) == 0 {
+		for m.queue.len() == 0 {
 			closed := m.closed
 			m.mu.Unlock()
 			if closed {
@@ -120,8 +177,7 @@ func (m *mailbox) pump() {
 			}
 			m.mu.Lock()
 		}
-		frame := m.queue[0]
-		m.queue = m.queue[1:]
+		frame := m.queue.pop()
 		m.mu.Unlock()
 		select {
 		case m.out <- frame:
@@ -147,9 +203,9 @@ func (m *mailbox) close() {
 	}
 	m.closed = true
 	if m.track != nil {
-		m.track.Add(-int64(len(m.queue)))
+		m.track.Add(-int64(m.queue.len()))
 	}
-	m.queue = nil
+	m.queue = fifo{}
 	m.mu.Unlock()
 	close(m.done)
 }

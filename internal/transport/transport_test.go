@@ -1,6 +1,10 @@
 package transport
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -242,4 +246,118 @@ func TestHubConcurrentSenders(t *testing.T) {
 	for i := 0; i < 3*perSender; i++ {
 		recvWithTimeout(t, receiver, 2*time.Second)
 	}
+}
+
+// checkFIFO compares q against the oracle and checks that every ring
+// slot outside the live window is nil (a popped frame is not pinned).
+func checkFIFO(t *testing.T, step int, q *fifo, oracle [][]byte) {
+	t.Helper()
+	if q.len() != len(oracle) {
+		t.Fatalf("step %d: len %d, oracle %d", step, q.len(), len(oracle))
+	}
+	if got := q.peek(nil, len(oracle)); !slices.EqualFunc(got, oracle, bytes.Equal) {
+		t.Fatalf("step %d: queue %q, oracle %q", step, got, oracle)
+	}
+	if len(q.ring)&(len(q.ring)-1) != 0 {
+		t.Fatalf("step %d: ring size %d is not a power of two", step, len(q.ring))
+	}
+	for i := q.count; i < len(q.ring); i++ {
+		if q.ring[(q.head+i)&(len(q.ring)-1)] != nil {
+			t.Fatalf("step %d: dead slot %d still holds a frame", step, i)
+		}
+	}
+}
+
+// TestFIFOMatchesSliceOracle drives the ring through random pushes,
+// pops, batched peek-and-drops and resets against a plain slice, so
+// wraparound (pops then pushes) and growth (a push into a full,
+// wrapped ring) both occur many times.
+func TestFIFOMatchesSliceOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var (
+		q       fifo
+		oracle  [][]byte
+		wrapped int
+		grown   int
+	)
+	for step := 0; step < 20000; step++ {
+		switch r := rng.Intn(100); {
+		case r < 55:
+			frame := []byte(fmt.Sprint(step))
+			if q.count == len(q.ring) && q.head != 0 {
+				grown++
+			}
+			q.push(frame)
+			oracle = append(oracle, frame)
+		case r < 85:
+			if len(oracle) == 0 {
+				continue
+			}
+			if got := q.pop(); !bytes.Equal(got, oracle[0]) {
+				t.Fatalf("step %d: pop %q, oracle %q", step, got, oracle[0])
+			}
+			oracle = oracle[1:]
+		case r < 99:
+			n := min(rng.Intn(6), len(oracle))
+			if got := q.peek(nil, n); !slices.EqualFunc(got, oracle[:n], bytes.Equal) {
+				t.Fatalf("step %d: peek %q, oracle %q", step, got, oracle[:n])
+			}
+			q.drop(n)
+			oracle = oracle[n:]
+		default:
+			q, oracle = fifo{}, nil
+		}
+		if q.head+q.count > len(q.ring) {
+			wrapped++
+		}
+		checkFIFO(t, step, &q, oracle)
+	}
+	if wrapped == 0 || grown == 0 {
+		t.Fatalf("wrapped %d steps, grew %d wrapped rings: the walk missed a case", wrapped, grown)
+	}
+}
+
+// TestHubCloseReleasesWrappedFrames closes a hub while a mailbox's ring
+// holds frames wrapped around its end: the in-flight count must return
+// to zero, covering the frames queued and the one its pump holds.
+func TestHubCloseReleasesWrappedFrames(t *testing.T) {
+	hub, err := NewHub(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := hub.Endpoint(1)
+	b, _ := hub.Endpoint(2)
+	box := hub.boxes[1]
+	ring := func() (head, count, size int) {
+		box.mu.Lock()
+		defer box.mu.Unlock()
+		return box.queue.head, box.queue.count, len(box.queue.ring)
+	}
+	// Advance the ring's head: three frames in, two received, the third
+	// held by the pump.
+	for i := byte(0); i < 3; i++ {
+		if err := a.Send(2, []byte{i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recvWithTimeout(t, b, time.Second)
+	recvWithTimeout(t, b, time.Second)
+	waitFor(t, "pump to take the third frame", func() bool { _, count, _ := ring(); return count == 0 })
+	head, _, size := ring()
+	// Fill past the ring's end without growing it.
+	for i := 0; i <= size-head; i++ {
+		if err := a.Send(2, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if head, count, size := ring(); head+count <= size || count > size {
+		t.Fatalf("ring head %d count %d size %d: not wrapped", head, count, size)
+	}
+	if got, want := hub.pending.Load(), int64(size-head+2); got != want {
+		t.Fatalf("pending %d before close, want %d", got, want)
+	}
+	if err := hub.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "in-flight count to drain", func() bool { return hub.pending.Load() == 0 })
 }
