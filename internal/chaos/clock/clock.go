@@ -33,6 +33,11 @@ type Timer interface {
 type Ticker interface {
 	C() <-chan time.Time
 	Stop()
+	// Reset re-arms the ticker, stopped or not, with period d (d must be
+	// positive) from now: the next tick is due at now+d. No tick from
+	// before the Reset is received after it returns, so one ticker can
+	// pace a loop whose every pass restarts the period.
+	Reset(d time.Duration)
 }
 
 // Clock is the time source of the live stack.
@@ -102,10 +107,13 @@ func (rt realTimer) C() <-chan time.Time        { return rt.t.C }
 func (rt realTimer) Stop() bool                 { return rt.t.Stop() }
 func (rt realTimer) Reset(d time.Duration) bool { return rt.t.Reset(d) }
 
+// realTicker's Reset is time.Ticker.Reset, whose no-stale-tick guarantee
+// holds from go 1.23 on (synchronous timer channels).
 type realTicker struct{ t *time.Ticker }
 
-func (rt realTicker) C() <-chan time.Time { return rt.t.C }
-func (rt realTicker) Stop()               { rt.t.Stop() }
+func (rt realTicker) C() <-chan time.Time   { return rt.t.C }
+func (rt realTicker) Stop()                 { rt.t.Stop() }
+func (rt realTicker) Reset(d time.Duration) { rt.t.Reset(d) }
 
 // Or returns c, or Real when c is nil — the one-liner every Config
 // default uses.

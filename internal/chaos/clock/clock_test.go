@@ -82,6 +82,84 @@ func TestVirtualTicker(t *testing.T) {
 	}
 }
 
+// TestVirtualTickerReset: a Reset mid-period restarts the period at the
+// Reset instant, and a tick already in the channel is not received after
+// it.
+func TestVirtualTickerReset(t *testing.T) {
+	v := NewVirtual()
+	tick := v.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	v.AfterFunc(13*time.Millisecond, func() {})
+	v.Step() // the tick at 10ms, left in the channel
+	v.Step() // now 13ms
+	tick.Reset(5 * time.Millisecond)
+	select {
+	case at := <-tick.C():
+		t.Fatalf("received the pre-Reset tick of %v", at.Sub(epoch))
+	default:
+	}
+	for _, want := range []time.Duration{18, 23, 28} {
+		if !v.Step() {
+			t.Fatal("ticker ran out of events")
+		}
+		select {
+		case at := <-tick.C():
+			if got := at.Sub(epoch); got != want*time.Millisecond {
+				t.Fatalf("tick at %v, want %v", got, want*time.Millisecond)
+			}
+		default:
+			t.Fatalf("no tick at %vms", want)
+		}
+	}
+	if n := v.PendingEvents(); n != 1 {
+		t.Fatalf("%d live events, want 1", n)
+	}
+}
+
+// TestVirtualTickerResetRacesStep: a tick firing inside Step while
+// another goroutine resets the ticker must neither send nor reschedule,
+// so however the two interleave one live event remains.
+func TestVirtualTickerResetRacesStep(t *testing.T) {
+	v := NewVirtual()
+	tick := v.NewTicker(time.Millisecond)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			tick.Reset(time.Millisecond)
+		}
+	}()
+	for stepping := true; stepping; {
+		select {
+		case <-done:
+			stepping = false
+		default:
+			v.Step()
+		}
+	}
+	if n := v.PendingEvents(); n != 1 {
+		t.Fatalf("%d live events after racing Resets, want 1", n)
+	}
+	tick.Stop()
+	if n := v.PendingEvents(); n != 0 {
+		t.Fatalf("%d live events after Stop, want 0", n)
+	}
+}
+
+// TestRealTickerReset: on the wall clock too, no tick from before a Reset
+// is received after it.
+func TestRealTickerReset(t *testing.T) {
+	tick := Real{}.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	time.Sleep(5 * time.Millisecond) // a tick is due
+	tick.Reset(time.Hour)
+	select {
+	case at := <-tick.C():
+		t.Fatalf("received a tick of %v after Reset", at)
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
 // TestVirtualChannelTimer checks NewTimer delivers the fire time on C.
 func TestVirtualChannelTimer(t *testing.T) {
 	v := NewVirtual()

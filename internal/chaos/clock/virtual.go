@@ -157,7 +157,7 @@ func (v *Virtual) NewTicker(d time.Duration) Ticker {
 	}
 	t := &virtualTicker{v: v, period: d, ch: make(chan time.Time, 1)}
 	t.mu.Lock()
-	t.ev = v.schedule(d, t.tick)
+	t.arm()
 	t.mu.Unlock()
 	return t
 }
@@ -198,27 +198,37 @@ func (t *virtualTimer) Reset(d time.Duration) bool {
 	return active
 }
 
+// virtualTicker's generation counts its Stops and Resets. A tick fires
+// inside Step, outside the ticker's lock, so a Stop or Reset can slip in
+// between Step popping the tick's event and the tick running; the tick
+// then finds a newer generation and neither sends nor reschedules.
 type virtualTicker struct {
-	v      *Virtual
-	period time.Duration
-	ch     chan time.Time
+	v  *Virtual
+	ch chan time.Time
 
-	mu      sync.Mutex
-	ev      *event
-	stopped bool
+	mu     sync.Mutex
+	period time.Duration
+	ev     *event
+	gen    uint64
 }
 
-func (t *virtualTicker) tick(now time.Time) {
+// arm schedules the current generation's next tick; t.mu is held.
+func (t *virtualTicker) arm() {
+	gen := t.gen
+	t.ev = t.v.schedule(t.period, func(now time.Time) { t.tick(now, gen) })
+}
+
+func (t *virtualTicker) tick(now time.Time, gen uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if gen != t.gen {
+		return // stopped or reset since this tick was scheduled
+	}
 	select {
 	case t.ch <- now:
 	default: // receiver lags: the tick is dropped, like time.Ticker
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stopped {
-		return
-	}
-	t.ev = t.v.schedule(t.period, t.tick)
+	t.arm()
 }
 
 func (t *virtualTicker) C() <-chan time.Time { return t.ch }
@@ -226,8 +236,24 @@ func (t *virtualTicker) C() <-chan time.Time { return t.ch }
 func (t *virtualTicker) Stop() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.stopped = true
+	t.gen++
 	t.v.cancel(t.ev)
+}
+
+func (t *virtualTicker) Reset(d time.Duration) {
+	if d <= 0 {
+		panic("clock: non-positive ticker period")
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.gen++
+	t.v.cancel(t.ev)
+	select {
+	case <-t.ch: // a tick from before the Reset
+	default:
+	}
+	t.period = d
+	t.arm()
 }
 
 // PendingEvents returns the number of live (uncancelled) events.

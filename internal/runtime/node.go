@@ -1,9 +1,11 @@
 package runtime
 
 import (
+	"bytes"
 	"context"
 	"sync"
 
+	"indulgence/internal/chaos/clock"
 	"indulgence/internal/core"
 	"indulgence/internal/fd"
 	"indulgence/internal/model"
@@ -28,6 +30,19 @@ type node struct {
 	buffered  map[model.Round][]model.Message
 	late      []model.Message // older-round messages awaiting delivery
 	decisions chan<- NodeResult
+
+	// The round machinery, kept for the node's life. recv backs every
+	// round's receive set and poll is re-armed at every round start; both
+	// are made at the first receive phase, buffered at the first
+	// future-round frame. shares is false when the algorithm mutates
+	// received payloads; otherwise lastBytes holds the payload bytes of
+	// the last frame decoded (frames are immutable once sent) and
+	// lastPayload what they decoded to.
+	recv        []model.Message
+	poll        clock.Ticker
+	shares      bool
+	lastBytes   []byte
+	lastPayload model.Payload
 
 	crashMu  sync.Mutex
 	crashFn  context.CancelFunc
@@ -95,6 +110,9 @@ func (n *node) loop(ctx context.Context) {
 			break
 		}
 	}
+	if n.poll != nil {
+		n.poll.Stop()
+	}
 	n.crashMu.Lock()
 	crashed := n.crashed
 	n.crashMu.Unlock()
@@ -124,13 +142,16 @@ func (n *node) broadcast(k model.Round) error {
 // sender has halted, and the algorithm decides on it.
 func (n *node) collect(ctx context.Context, k model.Round) ([]model.Message, bool) {
 	quorum := n.cfg.N - n.cfg.T
-	// The receive set is sized once: room for a message from every
-	// process plus the late ones, so neither the receive loop nor the
-	// append that delivers the late messages regrows it.
+	// The receive set reuses the node's array, remade only when it lacks
+	// room for a message from every process plus the late ones, so
+	// neither the receive loop nor the append that delivers the late
+	// messages regrows it.
 	early := n.buffered[k]
 	delete(n.buffered, k)
-	roundMsgs := make([]model.Message, len(early), max(len(early), n.cfg.N)+len(n.late))
-	copy(roundMsgs, early)
+	if need := max(len(early), n.cfg.N) + len(n.late); cap(n.recv) < need {
+		n.recv = make([]model.Message, 0, need)
+	}
+	roundMsgs := append(n.recv[:0], early...)
 	var (
 		heard  model.PIDSet
 		decide bool
@@ -155,8 +176,11 @@ func (n *node) collect(ctx context.Context, k model.Round) ([]model.Message, boo
 	}
 
 	roundAt := n.cfg.Clock.Now()
-	ticker := n.cfg.Clock.NewTicker(n.cfg.BaseTimeout / 4)
-	defer ticker.Stop()
+	if n.poll == nil {
+		n.poll = n.cfg.Clock.NewTicker(n.cfg.BaseTimeout / 4)
+	} else {
+		n.poll.Reset(n.cfg.BaseTimeout / 4)
+	}
 	for !satisfied() {
 		select {
 		case <-ctx.Done():
@@ -165,7 +189,7 @@ func (n *node) collect(ctx context.Context, k model.Round) ([]model.Message, boo
 			if !ok {
 				return nil, false
 			}
-			m, _, err := wire.DecodeMessage(frame)
+			m, err := n.decode(frame)
 			if err != nil {
 				continue // a malformed frame is dropped, not fatal
 			}
@@ -182,9 +206,12 @@ func (n *node) collect(ctx context.Context, k model.Round) ([]model.Message, boo
 				n.late = append(n.late, m)
 				decide = decide || isDecide(m)
 			default:
+				if n.buffered == nil {
+					n.buffered = make(map[model.Round][]model.Message)
+				}
 				n.buffered[m.Round] = append(n.buffered[m.Round], m)
 			}
-		case <-ticker.C():
+		case <-n.poll.C():
 			// Suspect every unheard process whose timeout has expired
 			// since this round began, on the cluster's clock.
 			found := n.detector.SuspectOverdue(n.cfg.N, n.id, heard, roundAt)
@@ -193,10 +220,32 @@ func (n *node) collect(ctx context.Context, k model.Round) ([]model.Message, boo
 		}
 	}
 
-	delivered := append(roundMsgs, n.late...)
-	n.late = nil
-	sortReceived(delivered)
-	return delivered, true
+	n.recv = append(roundMsgs, n.late...)
+	n.late = n.late[:0]
+	sortReceived(n.recv)
+	return n.recv, true
+}
+
+// decode decodes one message frame. A frame whose payload bytes equal the
+// last decoded frame's gets that frame's payload, unless the algorithm
+// mutates received payloads: payloads are shared-immutable, and from
+// round 2 on most of a round's frames carry identical payload bytes.
+func (n *node) decode(frame []byte) (model.Message, error) {
+	m, raw, err := wire.SplitMessage(frame)
+	if err != nil {
+		return m, err
+	}
+	if n.shares && len(n.lastBytes) > 0 && bytes.Equal(raw, n.lastBytes) {
+		m.Payload = n.lastPayload
+		return m, nil
+	}
+	if m.Payload, _, err = wire.DecodePayload(raw); err != nil {
+		return m, err
+	}
+	if n.shares {
+		n.lastBytes, n.lastPayload = raw, m.Payload
+	}
+	return m, nil
 }
 
 // sortReceived orders a receive set by (Round, From) in place. An

@@ -4,15 +4,18 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"indulgence/internal/chaos/clock"
 	"indulgence/internal/core"
 	"indulgence/internal/fd"
 	"indulgence/internal/model"
 	"indulgence/internal/payload"
+	"indulgence/internal/transport"
 	"indulgence/internal/wire"
 )
 
@@ -94,6 +97,155 @@ func TestCollectDeliveryOrder(t *testing.T) {
 		}
 		if last := order[len(arrivals)-len(ep.ch)-1]; arrivals[last].Round != k || !isDecide(arrivals[last]) {
 			t.Fatalf("trial %d: phase ended on %v, not on the DECIDE", trial, arrivals[last])
+		}
+	}
+}
+
+// recordingAlg sends its proposal as an Estimate each round, keeps the
+// backing array and a copy of every receive set it is handed, and decides
+// its own proposal after round 3.
+type recordingAlg struct {
+	v      model.Value
+	arrays []*model.Message
+	sets   [][]model.Message
+}
+
+func (a *recordingAlg) Name() string { return "recording" }
+
+func (a *recordingAlg) StartRound(k model.Round) model.Payload {
+	if _, decided := a.Decision(); decided {
+		return payload.Decide{V: a.v}
+	}
+	return payload.Estimate{Est: a.v, TS: int(k)}
+}
+
+func (a *recordingAlg) EndRound(_ model.Round, delivered []model.Message) {
+	a.arrays = append(a.arrays, unsafe.SliceData(delivered))
+	a.sets = append(a.sets, slices.Clone(delivered))
+}
+
+func (a *recordingAlg) Decision() (model.Value, bool) { return a.v, len(a.sets) >= 3 }
+
+// mutatingAlg declares through model.PayloadMutator whether it mutates
+// received payloads.
+type mutatingAlg struct {
+	model.Algorithm
+	mutates bool
+}
+
+func (a mutatingAlg) MutatesReceivedPayloads() bool { return a.mutates }
+
+// TestReceiveSetReused: a node hands its algorithm one backing array for
+// the receive set of every round, each round holding exactly that round's
+// messages in (Round, From) order.
+func TestReceiveSetReused(t *testing.T) {
+	const n = 4
+	hub, err := transport.NewHub(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	eps := make([]transport.Transport, n)
+	proposals := make([]model.Value, n)
+	for i := range eps {
+		if eps[i], err = hub.Endpoint(model.ProcessID(i + 1)); err != nil {
+			t.Fatal(err)
+		}
+		proposals[i] = model.Value(10 * (i + 1))
+	}
+	algs := make([]*recordingAlg, n)
+	c, err := New(Config{N: n, T: 1, Proposals: proposals, Endpoints: eps, BaseTimeout: time.Hour,
+		Factory: func(ctx model.ProcessContext, v model.Value) (model.Algorithm, error) {
+			algs[ctx.Self-1] = &recordingAlg{v: v}
+			return algs[ctx.Self-1], nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := c.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range algs {
+		if len(a.sets) != 3 {
+			t.Fatalf("p%d ran %d rounds, want 3", i+1, len(a.sets))
+		}
+		for r, set := range a.sets {
+			k := model.Round(r + 1)
+			if a.arrays[r] != a.arrays[0] {
+				t.Errorf("p%d round %d: receive set on a new backing array", i+1, k)
+			}
+			want := make([]model.Message, n)
+			for j := range want {
+				want[j] = model.Message{From: model.ProcessID(j + 1), Round: k,
+					Payload: payload.Estimate{Est: proposals[j], TS: int(k)}}
+			}
+			if !reflect.DeepEqual(set, want) {
+				t.Errorf("p%d round %d:\n got %v\nwant %v", i+1, k, set, want)
+			}
+		}
+	}
+}
+
+// TestDecodeSharesEqualPayloads: n = 4 frames from different senders with
+// equal payload bytes box one payload between them.
+func TestDecodeSharesEqualPayloads(t *testing.T) {
+	frames := make([][]byte, 4)
+	for i := range frames {
+		var err error
+		frames[i], err = wire.EncodeMessage(nil, model.Message{From: model.ProcessID(i + 1), Round: 2,
+			Payload: payload.Estimate{Est: 7, TS: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	nd := &node{shares: true}
+	allocs := testing.AllocsPerRun(100, func() {
+		nd.lastBytes, nd.lastPayload = nil, nil
+		for i, f := range frames {
+			m, err := nd.decode(f)
+			if err != nil || m.From != model.ProcessID(i+1) || m.Payload != (payload.Estimate{Est: 7, TS: 1}) {
+				t.Fatalf("frame %d decoded to %v, %v", i, m, err)
+			}
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("%v allocations decoding 4 equal payloads, want 1", allocs)
+	}
+}
+
+// TestPayloadMutatorDecodesPrivately: two frames with equal Values bytes
+// share one Vals array, unless the algorithm declares it mutates received
+// payloads.
+func TestPayloadMutatorDecodesPrivately(t *testing.T) {
+	for _, mutates := range []bool{false, true} {
+		ep := &queuedEndpoint{self: 1, ch: make(chan []byte, 2)}
+		for from := model.ProcessID(1); from <= 2; from++ {
+			frame, err := wire.EncodeMessage(nil, model.Message{From: from, Round: 1,
+				Payload: payload.Values{Vals: []model.Value{4, 5}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ep.ch <- frame
+		}
+		c, err := New(Config{N: 2, T: 1, Proposals: []model.Value{1, 2},
+			Endpoints: []transport.Transport{ep, nil}, Members: model.NewPIDSet(1), BaseTimeout: time.Hour,
+			Factory: func(model.ProcessContext, model.Value) (model.Algorithm, error) {
+				return mutatingAlg{&recordingAlg{}, mutates}, nil
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd := c.nodes[0]
+		got, ok := nd.collect(context.Background(), 1)
+		nd.poll.Stop()
+		if !ok || len(got) != 2 {
+			t.Fatalf("mutates=%v: collect returned %v, %v", mutates, got, ok)
+		}
+		a, b := got[0].Payload.(payload.Values).Vals, got[1].Payload.(payload.Values).Vals
+		if shared := &a[0] == &b[0]; shared == mutates {
+			t.Errorf("mutates=%v: Vals arrays shared = %v", mutates, shared)
 		}
 	}
 }

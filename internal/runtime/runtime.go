@@ -28,6 +28,14 @@
 // peers are down. Run is the whole lifecycle: its nodes halt on their
 // own, so it returns when the last member has.
 //
+// Within an instance a node builds its round machinery once: one
+// receive set reused every round (the algorithm reads it only during
+// EndRound), and one poll ticker re-armed at each round start, so each
+// round's first poll falls BaseTimeout/4 after the round starts. A frame
+// whose payload bytes equal the last decoded frame's reuses that payload
+// (payloads are shared-immutable and frames immutable once sent), unless
+// the algorithm declares model.PayloadMutator.
+//
 // The runtime is where indulgence becomes visible as an engineering
 // property: injected delays cause false suspicions and slow decisions but
 // never endanger agreement.
@@ -180,14 +188,15 @@ func New(cfg Config) (*Cluster, error) {
 		if detector == nil {
 			detector = fd.NewTimeoutDetectorClock(cfg.BaseTimeout, cfg.Clock)
 		}
+		mutator, ok := alg.(model.PayloadMutator)
 		c.nodes[i] = &node{
 			id:        id,
 			cfg:       &c.cfg,
 			alg:       alg,
 			ep:        cfg.Endpoints[i],
 			detector:  detector,
-			buffered:  make(map[model.Round][]model.Message),
 			decisions: c.decisions,
+			shares:    !ok || !mutator.MutatesReceivedPayloads(),
 		}
 	}
 	return c, nil

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -101,6 +102,51 @@ func corpusInputs(t *testing.T) [][]byte {
 	return inputs
 }
 
+// fuzzInputs is the committed fuzz corpus followed by every fuzz seed:
+// the inputs TestDecodeGolden feeds every decoder.
+func fuzzInputs(t *testing.T) [][]byte {
+	inputs := corpusInputs(t)
+	for _, seeds := range [][][]byte{
+		instanceMessageSeeds(), groupEnvelopeSeeds(), decisionRecordSeeds(), startRecordSeeds(),
+		helloRecordSeeds(), traceRecordSeeds(), decisionTraceRecordSeeds(),
+	} {
+		inputs = append(inputs, seeds...)
+	}
+	return inputs
+}
+
+// TestSplitMessageMatchesDecodeMessage: SplitMessage then DecodePayload
+// yields exactly what DecodeMessage does, errors included, on the bare
+// message of every input the golden's message decoder sees.
+func TestSplitMessageMatchesDecodeMessage(t *testing.T) {
+	inputs := fuzzInputs(t)
+	enc := goldenCanonical()["message"]
+	for cut := 0; cut <= len(enc); cut++ {
+		inputs = append(inputs, enc[:cut])
+	}
+	for _, in := range inputs {
+		_, _, inner, err := StripGroup(in)
+		if err != nil {
+			inner = in
+		}
+		want, wantN, wantErr := DecodeMessage(inner)
+		got, raw, err := SplitMessage(inner)
+		gotN := 0
+		if err == nil {
+			var used int
+			if got.Payload, used, err = DecodePayload(raw); err == nil {
+				gotN = len(inner) - len(raw) + used
+			} else {
+				got = model.Message{}
+			}
+		}
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || gotN != wantN || !reflect.DeepEqual(got, want) {
+			t.Errorf("%x: split+payload = %v, %d, %v; DecodeMessage = %v, %d, %v",
+				inner, got, gotN, err, want, wantN, wantErr)
+		}
+	}
+}
+
 // TestDecodeGolden pins the decoders' accept set across refactors:
 // every committed fuzz corpus file and every fuzz seed through all
 // eight decoders, and every prefix of one canonical encoding per record
@@ -130,14 +176,7 @@ func TestDecodeGolden(t *testing.T) {
 			t.Errorf("%s: error of neither class: %v", key, err)
 		}
 	}
-	inputs := corpusInputs(t)
-	for _, seeds := range [][][]byte{
-		instanceMessageSeeds(), groupEnvelopeSeeds(), decisionRecordSeeds(), startRecordSeeds(),
-		helloRecordSeeds(), traceRecordSeeds(), decisionTraceRecordSeeds(),
-	} {
-		inputs = append(inputs, seeds...)
-	}
-	for _, in := range inputs {
+	for _, in := range fuzzInputs(t) {
 		for _, d := range goldenDecoders {
 			emit(d.kind, d.decode, in)
 		}

@@ -335,27 +335,33 @@ func EncodeMessage(dst []byte, m model.Message) ([]byte, error) {
 // DecodeMessage decodes one message from b, returning it and the number of
 // bytes consumed.
 func DecodeMessage(b []byte) (model.Message, int, error) {
-	var m model.Message
-	off := 0
-	from, n := binary.Varint(b[off:])
-	if n <= 0 {
-		return m, 0, fmt.Errorf("%w: sender", ErrTruncated)
-	}
-	off += n
-	round, n := binary.Varint(b[off:])
-	if n <= 0 {
-		return m, 0, fmt.Errorf("%w: round", ErrTruncated)
-	}
-	off += n
-	pl, n, err := decodePayload(b[off:])
+	m, rest, err := SplitMessage(b)
 	if err != nil {
-		return m, 0, err
+		return model.Message{}, 0, err
 	}
-	off += n
-	m.From = model.ProcessID(from)
-	m.Round = model.Round(round)
+	pl, n, err := decodePayload(rest)
+	if err != nil {
+		return model.Message{}, 0, err
+	}
 	m.Payload = pl
-	return m, off, nil
+	return m, len(b) - len(rest) + n, nil
+}
+
+// SplitMessage decodes the sender and round of one message from b and
+// returns them, with a nil Payload, beside the payload's undecoded bytes:
+// the rest of b, which DecodePayload reads. Payload decoding is a pure
+// function of those bytes, so a receiver may reuse the payload it decoded
+// from equal bytes before.
+func SplitMessage(b []byte) (model.Message, []byte, error) {
+	from, n := binary.Varint(b)
+	if n <= 0 {
+		return model.Message{}, nil, fmt.Errorf("%w: sender", ErrTruncated)
+	}
+	round, rn := binary.Varint(b[n:])
+	if rn <= 0 {
+		return model.Message{}, nil, fmt.Errorf("%w: round", ErrTruncated)
+	}
+	return model.Message{From: model.ProcessID(from), Round: model.Round(round)}, b[n+rn:], nil
 }
 
 func appendOptValue(dst []byte, o model.OptValue) []byte {
