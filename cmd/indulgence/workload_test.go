@@ -85,7 +85,7 @@ func TestDriveHonoursRetryBudget(t *testing.T) {
 	if o := outcomes[fillers]; o.Status != wire.TraceShed || o.Class != 0 {
 		t.Errorf("class-0 event: %+v, want shed", o)
 	}
-	// One first attempt plus Budget = RetryBudget (default 3) + class (0)
+	// One first attempt plus Budget = the base retry budget (3) + class (0)
 	// retries, each refused and counted once.
 	roll := rt.Snapshot()
 	if want := []int{4, 0}; len(roll.OverloadsByClass) != 2 || roll.OverloadsByClass[0] != want[0] || roll.OverloadsByClass[1] != want[1] {

@@ -404,7 +404,7 @@ func NewPeerService(cfg PeerServiceOptions, n int, ep Transport) (*PeerService, 
 }
 
 // NewMux multiplexes instance-addressed streams over one endpoint.
-func NewMux(ep Transport) *Mux { return transport.NewMux(ep) }
+func NewMux(ep Transport) *Mux { return transport.NewMux(ep, nil) }
 
 // Durable decision journal (crash-restart recovery for the service).
 type (

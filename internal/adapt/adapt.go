@@ -84,6 +84,19 @@ func (e *OverloadError) Error() string {
 // Unwrap makes errors.Is(e, ErrOverload) true.
 func (e *OverloadError) Unwrap() error { return ErrOverload }
 
+// The controller's fixed increments and the admission retry budget.
+const (
+	// batchStep is the additive batch increase applied per congested
+	// tick (the multiplicative decrease is fixed at 1/2).
+	batchStep = 4
+	// lingerStep is the additive linger increase applied when under-full
+	// batches are cut while instances stream.
+	lingerStep = 250 * time.Microsecond
+	// retryBudget is the base per-class retry budget surfaced in
+	// OverloadError; class c is budgeted retryBudget + c.
+	retryBudget = 3
+)
+
 // Config describes the control plane attached to a service.
 type Config struct {
 	// MinBatch and MaxBatch bound the effective batch size the
@@ -97,12 +110,6 @@ type Config struct {
 	// Interval is the control-loop period (default 5ms): how often the
 	// service snapshots observations and runs one controller tick.
 	Interval time.Duration
-	// Step is the additive batch increase applied per congested tick
-	// (default 4; the multiplicative decrease is fixed at 1/2).
-	Step int
-	// LingerStep is the additive linger increase applied when under-full
-	// batches are cut while every instance slot is busy (default 250µs).
-	LingerStep time.Duration
 	// SelectAlgorithms enables the per-instance algorithm selector.
 	// Only the single-process service may enable it: a multi-process
 	// member cannot unilaterally change the protocol of a slot it
@@ -133,9 +140,6 @@ type Config struct {
 	// low-water marks interpolate from AdmitLow (class 0) toward
 	// AdmitHigh, so higher classes disarm earlier on drain.
 	AdmitTop float64
-	// RetryBudget is the base per-class retry budget surfaced in
-	// OverloadError (default 3); class c is budgeted RetryBudget + c.
-	RetryBudget int
 	// Metrics, when non-nil, registers the control plane's instruments
 	// on this registry: batch/linger/EWMA/selector-level gauges,
 	// adjustment/tick/transition counters, and per-class shedding
@@ -169,12 +173,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Interval == 0 {
 		cfg.Interval = 5 * time.Millisecond
 	}
-	if cfg.Step == 0 {
-		cfg.Step = 4
-	}
-	if cfg.LingerStep == 0 {
-		cfg.LingerStep = 250 * time.Microsecond
-	}
 	if cfg.ClimbAfter == 0 {
 		cfg.ClimbAfter = 8
 	}
@@ -198,9 +196,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.AdmitTop < cfg.AdmitHigh {
 		cfg.AdmitTop = cfg.AdmitHigh
-	}
-	if cfg.RetryBudget == 0 {
-		cfg.RetryBudget = 3
 	}
 	if cfg.Now == nil {
 		//indulgence:wallclock production default for Config.Now; tests inject a virtual source

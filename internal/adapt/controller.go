@@ -104,7 +104,7 @@ func (c *Controller) EWMA() time.Duration { return c.ewma }
 //     fill ≥ 90%: cuts were count-triggered, so demand saturates the
 //     current limit), or an intake backlog (≥ 1/4 of the queue — rare,
 //     since the batcher drains intake eagerly, and decisive), grow the
-//     batch by Step. A deeper batch drains a burst in fewer instances,
+//     batch by batchStep. A deeper batch drains a burst in fewer instances,
 //     each still paying its fixed round price, so queueing delay falls.
 //   - Batch, multiplicative decrease: an instance failure halves the
 //     batch (and the linger) — fate-sharing is the one cost deep
@@ -119,7 +119,7 @@ func (c *Controller) EWMA() time.Duration { return c.ewma }
 //     help); an idle window decays it by 1/4 toward the floor (a lone
 //     proposal must not wait out a burst-tuned window); under-full cuts
 //     while instances stream (a quarter of the slots busy or more)
-//     double it plus LingerStep — the cuts are outpacing coalescing,
+//     double it plus lingerStep — the cuts are outpacing coalescing,
 //     filling batches is free when rounds dominate, and the fill < 90%
 //     gate makes the growth self-limiting (at 90% the cuts are
 //     count-triggered and the batch AI takes over); under-full cuts on
@@ -135,7 +135,7 @@ func (c *Controller) Tick(obs Observation) (Setting, bool) {
 		c.setting.Linger = clampDur(c.setting.Linger/2, c.cfg.MinLinger, c.cfg.MaxLinger)
 	case obs.pressured() || obs.FillPercent >= 90:
 		c.lowFill = 0
-		c.setting.Batch = clampInt(c.setting.Batch+c.cfg.Step, c.cfg.MinBatch, c.cfg.MaxBatch)
+		c.setting.Batch = clampInt(c.setting.Batch+batchStep, c.cfg.MinBatch, c.cfg.MaxBatch)
 	case obs.FillPercent > 0 && obs.FillPercent < 25 && !obs.working():
 		c.lowFill++
 		if c.lowFill >= 3 {
@@ -154,7 +154,7 @@ func (c *Controller) Tick(obs Observation) (Setting, bool) {
 	case obs.idle():
 		c.setting.Linger = clampDur(c.setting.Linger*3/4, c.cfg.MinLinger, c.cfg.MaxLinger)
 	case obs.FillPercent > 0 && obs.FillPercent < 90 && obs.working():
-		c.setting.Linger = clampDur(c.setting.Linger*2+c.cfg.LingerStep, c.cfg.MinLinger, c.cfg.MaxLinger)
+		c.setting.Linger = clampDur(c.setting.Linger*2+lingerStep, c.cfg.MinLinger, c.cfg.MaxLinger)
 	case obs.FillPercent > 0 && obs.FillPercent < 50 && !obs.pressured():
 		c.setting.Linger = clampDur(c.setting.Linger*3/4, c.cfg.MinLinger, c.cfg.MaxLinger)
 	}

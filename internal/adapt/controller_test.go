@@ -19,7 +19,6 @@ func TestControllerTrajectory(t *testing.T) {
 	cfg := adapt.Config{
 		MinBatch: 1, MaxBatch: 32,
 		MinLinger: 0, MaxLinger: 4 * time.Millisecond,
-		Step: 4, LingerStep: 500 * time.Microsecond,
 	}
 	c := adapt.NewController(cfg, adapt.Setting{Batch: 8, Linger: 2 * time.Millisecond})
 
@@ -55,30 +54,30 @@ func TestControllerTrajectory(t *testing.T) {
 		// linger additively so batches fill while rounds dominate.
 		{"underfull-busy", adapt.Observation{Decided: 2, Latency: 3 * time.Millisecond, FillPercent: 30,
 			QueueLen: 0, QueueCap: 64, Busy: 16, Slots: 16},
-			adapt.Setting{Batch: 20, Linger: 1625 * time.Microsecond}},
+			adapt.Setting{Batch: 20, Linger: 1375 * time.Microsecond}},
 		// A single low-fill window (a burst tail) decays the linger but
 		// NOT the batch — decay hysteresis needs three in a row.
 		{"underfull-relaxed-1", adapt.Observation{Decided: 1, Latency: 3 * time.Millisecond, FillPercent: 20,
 			QueueLen: 0, QueueCap: 64, Busy: 2, Slots: 16},
-			adapt.Setting{Batch: 20, Linger: 1218750 * time.Nanosecond}},
+			adapt.Setting{Batch: 20, Linger: 1031250 * time.Nanosecond}},
 		{"underfull-relaxed-2", adapt.Observation{Decided: 1, Latency: 3 * time.Millisecond, FillPercent: 20,
 			QueueLen: 0, QueueCap: 64, Busy: 2, Slots: 16},
-			adapt.Setting{Batch: 20, Linger: 914062 * time.Nanosecond}},
+			adapt.Setting{Batch: 20, Linger: 773437 * time.Nanosecond}},
 		// The third consecutive low-fill window starts walking the batch
 		// down, re-centering the fill signal.
 		{"underfull-relaxed-3", adapt.Observation{Decided: 1, Latency: 3 * time.Millisecond, FillPercent: 20,
 			QueueLen: 0, QueueCap: 64, Busy: 2, Slots: 16},
-			adapt.Setting{Batch: 15, Linger: 685546 * time.Nanosecond}},
+			adapt.Setting{Batch: 15, Linger: 580077 * time.Nanosecond}},
 		// An instance failure is the one signal that shrinks the batch
 		// multiplicatively: fate-sharing exposure halves on the spot.
 		{"failure", adapt.Observation{Decided: 1, Failures: 1, Latency: 3 * time.Millisecond,
 			FillPercent: 60, QueueLen: 0, QueueCap: 64, Busy: 4, Slots: 16},
-			adapt.Setting{Batch: 7, Linger: 342773 * time.Nanosecond}},
+			adapt.Setting{Batch: 7, Linger: 290038 * time.Nanosecond}},
 		// Failures preempt the additive increase: a pressured, full-fill
 		// window that also failed instances must still shrink, not grow.
 		{"failure-under-pressure", adapt.Observation{Decided: 1, Failures: 1, Latency: 3 * time.Millisecond,
 			FillPercent: 100, QueueLen: 60, QueueCap: 64, Busy: 16, Slots: 16},
-			adapt.Setting{Batch: 3, Linger: 171386 * time.Nanosecond}},
+			adapt.Setting{Batch: 3, Linger: 145019 * time.Nanosecond}},
 	}
 	prev, adjusted := c.Setting(), 0
 	for i, st := range steps {
@@ -245,7 +244,7 @@ func TestPlaneAdmission(t *testing.T) {
 func TestPlaneAdmissionClasses(t *testing.T) {
 	p := adapt.NewPlane(adapt.Config{
 		AdmitHigh: 0.9, AdmitLow: 0.5, AdmitTop: 0.98, AdmitTicks: 2,
-		Classes: 3, RetryBudget: 3, Interval: 5 * time.Millisecond,
+		Classes: 3, Interval: 5 * time.Millisecond,
 	}, adapt.Choice{}, adapt.Setting{Batch: 8, Linger: time.Millisecond}, 4, 1)
 
 	shedState := func() [3]bool {

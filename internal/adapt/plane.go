@@ -170,7 +170,7 @@ func (p *Plane) AdmitClass(class int) *OverloadError {
 	return &OverloadError{
 		Class:      class,
 		RetryAfter: time.Duration(p.cfg.AdmitTicks) * p.cfg.Interval,
-		Budget:     p.cfg.RetryBudget + class,
+		Budget:     retryBudget + class,
 	}
 }
 

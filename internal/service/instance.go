@@ -14,56 +14,39 @@ import (
 )
 
 // runInstance executes the hosted processes' nodes of one consensus
-// instance for a batch of proposals: it opens the instance's virtual
-// endpoint on every hosted process's mux, spreads the batch's values
-// round-robin over the hosted processes as their proposals, runs a fresh
-// runtime.Cluster under the instance's algorithm choice (the selector's
-// pick, or the static configuration) until every hosted node has halted
-// — a decided node halts once it has relayed DECIDE, so the instance is
-// over for this service either way — and then retires it, journals the
-// decision and resolves the batch's futures. With every process hosted
-// the decision is also audited with check.Instance. A joined instance (a
-// peer started it) may carry an empty batch.
-func (s *Service) runInstance(instance uint64, batch []*pending, choice adapt.Choice, joined bool) {
+// instance for a batch of proposals over the instance's endpoints, which
+// the batcher opened on every hosted process's mux: it spreads the
+// batch's values round-robin over the hosted processes as their
+// proposals, runs a fresh runtime.Cluster under the instance's algorithm
+// choice (the selector's pick, or the static configuration) until every
+// hosted node has halted — a decided node halts once it has relayed
+// DECIDE, so the instance is over for this service either way — and then
+// retires it, journals the decision and resolves the batch's futures.
+// With every process hosted the decision is also audited with
+// check.Instance. A joined instance (a peer started it) may carry an
+// empty batch.
+func (s *Service) runInstance(instance uint64, eps []transport.Transport, batch []*pending, choice adapt.Choice, joined bool) {
 	defer s.wg.Done()
 	begin := s.cfg.Clock.Now()
 	// end gives back everything the instance holds here: its streams on
-	// every mux (later frames for it are dropped), its join-dedupe entry,
-	// and the slot ticket bounding concurrent consensus runs — before the
-	// journal fsync and future resolution, so durability latency overlaps
-	// the next instance's consensus instead of throttling slot turnover.
+	// every mux (later frames for it are dropped, and a join signal for
+	// it no longer opens) and the slot ticket bounding concurrent
+	// consensus runs — before the journal fsync and future resolution,
+	// so durability latency overlaps the next instance's consensus
+	// instead of throttling slot turnover.
 	end := func() {
-		for _, m := range s.muxes {
-			m.RetireGroup(s.cfg.Group, instance)
-		}
-		s.slotMu.Lock()
-		delete(s.active, instance)
-		s.slotMu.Unlock()
+		s.retire(instance)
 		<-s.slots
 	}
 
-	// Endpoints and proposals are indexed by process; entries of remote
-	// processes stay zero and are never consulted. The k-th hosted
-	// process proposes batch[k mod len(batch)] — the round-robin spread
-	// when every process is hosted, batch[0] for a lone member — or the
-	// noop when a join launched an empty batch.
-	eps := make([]transport.Transport, s.cfg.N)
+	// Proposals are indexed by process; entries of remote processes stay
+	// zero and are never consulted. The k-th hosted process proposes
+	// batch[k mod len(batch)] — the round-robin spread when every process
+	// is hosted, batch[0] for a lone member — or the noop when a join
+	// launched an empty batch.
 	props := make([]model.Value, s.cfg.N)
 	for k, m := range s.muxes {
 		id := m.Self()
-		ep, err := m.OpenGroup(s.cfg.Group, instance)
-		if err != nil {
-			end()
-			// A join can race the slot's retirement (one stale signal
-			// after the instance finished): with no futures aboard that
-			// is not a failure, there is nothing to do. Anything else
-			// losing its endpoint is one.
-			if !joined || len(batch) > 0 {
-				s.failInstance(batch, fmt.Errorf("service: open instance %d on p%d: %w", instance, id, err))
-			}
-			return
-		}
-		eps[id-1] = ep
 		props[id-1] = noopValue
 		if len(batch) > 0 {
 			props[id-1] = batch[k%len(batch)].value

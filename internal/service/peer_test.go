@@ -14,6 +14,7 @@ import (
 	"indulgence/internal/core"
 	"indulgence/internal/journal"
 	"indulgence/internal/model"
+	"indulgence/internal/runtime"
 	"indulgence/internal/transport"
 	"indulgence/internal/wire"
 )
@@ -439,5 +440,122 @@ func TestNewPeerValidation(t *testing.T) {
 	opts.Adaptive = &adapt.Config{SelectAlgorithms: true}
 	if _, err := New(opts, []transport.Transport{ep3}); err == nil {
 		t.Fatal("SelectAlgorithms with a remote process accepted")
+	}
+}
+
+// TestJoinDedupesOnTheMux pins that a member's mux is the one record of
+// which slots it is in. Three members share a hub; p1 initiates X and
+// then Y. While Y is held in p1's OnInstance hook, p1 receives Join(X)
+// for the decided X and Join(Y) for the running Y: both must be dropped
+// without counting anywhere. Then a proposal lingers in p2's batcher
+// while p2 receives Join(X) and a join of a slot past its counter whose
+// stream its mux has already retired: neither may take the lingering
+// batch, which must decide on a fresh slot of its own.
+func TestJoinDedupesOnTheMux(t *testing.T) {
+	const n = 3
+	hub, err := transport.NewHub(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	const x, y = 0, 1
+	held, release := make(chan struct{}), make(chan struct{})
+	members := make([]*Service, n)
+	for i := range members {
+		ep, err := hub.Endpoint(model.ProcessID(i + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := peerOpts(n, nil)
+		cfg.Linger = 200 * time.Millisecond
+		if i == 0 {
+			cfg.OnInstance = func(instance uint64, _ *runtime.Cluster) {
+				if instance == y {
+					close(held)
+					<-release
+				}
+			}
+		}
+		if members[i], err = New(cfg, []transport.Transport{ep}); err != nil {
+			t.Fatal(err)
+		}
+		defer members[i].Close()
+	}
+	p1, p2 := members[0], members[1]
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	decide := func(svc *Service, v model.Value) *Future {
+		t.Helper()
+		fut, err := svc.Propose(ctx, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fut
+	}
+	wait := func(fut *Future) Decision {
+		t.Helper()
+		dec, err := fut.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dec
+	}
+	// settle waits until every member has decided want instances and its
+	// join signals are consumed.
+	settle := func(want int) {
+		t.Helper()
+		for _, svc := range members {
+			for svc.Snapshot().Instances < want || len(svc.joins) > 0 {
+				if ctx.Err() != nil {
+					t.Fatalf("members never settled at %d instances", want)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+
+	if dec := wait(decide(p1, 10)); dec.Instance != x {
+		t.Fatalf("first proposal decided on %d, want %d", dec.Instance, x)
+	}
+	settle(1)
+	futY := decide(p1, 20)
+	<-held
+	p1.Join(x)
+	p1.Join(y)
+	for len(p1.joins) > 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if dec := wait(futY); dec.Instance != y {
+		t.Fatalf("second proposal decided on %d, want %d", dec.Instance, y)
+	}
+	settle(2)
+
+	const retired = 1000
+	p2.muxes[0].RetireGroup(0, retired)
+	fut := decide(p2, 30)
+	for len(p2.intake) > 0 {
+		time.Sleep(time.Millisecond) // until the proposal lingers in the batch
+	}
+	p2.Join(x)
+	p2.Join(retired)
+	dec := wait(fut)
+	if dec.Instance == x || dec.Instance == retired || dec.Value != 30 {
+		t.Fatalf("lingering proposal decided %+v, want value 30 on a fresh slot", dec)
+	}
+	settle(3)
+
+	for i, svc := range members {
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st := svc.Snapshot()
+		// p1 initiated X and Y and joined p2's slot; p2 joined X and Y
+		// and initiated its own; p3 joined all three.
+		wantJoined := []int{1, 2, 3}[i]
+		if st.Instances != 3 || st.InstanceFailures != 0 || st.JoinedInstances != wantJoined {
+			t.Fatalf("p%d: %d instances, %d failures, %d joined; want 3, 0, %d",
+				i+1, st.Instances, st.InstanceFailures, st.JoinedInstances, wantJoined)
+		}
 	}
 }

@@ -147,8 +147,8 @@ type Config struct {
 	// hosted processes' timeout detectors), proposal- and
 	// decision-latency histograms, and — the paper's price gap as a live
 	// series — indulgence_rounds_per_decision histograms per algorithm
-	// rung. The registry is shared with the adaptive control plane, and —
-	// for a service that owns its muxes — with per-group frame counters.
+	// rung. The registry is shared with the adaptive control plane, and
+	// New's muxes count frames on it (unlabelled; see transport.NewMux).
 	// Snapshots of the registry are pure functions of the event schedule
 	// when the service runs on a virtual clock (see internal/metrics).
 	Metrics *metrics.Registry
@@ -331,7 +331,7 @@ type Service struct {
 	remote bool
 	// ownsMuxes reports whether Close/Abort shut the muxes down: true
 	// when New built them, false when a shard runtime shares one set of
-	// muxes across many group services (NewOnMuxes).
+	// muxes across many group services.
 	ownsMuxes bool
 	// stride is uint64(cfg.Groups): the service's instance IDs advance
 	// by it, keeping every assigned ID congruent to cfg.Group.
@@ -372,13 +372,6 @@ type Service struct {
 	// service's clock, and handed to every instance, so a peer suspected
 	// in one instance is suspected in all of them.
 	detectors []*fd.TimeoutDetector
-
-	// slotMu guards active: the slots currently running here, which
-	// dedupes join signals against initiated and already-joined slots
-	// (filled only with a remote process; nil, so deletes are no-ops,
-	// otherwise).
-	slotMu sync.Mutex
-	active map[uint64]struct{}
 
 	// sampleMu guards what no instrument carries: the duration samples
 	// behind the exact percentiles and extremes (power-of-two buckets hold
@@ -424,88 +417,78 @@ const maxSamples = 1 << 13
 // must be ascending by process ID without repeats. All N endpoints is
 // the single-process service; fewer makes it a member of a multi-process
 // cluster (see the package comment). The service wraps each endpoint in
-// a transport.Mux and owns all reads from it; the endpoints themselves
+// a transport.Mux counting frames on cfg.Metrics, owns all reads from
+// it and closes the muxes with the service; the endpoints themselves
 // remain owned by the caller and are not closed by Close.
 func New(cfg Config, endpoints []transport.Transport) (*Service, error) {
-	ids := make([]model.ProcessID, len(endpoints))
-	for i, ep := range endpoints {
+	for _, ep := range endpoints {
 		if ep == nil {
 			return nil, errors.New("service: nil endpoint")
-		}
-		ids[i] = ep.Self()
-	}
-	s, err := newService(cfg, ids)
-	if err != nil {
-		return nil, err
-	}
-	// Frames for a slot this service has not opened mean a peer started
-	// it: that is the join signal. With every process hosted the service
-	// opens all of an instance's streams itself before any frame exists,
-	// so no callback is installed.
-	var onPending func(group, instance uint64)
-	if s.remote {
-		onPending = func(group, instance uint64) {
-			if group == s.cfg.Group {
-				s.Join(instance)
-			}
 		}
 	}
 	muxes := make([]*transport.Mux, len(endpoints))
 	for i, ep := range endpoints {
-		muxes[i] = transport.NewMuxGroupNotify(ep, onPending)
+		muxes[i] = transport.NewMux(ep, cfg.Metrics)
 	}
-	s.start(muxes, true)
+	s, err := NewOnMuxes(cfg, muxes)
+	if err != nil {
+		for _, m := range muxes {
+			_ = m.Close()
+		}
+		return nil, err
+	}
+	s.ownsMuxes = true
+	// Frames for a slot this service has not opened mean a peer started
+	// it: that is the join signal. With every process hosted the service
+	// opens all of an instance's streams itself before any frame exists,
+	// so no signal is installed.
+	if s.remote {
+		for _, m := range muxes {
+			m.OnPending(func(group, instance uint64) {
+				if group == s.cfg.Group {
+					s.Join(instance)
+				}
+			})
+		}
+	}
 	return s, nil
 }
 
 // NewOnMuxes starts a service over already-built muxes, one per hosted
-// process under New's ordering rule — the sharded runtime's constructor,
-// where many group services (each with its own cfg.Group) multiplex over
-// one set of muxes. The muxes stay owned by the caller: Close and Abort
-// leave them open, the service confines itself to its group's streams
-// (OpenGroup / RetireGroup under cfg.Group) so sibling groups never
-// observe it, and join signals are the caller's to deliver — whoever
-// owns the muxes' pending callback routes each (group, instance) signal
-// to the owning service's Join.
+// process under New's ordering rule. It is the one constructor: New
+// calls it over the muxes it builds, and a sharded runtime calls it once
+// per group (each with its own cfg.Group) over one shared set of muxes.
+// The muxes stay owned by the caller: Close and Abort leave them open,
+// and the service confines itself to its group's streams (OpenGroup /
+// RetireGroup under cfg.Group) so sibling groups never observe it. Join
+// signals are the caller's to install: whoever owns the muxes routes
+// each (group, instance) signal (Mux.OnPending) to the owning service's
+// Join.
 func NewOnMuxes(cfg Config, muxes []*transport.Mux) (*Service, error) {
-	ids := make([]model.ProcessID, len(muxes))
-	for i, m := range muxes {
-		if m == nil {
-			return nil, errors.New("service: nil mux")
-		}
-		ids[i] = m.Self()
-	}
-	s, err := newService(cfg, ids)
-	if err != nil {
-		return nil, err
-	}
-	s.start(muxes, false)
-	return s, nil
-}
-
-// newService validates cfg against the hosted process IDs and builds the
-// service's core — everything but the muxes, which New and NewOnMuxes
-// attach through start (a mux's pending callback needs the service to
-// exist first).
-func newService(cfg Config, hosted []model.ProcessID) (*Service, error) {
 	cfg = cfg.withDefaults()
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("service: need at least 2 processes, got %d", cfg.N)
 	}
-	if len(hosted) == 0 {
+	if len(muxes) == 0 {
 		return nil, errors.New("service: need at least one endpoint")
 	}
 	var members model.PIDSet
-	for i, id := range hosted {
+	var prev model.ProcessID
+	for _, m := range muxes {
+		if m == nil {
+			return nil, errors.New("service: nil mux")
+		}
+		id := m.Self()
 		if id < 1 || int(id) > cfg.N {
 			return nil, fmt.Errorf("service: endpoint Self()=%d outside 1..%d", id, cfg.N)
 		}
-		if i > 0 && id <= hosted[i-1] {
-			return nil, fmt.Errorf("service: endpoints must ascend by process ID without repeats (p%d after p%d)", id, hosted[i-1])
+		if id <= prev {
+			return nil, fmt.Errorf("service: endpoints must ascend by process ID without repeats (p%d after p%d)", id, prev)
 		}
 		members.Add(id)
+		prev = id
 	}
-	remote := len(hosted) < cfg.N
+	remote := len(muxes) < cfg.N
 	if cfg.Factory == nil {
 		return nil, errors.New("service: nil factory")
 	}
@@ -548,6 +531,7 @@ func newService(cfg Config, hosted []model.ProcessID) (*Service, error) {
 	}
 	s := &Service{
 		cfg:         cfg,
+		muxes:       muxes,
 		hosted:      members,
 		remote:      remote,
 		stride:      uint64(cfg.Groups),
@@ -565,7 +549,6 @@ func newService(cfg Config, hosted []model.ProcessID) (*Service, error) {
 		// turns; a signal dropped at the bound re-fires on the slot's
 		// next inbound frame (see Join).
 		s.joins = make(chan uint64, 256)
-		s.active = make(map[uint64]struct{})
 	}
 	reg := cfg.Metrics
 	s.reg = reg
@@ -588,39 +571,20 @@ func newService(cfg Config, hosted []model.ProcessID) (*Service, error) {
 	suspicions := reg.Counter("indulgence_suspicions_total",
 		"failure-detector suspicion events raised across the service's instances", labels...)
 	s.detectors = make([]*fd.TimeoutDetector, cfg.N)
-	for _, id := range hosted {
+	for _, m := range muxes {
 		d := fd.NewTimeoutDetectorClock(cfg.BaseTimeout, cfg.Clock)
 		d.Instrument(suspicions)
-		s.detectors[id-1] = d
+		s.detectors[m.Self()-1] = d
 	}
 	s.mPropLat = reg.Histogram("indulgence_proposal_latency_ns",
 		"proposal latency, enqueue to resolution, in nanoseconds", 1<<12, 1<<34, labels...)
 	s.mDecLat = reg.Histogram("indulgence_decision_latency_ns",
 		"instance latency, batch cut to decision, in nanoseconds", 1<<12, 1<<34, labels...)
-	return s, nil
-}
 
-// start finishes construction once the muxes exist: frame counters,
-// journal recovery, then the batcher and control loop.
-func (s *Service) start(muxes []*transport.Mux, ownsMuxes bool) {
-	s.muxes, s.ownsMuxes = muxes, ownsMuxes
-	if s.reg != nil && ownsMuxes {
-		// A service that owns its muxes owns all their traffic, so the
-		// frame counters carry its group label; shared muxes (NewOnMuxes)
-		// are instrumented by their owner instead.
-		fin := s.reg.Counter("indulgence_frames_in_total",
-			"well-formed inbound frames routed or buffered by the mux", s.metricsLabels...)
-		fout := s.reg.Counter("indulgence_frames_out_total",
-			"frames sent through the mux's virtual endpoints", s.metricsLabels...)
-		for _, m := range muxes {
-			m.Instrument(fin, fout)
-		}
-	}
 	// The first instance of group g is g itself; every later one adds
 	// the stride, so the assigned IDs are exactly {g, g+G, g+2G, …}.
-	s.nextInstance = s.cfg.Group
-	s.claimedThrough = s.nextInstance
-	if s.cfg.Journal != nil {
+	s.nextInstance = cfg.Group
+	if cfg.Journal != nil {
 		// Recovery: resume the instance-ID frontier past every journaled
 		// start claim and decision — aligned up to the group's residue
 		// class — and bulk-retire the journaled range of this group's
@@ -630,17 +594,18 @@ func (s *Service) start(muxes []*transport.Mux, ownsMuxes bool) {
 		// restarted member must never re-run an instance its previous
 		// lifetime touched — rejoining one with reset algorithm state
 		// would be amnesia, not a crash-stop.
-		s.nextInstance = alignInstance(s.cfg.Journal.Frontier(), s.cfg.Group, s.stride)
-		s.claimedThrough = s.nextInstance
-		for _, m := range s.muxes {
-			m.RetireGroupBelow(s.cfg.Group, s.nextInstance)
+		s.nextInstance = alignInstance(cfg.Journal.Frontier(), cfg.Group, s.stride)
+		for _, m := range muxes {
+			m.RetireGroupBelow(cfg.Group, s.nextInstance)
 		}
 	}
+	s.claimedThrough = s.nextInstance
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
 	go s.batcher()
 	if s.plane != nil {
 		go s.controlLoop()
 	}
+	return s, nil
 }
 
 // controlLoop ticks the control plane at its interval with the live
@@ -661,11 +626,14 @@ func (s *Service) controlLoop() {
 // Join signals that inbound frames exist for a slot this service has not
 // opened, so a peer started it and the hosted processes should adopt it.
 // It never blocks — callable straight from a mux router goroutine; a
-// dropped signal re-fires on the slot's next inbound frame. New wires it
-// as the pending callback of the muxes it builds; a sharded runtime,
-// which owns its shared muxes' callback, calls it on the group service
-// each signal addresses. A no-op when every process is hosted. Slots
-// outside the service's group are dropped by the batcher.
+// dropped signal re-fires on the slot's next inbound frame. New installs
+// it as the join signal (Mux.OnPending) of the muxes it builds; a sharded
+// runtime, which owns its shared muxes, calls it on the group service
+// each signal addresses. A no-op when every process is hosted. The
+// batcher drops slots outside the service's group and every slot whose
+// streams do not open — one already running here, or retired because it
+// ran or lies below the recovered frontier — so a duplicate or stale
+// signal costs nothing and counts nowhere.
 func (s *Service) Join(slot uint64) {
 	select {
 	case s.joins <- slot:
@@ -924,7 +892,12 @@ func (s *Service) batcher() {
 		s.recordCut(len(b))
 		instance := s.nextInstance
 		s.nextInstance += s.stride
-		s.launch(instance, b, false)
+		eps, err := s.open(instance)
+		if err != nil {
+			s.failInstance(b, err)
+			return
+		}
+		s.launch(instance, eps, b, false)
 	}
 	for {
 		select {
@@ -953,21 +926,15 @@ func (s *Service) batcher() {
 			if slot%s.stride != s.cfg.Group {
 				continue // another group's slot — not this service's to run
 			}
-			if s.isActive(slot) {
-				continue
-			}
-			if s.cfg.Journal != nil {
-				if _, done := s.cfg.Journal.Get(slot); done {
-					continue // decided in this lifetime; retire race
-				}
+			eps, err := s.open(slot)
+			if err != nil {
+				continue // running here already, or retired: a duplicate or stale signal
 			}
 			// A lingering local batch rides the joined slot instead of
 			// waiting for its own: the join must propose something
-			// anyway, and a real proposal beats a noop. Only fresh
-			// slots (never seen before, so never retired locally) may
-			// carry it — a stale duplicate signal for a slot that
-			// already ran must not drag real proposals into a
-			// mux.Open failure.
+			// anyway, and a real proposal beats a noop. Only a slot at
+			// or past nextInstance may carry it; one below it was
+			// skipped when a later join pushed the counter past it.
 			var b []*pending
 			if slot >= s.nextInstance {
 				s.nextInstance = slot + s.stride
@@ -980,19 +947,50 @@ func (s *Service) batcher() {
 				// controller runs blind.
 				s.recordCut(len(b))
 			}
-			s.launch(slot, b, true)
+			s.launch(slot, eps, b, true)
 		}
+	}
+}
+
+// open opens the instance's stream on every hosted mux and returns the
+// endpoints indexed by process ID − 1 (remote processes' entries stay
+// nil). The mux is the one record of which instances run here, so open
+// is also the check that the instance is new: it fails when a stream is
+// already open or already retired. On failure the streams it did open
+// are retired again.
+func (s *Service) open(instance uint64) ([]transport.Transport, error) {
+	eps := make([]transport.Transport, s.cfg.N)
+	for k, m := range s.muxes {
+		ep, err := m.OpenGroup(s.cfg.Group, instance)
+		if err != nil {
+			for _, opened := range s.muxes[:k] {
+				opened.RetireGroup(s.cfg.Group, instance)
+			}
+			return nil, fmt.Errorf("service: open instance %d on p%d: %w", instance, m.Self(), err)
+		}
+		eps[m.Self()-1] = ep
+	}
+	return eps, nil
+}
+
+// retire retires the instance's streams on every hosted mux; later
+// frames for it are dropped.
+func (s *Service) retire(instance uint64) {
+	for _, m := range s.muxes {
+		m.RetireGroup(s.cfg.Group, instance)
 	}
 }
 
 // launch claims an instance slot ticket (blocking — the bounded-shard
 // backpressure), picks the instance's algorithm, journals its claim and
-// decision trace (see claim), and starts the run. Only the batcher calls
-// it.
-func (s *Service) launch(instance uint64, b []*pending, joined bool) {
+// decision trace (see claim), and starts the run over the endpoints open
+// returned. A launch that cannot start retires those streams. Only the
+// batcher calls it.
+func (s *Service) launch(instance uint64, eps []transport.Transport, b []*pending, joined bool) {
 	select {
 	case s.slots <- struct{}{}:
 	case <-s.runCtx.Done():
+		s.retire(instance)
 		failBatch(b, s.runCtx.Err())
 		return
 	}
@@ -1006,26 +1004,14 @@ func (s *Service) launch(instance uint64, b []*pending, joined bool) {
 	}
 	if s.cfg.Journal != nil {
 		if err := s.claim(instance, len(b), choice, cctx); err != nil {
+			s.retire(instance)
 			<-s.slots
 			s.failInstance(b, err)
 			return
 		}
 	}
-	if s.remote {
-		s.slotMu.Lock()
-		s.active[instance] = struct{}{}
-		s.slotMu.Unlock()
-	}
 	s.wg.Add(1)
-	go s.runInstance(instance, b, choice, joined)
-}
-
-// isActive reports whether the slot is currently running here.
-func (s *Service) isActive(slot uint64) bool {
-	s.slotMu.Lock()
-	defer s.slotMu.Unlock()
-	_, ok := s.active[slot]
-	return ok
+	go s.runInstance(instance, eps, b, choice, joined)
 }
 
 // failBatch resolves every future of a batch with err.

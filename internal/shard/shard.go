@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"indulgence/internal/journal"
@@ -67,10 +66,10 @@ func checkLayout(dir string) error {
 // not a second system — a Service is one group of a Runtime, and
 // service.New is the library constructor for exactly that group on its
 // own. Like the service, the runtime hosts the processes whose endpoints
-// it is handed; with a process hosted elsewhere it owns the muxes'
-// pending callback and routes each (group, instance) join signal to the
-// group service that owns it, so a proposal entering any member reaches
-// every member's matching group.
+// it is handed; with a process hosted elsewhere it installs the muxes'
+// join signal and routes each (group, instance) signal to the group
+// service that owns it, so a proposal entering any member reaches every
+// member's matching group.
 type Runtime struct {
 	groups []*service.Service
 	muxes  []*transport.Mux
@@ -78,26 +77,15 @@ type Runtime struct {
 	views  []Group
 	seq    atomic.Uint64
 	closed atomic.Bool
-
-	// joinMu orders early join signals against construction: a mux
-	// starts routing (and signalling) the moment it exists, before the
-	// group services do, so signals arriving in the window buffer in
-	// backlog and flush once every group is up.
-	joinMu  sync.Mutex
-	ready   bool
-	backlog [][2]uint64
 }
-
-// joinBacklog bounds the pre-ready backlog. Signals beyond it drop
-// harmlessly: a join signal re-fires on the slot's next inbound frame.
-const joinBacklog = 1024
 
 // New starts a sharded runtime hosting the processes whose transport
 // endpoints it is handed, under service.New's rule: every Self() in
 // 1..cfg.Service.N, ascending, no repeats; all N is the single-process
 // runtime, fewer a member of a multi-process cluster. The endpoints stay
 // owned by the caller; the runtime wraps each in a group-aware mux
-// shared by all its groups and owns all reads from it.
+// shared by all its groups (counting frames once, runtime-wide, on
+// cfg.Service.Metrics) and owns all reads from it.
 func New(cfg Config, endpoints []transport.Transport) (*Runtime, error) {
 	if cfg.Groups == 0 {
 		cfg.Groups = 1
@@ -125,26 +113,8 @@ func New(cfg Config, endpoints []transport.Transport) (*Runtime, error) {
 		muxes:  make([]*transport.Mux, len(endpoints)),
 		policy: cfg.Placement,
 	}
-	// Join signals exist only with a process hosted elsewhere (see
-	// service.New); the group services validate the endpoint set itself.
-	var onPending func(group, instance uint64)
-	if len(endpoints) < cfg.Service.N {
-		onPending = r.dispatch
-	}
 	for i, ep := range endpoints {
-		r.muxes[i] = transport.NewMuxGroupNotify(ep, onPending)
-	}
-	if reg := cfg.Service.Metrics; reg != nil {
-		// The muxes are shared by every group, so their frame counters
-		// are runtime-wide (no group label) — a frame is counted once,
-		// not once per group.
-		fin := reg.Counter("indulgence_frames_in_total",
-			"well-formed inbound frames routed or buffered by the shared muxes")
-		fout := reg.Counter("indulgence_frames_out_total",
-			"frames sent through the shared muxes' virtual endpoints")
-		for _, m := range r.muxes {
-			m.Instrument(fin, fout)
-		}
+		r.muxes[i] = transport.NewMux(ep, cfg.Service.Metrics)
 	}
 	for g := 0; g < cfg.Groups; g++ {
 		svcCfg := cfg.Service
@@ -158,35 +128,21 @@ func New(cfg Config, endpoints []transport.Transport) (*Runtime, error) {
 		r.groups = append(r.groups, svc)
 		r.views = append(r.views, svc)
 	}
-	r.joinMu.Lock()
-	r.ready = true
-	backlog := r.backlog
-	r.backlog = nil
-	r.joinMu.Unlock()
-	for _, sig := range backlog {
-		r.deliver(sig[0], sig[1])
+	// Join signals exist only with a process hosted elsewhere (see
+	// service.New). Installing them once every group is up needs no
+	// backlog: each mux replays the signal for every stream that buffered
+	// frames in the meantime.
+	if len(endpoints) < cfg.Service.N {
+		for _, m := range r.muxes {
+			m.OnPending(r.deliver)
+		}
 	}
 	return r, nil
 }
 
-// dispatch is the shared muxes' pending callback: route the join signal
-// to the owning group service, or buffer it while construction is still
-// assembling the groups. Runs on a mux router goroutine — it must never
-// block, and deliver only does a non-blocking channel send.
-func (r *Runtime) dispatch(group, instance uint64) {
-	r.joinMu.Lock()
-	if !r.ready {
-		if len(r.backlog) < joinBacklog {
-			r.backlog = append(r.backlog, [2]uint64{group, instance})
-		}
-		r.joinMu.Unlock()
-		return
-	}
-	r.joinMu.Unlock()
-	r.deliver(group, instance)
-}
-
-// deliver hands one join signal to its group service. Signals for groups
+// deliver is the shared muxes' join signal: it hands the signal to its
+// group service. It never blocks — Join only does a non-blocking channel
+// send — so it may run on a mux router goroutine. Signals for groups
 // this runtime does not run (a peer misconfigured with more groups) are
 // dropped — it cannot join a group it has no service for.
 func (r *Runtime) deliver(group, instance uint64) {

@@ -6,12 +6,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"indulgence/internal/check"
 	"indulgence/internal/core"
 	"indulgence/internal/journal"
+	"indulgence/internal/metrics"
 	"indulgence/internal/model"
 	"indulgence/internal/service"
 	"indulgence/internal/shard"
@@ -404,5 +407,74 @@ func TestPeerRuntimeMultiGroup(t *testing.T) {
 		if roll := m.Snapshot(); len(roll.Violations) != 0 {
 			t.Fatalf("member %d violations: %v", i+1, roll.Violations)
 		}
+	}
+}
+
+// TestPeerRuntimeJoinsEarlyFrames pins the join of a slot whose frames
+// reach a member before its runtime exists: p1 starts a group-1 slot
+// while p2 is not yet built, so p2's shared mux routes the slot's frames
+// before the group services are up and before the join signal is
+// installed. p2 must still join the slot — installing the signal replays
+// it — or p1, short of n−t processes, never decides.
+func TestPeerRuntimeJoinsEarlyFrames(t *testing.T) {
+	const n, groups = 3, 2
+	eps := hubEndpoints(t, n)
+	member := func(id int, reg *metrics.Registry) *shard.Runtime {
+		t.Helper()
+		cfg := shard.Config{
+			Service: service.Config{
+				N: n, T: 1,
+				Factory:         core.New(core.Options{}),
+				BaseTimeout:     20 * time.Millisecond,
+				Linger:          time.Millisecond,
+				InstanceTimeout: 10 * time.Second,
+				Metrics:         reg,
+			},
+			Groups: groups,
+		}
+		r, err := shard.New(cfg, eps[id-1:id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = r.Close() })
+		return r
+	}
+	reg := metrics.NewRegistry()
+	p1 := member(1, reg)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	fut, err := p1.Group(1).Propose(ctx, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// p1's first broadcast is out (its frame to p2 is sent before the
+	// counter reaches n) and p1 waits for a second process.
+	sent := func() (frames int) {
+		for _, line := range strings.Split(reg.Text(), "\n") {
+			if v, ok := strings.CutPrefix(line, "indulgence_frames_out_total "); ok {
+				frames, _ = strconv.Atoi(v)
+			}
+		}
+		return frames
+	}
+	for sent() < n {
+		if ctx.Err() != nil {
+			t.Fatal("p1 never broadcast its first round")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	p2 := member(2, nil)
+	dec, err := fut.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Instance != 1 || dec.Value != 7 {
+		t.Fatalf("decided %+v, want value 7 on group 1's first slot", dec)
+	}
+	for p2.Group(1).Snapshot().JoinedInstances < 1 {
+		if ctx.Err() != nil {
+			t.Fatal("p2 never joined the group-1 slot")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"indulgence/internal/metrics"
@@ -18,12 +20,25 @@ type streamKey struct {
 }
 
 // groupRetired is one group's retirement state: every instance ID below
-// `below` is retired, plus every member of set. Services retire
-// instances roughly in open order, so the set stays at most a few
-// inflight-bounds large instead of growing with service lifetime.
+// `below` is retired, plus every member of set. With consecutive IDs,
+// retired roughly in open order, the set stays a few inflight-bounds
+// large; strided IDs (G > 1 groups) leave gaps `below` never crosses, so
+// their set grows until RetireGroupBelow raises the frontier.
 type groupRetired struct {
 	below uint64
 	set   map[uint64]struct{}
+}
+
+// advance moves below past every retired instance the set holds at it,
+// so the set keeps only retirements above a gap.
+func (r *groupRetired) advance() {
+	for {
+		if _, ok := r.set[r.below]; !ok {
+			return
+		}
+		delete(r.set, r.below)
+		r.below++
+	}
 }
 
 // Mux multiplexes many consensus instances — across many independent
@@ -38,19 +53,21 @@ type groupRetired struct {
 // group, and a mux used only through the group-0 entry points behaves
 // byte-identically to the pre-group mux.
 //
-// Frames for an instance that has not been opened locally yet are
-// buffered, never dropped — a peer shard may legitimately start an
-// instance and broadcast before this process opens it, and the reliable-
-// channel axiom must survive multiplexing. Frames for a retired (closed)
-// instance are dropped: they can only be relay or round traffic reaching
-// a process that has already finished the instance.
-// Retirement state is tracked per group, so each group's frontier
-// advances independently of its neighbors'.
+// The mux is the one record of where its process stands in each
+// instance: open (OpenGroup succeeded), retired (RetireGroup or
+// RetireGroupBelow), or pending — frames arrived before anyone opened
+// it. Pending frames are buffered, never dropped — a peer may
+// legitimately start an instance and broadcast before this process
+// opens it, and the reliable-channel axiom must survive multiplexing.
+// Frames for a retired instance are dropped: they can only be relay or
+// round traffic reaching a process that has already finished the
+// instance. Retirement state is tracked per group, so each group's
+// frontier advances independently of its neighbors'.
 type Mux struct {
-	ep        Transport
-	onPending func(group, instance uint64)
+	ep Transport
 
 	mu         sync.Mutex
+	onPending  func(group, instance uint64)
 	streams    map[streamKey]*muxStream
 	retired    map[uint64]*groupRetired
 	closed     bool
@@ -62,26 +79,24 @@ type Mux struct {
 
 // NewMux starts a multiplexer over ep. The mux reads every inbound frame
 // of ep from the moment of creation; the caller must no longer use
-// ep.Recv directly.
-func NewMux(ep Transport) *Mux { return NewMuxGroupNotify(ep, nil) }
-
-// NewMuxGroupNotify is NewMux with the group-aware pending callback:
-// onPending (when non-nil) is invoked from the router goroutine every
-// time a frame arrives for a (group, instance) stream that is not
-// currently open locally — the signal a service with a remote process
-// uses to join an instance a peer started (a sharded runtime routes it
-// to the owning group's service). The callback must not block (it
-// stalls every instance's inbound traffic if it does) and may be invoked
-// repeatedly for the same instance while it stays unopened, so receivers
-// dedupe.
-func NewMuxGroupNotify(ep Transport, onPending func(group, instance uint64)) *Mux {
+// ep.Recv directly. With a non-nil reg the mux counts frames on the
+// unlabelled indulgence_frames_in_total (every well-formed inbound frame
+// it delivers or buffers) and indulgence_frames_out_total (every frame
+// sent through a virtual endpoint); muxes sharing one registry share the
+// two counters. A nil reg counts nothing.
+func NewMux(ep Transport, reg *metrics.Registry) *Mux {
 	m := &Mux{
 		ep:         ep,
-		onPending:  onPending,
 		streams:    make(map[streamKey]*muxStream),
 		retired:    make(map[uint64]*groupRetired),
 		done:       make(chan struct{}),
 		routerDone: make(chan struct{}),
+	}
+	if reg != nil {
+		m.mIn = reg.Counter("indulgence_frames_in_total",
+			"well-formed inbound frames routed or buffered by the muxes")
+		m.mOut = reg.Counter("indulgence_frames_out_total",
+			"frames sent through the muxes' virtual endpoints")
 	}
 	go m.route()
 	return m
@@ -90,14 +105,33 @@ func NewMuxGroupNotify(ep Transport, onPending func(group, instance uint64)) *Mu
 // Self returns the identity of the underlying endpoint.
 func (m *Mux) Self() model.ProcessID { return m.ep.Self() }
 
-// Instrument attaches frame counters: in counts every well-formed
-// inbound frame the router delivers or buffers, out every frame sent
-// through a virtual endpoint. Nil counters (the uninstrumented
-// default) cost nothing.
-func (m *Mux) Instrument(in, out *metrics.Counter) {
+// OnPending installs the join signal: fn(group, instance) runs each time
+// a frame arrives for a stream that is not open here — how a service
+// with a remote process learns that a peer started an instance. The
+// install replays the signal at once, in (group, instance) order on the
+// caller's goroutine, for every stream already buffering frames without
+// being open, and the router reads fn under the lock with which it
+// checks that a stream is open, so no frame that arrived before the
+// install goes unsignalled. Later signals run on the router goroutine:
+// fn must not block (it would stall every instance's inbound traffic),
+// and it may run repeatedly for one unopened instance — the receiver's
+// OpenGroup, failing on an open or retired instance, is the dedupe.
+func (m *Mux) OnPending(fn func(group, instance uint64)) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.mIn, m.mOut = in, out
+	m.onPending = fn
+	var keys []streamKey
+	for key, s := range m.streams {
+		if !s.opened {
+			keys = append(keys, key)
+		}
+	}
+	m.mu.Unlock()
+	slices.SortFunc(keys, func(a, b streamKey) int {
+		return cmp.Or(cmp.Compare(a.group, b.group), cmp.Compare(a.instance, b.instance))
+	})
+	for _, key := range keys {
+		fn(key.group, key.instance)
+	}
 }
 
 // Open returns the virtual endpoint of the given group-0 consensus
@@ -146,13 +180,7 @@ func (m *Mux) RetireGroup(group, instance uint64) {
 	if !m.isRetiredLocked(key) {
 		r := m.retiredFor(group)
 		r.set[instance] = struct{}{}
-		for {
-			if _, ok := r.set[r.below]; !ok {
-				break
-			}
-			delete(r.set, r.below)
-			r.below++
-		}
+		r.advance()
 	}
 	m.mu.Unlock()
 	if s != nil {
@@ -189,13 +217,7 @@ func (m *Mux) RetireGroupBelow(group, frontier uint64) {
 		}
 	}
 	r.below = frontier
-	for {
-		if _, ok := r.set[r.below]; !ok {
-			break
-		}
-		delete(r.set, r.below)
-		r.below++
-	}
+	r.advance()
 	m.mu.Unlock()
 	for _, s := range stale {
 		s.box.close()
@@ -206,24 +228,30 @@ func (m *Mux) RetireGroupBelow(group, frontier uint64) {
 // closes and the router stops. The underlying endpoint is left open — it
 // belongs to whoever created it.
 func (m *Mux) Close() error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	streams, ok := m.detach()
+	if !ok {
 		return nil
 	}
-	m.closed = true
-	streams := make([]*muxStream, 0, len(m.streams))
-	for _, s := range m.streams {
-		streams = append(streams, s)
-	}
-	m.streams = nil
-	m.mu.Unlock()
 	close(m.done)
 	<-m.routerDone
 	for _, s := range streams {
 		s.box.close()
 	}
 	return nil
+}
+
+// detach marks the mux closed and takes its streams, whose receive
+// channels the caller closes once the router can no longer fill them;
+// ok is false when the mux was closed already.
+func (m *Mux) detach() (streams map[streamKey]*muxStream, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return nil, false
+	}
+	m.closed = true
+	streams, m.streams = m.streams, nil
+	return streams, true
 }
 
 // retiredFor returns (creating if needed) a group's retirement state;
@@ -263,14 +291,7 @@ func (m *Mux) route() {
 			return
 		case frame, ok := <-m.ep.Recv():
 			if !ok {
-				m.mu.Lock()
-				m.closed = true
-				streams := make([]*muxStream, 0, len(m.streams))
-				for _, s := range m.streams {
-					streams = append(streams, s)
-				}
-				m.streams = nil
-				m.mu.Unlock()
+				streams, _ := m.detach()
 				for _, s := range streams {
 					s.box.close()
 				}
@@ -292,11 +313,14 @@ func (m *Mux) route() {
 				s = &muxStream{mux: m, key: key, box: newMailbox()}
 				m.streams[key] = s
 			}
-			pending := !s.opened
+			var signal func(group, instance uint64)
+			if !s.opened {
+				signal = m.onPending
+			}
 			m.mu.Unlock()
 			s.box.put(inner)
-			if pending && m.onPending != nil {
-				m.onPending(group, instance)
+			if signal != nil {
+				signal(group, instance)
 			}
 		}
 	}

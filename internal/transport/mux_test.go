@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -106,7 +107,7 @@ func muxPair(t *testing.T) (*Hub, *Mux, *Mux) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, m2 := NewMux(ep1), NewMux(ep2)
+	m1, m2 := NewMux(ep1, nil), NewMux(ep2, nil)
 	t.Cleanup(func() { _ = m1.Close(); _ = m2.Close() })
 	return hub, m1, m2
 }
@@ -190,7 +191,7 @@ func TestMuxLegacyInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := NewMux(ep2)
+	m2 := NewMux(ep2, nil)
 	defer func() { _ = m2.Close() }()
 	compat, err := m2.Open(0)
 	if err != nil {
@@ -300,7 +301,7 @@ func TestMuxOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, m2 := NewMux(ep1), NewMux(ep2)
+	m1, m2 := NewMux(ep1, nil), NewMux(ep2, nil)
 	defer func() { _ = m1.Close(); _ = m2.Close() }()
 
 	send, err := m1.Open(11)
@@ -333,7 +334,7 @@ func TestMuxUnderlyingClosePropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1 := NewMux(ep1)
+	m1 := NewMux(ep1, nil)
 	defer func() { _ = m1.Close() }()
 	s, err := m1.Open(5)
 	if err != nil {
@@ -558,9 +559,10 @@ func TestMuxPendingNotification(t *testing.T) {
 	b, _ := hub.Endpoint(2)
 
 	notified := make(chan uint64, 16)
-	ma := NewMux(a)
+	ma := NewMux(a, nil)
 	defer ma.Close()
-	mb := NewMuxGroupNotify(b, func(_, instance uint64) {
+	mb := NewMux(b, nil)
+	mb.OnPending(func(_, instance uint64) {
 		select {
 		case notified <- instance:
 		default:
@@ -686,7 +688,12 @@ func TestMuxGroupRetireIndependent(t *testing.T) {
 	}
 }
 
-// TestMuxGroupNotify checks the group-aware pending callback.
+// TestMuxGroupNotify checks the group-aware join signal and its late
+// installation: frames that reach unopened streams before OnPending is
+// installed are signalled by the install itself, once per stream and in
+// (group, instance) order, while open and retired instances signal
+// nothing; later frames for a still-unopened stream signal from the
+// router, and an opened stream never signals again.
 func TestMuxGroupNotify(t *testing.T) {
 	hub, err := NewHub(2)
 	if err != nil {
@@ -697,31 +704,95 @@ func TestMuxGroupNotify(t *testing.T) {
 	b, _ := hub.Endpoint(2)
 
 	type pair struct{ group, instance uint64 }
-	notified := make(chan pair, 16)
-	ma := NewMux(a)
+	ma := NewMux(a, nil)
 	defer ma.Close()
-	mb := NewMuxGroupNotify(b, func(group, instance uint64) {
+	mb := NewMux(b, nil)
+	defer mb.Close()
+
+	senders := make(map[pair]Transport)
+	send := func(group, instance uint64) {
+		t.Helper()
+		s, ok := senders[pair{group, instance}]
+		if !ok {
+			var err error
+			if s, err = ma.OpenGroup(group, instance); err != nil {
+				t.Fatal(err)
+			}
+			senders[pair{group, instance}] = s
+		}
+		if err := s.Send(2, msgFrame(t, 1, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open5, err := mb.OpenGroup(0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb.RetireGroup(0, 7)
+	for _, p := range []pair{{0, 7}, {0, 5}, {2, 1}, {0, 3}} {
+		send(p.group, p.instance)
+	}
+	recvFrame(t, open5)
+	// One sender's frames route in order, so once (0, 3) buffers every
+	// frame above has been routed too.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mb.mu.Lock()
+		_, ok := mb.streams[streamKey{0, 3}]
+		mb.mu.Unlock()
+		if ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("frame for (0, 3) never buffered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	notified := make(chan pair, 16)
+	mb.OnPending(func(group, instance uint64) {
 		select {
 		case notified <- pair{group, instance}:
 		default:
 		}
 	})
-	defer mb.Close()
-
-	sa, err := ma.OpenGroup(3, 11)
-	if err != nil {
-		t.Fatal(err)
+	var replayed []pair
+	for len(notified) > 0 {
+		replayed = append(replayed, <-notified)
 	}
-	if err := sa.Send(2, msgFrame(t, 1, 1)); err != nil {
-		t.Fatal(err)
+	if want := []pair{{0, 3}, {2, 1}}; !reflect.DeepEqual(replayed, want) {
+		t.Fatalf("install signalled %v, want %v", replayed, want)
+	}
+
+	send(2, 1)
+	select {
+	case got := <-notified:
+		if got != (pair{2, 1}) {
+			t.Fatalf("router signalled (%d, %d), want (2, 1)", got.group, got.instance)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no signal for a later frame of a pending stream")
+	}
+
+	// Opened, the two streams deliver what they buffered plus one new
+	// frame each, and signal nothing.
+	for _, p := range []struct {
+		pair
+		frames int
+	}{{pair{0, 3}, 2}, {pair{2, 1}, 3}} {
+		s, err := mb.OpenGroup(p.group, p.instance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		send(p.group, p.instance)
+		for i := 0; i < p.frames; i++ {
+			recvFrame(t, s)
+		}
 	}
 	select {
 	case got := <-notified:
-		if got != (pair{3, 11}) {
-			t.Fatalf("pending (%d, %d), want (3, 11)", got.group, got.instance)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no pending notification")
+		t.Fatalf("open stream (%d, %d) signalled", got.group, got.instance)
+	case <-time.After(100 * time.Millisecond):
 	}
 }
 
@@ -741,7 +812,7 @@ func TestMuxGroupOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, m2 := NewMux(ep1), NewMux(ep2)
+	m1, m2 := NewMux(ep1, nil), NewMux(ep2, nil)
 	defer func() { _ = m1.Close(); _ = m2.Close() }()
 
 	for group := uint64(1); group <= 2; group++ {
@@ -813,9 +884,8 @@ func TestBroadcastSharesOneFrame(t *testing.T) {
 	}
 	for _, key := range []streamKey{{0, 0}, {0, 7}, {3, 9}} {
 		rec := newRecordingTransport()
-		m := NewMux(rec)
-		var out metrics.Counter
-		m.Instrument(nil, &out)
+		m := NewMux(rec, metrics.NewRegistry())
+		out := m.mOut
 		s, err := m.OpenGroup(key.group, key.instance)
 		if err != nil {
 			t.Fatal(err)
@@ -859,7 +929,7 @@ func (nopTransport) Close() error                       { return nil }
 // to n processes costs one allocation — its frame — on a bare endpoint
 // and on a mux stream alike.
 func TestBroadcastAllocatesOnce(t *testing.T) {
-	m := NewMux(nopTransport{})
+	m := NewMux(nopTransport{}, nil)
 	defer m.Close()
 	s, err := m.OpenGroup(3, 9)
 	if err != nil {
@@ -882,7 +952,7 @@ func TestBroadcastAllocatesOnce(t *testing.T) {
 // sending a single frame.
 func TestBroadcastClosedStream(t *testing.T) {
 	rec := newRecordingTransport()
-	m := NewMux(rec)
+	m := NewMux(rec, nil)
 	retired, err := m.Open(1)
 	if err != nil {
 		t.Fatal(err)
