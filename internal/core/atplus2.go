@@ -27,6 +27,9 @@ type Options struct {
 	// Underlying builds the independent consensus module C invoked when
 	// the fast path fails (Fig. 2, lines 15–16). Defaults to the
 	// Chandra–Toueg-style ◇S algorithm baseline.NewCT (footnote 7).
+	// A caller-supplied factory is probed once per construction, so its
+	// configuration errors surface from New's factory; the default is
+	// not, as New's own checks cover every way it can fail.
 	Underlying model.Factory
 	// FailureFreeFast enables the Fig. 4 optimization: global decision at
 	// round 2 in failure-free, suspicion-free synchronous runs.
@@ -37,10 +40,12 @@ type Options struct {
 	// and with it uniform agreement. Values other than t+1 are unsafe.
 	Phase1Rounds int
 	// UnsafeSkipResilienceCheck disables the t < n/2 constructor check
-	// (and the underlying-factory probe). It exists solely for the
-	// Sect. 1.1 resilience-price experiment, which runs A_{t+2} outside
-	// its safe envelope to demonstrate the split-brain agreement
-	// violation that makes a correct majority necessary.
+	// and the probe of a caller-supplied Underlying. It exists solely for
+	// the Sect. 1.1 resilience-price experiment, which runs A_{t+2}
+	// outside its safe envelope to demonstrate the split-brain agreement
+	// violation that makes a correct majority necessary. There the
+	// default underlying consensus cannot be built, and a process that
+	// reaches round t+3 stalls (see underlying).
 	UnsafeSkipResilienceCheck bool
 	// DisableHaltExchange drops the "p_j reported having suspected me"
 	// rule from the Halt update (Fig. 2, line 33's second clause),
@@ -97,18 +102,19 @@ func New(opts Options) model.Factory {
 		}
 		o := opts
 		if o.Underlying == nil {
+			// The default's only failure conditions are ctx.Validate and
+			// t < n/2, both checked above: it needs no probe.
 			o.Underlying = baseline.NewCT()
+		} else if !o.UnsafeSkipResilienceCheck {
+			// Probe a caller-supplied factory now so configuration errors
+			// surface at construction rather than mid-run.
+			if _, err := o.Underlying(ctx, proposal); err != nil {
+				return nil, fmt.Errorf("core: underlying consensus: %w", err)
+			}
 		}
 		p1 := o.Phase1Rounds
 		if p1 <= 0 {
 			p1 = ctx.T + 1
-		}
-		// Probe the underlying factory now so configuration errors
-		// surface at construction rather than mid-run.
-		if !o.UnsafeSkipResilienceCheck {
-			if _, err := o.Underlying(ctx, proposal); err != nil {
-				return nil, fmt.Errorf("core: underlying consensus: %w", err)
-			}
 		}
 		return &atPlus2{
 			ctx:      ctx,
@@ -323,10 +329,12 @@ func (a *atPlus2) underlying() model.Algorithm {
 	if a.under == nil {
 		u, err := a.opts.Underlying(a.ctx, a.vc)
 		if err != nil {
-			// The factory was probed at construction with the same
-			// context; a failure here means a non-deterministic factory.
-			// Fall back to a stalled instance: the process stops making
-			// progress towards a decision but stays safe.
+			// A caller-supplied factory was probed at construction with
+			// the same context, and the default fails only where New's
+			// checks do. A failure here means a non-deterministic factory
+			// or a run built with UnsafeSkipResilienceCheck. Fall back to
+			// a stalled instance: the process stops making progress
+			// towards a decision but stays safe.
 			u = stalled{name: "stalled"}
 		}
 		a.under = u

@@ -180,6 +180,26 @@ func TestConstructorGuards(t *testing.T) {
 	}
 }
 
+// TestDefaultUnderlyingNeedsNoProbe pins why New probes only a
+// caller-supplied Underlying: on every context with n ≤ 8 and t < n (and
+// every self, in range or not), A_{t+2} with the default underlying
+// consensus is built exactly when baseline.NewCT is, so skipping the
+// default's probe loses no construction error.
+func TestDefaultUnderlyingNeedsNoProbe(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		for tt := 0; tt < n; tt++ {
+			for self := model.ProcessID(0); int(self) <= n+1; self++ {
+				ctx := model.ProcessContext{Self: self, N: n, T: tt}
+				_, errCore := core.New(core.Options{})(ctx, 1)
+				_, errCT := baseline.NewCT()(ctx, 1)
+				if (errCore == nil) != (errCT == nil) {
+					t.Errorf("%+v: core.New err %v, baseline.NewCT err %v", ctx, errCore, errCT)
+				}
+			}
+		}
+	}
+}
+
 func TestCustomUnderlying(t *testing.T) {
 	// A_{t+2} with HR as C still solves consensus on the slow path.
 	s := sched.DelayedSenderPrefix(3, 1, 3, 1)

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"indulgence/internal/baseline"
-	"indulgence/internal/model"
-)
+import "indulgence/internal/model"
 
 // NewDiamondS returns a Factory for A_{◇S}, the Sect. 5.1 (Fig. 3)
 // adaptation of A_{t+2} to an asynchronous round model enriched with the
@@ -14,7 +11,9 @@ import (
 // receive steps (Fig. 2, lines 6 and 15) to wait for n−t round messages —
 // the most an algorithm may wait for under ◇S, whose accuracy is only
 // eventual and weak — instead of additionally waiting for all processes
-// not suspected by the (◇P-like) simulated detector.
+// not suspected by the (◇P-like) simulated detector. A_{t+2}'s default
+// underlying consensus, baseline.NewCT, is already ◇S-based, so (1) is
+// the default.
 //
 // In the lockstep simulator the receive sets are fixed by the adversary
 // schedule, so modification (2) changes nothing: the per-round state
@@ -26,10 +25,7 @@ import (
 // ◇S discipline (wait for n−t) and WaitUnsuspected the ◇P discipline
 // (additionally wait for every unsuspected process).
 func NewDiamondS() model.Factory {
-	return New(Options{
-		Underlying: baseline.NewCT(),
-		name:       DiamondSName,
-	})
+	return New(Options{name: DiamondSName})
 }
 
 // WaitPolicy selects the receive-phase waiting discipline of the live

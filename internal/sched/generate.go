@@ -125,10 +125,11 @@ func RandomES(n, t int, gsr model.Round, o RandomOpts) *Schedule {
 
 	// Crashing senders at or after the GSR lose their last messages to a
 	// random subset of receivers.
-	for p, cr := range s.crashes {
-		if cr < gsr {
+	for i, cr := range s.crash {
+		if cr == 0 || cr < gsr {
 			continue
 		}
+		p := model.ProcessID(i + 1)
 		for q := model.ProcessID(1); int(q) <= n; q++ {
 			if q != p && rng.Intn(2) == 0 {
 				s.Drop(cr, p, q)

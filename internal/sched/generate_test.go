@@ -52,6 +52,24 @@ func TestRandomESAlwaysValid(t *testing.T) {
 	}
 }
 
+// TestRandomESDeterministic pins that one seed draws one schedule: the
+// generator must consume its rng in an order fixed by the schedule alone,
+// never by map iteration.
+func TestRandomESDeterministic(t *testing.T) {
+	const n, tt, gsr = 7, 3, 2
+	draw := func(seed int64) string {
+		return RandomES(n, tt, gsr, RandomOpts{Rng: rand.New(rand.NewSource(seed))}).String()
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		want := draw(seed)
+		for try := 0; try < 20; try++ {
+			if got := draw(seed); got != want {
+				t.Fatalf("seed %d, try %d: drew\n%s\nthen\n%s", seed, try, want, got)
+			}
+		}
+	}
+}
+
 func TestKillCoordinators(t *testing.T) {
 	s := KillCoordinators(5, 2, 2)
 	if err := s.Validate(model.ES); err != nil {

@@ -16,6 +16,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -65,14 +66,32 @@ type fateKey struct {
 	from, to model.ProcessID
 }
 
+// strayCrash is a crash no dense table entry can hold: a process outside
+// 1..n, or a round below 1. It is kept only so that Validate reports it.
+type strayCrash struct {
+	p model.ProcessID
+	r model.Round
+}
+
 // Schedule is a complete adversary script for one run. The zero value is
 // not usable; construct with New. Schedules are mutable while being built
 // and should be treated as immutable once handed to the simulator.
+//
+// The per-message queries the simulator asks n² times a round answer
+// without hashing: crash rounds live in a dense per-process table, and a
+// per-round sender mask says which senders have any scheduled fate, so
+// a message whose sender has none is on time without a map lookup.
 type Schedule struct {
-	n, t        int
-	gsr         model.Round
-	crashes     map[model.ProcessID]model.Round
-	fates       map[fateKey]Fate
+	n, t int
+	gsr  model.Round
+	// crash[p-1] is p's crash round; 0 means p never crashes.
+	crash []model.Round
+	stray []strayCrash
+	fates map[fateKey]Fate
+	// fated[r] holds every sender in 1..MaxProcesses with at least one
+	// scheduled fate in round r ≥ 0; fates outside that grid are found
+	// by lookup alone (see ScheduledFrom).
+	fated       []model.PIDSet
 	allowUnsafe bool
 }
 
@@ -96,11 +115,11 @@ func AllowUnsafeResilience() Option {
 // system of n processes tolerating t crashes.
 func New(n, t int, opts ...Option) *Schedule {
 	s := &Schedule{
-		n:       n,
-		t:       t,
-		gsr:     1,
-		crashes: make(map[model.ProcessID]model.Round),
-		fates:   make(map[fateKey]Fate),
+		n:     n,
+		t:     t,
+		gsr:   1,
+		crash: make([]model.Round, max(n, 0)),
+		fates: make(map[fateKey]Fate),
 	}
 	for _, o := range opts {
 		o(s)
@@ -121,12 +140,22 @@ func (s *Schedule) GSR() model.Round { return s.gsr }
 // messages according to their scheduled fates (default: delivered on time)
 // and does not complete round r (it receives nothing in round r and sends
 // nothing afterwards). Crashing the same process twice keeps the earlier
-// round.
+// round. A crash of a process outside 1..n or in a round below 1 is
+// recorded only for Validate to reject.
 func (s *Schedule) Crash(p model.ProcessID, r model.Round) *Schedule {
-	if cur, ok := s.crashes[p]; !ok || r < cur {
-		s.crashes[p] = r
+	if !s.inRange(p) || r < 1 {
+		s.stray = append(s.stray, strayCrash{p: p, r: r})
+		return s
+	}
+	if cur := s.crash[p-1]; cur == 0 || r < cur {
+		s.crash[p-1] = r
 	}
 	return s
+}
+
+// inRange reports whether p is one of the processes 1..n.
+func (s *Schedule) inRange(p model.ProcessID) bool {
+	return p >= 1 && int(p) <= len(s.crash)
 }
 
 // CrashSilent schedules p to crash at the beginning of round r, before
@@ -164,7 +193,19 @@ func (s *Schedule) CrashWithReceivers(p model.ProcessID, r model.Round, receiver
 // Self-messages cannot be scheduled (they are always delivered in-round).
 func (s *Schedule) SetFate(r model.Round, from, to model.ProcessID, f Fate) *Schedule {
 	s.fates[fateKey{round: r, from: from, to: to}] = f
+	if onGrid(r, from) {
+		for int(r) >= len(s.fated) {
+			s.fated = append(s.fated, 0)
+		}
+		s.fated[r].Add(from)
+	}
 	return s
+}
+
+// onGrid reports whether the sender mask can hold a fate of from's
+// round-r messages.
+func onGrid(r model.Round, from model.ProcessID) bool {
+	return r >= 0 && from >= 1 && from <= model.MaxProcesses
 }
 
 // Delay schedules the round-r message from from to to to be delivered in
@@ -182,7 +223,7 @@ func (s *Schedule) Drop(r model.Round, from, to model.ProcessID) *Schedule {
 // Unscheduled messages are delivered on time; self-messages are always on
 // time regardless of any scheduled fate.
 func (s *Schedule) FateOf(r model.Round, from, to model.ProcessID) Fate {
-	if from == to {
+	if from == to || !s.ScheduledFrom(r, from) {
 		return OnTimeFate
 	}
 	if f, ok := s.fates[fateKey{round: r, from: from, to: to}]; ok {
@@ -191,26 +232,49 @@ func (s *Schedule) FateOf(r model.Round, from, to model.ProcessID) Fate {
 	return OnTimeFate
 }
 
+// ScheduledFrom reports whether some round-r message from p may have a
+// scheduled fate. When it is false, every round-r message from p is
+// delivered on time, and callers may skip FateOf for each receiver.
+func (s *Schedule) ScheduledFrom(r model.Round, p model.ProcessID) bool {
+	if !onGrid(r, p) {
+		return true // off the mask: only the fate map knows
+	}
+	return int(r) < len(s.fated) && s.fated[r].Has(p)
+}
+
 // CrashRound returns the round in which p crashes, if it does.
 func (s *Schedule) CrashRound(p model.ProcessID) (model.Round, bool) {
-	r, ok := s.crashes[p]
-	return r, ok
+	if !s.inRange(p) {
+		return 0, false
+	}
+	r := s.crash[p-1]
+	return r, r != 0
 }
 
 // Crashes returns the number of crashing processes.
-func (s *Schedule) Crashes() int { return len(s.crashes) }
+func (s *Schedule) Crashes() int {
+	c := len(s.stray)
+	for _, r := range s.crash {
+		if r != 0 {
+			c++
+		}
+	}
+	return c
+}
 
 // Correct reports whether p never crashes in this schedule.
 func (s *Schedule) Correct(p model.ProcessID) bool {
-	_, crashed := s.crashes[p]
+	_, crashed := s.CrashRound(p)
 	return !crashed
 }
 
 // CorrectSet returns the set of processes that never crash.
 func (s *Schedule) CorrectSet() model.PIDSet {
 	set := model.FullPIDSet(s.n)
-	for p := range s.crashes {
-		set.Remove(p)
+	for i, r := range s.crash {
+		if r != 0 {
+			set.Remove(model.ProcessID(i + 1))
+		}
 	}
 	return set
 }
@@ -218,14 +282,14 @@ func (s *Schedule) CorrectSet() model.PIDSet {
 // SendsIn reports whether p executes the send phase of round r (it has not
 // crashed in an earlier round).
 func (s *Schedule) SendsIn(p model.ProcessID, r model.Round) bool {
-	cr, crashed := s.crashes[p]
+	cr, crashed := s.CrashRound(p)
 	return !crashed || r <= cr
 }
 
 // CompletesRound reports whether p completes round r (receives in r): p
 // must not crash in round r or earlier.
 func (s *Schedule) CompletesRound(p model.ProcessID, r model.Round) bool {
-	cr, crashed := s.crashes[p]
+	cr, crashed := s.CrashRound(p)
 	return !crashed || r < cr
 }
 
@@ -234,7 +298,7 @@ func (s *Schedule) CompletesRound(p model.ProcessID, r model.Round) bool {
 // and the GSR. Beyond it the run is failure-free and synchronous.
 func (s *Schedule) MaxScheduledRound() model.Round {
 	max := s.gsr
-	for _, r := range s.crashes {
+	for _, r := range s.crash {
 		if r > max {
 			max = r
 		}
@@ -257,34 +321,27 @@ func (s *Schedule) IsSerial() bool {
 	if s.gsr != 1 {
 		return false
 	}
-	perRound := make(map[model.Round]int, len(s.crashes))
-	for _, r := range s.crashes {
-		perRound[r]++
-		if perRound[r] > 1 {
+	for i, r := range s.crash {
+		if r != 0 && slices.Contains(s.crash[i+1:], r) {
 			return false
 		}
 	}
 	return true
 }
 
-// CopyFrom resets s to a deep copy of src while keeping s's allocated map
+// CopyFrom resets s to a deep copy of src while keeping s's allocated
 // capacity — the allocation-free counterpart of Clone for callers that
 // rebuild many schedule variants from one prototype (the lower-bound
 // explorer's workers).
 func (s *Schedule) CopyFrom(src *Schedule) *Schedule {
 	s.n, s.t, s.gsr, s.allowUnsafe = src.n, src.t, src.gsr, src.allowUnsafe
-	if s.crashes == nil {
-		s.crashes = make(map[model.ProcessID]model.Round, len(src.crashes))
-	} else {
-		clear(s.crashes)
-	}
+	s.crash = append(s.crash[:0], src.crash...)
+	s.stray = append(s.stray[:0], src.stray...)
+	s.fated = append(s.fated[:0], src.fated...)
 	if s.fates == nil {
 		s.fates = make(map[fateKey]Fate, len(src.fates))
 	} else {
 		clear(s.fates)
-	}
-	for p, r := range src.crashes {
-		s.crashes[p] = r
 	}
 	for k, f := range src.fates {
 		s.fates[k] = f
@@ -294,21 +351,7 @@ func (s *Schedule) CopyFrom(src *Schedule) *Schedule {
 
 // Clone returns a deep copy of the schedule.
 func (s *Schedule) Clone() *Schedule {
-	c := &Schedule{
-		n:           s.n,
-		t:           s.t,
-		gsr:         s.gsr,
-		crashes:     make(map[model.ProcessID]model.Round, len(s.crashes)),
-		fates:       make(map[fateKey]Fate, len(s.fates)),
-		allowUnsafe: s.allowUnsafe,
-	}
-	for p, r := range s.crashes {
-		c.crashes[p] = r
-	}
-	for k, f := range s.fates {
-		c.fates[k] = f
-	}
-	return c
+	return (&Schedule{fates: make(map[fateKey]Fate, len(s.fates))}).CopyFrom(s)
 }
 
 // String renders a compact, deterministic description of the schedule,
@@ -316,13 +359,13 @@ func (s *Schedule) Clone() *Schedule {
 func (s *Schedule) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sched{n=%d t=%d gsr=%d", s.n, s.t, s.gsr)
-	crashed := make([]model.ProcessID, 0, len(s.crashes))
-	for p := range s.crashes {
-		crashed = append(crashed, p)
+	for i, r := range s.crash {
+		if r != 0 {
+			fmt.Fprintf(&b, " crash(p%d@r%d)", i+1, r)
+		}
 	}
-	sort.Slice(crashed, func(i, j int) bool { return crashed[i] < crashed[j] })
-	for _, p := range crashed {
-		fmt.Fprintf(&b, " crash(p%d@r%d)", p, s.crashes[p])
+	for _, c := range s.stray {
+		fmt.Fprintf(&b, " crash(p%d@r%d)", c.p, c.r)
 	}
 	keys := make([]fateKey, 0, len(s.fates))
 	for k := range s.fates {

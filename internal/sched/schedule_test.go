@@ -183,3 +183,94 @@ func TestCopyFrom(t *testing.T) {
 		t.Fatalf("second CopyFrom mismatch:\ngot  %s\nwant %s", s, proto)
 	}
 }
+
+// TestHotPathQueriesDoNotAllocate pins the per-message queries the
+// simulator asks n² times a round, for senders with and without a
+// scheduled fate, and a crashed and a correct process.
+func TestHotPathQueriesDoNotAllocate(t *testing.T) {
+	s := New(5, 2)
+	s.CrashWithReceivers(2, 3, model.NewPIDSet(1, 4))
+	s.Delay(1, 3, 4, 2)
+	var sink int
+	cases := map[string]func(){
+		"FateOf": func() {
+			sink += int(s.FateOf(3, 2, 5).Kind) + int(s.FateOf(3, 1, 5).Kind) + int(s.FateOf(1, 3, 4).Kind)
+		},
+		"SendsIn": func() {
+			if s.SendsIn(2, 4) || s.SendsIn(1, 9) {
+				sink++
+			}
+		},
+		"CompletesRound": func() {
+			if s.CompletesRound(2, 3) || s.CompletesRound(1, 9) {
+				sink++
+			}
+		},
+		"CrashRound": func() {
+			r, _ := s.CrashRound(2)
+			q, _ := s.CrashRound(1)
+			sink += int(r + q)
+		},
+	}
+	for name, f := range cases {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, allocs)
+		}
+	}
+	_ = sink
+}
+
+// TestCopyFromRebuildDoesNotAllocate pins the explorer's per-run schedule
+// rebuild: once the scratch schedule has seen one run of this shape,
+// copying the prototype and placing two crashes allocates nothing.
+func TestCopyFromRebuildDoesNotAllocate(t *testing.T) {
+	proto := New(6, 2)
+	scratch := New(6, 2)
+	heard3, heard5 := model.NewPIDSet(1, 2), model.NewPIDSet(6)
+	rebuild := func() {
+		scratch.CopyFrom(proto)
+		scratch.CrashWithReceivers(3, 2, heard3)
+		scratch.CrashWithReceivers(5, 4, heard5)
+	}
+	rebuild() // warm-up: grows the fate map and the sender mask
+	if allocs := testing.AllocsPerRun(100, rebuild); allocs != 0 {
+		t.Fatalf("CopyFrom + two CrashWithReceivers: %v allocs, want 0", allocs)
+	}
+	if got, want := scratch.String(), "sched{n=6 t=2 gsr=1 crash(p3@r2) crash(p5@r4)"; !strings.HasPrefix(got, want) {
+		t.Fatalf("rebuilt schedule %s, want prefix %s", got, want)
+	}
+}
+
+// TestScheduledFromMask checks the per-round sender mask behind FateOf's
+// lookup-free answer: set by SetFate, carried by CopyFrom and Clone.
+func TestScheduledFromMask(t *testing.T) {
+	s := New(4, 1)
+	if s.ScheduledFrom(1, 1) {
+		t.Fatal("empty schedule reports a scheduled sender")
+	}
+	s.Delay(2, 3, 1, 4)
+	if !s.ScheduledFrom(2, 3) || s.ScheduledFrom(2, 1) || s.ScheduledFrom(1, 3) || s.ScheduledFrom(9, 3) {
+		t.Fatal("mask does not match the single scheduled fate r2 p3->p1")
+	}
+	for _, c := range []*Schedule{s.Clone(), New(9, 2).CopyFrom(s)} {
+		if !c.ScheduledFrom(2, 3) || c.FateOf(2, 3, 1).Kind != Delayed {
+			t.Fatal("copy lost the sender mask")
+		}
+	}
+	// A copy from a schedule without fates drops the mask.
+	if New(4, 1).CopyFrom(New(4, 1)).ScheduledFrom(2, 3) {
+		t.Fatal("CopyFrom kept a stale mask")
+	}
+	c := New(4, 1)
+	c.Drop(2, 3, 1)
+	if c.CopyFrom(New(4, 1)).ScheduledFrom(2, 3) {
+		t.Fatal("CopyFrom kept the destination's old mask")
+	}
+	// Fates off the mask's grid are still found by lookup.
+	off := New(4, 1)
+	off.Drop(-1, 2, 3)
+	off.Drop(2, 70, 3)
+	if off.FateOf(-1, 2, 3).Kind != Lost || off.FateOf(2, 70, 3).Kind != Lost {
+		t.Fatal("off-grid fate not found")
+	}
+}

@@ -79,16 +79,15 @@ func (s *Schedule) validateShape(syn model.Synchrony) error {
 	if syn == model.ES && !s.allowUnsafe && 2*s.t >= s.n {
 		return fmt.Errorf("%w: t=%d n=%d", ErrMajorityCorrect, s.t, s.n)
 	}
-	if len(s.crashes) > s.t && !s.allowUnsafe {
-		return fmt.Errorf("%w: %d crashes with t=%d", ErrResilience, len(s.crashes), s.t)
+	if c := s.Crashes(); c > s.t && !s.allowUnsafe {
+		return fmt.Errorf("%w: %d crashes with t=%d", ErrResilience, c, s.t)
 	}
-	for p, r := range s.crashes {
-		if p < 1 || int(p) > s.n {
-			return fmt.Errorf("sched: crash of out-of-range process p%d", p)
+	if len(s.stray) > 0 {
+		c := s.stray[0]
+		if !s.inRange(c.p) {
+			return fmt.Errorf("sched: crash of out-of-range process p%d", c.p)
 		}
-		if r < 1 {
-			return fmt.Errorf("sched: crash of p%d in invalid round %d", p, r)
-		}
+		return fmt.Errorf("sched: crash of p%d in invalid round %d", c.p, c.r)
 	}
 	return nil
 }
@@ -103,13 +102,11 @@ func (s *Schedule) validateFate(syn model.Synchrony, key fateKey, f Fate) error 
 	if key.round < 1 {
 		return fmt.Errorf("sched: fate in invalid round %d", key.round)
 	}
-	if cr, crashed := s.crashes[key.from]; crashed && key.round > cr {
+	cr, crashed := s.CrashRound(key.from)
+	if crashed && key.round > cr {
 		return fmt.Errorf("sched: fate for message from p%d in round %d after its crash in round %d", key.from, key.round, cr)
 	}
-	senderCrashesNow := false
-	if cr, crashed := s.crashes[key.from]; crashed && cr == key.round {
-		senderCrashesNow = true
-	}
+	senderCrashesNow := crashed && cr == key.round
 	switch f.Kind {
 	case OnTime:
 		return nil

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"indulgence/internal/model"
@@ -221,5 +223,38 @@ func TestFateKindString(t *testing.T) {
 	}
 	if FateKind(99).String() == "" {
 		t.Fatal("unknown kind should render")
+	}
+}
+
+// TestValidateRejectsStrayCrash pins that a crash the dense crash table
+// cannot hold — a process outside 1..n, or a round below 1 — is still
+// reported by Validate and by String, and counts as a crash.
+func TestValidateRejectsStrayCrash(t *testing.T) {
+	for _, c := range []struct {
+		p    model.ProcessID
+		r    model.Round
+		want string
+	}{
+		{0, 1, "out-of-range process p0"},
+		{6, 2, "out-of-range process p6"},
+		{-3, 2, "out-of-range process p-3"},
+		{2, 0, "p2 in invalid round 0"},
+	} {
+		s := New(5, 2).Crash(c.p, c.r)
+		for _, syn := range []model.Synchrony{model.SCS, model.ES} {
+			err := s.Validate(syn)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("crash(p%d@r%d) under %v: err %v, want %q", c.p, c.r, syn, err, c.want)
+			}
+		}
+		if s.Crashes() != 1 {
+			t.Errorf("crash(p%d@r%d): Crashes() = %d, want 1", c.p, c.r, s.Crashes())
+		}
+		if want := fmt.Sprintf("crash(p%d@r%d)", c.p, c.r); !strings.Contains(s.String(), want) {
+			t.Errorf("String() = %s, missing %s", s, want)
+		}
+		if err := s.Clone().Validate(model.ES); err == nil {
+			t.Errorf("crash(p%d@r%d): the clone validates", c.p, c.r)
+		}
 	}
 }

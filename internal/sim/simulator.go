@@ -202,10 +202,16 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 					Sends: true,
 				})
 			}
+			// A sender with no scheduled fate this round reaches every
+			// receiver on time: no per-receiver fate lookup.
+			scheduled := s.ScheduledFrom(k, p)
 			for j := 0; j < n; j++ {
 				q := model.ProcessID(j + 1)
 				res.MessagesSent++
-				fate := s.FateOf(k, p, q)
+				fate := sched.OnTimeFate
+				if scheduled {
+					fate = s.FateOf(k, p, q)
+				}
 				var at model.Round
 				switch fate.Kind {
 				case sched.OnTime:
