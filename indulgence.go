@@ -403,8 +403,9 @@ func NewPeerService(cfg PeerServiceOptions, n int, ep Transport) (*PeerService, 
 	return service.New(cfg, []Transport{ep})
 }
 
-// NewMux multiplexes instance-addressed streams over one endpoint.
-func NewMux(ep Transport) *Mux { return transport.NewMux(ep, nil) }
+// NewMux multiplexes instance-addressed streams of one consensus group
+// over one endpoint.
+func NewMux(ep Transport) *Mux { return transport.NewMux(ep, 1, nil) }
 
 // Durable decision journal (crash-restart recovery for the service).
 type (

@@ -64,6 +64,19 @@ type IdleRegistry interface {
 	RegisterIdle(func() bool)
 }
 
+// NewSampler returns a ticker with period d for a loop that samples
+// state other goroutines change, such as a control loop reading queue
+// depths. On a Virtual clock its ticks fire in a Step of their own,
+// after every other event of their instant has fired and the system has
+// settled, so a sample reads the instant's settled state whatever order
+// the goroutines ran in. On any other clock it is NewTicker.
+func NewSampler(c Clock, d time.Duration) Ticker {
+	if v, ok := c.(*Virtual); ok {
+		return v.newTicker(d, true)
+	}
+	return c.NewTicker(d)
+}
+
 // WithTimeout is context.WithTimeout on an arbitrary clock. On a Real
 // clock it defers to the context package (callers keep genuine
 // DeadlineExceeded errors); on any other clock the deadline is a clock

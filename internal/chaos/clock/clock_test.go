@@ -2,6 +2,7 @@ package clock
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -79,6 +80,62 @@ func TestVirtualTicker(t *testing.T) {
 	tick.Stop()
 	if v.Step() {
 		t.Fatal("stopped ticker left live events")
+	}
+}
+
+// TestVirtualSamplerStepsLast: a sampler tick fires in a Step of its
+// own after every other event of its instant — a plain tick registered
+// later and an event the instant's first Step schedules at the same
+// instant included — and a Reset keeps the ticker a sampler. On the
+// real clock NewSampler is a plain ticker.
+func TestVirtualSamplerStepsLast(t *testing.T) {
+	v := NewVirtual()
+	var got []string
+	sampler := NewSampler(v, 10*time.Millisecond)
+	defer sampler.Stop()
+	plain := v.NewTicker(10 * time.Millisecond)
+	defer plain.Stop()
+	v.AfterFunc(10*time.Millisecond, func() {
+		got = append(got, "event")
+		v.AfterFunc(0, func() { got = append(got, "event+0") })
+	})
+	read := func(name string, c <-chan time.Time) {
+		select {
+		case <-c:
+			got = append(got, name)
+		default:
+		}
+	}
+	for step := 0; step < 3; step++ {
+		if !v.Step() {
+			t.Fatal("ran out of events")
+		}
+		read("plain", plain.C())
+		read("sampler", sampler.C())
+		got = append(got, "|")
+	}
+	want := []string{"event", "plain", "|", "event+0", "|", "sampler", "|"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("steps fired %v, want %v", got, want)
+	}
+	if d := v.Since(epoch); d != 10*time.Millisecond {
+		t.Fatalf("three steps advanced %v, want one instant at 10ms", d)
+	}
+	sampler.Reset(5 * time.Millisecond)
+	plain.Reset(5 * time.Millisecond)
+	got = nil
+	for step := 0; step < 2; step++ {
+		v.Step()
+		read("plain", plain.C())
+		read("sampler", sampler.C())
+	}
+	if want := []string{"plain", "sampler"}; !slices.Equal(got, want) {
+		t.Fatalf("after Reset: %v, want %v", got, want)
+	}
+	rs := NewSampler(Real{}, time.Hour)
+	defer rs.Stop()
+	if _, ok := rs.(realTicker); !ok {
+		t.Fatal("NewSampler on the real clock is not its ticker")
 	}
 }
 

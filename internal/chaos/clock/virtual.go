@@ -16,10 +16,12 @@ var epoch = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 // goroutines run and jumps to the next scheduled event when the driver
 // calls Step. Determinism contract: events at distinct virtual instants
 // fire in time order; events at the same instant fire in ascending tag
-// order (see AfterFuncTagged), then registration order within a tag;
-// and between instants the driver settles — it waits until every
-// registered idle check passes and no new events are being scheduled —
-// so everything caused by instant T is visible before T+1 exists.
+// order (see AfterFuncTagged), then registration order within a tag,
+// except that sampler ticks (NewSampler) fire in a Step of their own
+// after the instant's other events; and between Steps the driver
+// settles — it waits until every registered idle check passes and no
+// new events are being scheduled — so everything caused by instant T is
+// visible before T+1 exists, and a sampler reads T's settled state.
 // Settling is strongest at GOMAXPROCS=1 (cooperative scheduling runs
 // every runnable goroutine to its next blocking point on a Gosched
 // sweep); the chaos sweep runner pins itself there for exact replay.
@@ -46,6 +48,7 @@ func NewVirtual() *Virtual {
 // and are skipped when popped (lazy deletion).
 type event struct {
 	when      time.Time
+	sample    bool   // a sampler tick: fires after the instant's other events
 	tag       uint64 // same-instant tiebreak; 0 orders first, by seq
 	seq       uint64
 	fire      func(now time.Time)
@@ -58,6 +61,9 @@ func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
 	if !h[i].when.Equal(h[j].when) {
 		return h[i].when.Before(h[j].when)
+	}
+	if h[i].sample != h[j].sample {
+		return h[j].sample
 	}
 	if h[i].tag != h[j].tag {
 		return h[i].tag < h[j].tag
@@ -102,10 +108,16 @@ func (v *Virtual) schedule(d time.Duration, fn func(now time.Time)) *event {
 
 // scheduleTagged is schedule with an explicit same-instant tiebreak.
 func (v *Virtual) scheduleTagged(d time.Duration, tag uint64, fn func(now time.Time)) *event {
+	return v.scheduleEvent(d, tag, false, fn)
+}
+
+// scheduleEvent is scheduleTagged that may mark the event a sampler
+// tick.
+func (v *Virtual) scheduleEvent(d time.Duration, tag uint64, sample bool, fn func(now time.Time)) *event {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.seq++
-	e := &event{when: v.now.Add(d), tag: tag, seq: v.seq, fire: fn}
+	e := &event{when: v.now.Add(d), sample: sample, tag: tag, seq: v.seq, fire: fn}
 	heap.Push(&v.evs, e)
 	return e
 }
@@ -151,11 +163,15 @@ func (v *Virtual) AfterFuncTagged(d time.Duration, tag uint64, f func()) Timer {
 }
 
 // NewTicker implements Clock.
-func (v *Virtual) NewTicker(d time.Duration) Ticker {
+func (v *Virtual) NewTicker(d time.Duration) Ticker { return v.newTicker(d, false) }
+
+// newTicker starts a ticker with period d whose ticks are sampler ticks
+// when sample is set (see NewSampler).
+func (v *Virtual) newTicker(d time.Duration, sample bool) Ticker {
 	if d <= 0 {
 		panic("clock: non-positive ticker period")
 	}
-	t := &virtualTicker{v: v, period: d, ch: make(chan time.Time, 1)}
+	t := &virtualTicker{v: v, period: d, sample: sample, ch: make(chan time.Time, 1)}
 	t.mu.Lock()
 	t.arm()
 	t.mu.Unlock()
@@ -208,6 +224,7 @@ type virtualTicker struct {
 
 	mu     sync.Mutex
 	period time.Duration
+	sample bool
 	ev     *event
 	gen    uint64
 }
@@ -215,7 +232,7 @@ type virtualTicker struct {
 // arm schedules the current generation's next tick; t.mu is held.
 func (t *virtualTicker) arm() {
 	gen := t.gen
-	t.ev = t.v.schedule(t.period, func(now time.Time) { t.tick(now, gen) })
+	t.ev = t.v.scheduleEvent(t.period, 0, t.sample, func(now time.Time) { t.tick(now, gen) })
 }
 
 func (t *virtualTicker) tick(now time.Time, gen uint64) {
@@ -328,8 +345,9 @@ func (v *Virtual) idleNow() bool {
 }
 
 // Step advances the clock to the earliest pending event and fires every
-// event scheduled at that instant, in registration order, on the
-// calling goroutine. It reports false — and leaves the clock untouched —
+// event scheduled at that instant, in tag and registration order, on the
+// calling goroutine — or, when only sampler ticks are left at the
+// instant, those. It reports false — and leaves the clock untouched —
 // when no events are pending, which with an unsettled simulation means
 // the system is wedged: nothing is runnable and nothing is scheduled to
 // become runnable. Callers Settle first.
@@ -342,9 +360,9 @@ func (v *Virtual) Step() bool {
 		v.mu.Unlock()
 		return false
 	}
-	t := v.evs[0].when
+	t, sample := v.evs[0].when, v.evs[0].sample
 	var batch []*event
-	for len(v.evs) > 0 && (v.evs[0].cancelled || v.evs[0].when.Equal(t)) {
+	for len(v.evs) > 0 && (v.evs[0].cancelled || v.evs[0].when.Equal(t) && v.evs[0].sample == sample) {
 		e := heap.Pop(&v.evs).(*event)
 		if !e.cancelled {
 			// Mark the event dead before firing: a concurrent Stop must

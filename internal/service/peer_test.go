@@ -532,7 +532,7 @@ func TestJoinDedupesOnTheMux(t *testing.T) {
 	settle(2)
 
 	const retired = 1000
-	p2.muxes[0].RetireGroup(0, retired)
+	p2.muxes[0].Retire(retired)
 	fut := decide(p2, 30)
 	for len(p2.intake) > 0 {
 		time.Sleep(time.Millisecond) // until the proposal lingers in the batch

@@ -428,7 +428,7 @@ func New(cfg Config, endpoints []transport.Transport) (*Service, error) {
 	}
 	muxes := make([]*transport.Mux, len(endpoints))
 	for i, ep := range endpoints {
-		muxes[i] = transport.NewMux(ep, cfg.Metrics)
+		muxes[i] = transport.NewMux(ep, 1, cfg.Metrics)
 	}
 	s, err := NewOnMuxes(cfg, muxes)
 	if err != nil {
@@ -444,11 +444,7 @@ func New(cfg Config, endpoints []transport.Transport) (*Service, error) {
 	// so no signal is installed.
 	if s.remote {
 		for _, m := range muxes {
-			m.OnPending(func(group, instance uint64) {
-				if group == s.cfg.Group {
-					s.Join(instance)
-				}
-			})
+			m.OnPending(s.Join)
 		}
 	}
 	return s, nil
@@ -457,13 +453,14 @@ func New(cfg Config, endpoints []transport.Transport) (*Service, error) {
 // NewOnMuxes starts a service over already-built muxes, one per hosted
 // process under New's ordering rule. It is the one constructor: New
 // calls it over the muxes it builds, and a sharded runtime calls it once
-// per group (each with its own cfg.Group) over one shared set of muxes.
-// The muxes stay owned by the caller: Close and Abort leave them open,
-// and the service confines itself to its group's streams (OpenGroup /
-// RetireGroup under cfg.Group) so sibling groups never observe it. Join
-// signals are the caller's to install: whoever owns the muxes routes
-// each (group, instance) signal (Mux.OnPending) to the owning service's
-// Join.
+// per group (each with its own cfg.Group) over one shared set of muxes,
+// built for cfg.Groups groups (transport.NewMux). The muxes stay owned
+// by the caller: Close and Abort leave them open, and the service opens
+// and retires only instances of its own residue class (cfg.Group mod
+// cfg.Groups), so sibling groups never observe it. Join signals are the
+// caller's to install: whoever owns the muxes routes each instance's
+// signal (Mux.OnPending) to the Join of the service owning instance mod
+// cfg.Groups.
 func NewOnMuxes(cfg Config, muxes []*transport.Mux) (*Service, error) {
 	cfg = cfg.withDefaults()
 	if cfg.N < 2 {
@@ -587,16 +584,19 @@ func NewOnMuxes(cfg Config, muxes []*transport.Mux) (*Service, error) {
 	if cfg.Journal != nil {
 		// Recovery: resume the instance-ID frontier past every journaled
 		// start claim and decision — aligned up to the group's residue
-		// class — and bulk-retire the journaled range of this group's
-		// streams on every mux, so stale round and relay frames from a
-		// previous process lifetime are dropped instead of buffering for
-		// instances nobody will open. The frontier covers joined slots too: a
-		// restarted member must never re-run an instance its previous
-		// lifetime touched — rejoining one with reset algorithm state
-		// would be amnesia, not a crash-stop.
-		s.nextInstance = alignInstance(cfg.Journal.Frontier(), cfg.Group, s.stride)
+		// class — and bulk-retire everything below the frontier on every
+		// mux, so stale round and relay frames from a previous process
+		// lifetime are dropped instead of buffering for instances nobody
+		// will open. The frontier covers joined slots too: a restarted
+		// member must never re-run an instance its previous lifetime
+		// touched — rejoining one with reset algorithm state would be
+		// amnesia, not a crash-stop. The retirement is process-wide, so
+		// the groups sharing the muxes repeat it as a no-op: none of them
+		// launches an instance before its runtime is returned.
+		frontier := cfg.Journal.Frontier()
+		s.nextInstance = transport.AlignUp(frontier, cfg.Group, s.stride)
 		for _, m := range muxes {
-			m.RetireGroupBelow(cfg.Group, s.nextInstance)
+			m.RetireBelow(frontier)
 		}
 	}
 	s.claimedThrough = s.nextInstance
@@ -609,9 +609,12 @@ func NewOnMuxes(cfg Config, muxes []*transport.Mux) (*Service, error) {
 }
 
 // controlLoop ticks the control plane at its interval with the live
-// queue/slot occupancy until the service's run context ends.
+// queue/slot occupancy until the service's run context ends. The ticks
+// come from a sampler (clock.NewSampler): on a virtual clock a tick
+// reads the occupancy its instant settled at, not whatever the batcher
+// and the instances happened to reach first.
 func (s *Service) controlLoop() {
-	t := s.cfg.Clock.NewTicker(s.plane.Interval())
+	t := clock.NewSampler(s.cfg.Clock, s.plane.Interval())
 	defer t.Stop()
 	for {
 		select {
@@ -625,15 +628,16 @@ func (s *Service) controlLoop() {
 
 // Join signals that inbound frames exist for a slot this service has not
 // opened, so a peer started it and the hosted processes should adopt it.
-// It never blocks — callable straight from a mux router goroutine; a
-// dropped signal re-fires on the slot's next inbound frame. New installs
-// it as the join signal (Mux.OnPending) of the muxes it builds; a sharded
-// runtime, which owns its shared muxes, calls it on the group service
-// each signal addresses. A no-op when every process is hosted. The
-// batcher drops slots outside the service's group and every slot whose
-// streams do not open — one already running here, or retired because it
-// ran or lies below the recovered frontier — so a duplicate or stale
-// signal costs nothing and counts nowhere.
+// The slot must lie in the service's residue class (slot mod cfg.Groups
+// = cfg.Group). It never blocks — callable straight from a mux router
+// goroutine; a dropped signal re-fires on the slot's next inbound frame.
+// New installs it as the join signal (Mux.OnPending) of the muxes it
+// builds; a sharded runtime, which owns its shared muxes, calls it on
+// the group service owning the slot. A no-op when every process is
+// hosted. The batcher drops every slot whose streams do not open — one
+// already running here, or retired because it ran or lies below the
+// recovered frontier — so a duplicate or stale signal costs nothing and
+// counts nowhere.
 func (s *Service) Join(slot uint64) {
 	select {
 	case s.joins <- slot:
@@ -923,9 +927,6 @@ func (s *Service) batcher() {
 				return
 			}
 		case slot := <-s.joins:
-			if slot%s.stride != s.cfg.Group {
-				continue // another group's slot — not this service's to run
-			}
 			eps, err := s.open(slot)
 			if err != nil {
 				continue // running here already, or retired: a duplicate or stale signal
@@ -961,10 +962,10 @@ func (s *Service) batcher() {
 func (s *Service) open(instance uint64) ([]transport.Transport, error) {
 	eps := make([]transport.Transport, s.cfg.N)
 	for k, m := range s.muxes {
-		ep, err := m.OpenGroup(s.cfg.Group, instance)
+		ep, err := m.Open(instance)
 		if err != nil {
 			for _, opened := range s.muxes[:k] {
-				opened.RetireGroup(s.cfg.Group, instance)
+				opened.Retire(instance)
 			}
 			return nil, fmt.Errorf("service: open instance %d on p%d: %w", instance, m.Self(), err)
 		}
@@ -977,7 +978,7 @@ func (s *Service) open(instance uint64) ([]transport.Transport, error) {
 // frames for it are dropped.
 func (s *Service) retire(instance uint64) {
 	for _, m := range s.muxes {
-		m.RetireGroup(s.cfg.Group, instance)
+		m.Retire(instance)
 	}
 }
 
@@ -1111,22 +1112,4 @@ func (s *Service) claim(instance uint64, batchLen int, choice adapt.Choice, cctx
 		return fmt.Errorf("service: trace instance %d: %w", instance, err)
 	}
 	return nil
-}
-
-// alignInstance returns the smallest instance ID at or above frontier
-// that belongs to group's strided ID space ({group, group+stride, …}) —
-// the recovery arithmetic mapping a journal frontier, which covers every
-// group journaled in that directory, back onto one group's allocation.
-func alignInstance(frontier, group, stride uint64) uint64 {
-	if stride <= 1 {
-		return frontier
-	}
-	if frontier <= group {
-		return group
-	}
-	delta := (frontier - group) % stride
-	if delta == 0 {
-		return frontier
-	}
-	return frontier + stride - delta
 }

@@ -12,11 +12,12 @@
 // instances concurrently — groups share the physical connections and the
 // journal but no batch or instance, so one group's slow instance (an
 // injected partition, a crashed member) never holds another group's
-// batches. The group-aware wire envelope keeps the groups' frames apart
-// on the shared transport, and the strided allocation keeps their
-// instance IDs globally unique, which is what lets every group append to
-// one journal and check.Replay audit a member's journal in one pass,
-// calling any instance ID seen under two groups a violation.
+// batches. The strided allocation keeps the groups' instance IDs
+// globally unique, and an ID names its group (instance mod G), so the
+// shared muxes route and retire by instance alone and no frame carries a
+// group; it is also what lets every group append to one journal and
+// check.Replay audit a member's journal in one pass, calling any
+// instance ID seen under two groups a violation.
 package shard
 
 import (

@@ -67,9 +67,9 @@ func checkLayout(dir string) error {
 // service.New is the library constructor for exactly that group on its
 // own. Like the service, the runtime hosts the processes whose endpoints
 // it is handed; with a process hosted elsewhere it installs the muxes'
-// join signal and routes each (group, instance) signal to the group
-// service that owns it, so a proposal entering any member reaches every
-// member's matching group.
+// join signal and routes each instance's signal to the group service
+// that owns it (instance mod G), so a proposal entering any member
+// reaches every member's matching group.
 type Runtime struct {
 	groups []*service.Service
 	muxes  []*transport.Mux
@@ -83,8 +83,8 @@ type Runtime struct {
 // endpoints it is handed, under service.New's rule: every Self() in
 // 1..cfg.Service.N, ascending, no repeats; all N is the single-process
 // runtime, fewer a member of a multi-process cluster. The endpoints stay
-// owned by the caller; the runtime wraps each in a group-aware mux
-// shared by all its groups (counting frames once, runtime-wide, on
+// owned by the caller; the runtime wraps each in a mux shared by all its
+// groups, retiring each group's residue class on its own frontier (counting frames once, runtime-wide, on
 // cfg.Service.Metrics) and owns all reads from it.
 func New(cfg Config, endpoints []transport.Transport) (*Runtime, error) {
 	if cfg.Groups == 0 {
@@ -114,7 +114,7 @@ func New(cfg Config, endpoints []transport.Transport) (*Runtime, error) {
 		policy: cfg.Placement,
 	}
 	for i, ep := range endpoints {
-		r.muxes[i] = transport.NewMux(ep, cfg.Service.Metrics)
+		r.muxes[i] = transport.NewMux(ep, cfg.Groups, cfg.Service.Metrics)
 	}
 	for g := 0; g < cfg.Groups; g++ {
 		svcCfg := cfg.Service
@@ -140,15 +140,12 @@ func New(cfg Config, endpoints []transport.Transport) (*Runtime, error) {
 	return r, nil
 }
 
-// deliver is the shared muxes' join signal: it hands the signal to its
-// group service. It never blocks — Join only does a non-blocking channel
-// send — so it may run on a mux router goroutine. Signals for groups
-// this runtime does not run (a peer misconfigured with more groups) are
-// dropped — it cannot join a group it has no service for.
-func (r *Runtime) deliver(group, instance uint64) {
-	if group < uint64(len(r.groups)) {
-		r.groups[group].Join(instance)
-	}
+// deliver is the shared muxes' join signal: it hands the signal to the
+// group service owning the instance, as Lookup finds it. It never blocks
+// — Join only does a non-blocking channel send — so it may run on a mux
+// router goroutine.
+func (r *Runtime) deliver(instance uint64) {
+	r.groups[instance%uint64(len(r.groups))].Join(instance)
 }
 
 // teardown unwinds a partially constructed runtime.

@@ -478,3 +478,89 @@ func TestPeerRuntimeJoinsEarlyFrames(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestPeerRuntimeMixedPlacement runs a G = 3 cluster whose members place
+// proposals differently: p1 under key-affinity with one key (so one
+// group), p2 round-robin (every group) and p3 least-loaded (group 0 at
+// this load). Each member joins slots in classes its own placement
+// never feeds, routed by instance mod G alone. Every future resolves,
+// and the members' journals, replayed together, hold no violation.
+func TestPeerRuntimeMixedPlacement(t *testing.T) {
+	const n, groups = 3, 3
+	eps := hubEndpoints(t, n)
+	policies := []shard.Policy{shard.NewKeyAffinity(), shard.NewRoundRobin(), shard.NewLeastLoaded()}
+	dirs := make([]string, n)
+	members := make([]*shard.Runtime, n)
+	for i := range members {
+		dirs[i] = t.TempDir()
+		cfg := runtimeConfig(groups)
+		cfg.Service.Journal = openJournal(t, dirs[i])
+		cfg.Placement = policies[i]
+		m, err := shard.New(cfg, eps[i:i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		members[i] = m
+		defer m.Close()
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var futs []*service.Future
+	for i := 0; i < 18; i++ {
+		f, err := members[i%n].ProposeKeyClass(ctx, 42, 0, model.Value(700+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs = append(futs, f)
+	}
+	live := make(map[uint64]model.Value)
+	classes := make([]map[uint64]bool, n)
+	for i, f := range futs {
+		dec, err := f.Wait(ctx)
+		if err != nil {
+			t.Fatalf("p%d proposal %d: %v", i%n+1, i, err)
+		}
+		if prev, ok := live[dec.Instance]; ok && prev != dec.Value {
+			t.Fatalf("instance %d resolved %d and %d", dec.Instance, prev, dec.Value)
+		}
+		live[dec.Instance] = dec.Value
+		if classes[i%n] == nil {
+			classes[i%n] = make(map[uint64]bool)
+		}
+		classes[i%n][dec.Instance%groups] = true
+	}
+	if len(classes[0]) != 1 || len(classes[1]) != groups {
+		t.Fatalf("p1 initiated in classes %v, p2 in %v; want one class and all %d", classes[0], classes[1], groups)
+	}
+	// p1 joined every class its one key never feeds.
+	for g := uint64(0); g < groups; g++ {
+		if !classes[0][g] {
+			for members[0].Group(int(g)).Snapshot().JoinedInstances == 0 {
+				if ctx.Err() != nil {
+					t.Fatalf("p1 never joined a group-%d slot", g)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+
+	var hist shard.History
+	for i, m := range members {
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if roll := m.Snapshot(); len(roll.Violations) != 0 {
+			t.Fatalf("p%d violations: %v", i+1, roll.Violations)
+		}
+		h, err := shard.ReplayDir(dirs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist.Records = append(hist.Records, h.Records...)
+		hist.Starts = append(hist.Starts, h.Starts...)
+	}
+	if rep := check.Replay(hist.Records, hist.Starts, live); !rep.OK() {
+		t.Fatalf("cross-member audit: %v", rep.Violations)
+	}
+}

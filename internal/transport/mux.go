@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -11,65 +11,44 @@ import (
 	"indulgence/internal/wire"
 )
 
-// streamKey addresses one virtual endpoint of a Mux: a consensus group
-// and an instance within it. The single-group service uses group 0 —
-// the compatibility group — exclusively.
-type streamKey struct {
-	group    uint64
-	instance uint64
-}
-
-// groupRetired is one group's retirement state: every instance ID below
-// `below` is retired, plus every member of set. With consecutive IDs,
-// retired roughly in open order, the set stays a few inflight-bounds
-// large; strided IDs (G > 1 groups) leave gaps `below` never crosses, so
-// their set grows until RetireGroupBelow raises the frontier.
-type groupRetired struct {
-	below uint64
-	set   map[uint64]struct{}
-}
-
-// advance moves below past every retired instance the set holds at it,
-// so the set keeps only retirements above a gap.
-func (r *groupRetired) advance() {
-	for {
-		if _, ok := r.set[r.below]; !ok {
-			return
-		}
-		delete(r.set, r.below)
-		r.below++
-	}
-}
-
-// Mux multiplexes many consensus instances — across many independent
-// consensus groups — over one underlying Transport endpoint, so a whole
-// sharded runtime's worth of concurrent instances shares a single set
-// of physical connections (one Hub mailbox, or one TCP connection per
-// ordered process pair) instead of one cluster per instance. Outbound
-// frames are wrapped in the wire envelope carrying the (group,
-// instance) address; inbound frames are routed to the matching virtual
-// endpoint. Version-0 frames from pre-instance peers route to (0, 0)
-// and version-1 frames to (0, instance): group 0 is the compatibility
-// group, and a mux used only through the group-0 entry points behaves
-// byte-identically to the pre-group mux.
+// Mux multiplexes many consensus instances over one underlying
+// Transport endpoint, so a whole sharded runtime's worth of concurrent
+// instances shares a single set of physical connections (one Hub
+// mailbox, or one TCP connection per ordered process pair) instead of
+// one cluster per instance. A stream is addressed by its instance ID
+// alone: the strided allocation already names an instance's group
+// (group g of G owns the residue class {g, g+G, …}), so the ID is the
+// whole address. Outbound frames of instance 0 travel bare (version 0)
+// and every other instance's in the version-1 instance envelope, so a
+// pre-instance peer's bare frames route to instance 0. Inbound frames
+// are routed by their instance ID; a version-2 group envelope, which
+// nothing writes any more, still decodes and its group field is
+// ignored.
 //
 // The mux is the one record of where its process stands in each
-// instance: open (OpenGroup succeeded), retired (RetireGroup or
-// RetireGroupBelow), or pending — frames arrived before anyone opened
-// it. Pending frames are buffered, never dropped — a peer may
-// legitimately start an instance and broadcast before this process
-// opens it, and the reliable-channel axiom must survive multiplexing.
-// Frames for a retired instance are dropped: they can only be relay or
-// round traffic reaching a process that has already finished the
-// instance. Retirement state is tracked per group, so each group's
-// frontier advances independently of its neighbors'.
+// instance: open (Open succeeded), retired (Retire or RetireBelow), or
+// pending — frames arrived before anyone opened it. Pending frames are
+// buffered, never dropped — a peer may legitimately start an instance
+// and broadcast before this process opens it, and the reliable-channel
+// axiom must survive multiplexing. Frames for a retired instance are
+// dropped: they can only be relay or round traffic reaching a process
+// that has already finished the instance.
+//
+// Retirement is kept per residue class c = instance mod G: below[c] is
+// the class's frontier (every ID of class c under it is retired) and
+// advances by G, and one shared set holds the retirements above a gap.
+// Each class is dense — its group cuts consecutive IDs of the class,
+// and every ID any member cuts is eventually retired here — so each
+// frontier keeps up and the set stays bounded by the instances in
+// flight, even while some groups sit idle.
 type Mux struct {
 	ep Transport
 
 	mu         sync.Mutex
-	onPending  func(group, instance uint64)
-	streams    map[streamKey]*muxStream
-	retired    map[uint64]*groupRetired
+	onPending  func(instance uint64)
+	streams    map[uint64]*muxStream
+	retired    map[uint64]struct{}
+	below      []uint64
 	closed     bool
 	done       chan struct{}
 	routerDone chan struct{}
@@ -77,20 +56,26 @@ type Mux struct {
 	mIn, mOut *metrics.Counter
 }
 
-// NewMux starts a multiplexer over ep. The mux reads every inbound frame
-// of ep from the moment of creation; the caller must no longer use
-// ep.Recv directly. With a non-nil reg the mux counts frames on the
-// unlabelled indulgence_frames_in_total (every well-formed inbound frame
-// it delivers or buffers) and indulgence_frames_out_total (every frame
-// sent through a virtual endpoint); muxes sharing one registry share the
-// two counters. A nil reg counts nothing.
-func NewMux(ep Transport, reg *metrics.Registry) *Mux {
+// NewMux starts a multiplexer over ep for a runtime of groups ≥ 1
+// consensus groups, whose instance IDs fall into groups residue classes
+// (see Mux). The mux reads every inbound frame of ep from the moment of
+// creation; the caller must no longer use ep.Recv directly. With a
+// non-nil reg the mux counts frames on the unlabelled
+// indulgence_frames_in_total (every well-formed inbound frame it
+// delivers or buffers) and indulgence_frames_out_total (every frame sent
+// through a virtual endpoint); muxes sharing one registry share the two
+// counters. A nil reg counts nothing.
+func NewMux(ep Transport, groups int, reg *metrics.Registry) *Mux {
 	m := &Mux{
 		ep:         ep,
-		streams:    make(map[streamKey]*muxStream),
-		retired:    make(map[uint64]*groupRetired),
+		streams:    make(map[uint64]*muxStream),
+		retired:    make(map[uint64]struct{}),
+		below:      make([]uint64, max(groups, 1)),
 		done:       make(chan struct{}),
 		routerDone: make(chan struct{}),
+	}
+	for c := range m.below {
+		m.below[c] = uint64(c) // a class's first ID is the class itself
 	}
 	if reg != nil {
 		m.mIn = reg.Counter("indulgence_frames_in_total",
@@ -102,85 +87,80 @@ func NewMux(ep Transport, reg *metrics.Registry) *Mux {
 	return m
 }
 
+// AlignUp returns the smallest instance ID at or above frontier that
+// lies in residue class class of classes ≥ 1 ({class, class+classes,
+// …}) — the recovery arithmetic mapping a process-wide journal frontier
+// onto one group's allocation, and onto one retirement class of a Mux.
+func AlignUp(frontier, class, classes uint64) uint64 {
+	if frontier <= class {
+		return class
+	}
+	return frontier + (classes-(frontier-class)%classes)%classes
+}
+
 // Self returns the identity of the underlying endpoint.
 func (m *Mux) Self() model.ProcessID { return m.ep.Self() }
 
-// OnPending installs the join signal: fn(group, instance) runs each time
-// a frame arrives for a stream that is not open here — how a service
-// with a remote process learns that a peer started an instance. The
-// install replays the signal at once, in (group, instance) order on the
-// caller's goroutine, for every stream already buffering frames without
-// being open, and the router reads fn under the lock with which it
-// checks that a stream is open, so no frame that arrived before the
-// install goes unsignalled. Later signals run on the router goroutine:
-// fn must not block (it would stall every instance's inbound traffic),
-// and it may run repeatedly for one unopened instance — the receiver's
-// OpenGroup, failing on an open or retired instance, is the dedupe.
-func (m *Mux) OnPending(fn func(group, instance uint64)) {
+// OnPending installs the join signal: fn(instance) runs each time a
+// frame arrives for a stream that is not open here — how a service with
+// a remote process learns that a peer started an instance. The install
+// replays the signal at once, in instance order on the caller's
+// goroutine, for every stream already buffering frames without being
+// open, and the router reads fn under the lock with which it checks that
+// a stream is open, so no frame that arrived before the install goes
+// unsignalled. Later signals run on the router goroutine: fn must not
+// block (it would stall every instance's inbound traffic), and it may
+// run repeatedly for one unopened instance — the receiver's Open,
+// failing on an open or retired instance, is the dedupe.
+func (m *Mux) OnPending(fn func(instance uint64)) {
 	m.mu.Lock()
 	m.onPending = fn
-	var keys []streamKey
-	for key, s := range m.streams {
+	var ids []uint64
+	for id, s := range m.streams {
 		if !s.opened {
-			keys = append(keys, key)
+			ids = append(ids, id)
 		}
 	}
 	m.mu.Unlock()
-	slices.SortFunc(keys, func(a, b streamKey) int {
-		return cmp.Or(cmp.Compare(a.group, b.group), cmp.Compare(a.instance, b.instance))
-	})
-	for _, key := range keys {
-		fn(key.group, key.instance)
+	slices.Sort(ids)
+	for _, id := range ids {
+		fn(id)
 	}
 }
 
-// Open returns the virtual endpoint of the given group-0 consensus
-// instance; it is OpenGroup(0, instance).
+// Open returns the virtual endpoint of the given consensus instance.
+// Frames that arrived for the instance before Open are already buffered
+// and will be delivered in order. Opening an instance twice, or after it
+// was retired, is an error.
 func (m *Mux) Open(instance uint64) (Transport, error) {
-	return m.OpenGroup(0, instance)
-}
-
-// OpenGroup returns the virtual endpoint of the given consensus
-// instance of the given group. Frames that arrived for the instance
-// before OpenGroup are already buffered and will be delivered in order.
-// Opening an instance twice, or after it was retired, is an error.
-func (m *Mux) OpenGroup(group, instance uint64) (Transport, error) {
-	key := streamKey{group, instance}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return nil, ErrClosed
 	}
-	if m.isRetiredLocked(key) {
-		return nil, fmt.Errorf("transport: group %d instance %d already retired", group, instance)
+	if m.isRetiredLocked(instance) {
+		return nil, fmt.Errorf("transport: instance %d already retired", instance)
 	}
-	s, ok := m.streams[key]
+	s, ok := m.streams[instance]
 	if !ok {
-		s = &muxStream{mux: m, key: key, box: newMailbox()}
-		m.streams[key] = s
+		s = &muxStream{mux: m, id: instance, box: newMailbox()}
+		m.streams[instance] = s
 	} else if s.opened {
-		return nil, fmt.Errorf("transport: group %d instance %d already open", group, instance)
+		return nil, fmt.Errorf("transport: instance %d already open", instance)
 	}
 	s.opened = true
 	return s, nil
 }
 
-// Retire closes a group-0 instance's virtual endpoint; it is
-// RetireGroup(0, instance).
-func (m *Mux) Retire(instance uint64) { m.RetireGroup(0, instance) }
-
-// RetireGroup closes an instance's virtual endpoint and permanently
-// drops any late frames addressed to it. Safe to call for instances
-// never opened.
-func (m *Mux) RetireGroup(group, instance uint64) {
-	key := streamKey{group, instance}
+// Retire closes an instance's virtual endpoint and permanently drops any
+// late frames addressed to it. Safe to call for instances never opened.
+func (m *Mux) Retire(instance uint64) {
 	m.mu.Lock()
-	s := m.streams[key]
-	delete(m.streams, key)
-	if !m.isRetiredLocked(key) {
-		r := m.retiredFor(group)
-		r.set[instance] = struct{}{}
-		r.advance()
+	s := m.streams[instance]
+	delete(m.streams, instance)
+	if !m.isRetiredLocked(instance) {
+		m.retired[instance] = struct{}{}
+		m.advanceLocked(instance % uint64(len(m.below)))
 	}
 	m.mu.Unlock()
 	if s != nil {
@@ -188,39 +168,48 @@ func (m *Mux) RetireGroup(group, instance uint64) {
 	}
 }
 
-// RetireGroupBelow retires every instance of group with ID below
-// frontier at once — the recovery path's bulk retirement. A restarted
-// service raises its group's frontier past every journaled instance, so
-// frames still in flight from a previous process lifetime (round and
-// relay traffic of instances run before the crash) are dropped on arrival
-// instead of buffering forever for instances nobody will open. Buffered
-// frames of such instances are discarded too; other groups' streams are
-// untouched. A no-op when frontier does not extend the group's retired
-// prefix.
-func (m *Mux) RetireGroupBelow(group, frontier uint64) {
+// RetireBelow retires every instance with ID below frontier at once —
+// the recovery path's bulk retirement. A restarted process raises every
+// class's frontier to the class's first ID at or above frontier
+// (AlignUp), so frames still in flight from a previous process lifetime
+// (round and relay traffic of instances run before the crash) are
+// dropped on arrival instead of buffering forever for instances nobody
+// will open. Buffered frames of such instances are discarded too. A
+// no-op for the classes whose frontier is already at or past it.
+func (m *Mux) RetireBelow(frontier uint64) {
 	m.mu.Lock()
-	r := m.retiredFor(group)
-	if frontier <= r.below {
-		m.mu.Unlock()
-		return
-	}
 	var stale []*muxStream
-	for key, s := range m.streams {
-		if key.group == group && key.instance < frontier {
-			delete(m.streams, key)
+	for id, s := range m.streams {
+		if id < frontier {
+			delete(m.streams, id)
 			stale = append(stale, s)
 		}
 	}
-	for id := range r.set {
+	for id := range m.retired {
 		if id < frontier {
-			delete(r.set, id)
+			delete(m.retired, id)
 		}
 	}
-	r.below = frontier
-	r.advance()
+	for c := range m.below {
+		m.below[c] = max(m.below[c], AlignUp(frontier, uint64(c), uint64(len(m.below))))
+		m.advanceLocked(uint64(c))
+	}
 	m.mu.Unlock()
 	for _, s := range stale {
 		s.box.close()
+	}
+}
+
+// advanceLocked moves class c's frontier past every retired instance the
+// set holds at it, so the set keeps only retirements above a gap;
+// callers hold mu.
+func (m *Mux) advanceLocked(c uint64) {
+	for {
+		if _, ok := m.retired[m.below[c]]; !ok {
+			return
+		}
+		delete(m.retired, m.below[c])
+		m.below[c] += uint64(len(m.below))
 	}
 }
 
@@ -243,7 +232,7 @@ func (m *Mux) Close() error {
 // detach marks the mux closed and takes its streams, whose receive
 // channels the caller closes once the router can no longer fill them;
 // ok is false when the mux was closed already.
-func (m *Mux) detach() (streams map[streamKey]*muxStream, ok bool) {
+func (m *Mux) detach() (streams map[uint64]*muxStream, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -254,33 +243,19 @@ func (m *Mux) detach() (streams map[streamKey]*muxStream, ok bool) {
 	return streams, true
 }
 
-// retiredFor returns (creating if needed) a group's retirement state;
-// callers hold mu.
-func (m *Mux) retiredFor(group uint64) *groupRetired {
-	r, ok := m.retired[group]
-	if !ok {
-		r = &groupRetired{set: make(map[uint64]struct{})}
-		m.retired[group] = r
-	}
-	return r
-}
-
-// isRetiredLocked reports whether key was retired; callers hold mu.
-func (m *Mux) isRetiredLocked(key streamKey) bool {
-	r, ok := m.retired[key.group]
-	if !ok {
-		return false
-	}
-	if key.instance < r.below {
+// isRetiredLocked reports whether instance was retired; callers hold
+// mu.
+func (m *Mux) isRetiredLocked(instance uint64) bool {
+	if instance < m.below[instance%uint64(len(m.below))] {
 		return true
 	}
-	_, ok = r.set[key.instance]
+	_, ok := m.retired[instance]
 	return ok
 }
 
 // route moves inbound frames from the underlying endpoint to the virtual
-// endpoint addressed by their (group, instance), creating buffer streams
-// for instances not opened yet. It exits when the mux or the underlying
+// endpoint addressed by their instance, creating buffer streams for
+// instances not opened yet. It exits when the mux or the underlying
 // endpoint closes; virtual receive channels of a closed underlying
 // endpoint close too, so round loops observe the closure.
 func (m *Mux) route() {
@@ -297,39 +272,40 @@ func (m *Mux) route() {
 				}
 				return
 			}
-			group, instance, inner, err := wire.StripGroup(frame)
+			// The instance ID is the whole address: a group envelope's
+			// group field adds nothing to it.
+			_, instance, inner, err := wire.StripGroup(frame)
 			if err != nil {
 				continue // a malformed envelope is dropped, like a malformed message
 			}
-			key := streamKey{group, instance}
 			m.mu.Lock()
-			if m.closed || m.isRetiredLocked(key) {
+			if m.closed || m.isRetiredLocked(instance) {
 				m.mu.Unlock()
 				continue
 			}
 			m.mIn.Inc()
-			s, ok := m.streams[key]
+			s, ok := m.streams[instance]
 			if !ok {
-				s = &muxStream{mux: m, key: key, box: newMailbox()}
-				m.streams[key] = s
+				s = &muxStream{mux: m, id: instance, box: newMailbox()}
+				m.streams[instance] = s
 			}
-			var signal func(group, instance uint64)
+			var signal func(instance uint64)
 			if !s.opened {
 				signal = m.onPending
 			}
 			m.mu.Unlock()
 			s.box.put(inner)
 			if signal != nil {
-				signal(group, instance)
+				signal(instance)
 			}
 		}
 	}
 }
 
-// muxStream is one (group, instance)'s virtual endpoint over a Mux.
+// muxStream is one instance's virtual endpoint over a Mux.
 type muxStream struct {
 	mux    *Mux
-	key    streamKey
+	id     uint64
 	box    *mailbox
 	opened bool
 }
@@ -340,13 +316,9 @@ var _ Transport = (*muxStream)(nil)
 func (s *muxStream) Self() model.ProcessID { return s.mux.Self() }
 
 // Send implements Transport: the frame travels over the underlying
-// endpoint wrapped in the envelope addressing the stream. Frames must be
+// endpoint wrapped in the stream's envelope (see header). Frames must be
 // version-0 wire frames (bare messages), which is what the runtime
-// produces. Group 0 emits the pre-group layouts — instance 0 sends
-// bare (it is the compatibility stream, and a bare frame routes to
-// (0, 0) on any peer, muxed or not), other group-0 instances the
-// version-1 envelope — so a single-group deployment's frames are
-// byte-identical to what it sent before groups existed.
+// produces.
 //
 // Sends on a closed mux or a retired instance fail with ErrClosed
 // instead of leaking onto the shared endpoint: round loops treat a send
@@ -360,15 +332,26 @@ func (s *muxStream) Send(to model.ProcessID, frame []byte) error {
 		return err
 	}
 	out.Inc()
-	if s.key.group == 0 && s.key.instance == 0 {
+	if s.id == 0 {
 		return s.mux.ep.Send(to, frame)
 	}
-	wrapped := wire.AppendGroupHeader(make([]byte, 0, len(frame)+20), s.key.group, s.key.instance)
+	wrapped := s.header(make([]byte, 0, len(frame)+binary.MaxVarintLen64+1))
 	return s.mux.ep.Send(to, append(wrapped, frame...))
 }
 
+// header appends the stream's envelope to dst: nothing for instance 0
+// (the compatibility stream, whose bare frames any peer, muxed or not,
+// routes to instance 0), the version-1 instance envelope for every other
+// instance.
+func (s *muxStream) header(dst []byte) []byte {
+	if s.id == 0 {
+		return dst
+	}
+	return wire.AppendInstanceHeader(dst, s.id)
+}
+
 // broadcastHeadroom sizes a broadcast's one frame buffer: the largest
-// group envelope header plus a round message of any common payload, so
+// instance envelope header plus a round message of any common payload, so
 // the encoding lands without regrowing the buffer.
 const broadcastHeadroom = 64
 
@@ -390,7 +373,7 @@ func Broadcast(ep Transport, n int, m model.Message) error {
 			return err
 		}
 		dst = s.mux.ep
-		buf = wire.AppendGroupHeader(buf, s.key.group, s.key.instance)
+		buf = s.header(buf)
 	}
 	frame, err := wire.EncodeMessage(buf, m)
 	if err != nil {
@@ -410,7 +393,7 @@ func Broadcast(ep Transport, n int, m model.Message) error {
 func (s *muxStream) live() (*metrics.Counter, error) {
 	s.mux.mu.Lock()
 	defer s.mux.mu.Unlock()
-	if s.mux.closed || s.mux.isRetiredLocked(s.key) {
+	if s.mux.closed || s.mux.isRetiredLocked(s.id) {
 		return nil, ErrClosed
 	}
 	return s.mux.mOut, nil
@@ -421,6 +404,6 @@ func (s *muxStream) Recv() <-chan []byte { return s.box.out }
 
 // Close implements Transport by retiring the instance on the mux.
 func (s *muxStream) Close() error {
-	s.mux.RetireGroup(s.key.group, s.key.instance)
+	s.mux.Retire(s.id)
 	return nil
 }

@@ -2,9 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -29,22 +31,22 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// hasStream reports whether m tracks a stream for a group-0 instance
-// (opened or buffering) — the sign that the router has seen the
-// instance's first frame.
+// hasStream reports whether m tracks a stream for an instance (opened
+// or buffering) — the sign that the router has seen the instance's
+// first frame.
 func hasStream(m *Mux, instance uint64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	_, ok := m.streams[streamKey{0, instance}]
+	_, ok := m.streams[instance]
 	return ok
 }
 
-// queuedFrames returns how many frames sit in a group-0 instance's
-// stream mailbox queue. The mailbox pump holds one more in hand once a
+// queuedFrames returns how many frames sit in an instance's stream
+// mailbox queue. The mailbox pump holds one more in hand once a
 // frame has arrived, so "all k arrived" reads as queued >= k-1.
 func queuedFrames(m *Mux, instance uint64) int {
 	m.mu.Lock()
-	s := m.streams[streamKey{0, instance}]
+	s := m.streams[instance]
 	m.mu.Unlock()
 	if s == nil {
 		return 0
@@ -54,16 +56,12 @@ func queuedFrames(m *Mux, instance uint64) int {
 	return s.box.queue.len()
 }
 
-// retiredState returns a group's retirement frontier and leftover set
-// size (0, 0 for a group never retired from).
-func retiredState(m *Mux, group uint64) (below uint64, setLen int) {
+// retiredState returns every residue class's retirement frontier and
+// the size of the shared set of retirements above them.
+func retiredState(m *Mux) (below []uint64, setLen int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, ok := m.retired[group]
-	if !ok {
-		return 0, 0
-	}
-	return r.below, len(r.set)
+	return slices.Clone(m.below), len(m.retired)
 }
 
 // msgFrame builds a minimal valid version-0 frame (a bare wire message).
@@ -107,7 +105,7 @@ func muxPair(t *testing.T) (*Hub, *Mux, *Mux) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, m2 := NewMux(ep1, nil), NewMux(ep2, nil)
+	m1, m2 := NewMux(ep1, 1, nil), NewMux(ep2, 1, nil)
 	t.Cleanup(func() { _ = m1.Close(); _ = m2.Close() })
 	return hub, m1, m2
 }
@@ -191,7 +189,7 @@ func TestMuxLegacyInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := NewMux(ep2, nil)
+	m2 := NewMux(ep2, 1, nil)
 	defer func() { _ = m2.Close() }()
 	compat, err := m2.Open(0)
 	if err != nil {
@@ -249,7 +247,7 @@ func TestMuxRetire(t *testing.T) {
 		t.Fatal("reopening a retired instance succeeded")
 	}
 	m2.mu.Lock()
-	_, buffered := m2.streams[streamKey{0, 3}]
+	_, buffered := m2.streams[3]
 	m2.mu.Unlock()
 	if buffered {
 		t.Fatal("late frame for retired instance re-created a stream")
@@ -257,9 +255,14 @@ func TestMuxRetire(t *testing.T) {
 }
 
 // TestMuxRetireCompaction checks that the retired-instance bookkeeping
-// compacts to a frontier instead of growing with every instance.
+// compacts to a frontier per residue class instead of growing with
+// every instance: consecutive IDs retired out of order at G = 1, every
+// ID of a G = 3 runtime retired in order, and a G = 3 runtime with only
+// class 0 active (groups 1 and 2 idle), whose idle classes must not
+// hold class 0's frontier back.
 func TestMuxRetireCompaction(t *testing.T) {
-	_, m1, _ := muxPair(t)
+	m1 := NewMux(nopTransport{}, 1, nil)
+	defer m1.Close()
 	// Retire 0..99 out of order in pairs: the set must fully compact.
 	for i := 1; i < 100; i += 2 {
 		m1.Retire(uint64(i))
@@ -267,12 +270,32 @@ func TestMuxRetireCompaction(t *testing.T) {
 	for i := 0; i < 100; i += 2 {
 		m1.Retire(uint64(i))
 	}
-	below, setLen := retiredState(m1, 0)
-	if below != 100 || setLen != 0 {
-		t.Fatalf("retiredBelow=%d set=%d, want 100 and 0", below, setLen)
+	below, setLen := retiredState(m1)
+	if !slices.Equal(below, []uint64{100}) || setLen != 0 {
+		t.Fatalf("retiredBelow=%v set=%d, want [100] and 0", below, setLen)
 	}
 	if _, err := m1.Open(42); err == nil {
 		t.Fatal("opening a frontier-retired instance succeeded")
+	}
+
+	for _, tc := range []struct {
+		name      string
+		instances int
+		step      uint64
+		want      []uint64
+	}{
+		{"in-order", 30000, 1, []uint64{30000, 30001, 30002}},
+		{"class-0-only", 10000, 3, []uint64{30000, 1, 2}},
+	} {
+		m := NewMux(nopTransport{}, 3, nil)
+		for i := 0; i < tc.instances; i++ {
+			m.Retire(uint64(i) * tc.step)
+		}
+		below, setLen := retiredState(m)
+		_ = m.Close()
+		if !slices.Equal(below, tc.want) || setLen != 0 {
+			t.Fatalf("%s: frontiers %v, set %d; want %v and 0", tc.name, below, setLen, tc.want)
+		}
 	}
 }
 
@@ -301,7 +324,7 @@ func TestMuxOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, m2 := NewMux(ep1, nil), NewMux(ep2, nil)
+	m1, m2 := NewMux(ep1, 1, nil), NewMux(ep2, 1, nil)
 	defer func() { _ = m1.Close(); _ = m2.Close() }()
 
 	send, err := m1.Open(11)
@@ -334,7 +357,7 @@ func TestMuxUnderlyingClosePropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1 := NewMux(ep1, nil)
+	m1 := NewMux(ep1, 1, nil)
 	defer func() { _ = m1.Close() }()
 	s, err := m1.Open(5)
 	if err != nil {
@@ -377,7 +400,7 @@ func TestMuxNeverOpenedBufferedInstance(t *testing.T) {
 	// Retiring the never-opened instance drops the buffer for good.
 	m2.Retire(9)
 	m2.mu.Lock()
-	_, still := m2.streams[streamKey{0, 9}]
+	_, still := m2.streams[9]
 	m2.mu.Unlock()
 	if still {
 		t.Fatal("retired unopened stream still tracked")
@@ -460,21 +483,41 @@ func TestMuxRetireMidFlight(t *testing.T) {
 // TestMuxCompactionRandomOrder retires a window of instances in a random
 // permutation: whatever the order, the retired set must compact to the
 // frontier with nothing left over — the property that keeps retirement
-// state O(inflight) instead of O(lifetime).
+// state O(inflight) instead of O(lifetime). At G = 3 the instances of
+// all three classes complete out of order within a 64-wide window, as
+// a service's MaxInflight slots do, and the set never holds more than
+// the window.
 func TestMuxCompactionRandomOrder(t *testing.T) {
-	_, m1, _ := muxPair(t)
+	m1 := NewMux(nopTransport{}, 1, nil)
+	defer m1.Close()
 	const window = 257
-	perm := rand.New(rand.NewSource(42)).Perm(window)
-	for i, p := range perm {
+	rng := rand.New(rand.NewSource(42))
+	for i, p := range rng.Perm(window) {
 		m1.Retire(uint64(p))
-		below, setLen := retiredState(m1, 0)
-		if int(below)+setLen != i+1 {
-			t.Fatalf("after %d retirements: frontier %d + set %d != %d", i+1, below, setLen, i+1)
+		below, setLen := retiredState(m1)
+		if int(below[0])+setLen != i+1 {
+			t.Fatalf("after %d retirements: frontier %d + set %d != %d", i+1, below[0], setLen, i+1)
 		}
 	}
-	below, setLen := retiredState(m1, 0)
-	if below != window || setLen != 0 {
-		t.Fatalf("final state: retiredBelow=%d set=%d, want %d and 0", below, setLen, window)
+	below, setLen := retiredState(m1)
+	if below[0] != window || setLen != 0 {
+		t.Fatalf("final state: retiredBelow=%d set=%d, want %d and 0", below[0], setLen, window)
+	}
+
+	const total, width = 30000, 64
+	m3 := NewMux(nopTransport{}, 3, nil)
+	defer m3.Close()
+	for base := 0; base < total; base += width {
+		for _, p := range rng.Perm(min(width, total-base)) {
+			m3.Retire(uint64(base + p))
+			if _, setLen := retiredState(m3); setLen > width {
+				t.Fatalf("G = 3: %d retired entries inside a %d-wide window", setLen, width)
+			}
+		}
+	}
+	below, setLen = retiredState(m3)
+	if want := []uint64{30000, 30001, 30002}; !slices.Equal(below, want) || setLen != 0 {
+		t.Fatalf("G = 3 final state: frontiers %v, set %d; want %v and 0", below, setLen, want)
 	}
 }
 
@@ -506,20 +549,20 @@ func TestMuxRetireBelow(t *testing.T) {
 	// through.
 	m2.Retire(5)
 
-	m2.RetireGroupBelow(0, 5)
+	m2.RetireBelow(5)
 
 	if _, ok := <-low.Recv(); ok {
 		t.Fatal("stream below frontier still delivering")
 	}
-	below, setLen := retiredState(m2, 0)
+	below, setLen := retiredState(m2)
 	m2.mu.Lock()
-	_, stale := m2.streams[streamKey{0, 3}]
+	_, stale := m2.streams[3]
 	m2.mu.Unlock()
-	if below != 6 || setLen != 0 {
-		t.Fatalf("retiredBelow=%d set=%d, want 6 (5 compacted through) and 0", below, setLen)
+	if below[0] != 6 || setLen != 0 {
+		t.Fatalf("retiredBelow=%d set=%d, want 6 (5 compacted through) and 0", below[0], setLen)
 	}
 	if stale {
-		t.Fatal("buffered stale stream survived RetireGroupBelow")
+		t.Fatal("buffered stale stream survived RetireBelow")
 	}
 	if _, err := m2.Open(2); err == nil {
 		t.Fatal("opening below the frontier succeeded")
@@ -539,10 +582,45 @@ func TestMuxRetireBelow(t *testing.T) {
 	}
 
 	// Monotonic: lowering the frontier is a no-op.
-	m2.RetireGroupBelow(0, 2)
-	below, _ = retiredState(m2, 0)
-	if below != 6 {
-		t.Fatalf("frontier regressed to %d", below)
+	m2.RetireBelow(2)
+	if below, _ = retiredState(m2); below[0] != 6 {
+		t.Fatalf("frontier regressed to %d", below[0])
+	}
+
+	// At G = 3 each class's frontier aligns up to the class's first ID
+	// at or above the raw frontier: 10 retires 0..9, and 10, 11 and 12
+	// — the first IDs of classes 1, 2 and 0 — stay open.
+	m3 := NewMux(nopTransport{}, 3, nil)
+	defer m3.Close()
+	m3.RetireBelow(10)
+	if below, _ := retiredState(m3); !slices.Equal(below, []uint64{12, 10, 11}) {
+		t.Fatalf("G = 3 frontiers %v, want [12 10 11]", below)
+	}
+	if _, err := m3.Open(9); err == nil {
+		t.Fatal("G = 3: opening 9 below frontier 10 succeeded")
+	}
+	for _, id := range []uint64{12, 10, 11} {
+		if _, err := m3.Open(id); err != nil {
+			t.Fatalf("G = 3: open %d at frontier 10: %v", id, err)
+		}
+	}
+}
+
+// TestAlignUp checks AlignUp against a walk up from the frontier to the
+// first ID of the class.
+func TestAlignUp(t *testing.T) {
+	for classes := uint64(1); classes <= 4; classes++ {
+		for class := uint64(0); class < classes; class++ {
+			for frontier := uint64(0); frontier < 20; frontier++ {
+				want := frontier
+				for want%classes != class {
+					want++
+				}
+				if got := AlignUp(frontier, class, classes); got != want {
+					t.Fatalf("AlignUp(%d, %d, %d) = %d, want %d", frontier, class, classes, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -559,10 +637,10 @@ func TestMuxPendingNotification(t *testing.T) {
 	b, _ := hub.Endpoint(2)
 
 	notified := make(chan uint64, 16)
-	ma := NewMux(a, nil)
+	ma := NewMux(a, 1, nil)
 	defer ma.Close()
-	mb := NewMux(b, nil)
-	mb.OnPending(func(_, instance uint64) {
+	mb := NewMux(b, 1, nil)
+	mb.OnPending(func(instance uint64) {
 		select {
 		case notified <- instance:
 		default:
@@ -606,94 +684,162 @@ func TestMuxPendingNotification(t *testing.T) {
 	}
 }
 
-// TestMuxRoutesByGroup checks the group dimension of routing: the same
-// instance ID under two different groups is two independent streams,
-// and neither collides with the group-0 stream of that ID.
+// rawMuxPair builds a 2-process hub whose process 1 has no mux (a test
+// writes raw frames on its endpoint) and whose process 2 has a mux for
+// groups groups.
+func rawMuxPair(t *testing.T, groups int) (Transport, *Mux) {
+	t.Helper()
+	hub, err := NewHub(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = hub.Close() })
+	ep1, err := hub.Endpoint(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep2, err := hub.Endpoint(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2 := NewMux(ep2, groups, nil)
+	t.Cleanup(func() { _ = m2.Close() })
+	return ep1, m2
+}
+
+// groupEnvelope wraps frame in the version-2 group envelope (marker
+// 0x09, group and instance uvarints), which nothing writes any more but
+// the mux still reads.
+func groupEnvelope(group, instance uint64, frame []byte) []byte {
+	b := binary.AppendUvarint(binary.AppendUvarint([]byte{0x09}, group), instance)
+	return append(b, frame...)
+}
+
+// TestMuxRoutesByGroup checks routing in a G = 3 runtime: the instance
+// ID is the whole address, so streams of every residue class route
+// apart, and a version-2 frame reaches its instance whatever its group
+// field says.
 func TestMuxRoutesByGroup(t *testing.T) {
-	_, m1, m2 := muxPair(t)
-	type pair struct{ group, instance uint64 }
-	addrs := []pair{{0, 5}, {1, 5}, {2, 5}, {2, 6}}
-	sends := make(map[pair]Transport)
-	recvs := make(map[pair]Transport)
-	for _, a := range addrs {
-		s, err := m1.OpenGroup(a.group, a.instance)
+	ep1, m2 := rawMuxPair(t, 3)
+	ids := []uint64{5, 6, 7, 9}
+	recvs := make(map[uint64]Transport)
+	for _, id := range ids {
+		r, err := m2.Open(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := m2.OpenGroup(a.group, a.instance)
-		if err != nil {
+		recvs[id] = r
+	}
+	// A distinct round number per instance, the first two in the
+	// version-1 envelope the mux writes and the last two in a group
+	// envelope naming a group that is not the instance's.
+	for i, id := range ids {
+		frame := wire.AppendInstanceHeader(nil, id)
+		if i >= 2 {
+			frame = groupEnvelope(2, id, nil)
+		}
+		if err := ep1.Send(2, append(frame, msgFrame(t, 1, model.Round(i+1))...)); err != nil {
 			t.Fatal(err)
 		}
-		sends[a], recvs[a] = s, r
 	}
-	// Send a distinct round number per address; each must arrive on
-	// exactly its own stream.
-	for i, a := range addrs {
-		if err := sends[a].Send(2, msgFrame(t, 1, model.Round(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, a := range addrs {
+	for i, id := range ids {
 		want := msgFrame(t, 1, model.Round(i+1))
-		if got := recvFrame(t, recvs[a]); string(got) != string(want) {
-			t.Fatalf("group %d instance %d got % x, want % x", a.group, a.instance, got, want)
+		if got := recvFrame(t, recvs[id]); string(got) != string(want) {
+			t.Fatalf("instance %d got % x, want % x", id, got, want)
 		}
 	}
 }
 
-// TestMuxGroupRetireIndependent pins per-group retirement: retiring an
-// instance in one group neither closes nor blocks the same instance ID
-// in another group, and bulk frontier retirement is scoped to its
-// group.
-func TestMuxGroupRetireIndependent(t *testing.T) {
-	_, m1, m2 := muxPair(t)
-	r1, err := m2.OpenGroup(1, 4)
+// TestMuxEmitsNoGroupEnvelope pins the outbound layouts of a G = 3 mux:
+// instance 0 sends the bare version-0 frame and every other instance,
+// in any residue class, the version-1 instance envelope — no frame
+// carries a group.
+func TestMuxEmitsNoGroupEnvelope(t *testing.T) {
+	bare, err := wire.EncodeMessage(nil, broadcastMessage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := m2.OpenGroup(2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2.RetireGroup(1, 4)
-	if _, ok := <-r1.Recv(); ok {
-		t.Fatal("retired group-1 stream still delivering")
-	}
-	// Group 2's stream with the same instance ID is untouched.
-	s2, err := m1.OpenGroup(2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := msgFrame(t, 1, 7)
-	if err := s2.Send(2, frame); err != nil {
-		t.Fatal(err)
-	}
-	if got := recvFrame(t, r2); string(got) != string(frame) {
-		t.Fatalf("group-2 stream got % x, want % x", got, frame)
-	}
-	if _, err := m2.OpenGroup(1, 4); err == nil {
-		t.Fatal("reopening a retired group-1 instance succeeded")
-	}
-
-	// Bulk retirement in group 1 leaves group 2's frontier at zero.
-	m2.RetireGroupBelow(1, 100)
-	if below, _ := retiredState(m2, 1); below != 100 {
-		t.Fatalf("group-1 frontier = %d, want 100", below)
-	}
-	if below, setLen := retiredState(m2, 2); below != 0 || setLen != 0 {
-		t.Fatalf("group-2 retirement state moved: below=%d set=%d", below, setLen)
-	}
-	if _, err := m2.OpenGroup(2, 50); err != nil {
-		t.Fatalf("group-2 instance blocked by group-1 frontier: %v", err)
+	for _, id := range []uint64{0, 1, 5, 127, 1 << 30} {
+		rec := newRecordingTransport()
+		m := NewMux(rec, 3, nil)
+		s, err := m.Open(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bare
+		if id != 0 {
+			want = append(wire.AppendInstanceHeader(nil, id), bare...)
+		}
+		if err := s.Send(2, bare); err != nil {
+			t.Fatal(err)
+		}
+		if err := Broadcast(s, 1, broadcastMessage); err != nil {
+			t.Fatal(err)
+		}
+		_, frames := rec.sent()
+		for i, f := range frames {
+			if !bytes.Equal(f, want) {
+				t.Fatalf("instance %d frame %d: % x, want % x", id, i, f, want)
+			}
+		}
+		_ = m.Close()
 	}
 }
 
-// TestMuxGroupNotify checks the group-aware join signal and its late
-// installation: frames that reach unopened streams before OnPending is
+// TestMuxGroupRetireIndependent pins per-class retirement at G = 3: an
+// idle class's frontier neither moves nor holds back an active class's,
+// retiring one class's instance leaves the other classes' streams
+// open, and a bulk frontier lands on each class's own first ID.
+func TestMuxGroupRetireIndependent(t *testing.T) {
+	ep1, m2 := rawMuxPair(t, 3)
+	// Class 1 runs 100 instances while classes 0 and 2 sit idle.
+	for id := uint64(1); id < 300; id += 3 {
+		m2.Retire(id)
+	}
+	if below, setLen := retiredState(m2); !slices.Equal(below, []uint64{0, 301, 2}) || setLen != 0 {
+		t.Fatalf("class-1 run: frontiers %v, set %d; want [0 301 2] and 0", below, setLen)
+	}
+	r4, err := m2.Open(304)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r5, err := m2.Open(305)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2.Retire(304)
+	if _, ok := <-r4.Recv(); ok {
+		t.Fatal("retired class-1 stream still delivering")
+	}
+	// Class 2's neighbouring stream is untouched.
+	frame := msgFrame(t, 1, 7)
+	if err := ep1.Send(2, append(wire.AppendInstanceHeader(nil, 305), frame...)); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvFrame(t, r5); string(got) != string(frame) {
+		t.Fatalf("class-2 stream got % x, want % x", got, frame)
+	}
+	if _, err := m2.Open(304); err == nil {
+		t.Fatal("reopening a retired class-1 instance succeeded")
+	}
+	if _, err := m2.Open(50); err != nil {
+		t.Fatalf("class-2 instance blocked by class 1's frontier: %v", err)
+	}
+
+	// Bulk retirement to 100 raises the idle classes to their first ID
+	// at or above it and leaves class 1, already past it, alone.
+	m2.RetireBelow(100)
+	if below, _ := retiredState(m2); !slices.Equal(below, []uint64{102, 301, 101}) {
+		t.Fatalf("after RetireBelow(100): frontiers %v, want [102 301 101]", below)
+	}
+}
+
+// TestMuxGroupNotify checks the join signal and its late installation
+// at G = 2: frames that reach unopened streams before OnPending is
 // installed are signalled by the install itself, once per stream and in
-// (group, instance) order, while open and retired instances signal
-// nothing; later frames for a still-unopened stream signal from the
-// router, and an opened stream never signals again.
+// instance order, while open and retired instances signal nothing;
+// later frames for a still-unopened stream signal from the router, and
+// an opened stream never signals again.
 func TestMuxGroupNotify(t *testing.T) {
 	hub, err := NewHub(2)
 	if err != nil {
@@ -703,72 +849,59 @@ func TestMuxGroupNotify(t *testing.T) {
 	a, _ := hub.Endpoint(1)
 	b, _ := hub.Endpoint(2)
 
-	type pair struct{ group, instance uint64 }
-	ma := NewMux(a, nil)
+	ma := NewMux(a, 2, nil)
 	defer ma.Close()
-	mb := NewMux(b, nil)
+	mb := NewMux(b, 2, nil)
 	defer mb.Close()
 
-	senders := make(map[pair]Transport)
-	send := func(group, instance uint64) {
+	senders := make(map[uint64]Transport)
+	send := func(instance uint64) {
 		t.Helper()
-		s, ok := senders[pair{group, instance}]
+		s, ok := senders[instance]
 		if !ok {
 			var err error
-			if s, err = ma.OpenGroup(group, instance); err != nil {
+			if s, err = ma.Open(instance); err != nil {
 				t.Fatal(err)
 			}
-			senders[pair{group, instance}] = s
+			senders[instance] = s
 		}
 		if err := s.Send(2, msgFrame(t, 1, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	open5, err := mb.OpenGroup(0, 5)
+	open5, err := mb.Open(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb.RetireGroup(0, 7)
-	for _, p := range []pair{{0, 7}, {0, 5}, {2, 1}, {0, 3}} {
-		send(p.group, p.instance)
+	mb.Retire(7)
+	for _, id := range []uint64{7, 5, 3, 2} {
+		send(id)
 	}
 	recvFrame(t, open5)
-	// One sender's frames route in order, so once (0, 3) buffers every
-	// frame above has been routed too.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mb.mu.Lock()
-		_, ok := mb.streams[streamKey{0, 3}]
-		mb.mu.Unlock()
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("frame for (0, 3) never buffered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// One sender's frames route in order, so once 2 buffers every frame
+	// above has been routed too.
+	waitFor(t, "frame for instance 2 to buffer", func() bool { return hasStream(mb, 2) })
 
-	notified := make(chan pair, 16)
-	mb.OnPending(func(group, instance uint64) {
+	notified := make(chan uint64, 16)
+	mb.OnPending(func(instance uint64) {
 		select {
-		case notified <- pair{group, instance}:
+		case notified <- instance:
 		default:
 		}
 	})
-	var replayed []pair
+	var replayed []uint64
 	for len(notified) > 0 {
 		replayed = append(replayed, <-notified)
 	}
-	if want := []pair{{0, 3}, {2, 1}}; !reflect.DeepEqual(replayed, want) {
+	if want := []uint64{2, 3}; !reflect.DeepEqual(replayed, want) {
 		t.Fatalf("install signalled %v, want %v", replayed, want)
 	}
 
-	send(2, 1)
+	send(3)
 	select {
 	case got := <-notified:
-		if got != (pair{2, 1}) {
-			t.Fatalf("router signalled (%d, %d), want (2, 1)", got.group, got.instance)
+		if got != 3 {
+			t.Fatalf("router signalled %d, want 3", got)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no signal for a later frame of a pending stream")
@@ -777,27 +910,28 @@ func TestMuxGroupNotify(t *testing.T) {
 	// Opened, the two streams deliver what they buffered plus one new
 	// frame each, and signal nothing.
 	for _, p := range []struct {
-		pair
-		frames int
-	}{{pair{0, 3}, 2}, {pair{2, 1}, 3}} {
-		s, err := mb.OpenGroup(p.group, p.instance)
+		instance uint64
+		frames   int
+	}{{2, 2}, {3, 3}} {
+		s, err := mb.Open(p.instance)
 		if err != nil {
 			t.Fatal(err)
 		}
-		send(p.group, p.instance)
+		send(p.instance)
 		for i := 0; i < p.frames; i++ {
 			recvFrame(t, s)
 		}
 	}
 	select {
 	case got := <-notified:
-		t.Fatalf("open stream (%d, %d) signalled", got.group, got.instance)
+		t.Fatalf("open stream %d signalled", got)
 	case <-time.After(100 * time.Millisecond):
 	}
 }
 
-// TestMuxGroupOverTCP runs grouped routing over real loopback
-// connections: two groups sharing one TCP connection pair.
+// TestMuxGroupOverTCP runs the routing of a G = 2 runtime over real
+// loopback connections: both residue classes share one TCP connection
+// pair.
 func TestMuxGroupOverTCP(t *testing.T) {
 	tc, err := NewTCPCluster(2)
 	if err != nil {
@@ -812,24 +946,24 @@ func TestMuxGroupOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, m2 := NewMux(ep1, nil), NewMux(ep2, nil)
+	m1, m2 := NewMux(ep1, 2, nil), NewMux(ep2, 2, nil)
 	defer func() { _ = m1.Close(); _ = m2.Close() }()
 
-	for group := uint64(1); group <= 2; group++ {
-		send, err := m1.OpenGroup(group, 11)
+	for _, id := range []uint64{10, 11} {
+		send, err := m1.Open(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		recv, err := m2.OpenGroup(group, 11)
+		recv, err := m2.Open(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame := msgFrame(t, 1, model.Round(group))
+		frame := msgFrame(t, 1, model.Round(id))
 		if err := send.Send(2, frame); err != nil {
 			t.Fatal(err)
 		}
 		if got := recvFrame(t, recv); string(got) != string(frame) {
-			t.Fatalf("TCP group %d frame mangled: % x", group, got)
+			t.Fatalf("TCP instance %d frame mangled: % x", id, got)
 		}
 	}
 }
@@ -873,20 +1007,19 @@ var broadcastMessage = model.Message{From: 2, Round: 5,
 // TestBroadcastSharesOneFrame pins the fan-out: one Broadcast on a mux
 // stream is n sends, in destination order, of one shared frame whose
 // bytes equal the stream's single-frame Send of the bare encoding — the
-// bare frame for (0, 0), the version-1 envelope for other group-0
-// instances and the group envelope above group 0 — and each counts on
-// the outbound counter.
+// bare frame for instance 0, the version-1 envelope for any other — and
+// each counts on the outbound counter.
 func TestBroadcastSharesOneFrame(t *testing.T) {
 	const n = 4
 	bare, err := wire.EncodeMessage(nil, broadcastMessage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []streamKey{{0, 0}, {0, 7}, {3, 9}} {
+	for _, key := range []uint64{0, 7, 9} {
 		rec := newRecordingTransport()
-		m := NewMux(rec, metrics.NewRegistry())
+		m := NewMux(rec, 3, metrics.NewRegistry())
 		out := m.mOut
-		s, err := m.OpenGroup(key.group, key.instance)
+		s, err := m.Open(key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -929,9 +1062,9 @@ func (nopTransport) Close() error                       { return nil }
 // to n processes costs one allocation — its frame — on a bare endpoint
 // and on a mux stream alike.
 func TestBroadcastAllocatesOnce(t *testing.T) {
-	m := NewMux(nopTransport{}, nil)
+	m := NewMux(nopTransport{}, 3, nil)
 	defer m.Close()
-	s, err := m.OpenGroup(3, 9)
+	s, err := m.Open(9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -952,7 +1085,7 @@ func TestBroadcastAllocatesOnce(t *testing.T) {
 // sending a single frame.
 func TestBroadcastClosedStream(t *testing.T) {
 	rec := newRecordingTransport()
-	m := NewMux(rec, nil)
+	m := NewMux(rec, 1, nil)
 	retired, err := m.Open(1)
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ func FuzzDecodeInstanceMessage(f *testing.F) {
 		// frame led by one could itself open with a marker byte.
 		hdr := AppendInstanceHeader(nil, instance)
 		if group != 0 {
-			hdr = AppendGroupHeader(nil, group, instance)
+			hdr = appendGroupHeader(nil, group, instance)
 		}
 		reenc, err := EncodeMessage(hdr, m)
 		if err != nil {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -10,7 +11,7 @@ import (
 	"indulgence/internal/payload"
 )
 
-// TestGroupEnvelopeRoundTrip covers the version-2 path, including IDs
+// TestGroupEnvelopeRoundTrip covers the version-2 reader, including IDs
 // beyond one varint byte in both dimensions.
 func TestGroupEnvelopeRoundTrip(t *testing.T) {
 	m := model.Message{From: 5, Round: 9, Payload: payload.Estimate{Est: 4, TS: 2}}
@@ -28,35 +29,13 @@ func TestGroupEnvelopeRoundTrip(t *testing.T) {
 				t.Fatalf("round trip: group=%d instance=%d n=%d/%d msg=%v",
 					g, inst, n, len(enc), dec)
 			}
-			// The envelope is exactly AppendGroupHeader + version-0 bytes.
+			// The envelope is the marker, the group and instance
+			// uvarints, then the version-0 bytes.
 			legacy, _ := EncodeMessage(nil, m)
-			if want := append(AppendGroupHeader(nil, group, instance), legacy...); !bytes.Equal(enc, want) {
+			want := binary.AppendUvarint(binary.AppendUvarint([]byte{groupMarker}, group), instance)
+			if want = append(want, legacy...); !bytes.Equal(enc, want) {
 				t.Fatalf("envelope layout drifted: % x != % x", enc, want)
 			}
-		}
-	}
-}
-
-// TestGroupZeroEmitsLegacyLayouts pins the compatibility contract from
-// the encoding side: addressing group 0 emits the pre-group layouts
-// byte for byte, so a single-group deployment's frames are
-// indistinguishable from the frames it sent before groups existed.
-func TestGroupZeroEmitsLegacyLayouts(t *testing.T) {
-	m := model.Message{From: 3, Round: 7, Payload: payload.Propose{V: -4}}
-	bare, err := EncodeMessage(nil, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := groupFrame(0, 0, m); !bytes.Equal(got, bare) {
-		t.Fatalf("group 0 instance 0: % x != % x", got, bare)
-	}
-	for _, instance := range []uint64{1, 127, 1 << 30} {
-		v1, err := EncodeInstanceMessage(nil, instance, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := groupFrame(0, instance, m); !bytes.Equal(got, v1) {
-			t.Fatalf("group 0 instance %d: % x != % x", instance, got, v1)
 		}
 	}
 }
@@ -183,7 +162,7 @@ func TestRecordGroupTags(t *testing.T) {
 // with the group marker must decode as group 0 (the pre-group
 // compatibility contract — no cross-version ambiguity with the 0x01
 // envelope or the 0x03/0x05/0x07 record markers); and StripGroup must
-// invert AppendGroupHeader (strip/wrap/strip fixed point). The
+// invert appendGroupHeader (strip/wrap/strip fixed point). The
 // committed corpus under testdata/fuzz seeds every legacy frame kind.
 func FuzzDecodeGroupEnvelope(f *testing.F) {
 	for _, seed := range groupEnvelopeSeeds() {
@@ -209,7 +188,7 @@ func FuzzDecodeGroupEnvelope(f *testing.F) {
 			(len(inner) == 0 || inner[0] == instanceMarker || inner[0] == groupMarker) {
 			return
 		}
-		rewrapped := append(AppendGroupHeader(nil, group, instance), inner...)
+		rewrapped := append(appendGroupHeader(nil, group, instance), inner...)
 		g2, i2, inner2, err := StripGroup(rewrapped)
 		if err != nil {
 			t.Fatalf("strip of re-wrap failed: %v", err)

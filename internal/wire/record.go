@@ -18,7 +18,7 @@ const (
 	recordMarker        byte = 0x03 // DecisionRecord
 	startMarker         byte = 0x05 // StartRecord
 	helloMarker         byte = 0x07 // HelloRecord
-	groupMarker         byte = 0x09 // version-2 envelope: group ID, instance ID, bare message
+	groupMarker         byte = 0x09 // version-2 envelope (read, no longer written): group ID, instance ID, bare message
 	traceHeaderMarker   byte = 0x0B // TraceHeaderRecord
 	traceEventMarker    byte = 0x0D // TraceEventRecord
 	traceOutcomeMarker  byte = 0x0F // TraceOutcomeRecord

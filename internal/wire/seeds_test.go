@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/binary"
+
 	"indulgence/internal/model"
 	"indulgence/internal/payload"
 )
@@ -18,10 +20,28 @@ func mustEncode(b []byte, err error) []byte {
 	return b
 }
 
-// groupFrame is the frame production sends for m addressed to (group,
-// instance): AppendGroupHeader then the bare message.
+// appendGroupHeader appends the envelope header the sharded mux once
+// wrote for (group, instance), and StripGroup still reads: group 0 the
+// pre-group layouts (nothing for instance 0, the version-1 instance
+// envelope otherwise), any other group the version-2 group envelope.
+// Production no longer writes it; the tests and fuzz seeds build
+// version-2 frames with it.
+func appendGroupHeader(dst []byte, group, instance uint64) []byte {
+	if group == 0 {
+		if instance == 0 {
+			return dst
+		}
+		return AppendInstanceHeader(dst, instance)
+	}
+	dst = append(dst, groupMarker)
+	dst = binary.AppendUvarint(dst, group)
+	return binary.AppendUvarint(dst, instance)
+}
+
+// groupFrame is m addressed to (group, instance): appendGroupHeader then
+// the bare message.
 func groupFrame(group, instance uint64, m model.Message) []byte {
-	return mustEncode(EncodeMessage(AppendGroupHeader(nil, group, instance), m))
+	return mustEncode(EncodeMessage(appendGroupHeader(nil, group, instance), m))
 }
 
 // decodeFrame is the composition production runs on every received

@@ -19,13 +19,13 @@
 // insulated the other way by the frame length prefix: they fail cleanly
 // on the unknown marker instead of misparsing.
 //
-// The sharded runtime adds a version-2 envelope — the marker byte 0x09
-// followed by a uvarint consensus-group ID and then the uvarint
-// instance ID and bare message — so many independent consensus groups
-// multiplex one physical connection. Group 0 is the compatibility
-// group: it is never encoded (AppendGroupHeader emits the version-0/1
-// layouts byte-identically), and both earlier layouts decode as group
-// 0, so pre-group peers interoperate unchanged. See group.go.
+// The version-2 envelope — the marker byte 0x09 followed by a uvarint
+// consensus-group ID and then the uvarint instance ID and bare message —
+// once kept sharded groups' frames apart. Nothing writes it any more:
+// the strided allocation makes the instance ID name its group (group g
+// of G owns {g, g+G, …}), so every group sends the version-0/1 layouts.
+// StripGroup still reads it, and both earlier layouts decode as group 0.
+// See group.go.
 //
 // # Record kinds
 //
