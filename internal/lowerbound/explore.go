@@ -11,17 +11,24 @@
 //   - the executable Claim 5.1 constructions (runs s1, s0, a2, a1, a0 of
 //     Fig. 1) with their indistinguishability assertions (construction.go).
 //
-// The explorer splits the serial-run tree at the first crash placement
-// into independent branches and explores them on a bounded worker pool
-// (Config.Workers), each worker owning its own reusable simulator and
+// The explorer splits the serial-run tree at the first crash's round and
+// process into independent branches and explores them on a bounded worker
+// pool (Config.Workers), each worker owning its own reusable simulator and
 // schedule scratch. Per-branch aggregates are merged in the serial
 // depth-first order, so every result — including worst-case witnesses —
 // is identical for every worker count.
+//
+// Every serial run is visited, but one is simulated only when no run
+// simulated before it has the same outcome. Two exact equivalences decide
+// that: crashes placed after a run ended change nothing it executed, and
+// missing sets that differ only in receivers already dead give the same
+// execution (see worker.place).
 package lowerbound
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"indulgence/internal/check"
 	"indulgence/internal/model"
@@ -269,11 +276,12 @@ type crash struct {
 	missing model.PIDSet
 }
 
-// branch is one independent subtree of the serial-run family, identified
-// by the placement of the first crash. first.proc == 0 denotes the
-// crash-free run (a single leaf).
+// branch is one independent subtree of the serial-run family: every run
+// whose first crash is proc's, in round round, with any missing set.
+// proc == 0 denotes the crash-free run (a single leaf).
 type branch struct {
-	first crash
+	round model.Round
+	proc  model.ProcessID
 }
 
 // explorer holds the read-only state shared by all workers of one
@@ -281,6 +289,9 @@ type branch struct {
 type explorer struct {
 	cfg  Config
 	miss [][]model.PIDSet // miss[p-1]: candidate missing-receiver sets of p
+	// root is the outcome of the crash-free run, simulated before any
+	// branch: every branch extends it.
+	root *sim.Result
 }
 
 // missingSets enumerates the candidate sets of receivers that miss a
@@ -327,7 +338,7 @@ func (e *explorer) eligible(p model.ProcessID) bool {
 // round down to FirstCrashRound (the recursion visits the crash-free
 // continuation of each round before the crashes of that round, so later
 // first-crash rounds precede earlier ones in the depth-first order),
-// within a round by process id, within a process by missing-set order.
+// within a round by process id.
 func (e *explorer) branches() []branch {
 	out := []branch{{}}
 	if e.cfg.MaxCrashes <= 0 {
@@ -335,11 +346,8 @@ func (e *explorer) branches() []branch {
 	}
 	for k := e.cfg.MaxCrashRound; k >= e.cfg.FirstCrashRound; k-- {
 		for p := model.ProcessID(1); int(p) <= e.cfg.N; p++ {
-			if !e.eligible(p) {
-				continue
-			}
-			for _, miss := range e.miss[p-1] {
-				out = append(out, branch{first: crash{round: k, proc: p, missing: miss}})
+			if e.eligible(p) {
+				out = append(out, branch{round: k, proc: p})
 			}
 		}
 	}
@@ -347,14 +355,31 @@ func (e *explorer) branches() []branch {
 }
 
 // worker executes branches serially: it owns a reusable simulator, a
-// prototype schedule and a scratch schedule rebuilt per run.
+// prototype schedule, a scratch schedule rebuilt per run, and the
+// outcomes of the current depth-first path that later runs may reuse.
 type worker struct {
 	e       *explorer
 	sim     sim.Simulator
 	proto   *sched.Schedule
 	scratch *sched.Schedule
 	chosen  []crash
-	visit   func(*sched.Schedule, *sim.Result)
+	// runs[d] is the outcome of the run whose crashes are chosen[:d]. That
+	// run is the first leaf below chosen[:d], so it is set before any
+	// extension of chosen[:d] is visited.
+	runs []*sim.Result
+	// memo[d][i] is the outcome of the run that adds the i-th candidate
+	// missing set of the crash placed at depth d, within the current
+	// (process, round) of that depth.
+	memo [][]*sim.Result
+	// same, when set, is the outcome every leaf below the current node
+	// reuses: their added crashes all fall after its run ended. next, when
+	// set, is the outcome of the next leaf: an earlier placement that
+	// differs only in losses to dead receivers already computed it.
+	same, next *sim.Result
+	// shared is same with the visited leaf's crash rounds in crashRounds.
+	shared      sim.Result
+	crashRounds []model.Round
+	visit       func(*sched.Schedule, *sim.Result)
 }
 
 func (e *explorer) newWorker() *worker {
@@ -362,47 +387,92 @@ func (e *explorer) newWorker() *worker {
 	if proto == nil {
 		proto = sched.New(e.cfg.N, e.cfg.T)
 	}
-	return &worker{
-		e:       e,
-		proto:   proto,
-		scratch: sched.New(e.cfg.N, e.cfg.T),
-		chosen:  make([]crash, 0, e.cfg.MaxCrashes),
+	w := &worker{
+		e:           e,
+		proto:       proto,
+		scratch:     sched.New(e.cfg.N, e.cfg.T),
+		chosen:      make([]crash, 0, e.cfg.MaxCrashes),
+		runs:        make([]*sim.Result, e.cfg.MaxCrashes+1),
+		memo:        make([][]*sim.Result, e.cfg.MaxCrashes),
+		crashRounds: make([]model.Round, e.cfg.N),
 	}
+	for d := range w.memo {
+		w.memo[d] = make([]*sim.Result, len(e.miss[0]))
+	}
+	return w
 }
 
 // runBranch explores one branch in depth-first order.
 func (w *worker) runBranch(b branch) error {
 	w.chosen = w.chosen[:0]
-	if b.first.proc == 0 {
-		return w.runSim()
+	w.runs[0] = w.e.root
+	w.same, w.next = nil, nil
+	if b.proc == 0 {
+		w.next = w.e.root
+		return w.leaf()
 	}
-	w.chosen = append(w.chosen, b.first)
-	return w.descend(b.first.round + 1)
+	return w.place(b.round, b.proc)
 }
 
-// runSim simulates the run given by the chosen crashes and hands it to the
-// visitor. The schedule is scratch state reused for the next run; visitors
-// must Clone it if they keep it.
-func (w *worker) runSim() error {
+// schedule builds the schedule of the run given by the chosen crashes in
+// the scratch schedule.
+func (w *worker) schedule() *sched.Schedule {
 	s := w.scratch.CopyFrom(w.proto)
 	for _, c := range w.chosen {
 		receivers := model.FullPIDSet(w.e.cfg.N).Diff(c.missing)
 		receivers.Remove(c.proc)
 		s.CrashWithReceivers(c.proc, c.round, receivers)
 	}
-	r, err := w.sim.Run(sim.Config{
-		Synchrony:      w.e.cfg.Synchrony,
+	return s
+}
+
+// simConfig is the simulator configuration of the run on s.
+func (e *explorer) simConfig(s *sched.Schedule) sim.Config {
+	return sim.Config{
+		Synchrony:      e.cfg.Synchrony,
 		Schedule:       s,
-		Proposals:      w.e.cfg.Proposals,
-		Factory:        w.e.cfg.Factory,
-		MaxRounds:      w.e.cfg.Horizon,
+		Proposals:      e.cfg.Proposals,
+		Factory:        e.cfg.Factory,
+		MaxRounds:      e.cfg.Horizon,
 		SkipTrace:      true,
 		SkipValidation: true,
-	})
-	if err != nil {
-		return fmt.Errorf("lowerbound: simulate %v: %w", s, err)
 	}
-	w.visit(s, r)
+}
+
+// simulate runs the algorithm on s.
+func (w *worker) simulate(s *sched.Schedule) (*sim.Result, error) {
+	r, err := w.sim.Run(w.e.simConfig(s))
+	if err != nil {
+		return nil, fmt.Errorf("lowerbound: simulate %v: %w", s, err)
+	}
+	return r, nil
+}
+
+// leaf hands the run given by the chosen crashes to the visitor,
+// simulating it only when no outcome already computed is its own. The
+// schedule and the result are scratch state reused for the next run.
+func (w *worker) leaf() error {
+	s := w.schedule()
+	if w.same != nil {
+		for i := range w.crashRounds {
+			w.crashRounds[i], _ = s.CrashRound(model.ProcessID(i + 1))
+		}
+		w.shared = *w.same
+		w.shared.CrashRounds = w.crashRounds
+		w.visit(s, &w.shared)
+		return nil
+	}
+	d := len(w.chosen)
+	if w.next != nil {
+		w.runs[d], w.next = w.next, nil
+	} else {
+		r, err := w.simulate(s)
+		if err != nil {
+			return err
+		}
+		w.runs[d] = r
+	}
+	w.visit(s, w.runs[d])
 	return nil
 }
 
@@ -411,45 +481,94 @@ func (w *worker) runSim() error {
 // missing set.
 func (w *worker) descend(r model.Round) error {
 	if len(w.chosen) == w.e.cfg.MaxCrashes || r > w.e.cfg.MaxCrashRound {
-		return w.runSim()
+		return w.leaf()
 	}
-	// No crash in round r.
+	// No crash in round r. Its first leaf is the run of chosen itself.
 	if err := w.descend(r + 1); err != nil {
 		return err
 	}
 	// One crash in round r: any process not yet crashed (in the base
 	// prefix or in this branch).
 	for p := model.ProcessID(1); int(p) <= w.e.cfg.N; p++ {
-		if !w.e.eligible(p) {
+		if !w.e.eligible(p) || slices.ContainsFunc(w.chosen, func(c crash) bool { return c.proc == p }) {
 			continue
 		}
-		already := false
-		for _, c := range w.chosen {
-			if c.proc == p {
-				already = true
-				break
-			}
-		}
-		if already {
-			continue
-		}
-		for _, miss := range w.e.miss[p-1] {
-			w.chosen = append(w.chosen, crash{round: r, proc: p, missing: miss})
-			if err := w.descend(r + 1); err != nil {
-				return err
-			}
-			w.chosen = w.chosen[:len(w.chosen)-1]
+		if err := w.place(r, p); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// place explores every extension of chosen by a crash of p in round r, in
+// missing-set order. The run of chosen itself has been visited, so its
+// outcome is runs[len(chosen)].
+//
+// Two equivalences spare simulations. A crash in a round after the run of
+// chosen ended changes nothing that run executed: sim.Run stops at the same
+// round, and sends, deliveries and completions up to it do not depend on a
+// later crash; only the crash rounds differ. And two missing sets that
+// differ only in processes that do not complete round r give the same
+// execution: a message to a dead receiver is counted as sent and delivered
+// to no one either way.
+func (w *worker) place(r model.Round, p model.ProcessID) error {
+	d := len(w.chosen)
+	outer := w.same
+	if outer == nil && r > w.runs[d].Rounds {
+		w.same = w.runs[d]
+	}
+	var live model.PIDSet
+	if w.same == nil {
+		live = w.completers(r)
+	}
+	miss, memo := w.e.miss[p-1], w.memo[d]
+	for i, m := range miss {
+		if w.same == nil {
+			for j := range i {
+				if miss[j]&live == m&live {
+					w.next = memo[j]
+					break
+				}
+			}
+		}
+		w.chosen = append(w.chosen, crash{round: r, proc: p, missing: m})
+		err := w.descend(r + 1)
+		w.chosen = w.chosen[:d]
+		if err != nil {
+			return err
+		}
+		memo[i] = w.runs[d+1]
+	}
+	w.same = outer
+	return nil
+}
+
+// completers returns the processes that complete round r in the run of
+// chosen: crashed neither in the base prefix by round r nor in the branch,
+// whose crashes all fall before r.
+func (w *worker) completers(r model.Round) model.PIDSet {
+	var live model.PIDSet
+	for q := model.ProcessID(1); int(q) <= w.e.cfg.N; q++ {
+		if w.proto.CompletesRound(q, r) {
+			live.Add(q)
+		}
+	}
+	for _, c := range w.chosen {
+		live.Remove(c.proc)
+	}
+	return live
 }
 
 // foldSerialRuns enumerates every serial run of the family, feeding each
 // run to visit on some aggregate P, and merges the per-branch aggregates
 // in serial depth-first order. visit observes runs in the exact serial
 // order within each branch, and merge is applied in branch order, so the
-// fold is deterministic for every worker count. The schedule handed to
-// visit is scratch state: clone it to keep it.
+// fold is deterministic for every worker count. Every run is visited with
+// its own schedule, but a run is simulated only when no run simulated
+// before it in its branch (or the crash-free run) has the same outcome.
+// The schedule and the result handed to visit are scratch state, valid
+// during the call only, and the result may be shared between runs: treat
+// both as read-only, and clone the schedule to keep it.
 func foldSerialRuns[P any](cfg Config, newP func() P, visit func(P, *sched.Schedule, *sim.Result), merge func(dst, src P)) (P, error) {
 	var zero P
 	if err := cfg.defaults(); err != nil {
@@ -460,16 +579,21 @@ func foldSerialRuns[P any](cfg Config, newP func() P, visit func(P, *sched.Sched
 		e.miss[p-1] = e.missingSets(p)
 	}
 	branches := e.branches()
+	first := e.newWorker()
+	root, err := first.simulate(first.schedule())
+	if err != nil {
+		return zero, err
+	}
+	e.root = root
 
 	if pool.Workers(cfg.Workers, len(branches)) == 1 {
 		// Serial fast path: one accumulator, visited in branch order —
 		// the same fold the parallel path reproduces through its
 		// branch-ordered merge, without per-branch partials.
 		acc := newP()
-		w := e.newWorker()
-		w.visit = func(s *sched.Schedule, r *sim.Result) { visit(acc, s, r) }
+		first.visit = func(s *sched.Schedule, r *sim.Result) { visit(acc, s, r) }
 		for _, b := range branches {
-			if err := w.runBranch(b); err != nil {
+			if err := first.runBranch(b); err != nil {
 				return zero, err
 			}
 		}
