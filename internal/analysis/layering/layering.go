@@ -39,7 +39,7 @@ var Table = map[string][]string{
 	"sched":    {"model"},
 	"workload": {"model", "wire"},
 
-	"sim":        {"model", "pool", "sched", "trace"},
+	"sim":        {"model", "payload", "pool", "sched", "trace"},
 	"fd":         {"chaos/clock", "metrics", "model", "trace"},
 	"baseline":   {"fd", "model", "payload"},
 	"core":       {"baseline", "fd", "model", "payload", "trace"},

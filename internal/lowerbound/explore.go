@@ -80,7 +80,7 @@ type Config struct {
 	// PrefixSubsets).
 	Mode SubsetMode
 	// Workers bounds the explorer's parallelism: 0 selects one worker per
-	// runnable CPU (pool.Workers), 1 forces the serial path. Exploration
+	// runnable CPU (pool.Workers), 1 explores on one goroutine. Exploration
 	// results are independent of the worker count (witnesses included).
 	Workers int
 	// Base, if non-nil, is a schedule prefix (an asynchronous prefix, or
@@ -585,20 +585,6 @@ func foldSerialRuns[P any](cfg Config, newP func() P, visit func(P, *sched.Sched
 		return zero, err
 	}
 	e.root = root
-
-	if pool.Workers(cfg.Workers, len(branches)) == 1 {
-		// Serial fast path: one accumulator, visited in branch order —
-		// the same fold the parallel path reproduces through its
-		// branch-ordered merge, without per-branch partials.
-		acc := newP()
-		first.visit = func(s *sched.Schedule, r *sim.Result) { visit(acc, s, r) }
-		for _, b := range branches {
-			if err := first.runBranch(b); err != nil {
-				return zero, err
-			}
-		}
-		return acc, nil
-	}
 
 	partials := make([]P, len(branches))
 	errs := make([]error, len(branches))

@@ -2,7 +2,8 @@
 // algorithms in this repository. Payloads are immutable value carriers
 // implementing model.Payload: a stable Kind tag, a deterministic digest
 // encoding (used for run digests and indistinguishability checks) and deep
-// cloning for safe hand-off between processes.
+// cloning for safe hand-off between processes. Inbox is the ES round
+// model's receive-set rule, shared by the simulator and the live node.
 package payload
 
 import (

@@ -27,18 +27,16 @@ type node struct {
 	detector  *fd.TimeoutDetector
 	raised    int          // suspicion transitions credited to this node's polls
 	overdue   model.PIDSet // peers its own polls found overdue, unheard since
-	buffered  map[model.Round][]model.Message
-	late      []model.Message // older-round messages awaiting delivery
 	decisions chan<- NodeResult
 
-	// The round machinery, kept for the node's life. recv backs every
-	// round's receive set and poll is re-armed at every round start; both
-	// are made at the first receive phase, buffered at the first
-	// future-round frame. shares is false when the algorithm mutates
-	// received payloads; otherwise lastBytes holds the payload bytes of
-	// the last frame decoded (frames are immutable once sent) and
-	// lastPayload what they decoded to.
-	recv        []model.Message
+	// The round machinery, kept for the node's life. inbox assembles
+	// every round's receive set and holds future-round frames; poll is
+	// made at the first receive phase and re-armed at every round start.
+	// shares is false when the algorithm mutates received payloads;
+	// otherwise lastBytes holds the payload bytes of the last frame
+	// decoded (frames are immutable once sent) and lastPayload what they
+	// decoded to.
+	inbox       payload.Inbox
 	poll        clock.Ticker
 	shares      bool
 	lastBytes   []byte
@@ -134,38 +132,23 @@ func (n *node) broadcast(k model.Round) error {
 
 // collect gathers the round-k receive set according to the wait policy:
 // at least n−t round-k messages and — under WaitUnsuspected — a message
-// from every process the timeout detector does not suspect. Messages from
-// earlier rounds buffered since the last receive phase are delivered
-// alongside (the ES delayed-message semantics); future-round messages stay
-// buffered. A DECIDE of round k or earlier — buffered for this round or
-// arriving during it — ends the receive phase whatever the policy: its
-// sender has halted, and the algorithm decides on it.
+// from every process the timeout detector does not suspect. The node's
+// inbox assembles the set by the one rule the simulator also runs (see
+// payload.Inbox): one round-k message per sender, early ones included,
+// plus the messages of earlier rounds that arrive during round k, while
+// future-round messages stay held. A DECIDE of round k or earlier ends the
+// receive phase whatever the policy: its sender has halted, and the
+// algorithm decides on it.
 func (n *node) collect(ctx context.Context, k model.Round) ([]model.Message, bool) {
 	quorum := n.cfg.N - n.cfg.T
-	// The receive set reuses the node's array, remade only when it lacks
-	// room for a message from every process plus the late ones, so
-	// neither the receive loop nor the append that delivers the late
-	// messages regrows it.
-	early := n.buffered[k]
-	delete(n.buffered, k)
-	if need := max(len(early), n.cfg.N) + len(n.late); cap(n.recv) < need {
-		n.recv = make([]model.Message, 0, need)
-	}
-	roundMsgs := append(n.recv[:0], early...)
-	var (
-		heard  model.PIDSet
-		decide bool
-	)
-	for _, m := range roundMsgs {
-		heard.Add(m.From)
-		decide = decide || isDecide(m)
-	}
-
+	in := &n.inbox
+	in.Begin(k, n.cfg.N)
 	satisfied := func() bool {
-		if decide {
+		if in.Decide() {
 			return true
 		}
-		if len(roundMsgs) < quorum {
+		heard := in.Heard()
+		if heard.Len() < quorum {
 			return false
 		}
 		if n.cfg.WaitPolicy == core.WaitQuorum {
@@ -195,35 +178,16 @@ func (n *node) collect(ctx context.Context, k model.Round) ([]model.Message, boo
 			}
 			n.detector.Heard(m.From)
 			n.overdue.Remove(m.From)
-			switch {
-			case m.Round == k:
-				if !heard.Has(m.From) {
-					heard.Add(m.From)
-					roundMsgs = append(roundMsgs, m)
-					decide = decide || isDecide(m)
-				}
-			case m.Round < k:
-				n.late = append(n.late, m)
-				decide = decide || isDecide(m)
-			default:
-				if n.buffered == nil {
-					n.buffered = make(map[model.Round][]model.Message)
-				}
-				n.buffered[m.Round] = append(n.buffered[m.Round], m)
-			}
+			in.Add(m)
 		case <-n.poll.C():
 			// Suspect every unheard process whose timeout has expired
 			// since this round began, on the cluster's clock.
-			found := n.detector.SuspectOverdue(n.cfg.N, n.id, heard, roundAt)
+			found := n.detector.SuspectOverdue(n.cfg.N, n.id, in.Heard(), roundAt)
 			n.raised += found.Len()
 			n.overdue = n.overdue.Union(found)
 		}
 	}
-
-	n.recv = append(roundMsgs, n.late...)
-	n.late = n.late[:0]
-	sortReceived(n.recv)
-	return n.recv, true
+	return in.Take(), true
 }
 
 // decode decodes one message frame. A frame whose payload bytes equal the
@@ -248,32 +212,10 @@ func (n *node) decode(frame []byte) (model.Message, error) {
 	return m, nil
 }
 
-// sortReceived orders a receive set by (Round, From) in place. An
-// insertion sort: the set holds a few rounds of at most n messages each,
-// and sort.Slice's closure and swapper cost more than the shifts on sets
-// this small.
-func sortReceived(msgs []model.Message) {
-	for i := 1; i < len(msgs); i++ {
-		m := msgs[i]
-		j := i
-		for ; j > 0 && (m.Round < msgs[j-1].Round ||
-			m.Round == msgs[j-1].Round && m.From < msgs[j-1].From); j-- {
-			msgs[j] = msgs[j-1]
-		}
-		msgs[j] = m
-	}
-}
-
 // suspected returns the peers this node does not wait for: its shared
 // detector's suspicions and its own overdue set. The detector shows a
 // suspicion only from the instant after it is raised; the overdue set
 // lets the node act on its own at once.
 func (n *node) suspected() model.PIDSet {
 	return n.detector.Suspected().Union(n.overdue)
-}
-
-// isDecide reports whether m carries a relayed decision.
-func isDecide(m model.Message) bool {
-	_, ok := m.Payload.(payload.Decide)
-	return ok
 }

@@ -31,10 +31,20 @@ func (e *queuedEndpoint) Send(model.ProcessID, []byte) error { return nil }
 func (e *queuedEndpoint) Recv() <-chan []byte                { return e.ch }
 func (e *queuedEndpoint) Close() error                       { return nil }
 
+// holdEarly has nd's inbox hold msgs as frames that arrived during round
+// k−1, before nd's round-k receive phase.
+func holdEarly(nd *node, k model.Round, msgs ...model.Message) {
+	nd.inbox.Begin(k-1, nd.cfg.N)
+	for _, m := range msgs {
+		nd.inbox.Add(m)
+	}
+}
+
 // TestCollectDeliveryOrder pins collect's receive set against a
 // reference sort: whatever order frames arrive in — round-k messages,
 // late ones from earlier rounds, a future-round one, a duplicate, and the
 // round-k DECIDE that ends the phase — the delivered set is exactly the
+// early round-k message (once, though two copies of it came early), the
 // round-k messages and late messages consumed so far, ordered by
 // (Round, From).
 func TestCollectDeliveryOrder(t *testing.T) {
@@ -65,9 +75,10 @@ func TestCollectDeliveryOrder(t *testing.T) {
 				BaseTimeout: time.Hour, Clock: clock.Real{}},
 			ep:       ep,
 			detector: fd.NewTimeoutDetectorClock(time.Hour, clock.Real{}),
-			// p3's round-k message arrived during an earlier round.
-			buffered: map[model.Round][]model.Message{k: {est(3, k)}},
 		}
+		// Two copies of p3's round-k message arrived during an earlier
+		// round.
+		holdEarly(nd, k, est(3, k), est(3, k))
 		got, ok := nd.collect(context.Background(), k)
 		if !ok {
 			t.Fatal("collect failed")
@@ -95,9 +106,43 @@ func TestCollectDeliveryOrder(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (arrival order %v):\n got %v\nwant %v", trial, order, got, want)
 		}
-		if last := order[len(arrivals)-len(ep.ch)-1]; arrivals[last].Round != k || !isDecide(arrivals[last]) {
-			t.Fatalf("trial %d: phase ended on %v, not on the DECIDE", trial, arrivals[last])
+		last := arrivals[order[len(arrivals)-len(ep.ch)-1]]
+		if _, decide := last.Payload.(payload.Decide); last.Round != k || !decide {
+			t.Fatalf("trial %d: phase ended on %v, not on the DECIDE", trial, last)
 		}
+	}
+}
+
+// TestCollectCountsEarlyFramesOncePerSender: at n = 4, t = 1 under
+// WaitQuorum, two copies of p2's round-k message and p1's own, all held
+// from an earlier round, are two senders, not the three messages of a
+// quorum. The phase ends on p3's round-k frame, which it must consume.
+func TestCollectCountsEarlyFramesOncePerSender(t *testing.T) {
+	const k = model.Round(2)
+	est := func(from model.ProcessID) model.Message {
+		return model.Message{From: from, Round: k, Payload: payload.Estimate{Est: model.Value(from)}}
+	}
+	ep := &queuedEndpoint{self: 1, ch: make(chan []byte, 1)}
+	frame, err := wire.EncodeMessage(nil, est(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep.ch <- frame
+	nd := &node{
+		id: 1,
+		cfg: &Config{N: 4, T: 1, WaitPolicy: core.WaitQuorum,
+			BaseTimeout: time.Hour, Clock: clock.Real{}},
+		ep:       ep,
+		detector: fd.NewTimeoutDetectorClock(time.Hour, clock.Real{}),
+	}
+	holdEarly(nd, k, est(2), est(1), est(2))
+	got, ok := nd.collect(context.Background(), k)
+	nd.poll.Stop()
+	if want := []model.Message{est(1), est(2), est(3)}; !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("collect returned %v, %v; want %v", got, ok, want)
+	}
+	if len(ep.ch) != 0 {
+		t.Fatal("the phase ended before p3's frame")
 	}
 }
 

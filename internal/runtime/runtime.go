@@ -28,13 +28,18 @@
 // peers are down. Run is the whole lifecycle: its nodes halt on their
 // own, so it returns when the last member has.
 //
-// Within an instance a node builds its round machinery once: one
-// receive set reused every round (the algorithm reads it only during
-// EndRound), and one poll ticker re-armed at each round start, so each
-// round's first poll falls BaseTimeout/4 after the round starts. A frame
-// whose payload bytes equal the last decoded frame's reuses that payload
-// (payloads are shared-immutable and frames immutable once sent), unless
-// the algorithm declares model.PayloadMutator.
+// A node assembles every receive set with payload.Inbox, the rule the
+// lockstep simulator also runs: one round-k message per sender, frames
+// that arrived early included, plus the messages of earlier rounds that
+// arrive during round k; frames of later rounds are held for their round.
+//
+// Within an instance a node builds its round machinery once: one inbox
+// whose receive set is reused every round (the algorithm reads it only
+// during EndRound), and one poll ticker re-armed at each round start, so
+// each round's first poll falls BaseTimeout/4 after the round starts. A
+// frame whose payload bytes equal the last decoded frame's reuses that
+// payload (payloads are shared-immutable and frames immutable once sent),
+// unless the algorithm declares model.PayloadMutator.
 //
 // The runtime is where indulgence becomes visible as an engineering
 // property: injected delays cause false suspicions and slow decisions but

@@ -163,14 +163,6 @@ func TestSimulatorReuseMatchesFreshRuns(t *testing.T) {
 			t.Fatalf("rep %d diverged:\ngot  %s\nwant %s", i, got, want)
 		}
 	}
-	sm.Reset()
-	res, err := sm.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := summarize(res); got != want {
-		t.Fatalf("after Reset:\ngot  %s\nwant %s", got, want)
-	}
 }
 
 // TestRunBatchMatchesSerial checks RunBatch against one-by-one execution

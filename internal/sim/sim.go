@@ -5,6 +5,15 @@
 // produces the same run, which is what makes the lower-bound exploration
 // and the indistinguishability constructions reproducible.
 //
+// The simulator owns the adversary: the schedule's fates decide which
+// messages reach which process in which round. What a receive set holds
+// is not its own rule: each process's payload.Inbox assembles it — one
+// round-k message per sender plus the delayed messages of earlier rounds,
+// sorted by (round, sender) — the same type the live runtime's nodes
+// assemble their receive sets with. Decided processes keep flooding
+// DECIDE until every live process has decided; the live node relays once
+// and halts instead.
+//
 // The package offers three entry points, fastest last:
 //
 //   - Run executes a single run (a convenience wrapper);

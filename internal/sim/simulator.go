@@ -2,9 +2,9 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"indulgence/internal/model"
+	"indulgence/internal/payload"
 	"indulgence/internal/sched"
 	"indulgence/internal/trace"
 )
@@ -22,59 +22,13 @@ import (
 // model.Payload.
 type Simulator struct {
 	algs    []model.Algorithm
-	pending [][]delivery      // pending[r]: deliveries due in round r
-	inbox   [][]model.Message // inbox[i]: messages for process i+1 this round
+	pending [][]delivery    // pending[r]: deliveries due in round r
+	inbox   []payload.Inbox // inbox[i]: process i+1's receive sets
 }
 
 // NewSimulator returns a Simulator with empty scratch state. The zero
-// value is also usable; New exists for symmetry and future options.
+// value is also usable.
 func NewSimulator() *Simulator { return &Simulator{} }
-
-// Reset drops every reference retained in the scratch state (pending
-// messages, inboxes, algorithm instances of the previous run) while
-// keeping the allocated capacity. Run resets implicitly; call Reset only
-// to release payload memory while keeping the Simulator itself.
-func (sm *Simulator) Reset() {
-	for i := range sm.algs {
-		sm.algs[i] = nil
-	}
-	// Walk the full capacity: a smaller follow-up run reslices pending and
-	// inbox below earlier lengths, leaving populated slices parked between
-	// len and cap.
-	pending := sm.pending[:cap(sm.pending)]
-	for r := range pending {
-		clearDeliveries(pending[r])
-		pending[r] = pending[r][:0]
-	}
-	inbox := sm.inbox[:cap(sm.inbox)]
-	for i := range inbox {
-		clearMessages(inbox[i])
-		inbox[i] = inbox[i][:0]
-	}
-}
-
-func clearDeliveries(ds []delivery) {
-	ds = ds[:cap(ds)]
-	for i := range ds {
-		ds[i] = delivery{}
-	}
-}
-
-func clearMessages(ms []model.Message) {
-	ms = ms[:cap(ms)]
-	for i := range ms {
-		ms[i] = model.Message{}
-	}
-}
-
-// cmpMessages orders deliveries by (send round, sender) — the order the
-// Algorithm contract promises to EndRound.
-func cmpMessages(a, b model.Message) int {
-	if a.Round != b.Round {
-		return int(a.Round - b.Round)
-	}
-	return int(a.From - b.From)
-}
 
 // Run executes one run and returns its outcome, like the package-level Run
 // but reusing the Simulator's scratch state. The error is non-nil only for
@@ -173,7 +127,7 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 
 	inbox := sm.inbox
 	if n > cap(inbox) {
-		inbox = append(inbox[:cap(inbox)], make([][]model.Message, n-cap(inbox))...)
+		inbox = append(inbox[:cap(inbox)], make([]payload.Inbox, n-cap(inbox))...)
 	}
 	inbox = inbox[:n]
 	sm.inbox = inbox
@@ -241,29 +195,24 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 		}
 
 		// Receive phase: every process that completes round k is handed
-		// everything the adversary delivers in round k, sorted by
-		// (send round, sender).
-		arrivals := pending[k]
-		for i := 0; i < n; i++ {
-			inbox[i] = inbox[i][:0]
+		// the receive set its inbox assembles from everything the
+		// adversary delivers in round k.
+		for i := range inbox {
+			inbox[i].Begin(k, n)
 		}
-		for _, d := range arrivals {
+		for _, d := range pending[k] {
 			if !s.CompletesRound(d.to, k) {
 				continue
 			}
 			res.MessagesDelivered++
-			if inbox[d.to-1] == nil {
-				inbox[d.to-1] = make([]model.Message, 0, n)
-			}
-			inbox[d.to-1] = append(inbox[d.to-1], d.msg)
+			inbox[d.to-1].Add(d.msg)
 		}
 		for i := 0; i < n; i++ {
 			p := model.ProcessID(i + 1)
 			if !s.CompletesRound(p, k) {
 				continue
 			}
-			msgs := inbox[i]
-			slices.SortFunc(msgs, cmpMessages)
+			msgs := inbox[i].Take()
 			algs[i].EndRound(k, msgs)
 			if run != nil {
 				st := &run.Procs[i].Steps[len(run.Procs[i].Steps)-1]

@@ -21,9 +21,9 @@ import (
 // whole address. Outbound frames of instance 0 travel bare (version 0)
 // and every other instance's in the version-1 instance envelope, so a
 // pre-instance peer's bare frames route to instance 0. Inbound frames
-// are routed by their instance ID; a version-2 group envelope, which
-// nothing writes any more, still decodes and its group field is
-// ignored.
+// are routed by their instance ID (wire.StripInstance). A frame in the
+// version-2 group envelope, which nothing writes any more, reads as a
+// bare instance-0 frame that no message decoder accepts.
 //
 // The mux is the one record of where its process stands in each
 // instance: open (Open succeeded), retired (Retire or RetireBelow), or
@@ -272,9 +272,8 @@ func (m *Mux) route() {
 				}
 				return
 			}
-			// The instance ID is the whole address: a group envelope's
-			// group field adds nothing to it.
-			_, instance, inner, err := wire.StripGroup(frame)
+			// The instance ID is the whole address.
+			instance, inner, err := wire.StripInstance(frame)
 			if err != nil {
 				continue // a malformed envelope is dropped, like a malformed message
 			}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -707,18 +706,9 @@ func rawMuxPair(t *testing.T, groups int) (Transport, *Mux) {
 	return ep1, m2
 }
 
-// groupEnvelope wraps frame in the version-2 group envelope (marker
-// 0x09, group and instance uvarints), which nothing writes any more but
-// the mux still reads.
-func groupEnvelope(group, instance uint64, frame []byte) []byte {
-	b := binary.AppendUvarint(binary.AppendUvarint([]byte{0x09}, group), instance)
-	return append(b, frame...)
-}
-
 // TestMuxRoutesByGroup checks routing in a G = 3 runtime: the instance
 // ID is the whole address, so streams of every residue class route
-// apart, and a version-2 frame reaches its instance whatever its group
-// field says.
+// apart.
 func TestMuxRoutesByGroup(t *testing.T) {
 	ep1, m2 := rawMuxPair(t, 3)
 	ids := []uint64{5, 6, 7, 9}
@@ -730,15 +720,11 @@ func TestMuxRoutesByGroup(t *testing.T) {
 		}
 		recvs[id] = r
 	}
-	// A distinct round number per instance, the first two in the
-	// version-1 envelope the mux writes and the last two in a group
-	// envelope naming a group that is not the instance's.
+	// A distinct round number per instance, in the version-1 envelope
+	// the mux writes.
 	for i, id := range ids {
-		frame := wire.AppendInstanceHeader(nil, id)
-		if i >= 2 {
-			frame = groupEnvelope(2, id, nil)
-		}
-		if err := ep1.Send(2, append(frame, msgFrame(t, 1, model.Round(i+1))...)); err != nil {
+		frame := append(wire.AppendInstanceHeader(nil, id), msgFrame(t, 1, model.Round(i+1))...)
+		if err := ep1.Send(2, frame); err != nil {
 			t.Fatal(err)
 		}
 	}
