@@ -61,9 +61,6 @@ func (a *amr) Name() string { return AMRName }
 
 // StartRound implements model.Algorithm.
 func (a *amr) StartRound(k model.Round) model.Payload {
-	if v, ok := a.decided.Get(); ok {
-		return payload.Decide{V: v}
-	}
 	if (int(k)-1)%RoundsPerAttemptAMR == 0 {
 		return payload.Estimate{Est: a.est}
 	}
@@ -72,12 +69,6 @@ func (a *amr) StartRound(k model.Round) model.Payload {
 
 // EndRound implements model.Algorithm.
 func (a *amr) EndRound(k model.Round, delivered []model.Message) {
-	if v, ok := payload.FindDecide(delivered); ok && a.decided.IsBottom() {
-		a.decided = model.Some(v)
-	}
-	if !a.decided.IsBottom() {
-		return
-	}
 	roundMsgs := payload.OfRound(k, delivered)
 	if (int(k)-1)%RoundsPerAttemptAMR == 0 {
 		// Leader round: adopt the estimate of the minimum identity heard.

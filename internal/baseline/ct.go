@@ -74,9 +74,6 @@ func (c *ct) Name() string { return CTName }
 
 // StartRound implements model.Algorithm.
 func (c *ct) StartRound(k model.Round) model.Payload {
-	if v, ok := c.decided.Get(); ok {
-		return payload.Decide{V: v}
-	}
 	phase, pos := phasePosCT(k)
 	switch pos {
 	case 0:
@@ -98,12 +95,6 @@ func (c *ct) StartRound(k model.Round) model.Payload {
 
 // EndRound implements model.Algorithm.
 func (c *ct) EndRound(k model.Round, delivered []model.Message) {
-	if v, ok := payload.FindDecide(delivered); ok && c.decided.IsBottom() {
-		c.decided = model.Some(v)
-	}
-	if !c.decided.IsBottom() {
-		return
-	}
 	phase, pos := phasePosCT(k)
 	roundMsgs := payload.OfRound(k, delivered)
 	switch pos {

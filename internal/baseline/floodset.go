@@ -15,9 +15,10 @@
 //     A_{f+2} optimizes, translated to ES per footnote 10; it needs
 //     k+2f+2 rounds in runs synchronous after round k with f late crashes.
 //
-// All algorithms implement model.Algorithm and, once decided, flood DECIDE
-// messages so late processes decide too (and so that the t-resilience
-// axiom remains satisfiable).
+// All algorithms implement model.Algorithm. None sends or reads DECIDE:
+// the round engines send it for a decided process, so late processes
+// decide too (and the t-resilience axiom remains satisfiable), and decide
+// on one a receive set holds.
 package baseline
 
 import (
@@ -66,9 +67,6 @@ func (f *floodSet) Name() string { return FloodSetName }
 
 // StartRound implements model.Algorithm.
 func (f *floodSet) StartRound(model.Round) model.Payload {
-	if v, ok := f.decided.Get(); ok {
-		return payload.Decide{V: v}
-	}
 	vals := make([]model.Value, 0, len(f.seen))
 	for v := range f.seen {
 		vals = append(vals, v)
@@ -78,13 +76,6 @@ func (f *floodSet) StartRound(model.Round) model.Payload {
 
 // EndRound implements model.Algorithm.
 func (f *floodSet) EndRound(k model.Round, delivered []model.Message) {
-	if !f.decided.IsBottom() {
-		return
-	}
-	if v, ok := payload.FindDecide(delivered); ok {
-		f.decided = model.Some(v)
-		return
-	}
 	for _, m := range delivered {
 		vs, ok := m.Payload.(payload.Values)
 		if !ok {

@@ -48,21 +48,11 @@ func (f *floodSetWS) Name() string { return FloodSetWSName }
 
 // StartRound implements model.Algorithm.
 func (f *floodSetWS) StartRound(model.Round) model.Payload {
-	if v, ok := f.decided.Get(); ok {
-		return payload.Decide{V: v}
-	}
 	return payload.EstHalt{Est: f.est, Halt: f.halt}
 }
 
 // EndRound implements model.Algorithm.
 func (f *floodSetWS) EndRound(k model.Round, delivered []model.Message) {
-	if !f.decided.IsBottom() {
-		return
-	}
-	if v, ok := payload.FindDecide(delivered); ok {
-		f.decided = model.Some(v)
-		return
-	}
 	roundMsgs := payload.OfRound(k, delivered)
 	// Suspect every process whose round-k message is missing, and every
 	// process that reports having suspected us.

@@ -75,9 +75,6 @@ func (h *hurfinRaynal) Name() string { return HurfinRaynalName }
 
 // StartRound implements model.Algorithm.
 func (h *hurfinRaynal) StartRound(k model.Round) model.Payload {
-	if v, ok := h.decided.Get(); ok {
-		return payload.Decide{V: v}
-	}
 	phase, pos := phasePosHR(k)
 	if pos == 0 {
 		if coordOf(phase, h.ctx.N) == h.ctx.Self {
@@ -92,12 +89,6 @@ func (h *hurfinRaynal) StartRound(k model.Round) model.Payload {
 
 // EndRound implements model.Algorithm.
 func (h *hurfinRaynal) EndRound(k model.Round, delivered []model.Message) {
-	if v, ok := payload.FindDecide(delivered); ok && h.decided.IsBottom() {
-		h.decided = model.Some(v)
-	}
-	if !h.decided.IsBottom() {
-		return
-	}
 	phase, pos := phasePosHR(k)
 	roundMsgs := payload.OfRound(k, delivered)
 	if pos == 0 {

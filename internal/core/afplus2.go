@@ -14,10 +14,10 @@ import (
 // round k + f + 2 — against k + 2f + 2 for the leader-based AMR baseline
 // it optimizes.
 //
-// Every round each process broadcasts its estimate (or, once decided, the
-// decision). On receiving the round-k messages a process first honours any
-// DECIDE received (from this or an earlier round); otherwise it selects
-// the n−t round messages with the lowest sender identities as msgSet and:
+// Every round each undecided process broadcasts its estimate; the round
+// engines send and adopt DECIDE once a process decides. On receiving the
+// round-k messages a process selects the n−t round messages with the
+// lowest sender identities as msgSet and:
 //
 //   - decides est′ if every message in msgSet carries the same est′;
 //   - adopts any value occurring at least n−2t times in msgSet (unique
@@ -69,21 +69,11 @@ func (a *afPlus2) Name() string {
 
 // StartRound implements model.Algorithm.
 func (a *afPlus2) StartRound(model.Round) model.Payload {
-	if v, ok := a.decided.Get(); ok {
-		return payload.Decide{V: v}
-	}
 	return payload.Estimate{Est: a.est}
 }
 
 // EndRound implements model.Algorithm.
 func (a *afPlus2) EndRound(k model.Round, delivered []model.Message) {
-	if !a.decided.IsBottom() {
-		return
-	}
-	if v, ok := payload.FindDecide(delivered); ok {
-		a.decided = model.Some(v)
-		return
-	}
 	// msgSet: the n−t round-k messages with the lowest sender ids
 	// (delivered is sorted by (round, sender), so the filtered slice is
 	// sorted by sender).

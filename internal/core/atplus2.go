@@ -70,8 +70,8 @@ type Options struct {
 // false suspicion (|Halt| > t) broadcasts nE = ⊥, others broadcast their
 // estimate; receiving only non-⊥ values decides, otherwise the process
 // delegates to the underlying consensus C with proposal vc from round t+3
-// on. Deciders flood DECIDE from round t+3 (with the Fig. 4 optimization,
-// from round 3).
+// on. The round engines send and adopt the DECIDE a decider broadcasts
+// from round t+3 (with the Fig. 4 optimization, from round 3).
 type atPlus2 struct {
 	ctx      model.ProcessContext
 	opts     Options
@@ -158,9 +158,6 @@ func (a *atPlus2) threshold() int {
 
 // StartRound implements model.Algorithm.
 func (a *atPlus2) StartRound(k model.Round) model.Payload {
-	if v, ok := a.decided.Get(); ok {
-		return payload.Decide{V: v}
-	}
 	switch {
 	case int(k) <= a.p1:
 		return payload.EstHalt{Est: a.est, Halt: a.halt}
@@ -182,15 +179,6 @@ func (a *atPlus2) StartRound(k model.Round) model.Payload {
 
 // EndRound implements model.Algorithm.
 func (a *atPlus2) EndRound(k model.Round, delivered []model.Message) {
-	if !a.decided.IsBottom() {
-		return
-	}
-	// DECIDE messages are honoured in any round: the paper sends them in
-	// round t+3 and, with the Fig. 4 optimization, in round 3.
-	if v, ok := payload.FindDecide(delivered); ok {
-		a.decided = model.Some(v)
-		return
-	}
 	switch {
 	case int(k) <= a.p1:
 		if a.opts.FailureFreeFast && k == 2 {

@@ -204,12 +204,15 @@ type Payload interface {
 //     PayloadMutator and receives private clones instead.
 //
 // Decision reports the decided value as soon as the algorithm decides;
-// once set it must never change (the checkers verify this). Once decided,
-// StartRound must return a DECIDE for every later round and EndRound must
-// adopt a DECIDE delivered in any round, so that processes that have not
-// yet decided still can: the lockstep simulator keeps deciders
-// participating (they flood DECIDE every round), while the live runtime
-// broadcasts one more round — the relay — and halts the decider.
+// it is asked after every EndRound. Once it reports, the algorithm is
+// never called again.
+//
+// The rule that lets processes that have not yet decided still do so
+// belongs to the round engines, not to the algorithm: a decided process
+// sends DECIDE (the lockstep simulator floods it every round, the live
+// runtime relays it once and halts), and a process whose round-k receive
+// set holds a DECIDE of any round decides its value without EndRound(k)
+// being called. An algorithm neither sends nor reads DECIDE.
 type Algorithm interface {
 	// Name returns a short human-readable algorithm name.
 	Name() string

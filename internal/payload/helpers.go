@@ -19,28 +19,6 @@ func OfRound(k model.Round, delivered []model.Message) []model.Message {
 	return delivered[lo:hi:hi]
 }
 
-// FindDecide scans delivered (any send round) for a Decide payload and
-// returns the smallest decided value found. Every algorithm in this
-// repository sends DECIDE after deciding and adopts any DECIDE it
-// receives; by uniform agreement all sent values are equal, so the
-// minimum is just a deterministic choice.
-func FindDecide(delivered []model.Message) (model.Value, bool) {
-	var (
-		best  model.Value
-		found bool
-	)
-	for _, m := range delivered {
-		d, ok := m.Payload.(Decide)
-		if !ok {
-			continue
-		}
-		if !found || d.V < best {
-			best, found = d.V, true
-		}
-	}
-	return best, found
-}
-
 // BestEstimate returns the estimate with the highest timestamp (ties broken
 // towards the smallest value) among the Estimate and AckEst payloads in
 // msgs. It is the coordinator selection rule of the rotating-coordinator

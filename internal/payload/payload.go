@@ -3,7 +3,9 @@
 // implementing model.Payload: a stable Kind tag, a deterministic digest
 // encoding (used for run digests and indistinguishability checks) and deep
 // cloning for safe hand-off between processes. Inbox is the ES round
-// model's receive-set rule, shared by the simulator and the live node.
+// model's receive-set rule, shared by the simulator and the live node, and
+// the one place a DECIDE is read: both round engines adopt and relay
+// DECIDE through it, so no algorithm sends or scans for one.
 package payload
 
 import (
@@ -111,8 +113,10 @@ func (p NewEstimate) ClonePayload() model.Payload { return p }
 // String implements fmt.Stringer.
 func (p NewEstimate) String() string { return fmt.Sprintf("NEWESTIMATE(%v)", p.NE) }
 
-// Decide announces a decision value: flooded every round by the
-// simulator's deciders, relayed once by the live runtime's.
+// Decide announces a decision value. The round engines build it for a
+// decided process: the simulator floods it every round, the live node
+// relays it once. A process whose receive set holds one decides its value
+// (see Inbox.Decided).
 type Decide struct {
 	// V is the decided value.
 	V model.Value

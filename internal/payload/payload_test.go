@@ -130,21 +130,6 @@ func TestOfRound(t *testing.T) {
 	}
 }
 
-func TestFindDecide(t *testing.T) {
-	msgs := []model.Message{
-		{From: 1, Round: 1, Payload: Estimate{Est: 9}},
-		{From: 2, Round: 3, Payload: Decide{V: 5}},
-		{From: 3, Round: 2, Payload: Decide{V: 4}},
-	}
-	v, ok := FindDecide(msgs)
-	if !ok || v != 4 {
-		t.Fatalf("FindDecide = %d, %v (want min of flooded values)", v, ok)
-	}
-	if _, ok := FindDecide(msgs[:1]); ok {
-		t.Fatal("no DECIDE present")
-	}
-}
-
 func TestBestEstimate(t *testing.T) {
 	msgs := []model.Message{
 		{From: 1, Round: 1, Payload: Estimate{Est: 5, TS: 1}},

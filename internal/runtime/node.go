@@ -3,6 +3,7 @@ package runtime
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync"
 
 	"indulgence/internal/chaos/clock"
@@ -80,11 +81,13 @@ func (n *node) crash() {
 
 // loop is the node's round engine. It ends at the node's decision, a
 // crash, context cancellation or MaxRounds, and reports its one result on
-// the way out. A node that decides at the end of round k relays DECIDE
-// once — the round-k+1 broadcast, since every algorithm's StartRound
-// returns payload.Decide once decided — and halts. The relay goes out
-// before the report, so no caller can stop the node between its decision
-// and its relay; a relay in hand ends any receiver's wait (see collect).
+// the way out. The node decides the value of a DECIDE its round-k receive
+// set holds, without calling EndRound; otherwise the algorithm's decision
+// after EndRound. A node that decides at the end of round k relays DECIDE
+// once — the round-k+1 broadcast, built here — and halts; its algorithm
+// is not called again. The relay goes out before the report, so no caller
+// can stop the node between its decision and its relay; a relay in hand
+// ends any receiver's wait (see collect).
 func (n *node) loop(ctx context.Context) {
 	start := n.cfg.Clock.Now()
 	var (
@@ -92,18 +95,22 @@ func (n *node) loop(ctx context.Context) {
 		round   model.Round
 	)
 	for k := model.Round(1); k <= n.cfg.MaxRounds && ctx.Err() == nil; k++ {
-		if err := n.broadcast(k); err != nil {
+		if err := n.broadcast(k, n.alg.StartRound(k)); err != nil {
 			break
 		}
 		msgs, ok := n.collect(ctx, k)
 		if !ok {
 			break
 		}
-		n.alg.EndRound(k, msgs)
-		if v, has := n.alg.Decision(); has {
+		v, has := n.inbox.Decided()
+		if !has {
+			n.alg.EndRound(k, msgs)
+			v, has = n.alg.Decision()
+		}
+		if has {
 			decided, round = model.Some(v), k
 			if ctx.Err() == nil {
-				_ = n.broadcast(k + 1)
+				_ = n.broadcast(k+1, payload.Decide{V: v})
 			}
 			break
 		}
@@ -126,25 +133,25 @@ func (n *node) loop(ctx context.Context) {
 
 // broadcast sends the round-k message to every process, including this
 // one, as one frame encoded once.
-func (n *node) broadcast(k model.Round) error {
-	return transport.Broadcast(n.ep, n.cfg.N, model.Message{From: n.id, Round: k, Payload: n.alg.StartRound(k)})
+func (n *node) broadcast(k model.Round, pl model.Payload) error {
+	return transport.Broadcast(n.ep, n.cfg.N, model.Message{From: n.id, Round: k, Payload: pl})
 }
 
 // collect gathers the round-k receive set according to the wait policy:
 // at least n−t round-k messages and — under WaitUnsuspected — a message
 // from every process the timeout detector does not suspect. The node's
 // inbox assembles the set by the one rule the simulator also runs (see
-// payload.Inbox): one round-k message per sender, early ones included,
-// plus the messages of earlier rounds that arrive during round k, while
-// future-round messages stay held. A DECIDE of round k or earlier ends the
-// receive phase whatever the policy: its sender has halted, and the
-// algorithm decides on it.
+// payload.Inbox): one message per sender and send round, round-k ones
+// that arrived early included, plus the messages of earlier rounds that
+// arrive during round k, while future-round messages stay held. A DECIDE
+// of round k or earlier ends the receive phase whatever the policy: its
+// sender has halted, and the node decides on it (see loop).
 func (n *node) collect(ctx context.Context, k model.Round) ([]model.Message, bool) {
 	quorum := n.cfg.N - n.cfg.T
 	in := &n.inbox
 	in.Begin(k, n.cfg.N)
 	satisfied := func() bool {
-		if in.Decide() {
+		if _, ok := in.Decided(); ok {
 			return true
 		}
 		heard := in.Heard()
@@ -190,14 +197,19 @@ func (n *node) collect(ctx context.Context, k model.Round) ([]model.Message, boo
 	return in.Take(), true
 }
 
-// decode decodes one message frame. A frame whose payload bytes equal the
-// last decoded frame's gets that frame's payload, unless the algorithm
-// mutates received payloads: payloads are shared-immutable, and from
-// round 2 on most of a round's frames carry identical payload bytes.
+// decode decodes one message frame. A frame from a sender outside 1..n or
+// of a round below 1 is malformed: no process sends it. A frame whose
+// payload bytes equal the last decoded frame's gets that frame's payload,
+// unless the algorithm mutates received payloads: payloads are
+// shared-immutable, and from round 2 on most of a round's frames carry
+// identical payload bytes.
 func (n *node) decode(frame []byte) (model.Message, error) {
 	m, raw, err := wire.SplitMessage(frame)
 	if err != nil {
 		return m, err
+	}
+	if m.From < 1 || int(m.From) > n.cfg.N || m.Round < 1 {
+		return m, fmt.Errorf("runtime: frame from p%d in round %d outside the cluster's 1..%d", m.From, m.Round, n.cfg.N)
 	}
 	if n.shares && len(n.lastBytes) > 0 && bytes.Equal(raw, n.lastBytes) {
 		m.Payload = n.lastPayload

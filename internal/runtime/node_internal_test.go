@@ -146,6 +146,164 @@ func TestCollectCountsEarlyFramesOncePerSender(t *testing.T) {
 	}
 }
 
+// TestCollectDropsLateDuplicates: a second copy of a frame the node
+// delivered in an earlier round (a duplicating link) arrives late and
+// does not reach the algorithm again.
+func TestCollectDropsLateDuplicates(t *testing.T) {
+	const k = model.Round(2)
+	est := func(from model.ProcessID, r model.Round) model.Message {
+		return model.Message{From: from, Round: r, Payload: payload.Estimate{Est: model.Value(from)}}
+	}
+	arrivals := []model.Message{est(2, 1), est(1, k), est(2, k), est(3, k)}
+	ep := &queuedEndpoint{self: 1, ch: make(chan []byte, len(arrivals))}
+	for _, m := range arrivals {
+		frame, err := wire.EncodeMessage(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep.ch <- frame
+	}
+	nd := &node{
+		id: 1,
+		cfg: &Config{N: 4, T: 1, WaitPolicy: core.WaitQuorum,
+			BaseTimeout: time.Hour, Clock: clock.Real{}},
+		ep:       ep,
+		detector: fd.NewTimeoutDetectorClock(time.Hour, clock.Real{}),
+	}
+	// Round 1 delivered p2's round-1 message.
+	holdEarly(nd, k, est(2, 1))
+	got, ok := nd.collect(context.Background(), k)
+	nd.poll.Stop()
+	if want := []model.Message{est(1, k), est(2, k), est(3, k)}; !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("collect returned %v, %v; want %v", got, ok, want)
+	}
+}
+
+// TestCollectDropsMalformedFrames: a frame from a sender outside 1..n or
+// of a round below 1 is dropped, so a DECIDE in one decides nothing and
+// the phase ends on the quorum of well-formed round-1 frames.
+func TestCollectDropsMalformedFrames(t *testing.T) {
+	decide := payload.Decide{V: 9}
+	arrivals := []model.Message{
+		{From: 0, Round: 0, Payload: decide},
+		{From: 5, Round: 1, Payload: decide},
+		{From: 2, Round: -1, Payload: decide},
+		{From: 1, Round: 1, Payload: payload.Estimate{Est: 1}},
+		{From: 2, Round: 1, Payload: payload.Estimate{Est: 2}},
+		{From: 3, Round: 1, Payload: payload.Estimate{Est: 3}},
+	}
+	ep := &queuedEndpoint{self: 1, ch: make(chan []byte, len(arrivals))}
+	for _, m := range arrivals {
+		frame, err := wire.EncodeMessage(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep.ch <- frame
+	}
+	nd := &node{
+		id: 1,
+		cfg: &Config{N: 4, T: 1, WaitPolicy: core.WaitQuorum,
+			BaseTimeout: time.Hour, Clock: clock.Real{}},
+		ep:       ep,
+		detector: fd.NewTimeoutDetectorClock(time.Hour, clock.Real{}),
+	}
+	got, ok := nd.collect(context.Background(), 1)
+	nd.poll.Stop()
+	if want := arrivals[3:]; !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("collect returned %v, %v; want %v", got, ok, want)
+	}
+	if v, decided := nd.inbox.Decided(); decided {
+		t.Fatalf("a malformed frame's DECIDE(%d) decided the node", v)
+	}
+}
+
+// oneShotAlg sends its proposal every round and decides it at the end of
+// round decideAt. It fails the test if the node calls it after its
+// Decision has reported.
+type oneShotAlg struct {
+	t        *testing.T
+	self     model.ProcessID
+	v        model.Value
+	decideAt model.Round
+	ended    []model.Round
+	decided  model.OptValue
+}
+
+func (a *oneShotAlg) undecided(call string, k model.Round) {
+	if !a.decided.IsBottom() {
+		a.t.Errorf("p%d: %s(%d) called after its decision", a.self, call, k)
+	}
+}
+
+func (a *oneShotAlg) Name() string { return "oneshot" }
+
+func (a *oneShotAlg) StartRound(k model.Round) model.Payload {
+	a.undecided("StartRound", k)
+	return payload.Estimate{Est: a.v}
+}
+
+func (a *oneShotAlg) EndRound(k model.Round, _ []model.Message) {
+	a.undecided("EndRound", k)
+	a.ended = append(a.ended, k)
+	if k >= a.decideAt {
+		a.decided = model.Some(a.v)
+	}
+}
+
+func (a *oneShotAlg) Decision() (model.Value, bool) { return a.decided.Get() }
+
+// TestNodeRelaysAndAdoptsDecide pins the DECIDE rule the node runs for
+// every algorithm: p1 decides at round 1, relays DECIDE and is never
+// called again; p2–p4, waiting on p1's round-2 message, decide its value
+// on the relay without their EndRound being called.
+func TestNodeRelaysAndAdoptsDecide(t *testing.T) {
+	const n = 4
+	hub, err := transport.NewHub(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	eps := make([]transport.Transport, n)
+	proposals := make([]model.Value, n)
+	for i := range eps {
+		if eps[i], err = hub.Endpoint(model.ProcessID(i + 1)); err != nil {
+			t.Fatal(err)
+		}
+		proposals[i] = model.Value(10 * (i + 1))
+	}
+	algs := make([]*oneShotAlg, n)
+	c, err := New(Config{N: n, T: 1, Proposals: proposals, Endpoints: eps, BaseTimeout: time.Hour,
+		Factory: func(ctx model.ProcessContext, v model.Value) (model.Algorithm, error) {
+			a := &oneShotAlg{t: t, self: ctx.Self, v: v, decideAt: 1000}
+			if ctx.Self == 1 {
+				a.decideAt = 1
+			}
+			algs[ctx.Self-1] = a
+			return a, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := c.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		wantRound := model.Round(2)
+		if i == 0 {
+			wantRound = 1
+		}
+		if r.Decision != model.Some(10) || r.Round != wantRound {
+			t.Errorf("p%d decided %v at round %d, want 10 at round %d", i+1, r.Decision, r.Round, wantRound)
+		}
+		if !reflect.DeepEqual(algs[i].ended, []model.Round{1}) {
+			t.Errorf("p%d EndRound rounds %v, want [1]", i+1, algs[i].ended)
+		}
+	}
+}
+
 // recordingAlg sends its proposal as an Estimate each round, keeps the
 // backing array and a copy of every receive set it is handed, and decides
 // its own proposal after round 3.
@@ -158,9 +316,6 @@ type recordingAlg struct {
 func (a *recordingAlg) Name() string { return "recording" }
 
 func (a *recordingAlg) StartRound(k model.Round) model.Payload {
-	if _, decided := a.Decision(); decided {
-		return payload.Decide{V: a.v}
-	}
 	return payload.Estimate{Est: a.v, TS: int(k)}
 }
 
@@ -245,7 +400,7 @@ func TestDecodeSharesEqualPayloads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nd := &node{shares: true}
+	nd := &node{cfg: &Config{N: 4}, shares: true}
 	allocs := testing.AllocsPerRun(100, func() {
 		nd.lastBytes, nd.lastPayload = nil, nil
 		for i, f := range frames {

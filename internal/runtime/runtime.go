@@ -10,12 +10,14 @@
 // false suspicions, then synchrony.
 //
 // A process that decides relays DECIDE once and halts, as in the paper:
-// its next round's broadcast is the relay (every algorithm's StartRound
-// returns DECIDE once decided), and a DECIDE of the current or an earlier
-// round ends any receiver's wait. Every decider relays before it reports,
-// so by induction on the smallest decision round every correct undecided
-// process eventually decides. (The lockstep simulator keeps deciders
-// flooding; only the live node halts.)
+// its next round's broadcast is the relay, which the node builds itself,
+// and a DECIDE of the current or an earlier round ends any receiver's wait
+// and decides it without the algorithm's EndRound being called. The
+// algorithm is never called after its decision, and never sends or reads
+// DECIDE. Every decider relays before it reports, so by induction on the
+// smallest decision round every correct undecided process eventually
+// decides. (The lockstep simulator keeps deciders flooding; only the live
+// node halts.)
 //
 // A Cluster executes one consensus instance. Its round loops, algorithm
 // state machines and wait policy are instantiated per instance; the

@@ -10,9 +10,12 @@
 // is not its own rule: each process's payload.Inbox assembles it — one
 // round-k message per sender plus the delayed messages of earlier rounds,
 // sorted by (round, sender) — the same type the live runtime's nodes
-// assemble their receive sets with. Decided processes keep flooding
-// DECIDE until every live process has decided; the live node relays once
-// and halts instead.
+// assemble their receive sets with. The simulator also runs the DECIDE
+// rule for every algorithm: a process whose receive set holds a DECIDE
+// decides its value without its EndRound being called, and a decided
+// process is never called again but floods DECIDE every round until
+// every live process has decided. The live node relays once and halts
+// instead.
 //
 // The package offers three entry points, fastest last:
 //
@@ -35,9 +38,6 @@ import (
 
 // Errors returned by Run.
 var (
-	// ErrUnstableDecision reports that an algorithm changed its decision
-	// value after deciding, violating the Algorithm contract.
-	ErrUnstableDecision = errors.New("sim: algorithm changed its decision")
 	// ErrConfig reports an invalid configuration.
 	ErrConfig = errors.New("sim: invalid configuration")
 )
@@ -56,9 +56,6 @@ type Config struct {
 	// covers every algorithm in this repository: the schedule's last
 	// scheduled round plus 3n + 8(t+2) + 12 rounds.
 	MaxRounds model.Round
-	// RunToMaxRounds keeps executing after every live process has
-	// decided (by default the run stops at that point).
-	RunToMaxRounds bool
 	// SkipTrace suppresses per-round history recording (Result.Run will
 	// be nil). Decisions and crash rounds are still reported, and
 	// delivered payloads are shared between recipients rather than cloned

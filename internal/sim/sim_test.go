@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"indulgence/internal/model"
@@ -18,7 +19,6 @@ type probe struct {
 	received map[model.Round][]model.Message
 	started  []model.Round
 	decided  model.OptValue
-	flip     bool // if set, change the decision value afterwards (contract violation)
 }
 
 func newProbeFactory(decideAt model.Round, store *map[model.ProcessID]*probe) model.Factory {
@@ -48,11 +48,7 @@ func (p *probe) EndRound(k model.Round, delivered []model.Message) {
 	copy(msgs, delivered)
 	p.received[k] = msgs
 	if k >= p.decideAt {
-		v := p.proposal
-		if p.flip && k > p.decideAt {
-			v++
-		}
-		p.decided = model.Some(v)
+		p.decided = model.Some(p.proposal)
 	}
 }
 
@@ -225,49 +221,6 @@ func TestDelayedToCrashedReceiverIsDropped(t *testing.T) {
 	}
 }
 
-func TestUnstableDecisionDetected(t *testing.T) {
-	factory := func(ctx model.ProcessContext, proposal model.Value) (model.Algorithm, error) {
-		return &probe{
-			ctx:      ctx,
-			proposal: proposal,
-			decideAt: 1,
-			received: make(map[model.Round][]model.Message),
-			flip:     true,
-		}, nil
-	}
-	_, err := Run(Config{
-		Synchrony:      model.ES,
-		Schedule:       sched.New(3, 1),
-		Proposals:      proposals(3),
-		Factory:        factory,
-		RunToMaxRounds: true,
-		MaxRounds:      3,
-	})
-	if !errors.Is(err, ErrUnstableDecision) {
-		t.Fatalf("err = %v, want ErrUnstableDecision", err)
-	}
-}
-
-func TestRunToMaxRounds(t *testing.T) {
-	res, err := Run(Config{
-		Synchrony:      model.ES,
-		Schedule:       sched.New(3, 1),
-		Proposals:      proposals(3),
-		Factory:        newProbeFactory(1, nil),
-		RunToMaxRounds: true,
-		MaxRounds:      5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != 5 {
-		t.Fatalf("rounds = %d, want 5", res.Rounds)
-	}
-	if gdr, ok := res.GlobalDecisionRound(); !ok || gdr != 1 {
-		t.Fatalf("global decision round = %d", gdr)
-	}
-}
-
 func TestSkipTrace(t *testing.T) {
 	res, err := Run(Config{
 		Synchrony: model.ES,
@@ -344,15 +297,14 @@ func TestTraceRecording(t *testing.T) {
 // TestMessageAccounting checks the message-complexity counters: in a
 // failure-free n-process run of r rounds, n² messages are sent and
 // delivered per round; losses and crashed receivers reduce deliveries
-// only.
+// only. The probes decide in the last round, so every round runs.
 func TestMessageAccounting(t *testing.T) {
 	res, err := Run(Config{
-		Synchrony:      model.ES,
-		Schedule:       sched.New(3, 1),
-		Proposals:      proposals(3),
-		Factory:        newProbeFactory(2, nil),
-		RunToMaxRounds: true,
-		MaxRounds:      4,
+		Synchrony: model.ES,
+		Schedule:  sched.New(3, 1),
+		Proposals: proposals(3),
+		Factory:   newProbeFactory(4, nil),
+		MaxRounds: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -366,12 +318,11 @@ func TestMessageAccounting(t *testing.T) {
 	s := sched.New(3, 1)
 	s.CrashSilent(3, 2)
 	res, err = Run(Config{
-		Synchrony:      model.ES,
-		Schedule:       s,
-		Proposals:      proposals(3),
-		Factory:        newProbeFactory(2, nil),
-		RunToMaxRounds: true,
-		MaxRounds:      3,
+		Synchrony: model.ES,
+		Schedule:  s,
+		Proposals: proposals(3),
+		Factory:   newProbeFactory(3, nil),
+		MaxRounds: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -404,12 +355,11 @@ func TestFootnote5CrashDelay(t *testing.T) {
 		t.Fatal("the delay must be illegal in SCS")
 	}
 	if _, err := Run(Config{
-		Synchrony:      model.ES,
-		Schedule:       s,
-		Proposals:      proposals(3),
-		Factory:        newProbeFactory(4, &store),
-		RunToMaxRounds: true,
-		MaxRounds:      4,
+		Synchrony: model.ES,
+		Schedule:  s,
+		Proposals: proposals(3),
+		Factory:   newProbeFactory(4, &store),
+		MaxRounds: 4,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -426,6 +376,83 @@ func TestFootnote5CrashDelay(t *testing.T) {
 	for _, m := range store[3].received[1] {
 		if m.From == 1 {
 			t.Fatal("p3 received the lost message")
+		}
+	}
+}
+
+// oneShot sends its proposal every round and decides it at the end of
+// round decideAt. It fails the test if the simulator calls it after its
+// Decision has reported.
+type oneShot struct {
+	t        *testing.T
+	self     model.ProcessID
+	proposal model.Value
+	decideAt model.Round
+	ended    []model.Round
+	decided  model.OptValue
+}
+
+func (a *oneShot) undecided(call string, k model.Round) {
+	if !a.decided.IsBottom() {
+		a.t.Errorf("p%d: %s(%d) called after its decision", a.self, call, k)
+	}
+}
+
+func (a *oneShot) Name() string { return "oneshot" }
+
+func (a *oneShot) StartRound(k model.Round) model.Payload {
+	a.undecided("StartRound", k)
+	return payload.Estimate{Est: a.proposal}
+}
+
+func (a *oneShot) EndRound(k model.Round, _ []model.Message) {
+	a.undecided("EndRound", k)
+	a.ended = append(a.ended, k)
+	if k >= a.decideAt {
+		a.decided = model.Some(a.proposal)
+	}
+}
+
+func (a *oneShot) Decision() (model.Value, bool) { return a.decided.Get() }
+
+// TestSimulatorRelaysAndAdoptsDecide pins the DECIDE rule the simulator
+// runs for every algorithm: p1 decides at round 1 and is never called
+// again while it floods DECIDE; p2 and p3 decide its value at round 2
+// from that DECIDE without their EndRound being called; p4, whose
+// round-2 DECIDE is delayed, decides at round 3 on the late one.
+func TestSimulatorRelaysAndAdoptsDecide(t *testing.T) {
+	s := sched.New(4, 1, sched.WithGSR(3))
+	s.Delay(2, 1, 4, 3)
+	algs := make([]*oneShot, 4)
+	res, err := Run(Config{
+		Synchrony: model.ES,
+		Schedule:  s,
+		Proposals: proposals(4),
+		Factory: func(ctx model.ProcessContext, v model.Value) (model.Algorithm, error) {
+			a := &oneShot{t: t, self: ctx.Self, proposal: v, decideAt: 1000}
+			if ctx.Self == 1 {
+				a.decideAt = 1
+			}
+			algs[ctx.Self-1] = a
+			return a, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Decision{{10, 1}, {10, 2}, {10, 2}, {10, 3}}
+	if !reflect.DeepEqual(res.Decisions, want) || res.Rounds != 3 {
+		t.Fatalf("decisions %v in %d rounds, want %v in 3", res.Decisions, res.Rounds, want)
+	}
+	for i, ended := range [][]model.Round{{1}, {1}, {1}, {1, 2}} {
+		if !reflect.DeepEqual(algs[i].ended, ended) {
+			t.Errorf("p%d EndRound rounds %v, want %v", i+1, algs[i].ended, ended)
+		}
+	}
+	p1 := res.Run.Proc(1)
+	for _, st := range p1.Steps[1:] {
+		if st.Sent != (payload.Decide{V: 10}) || !st.Completes || len(st.Received) == 0 {
+			t.Errorf("decided p1's round-%d step %+v: want DECIDE(10) sent and a receive set recorded", st.Round, st)
 		}
 	}
 }

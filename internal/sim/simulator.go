@@ -32,7 +32,7 @@ func NewSimulator() *Simulator { return &Simulator{} }
 
 // Run executes one run and returns its outcome, like the package-level Run
 // but reusing the Simulator's scratch state. The error is non-nil only for
-// configuration problems or algorithm contract violations.
+// configuration problems.
 func (sm *Simulator) Run(cfg Config) (*Result, error) {
 	s := cfg.Schedule
 	if s == nil {
@@ -144,11 +144,17 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 			if !s.SendsIn(p, k) {
 				continue
 			}
-			payload := algs[i].StartRound(k)
+			// A decided process is not called again: it floods DECIDE.
+			var pl model.Payload
+			if d := res.Decisions[i]; d.Decided() {
+				pl = payload.Decide{V: d.Value}
+			} else {
+				pl = algs[i].StartRound(k)
+			}
 			if run != nil {
 				var sent model.Payload
-				if payload != nil {
-					sent = payload.ClonePayload()
+				if pl != nil {
+					sent = pl.ClonePayload()
 				}
 				run.Procs[i].Steps = append(run.Procs[i].Steps, trace.Step{
 					Round: k,
@@ -180,23 +186,21 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 				if at > maxRounds {
 					continue
 				}
-				pl := payload
-				if cloneDeliveries && payload != nil {
-					pl = payload.ClonePayload()
+				msg := model.Message{From: p, Round: k, Payload: pl}
+				if cloneDeliveries && pl != nil {
+					msg.Payload = pl.ClonePayload()
 				}
 				if pending[at] == nil {
 					pending[at] = make([]delivery, 0, n*n)
 				}
-				pending[at] = append(pending[at], delivery{
-					to:  q,
-					msg: model.Message{From: p, Round: k, Payload: pl},
-				})
+				pending[at] = append(pending[at], delivery{to: q, msg: msg})
 			}
 		}
 
-		// Receive phase: every process that completes round k is handed
-		// the receive set its inbox assembles from everything the
-		// adversary delivers in round k.
+		// Receive phase: every process that completes round k gets the
+		// receive set its inbox assembles from everything the adversary
+		// delivers in round k. An undecided process decides a DECIDE the
+		// set holds; otherwise its algorithm is handed the set.
 		for i := range inbox {
 			inbox[i].Begin(k, n)
 		}
@@ -213,7 +217,20 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 				continue
 			}
 			msgs := inbox[i].Take()
-			algs[i].EndRound(k, msgs)
+			if !res.Decisions[i].Decided() {
+				v, ok := inbox[i].Decided()
+				if !ok {
+					algs[i].EndRound(k, msgs)
+					v, ok = algs[i].Decision()
+				}
+				if ok {
+					res.Decisions[i] = Decision{Value: v, Round: k}
+					if run != nil {
+						run.Procs[i].Decided = model.Some(v)
+						run.Procs[i].DecidedRound = k
+					}
+				}
+			}
 			if run != nil {
 				st := &run.Procs[i].Steps[len(run.Procs[i].Steps)-1]
 				st.Completes = true
@@ -223,22 +240,9 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 				}
 				st.Received = recv
 			}
-			if v, ok := algs[i].Decision(); ok {
-				if res.Decisions[i].Decided() {
-					if res.Decisions[i].Value != v {
-						return nil, fmt.Errorf("%w: p%d decided %d then %d", ErrUnstableDecision, p, res.Decisions[i].Value, v)
-					}
-				} else {
-					res.Decisions[i] = Decision{Value: v, Round: k}
-					if run != nil {
-						run.Procs[i].Decided = model.Some(v)
-						run.Procs[i].DecidedRound = k
-					}
-				}
-			}
 		}
 
-		if !cfg.RunToMaxRounds && allAliveDecided(s, res, k) {
+		if allAliveDecided(s, res, k) {
 			break
 		}
 	}
