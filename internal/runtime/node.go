@@ -209,7 +209,7 @@ func (n *node) decode(frame []byte) (model.Message, error) {
 		return m, err
 	}
 	if m.From < 1 || int(m.From) > n.cfg.N || m.Round < 1 {
-		return m, fmt.Errorf("runtime: frame from p%d in round %d outside the cluster's 1..%d", m.From, m.Round, n.cfg.N)
+		return m, fmt.Errorf("runtime: frame from p%d of round %d: want a sender in 1..%d and a round of at least 1", m.From, m.Round, n.cfg.N)
 	}
 	if n.shares && len(n.lastBytes) > 0 && bytes.Equal(raw, n.lastBytes) {
 		m.Payload = n.lastPayload
