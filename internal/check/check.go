@@ -13,6 +13,7 @@ package check
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -58,43 +59,11 @@ func (r Report) Err() error {
 // Consensus checks validity, uniform agreement and termination of one run
 // against the proposals it started from.
 func Consensus(res *sim.Result, proposals []model.Value) Report {
-	rep := Report{Validity: true, Agreement: true, Termination: true}
-
-	proposed := make(map[model.Value]struct{}, len(proposals))
-	for _, v := range proposals {
-		proposed[v] = struct{}{}
-	}
-
-	var (
-		firstValue   model.Value
-		firstDecider model.ProcessID
-		haveDecision bool
-	)
-	for i, d := range res.Decisions {
-		p := model.ProcessID(i + 1)
-		if !d.Decided() {
-			if res.CrashRounds[i] == 0 {
-				rep.Termination = false
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("termination: correct process p%d never decided", p))
-			}
-			continue
-		}
-		if d.Round > rep.GlobalDecisionRound {
-			rep.GlobalDecisionRound = d.Round
-		}
-		if _, ok := proposed[d.Value]; !ok {
-			rep.Validity = false
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("validity: p%d decided unproposed value %d", p, d.Value))
-		}
-		if !haveDecision {
-			firstValue, firstDecider, haveDecision = d.Value, p, true
-		} else if d.Value != firstValue {
-			rep.Agreement = false
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("agreement: p%d decided %d but p%d decided %d", firstDecider, firstValue, p, d.Value))
-		}
+	rep := checkDecisions(proposals, len(res.Decisions),
+		func(i int) (model.Value, bool) { return res.Decisions[i].Value, res.Decisions[i].Decided() },
+		func(i int) bool { return res.CrashRounds[i] != 0 })
+	for _, d := range res.Decisions {
+		rep.GlobalDecisionRound = max(rep.GlobalDecisionRound, d.Round)
 	}
 	return rep
 }
@@ -107,30 +76,35 @@ func Consensus(res *sim.Result, proposals []model.Value) Report {
 // decided. GlobalDecisionRound is not populated — live rounds live in the
 // runtime's NodeResults, not here.
 func Instance(decisions []model.OptValue, proposals []model.Value, crashed model.PIDSet) Report {
+	return checkDecisions(proposals, len(decisions),
+		func(i int) (model.Value, bool) { return decisions[i].Get() },
+		func(i int) bool { return crashed.Has(model.ProcessID(i + 1)) })
+}
+
+// checkDecisions checks validity, uniform agreement and termination over
+// the decisions of processes 1..n: decision(i) is process i+1's decision,
+// if it took one, and crashed(i) reports whether it crashed, which
+// exempts it from termination. Validity scans the proposals, at most
+// one per process.
+func checkDecisions(proposals []model.Value, n int, decision func(i int) (model.Value, bool), crashed func(i int) bool) Report {
 	rep := Report{Validity: true, Agreement: true, Termination: true}
-
-	proposed := make(map[model.Value]struct{}, len(proposals))
-	for _, v := range proposals {
-		proposed[v] = struct{}{}
-	}
-
 	var (
 		firstValue   model.Value
 		firstDecider model.ProcessID
 		haveDecision bool
 	)
-	for i, d := range decisions {
+	for i := 0; i < n; i++ {
 		p := model.ProcessID(i + 1)
-		v, ok := d.Get()
+		v, ok := decision(i)
 		if !ok {
-			if !crashed.Has(p) {
+			if !crashed(i) {
 				rep.Termination = false
 				rep.Violations = append(rep.Violations,
 					fmt.Sprintf("termination: correct process p%d never decided", p))
 			}
 			continue
 		}
-		if _, ok := proposed[v]; !ok {
+		if !slices.Contains(proposals, v) {
 			rep.Validity = false
 			rep.Violations = append(rep.Violations,
 				fmt.Sprintf("validity: p%d decided unproposed value %d", p, v))

@@ -12,12 +12,18 @@
 // round GSR, the paper's K: the first round from which delivery is
 // synchronous. A run is synchronous exactly when GSR = 1, and serial when
 // additionally at most one process crashes per round.
+//
+// A Schedule is stored densely — a crash table per process and a cell of
+// receiver masks per (round, sender) — so that the simulator's
+// per-message queries and the explorer's per-run rebuild hash nothing.
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 
 	"indulgence/internal/model"
@@ -66,6 +72,43 @@ type fateKey struct {
 	from, to model.ProcessID
 }
 
+// compareKeys orders fate keys by (round, from, to).
+func compareKeys(a, b fateKey) int {
+	switch {
+	case a.round != b.round:
+		return cmp.Compare(a.round, b.round)
+	case a.from != b.from:
+		return cmp.Compare(a.from, b.from)
+	default:
+		return cmp.Compare(a.to, b.to)
+	}
+}
+
+// cell holds the OnTime and Lost fates scheduled for one sender's
+// messages of one round, one bit per receiver: a receiver in explicit has
+// one, and it is Lost if the receiver is in lost.
+type cell struct {
+	explicit, lost model.PIDSet
+}
+
+// listedFate is a fate the cells do not hold: a Delayed one, or one no
+// cell can hold — a self-message, a process outside 1..n (or past
+// MaxProcesses), a round outside 1..maxCellRound, a kind other than
+// OnTime, Delayed and Lost, or an OnTime or Lost fate with a delivery
+// round.
+type listedFate struct {
+	key  fateKey
+	fate Fate
+}
+
+// compareListed orders a listed fate against a key.
+func compareListed(lf listedFate, k fateKey) int { return compareKeys(lf.key, k) }
+
+// maxCellRound is the last round the cells hold. A fate of a later round —
+// no run in this repository comes near — is listed, so that one far-off
+// round does not size the table.
+const maxCellRound = 1 << 10
+
 // strayCrash is a crash no dense table entry can hold: a process outside
 // 1..n, or a round below 1. It is kept only so that Validate reports it.
 type strayCrash struct {
@@ -77,21 +120,24 @@ type strayCrash struct {
 // not usable; construct with New. Schedules are mutable while being built
 // and should be treated as immutable once handed to the simulator.
 //
-// The per-message queries the simulator asks n² times a round answer
-// without hashing: crash rounds live in a dense per-process table, and a
-// per-round sender mask says which senders have any scheduled fate, so
-// a message whose sender has none is on time without a map lookup.
+// Nothing is hashed. Crash rounds live in a dense per-process table, and
+// OnTime and Lost fates in dense per-(round, sender) cells of receiver
+// masks, so the per-message queries the simulator asks n² times a round
+// are a bounds check and a bit test, and a crash that reaches a subset of
+// the receivers is one table write and one cell write. Only Delayed
+// messages, and fates no cell can hold, are listed one by one.
 type Schedule struct {
 	n, t int
 	gsr  model.Round
 	// crash[p-1] is p's crash round; 0 means p never crashes.
 	crash []model.Round
 	stray []strayCrash
-	fates map[fateKey]Fate
-	// fated[r] holds every sender in 1..MaxProcesses with at least one
-	// scheduled fate in round r ≥ 0; fates outside that grid are found
-	// by lookup alone (see ScheduledFrom).
-	fated       []model.PIDSet
+	// cells[(r-1)*n + from-1] holds the OnTime and Lost fates of from's
+	// round-r messages; the table grows to the last round they name.
+	cells []cell
+	// listed holds every other fate, sorted by key. A serial run has
+	// none.
+	listed      []listedFate
 	allowUnsafe bool
 }
 
@@ -119,7 +165,6 @@ func New(n, t int, opts ...Option) *Schedule {
 		t:     t,
 		gsr:   1,
 		crash: make([]model.Round, max(n, 0)),
-		fates: make(map[fateKey]Fate),
 	}
 	for _, o := range opts {
 		o(s)
@@ -161,13 +206,7 @@ func (s *Schedule) inRange(p model.ProcessID) bool {
 // CrashSilent schedules p to crash at the beginning of round r, before
 // sending any round-r message (every round-r message from p is lost).
 func (s *Schedule) CrashSilent(p model.ProcessID, r model.Round) *Schedule {
-	s.Crash(p, r)
-	for q := model.ProcessID(1); int(q) <= s.n; q++ {
-		if q != p {
-			s.SetFate(r, p, q, Fate{Kind: Lost})
-		}
-	}
-	return s
+	return s.CrashWithReceivers(p, r, 0)
 }
 
 // CrashWithReceivers schedules p to crash in round r such that exactly the
@@ -176,6 +215,14 @@ func (s *Schedule) CrashSilent(p model.ProcessID, r model.Round) *Schedule {
 // message, so its membership in receivers is irrelevant.
 func (s *Schedule) CrashWithReceivers(p model.ProcessID, r model.Round, receivers model.PIDSet) *Schedule {
 	s.Crash(p, r)
+	others := model.FullPIDSet(s.n)
+	others.Remove(p)
+	// One cell write, unless a listed fate of the row would have to be
+	// overwritten too.
+	if c := s.cellAt(r, p, true); c != nil && s.n <= model.MaxProcesses && !s.listedFrom(r, p) {
+		*c = cell{explicit: others, lost: others.Diff(receivers)}
+		return s
+	}
 	for q := model.ProcessID(1); int(q) <= s.n; q++ {
 		if q == p {
 			continue
@@ -192,18 +239,62 @@ func (s *Schedule) CrashWithReceivers(p model.ProcessID, r model.Round, receiver
 // SetFate schedules the fate of the message sent by from to to in round r.
 // Self-messages cannot be scheduled (they are always delivered in-round).
 func (s *Schedule) SetFate(r model.Round, from, to model.ProcessID, f Fate) *Schedule {
-	s.fates[fateKey{round: r, from: from, to: to}] = f
-	if onGrid(r, from) {
-		for int(r) >= len(s.fated) {
-			s.fated = append(s.fated, 0)
+	key := fateKey{round: r, from: from, to: to}
+	i, listed := slices.BinarySearchFunc(s.listed, key, compareListed)
+	var c *cell
+	if from != to && to >= 1 && int(to) <= min(s.n, model.MaxProcesses) {
+		c = s.cellAt(r, from, true)
+	}
+	if c != nil && (f == OnTimeFate || f == Fate{Kind: Lost}) {
+		if listed {
+			s.listed = slices.Delete(s.listed, i, i+1)
 		}
-		s.fated[r].Add(from)
+		c.explicit.Add(to)
+		if f.Kind == Lost {
+			c.lost.Add(to)
+		} else {
+			c.lost.Remove(to)
+		}
+		return s
+	}
+	if c != nil {
+		c.explicit.Remove(to)
+		c.lost.Remove(to)
+	}
+	if listed {
+		s.listed[i].fate = f
+	} else {
+		s.listed = slices.Insert(s.listed, i, listedFate{key: key, fate: f})
 	}
 	return s
 }
 
-// onGrid reports whether the sender mask can hold a fate of from's
-// round-r messages.
+// listedFrom reports whether a fate of from's round-r messages is listed.
+func (s *Schedule) listedFrom(r model.Round, from model.ProcessID) bool {
+	i, _ := slices.BinarySearchFunc(s.listed, fateKey{round: r, from: from, to: math.MinInt}, compareListed)
+	return i < len(s.listed) && s.listed[i].key.round == r && s.listed[i].key.from == from
+}
+
+// cellAt returns the cell of from's round-r messages, or nil if no cell
+// can hold them. With grow, the table grows to round r.
+func (s *Schedule) cellAt(r model.Round, from model.ProcessID, grow bool) *cell {
+	if r < 1 || r > maxCellRound || from < 1 || int(from) > s.n {
+		return nil
+	}
+	i := int(r-1)*s.n + int(from-1)
+	if i >= len(s.cells) {
+		if !grow {
+			return nil
+		}
+		old := len(s.cells)
+		s.cells = slices.Grow(s.cells, int(r)*s.n-old)[:int(r)*s.n]
+		clear(s.cells[old:])
+	}
+	return &s.cells[i]
+}
+
+// onGrid reports whether the cells and the list answer ScheduledFrom for
+// from's round-r messages; off it, ScheduledFrom answers true.
 func onGrid(r model.Round, from model.ProcessID) bool {
 	return r >= 0 && from >= 1 && from <= model.MaxProcesses
 }
@@ -223,11 +314,17 @@ func (s *Schedule) Drop(r model.Round, from, to model.ProcessID) *Schedule {
 // Unscheduled messages are delivered on time; self-messages are always on
 // time regardless of any scheduled fate.
 func (s *Schedule) FateOf(r model.Round, from, to model.ProcessID) Fate {
-	if from == to || !s.ScheduledFrom(r, from) {
+	if from == to {
 		return OnTimeFate
 	}
-	if f, ok := s.fates[fateKey{round: r, from: from, to: to}]; ok {
-		return f
+	if c := s.cellAt(r, from, false); c != nil && c.explicit.Has(to) {
+		if c.lost.Has(to) {
+			return Fate{Kind: Lost}
+		}
+		return OnTimeFate
+	}
+	if i, found := slices.BinarySearchFunc(s.listed, fateKey{round: r, from: from, to: to}, compareListed); found {
+		return s.listed[i].fate
 	}
 	return OnTimeFate
 }
@@ -236,10 +333,10 @@ func (s *Schedule) FateOf(r model.Round, from, to model.ProcessID) Fate {
 // scheduled fate. When it is false, every round-r message from p is
 // delivered on time, and callers may skip FateOf for each receiver.
 func (s *Schedule) ScheduledFrom(r model.Round, p model.ProcessID) bool {
-	if !onGrid(r, p) {
-		return true // off the mask: only the fate map knows
+	if c := s.cellAt(r, p, false); c != nil && c.explicit != 0 {
+		return true
 	}
-	return int(r) < len(s.fated) && s.fated[r].Has(p)
+	return !onGrid(r, p) || s.listedFrom(r, p)
 }
 
 // CrashRound returns the round in which p crashes, if it does.
@@ -303,12 +400,18 @@ func (s *Schedule) MaxScheduledRound() model.Round {
 			max = r
 		}
 	}
-	for k, f := range s.fates {
-		if k.round > max {
-			max = k.round
+	for i := len(s.cells) - 1; i >= 0 && model.Round(i/s.n+1) > max; i-- {
+		if s.cells[i].explicit != 0 {
+			max = model.Round(i/s.n + 1)
+			break
 		}
-		if f.Kind == Delayed && f.DeliverRound > max {
-			max = f.DeliverRound
+	}
+	for _, lf := range s.listed {
+		if lf.key.round > max {
+			max = lf.key.round
+		}
+		if lf.fate.Kind == Delayed && lf.fate.DeliverRound > max {
+			max = lf.fate.DeliverRound
 		}
 	}
 	return max
@@ -337,21 +440,43 @@ func (s *Schedule) CopyFrom(src *Schedule) *Schedule {
 	s.n, s.t, s.gsr, s.allowUnsafe = src.n, src.t, src.gsr, src.allowUnsafe
 	s.crash = append(s.crash[:0], src.crash...)
 	s.stray = append(s.stray[:0], src.stray...)
-	s.fated = append(s.fated[:0], src.fated...)
-	if s.fates == nil {
-		s.fates = make(map[fateKey]Fate, len(src.fates))
-	} else {
-		clear(s.fates)
-	}
-	for k, f := range src.fates {
-		s.fates[k] = f
-	}
+	s.cells = append(s.cells[:0], src.cells...)
+	s.listed = append(s.listed[:0], src.listed...)
 	return s
 }
 
 // Clone returns a deep copy of the schedule.
 func (s *Schedule) Clone() *Schedule {
-	return (&Schedule{fates: make(map[fateKey]Fate, len(s.fates))}).CopyFrom(s)
+	return new(Schedule).CopyFrom(s)
+}
+
+// fates yields every scheduled fate, self-messages included, in (round,
+// from, to) order: it merges the cells with the list.
+func (s *Schedule) fates(yield func(fateKey, Fate) bool) {
+	listed := s.listed
+	for i, c := range s.cells {
+		for m := c.explicit; m != 0; m &= m - 1 {
+			to := model.ProcessID(bits.TrailingZeros64(uint64(m)) + 1)
+			key := fateKey{round: model.Round(i/s.n + 1), from: model.ProcessID(i%s.n + 1), to: to}
+			for ; len(listed) > 0 && compareKeys(listed[0].key, key) < 0; listed = listed[1:] {
+				if !yield(listed[0].key, listed[0].fate) {
+					return
+				}
+			}
+			f := OnTimeFate
+			if c.lost.Has(to) {
+				f = Fate{Kind: Lost}
+			}
+			if !yield(key, f) {
+				return
+			}
+		}
+	}
+	for _, lf := range listed {
+		if !yield(lf.key, lf.fate) {
+			return
+		}
+	}
 }
 
 // String renders a compact, deterministic description of the schedule,
@@ -367,22 +492,7 @@ func (s *Schedule) String() string {
 	for _, c := range s.stray {
 		fmt.Fprintf(&b, " crash(p%d@r%d)", c.p, c.r)
 	}
-	keys := make([]fateKey, 0, len(s.fates))
-	for k := range s.fates {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.round != b.round {
-			return a.round < b.round
-		}
-		if a.from != b.from {
-			return a.from < b.from
-		}
-		return a.to < b.to
-	})
-	for _, k := range keys {
-		f := s.fates[k]
+	for k, f := range s.fates {
 		switch f.Kind {
 		case Lost:
 			fmt.Fprintf(&b, " drop(r%d p%d->p%d)", k.round, k.from, k.to)

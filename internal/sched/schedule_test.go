@@ -174,7 +174,7 @@ func TestCopyFrom(t *testing.T) {
 		t.Fatal("CopyFrom aliased the crash map")
 	}
 	if proto.FateOf(2, 1, 2).Kind != OnTime {
-		t.Fatal("CopyFrom aliased the fate map")
+		t.Fatal("CopyFrom aliased the fate cells")
 	}
 
 	// Repeated CopyFrom restores the prototype state exactly.
@@ -186,15 +186,24 @@ func TestCopyFrom(t *testing.T) {
 
 // TestHotPathQueriesDoNotAllocate pins the per-message queries the
 // simulator asks n² times a round, for senders with and without a
-// scheduled fate, and a crashed and a correct process.
+// scheduled fate — a lost, an explicitly on-time, a delayed and an
+// unscheduled message, and one off the cells — and a crashed and a
+// correct process.
 func TestHotPathQueriesDoNotAllocate(t *testing.T) {
 	s := New(5, 2)
 	s.CrashWithReceivers(2, 3, model.NewPIDSet(1, 4))
 	s.Delay(1, 3, 4, 2)
+	s.Drop(0, 1, 2)
 	var sink int
 	cases := map[string]func(){
 		"FateOf": func() {
-			sink += int(s.FateOf(3, 2, 5).Kind) + int(s.FateOf(3, 1, 5).Kind) + int(s.FateOf(1, 3, 4).Kind)
+			sink += int(s.FateOf(3, 2, 5).Kind) + int(s.FateOf(3, 2, 4).Kind) + int(s.FateOf(3, 1, 5).Kind) +
+				int(s.FateOf(1, 3, 4).Kind) + int(s.FateOf(0, 1, 2).Kind) + int(s.FateOf(9, 2, 5).Kind)
+		},
+		"ScheduledFrom": func() {
+			if s.ScheduledFrom(3, 2) || s.ScheduledFrom(3, 1) || s.ScheduledFrom(0, 1) || s.ScheduledFrom(9, 2) {
+				sink++
+			}
 		},
 		"SendsIn": func() {
 			if s.SendsIn(2, 4) || s.SendsIn(1, 9) {
@@ -232,17 +241,28 @@ func TestCopyFromRebuildDoesNotAllocate(t *testing.T) {
 		scratch.CrashWithReceivers(3, 2, heard3)
 		scratch.CrashWithReceivers(5, 4, heard5)
 	}
-	rebuild() // warm-up: grows the fate map and the sender mask
+	rebuild() // warm-up: grows the cells
 	if allocs := testing.AllocsPerRun(100, rebuild); allocs != 0 {
 		t.Fatalf("CopyFrom + two CrashWithReceivers: %v allocs, want 0", allocs)
 	}
 	if got, want := scratch.String(), "sched{n=6 t=2 gsr=1 crash(p3@r2) crash(p5@r4)"; !strings.HasPrefix(got, want) {
 		t.Fatalf("rebuilt schedule %s, want prefix %s", got, want)
 	}
+
+	// A prototype with a delayed fate and a stray one takes the
+	// message-by-message path, and rebuilds without allocating too.
+	proto.Delay(1, 2, 4, 3).Drop(1, 6, 6)
+	rebuild()
+	if allocs := testing.AllocsPerRun(100, rebuild); allocs != 0 {
+		t.Fatalf("CopyFrom + two CrashWithReceivers past a delay: %v allocs, want 0", allocs)
+	}
+	if got, want := scratch.FateOf(2, 3, 4), (Fate{Kind: Lost}); got != want {
+		t.Fatalf("rebuilt fate r2 p3->p4 = %v, want %v", got, want)
+	}
 }
 
-// TestScheduledFromMask checks the per-round sender mask behind FateOf's
-// lookup-free answer: set by SetFate, carried by CopyFrom and Clone.
+// TestScheduledFromMask checks ScheduledFrom, which lets the simulator skip
+// FateOf for a sender: set by SetFate, carried by CopyFrom and Clone.
 func TestScheduledFromMask(t *testing.T) {
 	s := New(4, 1)
 	if s.ScheduledFrom(1, 1) {

@@ -44,7 +44,9 @@ var (
 //     round k ≥ GSR may still have its round-k messages lost or delayed).
 //
 // Validate returns the first violation found, wrapped around one of the
-// exported sentinel errors.
+// exported sentinel errors: a shape error first, then the first bad fate
+// in (round, from, to) order, then the first round and receiver short of
+// n−t messages.
 func (s *Schedule) Validate(syn model.Synchrony) error {
 	if err := s.validateShape(syn); err != nil {
 		return err

@@ -258,3 +258,15 @@ func TestValidateRejectsStrayCrash(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateReportsFirstFateInOrder pins which of several bad fates
+// Validate reports: the first in (round, from, to) order, on every call.
+func TestValidateReportsFirstFateInOrder(t *testing.T) {
+	s := New(5, 2).Drop(3, 4, 5).Drop(1, 1, 2).Drop(2, 3, 4)
+	want := "sched: reliable channels violated: lost message r1 p1->p2 between correct processes"
+	for i := 0; i < 100; i++ {
+		if err := s.Validate(model.ES); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Validate() = %v, want %s", i, err, want)
+		}
+	}
+}

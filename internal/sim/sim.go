@@ -6,11 +6,13 @@
 // and the indistinguishability constructions reproducible.
 //
 // The simulator owns the adversary: the schedule's fates decide which
-// messages reach which process in which round. What a receive set holds
-// is not its own rule: each process's payload.Inbox assembles it — one
-// round-k message per sender plus the delayed messages of earlier rounds,
-// sorted by (round, sender) — the same type the live runtime's nodes
-// assemble their receive sets with. The simulator also runs the DECIDE
+// messages reach which process in which round. Each round, every sender's
+// message is stored once, with the receivers it does not reach in that
+// round; only a delayed message is queued for the round that delivers it.
+// What a receive set holds is not its own rule: each process's
+// payload.Inbox assembles it — one round-k message per sender plus the
+// delayed messages of earlier rounds, sorted by (round, sender) — the
+// same type the live runtime's nodes assemble their receive sets with. The simulator also runs the DECIDE
 // rule for every algorithm: a process whose receive set holds a DECIDE
 // decides its value without its EndRound being called, and a decided
 // process is never called again but floods DECIDE every round until

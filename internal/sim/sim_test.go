@@ -456,3 +456,64 @@ func TestSimulatorRelaysAndAdoptsDecide(t *testing.T) {
 		}
 	}
 }
+
+// quiet sends one pre-built payload every round and decides its proposal
+// at the end of round decideAt. It allocates nothing.
+type quiet struct {
+	proposal model.Value
+	decideAt model.Round
+	decided  model.OptValue
+}
+
+var quietPayload model.Payload = payload.Estimate{Est: 7}
+
+func (a *quiet) Name() string                         { return "quiet" }
+func (a *quiet) StartRound(model.Round) model.Payload { return quietPayload }
+func (a *quiet) EndRound(k model.Round, _ []model.Message) {
+	if k >= a.decideAt {
+		a.decided = model.Some(a.proposal)
+	}
+}
+func (a *quiet) Decision() (model.Value, bool) { return a.decided.Get() }
+
+// TestWarmRunAllocatesOnlyResult pins the simulator's own allocations: once
+// a Simulator has run a schedule, running it again allocates the Result
+// and its two slices and nothing else — no broadcast table, no queue of
+// delayed messages, no inbox — when the algorithms allocate nothing. The
+// schedule takes every delivery path: on time, lost, delayed, a crash
+// heard by some receivers, and the DECIDE flood of an early decider.
+func TestWarmRunAllocatesOnlyResult(t *testing.T) {
+	s := sched.New(5, 2, sched.WithGSR(3))
+	s.Delay(1, 1, 2, 2).Delay(2, 3, 4, 3).CrashWithReceivers(5, 2, model.NewPIDSet(1, 2))
+	algs := make([]quiet, 5)
+	cfg := Config{
+		Synchrony: model.ES,
+		Schedule:  s,
+		Proposals: proposals(5),
+		Factory: func(ctx model.ProcessContext, v model.Value) (model.Algorithm, error) {
+			a := &algs[ctx.Self-1]
+			*a = quiet{proposal: v, decideAt: 4}
+			if ctx.Self == 1 {
+				a.decideAt = 2
+			}
+			return a, nil
+		},
+		SkipTrace: true,
+	}
+	sm := NewSimulator()
+	res, err := sm.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Decision{{10, 2}, {10, 3}, {10, 3}, {10, 3}, {}}; !reflect.DeepEqual(res.Decisions, want) {
+		t.Fatalf("decisions %v, want %v", res.Decisions, want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := sm.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 3 {
+		t.Fatalf("warm Run: %v allocs, want 3 (the Result, its Decisions and CrashRounds)", allocs)
+	}
+}

@@ -9,12 +9,18 @@ import (
 	"indulgence/internal/trace"
 )
 
-// Simulator executes runs while reusing its scratch state — the pending
-// delivery queues, the per-process inboxes and the algorithm table — so
-// that repeated simulations (the exhaustive explorer, the random sweeps)
-// stop paying the per-run setup cost. A Simulator is not safe for
-// concurrent use; spawn one per goroutine (RunBatch and the lower-bound
-// explorer do exactly that).
+// Simulator executes runs while reusing its scratch state — the round's
+// broadcast table, the queues of delayed messages, the per-process
+// inboxes and the algorithm table — so that repeated simulations (the
+// exhaustive explorer, the random sweeps) stop paying the per-run setup
+// cost. A Simulator is not safe for concurrent use; spawn one per
+// goroutine (RunBatch and the lower-bound explorer do exactly that).
+//
+// A round's messages are not queued one by one. The broadcast table holds
+// each sender's round-k message once, with the receivers it does not
+// reach in round k; the receive phase hands each completing receiver the
+// message of every sender that reaches it. Only a Delayed message is
+// queued, for the round that delivers it.
 //
 // The Result returned by Run is freshly allocated and remains valid after
 // subsequent runs. Message payloads inside a recorded trace are deep
@@ -22,8 +28,18 @@ import (
 // model.Payload.
 type Simulator struct {
 	algs    []model.Algorithm
-	pending [][]delivery    // pending[r]: deliveries due in round r
+	sent    []broadcast     // sent[i]: process i+1's message of the round
+	pending [][]delivery    // pending[r]: delayed messages due in round r
 	inbox   []payload.Inbox // inbox[i]: process i+1's receive sets
+}
+
+// broadcast is one sender's message of the current round.
+type broadcast struct {
+	sends bool // the sender broadcasts this round
+	msg   model.Message
+	// late holds the receivers that do not get msg this round: its fate
+	// is Lost or Delayed.
+	late model.PIDSet
 }
 
 // NewSimulator returns a Simulator with empty scratch state. The zero
@@ -113,7 +129,7 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 	}
 
 	// pending is indexed by delivery round; entries keep their backing
-	// arrays across runs. Deliveries scheduled past maxRounds can never be
+	// arrays across runs. Delayed messages due past maxRounds can never be
 	// received and are dropped at enqueue time.
 	pending := sm.pending
 	if int(maxRounds) >= cap(pending) {
@@ -131,6 +147,10 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 	}
 	inbox = inbox[:n]
 	sm.inbox = inbox
+	if n > cap(sm.sent) {
+		sm.sent = make([]broadcast, n)
+	}
+	sent := sm.sent[:n]
 
 	executed := model.Round(0)
 
@@ -141,7 +161,9 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 		// in-round).
 		for i := 0; i < n; i++ {
 			p := model.ProcessID(i + 1)
-			if !s.SendsIn(p, k) {
+			b := &sent[i]
+			b.sends = s.SendsIn(p, k)
+			if !b.sends {
 				continue
 			}
 			// A decided process is not called again: it floods DECIDE.
@@ -152,55 +174,57 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 				pl = algs[i].StartRound(k)
 			}
 			if run != nil {
-				var sent model.Payload
+				var clone model.Payload
 				if pl != nil {
-					sent = pl.ClonePayload()
+					clone = pl.ClonePayload()
 				}
 				run.Procs[i].Steps = append(run.Procs[i].Steps, trace.Step{
 					Round: k,
-					Sent:  sent,
+					Sent:  clone,
 					Sends: true,
 				})
 			}
+			b.msg = model.Message{From: p, Round: k, Payload: pl}
+			b.late = 0
+			res.MessagesSent += n
 			// A sender with no scheduled fate this round reaches every
 			// receiver on time: no per-receiver fate lookup.
-			scheduled := s.ScheduledFrom(k, p)
+			if !s.ScheduledFrom(k, p) {
+				continue
+			}
 			for j := 0; j < n; j++ {
 				q := model.ProcessID(j + 1)
-				res.MessagesSent++
-				fate := sched.OnTimeFate
-				if scheduled {
-					fate = s.FateOf(k, p, q)
-				}
-				var at model.Round
-				switch fate.Kind {
+				switch fate := s.FateOf(k, p, q); fate.Kind {
 				case sched.OnTime:
-					at = k
-				case sched.Delayed:
-					at = fate.DeliverRound
 				case sched.Lost:
-					continue
+					b.late.Add(q)
+				case sched.Delayed:
+					b.late.Add(q)
+					at := fate.DeliverRound
+					if at > maxRounds {
+						continue
+					}
+					msg := b.msg
+					if cloneDeliveries && pl != nil {
+						msg.Payload = pl.ClonePayload()
+					}
+					if pending[at] == nil {
+						pending[at] = make([]delivery, 0, n)
+					}
+					pending[at] = append(pending[at], delivery{to: q, msg: msg})
 				default:
 					return nil, fmt.Errorf("%w: invalid fate kind %v", ErrConfig, fate.Kind)
 				}
-				if at > maxRounds {
-					continue
-				}
-				msg := model.Message{From: p, Round: k, Payload: pl}
-				if cloneDeliveries && pl != nil {
-					msg.Payload = pl.ClonePayload()
-				}
-				if pending[at] == nil {
-					pending[at] = make([]delivery, 0, n*n)
-				}
-				pending[at] = append(pending[at], delivery{to: q, msg: msg})
 			}
 		}
 
 		// Receive phase: every process that completes round k gets the
 		// receive set its inbox assembles from everything the adversary
-		// delivers in round k. An undecided process decides a DECIDE the
-		// set holds; otherwise its algorithm is handed the set.
+		// delivers in round k — the delayed messages due now and the
+		// round-k message of every sender that reaches it. Every set is
+		// assembled before any algorithm sees its own. An undecided
+		// process decides a DECIDE the set holds; otherwise its
+		// algorithm is handed the set.
 		for i := range inbox {
 			inbox[i].Begin(k, n)
 		}
@@ -210,6 +234,24 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 			}
 			res.MessagesDelivered++
 			inbox[d.to-1].Add(d.msg)
+		}
+		for j := range inbox {
+			q := model.ProcessID(j + 1)
+			if !s.CompletesRound(q, k) {
+				continue
+			}
+			for i := range sent {
+				b := &sent[i]
+				if !b.sends || b.late.Has(q) {
+					continue
+				}
+				msg := b.msg
+				if cloneDeliveries && msg.Payload != nil {
+					msg.Payload = msg.Payload.ClonePayload()
+				}
+				res.MessagesDelivered++
+				inbox[j].Add(msg)
+			}
 		}
 		for i := 0; i < n; i++ {
 			p := model.ProcessID(i + 1)
