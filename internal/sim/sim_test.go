@@ -78,6 +78,10 @@ func TestRunConfigErrors(t *testing.T) {
 		{"bad proposals", func(c Config) Config { c.Proposals = proposals(2); return c }},
 		{"nil factory", func(c Config) Config { c.Factory = nil; return c }},
 		{"bad synchrony", func(c Config) Config { c.Synchrony = 0; return c }},
+		{"too many processes, unvalidated", func(c Config) Config {
+			c.Schedule, c.Proposals, c.SkipValidation = sched.New(65, 1), proposals(65), true
+			return c
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

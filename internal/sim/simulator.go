@@ -55,6 +55,10 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("%w: nil schedule", ErrConfig)
 	}
 	n := s.N()
+	if n > model.MaxProcesses {
+		// Receiver sets are PIDSets, even when validation is skipped.
+		return nil, fmt.Errorf("%w: n=%d exceeds %d processes", ErrConfig, n, model.MaxProcesses)
+	}
 	if len(cfg.Proposals) != n {
 		return nil, fmt.Errorf("%w: %d proposals for n=%d", ErrConfig, len(cfg.Proposals), n)
 	}
