@@ -2,10 +2,22 @@ package payload
 
 import (
 	"bytes"
+	"encoding/hex"
+	"flag"
+	"os"
+	"strings"
 	"testing"
 
 	"indulgence/internal/model"
 )
+
+// updateDigests rewrites testdata/digest.golden from the current tree. A
+// payload's digest drives run digests and the indistinguishability
+// checks, so only a change that means to move an encoding may regenerate
+// it.
+var updateDigests = flag.Bool("update-digests", false, "rewrite testdata/digest.golden")
+
+const digestGolden = "testdata/digest.golden"
 
 // allPayloads returns one instance of every payload type.
 func allPayloads() []model.Payload {
@@ -165,5 +177,29 @@ func TestDigestStability(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Errorf("%s digest differs from its clone's", typeName(p))
 		}
+	}
+}
+
+// TestDigestGolden pins Kind() + AppendDigest of every sample payload,
+// one hex line each, against testdata/digest.golden.
+func TestDigestGolden(t *testing.T) {
+	var b strings.Builder
+	for _, p := range allPayloads() {
+		d := p.AppendDigest(model.AppendDigestString(nil, p.Kind()))
+		b.WriteString(typeName(p) + " " + hex.EncodeToString(d) + "\n")
+	}
+	got := b.String()
+	if *updateDigests {
+		if err := os.WriteFile(digestGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(digestGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("digests moved:\n got\n%s want\n%s", got, want)
 	}
 }
