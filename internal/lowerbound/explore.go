@@ -294,17 +294,18 @@ type explorer struct {
 	root *sim.Result
 }
 
-// missingSets enumerates the candidate sets of receivers that miss a
-// crashing process p's last messages.
-func (e *explorer) missingSets(p model.ProcessID) []model.PIDSet {
-	others := make([]model.ProcessID, 0, e.cfg.N-1)
-	for q := model.ProcessID(1); int(q) <= e.cfg.N; q++ {
+// missingSets enumerates, in the order mode fixes, the candidate sets of
+// receivers that miss a crashing process p's last messages in a system of
+// n processes. The explorer and the bivalent search both branch on it.
+func missingSets(n int, p model.ProcessID, mode SubsetMode) []model.PIDSet {
+	others := make([]model.ProcessID, 0, n-1)
+	for q := model.ProcessID(1); int(q) <= n; q++ {
 		if q != p {
 			others = append(others, q)
 		}
 	}
-	if e.cfg.Mode == PrefixSubsets {
-		sets := make([]model.PIDSet, 0, e.cfg.N)
+	if mode == PrefixSubsets {
+		sets := make([]model.PIDSet, 0, n)
 		var cur model.PIDSet
 		sets = append(sets, cur)
 		for _, q := range others {
@@ -576,7 +577,7 @@ func foldSerialRuns[P any](cfg Config, newP func() P, visit func(P, *sched.Sched
 	}
 	e := &explorer{cfg: cfg, miss: make([][]model.PIDSet, cfg.N)}
 	for p := model.ProcessID(1); int(p) <= cfg.N; p++ {
-		e.miss[p-1] = e.missingSets(p)
+		e.miss[p-1] = missingSets(cfg.N, p, cfg.Mode)
 	}
 	branches := e.branches()
 	first := e.newWorker()

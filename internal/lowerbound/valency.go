@@ -207,33 +207,7 @@ func oneRoundExtensions(cfg Config, prefix *sched.Schedule, r model.Round) []*sc
 		if !prefix.Correct(p) {
 			continue
 		}
-		others := make([]model.ProcessID, 0, cfg.N-1)
-		for q := model.ProcessID(1); int(q) <= cfg.N; q++ {
-			if q != p {
-				others = append(others, q)
-			}
-		}
-		var missingSets []model.PIDSet
-		if cfg.Mode == AllSubsets {
-			total := 1 << len(others)
-			for mask := 0; mask < total; mask++ {
-				var miss model.PIDSet
-				for i, q := range others {
-					if mask&(1<<i) != 0 {
-						miss.Add(q)
-					}
-				}
-				missingSets = append(missingSets, miss)
-			}
-		} else {
-			var miss model.PIDSet
-			missingSets = append(missingSets, miss)
-			for _, q := range others {
-				miss.Add(q)
-				missingSets = append(missingSets, miss)
-			}
-		}
-		for _, miss := range missingSets {
+		for _, miss := range missingSets(cfg.N, p, cfg.Mode) {
 			ext := prefix.Clone()
 			receivers := full.Diff(miss)
 			receivers.Remove(p)
