@@ -153,25 +153,15 @@ func (m Message) AppendDigest(dst []byte) []byte {
 	return m.Payload.AppendDigest(dst)
 }
 
-// Clone returns a deep copy of m.
-func (m Message) Clone() Message {
-	c := m
-	if m.Payload != nil {
-		c.Payload = m.Payload.ClonePayload()
-	}
-	return c
-}
-
-// Payload is the algorithm-specific content of a message. Payloads are
-// shared-immutable: once a payload has been returned from StartRound it
-// must never be mutated again — not by the sender and not by any receiver.
-// Under that contract the simulator delivers the same payload value to
-// every recipient without cloning; ClonePayload returns a deep copy for
-// the cases that still need ownership (trace recording, wire hand-off, and
-// algorithms that opt out of the contract via PayloadMutator). AppendDigest
-// must be a deterministic, injective-per-Kind encoding (it drives run
-// digests and the indistinguishability checks behind the paper's
-// lower-bound argument).
+// Payload is the algorithm-specific content of a message. A payload is a
+// value, as a message is in the paper's round model: once StartRound has
+// returned it, it is never mutated again — not by the sender, not by any
+// receiver. Every round engine relies on that: the simulator hands one
+// payload to every receiver and keeps it in a recorded trace, and the live
+// node hands one decoded payload to every frame with equal bytes.
+// AppendDigest must be a deterministic, injective-per-Kind encoding (it
+// drives run digests and the indistinguishability checks behind the
+// paper's lower-bound argument).
 type Payload interface {
 	// Kind returns a short stable identifier of the payload type, unique
 	// across all payload types in the repository (used by digests and the
@@ -179,8 +169,6 @@ type Payload interface {
 	Kind() string
 	// AppendDigest appends a deterministic encoding of the payload to dst.
 	AppendDigest(dst []byte) []byte
-	// ClonePayload returns a deep copy.
-	ClonePayload() Payload
 }
 
 // Algorithm is the deterministic round state machine executed by one
@@ -199,9 +187,9 @@ type Payload interface {
 //     is only valid for the duration of the call (the simulator reuses its
 //     backing array across rounds); algorithms that retain messages must
 //     copy the slice. Payloads inside delivered messages are shared with
-//     the sender and the other recipients and must not be mutated (see
-//     Payload); an algorithm that needs to mutate them declares it via
-//     PayloadMutator and receives private clones instead.
+//     the sender and the other recipients and are never mutated (see
+//     Payload); an algorithm that needs different contents builds a new
+//     payload.
 //
 // Decision reports the decided value as soon as the algorithm decides;
 // it is asked after every EndRound. Once it reports, the algorithm is
@@ -222,18 +210,6 @@ type Algorithm interface {
 	EndRound(k Round, delivered []Message)
 	// Decision returns the decided value, if any.
 	Decision() (Value, bool)
-}
-
-// PayloadMutator is an optional extension of Algorithm for implementations
-// that mutate the payloads handed to EndRound (none of the algorithms in
-// this repository do). When any algorithm of a run reports true, the
-// simulator falls back to cloning every delivered payload per recipient,
-// restoring exclusive ownership at the cost of the allocation-free
-// shared-immutable fast path.
-type PayloadMutator interface {
-	// MutatesReceivedPayloads reports whether EndRound may mutate the
-	// payloads of the messages it is handed.
-	MutatesReceivedPayloads() bool
 }
 
 // Factory constructs one process's algorithm instance. It is invoked once

@@ -1,11 +1,11 @@
 // Package payload defines the message payloads exchanged by the consensus
-// algorithms in this repository. Payloads are immutable value carriers
-// implementing model.Payload: a stable Kind tag, a deterministic digest
-// encoding (used for run digests and indistinguishability checks) and deep
-// cloning for safe hand-off between processes. Inbox is the ES round
-// model's receive-set rule, shared by the simulator and the live node, and
-// the one place a DECIDE is read: both round engines adopt and relay
-// DECIDE through it, so no algorithm sends or scans for one.
+// algorithms in this repository. Payloads are immutable values
+// implementing model.Payload: a stable Kind tag and a deterministic digest
+// encoding (used for run digests and indistinguishability checks); every
+// receiver of a message reads the one payload its sender built. Inbox is
+// the ES round model's receive-set rule, shared by the simulator and the
+// live node, and the one place a DECIDE is read: both round engines adopt
+// and relay DECIDE through it, so no algorithm sends or scans for one.
 package payload
 
 import (
@@ -64,9 +64,6 @@ func (p Values) Kind() string { return KindValues }
 // AppendDigest implements model.Payload.
 func (p Values) AppendDigest(dst []byte) []byte { return model.AppendDigestValues(dst, p.Vals) }
 
-// ClonePayload implements model.Payload.
-func (p Values) ClonePayload() model.Payload { return Values{Vals: slices.Clone(p.Vals)} }
-
 // String implements fmt.Stringer.
 func (p Values) String() string { return fmt.Sprintf("VALUES%v", p.Vals) }
 
@@ -88,9 +85,6 @@ func (p EstHalt) AppendDigest(dst []byte) []byte {
 	return model.AppendDigestPIDSet(dst, p.Halt)
 }
 
-// ClonePayload implements model.Payload.
-func (p EstHalt) ClonePayload() model.Payload { return p }
-
 // String implements fmt.Stringer.
 func (p EstHalt) String() string { return fmt.Sprintf("ESTIMATE(est=%d halt=%v)", p.Est, p.Halt) }
 
@@ -106,9 +100,6 @@ func (p NewEstimate) Kind() string { return KindNewEstimate }
 
 // AppendDigest implements model.Payload.
 func (p NewEstimate) AppendDigest(dst []byte) []byte { return model.AppendDigestOptValue(dst, p.NE) }
-
-// ClonePayload implements model.Payload.
-func (p NewEstimate) ClonePayload() model.Payload { return p }
 
 // String implements fmt.Stringer.
 func (p NewEstimate) String() string { return fmt.Sprintf("NEWESTIMATE(%v)", p.NE) }
@@ -127,9 +118,6 @@ func (p Decide) Kind() string { return KindDecide }
 
 // AppendDigest implements model.Payload.
 func (p Decide) AppendDigest(dst []byte) []byte { return model.AppendDigestInt(dst, int64(p.V)) }
-
-// ClonePayload implements model.Payload.
-func (p Decide) ClonePayload() model.Payload { return p }
 
 // String implements fmt.Stringer.
 func (p Decide) String() string { return fmt.Sprintf("DECIDE(%d)", p.V) }
@@ -153,9 +141,6 @@ func (p Estimate) AppendDigest(dst []byte) []byte {
 	return model.AppendDigestInt(dst, int64(p.TS))
 }
 
-// ClonePayload implements model.Payload.
-func (p Estimate) ClonePayload() model.Payload { return p }
-
 // String implements fmt.Stringer.
 func (p Estimate) String() string { return fmt.Sprintf("EST(est=%d ts=%d)", p.Est, p.TS) }
 
@@ -170,9 +155,6 @@ func (p Propose) Kind() string { return KindPropose }
 
 // AppendDigest implements model.Payload.
 func (p Propose) AppendDigest(dst []byte) []byte { return model.AppendDigestInt(dst, int64(p.V)) }
-
-// ClonePayload implements model.Payload.
-func (p Propose) ClonePayload() model.Payload { return p }
 
 // String implements fmt.Stringer.
 func (p Propose) String() string { return fmt.Sprintf("PROPOSE(%d)", p.V) }
@@ -189,9 +171,6 @@ func (p Ack) Kind() string { return KindAck }
 
 // AppendDigest implements model.Payload.
 func (p Ack) AppendDigest(dst []byte) []byte { return model.AppendDigestOptValue(dst, p.Val) }
-
-// ClonePayload implements model.Payload.
-func (p Ack) ClonePayload() model.Payload { return p }
 
 // String implements fmt.Stringer.
 func (p Ack) String() string { return fmt.Sprintf("ACK(%v)", p.Val) }
@@ -218,9 +197,6 @@ func (p AckEst) AppendDigest(dst []byte) []byte {
 	return model.AppendDigestOptValue(dst, p.Ack)
 }
 
-// ClonePayload implements model.Payload.
-func (p AckEst) ClonePayload() model.Payload { return p }
-
 // String implements fmt.Stringer.
 func (p AckEst) String() string {
 	return fmt.Sprintf("ACKEST(est=%d ts=%d ack=%v)", p.Est, p.TS, p.Ack)
@@ -237,9 +213,6 @@ func (p Adopt) Kind() string { return KindAdopt }
 
 // AppendDigest implements model.Payload.
 func (p Adopt) AppendDigest(dst []byte) []byte { return model.AppendDigestInt(dst, int64(p.Est)) }
-
-// ClonePayload implements model.Payload.
-func (p Adopt) ClonePayload() model.Payload { return p }
 
 // String implements fmt.Stringer.
 func (p Adopt) String() string { return fmt.Sprintf("ADOPT(%d)", p.Est) }
@@ -263,14 +236,6 @@ func (p Wrap) AppendDigest(dst []byte) []byte {
 	}
 	dst = model.AppendDigestString(dst, p.Inner.Kind())
 	return p.Inner.AppendDigest(dst)
-}
-
-// ClonePayload implements model.Payload.
-func (p Wrap) ClonePayload() model.Payload {
-	if p.Inner == nil {
-		return Wrap{}
-	}
-	return Wrap{Inner: p.Inner.ClonePayload()}
 }
 
 // String implements fmt.Stringer.

@@ -33,13 +33,10 @@ type node struct {
 	// The round machinery, kept for the node's life. inbox assembles
 	// every round's receive set and holds future-round frames; poll is
 	// made at the first receive phase and re-armed at every round start.
-	// shares is false when the algorithm mutates received payloads;
-	// otherwise lastBytes holds the payload bytes of the last frame
-	// decoded (frames are immutable once sent) and lastPayload what they
-	// decoded to.
+	// lastBytes holds the payload bytes of the last frame decoded (frames
+	// are immutable once sent) and lastPayload what they decoded to.
 	inbox       payload.Inbox
 	poll        clock.Ticker
-	shares      bool
 	lastBytes   []byte
 	lastPayload model.Payload
 
@@ -199,10 +196,9 @@ func (n *node) collect(ctx context.Context, k model.Round) ([]model.Message, boo
 
 // decode decodes one message frame. A frame from a sender outside 1..n or
 // of a round below 1 is malformed: no process sends it. A frame whose
-// payload bytes equal the last decoded frame's gets that frame's payload,
-// unless the algorithm mutates received payloads: payloads are
-// shared-immutable, and from round 2 on most of a round's frames carry
-// identical payload bytes.
+// payload bytes equal the last decoded frame's gets that frame's payload:
+// payloads are never mutated, and from round 2 on most of a round's
+// frames carry identical payload bytes.
 func (n *node) decode(frame []byte) (model.Message, error) {
 	m, raw, err := wire.SplitMessage(frame)
 	if err != nil {
@@ -211,16 +207,14 @@ func (n *node) decode(frame []byte) (model.Message, error) {
 	if m.From < 1 || int(m.From) > n.cfg.N || m.Round < 1 {
 		return m, fmt.Errorf("runtime: frame from p%d of round %d: want a sender in 1..%d and a round of at least 1", m.From, m.Round, n.cfg.N)
 	}
-	if n.shares && len(n.lastBytes) > 0 && bytes.Equal(raw, n.lastBytes) {
+	if len(n.lastBytes) > 0 && bytes.Equal(raw, n.lastBytes) {
 		m.Payload = n.lastPayload
 		return m, nil
 	}
 	if m.Payload, _, err = wire.DecodePayload(raw); err != nil {
 		return m, err
 	}
-	if n.shares {
-		n.lastBytes, n.lastPayload = raw, m.Payload
-	}
+	n.lastBytes, n.lastPayload = raw, m.Payload
 	return m, nil
 }
 

@@ -326,15 +326,6 @@ func (a *recordingAlg) EndRound(_ model.Round, delivered []model.Message) {
 
 func (a *recordingAlg) Decision() (model.Value, bool) { return a.v, len(a.sets) >= 3 }
 
-// mutatingAlg declares through model.PayloadMutator whether it mutates
-// received payloads.
-type mutatingAlg struct {
-	model.Algorithm
-	mutates bool
-}
-
-func (a mutatingAlg) MutatesReceivedPayloads() bool { return a.mutates }
-
 // TestReceiveSetReused: a node hands its algorithm one backing array for
 // the receive set of every round, each round holding exactly that round's
 // messages in (Round, From) order.
@@ -400,7 +391,7 @@ func TestDecodeSharesEqualPayloads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nd := &node{cfg: &Config{N: 4}, shares: true}
+	nd := &node{cfg: &Config{N: 4}}
 	allocs := testing.AllocsPerRun(100, func() {
 		nd.lastBytes, nd.lastPayload = nil, nil
 		for i, f := range frames {
@@ -412,40 +403,5 @@ func TestDecodeSharesEqualPayloads(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Fatalf("%v allocations decoding 4 equal payloads, want 1", allocs)
-	}
-}
-
-// TestPayloadMutatorDecodesPrivately: two frames with equal Values bytes
-// share one Vals array, unless the algorithm declares it mutates received
-// payloads.
-func TestPayloadMutatorDecodesPrivately(t *testing.T) {
-	for _, mutates := range []bool{false, true} {
-		ep := &queuedEndpoint{self: 1, ch: make(chan []byte, 2)}
-		for from := model.ProcessID(1); from <= 2; from++ {
-			frame, err := wire.EncodeMessage(nil, model.Message{From: from, Round: 1,
-				Payload: payload.Values{Vals: []model.Value{4, 5}}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ep.ch <- frame
-		}
-		c, err := New(Config{N: 2, T: 1, Proposals: []model.Value{1, 2},
-			Endpoints: []transport.Transport{ep, nil}, Members: model.NewPIDSet(1), BaseTimeout: time.Hour,
-			Factory: func(model.ProcessContext, model.Value) (model.Algorithm, error) {
-				return mutatingAlg{&recordingAlg{}, mutates}, nil
-			}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nd := c.nodes[0]
-		got, ok := nd.collect(context.Background(), 1)
-		nd.poll.Stop()
-		if !ok || len(got) != 2 {
-			t.Fatalf("mutates=%v: collect returned %v, %v", mutates, got, ok)
-		}
-		a, b := got[0].Payload.(payload.Values).Vals, got[1].Payload.(payload.Values).Vals
-		if shared := &a[0] == &b[0]; shared == mutates {
-			t.Errorf("mutates=%v: Vals arrays shared = %v", mutates, shared)
-		}
 	}
 }

@@ -40,8 +40,8 @@
 // during EndRound), and one poll ticker re-armed at each round start, so
 // each round's first poll falls BaseTimeout/4 after the round starts. A
 // frame whose payload bytes equal the last decoded frame's reuses that
-// payload (payloads are shared-immutable and frames immutable once sent),
-// unless the algorithm declares model.PayloadMutator.
+// payload: payloads are never mutated (model.Payload) and frames are
+// immutable once sent.
 //
 // The runtime is where indulgence becomes visible as an engineering
 // property: injected delays cause false suspicions and slow decisions but
@@ -195,7 +195,6 @@ func New(cfg Config) (*Cluster, error) {
 		if detector == nil {
 			detector = fd.NewTimeoutDetectorClock(cfg.BaseTimeout, cfg.Clock)
 		}
-		mutator, ok := alg.(model.PayloadMutator)
 		c.nodes[i] = &node{
 			id:        id,
 			cfg:       &c.cfg,
@@ -203,7 +202,6 @@ func New(cfg Config) (*Cluster, error) {
 			ep:        cfg.Endpoints[i],
 			detector:  detector,
 			decisions: c.decisions,
-			shares:    !ok || !mutator.MutatesReceivedPayloads(),
 		}
 	}
 	return c, nil

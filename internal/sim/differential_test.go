@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -12,24 +13,76 @@ import (
 	"indulgence/internal/sim"
 )
 
-// cloningAlg wraps an algorithm and declares (via model.PayloadMutator)
-// that it mutates received payloads, which forces the simulator onto the
-// conservative clone-per-recipient delivery path. It never actually
-// mutates anything, so its runs must be identical to the shared-payload
-// fast path — that equivalence is exactly what the differential test pins
-// down.
-type cloningAlg struct{ model.Algorithm }
+// payloadContract checks the contract of model.Payload over a run: no
+// payload is mutated once StartRound has returned it. Its factory wraps
+// every algorithm of the run; each wrapper digests the payload its
+// algorithm returns from StartRound and every message its EndRound is
+// handed, and compares the delivered messages with their digests when
+// EndRound returns. check compares every payload seen with its digest at
+// the end of the run, which catches a sender that changes what it sent.
+type payloadContract struct {
+	t    *testing.T
+	held []heldMessage
+}
 
-func (cloningAlg) MutatesReceivedPayloads() bool { return true }
+type heldMessage struct {
+	where  string
+	m      model.Message
+	digest []byte
+}
 
-func forceCloning(f model.Factory) model.Factory {
+// contractAlg is one process's algorithm under the contract check.
+type contractAlg struct {
+	model.Algorithm
+	c    *payloadContract
+	self model.ProcessID
+}
+
+func (c *payloadContract) factory(f model.Factory) model.Factory {
 	return func(ctx model.ProcessContext, proposal model.Value) (model.Algorithm, error) {
 		a, err := f(ctx, proposal)
 		if err != nil {
 			return nil, err
 		}
-		return cloningAlg{a}, nil
+		return &contractAlg{Algorithm: a, c: c, self: ctx.Self}, nil
 	}
+}
+
+func (c *payloadContract) hold(where string, m model.Message) {
+	c.held = append(c.held, heldMessage{where, m, m.AppendDigest(nil)})
+}
+
+// verify compares the messages held since index from with their digests.
+func (c *payloadContract) verify(from int, when string) {
+	c.t.Helper()
+	for _, h := range c.held[from:] {
+		if !bytes.Equal(h.m.AppendDigest(nil), h.digest) {
+			c.t.Fatalf("%s: the payload of p%d's round-%d message %s changed", when, h.m.From, h.m.Round, h.where)
+		}
+	}
+}
+
+// check verifies every payload of the run and forgets them.
+func (c *payloadContract) check() {
+	c.t.Helper()
+	c.verify(0, "at run end")
+	c.held = c.held[:0]
+}
+
+func (a *contractAlg) StartRound(k model.Round) model.Payload {
+	pl := a.Algorithm.StartRound(k)
+	a.c.hold("as sent", model.Message{From: a.self, Round: k, Payload: pl})
+	return pl
+}
+
+func (a *contractAlg) EndRound(k model.Round, delivered []model.Message) {
+	from := len(a.c.held)
+	where := fmt.Sprintf("as p%d received it in round %d", a.self, k)
+	for _, m := range delivered {
+		a.c.hold(where, m)
+	}
+	a.Algorithm.EndRound(k, delivered)
+	a.c.verify(from, fmt.Sprintf("after p%d's EndRound(%d)", a.self, k))
 }
 
 // diffCorpus samples random SCS and ES schedules for one system size.
@@ -60,17 +113,18 @@ func summarize(r *sim.Result) string {
 
 // TestDifferentialLeanVsTracedVsCloned runs a corpus of random SCS/ES
 // schedules through three simulator configurations — the lean pooled path
-// (shared payloads, reused scratch), the traced path (per-recipient
-// clones, fresh state) and a forced-clone lean path — and asserts that
-// decisions, executed rounds and message counts are identical. It guards
-// the shared-immutable payload contract: if payload sharing ever leaked
-// state between recipients or runs, the paths would diverge.
+// (reused scratch, no trace), the traced path (fresh state, every payload
+// recorded) and the lean path with every algorithm under payloadContract —
+// and asserts that decisions, executed rounds and message counts are
+// identical. The third column is the direct test of the shared-immutable
+// payload contract: every receiver reads the one payload its sender
+// built, and no algorithm in the repository may change it.
 func TestDifferentialLeanVsTracedVsCloned(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n5 := diffCorpus(rng, 5, 2, 12)
 	n5 = append(n5, diffCorpus(rng, 7, 2, 6)...)
 	n5 = append(n5, sched.FailureFree(5, 2), sched.KillCoordinators(5, 2, 2))
-	// A_f+2 requires t < n/3, so it only sees the n=7, t=2 schedules.
+	// A_f+2 and AMR require t < n/3, so they only see the n=7, t=2 schedules.
 	n7 := diffCorpus(rng, 7, 2, 12)
 
 	cases := []struct {
@@ -84,11 +138,15 @@ func TestDifferentialLeanVsTracedVsCloned(t *testing.T) {
 		{"hurfinraynal", baseline.NewHurfinRaynal(), n5},
 		{"ct", baseline.NewCT(), n5},
 		{"floodset", baseline.NewFloodSet(), n5},
+		{"floodsetws", baseline.NewFloodSetWS(), n5},
+		{"diamonds", core.NewDiamondS(), n5},
+		{"amr", baseline.NewAMR(), n7},
 	}
 	for _, tc := range cases {
 		factory, corpus := tc.factory, tc.corpus
 		t.Run(tc.name, func(t *testing.T) {
 			lean := sim.NewSimulator() // reused across the whole corpus
+			contract := &payloadContract{t: t}
 			for i, s := range corpus {
 				base := sim.Config{
 					Synchrony: model.ES,
@@ -115,19 +173,20 @@ func TestDifferentialLeanVsTracedVsCloned(t *testing.T) {
 					t.Fatalf("schedule %d: traced run missing its trace", i)
 				}
 
-				clonedCfg := leanCfg
-				clonedCfg.Factory = forceCloning(factory)
-				clonedRes, err := sim.Run(clonedCfg)
+				checkedCfg := leanCfg
+				checkedCfg.Factory = contract.factory(factory)
+				checkedRes, err := lean.Run(checkedCfg)
 				if err != nil {
-					t.Fatalf("schedule %d cloned: %v", i, err)
+					t.Fatalf("schedule %d checked: %v", i, err)
 				}
+				contract.check()
 
 				want := summarize(tracedRes)
 				if got := summarize(leanRes); got != want {
 					t.Errorf("schedule %d (%v):\nlean   %s\ntraced %s", i, s, got, want)
 				}
-				if got := summarize(clonedRes); got != want {
-					t.Errorf("schedule %d (%v):\ncloned %s\ntraced %s", i, s, got, want)
+				if got := summarize(checkedRes); got != want {
+					t.Errorf("schedule %d (%v):\nchecked %s\ntraced  %s", i, s, got, want)
 				}
 			}
 		})

@@ -12,12 +12,16 @@
 // What a receive set holds is not its own rule: each process's
 // payload.Inbox assembles it — one round-k message per sender plus the
 // delayed messages of earlier rounds, sorted by (round, sender) — the
-// same type the live runtime's nodes assemble their receive sets with. The simulator also runs the DECIDE
-// rule for every algorithm: a process whose receive set holds a DECIDE
-// decides its value without its EndRound being called, and a decided
-// process is never called again but floods DECIDE every round until
-// every live process has decided. The live node relays once and halts
-// instead.
+// same type the live runtime's nodes assemble their receive sets with.
+// Every receiver of a message reads the payload its sender returned from
+// StartRound: payloads are never mutated (model.Payload), so the
+// simulator copies no payload, not even into a recorded trace.
+//
+// The simulator also runs the DECIDE rule for every algorithm: a process
+// whose receive set holds a DECIDE decides its value without its
+// EndRound being called, and a decided process is never called again but
+// floods DECIDE every round until every live process has decided. The
+// live node relays once and halts instead.
 //
 // The package offers three entry points, fastest last:
 //
@@ -59,10 +63,9 @@ type Config struct {
 	// scheduled round plus 3n + 8(t+2) + 12 rounds.
 	MaxRounds model.Round
 	// SkipTrace suppresses per-round history recording (Result.Run will
-	// be nil). Decisions and crash rounds are still reported, and
-	// delivered payloads are shared between recipients rather than cloned
-	// (see model.Payload). Used by the lower-bound explorer, which runs
-	// millions of simulations.
+	// be nil); decisions, crash rounds and message counts are still
+	// reported. Used by the lower-bound explorer, which runs millions of
+	// simulations.
 	SkipTrace bool
 	// SkipValidation trusts the schedule to be valid for the model.
 	// Only generators that produce valid-by-construction schedules

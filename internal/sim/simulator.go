@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"indulgence/internal/model"
 	"indulgence/internal/payload"
@@ -23,13 +24,13 @@ import (
 // queued, for the round that delivers it.
 //
 // The Result returned by Run is freshly allocated and remains valid after
-// subsequent runs. Message payloads inside a recorded trace are deep
-// copies; everywhere else payloads follow the shared-immutable contract of
-// model.Payload.
+// subsequent runs. A recorded trace holds the payloads the run delivered:
+// payloads are never mutated (model.Payload).
 type Simulator struct {
 	algs    []model.Algorithm
 	sent    []broadcast     // sent[i]: process i+1's message of the round
 	pending [][]delivery    // pending[r]: delayed messages due in round r
+	queued  model.Round     // the last round pending holds messages for
 	inbox   []payload.Inbox // inbox[i]: process i+1's receive sets
 }
 
@@ -119,30 +120,19 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 		res.Run = run
 	}
 
-	// Payloads are shared-immutable (model.Payload): one broadcast payload
-	// is delivered to every recipient without cloning, unless a trace is
-	// recorded or some algorithm opts out via model.PayloadMutator.
-	cloneDeliveries := run != nil
-	if !cloneDeliveries {
-		for _, a := range algs {
-			if pm, ok := a.(model.PayloadMutator); ok && pm.MutatesReceivedPayloads() {
-				cloneDeliveries = true
-				break
-			}
-		}
-	}
-
 	// pending is indexed by delivery round; entries keep their backing
-	// arrays across runs. Delayed messages due past maxRounds can never be
-	// received and are dropped at enqueue time.
-	pending := sm.pending
-	if int(maxRounds) >= cap(pending) {
-		pending = append(pending[:cap(pending)], make([][]delivery, int(maxRounds)+1-cap(pending))...)
-	}
-	pending = pending[:int(maxRounds)+1]
-	for r := range pending {
+	// arrays across runs, and only the rounds an earlier run queued
+	// messages for need emptying. Delayed messages due past maxRounds can
+	// never be received and are dropped at enqueue time.
+	pending := sm.pending[:cap(sm.pending)]
+	for r := model.Round(1); r <= sm.queued; r++ {
 		pending[r] = pending[r][:0]
 	}
+	sm.queued = 0
+	if int(maxRounds) >= len(pending) {
+		pending = append(pending, make([][]delivery, int(maxRounds)+1-len(pending))...)
+	}
+	pending = pending[:int(maxRounds)+1]
 	sm.pending = pending
 
 	inbox := sm.inbox
@@ -178,13 +168,9 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 				pl = algs[i].StartRound(k)
 			}
 			if run != nil {
-				var clone model.Payload
-				if pl != nil {
-					clone = pl.ClonePayload()
-				}
 				run.Procs[i].Steps = append(run.Procs[i].Steps, trace.Step{
 					Round: k,
-					Sent:  clone,
+					Sent:  pl,
 					Sends: true,
 				})
 			}
@@ -208,14 +194,11 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 					if at > maxRounds {
 						continue
 					}
-					msg := b.msg
-					if cloneDeliveries && pl != nil {
-						msg.Payload = pl.ClonePayload()
-					}
 					if pending[at] == nil {
 						pending[at] = make([]delivery, 0, n)
 					}
-					pending[at] = append(pending[at], delivery{to: q, msg: msg})
+					pending[at] = append(pending[at], delivery{to: q, msg: b.msg})
+					sm.queued = max(sm.queued, at)
 				default:
 					return nil, fmt.Errorf("%w: invalid fate kind %v", ErrConfig, fate.Kind)
 				}
@@ -249,12 +232,8 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 				if !b.sends || b.late.Has(q) {
 					continue
 				}
-				msg := b.msg
-				if cloneDeliveries && msg.Payload != nil {
-					msg.Payload = msg.Payload.ClonePayload()
-				}
 				res.MessagesDelivered++
-				inbox[j].Add(msg)
+				inbox[j].Add(b.msg)
 			}
 		}
 		for i := 0; i < n; i++ {
@@ -280,11 +259,7 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 			if run != nil {
 				st := &run.Procs[i].Steps[len(run.Procs[i].Steps)-1]
 				st.Completes = true
-				recv := make([]model.Message, len(msgs))
-				for mi, m := range msgs {
-					recv[mi] = m.Clone()
-				}
-				st.Received = recv
+				st.Received = slices.Clone(msgs)
 			}
 		}
 
