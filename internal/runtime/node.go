@@ -34,11 +34,14 @@ type node struct {
 	// every round's receive set and holds future-round frames; poll is
 	// made at the first receive phase and re-armed at every round start.
 	// lastBytes holds the payload bytes of the last frame decoded (frames
-	// are immutable once sent) and lastPayload what they decoded to.
+	// are immutable once sent) and lastPayload what they decoded to. out
+	// is the broadcast buffer: every round's frame and the relay are
+	// appended to it (see transport.Broadcast).
 	inbox       payload.Inbox
 	poll        clock.Ticker
 	lastBytes   []byte
 	lastPayload model.Payload
+	out         []byte
 
 	crashMu  sync.Mutex
 	crashFn  context.CancelFunc
@@ -129,9 +132,11 @@ func (n *node) loop(ctx context.Context) {
 }
 
 // broadcast sends the round-k message to every process, including this
-// one, as one frame encoded once.
+// one, as one frame encoded once into the node's broadcast buffer.
 func (n *node) broadcast(k model.Round, pl model.Payload) error {
-	return transport.Broadcast(n.ep, n.cfg.N, model.Message{From: n.id, Round: k, Payload: pl})
+	var err error
+	n.out, err = transport.Broadcast(n.out, n.ep, n.cfg.N, model.Message{From: n.id, Round: k, Payload: pl})
+	return err
 }
 
 // collect gathers the round-k receive set according to the wait policy:

@@ -349,42 +349,62 @@ func (s *muxStream) header(dst []byte) []byte {
 	return wire.AppendInstanceHeader(dst, s.id)
 }
 
-// broadcastHeadroom sizes a broadcast's one frame buffer: the largest
-// instance envelope header plus a round message of any common payload, so
-// the encoding lands without regrowing the buffer.
+// broadcastHeadroom is the spare capacity Broadcast wants before it
+// encodes into a caller's buffer: the largest instance envelope header
+// plus a round message of any common payload, so the encoding lands
+// without regrowing the buffer.
 const broadcastHeadroom = 64
 
+// broadcastBuffer sizes the buffer Broadcast starts when the caller's
+// has less than broadcastHeadroom spare. A round frame of a small
+// cluster is about 26 bytes, so it takes five before the spare runs
+// short: a node that decides within four rounds sends all its frames,
+// relay included, from one allocation.
+const broadcastBuffer = 3 * broadcastHeadroom
+
 // Broadcast encodes m once and sends the one frame to every process
-// 1..n through ep, in ascending order. On a mux stream the frame carries
-// the stream's envelope and goes straight to the mux's underlying
-// endpoint, byte-identical to n calls of the stream's Send: the stream
-// is checked for closure or retirement once (ErrClosed, nothing sent),
-// and every frame still counts on the mux's outbound counter. Any other
-// endpoint gets the bare encoding. The n sends share the frame (see
-// Transport.Send); the first send error ends the broadcast.
-func Broadcast(ep Transport, n int, m model.Message) error {
-	dst := ep
-	buf := make([]byte, 0, broadcastHeadroom)
+// 1..n through ep, in ascending order. The frame is appended to dst —
+// or to a fresh buffer when dst has less than broadcastHeadroom spare —
+// and the extended buffer is returned, so a caller that passes it back
+// encodes many broadcasts into one allocation. Bytes already in dst are
+// never written, and the frame goes out capacity-limited, so no
+// transport can append into the spare after it.
+//
+// On a mux stream the frame carries the stream's envelope and goes
+// straight to the mux's underlying endpoint, byte-identical to n calls
+// of the stream's Send: the stream is checked for closure or retirement
+// once (ErrClosed, nothing sent), and every frame still counts on the
+// mux's outbound counter. Any other endpoint gets the bare encoding.
+// The n sends share the frame (see Transport.Send); the first send
+// error ends the broadcast.
+func Broadcast(dst []byte, ep Transport, n int, m model.Message) ([]byte, error) {
+	buf := dst
+	if cap(buf)-len(buf) < broadcastHeadroom {
+		buf = make([]byte, 0, broadcastBuffer)
+	}
+	start := len(buf)
+	to := ep
 	var out *metrics.Counter
 	if s, ok := ep.(*muxStream); ok {
 		var err error
 		if out, err = s.live(); err != nil {
-			return err
+			return dst, err
 		}
-		dst = s.mux.ep
+		to = s.mux.ep
 		buf = s.header(buf)
 	}
-	frame, err := wire.EncodeMessage(buf, m)
+	buf, err := wire.EncodeMessage(buf, m)
 	if err != nil {
-		return err
+		return dst, err
 	}
+	frame := buf[start:len(buf):len(buf)]
 	for q := model.ProcessID(1); int(q) <= n; q++ {
 		out.Inc()
-		if err := dst.Send(q, frame); err != nil {
-			return err
+		if err := to.Send(q, frame); err != nil {
+			return buf, err
 		}
 	}
-	return nil
+	return buf, nil
 }
 
 // live returns the mux's outbound counter, or ErrClosed once the mux is

@@ -759,7 +759,7 @@ func TestMuxEmitsNoGroupEnvelope(t *testing.T) {
 		if err := s.Send(2, bare); err != nil {
 			t.Fatal(err)
 		}
-		if err := Broadcast(s, 1, broadcastMessage); err != nil {
+		if _, err := Broadcast(nil, s, 1, broadcastMessage); err != nil {
 			t.Fatal(err)
 		}
 		_, frames := rec.sent()
@@ -1009,7 +1009,7 @@ func TestBroadcastSharesOneFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Broadcast(s, n, broadcastMessage); err != nil {
+		if _, err := Broadcast(nil, s, n, broadcastMessage); err != nil {
 			t.Fatal(err)
 		}
 		to, frames := rec.sent()
@@ -1022,6 +1022,9 @@ func TestBroadcastSharesOneFrame(t *testing.T) {
 			}
 			if &f[0] != &frames[0][0] {
 				t.Fatalf("%v: send %d has its own backing array", key, i)
+			}
+			if cap(f) != len(f) {
+				t.Fatalf("%v: send %d has %d spare bytes a transport could append into", key, i, cap(f)-len(f))
 			}
 		}
 		// The single-frame path is the reference for the wire bytes.
@@ -1044,9 +1047,12 @@ func (nopTransport) Send(model.ProcessID, []byte) error { return nil }
 func (nopTransport) Recv() <-chan []byte                { return nil }
 func (nopTransport) Close() error                       { return nil }
 
-// TestBroadcastAllocatesOnce pins the encode-once contract: a broadcast
-// to n processes costs one allocation — its frame — on a bare endpoint
-// and on a mux stream alike.
+// TestBroadcastAllocatesOnce pins the encode-once, append-style
+// contract: a broadcast to n processes into a buffer with spare
+// capacity allocates nothing, and one into a nil buffer allocates once
+// — the buffer its frame lands in — on a bare endpoint and on a mux
+// stream alike. A broadcast into the returned buffer appends: the
+// earlier frame keeps its place and its bytes.
 func TestBroadcastAllocatesOnce(t *testing.T) {
 	m := NewMux(nopTransport{}, 3, nil)
 	defer m.Close()
@@ -1055,13 +1061,35 @@ func TestBroadcastAllocatesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, ep := range map[string]Transport{"bare": nopTransport{}, "mux": s} {
-		allocs := testing.AllocsPerRun(100, func() {
-			if err := Broadcast(ep, 4, broadcastMessage); err != nil {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := Broadcast(nil, ep, 4, broadcastMessage); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs != 1 {
-			t.Errorf("%s: Broadcast allocates %v times, want 1", name, allocs)
+		}); allocs != 1 {
+			t.Errorf("%s: Broadcast into a nil buffer allocates %v times, want 1", name, allocs)
+		}
+		spare := make([]byte, 0, 1<<10)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := Broadcast(spare[:0], ep, 4, broadcastMessage); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Broadcast into spare capacity allocates %v times, want 0", name, allocs)
+		}
+		first, err := Broadcast(spare[:0], ep, 4, broadcastMessage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := bytes.Clone(first)
+		second, err := Broadcast(first, ep, 4, broadcastMessage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &second[0] != &first[0] || !bytes.Equal(second[:len(first)], kept) {
+			t.Errorf("%s: the second broadcast moved or rewrote the first frame", name)
+		}
+		if !bytes.Equal(second[len(first):], kept) {
+			t.Errorf("%s: frames % x then % x, want equal encodings", name, kept, second[len(first):])
 		}
 	}
 }
@@ -1083,13 +1111,13 @@ func TestBroadcastClosedStream(t *testing.T) {
 	if err := retired.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := Broadcast(retired, 4, broadcastMessage); !errors.Is(err, ErrClosed) {
+	if _, err := Broadcast(nil, retired, 4, broadcastMessage); !errors.Is(err, ErrClosed) {
 		t.Fatalf("retired stream: %v, want ErrClosed", err)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := Broadcast(live, 4, broadcastMessage); !errors.Is(err, ErrClosed) {
+	if _, err := Broadcast(nil, live, 4, broadcastMessage); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed mux: %v, want ErrClosed", err)
 	}
 	if _, frames := rec.sent(); len(frames) != 0 {

@@ -292,9 +292,11 @@ func (e *TCPEndpoint) acceptLoop() {
 }
 
 // serveInbound validates one accepted connection's hello and then pumps
-// its frames into the mailbox. A connection that fails the handshake —
-// wrong cluster, invalid sender, no hello within the deadline — is
-// closed without ever reaching the mailbox.
+// its frames into the mailbox. One wire.FrameReader reads the hello and
+// every frame after it, so the frames share the reader's chunks instead
+// of costing an allocation and two reads each. A connection that fails
+// the handshake — wrong cluster, invalid sender, no hello within the
+// deadline — is closed without ever reaching the mailbox.
 func (e *TCPEndpoint) serveInbound(conn net.Conn) {
 	defer func() {
 		e.mu.Lock()
@@ -304,7 +306,8 @@ func (e *TCPEndpoint) serveInbound(conn net.Conn) {
 	}()
 	//indulgence:wallclock socket deadlines are enforced by the kernel against wall time
 	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	frame, err := wire.ReadFrame(conn)
+	frames := wire.NewFrameReader(conn)
+	frame, err := frames.Next()
 	if err != nil {
 		e.logf("transport: p%d: inbound %s: no hello: %v", e.cfg.Self, conn.RemoteAddr(), err)
 		return
@@ -327,26 +330,38 @@ func (e *TCPEndpoint) serveInbound(conn net.Conn) {
 	// Ack with our own hello: the dialer treats the connection as live
 	// only once this lands, so refusals above are visible as dial
 	// failures on the other side instead of silent frame loss.
-	ack, err := wire.AppendHelloRecord(nil, wire.HelloRecord{Cluster: e.cfg.ClusterID(), Sender: e.cfg.Self})
+	ack, err := e.hello()
 	if err != nil {
 		e.logf("transport: p%d: inbound %s: ack: %v", e.cfg.Self, conn.RemoteAddr(), err)
 		return
 	}
 	//indulgence:wallclock socket deadlines are enforced by the kernel against wall time
 	_ = conn.SetWriteDeadline(time.Now().Add(handshakeTimeout))
-	if err := wire.WriteFrame(conn, ack); err != nil {
+	if _, err := conn.Write(ack); err != nil {
 		e.logf("transport: p%d: inbound %s: ack: %v", e.cfg.Self, conn.RemoteAddr(), err)
 		return
 	}
 	_ = conn.SetWriteDeadline(time.Time{})
 	_ = conn.SetReadDeadline(time.Time{})
 	for {
-		frame, err := wire.ReadFrame(conn)
+		frame, err := frames.Next()
 		if err != nil {
 			return
 		}
 		e.box.put(frame)
 	}
+}
+
+// hello returns the endpoint's hello record (cluster ID and self) as
+// one length-prefixed frame, so either side of the handshake sends it
+// in a single Write: the dialer as its opening, the acceptor as its
+// ack.
+func (e *TCPEndpoint) hello() ([]byte, error) {
+	rec, err := wire.AppendHelloRecord(nil, wire.HelloRecord{Cluster: e.cfg.ClusterID(), Sender: e.cfg.Self})
+	if err != nil {
+		return nil, err
+	}
+	return wire.AppendFrame(nil, rec)
 }
 
 // peerLink is one sender-owned outbound connection: an unbounded FIFO of
@@ -550,19 +565,17 @@ func (l *peerLink) dialOnce() (net.Conn, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: handshake p%d->p%d (%s): %w", l.ep.cfg.Self, l.peer, l.addr, err)
 	}
-	hello, err := wire.AppendHelloRecord(nil, wire.HelloRecord{
-		Cluster: l.ep.cfg.ClusterID(), Sender: l.ep.cfg.Self,
-	})
+	hello, err := l.ep.hello()
 	if err != nil {
 		return fail(err)
 	}
 	//indulgence:wallclock socket deadlines are enforced by the kernel against wall time
 	deadline := time.Now().Add(handshakeTimeout)
 	_ = conn.SetDeadline(deadline)
-	if err := wire.WriteFrame(conn, hello); err != nil {
+	if _, err := conn.Write(hello); err != nil {
 		return fail(err)
 	}
-	ackFrame, err := wire.ReadFrame(conn)
+	ackFrame, err := wire.NewFrameReader(conn).Next()
 	if err != nil {
 		return fail(fmt.Errorf("no hello ack (refused?): %w", err))
 	}

@@ -50,7 +50,11 @@ type Transport interface {
 	// Broadcast hands one frame to every destination).
 	Send(to model.ProcessID, frame []byte) error
 	// Recv returns the channel on which inbound frames arrive. The
-	// channel is closed when the transport is closed.
+	// channel is closed when the transport is closed. A received frame
+	// is read-only, like a sent one: it may share its backing array with
+	// other frames from the same connection (a TCP endpoint reads many
+	// frames into one chunk, see wire.FrameReader), and is never
+	// written again by the transport either.
 	Recv() <-chan []byte
 	// Close releases the endpoint. Further Sends fail with ErrClosed.
 	Close() error

@@ -1,6 +1,10 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"reflect"
 	"testing"
 
@@ -243,5 +247,70 @@ func FuzzDecodeHelloRecord(f *testing.F) {
 			t.Fatalf("decode/encode not a fixed point: %+v (%d) vs %+v (%d)",
 				rec, n, rec2, n2)
 		}
+	})
+}
+
+// referenceFrames parses a stream by the stream layout, all of it in
+// hand: its frames, then io.EOF at a clean end, io.ErrUnexpectedEOF
+// inside a header or a body, or ErrFrameTooLarge at an oversized
+// length.
+func referenceFrames(stream []byte) ([][]byte, error) {
+	var frames [][]byte
+	for {
+		switch {
+		case len(stream) == 0:
+			return frames, io.EOF
+		case len(stream) < frameHeader:
+			return frames, io.ErrUnexpectedEOF
+		}
+		n := binary.BigEndian.Uint32(stream)
+		switch {
+		case n > MaxFrameSize:
+			return frames, ErrFrameTooLarge
+		case uint32(len(stream)-frameHeader) < n:
+			return frames, io.ErrUnexpectedEOF
+		}
+		frames = append(frames, stream[frameHeader:frameHeader+n])
+		stream = stream[frameHeader+n:]
+	}
+}
+
+// FuzzFrameReader reads an arbitrary stream through reads whose sizes
+// follow an arbitrary pattern: the frames FrameReader returns, checked
+// only after the last read, and its final error must equal those of
+// referenceFrames. The stream is a well-formed lead frame of any size
+// up to two chunks, which moves what follows across chunk boundaries at
+// any offset, then the input repeated, so small inputs (cheap to
+// minimize) still run many frames past a chunk. The lead frame's bytes
+// are distinct, so a reader that wrote into a chunk it handed frames
+// out of shows.
+func FuzzFrameReader(f *testing.F) {
+	well := frameStream(f, mixedFrames(5))
+	f.Add([]byte{}, []byte{}, uint16(0), uint8(0))
+	f.Add(well, []byte{}, uint16(0), uint8(0))
+	f.Add(well, []byte{0}, uint16(4000), uint8(3))
+	f.Add(well, []byte{3, 200, 1, 0, 241}, uint16(1), uint8(9))
+	f.Add(well[:len(well)-1], []byte{7}, uint16(4090), uint8(0))
+	f.Add(frameStream(f, [][]byte{frameBody(0, 26)}), []byte{255, 0}, uint16(100), uint8(200))
+	f.Add([]byte{0, 0, 0, 5, 1, 2}, []byte{0}, uint16(4091), uint8(0))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}, []byte{1}, uint16(0), uint8(0))
+	f.Add(binary.BigEndian.AppendUint32([]byte{0, 0, 0, 0}, MaxFrameSize+1), []byte{}, uint16(5000), uint8(1))
+	f.Fuzz(func(t *testing.T, input, pattern []byte, lead uint16, repeat uint8) {
+		stream, err := AppendFrame(nil, frameBody(1, int(lead)%(2*frameChunk)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, bytes.Repeat(input, 1+int(repeat))...)
+		sizes := make([]int, len(pattern))
+		for i, b := range pattern {
+			sizes[i] = 1 + int(b)*17 // 1 byte up to past a chunk
+		}
+		want, wantErr := referenceFrames(stream)
+		got, err := readAll(NewFrameReader(&patternReader{data: stream, sizes: sizes}))
+		tooLarge := errors.Is(wantErr, ErrFrameTooLarge)
+		if errors.Is(err, ErrFrameTooLarge) != tooLarge || !tooLarge && err != wantErr {
+			t.Fatalf("final error %v, want %v", err, wantErr)
+		}
+		checkFrames(t, got, want)
 	})
 }

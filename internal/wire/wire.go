@@ -5,6 +5,19 @@
 // self-contained — no reflection, no registration at run time — so the
 // codec is also usable as a stable on-disk format for recorded runs.
 //
+// # Stream frames
+//
+// On a stream a frame is a 4-byte big-endian length and that many bytes
+// (at most MaxFrameSize). AppendFrame is the one writer of the layout:
+// writers coalesce frames into one buffer and one Write. FrameReader is
+// the one reader: it owns one 4 KiB chunk at a time, each Read takes
+// whatever the stream holds into the chunk's spare capacity, and each
+// frame comes back as a capacity-limited slice of the chunk. A new chunk
+// is allocated only when the next frame does not fit in the rest of the
+// current one, so a frame handed out is never written again; a frame
+// larger than a chunk gets a buffer of its own, and an oversized length
+// fails before anything is allocated. See stream.go.
+//
 // # Frame versions
 //
 // The original frame layout (version 0) is a bare message: varint sender,
@@ -65,7 +78,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"indulgence/internal/model"
 	"indulgence/internal/payload"
@@ -526,46 +538,4 @@ func decodePayload(b []byte) (model.Payload, int, error) {
 	default:
 		return nil, 0, fmt.Errorf("%w: tag %d", ErrUnknownPayload, tag)
 	}
-}
-
-// AppendFrame appends b to dst as a length-prefixed frame — the exact
-// bytes WriteFrame would put on the stream — so writers can coalesce
-// many frames into one buffer without owning the frame layout.
-func AppendFrame(dst, b []byte) ([]byte, error) {
-	if len(b) > MaxFrameSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(b))
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
-	return append(dst, b...), nil
-}
-
-// WriteFrame writes b to w as a length-prefixed frame.
-func WriteFrame(w io.Writer, b []byte) error {
-	if len(b) > MaxFrameSize {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(b))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(b)
-	return err
-}
-
-// ReadFrame reads one length-prefixed frame from r.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	size := binary.BigEndian.Uint32(hdr[:])
-	if size > MaxFrameSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
-	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }

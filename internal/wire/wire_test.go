@@ -129,28 +129,6 @@ func binaryHeader() []byte {
 	return enc[:len(enc)-1] // strip the nil payload tag
 }
 
-func TestFrames(t *testing.T) {
-	var buf bytes.Buffer
-	want := []byte("hello frames")
-	if err := WriteFrame(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrame(&buf)
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("frame 1: %q, %v", got, err)
-	}
-	got, err = ReadFrame(&buf)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("frame 2: %q, %v", got, err)
-	}
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("read from empty stream succeeded")
-	}
-}
-
 // TestLegacyFrameDecodesAsInstanceZero pins the backward-compatibility
 // contract: every version-0 frame (bare message, no envelope) decodes
 // through the instance-aware entry points as instance 0 with an identical
@@ -221,19 +199,6 @@ func TestStripInstanceTruncated(t *testing.T) {
 	}
 	if _, _, err := StripInstance([]byte{instanceMarker, 0x80}); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("unterminated id varint: %v", err)
-	}
-}
-
-func TestFrameTooLarge(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("write: %v", err)
-	}
-	// A forged oversized header must be rejected before allocation.
-	buf.Reset()
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("read: %v", err)
 	}
 }
 
@@ -427,27 +392,5 @@ func TestHelloRecordDecodeErrors(t *testing.T) {
 	}
 	if _, _, err := DecodeHelloRecord(bad); !errors.Is(err, ErrUnknownPayload) {
 		t.Fatalf("sender 0 decoded: %v", err)
-	}
-}
-
-// TestAppendFrameMatchesWriteFrame pins the coalescing helper to the
-// stream layout WriteFrame owns.
-func TestAppendFrameMatchesWriteFrame(t *testing.T) {
-	var streamed bytes.Buffer
-	var appended []byte
-	for _, payload := range [][]byte{{}, {1}, []byte("frame two"), make([]byte, 300)} {
-		if err := WriteFrame(&streamed, payload); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		if appended, err = AppendFrame(appended, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(streamed.Bytes(), appended) {
-		t.Fatal("AppendFrame diverges from WriteFrame's layout")
-	}
-	if _, err := AppendFrame(nil, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized frame appended: %v", err)
 	}
 }
