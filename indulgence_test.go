@@ -218,7 +218,7 @@ func TestPublicAPIGenerators(t *testing.T) {
 // fast/slow path boundary: the victim of an asynchronous prefix misses the
 // fast decision (its |Halt| > t certificate forces ⊥), and the two fast
 // deciders it could have heard DECIDE from crash right away — the
-// remaining deciders' DECIDE flood must still reach it.
+// remaining deciders' one DECIDE relay each must still reach it.
 func TestDecidersCrashAfterFastDecision(t *testing.T) {
 	s := indulgence.DelayedSenderPrefix(5, 2, 4, 1) // t+2 = 4, GSR = 5
 	s.CrashSilent(2, 5)

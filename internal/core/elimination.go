@@ -91,7 +91,7 @@ func SentNewEstimates(run *trace.Run) map[model.ProcessID]model.OptValue {
 	round := model.Round(run.T + 2)
 	for i := range run.Procs {
 		pt := &run.Procs[i]
-		if int(round) > len(pt.Steps) || !pt.Steps[round-1].Sends {
+		if int(round) > len(pt.Steps) {
 			continue
 		}
 		ne, ok := pt.Steps[round-1].Sent.(payload.NewEstimate)

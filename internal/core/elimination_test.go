@@ -39,7 +39,7 @@ func TestReplayMatchesAlgorithm(t *testing.T) {
 			pt := run.Proc(p)
 			for k := 0; k < len(snaps); k++ {
 				next := k + 1 // round k+2 in 1-based terms sends est after round k+1
-				if next >= len(pt.Steps) || !pt.Steps[next].Sends {
+				if next >= len(pt.Steps) {
 					continue
 				}
 				eh, ok := pt.Steps[next].Sent.(payload.EstHalt)

@@ -54,20 +54,30 @@ func Leader(k model.Round, delivered []model.Message) model.ProcessID {
 }
 
 // Output is the simulated failure-detector history of one run: for every
-// process p and completed round k, Suspects[p-1][k-1] is the set of
-// processes p suspected in round k. Rounds a process did not complete hold
-// the empty set and are flagged in Completed.
+// process p and round k it has a reading for, Suspects[p-1][k-1] is the
+// set of processes p suspected in round k. Rounds without a reading hold
+// the empty set and are not flagged in Completed.
 type Output struct {
 	// N is the system size.
 	N int
 	// Suspects[p-1][k-1] is p's simulated FD output after round k.
 	Suspects [][]model.PIDSet
-	// Completed[p-1][k-1] reports whether p completed round k.
+	// Completed[p-1][k-1] reports whether p has a reading for round k: it
+	// completed round k, and k is before its decision round.
 	Completed [][]bool
 }
 
 // Simulate computes the Sect. 4 simulated failure-detector history of a
-// recorded run.
+// recorded run. A process's detector is read only in the rounds before
+// its own decision round. A decided process relays DECIDE once and halts,
+// so from the round after its relay it is silent, as a crashed one is,
+// and a receipt-based detector cannot tell the two apart: a receiver
+// whose copy of the relay is delayed suspects the halted, correct sender,
+// and it may decide, on another DECIDE, in the very round of that
+// suspicion. The rule drops that decision-round reading. It does not
+// drop the readings of a receiver that stays undecided at or after the
+// GSR while such a relay is still in flight; those still suspect the
+// halted sender.
 func Simulate(run *trace.Run) *Output {
 	out := &Output{
 		N:         run.N,
@@ -79,7 +89,7 @@ func Simulate(run *trace.Run) *Output {
 		out.Suspects[i] = make([]model.PIDSet, run.Rounds)
 		out.Completed[i] = make([]bool, run.Rounds)
 		for _, st := range pt.Steps {
-			if !st.Completes || int(st.Round) > int(run.Rounds) {
+			if !st.Completes || st.Round > run.Rounds || (pt.DecidedRound > 0 && st.Round >= pt.DecidedRound) {
 				continue
 			}
 			out.Completed[i][st.Round-1] = true

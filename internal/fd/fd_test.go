@@ -50,33 +50,33 @@ func syntheticRun() *trace.Run {
 	}
 	// Round 1: p1 misses p2 (delayed); everyone else hears everyone.
 	run.Procs[0].Steps = append(run.Procs[0].Steps, trace.Step{
-		Round: 1, Sent: payload.Estimate{Est: 1}, Sends: true, Completes: true,
+		Round: 1, Sent: payload.Estimate{Est: 1}, Completes: true,
 		Received: []model.Message{est(1, 1), est(3, 1)},
 	})
 	run.Procs[1].Steps = append(run.Procs[1].Steps, trace.Step{
-		Round: 1, Sent: payload.Estimate{Est: 2}, Sends: true, Completes: true,
+		Round: 1, Sent: payload.Estimate{Est: 2}, Completes: true,
 		Received: []model.Message{est(1, 1), est(2, 1), est(3, 1)},
 	})
 	run.Procs[2].Steps = append(run.Procs[2].Steps, trace.Step{
-		Round: 1, Sent: payload.Estimate{Est: 3}, Sends: true, Completes: true,
+		Round: 1, Sent: payload.Estimate{Est: 3}, Completes: true,
 		Received: []model.Message{est(1, 1), est(2, 1), est(3, 1)},
 	})
 	// Round 2: p3 crashes silently (sends nothing on).
 	run.Procs[0].Steps = append(run.Procs[0].Steps, trace.Step{
-		Round: 2, Sent: payload.Estimate{Est: 1}, Sends: true, Completes: true,
+		Round: 2, Sent: payload.Estimate{Est: 1}, Completes: true,
 		Received: []model.Message{est(1, 2), est(2, 2), est(2, 1)},
 	})
 	run.Procs[1].Steps = append(run.Procs[1].Steps, trace.Step{
-		Round: 2, Sent: payload.Estimate{Est: 2}, Sends: true, Completes: true,
+		Round: 2, Sent: payload.Estimate{Est: 2}, Completes: true,
 		Received: []model.Message{est(1, 2), est(2, 2)},
 	})
 	run.Procs[2].Steps = append(run.Procs[2].Steps, trace.Step{
-		Round: 2, Sent: payload.Estimate{Est: 3}, Sends: true, Completes: false,
+		Round: 2, Sent: payload.Estimate{Est: 3}, Completes: false,
 	})
 	// Round 3: synchronous among survivors.
 	for i := 0; i < 2; i++ {
 		run.Procs[i].Steps = append(run.Procs[i].Steps, trace.Step{
-			Round: 3, Sent: payload.Estimate{Est: model.Value(i + 1)}, Sends: true, Completes: true,
+			Round: 3, Sent: payload.Estimate{Est: model.Value(i + 1)}, Completes: true,
 			Received: []model.Message{est(1, 3), est(2, 3)},
 		})
 	}
@@ -132,6 +132,68 @@ func TestCheckDiamondPViolations(t *testing.T) {
 	out3.Suspects[1][2].Add(1)
 	if err := CheckDiamondS(run, out3); !errors.Is(err, ErrWeakAccuracy) {
 		t.Fatalf("err = %v, want weak-accuracy violation", err)
+	}
+}
+
+// haltedSenderRun builds a trace of the shape relay-then-halt gives the
+// simulated detector (n=3, GSR 3): p1 decides at round 1, relays DECIDE in
+// round 2 and halts. Its relay to p2 is delayed past the run; p3 gets it,
+// decides at round 2 and relays in round 3. p2 decides at round 3 on p3's
+// relay, in the round it first misses the halted, correct p1.
+func haltedSenderRun() *trace.Run {
+	est := func(from model.ProcessID, k model.Round) model.Message {
+		return model.Message{From: from, Round: k, Payload: payload.Estimate{Est: model.Value(from)}}
+	}
+	decide := func(from model.ProcessID, k model.Round) model.Message {
+		return model.Message{From: from, Round: k, Payload: payload.Decide{V: 1}}
+	}
+	all1 := []model.Message{est(1, 1), est(2, 1), est(3, 1)}
+	return &trace.Run{
+		N: 3, T: 1, Synchrony: model.ES, Algorithm: "synthetic", GSR: 3, Rounds: 3,
+		Procs: []trace.ProcessTrace{
+			{ID: 1, Proposal: 1, Decided: model.Some(1), DecidedRound: 1, Steps: []trace.Step{
+				{Round: 1, Sent: payload.Estimate{Est: 1}, Completes: true, Received: all1},
+				{Round: 2, Sent: payload.Decide{V: 1}},
+			}},
+			{ID: 2, Proposal: 2, Decided: model.Some(1), DecidedRound: 3, Steps: []trace.Step{
+				{Round: 1, Sent: payload.Estimate{Est: 2}, Completes: true, Received: all1},
+				{Round: 2, Sent: payload.Estimate{Est: 2}, Completes: true, Received: []model.Message{est(2, 2), est(3, 2)}},
+				{Round: 3, Sent: payload.Estimate{Est: 2}, Completes: true, Received: []model.Message{est(2, 3), decide(3, 3)}},
+			}},
+			{ID: 3, Proposal: 3, Decided: model.Some(1), DecidedRound: 2, Steps: []trace.Step{
+				{Round: 1, Sent: payload.Estimate{Est: 3}, Completes: true, Received: all1},
+				{Round: 2, Sent: payload.Estimate{Est: 3}, Completes: true, Received: []model.Message{decide(1, 2), est(2, 2), est(3, 2)}},
+				{Round: 3, Sent: payload.Decide{V: 1}},
+			}},
+		},
+	}
+}
+
+// TestSimulateSkipsDecisionRound pins the reading rule: a process's
+// detector is read only before its decision round, so p2's round-3
+// suspicion of the halted p1 is not a ◇P violation. A Simulate that also
+// read the decision round would report one.
+func TestSimulateSkipsDecisionRound(t *testing.T) {
+	run := haltedSenderRun()
+	out := Simulate(run)
+	if err := CheckDiamondP(run, out); err != nil {
+		t.Fatalf("dP should hold: %v", err)
+	}
+	if out.Completed[1][2] || out.Completed[2][1] || out.Completed[0][1] {
+		t.Fatalf("readings taken in a decision or relay round: %v", out.Completed)
+	}
+	// The planted bug: read every completed round, decision rounds too.
+	planted := Simulate(run)
+	for i := range run.Procs {
+		for _, st := range run.Procs[i].Steps {
+			if st.Completes {
+				planted.Completed[i][st.Round-1] = true
+				planted.Suspects[i][st.Round-1] = Suspected(run.N, st.Round, st.Received)
+			}
+		}
+	}
+	if err := CheckDiamondP(run, planted); !errors.Is(err, ErrStrongAccuracy) {
+		t.Fatalf("planted decision-round reading: err = %v, want accuracy violation", err)
 	}
 }
 

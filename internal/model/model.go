@@ -197,10 +197,11 @@ type Payload interface {
 //
 // The rule that lets processes that have not yet decided still do so
 // belongs to the round engines, not to the algorithm: a decided process
-// sends DECIDE (the lockstep simulator floods it every round, the live
-// runtime relays it once and halts), and a process whose round-k receive
-// set holds a DECIDE of any round decides its value without EndRound(k)
-// being called. An algorithm neither sends nor reads DECIDE.
+// sends DECIDE once, in the round after its decision, and halts (the
+// lockstep simulator and the live runtime alike), and a process whose
+// round-k receive set holds a DECIDE of any round decides its value
+// without EndRound(k) being called. An algorithm neither sends nor reads
+// DECIDE.
 type Algorithm interface {
 	// Name returns a short human-readable algorithm name.
 	Name() string

@@ -21,7 +21,7 @@ const (
 	KindValues      = "values"  // Values: FloodSet value sets
 	KindEstHalt     = "esthalt" // EstHalt: A_{t+2}/FloodSetWS Phase-1 ESTIMATE
 	KindNewEstimate = "newest"  // NewEstimate: A_{t+2} round-(t+2) NEWESTIMATE
-	KindDecide      = "decide"  // Decide: decision flooding
+	KindDecide      = "decide"  // Decide: decision relay
 	KindEstimate    = "est"     // Estimate: (est, ts) full-information exchange
 	KindPropose     = "prop"    // Propose: coordinator proposal
 	KindAck         = "ack"     // Ack: coordinator-phase acknowledgement
@@ -105,8 +105,8 @@ func (p NewEstimate) AppendDigest(dst []byte) []byte { return model.AppendDigest
 func (p NewEstimate) String() string { return fmt.Sprintf("NEWESTIMATE(%v)", p.NE) }
 
 // Decide announces a decision value. The round engines build it for a
-// decided process: the simulator floods it every round, the live node
-// relays it once. A process whose receive set holds one decides its value
+// decided process, which sends it once, in the round after its decision,
+// and then halts. A process whose receive set holds one decides its value
 // (see Inbox.Decided).
 type Decide struct {
 	// V is the decided value.
@@ -219,7 +219,7 @@ func (p Adopt) String() string { return fmt.Sprintf("ADOPT(%d)", p.Est) }
 
 // Wrap carries a message of the underlying consensus algorithm C inside
 // Phase 2 of A_{t+2} (rounds t+3 and later). Inner payloads keep their own
-// kinds; Wrap adds a layer so DECIDE flooding and C traffic coexist.
+// kinds; Wrap adds a layer so the DECIDE relay and C traffic coexist.
 type Wrap struct {
 	// Inner is the underlying algorithm's payload (may be nil for a
 	// dummy round message).

@@ -16,8 +16,7 @@
 // algorithm is never called after its decision, and never sends or reads
 // DECIDE. Every decider relays before it reports, so by induction on the
 // smallest decision round every correct undecided process eventually
-// decides. (The lockstep simulator keeps deciders flooding; only the live
-// node halts.)
+// decides. The lockstep simulator runs the same relay-then-halt rule.
 //
 // A Cluster executes one consensus instance. Its round loops, algorithm
 // state machines and wait policy are instantiated per instance; the

@@ -17,11 +17,13 @@
 // StartRound: payloads are never mutated (model.Payload), so the
 // simulator copies no payload, not even into a recorded trace.
 //
-// The simulator also runs the DECIDE rule for every algorithm: a process
-// whose receive set holds a DECIDE decides its value without its
-// EndRound being called, and a decided process is never called again but
-// floods DECIDE every round until every live process has decided. The
-// live node relays once and halts instead.
+// The simulator also runs the DECIDE rule for every algorithm, as the
+// live node does: a process whose receive set holds a DECIDE decides its
+// value without its EndRound being called. A process that decides in
+// round k is never called again: it sends DECIDE once, in round k+1, and
+// halts, taking no receive step from round k+1 on. A halted process is
+// correct and decided; its silence is not a crash, for t-resilience or
+// for the simulated detector (fd.Simulate).
 //
 // The package offers three entry points, fastest last:
 //
@@ -103,8 +105,8 @@ type Result struct {
 	// of the run.
 	MessagesSent int
 	// MessagesDelivered counts messages actually handed to receive
-	// phases (sent minus losses and minus deliveries to crashed
-	// receivers).
+	// phases (sent minus losses and minus deliveries to crashed or
+	// halted receivers).
 	MessagesDelivered int
 	// Run is the full trace, nil when SkipTrace was set.
 	Run *trace.Run

@@ -420,9 +420,9 @@ func (a *oneShot) EndRound(k model.Round, _ []model.Message) {
 func (a *oneShot) Decision() (model.Value, bool) { return a.decided.Get() }
 
 // TestSimulatorRelaysAndAdoptsDecide pins the DECIDE rule the simulator
-// runs for every algorithm: p1 decides at round 1 and is never called
-// again while it floods DECIDE; p2 and p3 decide its value at round 2
-// from that DECIDE without their EndRound being called; p4, whose
+// runs for every algorithm: p1 decides at round 1, is never called again,
+// relays DECIDE once in round 2 and halts; p2 and p3 decide its value at
+// round 2 from that DECIDE without their EndRound being called; p4, whose
 // round-2 DECIDE is delayed, decides at round 3 on the late one.
 func TestSimulatorRelaysAndAdoptsDecide(t *testing.T) {
 	s := sched.New(4, 1, sched.WithGSR(3))
@@ -454,10 +454,11 @@ func TestSimulatorRelaysAndAdoptsDecide(t *testing.T) {
 		}
 	}
 	p1 := res.Run.Proc(1)
-	for _, st := range p1.Steps[1:] {
-		if st.Sent != (payload.Decide{V: 10}) || !st.Completes || len(st.Received) == 0 {
-			t.Errorf("decided p1's round-%d step %+v: want DECIDE(10) sent and a receive set recorded", st.Round, st)
-		}
+	if len(p1.Steps) != 2 || p1.Steps[0].Round != 1 || p1.Steps[1].Round != 2 {
+		t.Fatalf("decided p1's steps %+v: want exactly rounds 1 and 2", p1.Steps)
+	}
+	if st := p1.Steps[1]; st.Sent != (payload.Decide{V: 10}) || st.Completes || st.Received != nil {
+		t.Errorf("p1's relay step %+v: want DECIDE(10) sent, not completed, nothing received", st)
 	}
 }
 
@@ -485,7 +486,7 @@ func (a *quiet) Decision() (model.Value, bool) { return a.decided.Get() }
 // and its two slices and nothing else — no broadcast table, no queue of
 // delayed messages, no inbox — when the algorithms allocate nothing. The
 // schedule takes every delivery path: on time, lost, delayed, a crash
-// heard by some receivers, and the DECIDE flood of an early decider.
+// heard by some receivers, and the DECIDE relay of an early decider.
 func TestWarmRunAllocatesOnlyResult(t *testing.T) {
 	s := sched.New(5, 2, sched.WithGSR(3))
 	s.Delay(1, 1, 2, 2).Delay(2, 3, 4, 3).CrashWithReceivers(5, 2, model.NewPIDSet(1, 2))

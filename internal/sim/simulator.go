@@ -150,29 +150,30 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 
 	for k := model.Round(1); k <= maxRounds; k++ {
 		executed = k
-		// Send phase: every process that has not crashed in an earlier
-		// round broadcasts, including to itself (self-delivery is always
-		// in-round).
+		// Send phase: every process that has neither crashed in an
+		// earlier round nor halted broadcasts, including to itself
+		// (self-delivery is always in-round); one that decided in round
+		// k-1 is not called again and relays DECIDE.
+		var receivers model.PIDSet // undecided processes that complete round k
 		for i := 0; i < n; i++ {
 			p := model.ProcessID(i + 1)
+			d := res.Decisions[i]
+			if !d.Decided() && s.CompletesRound(p, k) {
+				receivers.Add(p)
+			}
 			b := &sent[i]
-			b.sends = s.SendsIn(p, k)
+			b.sends = s.SendsIn(p, k) && (!d.Decided() || d.Round == k-1)
 			if !b.sends {
 				continue
 			}
-			// A decided process is not called again: it floods DECIDE.
 			var pl model.Payload
-			if d := res.Decisions[i]; d.Decided() {
+			if d.Decided() {
 				pl = payload.Decide{V: d.Value}
 			} else {
 				pl = algs[i].StartRound(k)
 			}
 			if run != nil {
-				run.Procs[i].Steps = append(run.Procs[i].Steps, trace.Step{
-					Round: k,
-					Sent:  pl,
-					Sends: true,
-				})
+				run.Procs[i].Steps = append(run.Procs[i].Steps, trace.Step{Round: k, Sent: pl})
 			}
 			b.msg = model.Message{From: p, Round: k, Payload: pl}
 			b.late = 0
@@ -205,18 +206,18 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 			}
 		}
 
-		// Receive phase: every process that completes round k gets the
-		// receive set its inbox assembles from everything the adversary
-		// delivers in round k — the delayed messages due now and the
-		// round-k message of every sender that reaches it. Every set is
-		// assembled before any algorithm sees its own. An undecided
-		// process decides a DECIDE the set holds; otherwise its
-		// algorithm is handed the set.
+		// Receive phase: every undecided process that completes round k
+		// gets the receive set its inbox assembles from everything the
+		// adversary delivers in round k — the delayed messages due now
+		// and the round-k message of every sender that reaches it. Every
+		// set is assembled before any algorithm sees its own. A process
+		// decides a DECIDE the set holds; otherwise its algorithm is
+		// handed the set.
 		for i := range inbox {
 			inbox[i].Begin(k, n)
 		}
 		for _, d := range pending[k] {
-			if !s.CompletesRound(d.to, k) {
+			if !receivers.Has(d.to) {
 				continue
 			}
 			res.MessagesDelivered++
@@ -224,7 +225,7 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 		}
 		for j := range inbox {
 			q := model.ProcessID(j + 1)
-			if !s.CompletesRound(q, k) {
+			if !receivers.Has(q) {
 				continue
 			}
 			for i := range sent {
@@ -237,23 +238,20 @@ func (sm *Simulator) Run(cfg Config) (*Result, error) {
 			}
 		}
 		for i := 0; i < n; i++ {
-			p := model.ProcessID(i + 1)
-			if !s.CompletesRound(p, k) {
+			if !receivers.Has(model.ProcessID(i + 1)) {
 				continue
 			}
 			msgs := inbox[i].Take()
-			if !res.Decisions[i].Decided() {
-				v, ok := inbox[i].Decided()
-				if !ok {
-					algs[i].EndRound(k, msgs)
-					v, ok = algs[i].Decision()
-				}
-				if ok {
-					res.Decisions[i] = Decision{Value: v, Round: k}
-					if run != nil {
-						run.Procs[i].Decided = model.Some(v)
-						run.Procs[i].DecidedRound = k
-					}
+			v, ok := inbox[i].Decided()
+			if !ok {
+				algs[i].EndRound(k, msgs)
+				v, ok = algs[i].Decision()
+			}
+			if ok {
+				res.Decisions[i] = Decision{Value: v, Round: k}
+				if run != nil {
+					run.Procs[i].Decided = model.Some(v)
+					run.Procs[i].DecidedRound = k
 				}
 			}
 			if run != nil {

@@ -36,7 +36,6 @@ type jsonProcess struct {
 
 type jsonStep struct {
 	Round     model.Round   `json:"round"`
-	Sends     bool          `json:"sends"`
 	Completes bool          `json:"completes"`
 	Sent      string        `json:"sent,omitempty"` // base64 wire payload
 	Received  []jsonMessage `json:"received,omitempty"`
@@ -101,7 +100,6 @@ func (r *Run) WriteJSON(w io.Writer) error {
 			}
 			js := jsonStep{
 				Round:     st.Round,
-				Sends:     st.Sends,
 				Completes: st.Completes,
 				Sent:      sent,
 			}
@@ -121,11 +119,18 @@ func (r *Run) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// ReadJSON deserializes a run written by WriteJSON.
+// ReadJSON deserializes a run written by WriteJSON. It rejects a run
+// whose shape no simulated run has, so that the checkers indexing a
+// Run by process and round can trust it: n processes with IDs 1..n, each
+// with steps for rounds 1, 2, … in order, and no step or decision past
+// the run's last round.
 func ReadJSON(r io.Reader) (*Run, error) {
 	var in jsonRun
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("trace: decode json: %w", err)
+	}
+	if err := in.checkShape(); err != nil {
+		return nil, err
 	}
 	run := &Run{
 		N: in.N, T: in.T,
@@ -159,7 +164,6 @@ func ReadJSON(r io.Reader) (*Run, error) {
 			}
 			st := Step{
 				Round:     js.Round,
-				Sends:     js.Sends,
 				Completes: js.Completes,
 				Sent:      sent,
 			}
@@ -175,4 +179,34 @@ func ReadJSON(r io.Reader) (*Run, error) {
 		run.Procs = append(run.Procs, pt)
 	}
 	return run, nil
+}
+
+func (in *jsonRun) checkShape() error {
+	switch {
+	case in.N < 1 || in.N > model.MaxProcesses:
+		return fmt.Errorf("trace: n must be in 1..%d, got %d", model.MaxProcesses, in.N)
+	case len(in.Procs) != in.N:
+		return fmt.Errorf("trace: procs holds %d processes, want n=%d", len(in.Procs), in.N)
+	case in.GSR < 1:
+		return fmt.Errorf("trace: gsr must be at least 1, got %d", in.GSR)
+	case in.Rounds < 0:
+		return fmt.Errorf("trace: rounds must not be negative, got %d", in.Rounds)
+	}
+	for i, jp := range in.Procs {
+		if jp.ID != model.ProcessID(i+1) {
+			return fmt.Errorf("trace: procs[%d] has id %d, want %d", i, jp.ID, i+1)
+		}
+		if jp.DecidedRound > in.Rounds {
+			return fmt.Errorf("trace: p%d decidedRound %d exceeds rounds %d", jp.ID, jp.DecidedRound, in.Rounds)
+		}
+		for j, js := range jp.Steps {
+			if js.Round != model.Round(j+1) {
+				return fmt.Errorf("trace: p%d steps[%d] has round %d, want %d", jp.ID, j, js.Round, j+1)
+			}
+			if js.Round > in.Rounds {
+				return fmt.Errorf("trace: p%d step round %d exceeds rounds %d", jp.ID, js.Round, in.Rounds)
+			}
+		}
+	}
+	return nil
 }

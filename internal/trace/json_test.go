@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"indulgence/internal/core"
@@ -60,15 +61,38 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadJSONErrors feeds the reader malformed runs. Each shape error
+// names its field: a run the reader accepts is one the checkers can index
+// by process and round without panicking.
 func TestReadJSONErrors(t *testing.T) {
-	if _, err := trace.ReadJSON(bytes.NewBufferString("{nope")); err == nil {
-		t.Fatal("malformed JSON accepted")
+	for _, tc := range []struct{ name, in, want string }{
+		{"malformed", "{nope", "decode json"},
+		{"synchrony", `{"n":1,"gsr":1,"procs":[{"id":1}],"synchrony":"weird"}`, "unknown synchrony"},
+		{"base64", `{"n":1,"gsr":1,"rounds":1,"synchrony":"ES","procs":[{"id":1,"steps":[{"round":1,"sent":"!!!"}]}]}`, "base64"},
+		{"n zero", `{"synchrony":"ES","gsr":1}`, "n must be"},
+		{"n too large", `{"n":65,"synchrony":"ES","gsr":1}`, "n must be"},
+		{"procs beyond n", `{"n":1,"t":0,"synchrony":"ES","gsr":1,"rounds":1,"procs":[{"id":1,"steps":[{"round":1,"completes":true}]},{"id":2,"steps":[{"round":1,"completes":true}]}]}`, "procs holds"},
+		{"gsr zero", `{"n":1,"synchrony":"ES","rounds":1,"procs":[{"id":1}]}`, "gsr"},
+		{"rounds negative", `{"n":1,"synchrony":"ES","gsr":1,"rounds":-1,"procs":[{"id":1}]}`, "rounds"},
+		{"id order", `{"n":2,"synchrony":"ES","gsr":1,"procs":[{"id":2},{"id":1}]}`, "id"},
+		{"step round zero", `{"n":1,"synchrony":"ES","gsr":1,"rounds":1,"procs":[{"id":1,"steps":[{"round":0,"completes":true}]}]}`, "steps[0] has round 0"},
+		{"step gap", `{"n":1,"synchrony":"ES","gsr":1,"rounds":3,"procs":[{"id":1,"steps":[{"round":1},{"round":3}]}]}`, "steps[1] has round 3"},
+		{"step past rounds", `{"n":1,"synchrony":"ES","gsr":1,"rounds":1,"procs":[{"id":1,"steps":[{"round":1},{"round":2}]}]}`, "step round 2 exceeds rounds"},
+		{"decision past rounds", `{"n":1,"synchrony":"ES","gsr":1,"rounds":1,"procs":[{"id":1,"decided":5,"decidedRound":2}]}`, "decidedRound 2"},
+	} {
+		_, err := trace.ReadJSON(bytes.NewBufferString(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
-	if _, err := trace.ReadJSON(bytes.NewBufferString(`{"synchrony":"weird"}`)); err == nil {
-		t.Fatal("unknown synchrony accepted")
-	}
-	if _, err := trace.ReadJSON(bytes.NewBufferString(
-		`{"synchrony":"ES","procs":[{"id":1,"steps":[{"round":1,"sent":"!!!"}]}]}`)); err == nil {
-		t.Fatal("bad base64 accepted")
+}
+
+// TestReadJSONIgnoresSends reads a file written while steps still carried
+// a "sends" field: the reader ignores it.
+func TestReadJSONIgnoresSends(t *testing.T) {
+	run, err := trace.ReadJSON(bytes.NewBufferString(
+		`{"n":1,"synchrony":"ES","gsr":1,"rounds":1,"procs":[{"id":1,"steps":[{"round":1,"sends":true,"completes":true}]}]}`))
+	if err != nil || len(run.Procs[0].Steps) != 1 || !run.Procs[0].Steps[0].Completes {
+		t.Fatalf("run %+v, err %v", run, err)
 	}
 }

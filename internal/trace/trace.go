@@ -15,21 +15,23 @@ import (
 	"indulgence/internal/model"
 )
 
-// Step records one round of one process's local history.
+// Step records one round of one process's local history. A process has
+// a step for each round it sends in: rounds 1, 2, … up to its crash
+// round, its relay round (the round after its decision, whose step is
+// its DECIDE relay) or the run's last round, whichever comes first.
 type Step struct {
 	// Round is the 1-based round number.
 	Round model.Round
-	// Sent is the payload broadcast in the send phase (nil if the process
-	// crashed before round Round or the algorithm sent a dummy).
+	// Sent is the payload broadcast in the send phase: the algorithm's
+	// (nil if it sent a dummy), or DECIDE in the relay step.
 	Sent model.Payload
 	// Received holds the messages delivered in the receive phase, sorted
-	// by (Round, From). Nil if the process crashed in or before this
-	// round (a crashing process does not complete its receive phase).
+	// by (Round, From). Nil if the step does not complete.
 	Received []model.Message
-	// Sends reports whether the process executed the send phase.
-	Sends bool
 	// Completes reports whether the process completed the round
-	// (executed the receive phase).
+	// (executed the receive phase). A process does not complete its
+	// crash round, nor its relay step: a decided process sends DECIDE
+	// once and halts.
 	Completes bool
 }
 
@@ -102,7 +104,6 @@ func (r *Run) historyBytes(p model.ProcessID, upto model.Round) []byte {
 	for i := 0; i < len(pt.Steps) && model.Round(i) < upto; i++ {
 		st := &pt.Steps[i]
 		buf = model.AppendDigestInt(buf, int64(st.Round))
-		buf = model.AppendDigestBool(buf, st.Sends)
 		if st.Sent != nil {
 			buf = model.AppendDigestString(buf, st.Sent.Kind())
 			buf = st.Sent.AppendDigest(buf)

@@ -29,7 +29,6 @@ func mkRun(perRound [][2]model.Value) *Run {
 				Round:     round,
 				Sent:      payload.Estimate{Est: ests[i]},
 				Received:  msgs,
-				Sends:     true,
 				Completes: true,
 			})
 		}
