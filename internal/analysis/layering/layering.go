@@ -47,7 +47,7 @@ var Table = map[string][]string{
 	"lowerbound": {"check", "model", "pool", "sched", "sim", "trace"},
 
 	"adapt":     {"core", "metrics", "model"},
-	"journal":   {"metrics", "stats", "wire"},
+	"journal":   {"metrics", "model", "stats", "wire"},
 	"transport": {"chaos/clock", "metrics", "model", "wire"},
 	"runtime":   {"chaos/clock", "core", "fd", "metrics", "model", "payload", "transport", "wire"},
 	"service": {"adapt", "chaos/clock", "check", "core", "fd", "journal", "metrics",

@@ -46,12 +46,11 @@
 package journal
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"syscall"
 	"time"
@@ -71,6 +70,13 @@ var (
 	// ErrLocked reports a journal directory already owned by a live
 	// journal (this process or another).
 	ErrLocked = errors.New("journal: directory locked by another journal")
+	// ErrReserved reports an append of instance ID math.MaxUint64, which
+	// no record may carry: the frontier past it does not exist.
+	ErrReserved = errors.New("journal: instance ID math.MaxUint64 is reserved")
+	// ErrOutOfBounds reports a decision whose batch or class lies
+	// outside what wire.DecodeDecisionRecord reads back: recovery would
+	// take its frame for a torn tail or mid-journal corruption.
+	ErrOutOfBounds = errors.New("journal: decision field outside the record codec's bounds")
 )
 
 // Options configures a journal.
@@ -162,11 +168,11 @@ type Journal struct {
 	// closes the channel under a sender.
 	mu     sync.RWMutex
 	closed bool
-	// index holds one record per decided instance, sorted by Instance:
-	// a map of the same records costs about twice the memory, and
-	// decisions arrive nearly in instance order (replay almost exactly,
-	// live ones at most about the service's inflight bound apart).
-	index     []wire.DecisionRecord
+	// index holds the last journaled decision of every decided
+	// instance in pages of slots that carry no instance ID (see page):
+	// 28 bytes per decision at any spacing of the IDs, plus a page's
+	// fixed part per 1,024-ID range, and O(1) Get.
+	index     index
 	frontier  uint64
 	appends   int
 	batches   int
@@ -278,7 +284,14 @@ func (j *Journal) Dir() string { return j.dir }
 // is fsynced at once; appends that queue while an fsync runs share the
 // next one, so under load durability costs one fsync per group, not per
 // decision.
+//
+// Append refuses the reserved instance ID math.MaxUint64 (ErrReserved)
+// and a batch or class the record codec cannot read back
+// (ErrOutOfBounds).
 func (j *Journal) Append(rec wire.DecisionRecord) error {
+	if rec.Batch < 0 || rec.Batch > wire.MaxFrameSize || rec.Class < 0 || rec.Class > wire.MaxClassValue {
+		return fmt.Errorf("%w: batch %d, class %d", ErrOutOfBounds, rec.Batch, rec.Class)
+	}
 	return j.append(Entry{Decision: rec}, true)
 }
 
@@ -297,6 +310,7 @@ func (j *Journal) Append(rec wire.DecisionRecord) error {
 // process crash, which page-cache writes survive too, while a machine
 // crash that could lose the write also loses the frames. (Any later
 // decision fsync makes earlier start writes durable as a side effect.)
+// Like Append, it refuses instance math.MaxUint64 (ErrReserved).
 func (j *Journal) AppendStart(instance uint64, alg string) error {
 	return j.AppendStartRecord(wire.StartRecord{Instance: instance, Alg: alg})
 }
@@ -316,12 +330,16 @@ func (j *Journal) AppendStartRecord(r wire.StartRecord) error {
 // an audit annotation of the claim it accompanies, and any later
 // decision fsync makes it durable as a side effect. Out-of-bounds
 // annotation fields are clamped rather than erroring, like an
-// oversized start-claim algorithm tag.
+// oversized start-claim algorithm tag; instance math.MaxUint64 is
+// refused (ErrReserved).
 func (j *Journal) AppendDecisionTrace(r wire.DecisionTraceRecord) error {
 	return j.append(Entry{Trace: &r}, false)
 }
 
 func (j *Journal) append(e Entry, sync bool) error {
+	if e.Instance() == math.MaxUint64 {
+		return ErrReserved
+	}
 	req := appendReq{entry: e, sync: sync, done: make(chan error, 1)}
 	j.mu.RLock()
 	if j.closed {
@@ -337,18 +355,12 @@ func (j *Journal) append(e Entry, sync bool) error {
 func (j *Journal) Get(instance uint64) (wire.DecisionRecord, bool) {
 	j.mu.RLock()
 	defer j.mu.RUnlock()
-	i, ok := slices.BinarySearchFunc(j.index, instance, func(r wire.DecisionRecord, instance uint64) int {
-		return cmp.Compare(r.Instance, instance)
-	})
-	if !ok {
-		return wire.DecisionRecord{}, false
-	}
-	return j.index[i], true
+	return j.index.get(instance)
 }
 
 // Frontier returns 1 + the highest journaled instance ID (0 when the
 // journal is empty): the first instance ID a recovered service may
-// assign.
+// assign. It saturates at math.MaxUint64, an ID no append accepts.
 func (j *Journal) Frontier() uint64 {
 	j.mu.RLock()
 	defer j.mu.RUnlock()
@@ -359,7 +371,7 @@ func (j *Journal) Frontier() uint64 {
 func (j *Journal) Len() int {
 	j.mu.RLock()
 	defer j.mu.RUnlock()
-	return len(j.index)
+	return j.index.n
 }
 
 // Snapshot returns current counters and the fsync-latency summary.
@@ -367,7 +379,7 @@ func (j *Journal) Snapshot() Stats {
 	j.mu.RLock()
 	defer j.mu.RUnlock()
 	return Stats{
-		Decisions:   len(j.index),
+		Decisions:   j.index.n,
 		Starts:      int(j.mStarts.Value()),
 		Traces:      int(j.mTraces.Value()),
 		Appends:     j.appends,
@@ -529,28 +541,10 @@ func (j *Journal) publish(e Entry) {
 	case e.Start:
 		j.mStarts.Inc()
 	default:
-		j.index = insertSorted(j.index, e.Decision)
+		j.index.put(e.Decision)
 		j.mDecisions.Inc()
 	}
-	if e.Instance() >= j.frontier {
-		j.frontier = e.Instance() + 1
-	}
-}
-
-// insertSorted places rec in index, which is sorted by Instance, and
-// returns the index. It walks back from the tail, where nearly every
-// decision lands; a record of an instance already present replaces it
-// (the last journaled record of an instance wins).
-func insertSorted(index []wire.DecisionRecord, rec wire.DecisionRecord) []wire.DecisionRecord {
-	i := len(index)
-	for i > 0 && index[i-1].Instance > rec.Instance {
-		i--
-	}
-	if i > 0 && index[i-1].Instance == rec.Instance {
-		index[i-1] = rec
-		return index
-	}
-	return slices.Insert(index, i, rec)
+	j.frontier = advance(j.frontier, e.Instance())
 }
 
 // recordSync accounts one fsync; the stats lock guards the sample.

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,6 +18,10 @@ import (
 func rec(i uint64) wire.DecisionRecord {
 	return wire.DecisionRecord{Instance: i, Value: model.Value(i) + 100, Round: 3, Batch: 2}
 }
+
+// scanSegment is appendSegment into a fresh slice: the form the fuzz
+// targets drive.
+func scanSegment(b []byte) ([]Entry, int, bool) { return appendSegment(nil, b) }
 
 // replayAll collects every decision record of a journal directory.
 func replayAll(t *testing.T, dir string) ([]wire.DecisionRecord, ReplayInfo) {
@@ -301,6 +306,24 @@ func TestMidJournalCorruptionFails(t *testing.T) {
 	if _, err := Replay(dir, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("replay over mid-journal damage: %v", err)
 	}
+	// The torn segment is parsed whole before fn sees any entry of it,
+	// so even its intact prefix is never delivered.
+	torn, _, _ := scanSegment(b[:len(b)-1])
+	if len(torn) == 0 {
+		t.Fatal("the torn segment keeps no intact entry to check against")
+	}
+	seen := map[uint64]bool{}
+	if _, err := Replay(dir, func(e Entry) error {
+		seen[e.Instance()] = true
+		return nil
+	}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("replay with fn over mid-journal damage: %v", err)
+	}
+	for _, e := range torn {
+		if seen[e.Instance()] {
+			t.Fatalf("fn saw instance %d of the torn segment", e.Instance())
+		}
+	}
 	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open over mid-journal damage: %v", err)
 	}
@@ -419,12 +442,15 @@ func TestGroupCommitDrainsIntake(t *testing.T) {
 	}
 }
 
-// TestIndexMatchesMapOracle drives the sorted decision index through
-// Append in the orders it must absorb — permutations within a 32-wide
-// window (live decisions finish out of order by up to the inflight
-// bound), duplicate instances (the last record wins) and one instance
-// far below the tail — and checks Get, Len and Frontier against a map,
-// live and again after reopening.
+// TestIndexMatchesMapOracle drives the decision index through Append
+// in the orders it must absorb — permutations within a 32-wide window
+// (live decisions finish out of order by up to the inflight bound),
+// duplicate instances (the last record wins) and one instance far
+// below the tail — and through the IDs and fields at its edges: IDs on
+// both sides of page boundaries, 0, 1<<63 and math.MaxUint64-1, and
+// groups up to 1<<40 with every class. It checks Get, Len and Frontier
+// against a map live, after reopening, and after records appended to
+// the reopened journal replace recovered ones.
 func TestIndexMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	const blocks, width = 8, 32
@@ -441,6 +467,38 @@ func TestIndexMatchesMapOracle(t *testing.T) {
 		order = append(order, dup)
 	}
 	order = append(order, rec(10))
+	var dense uint64
+	for _, r := range order {
+		dense = max(dense, r.Instance)
+	}
+
+	// edge gives instance i a record with its fields spread over their
+	// ranges: the group up to 1<<40, every class, extreme values.
+	edge := func(i uint64, k int) wire.DecisionRecord {
+		r := rec(i)
+		r.Group = []uint64{0, 1, 1 << 40}[k%3]
+		r.Class = k % (wire.MaxClassValue + 1)
+		r.Value = []model.Value{math.MinInt64, -1, math.MaxInt64}[k%3]
+		r.Round = model.Round(1) << (k % 41)
+		r.Batch = []int{0, 1, wire.MaxFrameSize}[k%3]
+		return r
+	}
+	edges := []uint64{0, pageSlots - 1, pageSlots, 7*pageSlots - 1, 7 * pageSlots,
+		1<<63 - 1, 1 << 63, math.MaxUint64 - 1}
+	for k, i := range edges {
+		order = append(order, edge(i, k))
+	}
+	order = append(order, edge(pageSlots, 7)) // class 7 replaces a recorded edge
+
+	// Every ID up to the dense range's end plus 8, and each edge's
+	// neighbors: a hit, a miss on each side.
+	probes := map[uint64]bool{}
+	for i := uint64(0); i <= dense+8; i++ {
+		probes[i] = true
+	}
+	for _, i := range edges {
+		probes[i-1], probes[i], probes[i+1] = true, true, true
+	}
 
 	dir := t.TempDir()
 	j, err := Open(dir, Options{})
@@ -449,16 +507,20 @@ func TestIndexMatchesMapOracle(t *testing.T) {
 	}
 	oracle := map[uint64]wire.DecisionRecord{}
 	var top uint64
-	for _, r := range order {
+	add := func(j *Journal, r wire.DecisionRecord) {
+		t.Helper()
 		if err := j.Append(r); err != nil {
 			t.Fatal(err)
 		}
 		oracle[r.Instance] = r
 		top = max(top, r.Instance)
 	}
+	for _, r := range order {
+		add(j, r)
+	}
 	check := func(j *Journal, when string) {
 		t.Helper()
-		for i := uint64(0); i <= top+8; i++ {
+		for i := range probes {
 			got, ok := j.Get(i)
 			want, wantOK := oracle[i]
 			if ok != wantOK || got != want {
@@ -480,8 +542,24 @@ func TestIndexMatchesMapOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = j2.Close() }()
 	check(j2, "reopened")
+	// The last record wins across lifetimes: records appended after a
+	// reopen replace recovered ones, live and at the next reopen.
+	for k, i := range []uint64{9, pageSlots, 1 << 63} {
+		r := edge(i, k+1)
+		r.Value = model.Value(k) + 7
+		add(j2, r)
+	}
+	check(j2, "replaced")
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j3, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = j3.Close() }()
+	check(j3, "replaced and reopened")
 }
 
 func TestAppendAfterClose(t *testing.T) {

@@ -1,9 +1,12 @@
 package journal
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -93,16 +96,26 @@ func decodeEntry(payload []byte) (Entry, bool) {
 	return e, true
 }
 
-// scanSegment parses one segment's bytes — a sequence of wire CRC frames
-// (see package wire, "Decoding"), one record each — into its longest
-// intact prefix of entries. It returns the entries, the byte offset
-// parsing stopped at, and whether trailing bytes were dropped. The
+// minFrame is the smallest frame appendSegment accepts: a CRC frame
+// header around a two-byte record (a start claim written before the
+// algorithm tag existed: its marker and a one-byte instance).
+const minFrame = wire.CRCFrameHeader + 2
+
+// appendSegment parses one segment's bytes — a sequence of wire CRC
+// frames (see package wire, "Decoding"), one record each — into its
+// longest intact prefix of entries, appended to dst. It returns the
+// extended slice, the byte offset parsing stopped at, and whether
+// trailing bytes were dropped. No decoded field aliases b: strings and
+// trace records are copies, so b may be reused once it returns. dst
+// grows once, to room for the most entries b can hold (len(b)/minFrame),
+// so a dst reused across segments takes one allocation, not a series. The
 // journal's tolerance policy is that anything wrong is the torn tail at
 // that offset: whatever wire.ReadCRCFrame reports (a short header or
 // payload, a bogus length, a CRC mismatch) and a payload that is not
-// exactly one well-formed record alike. scanSegment never fails — every
-// input has a well-defined intact prefix, possibly empty.
-func scanSegment(b []byte) (entries []Entry, intact int, torn bool) {
+// exactly one well-formed record alike. appendSegment never fails —
+// every input has a well-defined intact prefix, possibly empty.
+func appendSegment(dst []Entry, b []byte) (entries []Entry, intact int, torn bool) {
+	entries = slices.Grow(dst, len(b)/minFrame)
 	for off := 0; off < len(b); {
 		payload, n, err := wire.ReadCRCFrame(b[off:])
 		if err != nil {
@@ -116,6 +129,36 @@ func scanSegment(b []byte) (entries []Entry, intact int, torn bool) {
 		off += n
 	}
 	return entries, len(b), false
+}
+
+// readSegment reads the segment file at path into buf, replacing its
+// contents; buf keeps its capacity from one segment to the next, so it
+// grows only for a segment larger than any read before.
+func readSegment(buf *bytes.Buffer, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	buf.Reset()
+	if st, err := f.Stat(); err == nil {
+		// ReadFrom grows buf unless MinRead bytes are free for each
+		// read, the final empty one included.
+		buf.Grow(int(st.Size()) + bytes.MinRead)
+	}
+	_, err = buf.ReadFrom(f)
+	return err
+}
+
+// advance returns the frontier after an entry of instance: 1 + the
+// highest instance seen, saturating at math.MaxUint64 — the one ID no
+// append accepts — so a record of it already on disk cannot wrap the
+// frontier to 0.
+func advance(frontier, instance uint64) uint64 {
+	if instance == math.MaxUint64 {
+		return instance
+	}
+	return max(frontier, instance+1)
 }
 
 // segmentName formats the file name of segment idx.
@@ -167,8 +210,9 @@ type ReplayInfo struct {
 	// segment (0 when the journal ends cleanly).
 	TornBytes int
 	// Frontier is 1 + the highest instance ID replayed, over starts
-	// and decisions alike (0 when empty): the first instance ID a
-	// recovered service may assign.
+	// and decisions alike (0 when empty), saturating at
+	// math.MaxUint64: the first instance ID a recovered service may
+	// assign.
 	Frontier uint64
 }
 
@@ -176,7 +220,9 @@ type ReplayInfo struct {
 // order, calling fn for each; a non-nil fn error stops the replay and is
 // returned. A torn tail is tolerated only on the final segment — that is
 // the only place a crash can tear — and is reported in ReplayInfo;
-// mid-journal corruption fails with ErrCorrupt. Replay opens nothing for
+// mid-journal corruption fails with ErrCorrupt, and fn sees no entry of
+// the damaged segment. fn may keep the entries it is handed: none shares
+// memory with the buffers Replay reuses. Replay opens nothing for
 // writing and is safe on a journal another process wrote.
 func Replay(dir string, fn func(Entry) error) (ReplayInfo, error) {
 	info, _, err := replay(dir, fn)
@@ -185,18 +231,29 @@ func Replay(dir string, fn func(Entry) error) (ReplayInfo, error) {
 
 // replay is Replay, also reporting the index of the final segment (0 in
 // an empty directory): the one Open truncates by TornBytes and resumes
-// appending to.
+// appending to. Every segment is read into one buffer and parsed into
+// one entry slice, both reused segment after segment; a segment is
+// parsed whole before fn sees any of its entries, so a segment torn
+// mid-journal delivers none.
 func replay(dir string, fn func(Entry) error) (info ReplayInfo, last int, err error) {
 	idxs, err := listSegments(dir)
 	if err != nil {
 		return info, 0, err
 	}
+	var (
+		buf     bytes.Buffer
+		entries []Entry
+	)
 	for i, idx := range idxs {
-		b, err := os.ReadFile(filepath.Join(dir, segmentName(idx)))
-		if err != nil {
+		if err := readSegment(&buf, filepath.Join(dir, segmentName(idx))); err != nil {
 			return info, 0, err
 		}
-		entries, intact, torn := scanSegment(b)
+		b := buf.Bytes()
+		var (
+			intact int
+			torn   bool
+		)
+		entries, intact, torn = appendSegment(entries[:0], b)
 		if torn && i != len(idxs)-1 {
 			return info, 0, fmt.Errorf("%w: %s has a torn tail mid-journal", ErrCorrupt, segmentName(idx))
 		}
@@ -217,9 +274,7 @@ func replay(dir string, fn func(Entry) error) (info ReplayInfo, last int, err er
 			default:
 				info.Decisions++
 			}
-			if e.Instance() >= info.Frontier {
-				info.Frontier = e.Instance() + 1
-			}
+			info.Frontier = advance(info.Frontier, e.Instance())
 		}
 	}
 	return info, last, nil

@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -91,11 +92,18 @@ func NewMux(ep Transport, groups int, reg *metrics.Registry) *Mux {
 // lies in residue class class of classes ≥ 1 ({class, class+classes,
 // …}) — the recovery arithmetic mapping a process-wide journal frontier
 // onto one group's allocation, and onto one retirement class of a Mux.
+// When no ID of the class lies between frontier and math.MaxUint64 it
+// returns math.MaxUint64, an ID the journal refuses, rather than wrap
+// below frontier to an instance that may already be decided.
 func AlignUp(frontier, class, classes uint64) uint64 {
 	if frontier <= class {
 		return class
 	}
-	return frontier + (classes-(frontier-class)%classes)%classes
+	up := (classes - (frontier-class)%classes) % classes
+	if frontier > math.MaxUint64-up {
+		return math.MaxUint64
+	}
+	return frontier + up
 }
 
 // Self returns the identity of the underlying endpoint.

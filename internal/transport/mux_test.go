@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -606,17 +607,21 @@ func TestMuxRetireBelow(t *testing.T) {
 }
 
 // TestAlignUp checks AlignUp against a walk up from the frontier to the
-// first ID of the class.
+// first ID of the class, near 0 and near math.MaxUint64, where a walk
+// that finds no ID of the class ends at math.MaxUint64 instead of
+// wrapping.
 func TestAlignUp(t *testing.T) {
 	for classes := uint64(1); classes <= 4; classes++ {
 		for class := uint64(0); class < classes; class++ {
-			for frontier := uint64(0); frontier < 20; frontier++ {
-				want := frontier
-				for want%classes != class {
-					want++
-				}
-				if got := AlignUp(frontier, class, classes); got != want {
-					t.Fatalf("AlignUp(%d, %d, %d) = %d, want %d", frontier, class, classes, got, want)
+			for k := uint64(0); k < 20; k++ {
+				for _, frontier := range []uint64{k, math.MaxUint64 - k} {
+					want := frontier
+					for want%classes != class && want < math.MaxUint64 {
+						want++
+					}
+					if got := AlignUp(frontier, class, classes); got != want {
+						t.Fatalf("AlignUp(%d, %d, %d) = %d, want %d", frontier, class, classes, got, want)
+					}
 				}
 			}
 		}
