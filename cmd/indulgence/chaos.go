@@ -19,7 +19,6 @@ func cmdChaos(args []string) error {
 	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
 	seed := fs.Int64("seed", 1, "first scenario seed")
 	count := fs.Int("scenarios", 100, "number of consecutive seeds to run")
-	groups := fs.Int("groups", 1, "run each scenario sharded over this many consensus groups")
 	spec := fs.String("spec", "", "JSON scenario spec to run instead of generated seeds (@FILE reads it from FILE)")
 	wl := fs.String("workload", "", "replace each generated scenario's wave load with this workload: gen:<seed>[:<maxevents>], @FILE or inline JSON (event cap clamps per scenario)")
 	journalDir := fs.String("journal", "", "keep each run's decision journal under this directory (debugging; default: private temp dirs)")
@@ -55,9 +54,6 @@ func cmdChaos(args []string) error {
 		return nil
 	}
 
-	if *groups < 1 {
-		return fmt.Errorf("need at least one consensus group, got -groups %d", *groups)
-	}
 	onRun := func(r chaos.Result) {
 		if *verbose || !r.OK() || r.Failed > 0 {
 			printChaosResult(r, *verbose)
@@ -71,7 +67,7 @@ func cmdChaos(args []string) error {
 		}
 	}
 	wallStart := time.Now()
-	st := chaos.Sweep(*seed, *count, *groups, wspec, opts, onRun)
+	st := chaos.Sweep(*seed, *count, wspec, opts, onRun)
 	wall := time.Since(wallStart)
 	perSec := float64(st.Runs) / wall.Seconds()
 	speedup := float64(st.Virtual) / float64(wall)

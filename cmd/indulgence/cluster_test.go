@@ -47,36 +47,13 @@ func TestClusterMultiProcessRestart(t *testing.T) {
 	}
 }
 
-// TestClusterShardedRestart is the sharded twin of the restart test:
-// every member runs two consensus groups over one TCP connection per
-// peer pair, one member is killed and restarted with both its group
-// journals, and the merged cross-group, cross-process audit holds.
-func TestClusterShardedRestart(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real OS processes")
-	}
-	bin := buildBinary(t)
-	err := run([]string{"cluster",
-		"-bin", bin,
-		"-n", "3", "-t", "1",
-		"-groups", "2", "-placement", "key-affinity",
-		"-proposals", "6",
-		"-restart", "2",
-		"-timeout", "15ms",
-		"-journal", filepath.Join(t.TempDir(), "journals"),
-		"-echo=false",
-	})
-	if err != nil {
-		t.Fatalf("sharded cluster with restart: %v", err)
-	}
-}
-
 func TestClusterFlagErrors(t *testing.T) {
 	cases := [][]string{
 		{"cluster", "-n", "1"},
 		{"cluster", "-n", "200"},
 		{"cluster", "-restart", "9", "-n", "3"},
 		{"cluster", "-restart", "-1"},
+		{"cluster", "-groups", "2"}, // consensus groups are gone; the flag with them
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

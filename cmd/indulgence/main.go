@@ -12,22 +12,20 @@
 //	                 [-delay D] [-crash P] [-timeout D]
 //	indulgence serve [-algo A] [-n N] [-t T] [-transport memory|tcp]
 //	                 [-batch B] [-linger D] [-inflight I] [-journal DIR]
-//	                 [-groups G] [-placement P]
 //	                 [-adaptive] [-adaptive-select] [-adaptive-batch-max B]
 //	                 [-adaptive-linger-max D] [-verbose]
 //	indulgence serve -peers p1=host:port,... -self N [-peers-file F]
 //	                 [-cluster-id C] [-join-timeout D] [flags as above]
 //	indulgence cluster [-n N] [-t T] [-proposals P] [-restart K]
-//	                 [-groups G] [-placement P] [-journal DIR] [-bin PATH]
+//	                 [-journal DIR] [-bin PATH]
 //	indulgence bench-service [-algo A] [-n N] [-t T] [-transport memory|tcp]
 //	                 [-proposals P] [-clients C] [-batch B] [-linger D]
 //	                 [-inflight I] [-delay D] [-heal D] [-timeout D]
-//	                 [-groups G] [-placement P] [-classes K]
-//	                 [-journal DIR] [-adaptive] [-burst N] [-burst-idle D]
+//	                 [-classes K] [-journal DIR] [-adaptive] [-burst N] [-burst-idle D]
 //	                 [-workload gen:SEED|@FILE|JSON] [-record FILE] [-live]
 //	indulgence replay -journal DIR [-limit N] [-quiet] [-verify=false]
 //	indulgence replay-trace [-verbose] FILE
-//	indulgence chaos [-seed S] [-scenarios N] [-groups G] [-spec JSON|@FILE]
+//	indulgence chaos [-seed S] [-scenarios N] [-spec JSON|@FILE]
 //	                 [-workload gen:SEED|@FILE|JSON] [-journal DIR] [-verbose]
 //
 // Algorithms: atplus2, atplus2ff, diamonds, afplus2, floodset, floodsetws,
@@ -105,8 +103,7 @@ func usage() {
   table          regenerate the paper's experiment tables (E1..E9, A1..A4, all)
   live           run a live goroutine cluster (in-memory or TCP transport)
   serve          run the consensus service; proposals read from stdin, one per line
-                 (with -peers: run as one member of a multi-process cluster;
-                 with -groups G: shard over G consensus groups, -placement routes)
+                 (with -peers: run as one member of a multi-process cluster)
   bench-service  load test of the consensus service: closed loop, or a generated
                  open-loop workload with -workload (SLO classes, phase schedule;
                  -record FILE records a deterministic replayable trace)

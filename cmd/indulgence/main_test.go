@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -21,8 +20,8 @@ import (
 	"indulgence/internal/journal"
 	"indulgence/internal/model"
 	"indulgence/internal/service"
-	"indulgence/internal/shard"
 	"indulgence/internal/transport"
+	"indulgence/internal/wire"
 )
 
 func TestRunSubcommands(t *testing.T) {
@@ -147,6 +146,9 @@ func TestServiceSubcommandErrors(t *testing.T) {
 		{"bench-service", "-algo", "unknown"},
 		{"bench-service", "-transport", "warp"},
 		{"bench-service", "-transport", "tcp", "-delay", "5ms", "-proposals", "1", "-clients", "1"},
+		// Consensus groups are gone, and their flags with them.
+		{"serve", "-groups", "2"},
+		{"bench-service", "-placement", "key-affinity"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
@@ -251,6 +253,30 @@ func TestServeJournalAndReplay(t *testing.T) {
 		t.Fatalf("replay quiet: %v", err)
 	}
 
+	// The retired per-group layout: serve and replay refuse a root that
+	// holds a group-NNNN subdirectory, which still replays on its own.
+	root := t.TempDir()
+	sub := filepath.Join(root, "group-0001")
+	jn, err := journal.Open(sub, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Append(wire.DecisionRecord{Instance: 1, Value: 7, Round: 3, Batch: 1, Group: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := serveWithStdin(t, "1\n", "-n", "3", "-t", "1", "-journal", root); !errors.Is(err, journal.ErrGroupLayout) {
+		t.Fatalf("serve on a per-group root: %v, want ErrGroupLayout", err)
+	}
+	if err := run([]string{"replay", "-journal", root}); !errors.Is(err, journal.ErrGroupLayout) {
+		t.Fatalf("replay of a per-group root: %v, want ErrGroupLayout", err)
+	}
+	if err := run([]string{"replay", "-journal", sub}); err != nil {
+		t.Fatalf("replay of one per-group subdirectory: %v", err)
+	}
+
 	// A peer-mode member journals through the same path: with -adaptive
 	// it writes a decision trace per instance beside its start claims,
 	// and `replay -traces` audits each trace's chosen rung against the
@@ -266,7 +292,7 @@ func TestServeJournalAndReplay(t *testing.T) {
 	if err := run([]string{"replay", "-journal", peerDir, "-traces"}); err != nil {
 		t.Fatalf("replay -traces of a member journal: %v", err)
 	}
-	hist, err := shard.ReplayDir(peerDir)
+	hist, err := journal.ReadHistory(peerDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,197 +322,84 @@ func TestBenchServiceJournal(t *testing.T) {
 	}
 }
 
-// TestServeShardSubcommand is the CLI tour of sharding: two sharded
-// serve lifetimes share one journal, which replays and passes the
-// cross-group audit with decisions of both groups on file. A root in the
-// retired per-group layout is refused by serve and by replay, while one
-// of its group-NNNN subdirectories still replays and audits on its own.
-func TestServeShardSubcommand(t *testing.T) {
-	const groups = 2
-	dir := t.TempDir() + "/journal"
-	common := []string{"-n", "3", "-t", "1", "-timeout", "10ms", "-batch", "2",
-		"-linger", "5ms", "-groups", "2"}
-	if err := serveWithStdin(t, "1\n2\n3\n4\n", append(common, "-journal", dir)...); err != nil {
-		t.Fatalf("first sharded serve lifetime: %v", err)
-	}
-	if err := serveWithStdin(t, "5\n6\n", append(common, "-journal", dir)...); err != nil {
-		t.Fatalf("second sharded serve lifetime: %v", err)
-	}
-	if err := run([]string{"replay", "-journal", dir}); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	hist, err := shard.ReplayDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[uint64]bool)
-	for _, r := range hist.Records {
-		seen[r.Group] = true
-	}
-	if len(seen) != groups {
-		t.Fatalf("the shared journal holds decisions of %d groups, want %d", len(seen), groups)
-	}
-	if rep := check.Replay(hist.Records, hist.Starts, nil); !rep.OK() {
-		t.Fatalf("cross-group audit failed: %v", rep.Violations)
-	}
-
-	// The retired layout: group g of 2 journaled alone in root/group-000g.
-	root := t.TempDir()
-	for g := 0; g < groups; g++ {
-		writeGroupJournal(t, filepath.Join(root, fmt.Sprintf("group-%04d", g)), g, groups)
-	}
-	if err := serveWithStdin(t, "1\n", append(common, "-journal", root)...); !errors.Is(err, shard.ErrGroupLayout) {
-		t.Fatalf("serve on a per-group root: %v, want ErrGroupLayout", err)
-	}
-	if err := run([]string{"replay", "-journal", root}); !errors.Is(err, shard.ErrGroupLayout) {
-		t.Fatalf("replay of a per-group root: %v, want ErrGroupLayout", err)
-	}
-	if err := run([]string{"replay", "-journal", filepath.Join(root, "group-0001")}); err != nil {
-		t.Fatalf("replay of one per-group subdirectory: %v", err)
-	}
-}
-
-// writeGroupJournal journals a few decisions of group g of groups into
-// dir, as one group of a runtime of the retired per-group layout did: a
-// group service alone on its own journal.
-func writeGroupJournal(t *testing.T, dir string, g, groups int) {
-	t.Helper()
-	jn, err := journal.Open(dir, journal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = jn.Close() }()
-	hub, err := transport.NewHub(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = hub.Close() }()
-	eps := make([]transport.Transport, 3)
-	for i := range eps {
-		if eps[i], err = hub.Endpoint(model.ProcessID(i + 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	svc, err := service.New(service.Config{N: 3, T: 1, Factory: core.New(core.Options{}),
-		BaseTimeout: 10 * time.Millisecond, Journal: jn, Group: uint64(g), Groups: groups}, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range 3 {
-		fut, err := svc.Propose(context.Background(), model.Value(v))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fut.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBenchServiceShardSubcommand(t *testing.T) {
-	if err := run([]string{"bench-service", "-n", "3", "-t", "1", "-groups", "3",
-		"-proposals", "48", "-clients", "12", "-batch", "4", "-inflight", "8",
-		"-timeout", "5ms"}); err != nil {
-		t.Fatalf("bench-service sharded memory: %v", err)
-	}
-	if err := run([]string{"bench-service", "-n", "3", "-t", "1", "-transport", "tcp",
-		"-groups", "2", "-placement", "key-affinity",
-		"-proposals", "24", "-clients", "6", "-timeout", "10ms"}); err != nil {
-		t.Fatalf("bench-service sharded tcp: %v", err)
-	}
-}
-
-// TestOneReportEveryGroupCount runs serve and bench-service at one group
-// and at three through one table: the group count is a parameter value,
-// so the same rows — summed counters, per-group distributions, the
-// control plane's under -adaptive, the one journal's under -journal —
-// must be there at every G, and two lifetimes must share a journal.
-func TestOneReportEveryGroupCount(t *testing.T) {
+// TestReportsAcrossLifetimes runs serve and bench-service twice over
+// one journal and checks the rows each report prints — the counters, the
+// latency distributions, the control plane's under -adaptive, the one
+// journal's under -journal — and that both lifetimes audit clean.
+func TestReportsAcrossLifetimes(t *testing.T) {
 	cases := []struct {
 		name  string
 		stdin string // serve input; the second lifetime replays it
 		args  []string
-		want  []string // lines every G prints
-		perG  []string // row prefixes every group g prints as "group g <prefix>"
+		want  []string // lines the second lifetime prints
 	}{
 		{name: "serve", stdin: "1\n2\n3\n4\n5\n6\n",
 			args: []string{"serve", "-n", "3", "-t", "1", "-timeout", "10ms", "-batch", "2", "-linger", "5ms"},
-			want: []string{"served 6 proposals", "resuming at instance", "decisions durable over"}},
+			want: []string{"served 6 proposals", "latency", "resuming at instance", "decisions durable over"}},
 		{name: "serve adaptive", stdin: "1\n2\n3\n",
 			args: []string{"serve", "-n", "3", "-t", "1", "-timeout", "10ms", "-adaptive"},
 			want: []string{"served 3 proposals", "control plane:", "selector transitions", "final batch ≤"}},
 		{name: "bench",
 			args: []string{"bench-service", "-n", "3", "-t", "1", "-proposals", "48", "-clients", "12",
 				"-batch", "4", "-inflight", "8", "-timeout", "5ms", "-segment-bytes", "4096"},
-			want: []string{"proposals resolved", "proposals/sec", "proposals shed (overload)", "check violations", "fsyncs (group commits)"},
-			perG: []string{"load", "latency", "decision / round latency p50", "rounds min..max (t+2 floor)"}},
+			want: []string{"proposals resolved", "proposals/sec", "proposals shed (overload)", "check violations", "fsyncs (group commits)",
+				"batch fill mean", "latency p50", "decision / round latency p50", "rounds min..max (t+2 floor)"}},
 		{name: "bench adaptive",
 			args: []string{"bench-service", "-n", "3", "-t", "1", "-proposals", "48", "-clients", "12",
 				"-timeout", "5ms", "-adaptive", "-burst", "16", "-burst-idle", "10ms"},
-			want: []string{"controller adjustments", "controller ticks", "selector transitions", "algorithms"},
-			perG: []string{"latency", "effective batch / linger (final)"}},
+			want: []string{"controller adjustments", "controller ticks", "selector transitions", "algorithms",
+				"latency p50", "effective batch / linger (final)"}},
 		// Two workers, three waves (4, 4, 1): every event waits for its
 		// wave and for a free worker, and all nine resolve.
 		{name: "bench burst",
 			args: []string{"bench-service", "-n", "3", "-t", "1", "-proposals", "9", "-clients", "2",
 				"-timeout", "5ms", "-burst", "4", "-burst-idle", "5ms"},
-			want: []string{"2 clients", "bursts of 4 every 5ms", "proposals resolved 9", "proposals shed (overload) 0", "check violations 0", "fsyncs (group commits)"},
-			perG: []string{"load", "latency"}},
+			want: []string{"2 clients", "bursts of 4 every 5ms", "proposals resolved 9", "proposals shed (overload) 0", "check violations 0", "fsyncs (group commits)",
+				"batch fill mean", "latency p50"}},
 	}
 	for _, tc := range cases {
-		for _, groups := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/groups=%d", tc.name, groups), func(t *testing.T) {
-				dir := t.TempDir() + "/journal"
-				args := append(append([]string{}, tc.args...), "-groups", fmt.Sprint(groups), "-journal", dir)
-				lifetime := func() string {
-					out, err := captureStdout(t, func() error {
-						if args[0] == "serve" {
-							return serveWithStdin(t, tc.stdin, args[1:]...)
-						}
-						return run(args)
-					})
-					if err != nil {
-						t.Fatalf("%v: %v\n%s", args, err, out)
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir() + "/journal"
+			args := append(append([]string{}, tc.args...), "-journal", dir)
+			lifetime := func() string {
+				out, err := captureStdout(t, func() error {
+					if args[0] == "serve" {
+						return serveWithStdin(t, tc.stdin, args[1:]...)
 					}
-					return out
-				}
-				lifetime()
-				out := lifetime()
-				// Table columns are space-padded; wants are written unpadded.
-				flat := strings.Join(strings.Fields(out), " ")
-				for _, w := range tc.want {
-					if !strings.Contains(flat, w) {
-						t.Errorf("second lifetime prints no %q:\n%s", w, out)
-					}
-				}
-				for g := 0; g < groups; g++ {
-					for _, w := range tc.perG {
-						if row := fmt.Sprintf("group %d %s ", g, w); !strings.Contains(out, row) {
-							t.Errorf("no %q row:\n%s", row, out)
-						}
-					}
-				}
-				if n := strings.Count(out, "durable"); n != 1 {
-					t.Errorf("%d journal summaries, want one for every G:\n%s", n, out)
-				}
-				hist, err := shard.ReplayDir(dir)
+					return run(args)
+				})
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%v: %v\n%s", args, err, out)
 				}
-				if rep := check.Replay(hist.Records, hist.Starts, nil); !rep.OK() || len(hist.Records) == 0 {
-					t.Fatalf("audit of %d records over both lifetimes: %v", len(hist.Records), rep.Violations)
+				return out
+			}
+			lifetime()
+			out := lifetime()
+			// Table columns are space-padded; wants are written unpadded.
+			flat := strings.Join(strings.Fields(out), " ")
+			for _, w := range tc.want {
+				if !strings.Contains(flat, w) {
+					t.Errorf("second lifetime prints no %q:\n%s", w, out)
 				}
-			})
-		}
+			}
+			if n := strings.Count(out, "durable"); n != 1 {
+				t.Errorf("%d journal summaries, want one:\n%s", n, out)
+			}
+			hist, err := journal.ReadHistory(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep := check.Replay(hist.Records, hist.Starts, nil); !rep.OK() || len(hist.Records) == 0 {
+				t.Fatalf("audit of %d records over both lifetimes: %v", len(hist.Records), rep.Violations)
+			}
+		})
 	}
 }
 
 // TestServePeerMetricsAddr scrapes a live `serve -peers` member: peer
 // mode builds its ops endpoint in the same startOn every other mode
-// does, so the member's decisions show up group-labelled on /metrics.
+// does, so the member's decisions show up on /metrics, under the
+// service's constant group="0" label.
 func TestServePeerMetricsAddr(t *testing.T) {
 	spec := peerCompanions(t)
 	stdinR, stdinW, err := os.Pipe()
@@ -545,22 +458,6 @@ func TestServePeerMetricsAddr(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("peer-mode serve with -metrics-addr: %v", err)
-	}
-}
-
-func TestShardFlagErrors(t *testing.T) {
-	cases := [][]string{
-		{"serve", "-groups", "0"},
-		{"serve", "-groups", "2", "-placement", "random"},
-		{"bench-service", "-groups", "-1"},
-		{"bench-service", "-groups", "2", "-placement", "bogus"},
-		{"cluster", "-groups", "0"},
-		{"chaos", "-groups", "0", "-scenarios", "1"},
-	}
-	for _, args := range cases {
-		if err := run(args); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
-		}
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"indulgence/internal/check"
+	"indulgence/internal/journal"
 	"indulgence/internal/model"
-	"indulgence/internal/shard"
 	"indulgence/internal/stats"
 	"indulgence/internal/transport"
 	"indulgence/internal/wire"
@@ -64,10 +64,6 @@ func servePeer(f serviceFlags, explicit map[string]bool) error {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	policy, err := f.policy()
-	if err != nil {
-		return err
-	}
 	ep, err := transport.NewTCPEndpoint(cfg, opts)
 	if err != nil {
 		return err
@@ -79,16 +75,14 @@ func servePeer(f serviceFlags, explicit map[string]bool) error {
 	// switch a shared slot's protocol unilaterally.
 	svcCfg.N = cfg.N()
 	svcCfg.Adaptive = f.adaptConfig(false)
-	s, err := f.startOn(svcCfg, policy, []transport.Transport{ep}, func() { _ = ep.Close() })
+	s, err := f.startOn(svcCfg, []transport.Transport{ep}, func() { _ = ep.Close() })
 	if err != nil {
 		return err
 	}
 	defer s.cleanup()
 
-	// Every member of the cluster must be launched with the same -groups
-	// value — a slot's owning group is slot mod groups on every member.
-	fmt.Printf("peer member up: p%d of %d (%s), %s, t=%d, listening on %s, %d groups (%s placement), batch ≤ %d, ≤ %d slots inflight/group\n",
-		self, cfg.N(), cfg.ClusterID(), *f.algo, *f.t, ep.Addr(), s.rt.Groups(), s.rt.Policy(), *f.batch, *f.inflight)
+	fmt.Printf("peer member up: p%d of %d (%s), %s, t=%d, listening on %s, batch ≤ %d, ≤ %d slots inflight\n",
+		self, cfg.N(), cfg.ClusterID(), *f.algo, *f.t, ep.Addr(), *f.batch, *f.inflight)
 	if *f.adaptive {
 		fmt.Println("adaptive control plane on: batch/linger tuning + admission (algorithm selection is single-process only)")
 	}
@@ -210,8 +204,6 @@ func cmdCluster(args []string) error {
 		batch     = fs.Int("batch", 2, "max proposals per instance")
 		inflight  = fs.Int("inflight", 4, "max concurrent instances per member")
 		timeout   = fs.Duration("timeout", 25*time.Millisecond, "base suspicion timeout")
-		groups    = fs.Int("groups", 1, "consensus groups per member (passed through to every member)")
-		placement = fs.String("placement", "round-robin", "placement policy passed through to every member")
 		restart   = fs.Int("restart", 0, "kill and restart this member between waves (0 = none)")
 		journalAt = fs.String("journal", "", "base journal directory, one subdir per member (default: temp)")
 		limit     = fs.Duration("limit", 2*time.Minute, "overall deadline")
@@ -226,9 +218,6 @@ func cmdCluster(args []string) error {
 	}
 	if *restart < 0 || *restart > *n {
 		return fmt.Errorf("cluster: -restart %d is not a member of 1..%d", *restart, *n)
-	}
-	if *groups < 1 {
-		return fmt.Errorf("cluster: need at least one consensus group, got -groups %d", *groups)
 	}
 	exe := *bin
 	if exe == "" {
@@ -287,7 +276,6 @@ func cmdCluster(args []string) error {
 				"-batch", fmt.Sprint(*batch), "-inflight", fmt.Sprint(*inflight),
 				"-timeout", timeout.String(), "-join-timeout", "5s",
 				"-journal", filepath.Join(base, fmt.Sprintf("p%d", id)),
-				"-groups", fmt.Sprint(*groups), "-placement", *placement,
 			}
 			children[i] = &clusterChild{id: id, args: childArgs}
 		}
@@ -410,10 +398,8 @@ func cmdCluster(args []string) error {
 	var records []wire.DecisionRecord
 	var starts []wire.StartRecord
 	for i := 1; i <= *n; i++ {
-		// The member's one journal carries every group, so
-		// check.Replay's cross-group instance audit sees it whole.
 		dir := filepath.Join(base, fmt.Sprintf("p%d", i))
-		hist, err := shard.ReplayDir(dir)
+		hist, err := journal.ReadHistory(dir)
 		if err != nil {
 			return fmt.Errorf("cluster: replay %s: %w", dir, err)
 		}
@@ -430,7 +416,6 @@ func cmdCluster(args []string) error {
 		fmt.Sprintf("cluster: %d members, %s, t=%d, %d proposals/wave", *n, *algo, *t, *proposals),
 		"metric", "value")
 	table.AddRowf("proposals fed", next-1)
-	table.AddRowf("groups per member", *groups)
 	table.AddRowf("instances decided (live)", decisions)
 	table.AddRowf("journal records (all members)", len(records))
 	table.AddRowf("journal start claims", len(starts))

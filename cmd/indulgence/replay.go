@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"indulgence/internal/check"
-	"indulgence/internal/shard"
+	"indulgence/internal/journal"
 	"indulgence/internal/stats"
 )
 
@@ -37,10 +37,10 @@ func cmdReplay(args []string) error {
 		return fmt.Errorf("replay: -journal is required")
 	}
 
-	// The directory is one journal: what serve -journal DIR writes at any
-	// -groups, or one group-NNNN subdirectory of the retired per-group
-	// layout audited on its own.
-	hist, err := shard.ReplayDir(*dir)
+	// The directory is one journal: what serve -journal DIR writes, or
+	// one group-NNNN subdirectory of the retired per-group layout audited
+	// on its own.
+	hist, err := journal.ReadHistory(*dir)
 	if err != nil {
 		return err
 	}

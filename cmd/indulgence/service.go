@@ -19,7 +19,6 @@ import (
 	"indulgence/internal/metrics"
 	"indulgence/internal/model"
 	"indulgence/internal/service"
-	"indulgence/internal/shard"
 	"indulgence/internal/stats"
 	"indulgence/internal/transport"
 	"indulgence/internal/wire"
@@ -76,12 +75,6 @@ type serviceFlags struct {
 	// registry as Prometheus text and JSON plus net/http/pprof.
 	metricsAddr *string
 
-	// Sharding (internal/shard): the runtime runs -groups consensus
-	// groups over the shared transport, each owning a strided slice of
-	// the instance-ID space, with a placement router in front.
-	groups    *int
-	placement *string
-
 	// Adaptive control plane (internal/adapt): feedback-tuned batching
 	// and admission, plus per-instance algorithm selection (single-
 	// process mode only).
@@ -116,9 +109,6 @@ func newServiceFlags(fs *flag.FlagSet) serviceFlags {
 		segment:  fs.Int64("segment-bytes", 1<<20, "journal segment rotation size"),
 
 		metricsAddr: fs.String("metrics-addr", "", "ops endpoint address (host:port or :port) serving /metrics, /metrics.json and /debug/pprof (empty = off)"),
-
-		groups:    fs.Int("groups", 1, "consensus groups multiplexed over the shared transport and journal (each owns a strided instance-ID slice)"),
-		placement: fs.String("placement", "round-robin", "proposal placement across groups: round-robin, least-loaded or key-affinity"),
 
 		adaptive:      fs.Bool("adaptive", false, "attach the feedback control plane: batch/linger tuned from observed latency and backlog, overload shed with a typed error"),
 		adaptSelect:   fs.Bool("adaptive-select", true, "with -adaptive: pick each instance's algorithm from recent outcomes (A_f+2 when synchronous and trusted; single-process mode only)"),
@@ -157,23 +147,14 @@ func (f serviceFlags) adaptConfig(selectAlgos bool) *adapt.Config {
 	return cfg
 }
 
-// started is the running shard.Runtime — the one shape every flag
+// started is the running service — the one shape every flag
 // combination produces, hosting all n processes (serve, bench-service) or
 // one (serve -peers) — plus what was built underneath it.
 type started struct {
-	rt      *shard.Runtime
+	svc     *service.Service
 	journal *journal.Journal // nil without -journal
 	hub     *transport.Hub   // memory transport only (delay injection)
 	cleanup func()
-}
-
-// policy validates -groups and parses -placement — the checks both
-// serve modes run before building any transport.
-func (f serviceFlags) policy() (shard.Policy, error) {
-	if *f.groups < 1 {
-		return nil, fmt.Errorf("need at least one consensus group, got -groups %d", *f.groups)
-	}
-	return shard.ParsePolicy(*f.placement)
 }
 
 // serviceConfig is the service template the flags describe — -algo
@@ -193,15 +174,11 @@ func (f serviceFlags) serviceConfig() (service.Config, error) {
 	}, err
 }
 
-// start builds the transport and the runtime hosting all n processes on
+// start builds the transport and the service hosting all n processes on
 // it from the parsed flags. The returned cleanup closes the transport and
-// the ops endpoint; call it after the runtime is closed.
+// the ops endpoint; call it after the service is closed.
 func (f serviceFlags) start() (*started, error) {
 	cfg, err := f.serviceConfig()
-	if err != nil {
-		return nil, err
-	}
-	policy, err := f.policy()
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +188,7 @@ func (f serviceFlags) start() (*started, error) {
 	}
 	cfg.N = *f.n
 	cfg.Adaptive = f.adaptConfig(true)
-	s, err := f.startOn(cfg, policy, eps, closeTransport)
+	s, err := f.startOn(cfg, eps, closeTransport)
 	if err != nil {
 		return nil, err
 	}
@@ -219,12 +196,12 @@ func (f serviceFlags) start() (*started, error) {
 	return s, nil
 }
 
-// startOn starts the runtime that hosts the processes behind eps, with
+// startOn starts the service that hosts the processes behind eps, with
 // the ops endpoint -metrics-addr and the journal -journal ask for.
 // cleanup releases what the caller built underneath; startOn runs it on
-// failure, and on success extends it to close the runtime, then the
-// journal its groups share, then the ops endpoint first.
-func (f serviceFlags) startOn(cfg service.Config, policy shard.Policy, eps []transport.Transport, cleanup func()) (*started, error) {
+// failure, and on success extends it to close the service, then the
+// journal, then the ops endpoint first.
+func (f serviceFlags) startOn(cfg service.Config, eps []transport.Transport, cleanup func()) (*started, error) {
 	s := &started{cleanup: cleanup}
 	// then runs release before what cleanup already releases.
 	then := func(release func()) {
@@ -232,9 +209,8 @@ func (f serviceFlags) startOn(cfg service.Config, policy shard.Policy, eps []tra
 		s.cleanup = func() { release(); below() }
 	}
 	if *f.metricsAddr != "" {
-		// One registry spans the whole runtime — every group's service,
-		// control plane and the journal register on it — so one scrape
-		// shows the full picture.
+		// One registry spans the service, its control plane and the
+		// journal, so one scrape shows the full picture.
 		cfg.Metrics = metrics.NewRegistry()
 		ops, err := metrics.ServeOps(*f.metricsAddr, cfg.Metrics)
 		if err != nil {
@@ -253,20 +229,20 @@ func (f serviceFlags) startOn(cfg service.Config, policy shard.Policy, eps []tra
 		then(func() { _ = jn.Close() })
 		s.journal, cfg.Journal = jn, jn
 	}
-	rt, err := shard.New(shard.Config{Service: cfg, Groups: *f.groups, Placement: policy}, eps)
+	svc, err := service.New(cfg, eps)
 	if err != nil {
 		s.cleanup()
 		return nil, err
 	}
-	then(func() { _ = rt.Close() })
-	s.rt = rt
+	then(func() { _ = svc.Close() })
+	s.svc = svc
 	return s, nil
 }
 
 // serveLoop reads one integer proposal per stdin line, proposes each, and
 // prints its decision when the instance it rode resolves. It returns when
 // stdin hits EOF and every future has fired.
-func serveLoop(rt *shard.Runtime) error {
+func serveLoop(svc *service.Service) error {
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	var scanErr error
@@ -281,7 +257,7 @@ func serveLoop(rt *shard.Runtime) error {
 			fmt.Printf("not a proposal: %q\n", line)
 			continue
 		}
-		fut, err := rt.Propose(ctx, model.Value(v))
+		fut, err := svc.Propose(ctx, model.Value(v))
 		if err != nil {
 			scanErr = err
 			break
@@ -327,8 +303,8 @@ func cmdServe(args []string) error {
 	}
 	defer s.cleanup()
 
-	fmt.Printf("consensus service up: %s, n=%d t=%d, %s transport, %d groups (%s placement), batch ≤ %d, linger %s, ≤ %d instances inflight/group\n",
-		*f.algo, *f.n, *f.t, *f.trans, s.rt.Groups(), s.rt.Policy(), *f.batch, *f.linger, *f.inflight)
+	fmt.Printf("consensus service up: %s, n=%d t=%d, %s transport, batch ≤ %d, linger %s, ≤ %d instances inflight\n",
+		*f.algo, *f.n, *f.t, *f.trans, *f.batch, *f.linger, *f.inflight)
 	if *f.adaptive {
 		mode := "batch/linger tuning + admission"
 		if *f.adaptSelect {
@@ -339,11 +315,10 @@ func cmdServe(args []string) error {
 	return s.serve(*f.adaptive)
 }
 
-// serve is what both serve modes do once their runtime is up and
+// serve is what both serve modes do once their service is up and
 // announced: report what the journal recovered, pump stdin proposals
-// until EOF, drain, and summarize — counters summed across groups,
-// latency per group (percentiles do not merge). Any live consensus
-// violation is a non-zero exit.
+// until EOF, drain, and summarize. Any live consensus violation is a
+// non-zero exit.
 func (s *started) serve(adaptive bool) error {
 	jn := s.journal
 	if jn != nil {
@@ -357,30 +332,24 @@ func (s *started) serve(adaptive bool) error {
 	}
 	fmt.Println("enter one integer proposal per line (EOF to stop):")
 
-	scanErr := serveLoop(s.rt)
-	if err := s.rt.Close(); err != nil {
+	scanErr := serveLoop(s.svc)
+	if err := s.svc.Close(); err != nil {
 		return err
 	}
-	roll := s.rt.Snapshot()
-	fmt.Printf("served %d proposals over %d instances across %d group(s) (%d joined from peers)\n",
-		roll.Resolved, roll.Instances, s.rt.Groups(), roll.JoinedInstances)
-	for g, st := range roll.Groups {
-		fmt.Printf("  group %d: %d proposals over %d instances (%d joined); latency %s\n",
-			g, st.Resolved, st.Instances, st.JoinedInstances, st.Latency)
-	}
+	st := s.svc.Snapshot()
+	fmt.Printf("served %d proposals over %d instances (%d joined from peers); latency %s\n",
+		st.Resolved, st.Instances, st.JoinedInstances, st.Latency)
 	if adaptive {
-		fmt.Printf("control plane: %d adjustments over %d ticks, %d selector transitions, %d proposals shed; algorithms %s\n",
-			roll.Adjustments, roll.Ticks, roll.Transitions, roll.Overloads, formatAlgs(roll.Algorithms))
-		for g, st := range roll.Groups {
-			fmt.Printf("  group %d: final batch ≤ %d linger %s\n", g, st.Control.Batch, st.Control.Linger)
-		}
+		fmt.Printf("control plane: %d adjustments over %d ticks, %d selector transitions, %d proposals shed; algorithms %s; final batch ≤ %d linger %s\n",
+			st.Control.Adjustments, st.Control.Ticks, st.Control.Transitions, st.Overloads, formatAlgs(st.Algorithms),
+			st.Control.Batch, st.Control.Linger)
 	}
 	if jn != nil {
 		js := jn.Snapshot()
 		fmt.Printf("journal: %d decisions durable over %d fsyncs; fsync %s\n",
 			js.Decisions, js.Syncs, js.SyncLatency)
 	}
-	return violationsErr(roll.Violations, scanErr)
+	return violationsErr(st.Violations, scanErr)
 }
 
 // violationsErr is the exit rule every report shares: a live consensus
@@ -463,9 +432,9 @@ func cmdBenchService(args []string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), *limit)
 	defer cancel()
 	begin := time.Now()
-	outcomes := drive(ctx, s.rt, events, *clients)
+	outcomes := drive(ctx, s.svc, events, *clients)
 	elapsed := time.Since(begin)
-	if err := s.rt.Close(); err != nil {
+	if err := s.svc.Close(); err != nil {
 		return err
 	}
 	unresolved := 0
@@ -475,13 +444,9 @@ func cmdBenchService(args []string) error {
 		}
 	}
 
-	// One table for every group count: counters are summed across
-	// groups (aggregate throughput is the number sharding exists to
-	// raise), distributions get one row per group because percentiles
-	// do not merge.
-	roll := s.rt.Snapshot()
-	title := fmt.Sprintf("bench-service: %s, n=%d t=%d, %s transport, %d clients, %d groups (%s placement), batch ≤ %d, ≤ %d inflight/group",
-		*f.algo, *f.n, *f.t, *f.trans, *clients, s.rt.Groups(), s.rt.Policy(), *f.batch, *f.inflight)
+	st := s.svc.Snapshot()
+	title := fmt.Sprintf("bench-service: %s, n=%d t=%d, %s transport, %d clients, batch ≤ %d, ≤ %d inflight",
+		*f.algo, *f.n, *f.t, *f.trans, *clients, *f.batch, *f.inflight)
 	if *f.adaptive {
 		title += ", adaptive"
 	}
@@ -490,43 +455,41 @@ func cmdBenchService(args []string) error {
 	}
 	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 	table := stats.NewTable(title, "metric", "value")
-	table.AddRowf("proposals resolved", roll.Resolved)
-	table.AddRowf("instances decided", roll.Instances)
+	table.AddRowf("proposals resolved", st.Resolved)
+	table.AddRowf("instances decided", st.Instances)
 	table.AddRowf("wall time", elapsed.Round(time.Millisecond))
-	table.AddRowf("proposals/sec", fmt.Sprintf("%.0f", float64(roll.Resolved)/elapsed.Seconds()))
-	table.AddRowf("decisions/sec (instances)", fmt.Sprintf("%.0f", float64(roll.Instances)/elapsed.Seconds()))
-	table.AddRowf("mean batch", fmt.Sprintf("%.2f", float64(roll.Resolved)/float64(max(roll.Instances, 1))))
-	table.AddRowf("proposals shed (overload)", roll.Overloads)
-	table.AddRowf("check violations", len(roll.Violations))
+	table.AddRowf("proposals/sec", fmt.Sprintf("%.0f", float64(st.Resolved)/elapsed.Seconds()))
+	table.AddRowf("decisions/sec (instances)", fmt.Sprintf("%.0f", float64(st.Instances)/elapsed.Seconds()))
+	table.AddRowf("mean batch", fmt.Sprintf("%.2f", float64(st.Resolved)/float64(max(st.Instances, 1))))
+	table.AddRowf("proposals shed (overload)", st.Overloads)
+	table.AddRowf("check violations", len(st.Violations))
 	if *f.adaptive {
-		table.AddRowf("controller adjustments", roll.Adjustments)
-		table.AddRowf("controller ticks", roll.Ticks)
-		table.AddRowf("selector transitions", roll.Transitions)
-		table.AddRowf("algorithms", formatAlgs(roll.Algorithms))
+		table.AddRowf("controller adjustments", st.Control.Adjustments)
+		table.AddRowf("controller ticks", st.Control.Ticks)
+		table.AddRowf("selector transitions", st.Control.Transitions)
+		table.AddRowf("algorithms", formatAlgs(st.Algorithms))
 	}
 	if s.journal != nil {
 		js := s.journal.Snapshot()
 		table.AddRowf("journal", fmt.Sprintf("%d decisions durable / %d fsyncs (group commits), fsync p99 %s, %d segments",
 			js.Decisions, js.Syncs, us(js.SyncLatency.P99), js.Segments))
 	}
-	for g, st := range roll.Groups {
-		row := func(metric, format string, args ...any) {
-			table.AddRowf(fmt.Sprintf("group %d %s", g, metric), fmt.Sprintf(format, args...))
-		}
-		row("load", "%d proposals / %d instances, batch fill mean %.0f%%", st.Resolved, st.Instances, st.BatchFill.Mean)
-		row("latency", "p50 %s p90 %s p99 %s max %s",
-			us(st.Latency.P50), us(st.Latency.P90), us(st.Latency.P99), us(st.Latency.Max))
-		row("decision / round latency p50", "%s / %s", us(st.DecisionLatency.P50), us(st.RoundLatency.P50))
-		row("rounds min..max (t+2 floor)", "%d..%d (%d)", st.Rounds.Min, st.Rounds.Max, *f.t+2)
-		if *f.adaptive {
-			row("effective batch / linger (final)", "%d / %s", st.Control.Batch, st.Control.Linger)
-		}
+	row := func(metric, format string, args ...any) {
+		table.AddRowf(metric, fmt.Sprintf(format, args...))
+	}
+	row("batch fill mean", "%.0f%%", st.BatchFill.Mean)
+	row("latency", "p50 %s p90 %s p99 %s max %s",
+		us(st.Latency.P50), us(st.Latency.P90), us(st.Latency.P99), us(st.Latency.Max))
+	row("decision / round latency p50", "%s / %s", us(st.DecisionLatency.P50), us(st.RoundLatency.P50))
+	row("rounds min..max (t+2 floor)", "%d..%d (%d)", st.Rounds.Min, st.Rounds.Max, *f.t+2)
+	if *f.adaptive {
+		row("effective batch / linger (final)", "%d / %s", st.Control.Batch, st.Control.Linger)
 	}
 	table.Render(os.Stdout)
 	var failed error
-	if roll.Failed > 0 || roll.InstanceFailures > 0 || unresolved > 0 {
+	if st.Failed > 0 || st.InstanceFailures > 0 || unresolved > 0 {
 		failed = fmt.Errorf("%d proposals / %d instances failed; %d of %d proposals ended undecided (shed past their retry budget, or failed)",
-			roll.Failed, roll.InstanceFailures, unresolved, len(outcomes))
+			st.Failed, st.InstanceFailures, unresolved, len(outcomes))
 	}
-	return violationsErr(roll.Violations, failed)
+	return violationsErr(st.Violations, failed)
 }

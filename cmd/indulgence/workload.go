@@ -19,7 +19,6 @@ import (
 	"indulgence/internal/adapt"
 	"indulgence/internal/chaos"
 	"indulgence/internal/service"
-	"indulgence/internal/shard"
 	"indulgence/internal/stats"
 	"indulgence/internal/wire"
 	"indulgence/internal/workload"
@@ -92,9 +91,6 @@ func benchWorkload(f serviceFlags, wlArg, recordPath string, liveRec bool, limit
 // own fixture: replay-trace re-executes it and must match byte for
 // byte.
 func recordWorkload(f serviceFlags, spec *workload.Spec, path string) error {
-	if *f.groups > 1 && *f.placement != "round-robin" {
-		return fmt.Errorf("deterministic recording shards with round-robin placement, not %s (use -record with -live for a real-clock recording)", *f.placement)
-	}
 	sc := chaos.WorkloadScenario(chaos.Scenario{
 		Seed:        spec.Seed,
 		N:           *f.n,
@@ -106,7 +102,6 @@ func recordWorkload(f serviceFlags, spec *workload.Spec, path string) error {
 		MaxBatch:    *f.batch,
 		Linger:      *f.linger,
 		MaxInflight: *f.inflight,
-		Groups:      *f.groups,
 	}, spec)
 	tr, res := chaos.RecordTrace(sc.TraceHeader(), chaos.Options{})
 	if res.Err != nil {
@@ -151,13 +146,11 @@ func runWorkloadLive(f serviceFlags, spec *workload.Spec, recordPath string, lim
 			Seed:         spec.Seed,
 			N:            *f.n,
 			T:            *f.t,
-			Groups:       *f.groups,
 			MaxBatch:     *f.batch,
 			MaxInflight:  *f.inflight,
 			LingerNanos:  int64(*f.linger),
 			TimeoutNanos: int64(*f.timeout),
 			Algorithm:    *f.algo,
-			Placement:    *f.placement,
 			Classes:      *f.classes,
 			Spec:         spec.JSON(),
 		}
@@ -177,9 +170,9 @@ func runWorkloadLive(f serviceFlags, spec *workload.Spec, recordPath string, lim
 	ctx, cancel := context.WithTimeout(context.Background(), limit)
 	defer cancel()
 	begin := time.Now()
-	outcomes := drive(ctx, s.rt, events, 0)
+	outcomes := drive(ctx, s.svc, events, 0)
 	elapsed := time.Since(begin)
-	if err := s.rt.Close(); err != nil {
+	if err := s.svc.Close(); err != nil {
 		return err
 	}
 	if w != nil {
@@ -193,7 +186,7 @@ func runWorkloadLive(f serviceFlags, spec *workload.Spec, recordPath string, lim
 		}
 		fmt.Printf("live trace written to %s (audit with: indulgence replay-trace %s)\n", recordPath, recordPath)
 	}
-	return workloadReport(f, s.rt.Snapshot(), spec, events, outcomes, elapsed)
+	return workloadReport(f, s.svc.Snapshot(), spec, events, outcomes, elapsed)
 }
 
 // drive is the real clock's load driver: it releases each event at its
@@ -204,7 +197,7 @@ func runWorkloadLive(f serviceFlags, spec *workload.Spec, recordPath string, lim
 // due while every worker is busy waits for one, which is the closed
 // loop. Events must be At-sorted. When ctx ends, the events not yet
 // resolved fail.
-func drive(ctx context.Context, rt *shard.Runtime, events []workload.Event, clients int) []wire.TraceOutcomeRecord {
+func drive(ctx context.Context, svc *service.Service, events []workload.Event, clients int) []wire.TraceOutcomeRecord {
 	if clients < 1 {
 		clients = len(events)
 	}
@@ -225,7 +218,7 @@ func drive(ctx context.Context, rt *shard.Runtime, events []workload.Event, clie
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			outcomes[i] = driveEvent(ctx, rt, e)
+			outcomes[i] = driveEvent(ctx, svc, e)
 			<-free
 		}()
 	}
@@ -237,13 +230,13 @@ func drive(ctx context.Context, rt *shard.Runtime, events []workload.Event, clie
 // proposals retry on the control plane's own terms — back off
 // RetryAfter, give up once the class's retry budget is spent — so
 // higher classes, with their larger budgets, outlast overload.
-func driveEvent(ctx context.Context, rt *shard.Runtime, e workload.Event) (rec wire.TraceOutcomeRecord) {
+func driveEvent(ctx context.Context, svc *service.Service, e workload.Event) (rec wire.TraceOutcomeRecord) {
 	rec = wire.TraceOutcomeRecord{Seq: uint64(e.Seq), Class: e.Class, Status: wire.TraceFailed}
 	start := time.Now()
 	defer func() { rec.LatencyNanos = int64(time.Since(start)) }()
 	for retries := 0; ; retries++ {
 		var dec service.Decision
-		fut, err := rt.ProposeKeyClass(ctx, e.Key, e.Class, e.Value)
+		fut, err := svc.ProposeClass(ctx, e.Class, e.Value)
 		if err == nil {
 			dec, err = fut.Wait(ctx)
 		}
@@ -252,7 +245,6 @@ func driveEvent(ctx context.Context, rt *shard.Runtime, e workload.Event) (rec w
 		case err == nil:
 			rec.Status = wire.TraceDecided
 			rec.Instance, rec.Value, rec.Round, rec.Batch, rec.Class = dec.Instance, dec.Value, dec.Round, dec.Batch, dec.Class
-			rec.Group = dec.Instance % uint64(rt.Groups())
 			return rec
 		case !errors.As(err, &oe):
 			return rec
@@ -274,7 +266,7 @@ func driveEvent(ctx context.Context, rt *shard.Runtime, e workload.Event) (rec w
 // Class attribution follows the submitting event, not the decision —
 // a decision carries its batch's class (the highest member), but the
 // SLO a client experiences is its own cohort's.
-func workloadReport(f serviceFlags, roll shard.Rollup, spec *workload.Spec, events []workload.Event, outcomes []wire.TraceOutcomeRecord, elapsed time.Duration) error {
+func workloadReport(f serviceFlags, st service.Stats, spec *workload.Spec, events []workload.Event, outcomes []wire.TraceOutcomeRecord, elapsed time.Duration) error {
 	classes := spec.Classes()
 	if *f.classes > classes {
 		classes = *f.classes
@@ -297,8 +289,8 @@ func workloadReport(f serviceFlags, roll shard.Rollup, spec *workload.Spec, even
 			failed++
 		}
 	}
-	title := fmt.Sprintf("workload: %s, n=%d t=%d, %s transport, %d cohorts, %d classes, %d events, %d groups",
-		*f.algo, *f.n, *f.t, *f.trans, len(spec.Cohorts), classes, len(outcomes), len(roll.Groups))
+	title := fmt.Sprintf("workload: %s, n=%d t=%d, %s transport, %d cohorts, %d classes, %d events",
+		*f.algo, *f.n, *f.t, *f.trans, len(spec.Cohorts), classes, len(outcomes))
 	table := stats.NewTable(title, "metric", "value")
 	table.AddRowf("events decided", decided)
 	table.AddRowf("events shed (budget spent)", shed)
@@ -313,17 +305,17 @@ func workloadReport(f serviceFlags, roll shard.Rollup, spec *workload.Spec, even
 				sum.P50.Round(time.Microsecond), sum.P90.Round(time.Microsecond),
 				sum.P99.Round(time.Microsecond), sum.P999.Round(time.Microsecond)))
 	}
-	table.AddRowf("service sheds (admission)", roll.Overloads)
-	if len(roll.OverloadsByClass) > 0 {
-		table.AddRowf("sheds by class", fmt.Sprintf("%v", roll.OverloadsByClass))
+	table.AddRowf("service sheds (admission)", st.Overloads)
+	if len(st.OverloadsByClass) > 0 {
+		table.AddRowf("sheds by class", fmt.Sprintf("%v", st.OverloadsByClass))
 	}
-	table.AddRowf("check violations", len(roll.Violations))
+	table.AddRowf("check violations", len(st.Violations))
 	table.Render(os.Stdout)
 	var failErr error
 	if failed > 0 {
 		failErr = fmt.Errorf("%d events failed", failed)
 	}
-	return violationsErr(roll.Violations, failErr)
+	return violationsErr(st.Violations, failErr)
 }
 
 // cmdReplayTrace replays a recorded workload trace and audits it. A
@@ -350,9 +342,6 @@ func cmdReplayTrace(args []string) error {
 		mode = "live (real-clock)"
 	}
 	fmt.Printf("trace: v%d %s, seed %d, %s n=%d t=%d", hdr.Version, mode, hdr.Seed, hdr.Algorithm, hdr.N, hdr.T)
-	if hdr.Groups > 1 {
-		fmt.Printf(", %d groups (%s)", hdr.Groups, hdr.Placement)
-	}
 	if hdr.Classes > 1 {
 		fmt.Printf(", %d classes", hdr.Classes)
 	}

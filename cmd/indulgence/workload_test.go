@@ -9,12 +9,11 @@ import (
 	"indulgence/internal/core"
 	"indulgence/internal/model"
 	"indulgence/internal/service"
-	"indulgence/internal/shard"
 	"indulgence/internal/wire"
 	"indulgence/internal/workload"
 )
 
-// TestDriveHonoursRetryBudget runs drive against a runtime whose
+// TestDriveHonoursRetryBudget runs drive against a service whose
 // admission gate is forced shut for class 0 — slow links hold the one
 // instance slot, class-1 filler saturates the two-deep intake, and
 // AdmitHigh 0.5 / AdmitTicks 1 arm class-0 shedding on the next tick,
@@ -50,7 +49,7 @@ func TestDriveHonoursRetryBudget(t *testing.T) {
 		Classes:    2,
 		AdmitTop:   1.5, // occupancy never exceeds 1: class 1 is never shed
 	}
-	rt, err := shard.New(shard.Config{Service: service.Config{
+	svc, err := service.New(service.Config{
 		N: n, T: tt,
 		Factory:     factory,
 		WaitPolicy:  wait,
@@ -59,11 +58,11 @@ func TestDriveHonoursRetryBudget(t *testing.T) {
 		Linger:      100 * time.Microsecond,
 		MaxInflight: 1,
 		Adaptive:    &plane,
-	}}, eps)
+	}, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Abort()
+	defer svc.Abort()
 
 	events := workload.Waves(fillers+1, 0, 0, func(i int) model.Value { return model.Value(i + 1) })
 	for i := range events[:fillers] {
@@ -72,8 +71,8 @@ func TestDriveHonoursRetryBudget(t *testing.T) {
 	events[fillers].At = 40 * time.Millisecond // class 0, arriving mid-overload
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	outcomes := drive(ctx, rt, events, 0)
-	if err := rt.Close(); err != nil {
+	outcomes := drive(ctx, svc, events, 0)
+	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -87,11 +86,11 @@ func TestDriveHonoursRetryBudget(t *testing.T) {
 	}
 	// One first attempt plus Budget = the base retry budget (3) + class (0)
 	// retries, each refused and counted once.
-	roll := rt.Snapshot()
-	if want := []int{4, 0}; len(roll.OverloadsByClass) != 2 || roll.OverloadsByClass[0] != want[0] || roll.OverloadsByClass[1] != want[1] {
-		t.Errorf("sheds by class %v (total %d), want %v", roll.OverloadsByClass, roll.Overloads, want)
+	st := svc.Snapshot()
+	if want := []int{4, 0}; len(st.OverloadsByClass) != 2 || st.OverloadsByClass[0] != want[0] || st.OverloadsByClass[1] != want[1] {
+		t.Errorf("sheds by class %v (total %d), want %v", st.OverloadsByClass, st.Overloads, want)
 	}
-	if len(roll.Violations) != 0 {
-		t.Errorf("violations: %v", roll.Violations)
+	if len(st.Violations) != 0 {
+		t.Errorf("violations: %v", st.Violations)
 	}
 }

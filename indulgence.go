@@ -197,7 +197,7 @@ func CheckConsensus(res *SimResult, proposals []Value) Report {
 
 // CheckInstance verifies validity, uniform agreement and termination over
 // the live decisions of one consensus instance (a runtime cluster or a
-// service shard); decisions[i] belongs to process i+1.
+// service instance); decisions[i] belongs to process i+1.
 func CheckInstance(decisions []OptValue, proposals []Value, crashed PIDSet) Report {
 	return check.Instance(decisions, proposals, crashed)
 }
@@ -353,8 +353,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) { return runtime.New(cfg) }
 
 // Consensus service (many concurrent instances over one live cluster).
 type (
-	// ServiceConfig describes a consensus service: batching, instance
-	// sharding and per-instance runtime parameters.
+	// ServiceConfig describes a consensus service: batching, concurrent
+	// instances and per-instance runtime parameters.
 	ServiceConfig = service.Config
 	// Service multiplexes batched consensus instances over one cluster.
 	Service = service.Service
@@ -403,9 +403,8 @@ func NewPeerService(cfg PeerServiceOptions, n int, ep Transport) (*PeerService, 
 	return service.New(cfg, []Transport{ep})
 }
 
-// NewMux multiplexes instance-addressed streams of one consensus group
-// over one endpoint.
-func NewMux(ep Transport) *Mux { return transport.NewMux(ep, 1, nil) }
+// NewMux multiplexes instance-addressed streams over one endpoint.
+func NewMux(ep Transport) *Mux { return transport.NewMux(ep, nil) }
 
 // Durable decision journal (crash-restart recovery for the service).
 type (

@@ -147,7 +147,7 @@ type Config struct {
 	// configured class, so a scrape always shows the full class set).
 	Metrics *metrics.Registry
 	// MetricsLabels are attached to every series Metrics registers —
-	// the sharded runtime passes its group label here.
+	// the service passes its group="0" label here.
 	MetricsLabels []metrics.Label
 	// Logf, when non-nil, receives one line per controller adjustment,
 	// selector transition and admission flip — the decision log surfaced

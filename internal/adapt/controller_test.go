@@ -207,30 +207,30 @@ func TestPlaneCeilingStretchesToStart(t *testing.T) {
 func TestPlaneAdmission(t *testing.T) {
 	p := adapt.NewPlane(adapt.Config{AdmitHigh: 0.9, AdmitLow: 0.5, AdmitTicks: 2},
 		adapt.Choice{}, adapt.Setting{Batch: 8, Linger: time.Millisecond}, 4, 1)
-	if !p.Admit() {
+	if p.AdmitClass(0) != nil {
 		t.Fatal("fresh plane must admit")
 	}
 	p.Tick(60, 64, 8, 8) // one hot tick: not yet
-	if !p.Admit() {
+	if p.AdmitClass(0) != nil {
 		t.Fatal("one saturated tick must not shed")
 	}
 	p.Tick(60, 64, 8, 8) // second consecutive: shed
-	if p.Admit() {
+	if p.AdmitClass(0) == nil {
 		t.Fatal("two saturated ticks must shed")
 	}
 	p.Tick(40, 64, 8, 8) // between low and high: still shedding
-	if p.Admit() {
+	if p.AdmitClass(0) == nil {
 		t.Fatal("hysteresis must hold between the marks")
 	}
 	p.Tick(10, 64, 2, 8) // at/below low water: disarm
-	if !p.Admit() {
+	if p.AdmitClass(0) != nil {
 		t.Fatal("drained queue must disarm shedding")
 	}
 	// An interrupted hot streak must not accumulate.
 	p.Tick(60, 64, 8, 8)
 	p.Tick(40, 64, 8, 8)
 	p.Tick(60, 64, 8, 8)
-	if !p.Admit() {
+	if p.AdmitClass(0) != nil {
 		t.Fatal("non-consecutive saturated ticks must not shed")
 	}
 }
@@ -274,9 +274,6 @@ func TestPlaneAdmissionClasses(t *testing.T) {
 		p.Tick(step.queue, 100, 8, 8)
 		if got := shedState(); got != step.want {
 			t.Fatalf("step %d (%s): shed state %v, want %v", i, step.note, got, step.want)
-		}
-		if p.Admit() != (p.AdmitClass(0) == nil) {
-			t.Fatalf("step %d: legacy Admit diverges from class 0", i)
 		}
 	}
 

@@ -143,12 +143,6 @@ func (p *Plane) BatchLimit() int { return int(p.mBatch.Value()) }
 // Linger returns the current effective linger.
 func (p *Plane) Linger() time.Duration { return time.Duration(p.mLinger.Value()) }
 
-// Admit reports whether a new class-0 proposal may enter intake; false
-// means the caller should fail the proposal with ErrOverload. Class 0
-// is the first class to shed, so Admit is also "is any shedding
-// active" for unclassed callers.
-func (p *Plane) Admit() bool { return p.shedMask.Load()&1 == 0 }
-
 // Classes returns the number of SLO classes admission distinguishes.
 func (p *Plane) Classes() int { return p.cfg.Classes }
 

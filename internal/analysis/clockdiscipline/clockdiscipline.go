@@ -29,7 +29,6 @@ var livePrefixes = []string{
 	"internal/service",
 	"internal/transport",
 	"internal/adapt",
-	"internal/shard",
 	"internal/chaos",
 }
 

@@ -52,17 +52,15 @@ var Table = map[string][]string{
 	"runtime":   {"chaos/clock", "core", "fd", "metrics", "model", "payload", "transport", "wire"},
 	"service": {"adapt", "chaos/clock", "check", "core", "fd", "journal", "metrics",
 		"model", "runtime", "stats", "transport", "wire"},
-	"shard": {"chaos/clock", "journal", "metrics", "model", "service", "transport",
-		"wire"},
 
 	// chaos composes the whole live stack into the seeded sweep and
 	// trace record/replay harness; experiments sits above everything
 	// but chaos' CLI-facing siblings. Nothing may import experiments —
 	// no table entry lists it, which is the rule's encoding.
 	"chaos": {"adapt", "chaos/clock", "check", "core", "journal", "metrics",
-		"model", "runtime", "service", "shard", "transport", "wire", "workload"},
+		"model", "runtime", "service", "transport", "wire", "workload"},
 	"experiments": {"adapt", "baseline", "chaos", "check", "core", "fd",
-		"lowerbound", "model", "runtime", "sched", "service", "shard", "sim",
+		"lowerbound", "model", "runtime", "sched", "service", "sim",
 		"stats", "wire", "workload"},
 
 	// The static-analysis suite itself: pure stdlib plus its own

@@ -83,7 +83,7 @@ func TestMetricsIsALeaf(t *testing.T) {
 		t.Errorf("metrics must stay a leaf, but allows %v", allowed)
 	}
 	for _, pkg := range []string{"fd", "transport", "journal", "adapt", "runtime",
-		"service", "shard", "chaos"} {
+		"service", "chaos"} {
 		found := false
 		for _, imp := range layering.Table[pkg] {
 			if imp == "metrics" {

@@ -119,7 +119,7 @@ func TestWaveScenarioIsItsEventList(t *testing.T) {
 		WaveGap:         10 * time.Millisecond,
 		Horizon:         500 * time.Millisecond,
 	}
-	for _, sc := range []Scenario{quiet, Generate(3), Generate(9), GenerateGroups(33, 2)} {
+	for _, sc := range []Scenario{quiet, Generate(3), Generate(9), Generate(33)} {
 		if err := sc.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", sc.Seed, err)
 		}
@@ -166,7 +166,7 @@ func TestSweepSmoke(t *testing.T) {
 	if testing.Short() {
 		count = 8
 	}
-	st := Sweep(1000, count, 1, nil, Options{}, nil)
+	st := Sweep(1000, count, nil, Options{}, nil)
 	for _, f := range st.Failures {
 		t.Errorf("seed %d: wedged=%v failed=%d violations=%v\nspec: %s\nlog:\n%s",
 			f.Scenario.Seed, f.Wedged, f.Failed, f.Violations, f.Scenario.JSON(), f.Log)
@@ -242,81 +242,5 @@ func TestPartitionScenario(t *testing.T) {
 	// the partition window.
 	if r.Virtual < 400*time.Millisecond {
 		t.Fatalf("decided in %v virtual, inside the partition window", r.Virtual)
-	}
-}
-
-// TestMultiGroupSweep is the sharded chaos battery: seeded generated
-// scenarios — partitions, link noise, crash/restarts — run on the
-// multi-group runtime, and every run must come back with zero
-// check.Instance and check.Replay violations in every group (the
-// per-group prefixes in Rollup.Violations and the combined-journal
-// replay cover all groups). Scaled load means every group sees traffic.
-func TestMultiGroupSweep(t *testing.T) {
-	pin(t)
-	count := 12
-	if testing.Short() {
-		count = 5
-	}
-	st := Sweep(4000, count, 3, nil, Options{}, func(r Result) {
-		if r.Scenario.Groups != 3 {
-			t.Fatalf("seed %d: scenario ran with %d groups", r.Scenario.Seed, r.Scenario.Groups)
-		}
-	})
-	for _, f := range st.Failures {
-		t.Errorf("seed %d: wedged=%v failed=%d violations=%v\nspec: %s\nlog:\n%s",
-			f.Scenario.Seed, f.Wedged, f.Failed, f.Violations, f.Scenario.JSON(), f.Log)
-	}
-	if st.Decided == 0 {
-		t.Fatalf("multi-group sweep decided nothing: %+v", st)
-	}
-	t.Logf("multi-group sweep: %d runs, %d decided, %d shed, virtual %v in wall %v",
-		st.Runs, st.Decided, st.Shed, st.Virtual, st.Wall)
-}
-
-// TestMultiGroupReproducible extends the seed-replay contract to the
-// sharded runtime: the same multi-group spec run twice produces an
-// identical decision log.
-func TestMultiGroupReproducible(t *testing.T) {
-	pin(t)
-	for seed := int64(31); seed <= 34; seed++ {
-		sc := GenerateGroups(seed, 2)
-		a := Run(sc, Options{})
-		if a.Err != nil {
-			t.Fatalf("seed %d: %v", seed, a.Err)
-		}
-		b := Run(sc, Options{})
-		if b.Err != nil {
-			t.Fatalf("seed %d rerun: %v", seed, b.Err)
-		}
-		if a.Log != b.Log {
-			t.Errorf("seed %d: decision logs differ\nfirst:\n%s\nsecond:\n%s\nspec: %s",
-				seed, a.Log, b.Log, sc.JSON())
-		}
-	}
-}
-
-// TestGenerateGroupsSharesSchedule pins GenerateGroups to Generate's
-// rand stream: the multi-group spec differs from the single-group one
-// only in Groups and Proposals — same faults, same shape, same seed.
-func TestGenerateGroupsSharesSchedule(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		single := Generate(seed)
-		multi := GenerateGroups(seed, 4)
-		if multi.Groups != 4 {
-			t.Fatalf("seed %d: groups = %d", seed, multi.Groups)
-		}
-		if multi.Proposals < single.Proposals {
-			t.Fatalf("seed %d: scaled load %d below single-group load %d",
-				seed, multi.Proposals, single.Proposals)
-		}
-		multi.Groups = single.Groups
-		multi.Proposals = single.Proposals
-		if multi.JSON() != single.JSON() {
-			t.Fatalf("seed %d: specs diverge beyond Groups/Proposals:\n%s\n%s",
-				seed, single.JSON(), multi.JSON())
-		}
-		if err := GenerateGroups(seed, 4).Validate(); err != nil {
-			t.Fatalf("seed %d: invalid multi-group scenario: %v", seed, err)
-		}
 	}
 }

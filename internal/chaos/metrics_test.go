@@ -74,25 +74,3 @@ func TestRunMetricsDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestMultiGroupMetricsDeterministic extends snapshot byte-identity to
-// the sharded runtime, where every group's series share one registry
-// and the shared muxes count frames runtime-wide.
-func TestMultiGroupMetricsDeterministic(t *testing.T) {
-	pin(t)
-	for seed := int64(31); seed <= 33; seed++ {
-		sc := GenerateGroups(seed, 2)
-		a := Run(sc, Options{})
-		if a.Err != nil {
-			t.Fatalf("seed %d: %v", seed, a.Err)
-		}
-		b := Run(sc, Options{})
-		if b.Err != nil {
-			t.Fatalf("seed %d rerun: %v", seed, b.Err)
-		}
-		if a.Metrics != b.Metrics {
-			t.Errorf("seed %d: metrics snapshots differ\nfirst:\n%s\nsecond:\n%s\nspec: %s",
-				seed, a.Metrics, b.Metrics, sc.JSON())
-		}
-	}
-}

@@ -118,19 +118,12 @@ type Scenario struct {
 	// Horizon is the fault horizon: dropped frames deliver shortly
 	// after it, and all fault windows end at or before it.
 	Horizon time.Duration
-	// Groups is the scenario's consensus group count on the runtime
-	// under test (internal/shard): proposals placed round-robin, every
-	// group audited live on its own and appending to the run's one
-	// journal, which is audited across groups. 0 means 1; the field is
-	// omitted from the JSON encoding when 0, so specs that predate it
-	// replay byte-identically.
-	Groups int `json:",omitempty"`
 	// Workload, when set, replaces the fixed wave load with a generated
 	// workload (internal/workload): every generated event is submitted
 	// at its virtual arrival instant, at its cohort's SLO class, and the
 	// run's outcomes are captured as trace records (Result.Outcomes).
-	// The spec must carry a MaxEvents cap no larger than the runtime's
-	// total intake capacity (MaxBatch × MaxInflight × groups), because
+	// The spec must carry a MaxEvents cap no larger than the service's
+	// intake capacity (MaxBatch × MaxInflight), because
 	// scenario load is submitted on the clock driver and must never
 	// block. Proposals, Waves and WaveGap must be zero. Omitted from the
 	// JSON encoding when nil, so legacy specs replay byte-identically.
@@ -172,13 +165,37 @@ func (sc Scenario) Events() []workload.Event {
 		func(i int) model.Value { return workload.Value(sc.Seed, i) })
 }
 
-// ParseScenario decodes a spec printed by JSON.
+// ParseScenario decodes a spec printed by JSON. A spec written for
+// several consensus groups (a Groups field above 1) is refused: run at
+// one group, it would be a different schedule.
 func ParseScenario(b []byte) (Scenario, error) {
 	var sc Scenario
 	if err := json.Unmarshal(b, &sc); err != nil {
 		return Scenario{}, fmt.Errorf("chaos: parse scenario: %w", err)
 	}
+	var legacy struct{ Groups int }
+	if err := json.Unmarshal(b, &legacy); err != nil {
+		return Scenario{}, fmt.Errorf("chaos: parse scenario: %w", err)
+	}
+	if err := refuseGroups("scenario", legacy.Groups, ""); err != nil {
+		return Scenario{}, err
+	}
 	return sc, sc.Validate()
+}
+
+// refuseGroups refuses a scenario or trace header that describes more
+// than one consensus group — Groups above 1, or a Placement other than
+// the round-robin every one-group recording carried — naming the field:
+// a process runs one group, so running it would not be the recorded
+// schedule.
+func refuseGroups(what string, groups int, placement string) error {
+	switch {
+	case groups > 1:
+		return fmt.Errorf("chaos: %s field Groups=%d asks for several consensus groups; a process runs one", what, groups)
+	case placement != "" && placement != "round-robin":
+		return fmt.Errorf("chaos: %s field Placement=%q asks for placement across consensus groups; a process runs one", what, placement)
+	}
+	return nil
 }
 
 // Validate rejects specs the harness cannot run faithfully.
@@ -198,8 +215,8 @@ func (sc Scenario) Validate() error {
 		if err := sc.Workload.Validate(); err != nil {
 			return fmt.Errorf("chaos: workload: %w", err)
 		}
-		if bound := sc.MaxBatch * sc.MaxInflight * max(sc.Groups, 1); sc.Workload.MaxEvents < 1 || sc.Workload.MaxEvents > bound {
-			return fmt.Errorf("chaos: workload MaxEvents %d outside [1,%d] (MaxBatch×MaxInflight×groups — scenario load must never block the clock driver)",
+		if bound := sc.MaxBatch * sc.MaxInflight; sc.Workload.MaxEvents < 1 || sc.Workload.MaxEvents > bound {
+			return fmt.Errorf("chaos: workload MaxEvents %d outside [1,%d] (MaxBatch×MaxInflight — scenario load must never block the clock driver)",
 				sc.Workload.MaxEvents, bound)
 		}
 		if sc.Proposals != 0 || sc.Waves != 0 || sc.WaveGap != 0 {
@@ -217,9 +234,6 @@ func (sc Scenario) Validate() error {
 	if sc.BaseTimeout <= 0 || sc.Horizon <= 0 || sc.InstanceTimeout <= sc.Horizon {
 		return fmt.Errorf("chaos: need BaseTimeout>0, Horizon>0 and InstanceTimeout>Horizon (got %v, %v, %v)",
 			sc.BaseTimeout, sc.Horizon, sc.InstanceTimeout)
-	}
-	if sc.Groups < 0 || sc.Groups > 64 {
-		return fmt.Errorf("chaos: %d groups outside [0,64]", sc.Groups)
 	}
 	crashed := make(map[model.ProcessID]bool)
 	for _, c := range sc.Crashes {
@@ -360,26 +374,6 @@ func Generate(seed int64) Scenario {
 			c.Restart = c.At + time.Duration(r.Int63n(int64(horizon/4))) + time.Millisecond
 		}
 		sc.Crashes = append(sc.Crashes, c)
-	}
-	return sc
-}
-
-// GenerateGroups derives the multi-group variant of Generate(seed): the
-// identical spec — it consumes Generate's rand stream untouched, so the
-// shared fields match seed for seed — with Groups set and the proposal
-// load scaled so every group sees traffic. The scaled load keeps
-// Generate's non-blocking bound, now groups intakes wide. groups <= 1
-// returns Generate's spec unchanged.
-func GenerateGroups(seed int64, groups int) Scenario {
-	sc := Generate(seed)
-	if groups <= 1 {
-		return sc
-	}
-	sc.Groups = groups
-	bound := sc.MaxBatch * sc.MaxInflight * groups
-	sc.Proposals *= groups
-	if sc.Proposals > bound {
-		sc.Proposals = bound
 	}
 	return sc
 }

@@ -10,7 +10,6 @@ import (
 	"indulgence/internal/chaos/clock"
 	"indulgence/internal/model"
 	"indulgence/internal/service"
-	"indulgence/internal/shard"
 	"indulgence/internal/transport"
 	"indulgence/internal/wire"
 	"indulgence/internal/workload"
@@ -20,7 +19,7 @@ import (
 // virtual clock, a memory hub on it, and the hub's endpoints behind the
 // scenario's fault network — so every cross-process frame, faulted or
 // not, is a seed-tagged clock event, which is what makes a schedule
-// replayable. The caller starts its runtime on Endpoints, drives it
+// replayable. The caller starts its service on Endpoints, drives it
 // with Submit and closes Hub.
 type Fabric struct {
 	Clock     *clock.Virtual
@@ -64,18 +63,17 @@ var errAborted = errors.New("chaos: run aborted")
 // schedule, which is why the real-clock driver, which sleeps and
 // retries, is a separate function — hands each future to its own waiter
 // and steps the clock until every event has its outcome. Events must be
-// At-sorted, and few enough that rt's intake never blocks the driver. It
+// At-sorted, and few enough that svc's intake never blocks the driver. It
 // returns one outcome record per event, in event order, with the error
 // behind each one that is not TraceDecided.
 //
 // A healthy run resolves every future on its own. One that outlives
 // virtualCap or the wall watchdog is wedged: the events not yet
-// proposed fail unsubmitted and rt is aborted, which fails the rest.
-// The caller closes a runtime that did not wedge.
-func (f *Fabric) Submit(rt *shard.Runtime, events []workload.Event, virtualCap time.Duration) (outcomes []wire.TraceOutcomeRecord, errs []error, wedged bool) {
+// proposed fail unsubmitted and svc is aborted, which fails the rest.
+// The caller closes a service that did not wedge.
+func (f *Fabric) Submit(svc *service.Service, events []workload.Event, virtualCap time.Duration) (outcomes []wire.TraceOutcomeRecord, errs []error, wedged bool) {
 	outcomes = make([]wire.TraceOutcomeRecord, len(events))
 	errs = make([]error, len(events))
-	groups := uint64(rt.Groups())
 	var wg sync.WaitGroup
 	wg.Add(len(events))
 	resolve := func(i int, dec service.Decision, err error, latency time.Duration) {
@@ -85,7 +83,6 @@ func (f *Fabric) Submit(rt *shard.Runtime, events []workload.Event, virtualCap t
 		case err == nil:
 			rec.Status = wire.TraceDecided
 			rec.Instance, rec.Value, rec.Round, rec.Batch, rec.Class = dec.Instance, dec.Value, dec.Round, dec.Batch, dec.Class
-			rec.Group = dec.Instance % groups
 		case errors.Is(err, adapt.ErrOverload):
 			rec.Status = wire.TraceShed
 		default:
@@ -102,7 +99,7 @@ func (f *Fabric) Submit(rt *shard.Runtime, events []workload.Event, virtualCap t
 	for i, e := range events {
 		timers[i] = f.Clock.AfterFuncTagged(e.At, 0, func() {
 			at := f.Clock.Now()
-			fut, err := rt.ProposeKeyClass(context.Background(), e.Key, e.Class, e.Value)
+			fut, err := svc.ProposeClass(context.Background(), e.Class, e.Value)
 			if err != nil {
 				resolve(i, service.Decision{}, err, 0)
 				return
@@ -130,7 +127,7 @@ func (f *Fabric) Submit(rt *shard.Runtime, events []workload.Event, virtualCap t
 				resolve(i, service.Decision{}, errAborted, 0)
 			}
 		}
-		rt.Abort()
+		svc.Abort()
 		<-done
 	}
 	return outcomes, errs, wedged

@@ -16,7 +16,6 @@ import (
 	"indulgence/internal/model"
 	"indulgence/internal/runtime"
 	"indulgence/internal/service"
-	"indulgence/internal/shard"
 	"indulgence/internal/wire"
 	"indulgence/internal/workload"
 )
@@ -176,9 +175,9 @@ func run(sc Scenario, events []workload.Event, opts Options) Result {
 	if sc.Adaptive {
 		cfg.Adaptive = &adapt.Config{Classes: sc.Classes}
 	}
-	// The runtime under test, one group or many, over one journal. NoSync:
-	// the journal is an audit trail here, not a durability promise, and
-	// fsync stalls would leak wall time into the virtual schedule.
+	// The service under test, over one journal. NoSync: the journal is an
+	// audit trail here, not a durability promise, and fsync stalls would
+	// leak wall time into the virtual schedule.
 	jn, err := journal.Open(dir, journal.Options{NoSync: true, Metrics: reg})
 	if err != nil {
 		res.Err = err
@@ -186,7 +185,7 @@ func run(sc Scenario, events []workload.Event, opts Options) Result {
 	}
 	defer jn.Close()
 	cfg.Journal = jn
-	rt, err := shard.New(shard.Config{Service: cfg, Groups: sc.Groups}, fab.Endpoints)
+	svc, err := service.New(cfg, fab.Endpoints)
 	if err != nil {
 		res.Err = err
 		return res
@@ -199,7 +198,7 @@ func run(sc Scenario, events []workload.Event, opts Options) Result {
 		virtualCap += events[len(events)-1].At
 	}
 	var errs []error
-	res.Outcomes, errs, res.Wedged = fab.Submit(rt, events, virtualCap)
+	res.Outcomes, errs, res.Wedged = fab.Submit(svc, events, virtualCap)
 	res.Virtual = clk.Now().Sub(virtStart)
 	//indulgence:wallclock Result.Wall reports real elapsed run time by definition
 	res.Wall = time.Since(wallStart)
@@ -207,7 +206,7 @@ func run(sc Scenario, events []workload.Event, opts Options) Result {
 		res.Violations = append(res.Violations,
 			fmt.Sprintf("wedged after %v virtual / %v wall", res.Virtual, res.Wall))
 	} else {
-		rt.Close()
+		svc.Close()
 	}
 
 	// The final registry snapshot, at quiescence: every instrument fed
@@ -216,13 +215,11 @@ func run(sc Scenario, events []workload.Event, opts Options) Result {
 	// total depends on how frames racing a retirement interleave.
 	res.Metrics = stripFrameSeries(reg.Text())
 
-	// Audit 1: every group's own live check.Instance findings.
-	res.Violations = append(res.Violations, rt.Snapshot().Violations...)
+	// Audit 1: the service's own live check.Instance findings.
+	res.Violations = append(res.Violations, svc.Snapshot().Violations...)
 
-	// Audit 2: replay the journal against the futures' view — every
-	// group in one stream, which arms check.Replay's cross-group
-	// instance audit.
-	hist, err := shard.ReplayDir(dir)
+	// Audit 2: replay the journal against the futures' view.
+	hist, err := journal.ReadHistory(dir)
 	if err != nil {
 		res.Err = fmt.Errorf("chaos: replay journal: %w", err)
 		return res
@@ -284,7 +281,7 @@ type SweepStats struct {
 // adaptive plane.
 func WorkloadScenario(sc Scenario, spec *workload.Spec) Scenario {
 	w := *spec
-	bound := sc.MaxBatch * sc.MaxInflight * max(sc.Groups, 1)
+	bound := sc.MaxBatch * sc.MaxInflight
 	if w.MaxEvents == 0 || w.MaxEvents > bound {
 		w.MaxEvents = bound
 	}
@@ -298,18 +295,15 @@ func WorkloadScenario(sc Scenario, spec *workload.Spec) Scenario {
 }
 
 // Sweep generates and runs count scenarios from consecutive seeds
-// starting at baseSeed, each on groups consensus groups (GenerateGroups:
-// the fault schedules match seed for seed at every group count, so the
-// same adversaries meet the multi-group stack). A non-nil spec replaces
-// every scenario's wave load with that workload, clamped per scenario
-// (WorkloadScenario): the same seeded partitions, gray links and
-// crashes under classed multi-cohort arrivals. onRun, when non-nil,
-// observes every result as it completes (the CLI uses it for progress
-// and failure printing).
-func Sweep(baseSeed int64, count, groups int, spec *workload.Spec, opts Options, onRun func(Result)) SweepStats {
+// starting at baseSeed. A non-nil spec replaces every scenario's wave
+// load with that workload, clamped per scenario (WorkloadScenario): the
+// same seeded partitions, gray links and crashes under classed
+// multi-cohort arrivals. onRun, when non-nil, observes every result as
+// it completes (the CLI uses it for progress and failure printing).
+func Sweep(baseSeed int64, count int, spec *workload.Spec, opts Options, onRun func(Result)) SweepStats {
 	var st SweepStats
 	for i := 0; i < count; i++ {
-		sc := GenerateGroups(baseSeed+int64(i), groups)
+		sc := Generate(baseSeed + int64(i))
 		if spec != nil {
 			sc = WorkloadScenario(sc, spec)
 		}

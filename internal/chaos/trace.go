@@ -31,6 +31,9 @@ func ScenarioFromTrace(hdr wire.TraceHeaderRecord) (Scenario, error) {
 	if hdr.Version != wire.TraceFormatVersion {
 		return Scenario{}, fmt.Errorf("chaos: trace format v%d, this build speaks v%d", hdr.Version, wire.TraceFormatVersion)
 	}
+	if err := refuseGroups("trace header", hdr.Groups, hdr.Placement); err != nil {
+		return Scenario{}, err
+	}
 	spec, err := workload.ParseSpec([]byte(hdr.Spec))
 	if err != nil {
 		return Scenario{}, fmt.Errorf("chaos: trace spec: %w", err)
@@ -53,7 +56,6 @@ func ScenarioFromTrace(hdr wire.TraceHeaderRecord) (Scenario, error) {
 		MaxInflight:     hdr.MaxInflight,
 		InstanceTimeout: horizon + 64*base,
 		Horizon:         horizon,
-		Groups:          hdr.Groups,
 		Workload:        spec,
 	}
 	return sc, sc.Validate()
@@ -63,23 +65,17 @@ func ScenarioFromTrace(hdr wire.TraceHeaderRecord) (Scenario, error) {
 // workload run records. It is the inverse of ScenarioFromTrace for the
 // fields a header carries; sc must be a valid workload scenario.
 func (sc Scenario) TraceHeader() wire.TraceHeaderRecord {
-	placement := ""
-	if sc.Groups > 1 {
-		placement = "round-robin"
-	}
 	return wire.TraceHeaderRecord{
 		Version:       wire.TraceFormatVersion,
 		Deterministic: true,
 		Seed:          sc.Seed,
 		N:             sc.N,
 		T:             sc.T,
-		Groups:        sc.Groups,
 		MaxBatch:      sc.MaxBatch,
 		MaxInflight:   sc.MaxInflight,
 		LingerNanos:   int64(sc.Linger),
 		TimeoutNanos:  int64(sc.BaseTimeout),
 		Algorithm:     sc.Algorithm,
-		Placement:     placement,
 		Classes:       sc.Classes,
 		Spec:          sc.Workload.JSON(),
 	}
@@ -115,8 +111,14 @@ func RecordTrace(hdr wire.TraceHeaderRecord, opts Options) (*workload.Trace, Res
 // cross-lifetime agreement violation. A non-deterministic recording (a
 // real-clock bench run) cannot be re-executed faithfully; it gets the
 // standalone AuditTrace consistency audit instead and replayed is nil.
+// A header describing several consensus groups fails in res.Err.
 func ReplayTrace(recorded *workload.Trace, opts Options) (rep check.Report, replayed *workload.Trace, res Result) {
 	if !recorded.Header.Deterministic {
+		// RecordTrace refuses a multi-group header through
+		// ScenarioFromTrace; a live one is only audited, so refuse it here.
+		if err := refuseGroups("trace header", recorded.Header.Groups, recorded.Header.Placement); err != nil {
+			return rep, nil, Result{Err: err}
+		}
 		return AuditTrace(recorded), nil, Result{}
 	}
 	replayed, res = RecordTrace(recorded.Header, opts)

@@ -12,13 +12,13 @@ import (
 )
 
 // traceHeader builds the deterministic trace header the trace tests
-// record under: a generated classed workload (capped well inside the
-// intake bound so scenario load never blocks the clock driver) on a
-// 4-process system, with per-class admission armed when the workload
-// is classed.
-func traceHeader(t *testing.T, seed int64, groups int) wire.TraceHeaderRecord {
+// record under: a generated classed workload of at most maxEvents events
+// (inside the intake bound of 16, so scenario load never blocks the
+// clock driver) on a 4-process system, with per-class admission armed
+// when the workload is classed.
+func traceHeader(t *testing.T, seed int64, maxEvents int) wire.TraceHeaderRecord {
 	t.Helper()
-	spec := workload.GenSpec(seed, 8*max(groups, 1))
+	spec := workload.GenSpec(seed, maxEvents)
 	sc := Scenario{
 		Seed:        seed,
 		N:           4,
@@ -30,7 +30,6 @@ func traceHeader(t *testing.T, seed int64, groups int) wire.TraceHeaderRecord {
 		MaxBatch:    4,
 		Linger:      2 * time.Millisecond,
 		MaxInflight: 4,
-		Groups:      groups,
 		Workload:    spec,
 	}
 	hdr := sc.TraceHeader()
@@ -40,14 +39,14 @@ func traceHeader(t *testing.T, seed int64, groups int) wire.TraceHeaderRecord {
 	return hdr
 }
 
-// TestTraceRecordReplay is the record→replay contract on the sharded
-// runtime: a 3-group classed workload records a trace, the trace
+// TestTraceRecordReplay is the record→replay contract: a classed
+// workload records a trace, the trace
 // replays with zero audit violations, and the replayed trace encodes
 // byte-identically to the recording (the fixed point — one header is
 // one execution). The trace round-trips through disk on the way, so
 // the audited artifact is the file format, not the in-memory struct.
 func TestTraceRecordReplay(t *testing.T) {
-	hdr := traceHeader(t, 21, 3)
+	hdr := traceHeader(t, 21, 16)
 	tr, res := RecordTrace(hdr, Options{})
 	if res.Err != nil {
 		t.Fatalf("record: %v", res.Err)
@@ -93,7 +92,7 @@ func TestTraceRecordReplay(t *testing.T) {
 // TestTraceRecordDeterministic: recording the same header twice yields
 // byte-identical traces — one seed is one workload is one execution.
 func TestTraceRecordDeterministic(t *testing.T) {
-	hdr := traceHeader(t, 33, 1)
+	hdr := traceHeader(t, 33, 8)
 	tr1, res1 := RecordTrace(hdr, Options{})
 	if res1.Err != nil || !res1.OK() {
 		t.Fatalf("first recording: err=%v violations=%v", res1.Err, res1.Violations)
@@ -116,7 +115,7 @@ func TestTraceRecordDeterministic(t *testing.T) {
 // outcome rewritten to another value, or an event the seed never
 // generated — fails the replay audit with a pointed violation.
 func TestTraceMutationFlagged(t *testing.T) {
-	hdr := traceHeader(t, 44, 1)
+	hdr := traceHeader(t, 44, 8)
 	tr, res := RecordTrace(hdr, Options{})
 	if res.Err != nil || !res.OK() {
 		t.Fatalf("record: err=%v violations=%v", res.Err, res.Violations)
@@ -162,7 +161,7 @@ func TestTraceMutationFlagged(t *testing.T) {
 // tags outcomes with their cohort's class and the decisions with the
 // batch's class — the end-to-end SLO plumbing, on virtual time.
 func TestWorkloadScenarioClasses(t *testing.T) {
-	hdr := traceHeader(t, 55, 1)
+	hdr := traceHeader(t, 55, 8)
 	tr, res := RecordTrace(hdr, Options{})
 	if res.Err != nil || !res.OK() {
 		t.Fatalf("record: err=%v violations=%v", res.Err, res.Violations)
@@ -177,5 +176,48 @@ func TestWorkloadScenarioClasses(t *testing.T) {
 	}
 	if len(classes) < 2 {
 		t.Fatalf("generated workload exercised only classes %v", classes)
+	}
+}
+
+// TestMultiGroupInputRefused pins the refusal of inputs written for
+// several consensus groups: a trace header asking for Groups above 1 or
+// for a placement across groups, deterministic or live, and a chaos spec
+// with Groups above 1 fail with an error naming the field, instead of
+// running at one group. A one-group header from an earlier build, whose
+// live recordings carried Placement "round-robin", still audits.
+func TestMultiGroupInputRefused(t *testing.T) {
+	base := traceHeader(t, 33, 8)
+	for _, tc := range []struct {
+		field     string
+		groups    int
+		placement string
+		live      bool
+	}{
+		{"Groups", 2, "round-robin", false},
+		{"Groups", 3, "", true},
+		{"Placement", 0, "key-affinity", false},
+		{"Placement", 1, "least-loaded", true},
+	} {
+		hdr := base
+		hdr.Groups, hdr.Placement, hdr.Deterministic = tc.groups, tc.placement, !tc.live
+		_, _, res := ReplayTrace(&workload.Trace{Header: hdr}, Options{})
+		if res.Err == nil || !strings.Contains(res.Err.Error(), tc.field) {
+			t.Fatalf("header %+v: err %v, want a refusal naming %s", tc, res.Err, tc.field)
+		}
+	}
+	live := base
+	live.Deterministic, live.Groups, live.Placement = false, 1, "round-robin"
+	if _, _, res := ReplayTrace(&workload.Trace{Header: live}, Options{}); res.Err != nil {
+		t.Fatalf("one-group live header refused: %v", res.Err)
+	}
+
+	spec := Generate(5).JSON()
+	multi := strings.Replace(spec, `"Horizon":`, `"Groups":3,"Horizon":`, 1)
+	if _, err := ParseScenario([]byte(multi)); err == nil || !strings.Contains(err.Error(), "Groups") {
+		t.Fatalf("3-group spec: %v, want a refusal naming Groups", err)
+	}
+	one := strings.Replace(spec, `"Horizon":`, `"Groups":1,"Horizon":`, 1)
+	if sc, err := ParseScenario([]byte(one)); err != nil || sc.JSON() != spec {
+		t.Fatalf("1-group spec: %v, or it re-encodes differently", err)
 	}
 }

@@ -3,7 +3,7 @@
 // two processes decide differently, whether or not they later crash), and
 // termination (every correct process decides). Consensus checks recorded
 // simulator runs; Instance checks the live decisions of one runtime
-// cluster or service shard — the service audits every resolved instance
+// cluster or service instance — the service audits every resolved instance
 // with it; Replay cross-checks a decision journal against live
 // observations, extending uniform agreement across process lifetimes.
 // The package also extracts the round-complexity measurements the
@@ -135,14 +135,14 @@ func checkDecisions(proposals []model.Value, n int, decision func(i int) (model.
 // misconfigured cluster whose members disagree on the algorithm —
 // and is flagged as an agreement violation (untagged claims are
 // compatible with everything; they predate the tag or chose not to
-// record one). Group tags extend it to the sharded runtime: every
-// instance ID belongs to exactly one consensus group (the strided
-// allocation makes the spaces disjoint), so an instance claimed or
-// decided under two different groups — across the claims and records
-// of every journal fed to one Replay call, such as the one journal all
-// groups of a member share — means two groups ran the same instance ID and is
-// flagged as an agreement violation (pre-group records carry group 0,
-// the compatibility group, and conflict only with records of other
+// record one). Group tags extend it to journals written by the
+// multi-group runtimes of earlier builds: every instance ID belonged to
+// exactly one consensus group (their strided allocation made the spaces
+// disjoint), so an instance claimed or decided under two different
+// groups — across the claims and records of every journal fed to one
+// Replay call — means two groups ran the same instance ID and is flagged
+// as an agreement violation (records of one-group services carry group
+// 0, the compatibility group, and conflict only with records of other
 // groups). Class tags are audited the same way: two records of one
 // instance under different non-zero SLO classes mean two conflicting
 // decision events were journaled — an agreement violation — and a class

@@ -215,7 +215,7 @@ func TestReplayAlgorithmConflict(t *testing.T) {
 	}
 }
 
-// TestReplayGroupConflict pins the sharded-runtime invariant: an
+// TestReplayGroupConflict pins the multi-group journal invariant: an
 // instance ID claimed or decided under two different consensus groups
 // is an agreement violation (the strided allocation makes the group ID
 // spaces disjoint, so a cross-group instance means two groups ran the

@@ -12,7 +12,6 @@ import (
 	"indulgence/internal/model"
 	"indulgence/internal/runtime"
 	"indulgence/internal/service"
-	"indulgence/internal/shard"
 	"indulgence/internal/stats"
 	"indulgence/internal/workload"
 )
@@ -226,7 +225,7 @@ func runLiveScenario(sc liveScenario, seed int64) liveRow {
 			MinLinger: cfg.Linger, MaxLinger: cfg.Linger,
 		}
 	}
-	rt, err := shard.New(shard.Config{Service: cfg}, fab.Endpoints)
+	svc, err := service.New(cfg, fab.Endpoints)
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -237,11 +236,11 @@ func runLiveScenario(sc liveScenario, seed int64) liveRow {
 	const virtualCap = 30 * time.Second
 	virtStart := fab.Clock.Now()
 	load := workload.Waves(sc.n, 0, 0, func(i int) model.Value { return model.Value(i + 1) })
-	outs, errs, wedged := fab.Submit(rt, load, virtualCap)
+	outs, errs, wedged := fab.Submit(svc, load, virtualCap)
 	if wedged {
 		return fail("wedged after %v virtual", fab.Clock.Now().Sub(virtStart))
 	}
-	if err := rt.Close(); err != nil {
+	if err := svc.Close(); err != nil {
 		return fail("close: %v", err)
 	}
 	dec := outs[0]
@@ -253,7 +252,7 @@ func runLiveScenario(sc liveScenario, seed int64) liveRow {
 			return fail("batch split across decisions: %+v vs %+v", o, dec)
 		}
 	}
-	st := rt.Snapshot().Groups[0]
+	st := svc.Snapshot()
 
 	latency := st.DecisionLatency.Max.Round(time.Microsecond)
 	row := liveRow{

@@ -41,8 +41,8 @@ func heapCost(build func() *index) int64 {
 // TestIndexMemory pins what the index retains. A slot is 28 bytes
 // whatever the spacing of the decided IDs: 100k dense decisions cost at
 // most 32 bytes each, and 100k of one residue class of G groups (g,
-// g+G, …: the IDs one group of a sharded service decides while the
-// others stall) at most 36 for G up to 8 and 48 for G = 64 — the
+// g+G, …: the IDs one group of an earlier build's multi-group runtime
+// decided while the others stalled) at most 36 for G up to 8 and 48 for G = 64 — the
 // sorted slice the page table replaced cost 48 at any spacing. Above
 // the 28, a trimmed column pays the allocator's size-class rounding
 // (up to 1/8) and each page its fixed part (presence bitmap and column

@@ -77,6 +77,12 @@ var (
 	// outside what wire.DecodeDecisionRecord reads back: recovery would
 	// take its frame for a torn tail or mid-journal corruption.
 	ErrOutOfBounds = errors.New("journal: decision field outside the record codec's bounds")
+	// ErrGroupLayout refuses a directory in the retired per-group layout
+	// (one group-NNNN subdirectory per consensus group): resuming there
+	// would restart the frontier below IDs that already touched the
+	// network, and auditing its empty top level would pass vacuously.
+	// Each subdirectory still reads on its own as a plain journal.
+	ErrGroupLayout = errors.New("journal: directory holds per-group group-NNNN subdirectories (the retired layout; read each one on its own)")
 )
 
 // Options configures a journal.
@@ -97,8 +103,7 @@ type Options struct {
 	OnAppend func(Entry)
 	// Metrics, when non-nil, registers the journal's instruments on
 	// this registry (entries by kind, fsync count and latency, segment
-	// count). They carry no group label: one journal serves every group
-	// of a process. Entry counters include the entries replayed at Open,
+	// count). They carry no group label. Entry counters include the entries replayed at Open,
 	// so a recovered journal's series resume at their true totals.
 	Metrics *metrics.Registry
 }
@@ -315,10 +320,10 @@ func (j *Journal) AppendStart(instance uint64, alg string) error {
 	return j.AppendStartRecord(wire.StartRecord{Instance: instance, Alg: alg})
 }
 
-// AppendStartRecord is AppendStart with the full record: sharded
-// services use it to tag their claims with the consensus group, which
-// check.Replay audits (an instance ID journaled under two groups is an
-// agreement violation). It shares AppendStart's no-fsync contract.
+// AppendStartRecord is AppendStart with the full record, group tag
+// included: check.Replay audits the tags that journals of earlier
+// multi-group runtimes carry (an instance ID journaled under two groups
+// is an agreement violation). It shares AppendStart's no-fsync contract.
 func (j *Journal) AppendStartRecord(r wire.StartRecord) error {
 	return j.append(Entry{Start: true, Alg: r.Alg,
 		Decision: wire.DecisionRecord{Instance: r.Instance, Group: r.Group}}, false)

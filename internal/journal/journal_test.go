@@ -380,9 +380,9 @@ func TestConcurrentAppendsGroupCommit(t *testing.T) {
 // appends that queue while the writer is busy are written and fsynced
 // together, exactly once, and a lone append on an idle journal costs
 // exactly one fsync — it waits for no company. The queued decisions
-// belong to three consensus groups (group g owns instances g, g+3, …),
-// as in a sharded runtime's one journal: one fsync carries all three,
-// where a journal per group would have paid one each.
+// carry three group tags (group g owns instances g, g+3, …), as in the
+// one journal of an earlier build's three-group runtime: one fsync
+// carries all three.
 func TestGroupCommitDrainsIntake(t *testing.T) {
 	const k, groups = 16, 3
 	held, release := make(chan struct{}), make(chan struct{})
@@ -758,8 +758,7 @@ func TestWriteErrorLatchesFatal(t *testing.T) {
 // TestClassRoundTrip pins the SLO-class tag through the journal: a
 // classed decision record survives Append → Get and Append → Replay
 // byte-exactly, and classless records keep reading back as class 0
-// (the trailing-field wire compatibility the sharded runtime's replay
-// audit depends on).
+// (the trailing-field wire compatibility the replay audit depends on).
 func TestClassRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{})

@@ -165,7 +165,8 @@ func advance(frontier, instance uint64) uint64 {
 func segmentName(idx int) string { return fmt.Sprintf("seg-%08d.wal", idx) }
 
 // listSegments returns the journal directory's segment indices in
-// ascending order.
+// ascending order. A directory holding group-NNNN subdirectories fails
+// with ErrGroupLayout.
 func listSegments(dir string) ([]int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -174,6 +175,9 @@ func listSegments(dir string) ([]int, error) {
 	var idxs []int
 	for _, e := range entries {
 		name := e.Name()
+		if e.IsDir() && strings.HasPrefix(name, "group-") {
+			return nil, fmt.Errorf("%w: %s", ErrGroupLayout, filepath.Join(dir, name))
+		}
 		if e.IsDir() || !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".wal") {
 			continue
 		}
@@ -221,12 +225,54 @@ type ReplayInfo struct {
 // returned. A torn tail is tolerated only on the final segment — that is
 // the only place a crash can tear — and is reported in ReplayInfo;
 // mid-journal corruption fails with ErrCorrupt, and fn sees no entry of
-// the damaged segment. fn may keep the entries it is handed: none shares
-// memory with the buffers Replay reuses. Replay opens nothing for
-// writing and is safe on a journal another process wrote.
+// the damaged segment. A directory in the retired per-group layout
+// fails with ErrGroupLayout, as Open does. fn may keep the entries it
+// is handed: none shares memory with the buffers Replay reuses. Replay
+// opens nothing for writing and is safe on a journal another process
+// wrote.
 func Replay(dir string, fn func(Entry) error) (ReplayInfo, error) {
 	info, _, err := replay(dir, fn)
 	return info, err
+}
+
+// History is a journal read back from disk as audit input: its
+// decisions, start claims and decision traces in append order.
+type History struct {
+	// Records and Starts are the input shape check.Replay audits. Starts
+	// keep their group tags, which journals written by several
+	// consensus groups carry, so the audit can check them.
+	Records []wire.DecisionRecord
+	Starts  []wire.StartRecord
+	// Traces are the decision-trace entries — introspection context,
+	// not claims or outcomes, so the consensus audit does not read them.
+	Traces []wire.DecisionTraceRecord
+	// Segments, TornBytes and Frontier are Replay's ReplayInfo fields.
+	Segments, TornBytes int
+	Frontier            uint64
+}
+
+// ReadHistory reads back the journal at dir as History — the one place
+// journal entries become audit records. Like Replay it opens nothing for
+// writing and tolerates a torn final tail.
+func ReadHistory(dir string) (History, error) {
+	var h History
+	info, err := Replay(dir, func(e Entry) error {
+		switch {
+		case e.Trace != nil:
+			h.Traces = append(h.Traces, *e.Trace)
+		case e.Start:
+			h.Starts = append(h.Starts, wire.StartRecord{
+				Instance: e.Instance(), Alg: e.Alg, Group: e.Decision.Group})
+		default:
+			h.Records = append(h.Records, e.Decision)
+		}
+		return nil
+	})
+	if err != nil {
+		return History{}, fmt.Errorf("journal: replay %s: %w", dir, err)
+	}
+	h.Segments, h.TornBytes, h.Frontier = info.Segments, info.TornBytes, info.Frontier
+	return h, nil
 }
 
 // replay is Replay, also reporting the index of the final segment (0 in

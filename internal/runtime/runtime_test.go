@@ -248,7 +248,7 @@ func TestStartDecisionsStop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		muxes[i] = transport.NewMux(ep, 1, nil)
+		muxes[i] = transport.NewMux(ep, nil)
 		t.Cleanup(func(m *transport.Mux) func() { return func() { _ = m.Close() } }(muxes[i]))
 	}
 

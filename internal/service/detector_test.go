@@ -15,7 +15,6 @@ import (
 	"indulgence/internal/model"
 	"indulgence/internal/runtime"
 	"indulgence/internal/service"
-	"indulgence/internal/shard"
 	"indulgence/internal/wire"
 	"indulgence/internal/workload"
 )
@@ -49,7 +48,7 @@ func runDetector(t *testing.T, sc chaos.Scenario, cfg service.Config) detectorRu
 	cfg.MaxBatch, cfg.MaxInflight = 1, 1
 	cfg.InstanceTimeout = time.Second
 	cfg.Clock, cfg.Metrics = fab.Clock, reg
-	rt, err := shard.New(shard.Config{Service: cfg}, fab.Endpoints)
+	rt, err := service.New(cfg, fab.Endpoints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +65,7 @@ func runDetector(t *testing.T, sc chaos.Scenario, cfg service.Config) detectorRu
 		}
 		return 0
 	}
-	run := detectorRun{svc: rt.Group(0)}
+	run := detectorRun{svc: rt}
 	// Two halves, so the test can see whether suspicions still grow.
 	for h := 0; h < 2; h++ {
 		events := make([]workload.Event, detInstances/2)

@@ -153,7 +153,7 @@ func (s *Service) runInstance(instance uint64, eps []transport.Transport, batch 
 	// batch of 0.
 	size := max(len(batch), 1)
 	if s.cfg.Journal != nil {
-		rec := wire.DecisionRecord{Instance: instance, Value: value, Round: round, Batch: size, Group: s.cfg.Group, Class: batchClass}
+		rec := wire.DecisionRecord{Instance: instance, Value: value, Round: round, Batch: size, Class: batchClass}
 		if err := s.cfg.Journal.Append(rec); err != nil {
 			s.failInstance(batch, fmt.Errorf("service: journal instance %d: %w", instance, err))
 			return

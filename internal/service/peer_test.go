@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"indulgence/internal/check"
 	"indulgence/internal/core"
 	"indulgence/internal/journal"
+	"indulgence/internal/metrics"
 	"indulgence/internal/model"
 	"indulgence/internal/runtime"
 	"indulgence/internal/transport"
@@ -109,19 +112,12 @@ func auditJournals(t *testing.T, live map[uint64]model.Value, dirs ...string) {
 	var records []wire.DecisionRecord
 	var starts []wire.StartRecord
 	for _, dir := range dirs {
-		_, err := journal.Replay(dir, func(e journal.Entry) error {
-			switch {
-			case e.Trace != nil:
-			case e.Start:
-				starts = append(starts, wire.StartRecord{Instance: e.Instance(), Alg: e.Alg})
-			default:
-				records = append(records, e.Decision)
-			}
-			return nil
-		})
+		h, err := journal.ReadHistory(dir)
 		if err != nil {
-			t.Fatalf("replay %s: %v", dir, err)
+			t.Fatal(err)
 		}
+		records = append(records, h.Records...)
+		starts = append(starts, h.Starts...)
 	}
 	rep := check.Replay(records, starts, live)
 	if len(rep.Violations) > 0 {
@@ -397,6 +393,74 @@ func TestPeerServiceHubMembers(t *testing.T) {
 	}
 }
 
+// TestPeerServiceJoinsEarlyFrames pins the join of a slot whose frames
+// reach a member before its service exists: p1 starts slot 0 while p2 is
+// not yet built, so p2's mux buffers the slot's frames before the
+// service is up and before its join signal is installed. p2 must still
+// join the slot — installing the signal replays it — or p1, short of
+// n−t processes, never decides.
+func TestPeerServiceJoinsEarlyFrames(t *testing.T) {
+	const n = 3
+	hub, err := transport.NewHub(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	member := func(id model.ProcessID, reg *metrics.Registry) *Service {
+		t.Helper()
+		ep, err := hub.Endpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := peerOpts(n, nil)
+		cfg.Linger, cfg.InstanceTimeout, cfg.Metrics = time.Millisecond, 10*time.Second, reg
+		svc, err := New(cfg, []transport.Transport{ep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = svc.Close() })
+		return svc
+	}
+	reg := metrics.NewRegistry()
+	p1 := member(1, reg)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	fut, err := p1.Propose(ctx, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// p1's first broadcast is out (its frame to p2 is sent before the
+	// counter reaches n) and p1 waits for a second process.
+	sent := func() (frames int) {
+		for _, line := range strings.Split(reg.Text(), "\n") {
+			if v, ok := strings.CutPrefix(line, "indulgence_frames_out_total "); ok {
+				frames, _ = strconv.Atoi(v)
+			}
+		}
+		return frames
+	}
+	for sent() < n {
+		if ctx.Err() != nil {
+			t.Fatal("p1 never broadcast its first round")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	p2 := member(2, nil)
+	dec, err := fut.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Instance != 0 || dec.Value != 7 {
+		t.Fatalf("decided %+v, want value 7 on slot 0", dec)
+	}
+	for p2.Snapshot().JoinedInstances < 1 {
+		if ctx.Err() != nil {
+			t.Fatal("p2 never joined slot 0")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestNewPeerValidation covers the constructor error cases.
 func TestNewPeerValidation(t *testing.T) {
 	hub, err := transport.NewHub(2)
@@ -445,10 +509,10 @@ func TestNewPeerValidation(t *testing.T) {
 
 // TestJoinDedupesOnTheMux pins that a member's mux is the one record of
 // which slots it is in. Three members share a hub; p1 initiates X and
-// then Y. While Y is held in p1's OnInstance hook, p1 receives Join(X)
-// for the decided X and Join(Y) for the running Y: both must be dropped
+// then Y. While Y is held in p1's OnInstance hook, p1 receives join(X)
+// for the decided X and join(Y) for the running Y: both must be dropped
 // without counting anywhere. Then a proposal lingers in p2's batcher
-// while p2 receives Join(X) and a join of a slot past its counter whose
+// while p2 receives join(X) and a join of a slot past its counter whose
 // stream its mux has already retired: neither may take the lingering
 // batch, which must decide on a fresh slot of its own.
 func TestJoinDedupesOnTheMux(t *testing.T) {
@@ -520,8 +584,8 @@ func TestJoinDedupesOnTheMux(t *testing.T) {
 	settle(1)
 	futY := decide(p1, 20)
 	<-held
-	p1.Join(x)
-	p1.Join(y)
+	p1.join(x)
+	p1.join(y)
 	for len(p1.joins) > 0 {
 		time.Sleep(time.Millisecond)
 	}
@@ -537,8 +601,8 @@ func TestJoinDedupesOnTheMux(t *testing.T) {
 	for len(p2.intake) > 0 {
 		time.Sleep(time.Millisecond) // until the proposal lingers in the batch
 	}
-	p2.Join(x)
-	p2.Join(retired)
+	p2.join(x)
+	p2.join(retired)
 	dec := wait(fut)
 	if dec.Instance == x || dec.Instance == retired || dec.Value != 30 {
 		t.Fatalf("lingering proposal decided %+v, want value 30 on a fresh slot", dec)

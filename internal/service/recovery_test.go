@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"indulgence/internal/adapt"
 	"indulgence/internal/check"
 	"indulgence/internal/core"
 	"indulgence/internal/journal"
@@ -130,22 +131,97 @@ func TestServiceJournalRecovery(t *testing.T) {
 		t.Fatalf("successor violations: %v", st.Violations)
 	}
 
-	var recs []wire.DecisionRecord
-	var starts []wire.StartRecord
-	if _, err := journal.Replay(dir, func(e journal.Entry) error {
-		switch {
-		case e.Trace != nil:
-		case e.Start:
-			starts = append(starts, wire.StartRecord{Instance: e.Instance(), Alg: e.Alg})
-		default:
-			recs = append(recs, e.Decision)
-		}
-		return nil
-	}); err != nil {
+	hist, err := journal.ReadHistory(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := check.Replay(recs, starts, live); !rep.OK() {
+	if rep := check.Replay(hist.Records, hist.Starts, live); !rep.OK() {
 		t.Fatalf("check.Replay violations: %v", rep.Violations)
+	}
+}
+
+// TestServiceResumesMultiGroupJournal resumes a journal written the way
+// a three-group runtime of earlier builds wrote one: group g of 3 decided
+// the strided IDs g, g+3, g+6, … and claimed blocks of 4 of them, every
+// record tagged with g. A one-group service must resume past the whole
+// directory's frontier, serve the old decisions without re-running them,
+// and re-decide nothing; check.Replay over the directory, group tags
+// included, must be clean.
+func TestServiceResumesMultiGroupJournal(t *testing.T) {
+	const n, groups, block = 3, 3, 4
+	dir := t.TempDir()
+	jn, err := journal.Open(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := journalConfig(n, jn)
+	alg := adapt.ProbeName(cfg.Factory, n, cfg.T)
+	old := make(map[uint64]model.Value)
+	for g := uint64(0); g < groups; g++ {
+		for i := uint64(0); i < 5; i++ {
+			inst := g + groups*i
+			if i%block == 0 {
+				last := inst + groups*(block-1)
+				if err := jn.AppendStartRecord(wire.StartRecord{Instance: last, Alg: alg, Group: g}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rec := wire.DecisionRecord{Instance: inst, Value: model.Value(100 + inst), Round: 3, Batch: 1, Group: g}
+			if err := jn.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			old[inst] = rec.Value
+		}
+	}
+	// The highest claim is group 2's second block, through 2+3·(4+3) = 23.
+	const frontier = 24
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jn, err = journal.Open(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = jn.Close() }()
+	if got := jn.Frontier(); got != frontier {
+		t.Fatalf("reopened frontier %d, want %d", got, frontier)
+	}
+	_, eps := hubEndpoints(t, n)
+	svc, err := service.New(journalConfig(n, jn), eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for inst, v := range old {
+		if dec, ok := svc.Lookup(inst); !ok || dec.Value != v {
+			t.Fatalf("Lookup(%d) = %+v, %v; want value %d", inst, dec, ok, v)
+		}
+	}
+	live := make(map[uint64]model.Value)
+	for _, d := range driveProposals(t, svc, 4, 12) {
+		if d.Instance < frontier {
+			t.Fatalf("decided instance %d below the multi-group frontier %d", d.Instance, frontier)
+		}
+		live[d.Instance] = d.Value
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	hist, err := journal.ReadHistory(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tags := make(map[uint64]bool)
+	for _, r := range hist.Records {
+		tags[r.Group] = true
+	}
+	if len(hist.Records) != len(old)+len(live) || len(tags) != groups {
+		t.Fatalf("read back %d decisions under groups %v, want %d under %d groups",
+			len(hist.Records), tags, len(old)+len(live), groups)
+	}
+	if rep := check.Replay(hist.Records, hist.Starts, live); !rep.OK() {
+		t.Fatalf("audit of the multi-group journal and its successor: %v", rep.Violations)
 	}
 }
 

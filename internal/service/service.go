@@ -9,8 +9,7 @@
 // instances share one set of physical connections — one Hub mailbox or
 // one TCP connection per ordered process pair — and one failure detector
 // per hosted process, so a crashed peer is suspected once, not once per
-// instance. The detectors are per service, which in a sharded runtime
-// means per group.
+// instance.
 //
 // The decided value of an instance is, by validity, the proposal of one
 // of the batch's members (proposals are spread round-robin over the n
@@ -53,7 +52,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 	"time"
 
@@ -112,9 +110,7 @@ type Config struct {
 	// journal-before-complete — and the service resumes its instance-ID
 	// frontier past the highest journaled instance, so a restarted
 	// service never re-runs an instance it already decided. The journal
-	// is owned by the caller and is not closed by Close. A sharded
-	// runtime hands every group the same journal: strided instance IDs
-	// never collide, so one index and one frontier serve all groups.
+	// is owned by the caller and is not closed by Close.
 	Journal *journal.Journal
 	// Adaptive, when non-nil, attaches the feedback control plane
 	// (internal/adapt): MaxBatch and Linger become the controller's
@@ -142,7 +138,8 @@ type Config struct {
 	// through every instance's runtime cluster.
 	Clock clock.Clock
 	// Metrics, when non-nil, registers the service's instruments on this
-	// registry, every series labelled with the service's group:
+	// registry, every series carrying the constant label group="0" (the
+	// series names scrapers and recorded snapshots already know):
 	// proposal/decision/failure counters, suspicion events (raised by the
 	// hosted processes' timeout detectors), proposal- and
 	// decision-latency histograms, and — the paper's price gap as a live
@@ -152,17 +149,6 @@ type Config struct {
 	// Snapshots of the registry are pure functions of the event schedule
 	// when the service runs on a virtual clock (see internal/metrics).
 	Metrics *metrics.Registry
-	// Group and Groups place the service in a sharded deployment
-	// (internal/shard): the service runs consensus group Group of Groups
-	// total, and owns the strided slice of the global instance-ID space
-	// congruent to Group modulo Groups — group g of G assigns instances
-	// g, g+G, g+2G, … — so every group's IDs are globally unique and
-	// check.Replay can treat an instance ID under two groups as a
-	// violation. The defaults (0 and 1) are the single-group service,
-	// whose instance IDs and wire frames are unchanged from before
-	// groups existed.
-	Group  uint64
-	Groups int
 }
 
 // withDefaults returns cfg with zero fields replaced by defaults.
@@ -184,9 +170,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.JoinTimeout == 0 {
 		cfg.JoinTimeout = 10 * time.Second
-	}
-	if cfg.Groups == 0 {
-		cfg.Groups = 1
 	}
 	cfg.Clock = clock.Or(cfg.Clock)
 	return cfg
@@ -329,13 +312,6 @@ type Service struct {
 	muxes  []*transport.Mux
 	hosted model.PIDSet
 	remote bool
-	// ownsMuxes reports whether Close/Abort shut the muxes down: true
-	// when New built them, false when a shard runtime shares one set of
-	// muxes across many group services.
-	ownsMuxes bool
-	// stride is uint64(cfg.Groups): the service's instance IDs advance
-	// by it, keeping every assigned ID congruent to cfg.Group.
-	stride uint64
 
 	// static is the fallback algorithm choice built from Config (its
 	// Name probed from the factory); plane is the adaptive control
@@ -344,7 +320,7 @@ type Service struct {
 	plane  *adapt.Plane
 
 	intake chan *pending
-	// joins carries the slots peers have started (see Join); nil when
+	// joins carries the slots peers have started (see join); nil when
 	// every process is hosted, which removes the batcher's join case.
 	joins       chan uint64
 	slots       chan struct{}
@@ -421,61 +397,20 @@ const maxSamples = 1 << 13
 // it and closes the muxes with the service; the endpoints themselves
 // remain owned by the caller and are not closed by Close.
 func New(cfg Config, endpoints []transport.Transport) (*Service, error) {
-	for _, ep := range endpoints {
-		if ep == nil {
-			return nil, errors.New("service: nil endpoint")
-		}
-	}
-	muxes := make([]*transport.Mux, len(endpoints))
-	for i, ep := range endpoints {
-		muxes[i] = transport.NewMux(ep, 1, cfg.Metrics)
-	}
-	s, err := NewOnMuxes(cfg, muxes)
-	if err != nil {
-		for _, m := range muxes {
-			_ = m.Close()
-		}
-		return nil, err
-	}
-	s.ownsMuxes = true
-	// Frames for a slot this service has not opened mean a peer started
-	// it: that is the join signal. With every process hosted the service
-	// opens all of an instance's streams itself before any frame exists,
-	// so no signal is installed.
-	if s.remote {
-		for _, m := range muxes {
-			m.OnPending(s.Join)
-		}
-	}
-	return s, nil
-}
-
-// NewOnMuxes starts a service over already-built muxes, one per hosted
-// process under New's ordering rule. It is the one constructor: New
-// calls it over the muxes it builds, and a sharded runtime calls it once
-// per group (each with its own cfg.Group) over one shared set of muxes,
-// built for cfg.Groups groups (transport.NewMux). The muxes stay owned
-// by the caller: Close and Abort leave them open, and the service opens
-// and retires only instances of its own residue class (cfg.Group mod
-// cfg.Groups), so sibling groups never observe it. Join signals are the
-// caller's to install: whoever owns the muxes routes each instance's
-// signal (Mux.OnPending) to the Join of the service owning instance mod
-// cfg.Groups.
-func NewOnMuxes(cfg Config, muxes []*transport.Mux) (*Service, error) {
 	cfg = cfg.withDefaults()
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("service: need at least 2 processes, got %d", cfg.N)
 	}
-	if len(muxes) == 0 {
+	if len(endpoints) == 0 {
 		return nil, errors.New("service: need at least one endpoint")
 	}
 	var members model.PIDSet
 	var prev model.ProcessID
-	for _, m := range muxes {
-		if m == nil {
-			return nil, errors.New("service: nil mux")
+	for _, ep := range endpoints {
+		if ep == nil {
+			return nil, errors.New("service: nil endpoint")
 		}
-		id := m.Self()
+		id := ep.Self()
 		if id < 1 || int(id) > cfg.N {
 			return nil, fmt.Errorf("service: endpoint Self()=%d outside 1..%d", id, cfg.N)
 		}
@@ -485,12 +420,9 @@ func NewOnMuxes(cfg Config, muxes []*transport.Mux) (*Service, error) {
 		members.Add(id)
 		prev = id
 	}
-	remote := len(muxes) < cfg.N
+	remote := len(endpoints) < cfg.N
 	if cfg.Factory == nil {
 		return nil, errors.New("service: nil factory")
-	}
-	if cfg.Groups < 1 || cfg.Group >= uint64(cfg.Groups) {
-		return nil, fmt.Errorf("service: group %d out of range for %d groups", cfg.Group, cfg.Groups)
 	}
 	if remote && cfg.Adaptive != nil && cfg.Adaptive.SelectAlgorithms {
 		return nil, errors.New("service: peer members cannot select algorithms per instance (the protocol of a shared slot is cluster-wide; run selection on the single-process service)")
@@ -500,7 +432,7 @@ func NewOnMuxes(cfg Config, muxes []*transport.Mux) (*Service, error) {
 		Factory:    cfg.Factory,
 		WaitPolicy: cfg.WaitPolicy,
 	}
-	labels := []metrics.Label{{Key: "group", Value: strconv.FormatUint(cfg.Group, 10)}}
+	labels := []metrics.Label{{Key: "group", Value: "0"}}
 	var plane *adapt.Plane
 	// The intake buffer must track the batch ceiling the batcher can
 	// actually cut at — the controller's MaxBatch when adaptive, the
@@ -526,25 +458,28 @@ func NewOnMuxes(cfg Config, muxes []*transport.Mux) (*Service, error) {
 			ceiling = c
 		}
 	}
+	muxes := make([]*transport.Mux, len(endpoints))
+	for i, ep := range endpoints {
+		muxes[i] = transport.NewMux(ep, cfg.Metrics)
+	}
 	s := &Service{
 		cfg:         cfg,
 		muxes:       muxes,
 		hosted:      members,
 		remote:      remote,
-		stride:      uint64(cfg.Groups),
 		static:      static,
 		plane:       plane,
 		intake:      make(chan *pending, ceiling*cfg.MaxInflight),
 		slots:       make(chan struct{}, cfg.MaxInflight),
 		batcherDone: make(chan struct{}),
-		latencies:   stats.NewReservoirSeeded[time.Duration](maxSamples, uint64(cfg.Group)<<3|0),
-		instLat:     stats.NewReservoirSeeded[time.Duration](maxSamples, uint64(cfg.Group)<<3|2),
-		roundLat:    stats.NewReservoirSeeded[time.Duration](maxSamples, uint64(cfg.Group)<<3|3),
+		latencies:   stats.NewReservoirSeeded[time.Duration](maxSamples, 0),
+		instLat:     stats.NewReservoirSeeded[time.Duration](maxSamples, 2),
+		roundLat:    stats.NewReservoirSeeded[time.Duration](maxSamples, 3),
 	}
 	if remote {
 		// Sized to absorb a burst of distinct slots between two batcher
 		// turns; a signal dropped at the bound re-fires on the slot's
-		// next inbound frame (see Join).
+		// next inbound frame (see join).
 		s.joins = make(chan uint64, 256)
 	}
 	reg := cfg.Metrics
@@ -578,25 +513,18 @@ func NewOnMuxes(cfg Config, muxes []*transport.Mux) (*Service, error) {
 	s.mDecLat = reg.Histogram("indulgence_decision_latency_ns",
 		"instance latency, batch cut to decision, in nanoseconds", 1<<12, 1<<34, labels...)
 
-	// The first instance of group g is g itself; every later one adds
-	// the stride, so the assigned IDs are exactly {g, g+G, g+2G, …}.
-	s.nextInstance = cfg.Group
 	if cfg.Journal != nil {
 		// Recovery: resume the instance-ID frontier past every journaled
-		// start claim and decision — aligned up to the group's residue
-		// class — and bulk-retire everything below the frontier on every
-		// mux, so stale round and relay frames from a previous process
-		// lifetime are dropped instead of buffering for instances nobody
-		// will open. The frontier covers joined slots too: a restarted
-		// member must never re-run an instance its previous lifetime
-		// touched — rejoining one with reset algorithm state would be
-		// amnesia, not a crash-stop. The retirement is process-wide, so
-		// the groups sharing the muxes repeat it as a no-op: none of them
-		// launches an instance before its runtime is returned.
-		frontier := cfg.Journal.Frontier()
-		s.nextInstance = transport.AlignUp(frontier, cfg.Group, s.stride)
+		// start claim and decision, and bulk-retire everything below it
+		// on every mux, so stale round and relay frames from a previous
+		// process lifetime are dropped instead of buffering for instances
+		// nobody will open. The frontier covers joined slots too: a
+		// restarted member must never re-run an instance its previous
+		// lifetime touched — rejoining one with reset algorithm state
+		// would be amnesia, not a crash-stop.
+		s.nextInstance = cfg.Journal.Frontier()
 		for _, m := range muxes {
-			m.RetireBelow(frontier)
+			m.RetireBelow(s.nextInstance)
 		}
 	}
 	s.claimedThrough = s.nextInstance
@@ -604,6 +532,16 @@ func NewOnMuxes(cfg Config, muxes []*transport.Mux) (*Service, error) {
 	go s.batcher()
 	if s.plane != nil {
 		go s.controlLoop()
+	}
+	// Frames for a slot this service has not opened mean a peer started
+	// it: that is the join signal. With every process hosted the service
+	// opens all of an instance's streams itself before any frame exists,
+	// so no signal is installed. Each mux replays the signal at install
+	// for every stream that buffered frames in the meantime.
+	if remote {
+		for _, m := range muxes {
+			m.OnPending(s.join)
+		}
 	}
 	return s, nil
 }
@@ -626,19 +564,16 @@ func (s *Service) controlLoop() {
 	}
 }
 
-// Join signals that inbound frames exist for a slot this service has not
+// join signals that inbound frames exist for a slot this service has not
 // opened, so a peer started it and the hosted processes should adopt it.
-// The slot must lie in the service's residue class (slot mod cfg.Groups
-// = cfg.Group). It never blocks — callable straight from a mux router
-// goroutine; a dropped signal re-fires on the slot's next inbound frame.
-// New installs it as the join signal (Mux.OnPending) of the muxes it
-// builds; a sharded runtime, which owns its shared muxes, calls it on
-// the group service owning the slot. A no-op when every process is
-// hosted. The batcher drops every slot whose streams do not open — one
-// already running here, or retired because it ran or lies below the
-// recovered frontier — so a duplicate or stale signal costs nothing and
-// counts nowhere.
-func (s *Service) Join(slot uint64) {
+// It never blocks — callable straight from a mux router goroutine; a
+// dropped signal re-fires on the slot's next inbound frame. New installs
+// it as the join signal (Mux.OnPending) of its muxes when a process is
+// remote; with every process hosted nothing calls it. The batcher drops
+// every slot whose streams do not open — one already running here, or
+// retired because it ran or lies below the recovered frontier — so a
+// duplicate or stale signal costs nothing and counts nowhere.
+func (s *Service) join(slot uint64) {
 	select {
 	case s.joins <- slot:
 	default:
@@ -715,10 +650,8 @@ func (s *Service) Close() error {
 	<-s.batcherDone
 	s.wg.Wait()
 	s.runCancel()
-	if s.ownsMuxes {
-		for _, m := range s.muxes {
-			_ = m.Close()
-		}
+	for _, m := range s.muxes {
+		_ = m.Close()
 	}
 	return nil
 }
@@ -748,29 +681,9 @@ func (s *Service) Abort() {
 	s.mu.Unlock()
 	s.runCancel()
 	close(s.intake)
-	if s.ownsMuxes {
-		for _, m := range s.muxes {
-			_ = m.Close()
-		}
+	for _, m := range s.muxes {
+		_ = m.Close()
 	}
-}
-
-// Group returns the consensus group this service runs (0 for the
-// single-group service).
-func (s *Service) Group() uint64 { return s.cfg.Group }
-
-// Occupancy reports the intake buffer's current fill and capacity — the
-// load signal shard placement policies compare across groups.
-func (s *Service) Occupancy() (used, capacity int) {
-	return len(s.intake), cap(s.intake)
-}
-
-// Shedding reports whether the service's admission gate is currently
-// rejecting proposals with adapt.ErrOverload (always false for a
-// service without an adaptive config). Placement policies route around
-// a shedding group while a non-shedding one exists.
-func (s *Service) Shedding() bool {
-	return s.plane != nil && !s.plane.Admit()
 }
 
 // Snapshot returns current counters and latency/round summaries.
@@ -869,10 +782,10 @@ func (s *Service) recordCut(n int) {
 // a batch closes when it reaches the effective batch limit or its oldest
 // proposal has waited the effective linger (both live values of the
 // control plane when one is attached), takes the next free instance ID
-// of the group and launches. With a remote process it additionally
-// serves join signals: a join adopts the peer's slot and pushes
-// nextInstance past it, which keeps every member's counter roughly in
-// step with the cluster's.
+// and launches. With a remote process it additionally serves join
+// signals: a join adopts the peer's slot and pushes nextInstance past
+// it, which keeps every member's counter roughly in step with the
+// cluster's.
 func (s *Service) batcher() {
 	defer close(s.batcherDone)
 	var (
@@ -895,7 +808,7 @@ func (s *Service) batcher() {
 		batch = nil
 		s.recordCut(len(b))
 		instance := s.nextInstance
-		s.nextInstance += s.stride
+		s.nextInstance++
 		eps, err := s.open(instance)
 		if err != nil {
 			s.failInstance(b, err)
@@ -938,7 +851,7 @@ func (s *Service) batcher() {
 			// skipped when a later join pushed the counter past it.
 			var b []*pending
 			if slot >= s.nextInstance {
-				s.nextInstance = slot + s.stride
+				s.nextInstance = slot + 1
 				stopLinger()
 				b, batch = batch, nil
 			}
@@ -982,7 +895,7 @@ func (s *Service) retire(instance uint64) {
 	}
 }
 
-// launch claims an instance slot ticket (blocking — the bounded-shard
+// launch claims an instance slot ticket (blocking — the MaxInflight
 // backpressure), picks the instance's algorithm, journals its claim and
 // decision trace (see claim), and starts the run over the endpoints open
 // returned. A launch that cannot start retires those streams. Only the
@@ -1061,30 +974,30 @@ func drainIntake(intake <-chan *pending, batch []*pending, limit int) (out []*pe
 // frames could leak into a successor service's instance of the same ID.
 // The static path claims MaxInflight-sized blocks with one written (not
 // fsynced — see journal.AppendStart) record: the block spans MaxInflight
-// IDs of the group's strided space, so its highest member is instance +
-// stride*(MaxInflight-1), tagged with the statically configured
-// algorithm every instance of the block runs. With algorithm selection
-// every instance claims individually so its chosen algorithm is on
-// record before the choice can act, keeping check.Replay's cross-restart
-// algorithm audit exact. Restart recovery depends on this arithmetic.
-// Only the batcher goroutine calls it (it owns claimedThrough).
+// consecutive IDs, so its highest member is instance + MaxInflight-1,
+// tagged with the statically configured algorithm every instance of the
+// block runs. With algorithm selection every instance claims
+// individually so its chosen algorithm is on record before the choice
+// can act, keeping check.Replay's cross-restart algorithm audit exact.
+// Restart recovery depends on this arithmetic. Only the batcher
+// goroutine calls it (it owns claimedThrough).
 func (s *Service) claim(instance uint64, batchLen int, choice adapt.Choice, cctx adapt.ChoiceContext) error {
 	switch {
 	case s.plane != nil && s.plane.Selecting():
-		rec := wire.StartRecord{Instance: instance, Alg: choice.Name, Group: s.cfg.Group}
+		rec := wire.StartRecord{Instance: instance, Alg: choice.Name}
 		if err := s.cfg.Journal.AppendStartRecord(rec); err != nil {
 			return fmt.Errorf("service: claim instance %d: %w", instance, err)
 		}
 		if instance >= s.claimedThrough {
-			s.claimedThrough = instance + s.stride
+			s.claimedThrough = instance + 1
 		}
 	case instance >= s.claimedThrough:
-		last := instance + s.stride*(uint64(s.cfg.MaxInflight)-1)
-		rec := wire.StartRecord{Instance: last, Alg: s.static.Name, Group: s.cfg.Group}
+		last := instance + uint64(s.cfg.MaxInflight) - 1
+		rec := wire.StartRecord{Instance: last, Alg: s.static.Name}
 		if err := s.cfg.Journal.AppendStartRecord(rec); err != nil {
 			return fmt.Errorf("service: claim instances through %d: %w", last, err)
 		}
-		s.claimedThrough = last + s.stride
+		s.claimedThrough = last + 1
 	}
 	if s.plane == nil {
 		return nil
@@ -1095,7 +1008,6 @@ func (s *Service) claim(instance uint64, batchLen int, choice adapt.Choice, cctx
 	// claims (written, not fsynced).
 	trace := wire.DecisionTraceRecord{
 		Instance:    instance,
-		Group:       s.cfg.Group,
 		Level:       cctx.Level,
 		Chosen:      cctx.Chosen,
 		NotTaken:    cctx.NotTaken,

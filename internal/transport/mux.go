@@ -3,7 +3,6 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
@@ -13,18 +12,16 @@ import (
 )
 
 // Mux multiplexes many consensus instances over one underlying
-// Transport endpoint, so a whole sharded runtime's worth of concurrent
-// instances shares a single set of physical connections (one Hub
-// mailbox, or one TCP connection per ordered process pair) instead of
-// one cluster per instance. A stream is addressed by its instance ID
-// alone: the strided allocation already names an instance's group
-// (group g of G owns the residue class {g, g+G, …}), so the ID is the
-// whole address. Outbound frames of instance 0 travel bare (version 0)
-// and every other instance's in the version-1 instance envelope, so a
-// pre-instance peer's bare frames route to instance 0. Inbound frames
-// are routed by their instance ID (wire.StripInstance). A frame in the
-// version-2 group envelope, which nothing writes any more, reads as a
-// bare instance-0 frame that no message decoder accepts.
+// Transport endpoint, so a service's concurrent instances share a single
+// set of physical connections (one Hub mailbox, or one TCP connection
+// per ordered process pair) instead of one cluster per instance. A
+// stream is addressed by its instance ID alone. Outbound frames of
+// instance 0 travel bare (version 0) and every other instance's in the
+// version-1 instance envelope, so a pre-instance peer's bare frames
+// route to instance 0. Inbound frames are routed by their instance ID
+// (wire.StripInstance). A frame in the version-2 group envelope, which
+// nothing writes any more, reads as a bare instance-0 frame that no
+// message decoder accepts.
 //
 // The mux is the one record of where its process stands in each
 // instance: open (Open succeeded), retired (Retire or RetireBelow), or
@@ -35,13 +32,11 @@ import (
 // dropped: they can only be relay or round traffic reaching a process
 // that has already finished the instance.
 //
-// Retirement is kept per residue class c = instance mod G: below[c] is
-// the class's frontier (every ID of class c under it is retired) and
-// advances by G, and one shared set holds the retirements above a gap.
-// Each class is dense — its group cuts consecutive IDs of the class,
-// and every ID any member cuts is eventually retired here — so each
-// frontier keeps up and the set stays bounded by the instances in
-// flight, even while some groups sit idle.
+// Retirement is one frontier: below is the first ID not known retired
+// (every ID under it is), and one set holds the retirements above a
+// gap. Instance IDs are cut densely and every ID any member cuts is
+// eventually retired here, so the frontier keeps up and the set stays
+// bounded by the instances in flight.
 type Mux struct {
 	ep Transport
 
@@ -49,7 +44,7 @@ type Mux struct {
 	onPending  func(instance uint64)
 	streams    map[uint64]*muxStream
 	retired    map[uint64]struct{}
-	below      []uint64
+	below      uint64
 	closed     bool
 	done       chan struct{}
 	routerDone chan struct{}
@@ -57,26 +52,20 @@ type Mux struct {
 	mIn, mOut *metrics.Counter
 }
 
-// NewMux starts a multiplexer over ep for a runtime of groups ≥ 1
-// consensus groups, whose instance IDs fall into groups residue classes
-// (see Mux). The mux reads every inbound frame of ep from the moment of
-// creation; the caller must no longer use ep.Recv directly. With a
-// non-nil reg the mux counts frames on the unlabelled
-// indulgence_frames_in_total (every well-formed inbound frame it
-// delivers or buffers) and indulgence_frames_out_total (every frame sent
-// through a virtual endpoint); muxes sharing one registry share the two
-// counters. A nil reg counts nothing.
-func NewMux(ep Transport, groups int, reg *metrics.Registry) *Mux {
+// NewMux starts a multiplexer over ep. The mux reads every inbound frame
+// of ep from the moment of creation; the caller must no longer use
+// ep.Recv directly. With a non-nil reg the mux counts frames on the
+// unlabelled indulgence_frames_in_total (every well-formed inbound frame
+// it delivers or buffers) and indulgence_frames_out_total (every frame
+// sent through a virtual endpoint); muxes sharing one registry share the
+// two counters. A nil reg counts nothing.
+func NewMux(ep Transport, reg *metrics.Registry) *Mux {
 	m := &Mux{
 		ep:         ep,
 		streams:    make(map[uint64]*muxStream),
 		retired:    make(map[uint64]struct{}),
-		below:      make([]uint64, max(groups, 1)),
 		done:       make(chan struct{}),
 		routerDone: make(chan struct{}),
-	}
-	for c := range m.below {
-		m.below[c] = uint64(c) // a class's first ID is the class itself
 	}
 	if reg != nil {
 		m.mIn = reg.Counter("indulgence_frames_in_total",
@@ -86,24 +75,6 @@ func NewMux(ep Transport, groups int, reg *metrics.Registry) *Mux {
 	}
 	go m.route()
 	return m
-}
-
-// AlignUp returns the smallest instance ID at or above frontier that
-// lies in residue class class of classes ≥ 1 ({class, class+classes,
-// …}) — the recovery arithmetic mapping a process-wide journal frontier
-// onto one group's allocation, and onto one retirement class of a Mux.
-// When no ID of the class lies between frontier and math.MaxUint64 it
-// returns math.MaxUint64, an ID the journal refuses, rather than wrap
-// below frontier to an instance that may already be decided.
-func AlignUp(frontier, class, classes uint64) uint64 {
-	if frontier <= class {
-		return class
-	}
-	up := (classes - (frontier-class)%classes) % classes
-	if frontier > math.MaxUint64-up {
-		return math.MaxUint64
-	}
-	return frontier + up
 }
 
 // Self returns the identity of the underlying endpoint.
@@ -168,7 +139,7 @@ func (m *Mux) Retire(instance uint64) {
 	delete(m.streams, instance)
 	if !m.isRetiredLocked(instance) {
 		m.retired[instance] = struct{}{}
-		m.advanceLocked(instance % uint64(len(m.below)))
+		m.advanceLocked()
 	}
 	m.mu.Unlock()
 	if s != nil {
@@ -177,13 +148,12 @@ func (m *Mux) Retire(instance uint64) {
 }
 
 // RetireBelow retires every instance with ID below frontier at once —
-// the recovery path's bulk retirement. A restarted process raises every
-// class's frontier to the class's first ID at or above frontier
-// (AlignUp), so frames still in flight from a previous process lifetime
-// (round and relay traffic of instances run before the crash) are
-// dropped on arrival instead of buffering forever for instances nobody
-// will open. Buffered frames of such instances are discarded too. A
-// no-op for the classes whose frontier is already at or past it.
+// the recovery path's bulk retirement. A restarted process raises the
+// mux's frontier to it, so frames still in flight from a previous
+// process lifetime (round and relay traffic of instances run before the
+// crash) are dropped on arrival instead of buffering forever for
+// instances nobody will open. Buffered frames of such instances are
+// discarded too. A no-op when the frontier is already at or past it.
 func (m *Mux) RetireBelow(frontier uint64) {
 	m.mu.Lock()
 	var stale []*muxStream
@@ -198,26 +168,24 @@ func (m *Mux) RetireBelow(frontier uint64) {
 			delete(m.retired, id)
 		}
 	}
-	for c := range m.below {
-		m.below[c] = max(m.below[c], AlignUp(frontier, uint64(c), uint64(len(m.below))))
-		m.advanceLocked(uint64(c))
-	}
+	m.below = max(m.below, frontier)
+	m.advanceLocked()
 	m.mu.Unlock()
 	for _, s := range stale {
 		s.box.close()
 	}
 }
 
-// advanceLocked moves class c's frontier past every retired instance the
-// set holds at it, so the set keeps only retirements above a gap;
-// callers hold mu.
-func (m *Mux) advanceLocked(c uint64) {
+// advanceLocked moves the frontier past every retired instance the set
+// holds at it, so the set keeps only retirements above a gap; callers
+// hold mu.
+func (m *Mux) advanceLocked() {
 	for {
-		if _, ok := m.retired[m.below[c]]; !ok {
+		if _, ok := m.retired[m.below]; !ok {
 			return
 		}
-		delete(m.retired, m.below[c])
-		m.below[c] += uint64(len(m.below))
+		delete(m.retired, m.below)
+		m.below++
 	}
 }
 
@@ -254,7 +222,7 @@ func (m *Mux) detach() (streams map[uint64]*muxStream, ok bool) {
 // isRetiredLocked reports whether instance was retired; callers hold
 // mu.
 func (m *Mux) isRetiredLocked(instance uint64) bool {
-	if instance < m.below[instance%uint64(len(m.below))] {
+	if instance < m.below {
 		return true
 	}
 	_, ok := m.retired[instance]

@@ -3,10 +3,8 @@ package transport
 import (
 	"bytes"
 	"errors"
-	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -56,12 +54,12 @@ func queuedFrames(m *Mux, instance uint64) int {
 	return s.box.queue.len()
 }
 
-// retiredState returns every residue class's retirement frontier and
+// retiredState returns the mux's retirement frontier and
 // the size of the shared set of retirements above them.
-func retiredState(m *Mux) (below []uint64, setLen int) {
+func retiredState(m *Mux) (below uint64, setLen int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return slices.Clone(m.below), len(m.retired)
+	return m.below, len(m.retired)
 }
 
 // msgFrame builds a minimal valid version-0 frame (a bare wire message).
@@ -105,7 +103,7 @@ func muxPair(t *testing.T) (*Hub, *Mux, *Mux) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, m2 := NewMux(ep1, 1, nil), NewMux(ep2, 1, nil)
+	m1, m2 := NewMux(ep1, nil), NewMux(ep2, nil)
 	t.Cleanup(func() { _ = m1.Close(); _ = m2.Close() })
 	return hub, m1, m2
 }
@@ -189,7 +187,7 @@ func TestMuxLegacyInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := NewMux(ep2, 1, nil)
+	m2 := NewMux(ep2, nil)
 	defer func() { _ = m2.Close() }()
 	compat, err := m2.Open(0)
 	if err != nil {
@@ -255,13 +253,10 @@ func TestMuxRetire(t *testing.T) {
 }
 
 // TestMuxRetireCompaction checks that the retired-instance bookkeeping
-// compacts to a frontier per residue class instead of growing with
-// every instance: consecutive IDs retired out of order at G = 1, every
-// ID of a G = 3 runtime retired in order, and a G = 3 runtime with only
-// class 0 active (groups 1 and 2 idle), whose idle classes must not
-// hold class 0's frontier back.
+// compacts to the frontier instead of growing with every instance:
+// consecutive IDs retired out of order, then 30,000 retired in order.
 func TestMuxRetireCompaction(t *testing.T) {
-	m1 := NewMux(nopTransport{}, 1, nil)
+	m1 := NewMux(nopTransport{}, nil)
 	defer m1.Close()
 	// Retire 0..99 out of order in pairs: the set must fully compact.
 	for i := 1; i < 100; i += 2 {
@@ -271,31 +266,20 @@ func TestMuxRetireCompaction(t *testing.T) {
 		m1.Retire(uint64(i))
 	}
 	below, setLen := retiredState(m1)
-	if !slices.Equal(below, []uint64{100}) || setLen != 0 {
-		t.Fatalf("retiredBelow=%v set=%d, want [100] and 0", below, setLen)
+	if below != 100 || setLen != 0 {
+		t.Fatalf("retiredBelow=%d set=%d, want 100 and 0", below, setLen)
 	}
 	if _, err := m1.Open(42); err == nil {
 		t.Fatal("opening a frontier-retired instance succeeded")
 	}
 
-	for _, tc := range []struct {
-		name      string
-		instances int
-		step      uint64
-		want      []uint64
-	}{
-		{"in-order", 30000, 1, []uint64{30000, 30001, 30002}},
-		{"class-0-only", 10000, 3, []uint64{30000, 1, 2}},
-	} {
-		m := NewMux(nopTransport{}, 3, nil)
-		for i := 0; i < tc.instances; i++ {
-			m.Retire(uint64(i) * tc.step)
-		}
-		below, setLen := retiredState(m)
-		_ = m.Close()
-		if !slices.Equal(below, tc.want) || setLen != 0 {
-			t.Fatalf("%s: frontiers %v, set %d; want %v and 0", tc.name, below, setLen, tc.want)
-		}
+	m := NewMux(nopTransport{}, nil)
+	defer m.Close()
+	for i := 0; i < 30000; i++ {
+		m.Retire(uint64(i))
+	}
+	if below, setLen := retiredState(m); below != 30000 || setLen != 0 {
+		t.Fatalf("in order: frontier %d, set %d; want 30000 and 0", below, setLen)
 	}
 }
 
@@ -324,7 +308,7 @@ func TestMuxOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, m2 := NewMux(ep1, 1, nil), NewMux(ep2, 1, nil)
+	m1, m2 := NewMux(ep1, nil), NewMux(ep2, nil)
 	defer func() { _ = m1.Close(); _ = m2.Close() }()
 
 	send, err := m1.Open(11)
@@ -357,7 +341,7 @@ func TestMuxUnderlyingClosePropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1 := NewMux(ep1, 1, nil)
+	m1 := NewMux(ep1, nil)
 	defer func() { _ = m1.Close() }()
 	s, err := m1.Open(5)
 	if err != nil {
@@ -432,7 +416,7 @@ func TestMuxNeverOpenedBufferedInstance(t *testing.T) {
 // sender floods an instance while the receiver retires it mid-stream.
 // Frames must arrive until the retirement point and be dropped after it,
 // with no panic, deadlock, or send error either side — the scenario of a
-// finished instance's late round or relay traffic arriving at a shard
+// finished instance's late round or relay traffic arriving at a service
 // that has moved on. Run with -race, this is also the locking test for the
 // router/Retire interleaving.
 func TestMuxRetireMidFlight(t *testing.T) {
@@ -483,41 +467,39 @@ func TestMuxRetireMidFlight(t *testing.T) {
 // TestMuxCompactionRandomOrder retires a window of instances in a random
 // permutation: whatever the order, the retired set must compact to the
 // frontier with nothing left over — the property that keeps retirement
-// state O(inflight) instead of O(lifetime). At G = 3 the instances of
-// all three classes complete out of order within a 64-wide window, as
-// a service's MaxInflight slots do, and the set never holds more than
-// the window.
+// state O(inflight) instead of O(lifetime). Then 30,000 instances
+// complete out of order within a 64-wide window, as a service's
+// MaxInflight slots do, and the set never holds more than the window.
 func TestMuxCompactionRandomOrder(t *testing.T) {
-	m1 := NewMux(nopTransport{}, 1, nil)
+	m1 := NewMux(nopTransport{}, nil)
 	defer m1.Close()
 	const window = 257
 	rng := rand.New(rand.NewSource(42))
 	for i, p := range rng.Perm(window) {
 		m1.Retire(uint64(p))
 		below, setLen := retiredState(m1)
-		if int(below[0])+setLen != i+1 {
-			t.Fatalf("after %d retirements: frontier %d + set %d != %d", i+1, below[0], setLen, i+1)
+		if int(below)+setLen != i+1 {
+			t.Fatalf("after %d retirements: frontier %d + set %d != %d", i+1, below, setLen, i+1)
 		}
 	}
 	below, setLen := retiredState(m1)
-	if below[0] != window || setLen != 0 {
-		t.Fatalf("final state: retiredBelow=%d set=%d, want %d and 0", below[0], setLen, window)
+	if below != window || setLen != 0 {
+		t.Fatalf("final state: retiredBelow=%d set=%d, want %d and 0", below, setLen, window)
 	}
 
 	const total, width = 30000, 64
-	m3 := NewMux(nopTransport{}, 3, nil)
-	defer m3.Close()
+	m := NewMux(nopTransport{}, nil)
+	defer m.Close()
 	for base := 0; base < total; base += width {
 		for _, p := range rng.Perm(min(width, total-base)) {
-			m3.Retire(uint64(base + p))
-			if _, setLen := retiredState(m3); setLen > width {
-				t.Fatalf("G = 3: %d retired entries inside a %d-wide window", setLen, width)
+			m.Retire(uint64(base + p))
+			if _, setLen := retiredState(m); setLen > width {
+				t.Fatalf("%d retired entries inside a %d-wide window", setLen, width)
 			}
 		}
 	}
-	below, setLen = retiredState(m3)
-	if want := []uint64{30000, 30001, 30002}; !slices.Equal(below, want) || setLen != 0 {
-		t.Fatalf("G = 3 final state: frontiers %v, set %d; want %v and 0", below, setLen, want)
+	if below, setLen = retiredState(m); below != total || setLen != 0 {
+		t.Fatalf("windowed final state: frontier %d, set %d; want %d and 0", below, setLen, total)
 	}
 }
 
@@ -558,8 +540,8 @@ func TestMuxRetireBelow(t *testing.T) {
 	m2.mu.Lock()
 	_, stale := m2.streams[3]
 	m2.mu.Unlock()
-	if below[0] != 6 || setLen != 0 {
-		t.Fatalf("retiredBelow=%d set=%d, want 6 (5 compacted through) and 0", below[0], setLen)
+	if below != 6 || setLen != 0 {
+		t.Fatalf("retiredBelow=%d set=%d, want 6 (5 compacted through) and 0", below, setLen)
 	}
 	if stale {
 		t.Fatal("buffered stale stream survived RetireBelow")
@@ -583,48 +565,8 @@ func TestMuxRetireBelow(t *testing.T) {
 
 	// Monotonic: lowering the frontier is a no-op.
 	m2.RetireBelow(2)
-	if below, _ = retiredState(m2); below[0] != 6 {
-		t.Fatalf("frontier regressed to %d", below[0])
-	}
-
-	// At G = 3 each class's frontier aligns up to the class's first ID
-	// at or above the raw frontier: 10 retires 0..9, and 10, 11 and 12
-	// — the first IDs of classes 1, 2 and 0 — stay open.
-	m3 := NewMux(nopTransport{}, 3, nil)
-	defer m3.Close()
-	m3.RetireBelow(10)
-	if below, _ := retiredState(m3); !slices.Equal(below, []uint64{12, 10, 11}) {
-		t.Fatalf("G = 3 frontiers %v, want [12 10 11]", below)
-	}
-	if _, err := m3.Open(9); err == nil {
-		t.Fatal("G = 3: opening 9 below frontier 10 succeeded")
-	}
-	for _, id := range []uint64{12, 10, 11} {
-		if _, err := m3.Open(id); err != nil {
-			t.Fatalf("G = 3: open %d at frontier 10: %v", id, err)
-		}
-	}
-}
-
-// TestAlignUp checks AlignUp against a walk up from the frontier to the
-// first ID of the class, near 0 and near math.MaxUint64, where a walk
-// that finds no ID of the class ends at math.MaxUint64 instead of
-// wrapping.
-func TestAlignUp(t *testing.T) {
-	for classes := uint64(1); classes <= 4; classes++ {
-		for class := uint64(0); class < classes; class++ {
-			for k := uint64(0); k < 20; k++ {
-				for _, frontier := range []uint64{k, math.MaxUint64 - k} {
-					want := frontier
-					for want%classes != class && want < math.MaxUint64 {
-						want++
-					}
-					if got := AlignUp(frontier, class, classes); got != want {
-						t.Fatalf("AlignUp(%d, %d, %d) = %d, want %d", frontier, class, classes, got, want)
-					}
-				}
-			}
-		}
+	if below, _ = retiredState(m2); below != 6 {
+		t.Fatalf("frontier regressed to %d", below)
 	}
 }
 
@@ -641,9 +583,9 @@ func TestMuxPendingNotification(t *testing.T) {
 	b, _ := hub.Endpoint(2)
 
 	notified := make(chan uint64, 16)
-	ma := NewMux(a, 1, nil)
+	ma := NewMux(a, nil)
 	defer ma.Close()
-	mb := NewMux(b, 1, nil)
+	mb := NewMux(b, nil)
 	mb.OnPending(func(instance uint64) {
 		select {
 		case notified <- instance:
@@ -689,9 +631,8 @@ func TestMuxPendingNotification(t *testing.T) {
 }
 
 // rawMuxPair builds a 2-process hub whose process 1 has no mux (a test
-// writes raw frames on its endpoint) and whose process 2 has a mux for
-// groups groups.
-func rawMuxPair(t *testing.T, groups int) (Transport, *Mux) {
+// writes raw frames on its endpoint) and whose process 2 has a mux.
+func rawMuxPair(t *testing.T) (Transport, *Mux) {
 	t.Helper()
 	hub, err := NewHub(2)
 	if err != nil {
@@ -706,16 +647,16 @@ func rawMuxPair(t *testing.T, groups int) (Transport, *Mux) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := NewMux(ep2, groups, nil)
+	m2 := NewMux(ep2, nil)
 	t.Cleanup(func() { _ = m2.Close() })
 	return ep1, m2
 }
 
-// TestMuxRoutesByGroup checks routing in a G = 3 runtime: the instance
-// ID is the whole address, so streams of every residue class route
-// apart.
+// TestMuxRoutesByGroup checks that the instance ID is the whole
+// address: non-consecutive IDs that a multi-group runtime once placed
+// in different groups route apart over one mux.
 func TestMuxRoutesByGroup(t *testing.T) {
-	ep1, m2 := rawMuxPair(t, 3)
+	ep1, m2 := rawMuxPair(t)
 	ids := []uint64{5, 6, 7, 9}
 	recvs := make(map[uint64]Transport)
 	for _, id := range ids {
@@ -741,10 +682,9 @@ func TestMuxRoutesByGroup(t *testing.T) {
 	}
 }
 
-// TestMuxEmitsNoGroupEnvelope pins the outbound layouts of a G = 3 mux:
-// instance 0 sends the bare version-0 frame and every other instance,
-// in any residue class, the version-1 instance envelope — no frame
-// carries a group.
+// TestMuxEmitsNoGroupEnvelope pins the outbound layouts of a mux:
+// instance 0 sends the bare version-0 frame and every other instance
+// the version-1 instance envelope — no frame carries a group.
 func TestMuxEmitsNoGroupEnvelope(t *testing.T) {
 	bare, err := wire.EncodeMessage(nil, broadcastMessage)
 	if err != nil {
@@ -752,7 +692,7 @@ func TestMuxEmitsNoGroupEnvelope(t *testing.T) {
 	}
 	for _, id := range []uint64{0, 1, 5, 127, 1 << 30} {
 		rec := newRecordingTransport()
-		m := NewMux(rec, 3, nil)
+		m := NewMux(rec, nil)
 		s, err := m.Open(id)
 		if err != nil {
 			t.Fatal(err)
@@ -777,56 +717,8 @@ func TestMuxEmitsNoGroupEnvelope(t *testing.T) {
 	}
 }
 
-// TestMuxGroupRetireIndependent pins per-class retirement at G = 3: an
-// idle class's frontier neither moves nor holds back an active class's,
-// retiring one class's instance leaves the other classes' streams
-// open, and a bulk frontier lands on each class's own first ID.
-func TestMuxGroupRetireIndependent(t *testing.T) {
-	ep1, m2 := rawMuxPair(t, 3)
-	// Class 1 runs 100 instances while classes 0 and 2 sit idle.
-	for id := uint64(1); id < 300; id += 3 {
-		m2.Retire(id)
-	}
-	if below, setLen := retiredState(m2); !slices.Equal(below, []uint64{0, 301, 2}) || setLen != 0 {
-		t.Fatalf("class-1 run: frontiers %v, set %d; want [0 301 2] and 0", below, setLen)
-	}
-	r4, err := m2.Open(304)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r5, err := m2.Open(305)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2.Retire(304)
-	if _, ok := <-r4.Recv(); ok {
-		t.Fatal("retired class-1 stream still delivering")
-	}
-	// Class 2's neighbouring stream is untouched.
-	frame := msgFrame(t, 1, 7)
-	if err := ep1.Send(2, append(wire.AppendInstanceHeader(nil, 305), frame...)); err != nil {
-		t.Fatal(err)
-	}
-	if got := recvFrame(t, r5); string(got) != string(frame) {
-		t.Fatalf("class-2 stream got % x, want % x", got, frame)
-	}
-	if _, err := m2.Open(304); err == nil {
-		t.Fatal("reopening a retired class-1 instance succeeded")
-	}
-	if _, err := m2.Open(50); err != nil {
-		t.Fatalf("class-2 instance blocked by class 1's frontier: %v", err)
-	}
-
-	// Bulk retirement to 100 raises the idle classes to their first ID
-	// at or above it and leaves class 1, already past it, alone.
-	m2.RetireBelow(100)
-	if below, _ := retiredState(m2); !slices.Equal(below, []uint64{102, 301, 101}) {
-		t.Fatalf("after RetireBelow(100): frontiers %v, want [102 301 101]", below)
-	}
-}
-
-// TestMuxGroupNotify checks the join signal and its late installation
-// at G = 2: frames that reach unopened streams before OnPending is
+// TestMuxGroupNotify checks the join signal and its late installation:
+// frames that reach unopened streams before OnPending is
 // installed are signalled by the install itself, once per stream and in
 // instance order, while open and retired instances signal nothing;
 // later frames for a still-unopened stream signal from the router, and
@@ -840,9 +732,9 @@ func TestMuxGroupNotify(t *testing.T) {
 	a, _ := hub.Endpoint(1)
 	b, _ := hub.Endpoint(2)
 
-	ma := NewMux(a, 2, nil)
+	ma := NewMux(a, nil)
 	defer ma.Close()
-	mb := NewMux(b, 2, nil)
+	mb := NewMux(b, nil)
 	defer mb.Close()
 
 	senders := make(map[uint64]Transport)
@@ -920,9 +812,8 @@ func TestMuxGroupNotify(t *testing.T) {
 	}
 }
 
-// TestMuxGroupOverTCP runs the routing of a G = 2 runtime over real
-// loopback connections: both residue classes share one TCP connection
-// pair.
+// TestMuxGroupOverTCP runs the routing of two neighbouring instances
+// over real loopback connections: both share one TCP connection pair.
 func TestMuxGroupOverTCP(t *testing.T) {
 	tc, err := NewTCPCluster(2)
 	if err != nil {
@@ -937,7 +828,7 @@ func TestMuxGroupOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, m2 := NewMux(ep1, 2, nil), NewMux(ep2, 2, nil)
+	m1, m2 := NewMux(ep1, nil), NewMux(ep2, nil)
 	defer func() { _ = m1.Close(); _ = m2.Close() }()
 
 	for _, id := range []uint64{10, 11} {
@@ -1008,7 +899,7 @@ func TestBroadcastSharesOneFrame(t *testing.T) {
 	}
 	for _, key := range []uint64{0, 7, 9} {
 		rec := newRecordingTransport()
-		m := NewMux(rec, 3, metrics.NewRegistry())
+		m := NewMux(rec, metrics.NewRegistry())
 		out := m.mOut
 		s, err := m.Open(key)
 		if err != nil {
@@ -1059,7 +950,7 @@ func (nopTransport) Close() error                       { return nil }
 // stream alike. A broadcast into the returned buffer appends: the
 // earlier frame keeps its place and its bytes.
 func TestBroadcastAllocatesOnce(t *testing.T) {
-	m := NewMux(nopTransport{}, 3, nil)
+	m := NewMux(nopTransport{}, nil)
 	defer m.Close()
 	s, err := m.Open(9)
 	if err != nil {
@@ -1104,7 +995,7 @@ func TestBroadcastAllocatesOnce(t *testing.T) {
 // sending a single frame.
 func TestBroadcastClosedStream(t *testing.T) {
 	rec := newRecordingTransport()
-	m := NewMux(rec, 1, nil)
+	m := NewMux(rec, nil)
 	retired, err := m.Open(1)
 	if err != nil {
 		t.Fatal(err)

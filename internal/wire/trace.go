@@ -49,7 +49,9 @@ type TraceHeaderRecord struct {
 	Seed int64
 	// N and T are the simulated cluster size and resilience.
 	N, T int
-	// Groups is the sharded group count (0 or 1 for a single group).
+	// Groups is the consensus group count of a run recorded by an
+	// earlier multi-group build (0 or 1 for a single group, all this
+	// build records).
 	Groups int
 	// MaxBatch, MaxInflight, LingerNanos and TimeoutNanos mirror the
 	// service configuration of the recorded run.
@@ -59,7 +61,8 @@ type TraceHeaderRecord struct {
 	TimeoutNanos int64
 	// Algorithm names the consensus algorithm ("" for the default).
 	Algorithm string
-	// Placement names the sharding placement policy ("" when unsharded).
+	// Placement names the placement policy of a multi-group recording
+	// ("" or "round-robin" for a single group).
 	Placement string
 	// Classes is the number of SLO classes the run admitted (0 for
 	// unclassed traffic).
@@ -156,7 +159,8 @@ type TraceEventRecord struct {
 	Client int
 	// Class is the proposal's SLO class.
 	Class int
-	// Key routes the proposal to a consensus group when sharded.
+	// Key is the event's routing key, recorded as generated; it routes
+	// nothing (a process runs one consensus group).
 	Key uint64
 	// Value is the proposed value.
 	Value model.Value

@@ -34,10 +34,10 @@
 //
 // The version-2 envelope — the marker byte 0x09 followed by a uvarint
 // consensus-group ID and then the uvarint instance ID and bare message —
-// once kept sharded groups' frames apart. Nothing writes it any more:
-// the strided allocation makes the instance ID name its group (group g
-// of G owns {g, g+G, …}), so every group sends the version-0/1 layouts.
-// StripGroup still reads it, and both earlier layouts decode as group 0.
+// once kept the frames of a process's consensus groups apart. Nothing
+// writes it any more: a process runs one group and sends the version-0/1
+// layouts. StripGroup still reads it, and both earlier layouts decode as
+// group 0.
 // See group.go.
 //
 // # Record kinds

@@ -28,7 +28,8 @@ type Event struct {
 	Client int
 	// Class is the proposal's SLO class (the cohort's class).
 	Class int
-	// Key routes the proposal when the runtime is sharded.
+	// Key is the proposal's routing key; it is recorded in traces and
+	// routes nothing (a process runs one consensus group).
 	Key uint64
 	// Value is the proposed value (unique per event).
 	Value model.Value

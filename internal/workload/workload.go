@@ -83,8 +83,9 @@ type Cohort struct {
 	// size in bytes (both zero for no payload).
 	PayloadMin int `json:"payload_min,omitempty"`
 	PayloadMax int `json:"payload_max,omitempty"`
-	// Keys is the cohort's key-space size (0 selects 1). Keys route
-	// proposals to consensus groups when the runtime is sharded.
+	// Keys is the cohort's key-space size (0 selects 1). Keys are
+	// generated and recorded, and route nothing: a process runs one
+	// consensus group. The field stays so specs keep their format.
 	Keys int `json:"keys,omitempty"`
 	// KeyTheta skews the key distribution: 0 is uniform, larger values
 	// are more skewed (Zipf-like weights 1/(rank+1)^theta).
