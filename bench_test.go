@@ -92,14 +92,22 @@ func BenchmarkMicroSimulateBatch(b *testing.B) {
 }
 
 // BenchmarkMicroRandomES measures random eventually synchronous schedule
-// generation plus validation (the E7 workload generator).
+// generation plus validation (the E7 workload generator), at the E7 size
+// and at n = 64, where a round draws hundreds of delays.
 func BenchmarkMicroRandomES(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := indulgence.RandomES(5, 2, 4, indulgence.RandomOpts{Rng: rng})
-		if err := s.Validate(indulgence.ES); err != nil {
-			b.Fatal(err)
-		}
+	for _, sz := range []struct {
+		n, t int
+		gsr  indulgence.Round
+	}{{5, 2, 4}, {64, 31, 8}} {
+		b.Run(fmt.Sprintf("n=%d", sz.n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := indulgence.RandomES(sz.n, sz.t, sz.gsr, indulgence.RandomOpts{Rng: rng})
+				if err := s.Validate(indulgence.ES); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

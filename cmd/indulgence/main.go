@@ -268,6 +268,7 @@ func cmdWorst(args []string) error {
 		return err
 	}
 	fmt.Printf("explored %d serial runs of %s (n=%d t=%d %s)\n", res.Runs, *algo, *n, *t, syn)
+	fmt.Printf("visited %d classes of runs with one execution, simulated %d runs\n", res.Visits, res.Simulated)
 	fmt.Printf("worst-case global decision round: %d (earliest decision in that run: %d)\n",
 		res.WorstRound, res.WitnessEarliest)
 	fmt.Printf("witness: %v\n", res.Witness)

@@ -56,7 +56,7 @@ func run() error {
 			func(t int) indulgence.Round { return indulgence.Round(3*t + 3) }, killer(3)},
 	}
 	resilience := []int{1, 2, 3}
-	const maxExploreT = 2
+	const maxExploreT = 3
 
 	headers := []string{"algorithm", "model", "formula"}
 	for _, t := range resilience {

@@ -41,6 +41,7 @@ type amr struct {
 }
 
 var _ model.Algorithm = (*amr)(nil)
+var _ model.Resetter = (*amr)(nil)
 
 // NewAMR returns a Factory for the AMR leader-based baseline. It requires
 // t < n/3.
@@ -52,9 +53,14 @@ func NewAMR() model.Factory {
 		if 3*ctx.T >= ctx.N {
 			return nil, fmt.Errorf("baseline: AMR requires t < n/3, got t=%d n=%d", ctx.T, ctx.N)
 		}
-		return &amr{ctx: ctx, est: proposal}, nil
+		a := &amr{ctx: ctx}
+		a.Reset(proposal)
+		return a, nil
 	}
 }
+
+// Reset implements model.Resetter; the factory builds through it too.
+func (a *amr) Reset(proposal model.Value) { *a = amr{ctx: a.ctx, est: proposal} }
 
 // Name implements model.Algorithm.
 func (a *amr) Name() string { return AMRName }

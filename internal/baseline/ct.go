@@ -43,6 +43,7 @@ type ct struct {
 }
 
 var _ model.Algorithm = (*ct)(nil)
+var _ model.Resetter = (*ct)(nil)
 
 // NewCT returns a Factory for the CT underlying consensus. It requires the
 // indulgence resilience t < n/2.
@@ -54,9 +55,14 @@ func NewCT() model.Factory {
 		if !ctx.MajorityCorrect() {
 			return nil, fmt.Errorf("baseline: CT requires t < n/2, got t=%d n=%d", ctx.T, ctx.N)
 		}
-		return &ct{ctx: ctx, est: proposal}, nil
+		c := &ct{ctx: ctx}
+		c.Reset(proposal)
+		return c, nil
 	}
 }
+
+// Reset implements model.Resetter; the factory builds through it too.
+func (c *ct) Reset(proposal model.Value) { *c = ct{ctx: c.ctx, est: proposal} }
 
 // phasePos returns the 1-based phase and the position (0=A, 1=B, 2=C) of
 // round k.

@@ -44,6 +44,7 @@ type floodSet struct {
 }
 
 var _ model.Algorithm = (*floodSet)(nil)
+var _ model.Resetter = (*floodSet)(nil)
 
 // NewFloodSet returns a Factory for FloodSet. It requires t ≤ n−2 (the
 // regime in which the t+1 bound of [13] is meaningful).
@@ -55,11 +56,18 @@ func NewFloodSet() model.Factory {
 		if ctx.T > ctx.N-2 {
 			return nil, fmt.Errorf("baseline: FloodSet requires t <= n-2, got t=%d n=%d", ctx.T, ctx.N)
 		}
-		return &floodSet{
-			ctx:  ctx,
-			seen: map[model.Value]struct{}{proposal: {}},
-		}, nil
+		f := &floodSet{ctx: ctx, seen: make(map[model.Value]struct{})}
+		f.Reset(proposal)
+		return f, nil
 	}
+}
+
+// Reset implements model.Resetter; the factory builds through it too. The
+// seen set keeps its storage: no payload shares it.
+func (f *floodSet) Reset(proposal model.Value) {
+	clear(f.seen)
+	f.seen[proposal] = struct{}{}
+	*f = floodSet{ctx: f.ctx, seen: f.seen}
 }
 
 // Name implements model.Algorithm.

@@ -28,6 +28,7 @@ type floodSetWS struct {
 }
 
 var _ model.Algorithm = (*floodSetWS)(nil)
+var _ model.Resetter = (*floodSetWS)(nil)
 
 // NewFloodSetWS returns a Factory for FloodSetWS. It requires t ≤ n−2 and
 // is correct only under SCS (perfect suspicions).
@@ -39,9 +40,14 @@ func NewFloodSetWS() model.Factory {
 		if ctx.T > ctx.N-2 {
 			return nil, fmt.Errorf("baseline: FloodSetWS requires t <= n-2, got t=%d n=%d", ctx.T, ctx.N)
 		}
-		return &floodSetWS{ctx: ctx, est: proposal}, nil
+		f := &floodSetWS{ctx: ctx}
+		f.Reset(proposal)
+		return f, nil
 	}
 }
+
+// Reset implements model.Resetter; the factory builds through it too.
+func (f *floodSetWS) Reset(proposal model.Value) { *f = floodSetWS{ctx: f.ctx, est: proposal} }
 
 // Name implements model.Algorithm.
 func (f *floodSetWS) Name() string { return FloodSetWSName }

@@ -47,6 +47,7 @@ type hurfinRaynal struct {
 }
 
 var _ model.Algorithm = (*hurfinRaynal)(nil)
+var _ model.Resetter = (*hurfinRaynal)(nil)
 
 // NewHurfinRaynal returns a Factory for the Hurfin–Raynal baseline. It
 // requires the indulgence resilience t < n/2.
@@ -58,11 +59,17 @@ func NewHurfinRaynal() model.Factory {
 		if !ctx.MajorityCorrect() {
 			return nil, fmt.Errorf("baseline: HurfinRaynal requires t < n/2, got t=%d n=%d", ctx.T, ctx.N)
 		}
-		h := &hurfinRaynal{ctx: ctx, est: proposal}
-		if coordOf(1, ctx.N) == ctx.Self {
-			h.prop = model.Some(proposal)
-		}
+		h := &hurfinRaynal{ctx: ctx}
+		h.Reset(proposal)
 		return h, nil
+	}
+}
+
+// Reset implements model.Resetter; the factory builds through it too.
+func (h *hurfinRaynal) Reset(proposal model.Value) {
+	*h = hurfinRaynal{ctx: h.ctx, est: proposal}
+	if coordOf(1, h.ctx.N) == h.ctx.Self {
+		h.prop = model.Some(proposal)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,6 +36,38 @@ func TestScenarioSpecRoundTrip(t *testing.T) {
 		if enc2 := sc2.JSON(); enc != enc2 {
 			t.Fatalf("seed %d: spec not stable under round-trip:\n%s\n%s", seed, enc, enc2)
 		}
+	}
+}
+
+// TestParseScenarioRefusesUnknownFields: a spec field Scenario does not
+// have is an error naming it, at the top level and inside a fault, so a
+// misspelled Crashes cannot run crash-free. Groups is the one legacy
+// field: 1 parses to the same spec, and above 1 it is still refused by
+// name.
+func TestParseScenarioRefusesUnknownFields(t *testing.T) {
+	sc := Generate(5)
+	sc.Crashes = []Crash{{P: 2, At: time.Millisecond}}
+	sc.Links = []LinkFault{{From: 1, To: 2, Delay: time.Millisecond}}
+	spec := sc.JSON()
+	for _, tc := range []struct {
+		name, from, to, want string
+	}{
+		{"misspelled crashes", `"Crashes":`, `"Crashs":`, `"Crashs"`},
+		{"misspelled link delay", `"Delay":`, `"Delays":`, `"Delays"`},
+		{"several groups", `"Horizon":`, `"Groups":3,"Horizon":`, "Groups=3"},
+		{"data after the spec", spec, spec + `{}`, "after the spec"},
+	} {
+		bad := strings.Replace(spec, tc.from, tc.to, 1)
+		if bad == spec {
+			t.Fatalf("%s: %q not in the spec", tc.name, tc.from)
+		}
+		if _, err := ParseScenario([]byte(bad)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want one naming %s", tc.name, err, tc.want)
+		}
+	}
+	one := strings.Replace(spec, `"Horizon":`, `"Groups":1,"Horizon":`, 1)
+	if got, err := ParseScenario([]byte(one)); err != nil || got.JSON() != spec {
+		t.Errorf("Groups 1: %v, or it re-encodes differently", err)
 	}
 }
 

@@ -22,9 +22,11 @@
 package chaos
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	//indulgence:prng locally seeded; published seed->scenario mapping pins math/rand's fixed sequence
 	"math/rand"
 	"time"
@@ -165,22 +167,28 @@ func (sc Scenario) Events() []workload.Event {
 		func(i int) model.Value { return workload.Value(sc.Seed, i) })
 }
 
-// ParseScenario decodes a spec printed by JSON. A spec written for
-// several consensus groups (a Groups field above 1) is refused: run at
-// one group, it would be a different schedule.
+// ParseScenario decodes a spec printed by JSON. A field Scenario does not
+// have is refused by name: a misspelled fault would otherwise run as no
+// fault. The one exception is the Groups field of specs written for
+// several consensus groups: 1 is accepted, and above 1 it is refused, since
+// run at one group such a spec would be a different schedule.
 func ParseScenario(b []byte) (Scenario, error) {
-	var sc Scenario
-	if err := json.Unmarshal(b, &sc); err != nil {
+	var spec struct {
+		Scenario
+		Groups int
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		return Scenario{}, fmt.Errorf("chaos: parse scenario: %w", err)
 	}
-	var legacy struct{ Groups int }
-	if err := json.Unmarshal(b, &legacy); err != nil {
-		return Scenario{}, fmt.Errorf("chaos: parse scenario: %w", err)
+	if _, err := dec.Token(); err != io.EOF {
+		return Scenario{}, errors.New("chaos: parse scenario: data after the spec")
 	}
-	if err := refuseGroups("scenario", legacy.Groups, ""); err != nil {
+	if err := refuseGroups("scenario", spec.Groups, ""); err != nil {
 		return Scenario{}, err
 	}
-	return sc, sc.Validate()
+	return spec.Scenario, spec.Scenario.Validate()
 }
 
 // refuseGroups refuses a scenario or trace header that describes more

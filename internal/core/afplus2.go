@@ -31,6 +31,7 @@ type afPlus2 struct {
 }
 
 var _ model.Algorithm = (*afPlus2)(nil)
+var _ model.Resetter = (*afPlus2)(nil)
 
 // AfOptions configures A_{f+2}.
 type AfOptions struct {
@@ -55,8 +56,15 @@ func NewAfPlus2Opts(opts AfOptions) model.Factory {
 		if 3*ctx.T >= ctx.N {
 			return nil, fmt.Errorf("core: A_f+2 requires t < n/3, got t=%d n=%d", ctx.T, ctx.N)
 		}
-		return &afPlus2{ctx: ctx, opts: opts, est: proposal}, nil
+		a := &afPlus2{ctx: ctx, opts: opts}
+		a.Reset(proposal)
+		return a, nil
 	}
+}
+
+// Reset implements model.Resetter; the factory builds through it too.
+func (a *afPlus2) Reset(proposal model.Value) {
+	*a = afPlus2{ctx: a.ctx, opts: a.opts, est: proposal}
 }
 
 // Name implements model.Algorithm.

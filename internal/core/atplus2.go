@@ -87,6 +87,7 @@ type atPlus2 struct {
 }
 
 var _ model.Algorithm = (*atPlus2)(nil)
+var _ model.Resetter = (*atPlus2)(nil)
 
 // New returns a Factory for A_{t+2} with the given options. It requires
 // the indulgence resilience 0 < t < n/2 (for t = 0 the paper notes
@@ -116,15 +117,18 @@ func New(opts Options) model.Factory {
 		if p1 <= 0 {
 			p1 = ctx.T + 1
 		}
-		return &atPlus2{
-			ctx:      ctx,
-			opts:     o,
-			p1:       p1,
-			proposal: proposal,
-			est:      proposal,
-			vc:       proposal,
-		}, nil
+		a := &atPlus2{ctx: ctx, opts: o, p1: p1}
+		a.Reset(proposal)
+		return a, nil
 	}
+}
+
+// Reset implements model.Resetter; the factory builds through it too. It
+// also drops the underlying instance, which is built again at round t+3
+// from the new run's vc. A caller-supplied Underlying is not probed again:
+// its probe at construction stands for every proposal.
+func (a *atPlus2) Reset(proposal model.Value) {
+	*a = atPlus2{ctx: a.ctx, opts: a.opts, p1: a.p1, proposal: proposal, est: proposal, vc: proposal}
 }
 
 // Name implements model.Algorithm.

@@ -13,16 +13,18 @@
 //
 // The explorer splits the serial-run tree at the first crash's round and
 // process into independent branches and explores them on a bounded worker
-// pool (Config.Workers), each worker owning its own reusable simulator and
+// pool (Config.Workers), each worker owning its own reusable simulator,
+// algorithm instances (reset between runs, see model.Resetter) and
 // schedule scratch. Per-branch aggregates are merged in the serial
 // depth-first order, so every result — including worst-case witnesses —
 // is identical for every worker count.
 //
-// Every serial run is visited, but one is simulated only when no run
-// simulated before it has the same outcome. Two exact equivalences decide
-// that: crashes placed after a run ended change nothing it executed, and
+// Every serial run is counted, but the explorer visits and simulates one
+// run per class of runs with one execution, and the visit carries the
+// class's size. Two exact equivalences form the classes: crashes placed
+// after a run ended change nothing it executed (worker.visitClass), and
 // missing sets that differ only in receivers already dead give the same
-// execution (see worker.place).
+// execution, subtree for subtree (worker.place).
 package lowerbound
 
 import (
@@ -158,8 +160,13 @@ type Result struct {
 	// WitnessEarliest is, within the witness run, the earliest decision
 	// round of any process.
 	WitnessEarliest model.Round
-	// Runs is the number of runs explored.
+	// Runs is the number of serial runs explored: every run of the
+	// family, each counted once.
 	Runs int
+	// Visits is the number of classes of runs with one execution that the
+	// explorer visited, one representative each; Simulated is the number
+	// of runs it simulated. Both are at most Runs.
+	Visits, Simulated int
 	// Undecided reports that some run had not fully decided by the
 	// horizon.
 	Undecided bool
@@ -181,10 +188,10 @@ func Explore(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return foldSerialRuns(cfg,
+	res, cov, err := foldSerialRuns(cfg,
 		func() *Result { return &Result{} },
-		func(res *Result, s *sched.Schedule, r *sim.Result) {
-			res.Runs++
+		func(res *Result, s *sched.Schedule, r *sim.Result, runs int) {
+			res.Runs += runs
 			gdr, decided := r.GlobalDecisionRound()
 			if !r.AllAliveDecided || !decided {
 				gdr = horizon + 1
@@ -220,14 +227,19 @@ func Explore(cfg Config) (*Result, error) {
 				dst.ViolationWitness = src.ViolationWitness
 			}
 		})
+	if err != nil {
+		return nil, err
+	}
+	res.Visits, res.Simulated = cov.visits, cov.simulated
+	return res, nil
 }
 
 // DecisionValues returns the set of values decided across all serial runs
 // in the configured family — the valency of the (possibly empty) prefix.
 func DecisionValues(cfg Config) (map[model.Value]struct{}, error) {
-	return foldSerialRuns(cfg,
+	vals, _, err := foldSerialRuns(cfg,
 		func() map[model.Value]struct{} { return make(map[model.Value]struct{}) },
-		func(vals map[model.Value]struct{}, _ *sched.Schedule, r *sim.Result) {
+		func(vals map[model.Value]struct{}, _ *sched.Schedule, r *sim.Result, _ int) {
 			for _, d := range r.Decisions {
 				if d.Decided() {
 					vals[d.Value] = struct{}{}
@@ -239,6 +251,7 @@ func DecisionValues(cfg Config) (map[model.Value]struct{}, error) {
 				dst[v] = struct{}{}
 			}
 		})
+	return vals, err
 }
 
 // Distribution returns the histogram of global decision rounds over every
@@ -252,20 +265,21 @@ func Distribution(cfg Config) (map[model.Round]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return foldSerialRuns(cfg,
+	hist, _, err := foldSerialRuns(cfg,
 		func() map[model.Round]int { return make(map[model.Round]int) },
-		func(hist map[model.Round]int, _ *sched.Schedule, r *sim.Result) {
+		func(hist map[model.Round]int, _ *sched.Schedule, r *sim.Result, runs int) {
 			gdr, decided := r.GlobalDecisionRound()
 			if !decided || !r.AllAliveDecided {
 				gdr = horizon + 1
 			}
-			hist[gdr]++
+			hist[gdr] += runs
 		},
 		func(dst, src map[model.Round]int) {
 			for r, c := range src {
 				dst[r] += c
 			}
 		})
+	return hist, err
 }
 
 // crash is one crash placement: proc crashes in round round and exactly
@@ -278,7 +292,8 @@ type crash struct {
 
 // branch is one independent subtree of the serial-run family: every run
 // whose first crash is proc's, in round round, with any missing set.
-// proc == 0 denotes the crash-free run (a single leaf).
+// proc == 0 denotes the crash-free run's class: the crash-free run and
+// every run whose crashes all fall after it ended.
 type branch struct {
 	round model.Round
 	proc  model.ProcessID
@@ -289,6 +304,8 @@ type branch struct {
 type explorer struct {
 	cfg  Config
 	miss [][]model.PIDSet // miss[p-1]: candidate missing-receiver sets of p
+	// free is the number of processes the enumeration may crash.
+	free int
 	// root is the outcome of the crash-free run, simulated before any
 	// branch: every branch extends it.
 	root *sim.Result
@@ -334,18 +351,36 @@ func (e *explorer) eligible(p model.ProcessID) bool {
 	return e.cfg.Base == nil || e.cfg.Base.Correct(p)
 }
 
+// leaves counts the serial runs that extend a run by crashes in rounds
+// from..MaxCrashRound, the run itself included: at most budget more
+// crashes, one per round, each of one of free processes with any of its
+// candidate missing sets. Choosing j of the rounds, the j processes in
+// order and a missing set for each gives
+// Σ_j C(rounds, j) · free!/(free−j)! · sets^j.
+func (e *explorer) leaves(from model.Round, budget, free int) int {
+	rounds := max(int(e.cfg.MaxCrashRound-from+1), 0)
+	sets := len(e.miss[0])
+	total, term := 0, 1
+	for j := 0; j <= min(budget, free, rounds); j++ {
+		total += term
+		// C(rounds, j+1) = C(rounds, j)·(rounds−j)/(j+1), exactly.
+		term = term * (rounds - j) / (j + 1) * (free - j) * sets
+	}
+	return total
+}
+
 // branches enumerates the top-level branches in serial depth-first order:
-// the crash-free leaf first, then first-crash placements from the latest
-// round down to FirstCrashRound (the recursion visits the crash-free
-// continuation of each round before the crashes of that round, so later
-// first-crash rounds precede earlier ones in the depth-first order),
-// within a round by process id.
+// the crash-free run's class first, then first-crash placements from the
+// latest round the crash-free run executed down to FirstCrashRound (the
+// depth-first order visits the crash-free continuation of each round
+// before the crashes of that round, so later first-crash rounds precede
+// earlier ones), within a round by process id.
 func (e *explorer) branches() []branch {
 	out := []branch{{}}
 	if e.cfg.MaxCrashes <= 0 {
 		return out
 	}
-	for k := e.cfg.MaxCrashRound; k >= e.cfg.FirstCrashRound; k-- {
+	for k := min(e.cfg.MaxCrashRound, e.root.Rounds); k >= e.cfg.FirstCrashRound; k-- {
 		for p := model.ProcessID(1); int(p) <= e.cfg.N; p++ {
 			if e.eligible(p) {
 				out = append(out, branch{round: k, proc: p})
@@ -355,32 +390,45 @@ func (e *explorer) branches() []branch {
 	return out
 }
 
-// worker executes branches serially: it owns a reusable simulator, a
-// prototype schedule, a scratch schedule rebuilt per run, and the
-// outcomes of the current depth-first path that later runs may reuse.
+// reuse wraps the configured factory for one worker. The first run builds
+// each process's instance; every later run resets it to the new proposal
+// when it is a model.Resetter, and builds a fresh one otherwise. Every run
+// of an exploration has its N and T, so a process's context never changes,
+// and a worker simulates one run at a time, so no run still drives an
+// instance when it is reset.
+type reuse struct {
+	factory model.Factory
+	algs    []model.Algorithm // algs[i]: process i+1's instance
+}
+
+func (u *reuse) build(ctx model.ProcessContext, proposal model.Value) (model.Algorithm, error) {
+	a := u.algs[ctx.Self-1]
+	if r, ok := a.(model.Resetter); ok {
+		r.Reset(proposal)
+		return a, nil
+	}
+	a, err := u.factory(ctx, proposal)
+	if err != nil {
+		return nil, err
+	}
+	u.algs[ctx.Self-1] = a
+	return a, nil
+}
+
+// worker executes branches serially: it owns a reusable simulator, the
+// algorithm instances it resets between runs, a prototype schedule and a
+// scratch schedule rebuilt per run.
 type worker struct {
 	e       *explorer
 	sim     sim.Simulator
+	factory model.Factory
 	proto   *sched.Schedule
 	scratch *sched.Schedule
 	chosen  []crash
-	// runs[d] is the outcome of the run whose crashes are chosen[:d]. That
-	// run is the first leaf below chosen[:d], so it is set before any
-	// extension of chosen[:d] is visited.
-	runs []*sim.Result
-	// memo[d][i] is the outcome of the run that adds the i-th candidate
-	// missing set of the crash placed at depth d, within the current
-	// (process, round) of that depth.
-	memo [][]*sim.Result
-	// same, when set, is the outcome every leaf below the current node
-	// reuses: their added crashes all fall after its run ended. next, when
-	// set, is the outcome of the next leaf: an earlier placement that
-	// differs only in losses to dead receivers already computed it.
-	same, next *sim.Result
-	// shared is same with the visited leaf's crash rounds in crashRounds.
-	shared      sim.Result
-	crashRounds []model.Round
-	visit       func(*sched.Schedule, *sim.Result)
+	visit   func(*sched.Schedule, *sim.Result, int)
+	// visits and simulated count the classes visited and the runs
+	// simulated.
+	visits, simulated int
 }
 
 func (e *explorer) newWorker() *worker {
@@ -388,31 +436,24 @@ func (e *explorer) newWorker() *worker {
 	if proto == nil {
 		proto = sched.New(e.cfg.N, e.cfg.T)
 	}
-	w := &worker{
-		e:           e,
-		proto:       proto,
-		scratch:     sched.New(e.cfg.N, e.cfg.T),
-		chosen:      make([]crash, 0, e.cfg.MaxCrashes),
-		runs:        make([]*sim.Result, e.cfg.MaxCrashes+1),
-		memo:        make([][]*sim.Result, e.cfg.MaxCrashes),
-		crashRounds: make([]model.Round, e.cfg.N),
+	u := &reuse{factory: e.cfg.Factory, algs: make([]model.Algorithm, e.cfg.N)}
+	return &worker{
+		e:       e,
+		factory: u.build,
+		proto:   proto,
+		scratch: sched.New(e.cfg.N, e.cfg.T),
+		chosen:  make([]crash, 0, e.cfg.MaxCrashes),
 	}
-	for d := range w.memo {
-		w.memo[d] = make([]*sim.Result, len(e.miss[0]))
-	}
-	return w
 }
 
 // runBranch explores one branch in depth-first order.
 func (w *worker) runBranch(b branch) error {
 	w.chosen = w.chosen[:0]
-	w.runs[0] = w.e.root
-	w.same, w.next = nil, nil
 	if b.proc == 0 {
-		w.next = w.e.root
-		return w.leaf()
+		w.visitClass(w.schedule(), w.e.root, w.e.cfg.FirstCrashRound, 1)
+		return nil
 	}
-	return w.place(b.round, b.proc)
+	return w.place(b.round, b.proc, 1)
 }
 
 // schedule builds the schedule of the run given by the chosen crashes in
@@ -440,107 +481,96 @@ func (e *explorer) simConfig(s *sched.Schedule) sim.Config {
 	}
 }
 
-// simulate runs the algorithm on s.
+// simulate runs the algorithm on s with the worker's reset instances.
 func (w *worker) simulate(s *sched.Schedule) (*sim.Result, error) {
-	r, err := w.sim.Run(w.e.simConfig(s))
+	cfg := w.e.simConfig(s)
+	cfg.Factory = w.factory
+	r, err := w.sim.Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("lowerbound: simulate %v: %w", s, err)
 	}
+	w.simulated++
 	return r, nil
 }
 
-// leaf hands the run given by the chosen crashes to the visitor,
-// simulating it only when no outcome already computed is its own. The
-// schedule and the result are scratch state reused for the next run.
-func (w *worker) leaf() error {
-	s := w.schedule()
-	if w.same != nil {
-		for i := range w.crashRounds {
-			w.crashRounds[i], _ = s.CrashRound(model.ProcessID(i + 1))
-		}
-		w.shared = *w.same
-		w.shared.CrashRounds = w.crashRounds
-		w.visit(s, &w.shared)
-		return nil
-	}
+// visitClass hands the run of chosen, with schedule s and outcome run, to
+// the visitor once for its whole class among the runs that extend chosen
+// by crashes in rounds r and later: the run itself and every extension
+// whose crashes all fall after run ended. Such a crash changes nothing
+// the run executed: sim.Run stops at the same round, and sends,
+// deliveries and completions up to it do not depend on a later crash; only
+// the crash rounds differ, and no visitor reads them. The class weight
+// times each such run's own weight is the visit's weight.
+func (w *worker) visitClass(s *sched.Schedule, run *sim.Result, r model.Round, weight int) {
 	d := len(w.chosen)
-	if w.next != nil {
-		w.runs[d], w.next = w.next, nil
-	} else {
-		r, err := w.simulate(s)
-		if err != nil {
-			return err
-		}
-		w.runs[d] = r
-	}
-	w.visit(s, w.runs[d])
-	return nil
+	from := max(r, run.Rounds+1)
+	w.visits++
+	w.visit(s, run, weight*w.e.leaves(from, w.e.cfg.MaxCrashes-d, w.e.free-d))
 }
 
-// descend continues the crash placement from round r onwards: no crash in
-// round r, or one crash of any not-yet-crashed process with each candidate
-// missing set.
-func (w *worker) descend(r model.Round) error {
-	if len(w.chosen) == w.e.cfg.MaxCrashes || r > w.e.cfg.MaxCrashRound {
-		return w.leaf()
+// descend visits every run that extends chosen by crashes in rounds r and
+// later, in serial depth-first order: first the class of the run of chosen
+// itself (schedule s, outcome run), which holds every crash placed after
+// run ended, then one crash of any not-yet-crashed process in each round
+// that run executed, latest round first.
+func (w *worker) descend(r model.Round, s *sched.Schedule, run *sim.Result, weight int) error {
+	w.visitClass(s, run, r, weight)
+	if len(w.chosen) == w.e.cfg.MaxCrashes {
+		return nil
 	}
-	// No crash in round r. Its first leaf is the run of chosen itself.
-	if err := w.descend(r + 1); err != nil {
-		return err
-	}
-	// One crash in round r: any process not yet crashed (in the base
-	// prefix or in this branch).
-	for p := model.ProcessID(1); int(p) <= w.e.cfg.N; p++ {
-		if !w.e.eligible(p) || slices.ContainsFunc(w.chosen, func(c crash) bool { return c.proc == p }) {
-			continue
-		}
-		if err := w.place(r, p); err != nil {
-			return err
+	for k := min(w.e.cfg.MaxCrashRound, run.Rounds); k >= r; k-- {
+		for p := model.ProcessID(1); int(p) <= w.e.cfg.N; p++ {
+			if !w.e.eligible(p) || slices.ContainsFunc(w.chosen, func(c crash) bool { return c.proc == p }) {
+				continue
+			}
+			if err := w.place(k, p, weight); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
 // place explores every extension of chosen by a crash of p in round r, in
-// missing-set order. The run of chosen itself has been visited, so its
-// outcome is runs[len(chosen)].
+// missing-set order, each run counted weight times.
 //
-// Two equivalences spare simulations. A crash in a round after the run of
-// chosen ended changes nothing that run executed: sim.Run stops at the same
-// round, and sends, deliveries and completions up to it do not depend on a
-// later crash; only the crash rounds differ. And two missing sets that
-// differ only in processes that do not complete round r give the same
-// execution: a message to a dead receiver is counted as sent and delivered
-// to no one either way.
-func (w *worker) place(r model.Round, p model.ProcessID) error {
+// Two missing sets that differ only in processes that do not complete
+// round r give the same execution, and so do their extensions, leaf for
+// leaf: a message to a dead receiver is counted as sent and delivered to no
+// one either way. So only the first set of each such class is explored,
+// with its weight multiplied by the class size; it precedes the others in
+// serial order, so every first member of a class of equal outcomes is
+// still visited first.
+func (w *worker) place(r model.Round, p model.ProcessID, weight int) error {
 	d := len(w.chosen)
-	outer := w.same
-	if outer == nil && r > w.runs[d].Rounds {
-		w.same = w.runs[d]
-	}
-	var live model.PIDSet
-	if w.same == nil {
-		live = w.completers(r)
-	}
-	miss, memo := w.e.miss[p-1], w.memo[d]
+	live := w.completers(r)
+	miss := w.e.miss[p-1]
 	for i, m := range miss {
-		if w.same == nil {
-			for j := range i {
-				if miss[j]&live == m&live {
-					w.next = memo[j]
-					break
-				}
+		size := 0
+		for j, other := range miss {
+			if other&live != m&live {
+				continue
 			}
+			if j < i {
+				size = 0
+				break
+			}
+			size++
+		}
+		if size == 0 {
+			continue
 		}
 		w.chosen = append(w.chosen, crash{round: r, proc: p, missing: m})
-		err := w.descend(r + 1)
+		s := w.schedule()
+		run, err := w.simulate(s)
+		if err == nil {
+			err = w.descend(r+1, s, run, weight*size)
+		}
 		w.chosen = w.chosen[:d]
 		if err != nil {
 			return err
 		}
-		memo[i] = w.runs[d+1]
 	}
-	w.same = outer
 	return nil
 }
 
@@ -560,52 +590,70 @@ func (w *worker) completers(r model.Round) model.PIDSet {
 	return live
 }
 
+// coverage reports how a fold covered its family.
+type coverage struct {
+	// visits is the number of visitor calls: one per class of runs with
+	// one outcome.
+	visits int
+	// simulated is the number of runs simulated.
+	simulated int
+}
+
 // foldSerialRuns enumerates every serial run of the family, feeding each
-// run to visit on some aggregate P, and merges the per-branch aggregates
-// in serial depth-first order. visit observes runs in the exact serial
-// order within each branch, and merge is applied in branch order, so the
-// fold is deterministic for every worker count. Every run is visited with
-// its own schedule, but a run is simulated only when no run simulated
-// before it in its branch (or the crash-free run) has the same outcome.
+// class of runs with one outcome to visit on some aggregate P, with the
+// number of runs in the class, and merges the per-branch aggregates in
+// serial depth-first order. A class is visited with the schedule of its
+// first member in serial order, and classes are visited in the order of
+// their first members within each branch; merge is applied in branch
+// order, so the fold is deterministic for every worker count. A run is
+// simulated only for a class whose outcome no earlier simulation gave.
 // The schedule and the result handed to visit are scratch state, valid
-// during the call only, and the result may be shared between runs: treat
-// both as read-only, and clone the schedule to keep it.
-func foldSerialRuns[P any](cfg Config, newP func() P, visit func(P, *sched.Schedule, *sim.Result), merge func(dst, src P)) (P, error) {
+// during the call only: treat both as read-only, and clone the schedule to
+// keep it.
+func foldSerialRuns[P any](cfg Config, newP func() P, visit func(acc P, s *sched.Schedule, r *sim.Result, runs int), merge func(dst, src P)) (P, coverage, error) {
 	var zero P
 	if err := cfg.defaults(); err != nil {
-		return zero, err
+		return zero, coverage{}, err
 	}
 	e := &explorer{cfg: cfg, miss: make([][]model.PIDSet, cfg.N)}
 	for p := model.ProcessID(1); int(p) <= cfg.N; p++ {
 		e.miss[p-1] = missingSets(cfg.N, p, cfg.Mode)
+		if e.eligible(p) {
+			e.free++
+		}
 	}
-	branches := e.branches()
 	first := e.newWorker()
 	root, err := first.simulate(first.schedule())
 	if err != nil {
-		return zero, err
+		return zero, coverage{}, err
 	}
 	e.root = root
+	branches := e.branches()
 
 	partials := make([]P, len(branches))
+	covered := make([]coverage, len(branches))
 	errs := make([]error, len(branches))
 	pool.ForEach(cfg.Workers, len(branches), func() func(int) {
 		w := e.newWorker()
 		return func(bi int) {
 			p := newP()
 			partials[bi] = p
-			w.visit = func(s *sched.Schedule, r *sim.Result) { visit(p, s, r) }
+			w.visit = func(s *sched.Schedule, r *sim.Result, runs int) { visit(p, s, r, runs) }
+			w.visits, w.simulated = 0, 0
 			errs[bi] = w.runBranch(branches[bi])
+			covered[bi] = coverage{visits: w.visits, simulated: w.simulated}
 		}
 	})
 	for _, err := range errs {
 		if err != nil {
-			return zero, err
+			return zero, coverage{}, err
 		}
 	}
-	acc := newP()
-	for _, p := range partials {
+	acc, total := newP(), coverage{simulated: first.simulated}
+	for bi, p := range partials {
 		merge(acc, p)
+		total.visits += covered[bi].visits
+		total.simulated += covered[bi].simulated
 	}
-	return acc, nil
+	return acc, total, nil
 }

@@ -2,11 +2,13 @@ package lowerbound
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"indulgence/internal/baseline"
+	"indulgence/internal/check"
 	"indulgence/internal/core"
 	"indulgence/internal/model"
 	"indulgence/internal/sched"
@@ -21,76 +23,161 @@ func proposals(n int) []model.Value {
 	return out
 }
 
-// resimulated counts the runs a fold handed over and keeps the first one
-// whose outcome differs from a fresh simulation of its schedule.
-type resimulated struct {
-	runs     int
-	mismatch string
+// shipped lists every algorithm the repository ships, with whether it
+// needs t < n/3 (the others need t < n/2).
+var shipped = []struct {
+	name    string
+	factory model.Factory
+	third   bool
+}{
+	{"atplus2", core.New(core.Options{}), false},
+	{"atplus2ff", core.New(core.Options{FailureFreeFast: true}), false},
+	{"diamonds", core.NewDiamondS(), false},
+	{"afplus2", core.NewAfPlus2(), true},
+	{"floodset", baseline.NewFloodSet(), false},
+	{"floodsetws", baseline.NewFloodSetWS(), false},
+	{"ct", baseline.NewCT(), false},
+	{"hurfinraynal", baseline.NewHurfinRaynal(), false},
+	{"amr", baseline.NewAMR(), true},
 }
 
-// resimulate folds every serial run of cfg with a visitor that clones the
-// schedule it is handed, simulates the clone on a fresh Simulator with the
-// explorer's own simulator configuration, and compares every Result field.
-// It fails t on the first mismatch and returns the number of runs checked.
-func resimulate(t *testing.T, cfg Config) int {
+// serialSchedules enumerates the schedules of every serial run of cfg's
+// family, one by one, in the serial depth-first order the explorer
+// counts them in: no crash in round r before a crash in round r, crashing
+// processes by id, missing sets in missingSets order.
+func serialSchedules(t *testing.T, cfg Config) []*sched.Schedule {
+	t.Helper()
+	if err := cfg.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	var out []*sched.Schedule
+	var rec func(r model.Round, chosen []crash)
+	rec = func(r model.Round, chosen []crash) {
+		if len(chosen) == cfg.MaxCrashes || r > cfg.MaxCrashRound {
+			s := sched.New(cfg.N, cfg.T)
+			if cfg.Base != nil {
+				s = cfg.Base.Clone()
+			}
+			for _, c := range chosen {
+				receivers := model.FullPIDSet(cfg.N).Diff(c.missing)
+				receivers.Remove(c.proc)
+				s.CrashWithReceivers(c.proc, c.round, receivers)
+			}
+			out = append(out, s)
+			return
+		}
+		rec(r+1, chosen)
+		for p := model.ProcessID(1); int(p) <= cfg.N; p++ {
+			crashed := cfg.Base != nil && !cfg.Base.Correct(p)
+			for _, c := range chosen {
+				crashed = crashed || c.proc == p
+			}
+			if crashed {
+				continue
+			}
+			for _, m := range missingSets(cfg.N, p, cfg.Mode) {
+				rec(r+1, append(chosen[:len(chosen):len(chosen)], crash{round: r, proc: p, missing: m}))
+			}
+		}
+	}
+	rec(cfg.FirstCrashRound, nil)
+	return out
+}
+
+// reference is what Explore, Distribution and DecisionValues report over
+// cfg's family, folded by simulating every serial run one by one, in
+// serial order, on fresh algorithm instances.
+type reference struct {
+	explore *Result
+	dist    map[model.Round]int
+	vals    map[model.Value]struct{}
+}
+
+func referenceFold(t *testing.T, cfg Config) reference {
 	t.Helper()
 	resolved := cfg
 	if err := resolved.defaults(); err != nil {
 		t.Fatal(err)
 	}
 	e := &explorer{cfg: resolved}
-	got, err := foldSerialRuns(cfg,
-		func() *resimulated { return &resimulated{} },
-		func(acc *resimulated, s *sched.Schedule, r *sim.Result) {
-			acc.runs++
-			if acc.mismatch != "" {
-				return
+	ref := reference{explore: &Result{}, dist: map[model.Round]int{}, vals: map[model.Value]struct{}{}}
+	res := ref.explore
+	var sm sim.Simulator
+	for _, s := range serialSchedules(t, cfg) {
+		r, err := sm.Run(e.simConfig(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Runs++
+		gdr, decided := r.GlobalDecisionRound()
+		if !r.AllAliveDecided || !decided {
+			gdr = resolved.Horizon + 1
+			res.Undecided = true
+		}
+		ref.dist[gdr]++
+		if gdr > res.WorstRound {
+			res.WorstRound, res.Witness = gdr, s
+			res.WitnessEarliest, _ = check.EarliestDecisionRound(r)
+		}
+		if rep := check.Consensus(r, cfg.Proposals); res.PropertyViolation == nil && (!rep.Validity || !rep.Agreement) {
+			res.PropertyViolation, res.ViolationWitness = rep.Err(), s
+		}
+		for _, d := range r.Decisions {
+			if d.Decided() {
+				ref.vals[d.Value] = struct{}{}
 			}
-			clone := s.Clone()
-			want, err := sim.NewSimulator().Run(e.simConfig(clone))
-			switch {
-			case err != nil:
-				acc.mismatch = fmt.Sprintf("%v: %v", clone, err)
-			case !reflect.DeepEqual(*want, *r):
-				acc.mismatch = fmt.Sprintf("%v:\ngot  %+v\nwant %+v", clone, *r, *want)
-			}
-		},
-		func(dst, src *resimulated) {
-			dst.runs += src.runs
-			if dst.mismatch == "" {
-				dst.mismatch = src.mismatch
-			}
-		})
+		}
+	}
+	return ref
+}
+
+// summary renders everything Explore reports but its visit and
+// simulation counts, witnesses included.
+func summary(r *Result) string {
+	return fmt.Sprintf("worst=%d witness=%v earliest=%d runs=%d undecided=%v violation=%v violWitness=%v",
+		r.WorstRound, r.Witness, r.WitnessEarliest, r.Runs, r.Undecided, r.PropertyViolation, r.ViolationWitness)
+}
+
+// matchReference checks that Explore, Distribution and DecisionValues on
+// cfg report exactly what the reference fold does, and returns the number
+// of runs compared.
+func matchReference(t *testing.T, cfg Config) int {
+	t.Helper()
+	want := referenceFold(t, cfg)
+	res, err := Explore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.mismatch != "" {
-		t.Fatalf("reused outcome differs from a fresh simulation of %s", got.mismatch)
+	if got, w := summary(res), summary(want.explore); got != w {
+		t.Errorf("Explore:\ngot  %s\nwant %s", got, w)
 	}
-	return got.runs
+	if res.Visits > res.Runs || res.Simulated > res.Visits {
+		t.Errorf("visited %d classes and simulated %d runs of %d", res.Visits, res.Simulated, res.Runs)
+	}
+	dist, err := Distribution(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dist, want.dist) {
+		t.Errorf("Distribution: got %v, want %v", dist, want.dist)
+	}
+	vals, err := DecisionValues(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(vals, want.vals) {
+		t.Errorf("DecisionValues: got %v, want %v", vals, want.vals)
+	}
+	return want.explore.Runs
 }
 
-// TestReusedOutcomesMatchSimulation checks that every run the explorer
-// hands to a visitor carries the outcome a fresh simulation of its own
-// schedule gives, whether the explorer simulated it or reused the outcome
-// of an earlier run: a crash after the run ended, or a loss to a receiver
-// already dead.
+// TestReusedOutcomesMatchSimulation checks the weighted fold against a
+// fold that simulates every serial run: Explore (witnesses and the first
+// violation included), Distribution and DecisionValues must agree exactly,
+// although the explorer visits one run per class of runs with one
+// execution (a crash after the run ended, a loss to a receiver already
+// dead) and weighs the visit by the class size.
 func TestReusedOutcomesMatchSimulation(t *testing.T) {
-	algos := []struct {
-		name    string
-		factory model.Factory
-		third   bool // needs t < n/3
-	}{
-		{"atplus2", core.New(core.Options{}), false},
-		{"atplus2ff", core.New(core.Options{FailureFreeFast: true}), false},
-		{"diamonds", core.NewDiamondS(), false},
-		{"afplus2", core.NewAfPlus2(), true},
-		{"floodset", baseline.NewFloodSet(), false},
-		{"floodsetws", baseline.NewFloodSetWS(), false},
-		{"ct", baseline.NewCT(), false},
-		{"hurfinraynal", baseline.NewHurfinRaynal(), false},
-		{"amr", baseline.NewAMR(), true},
-	}
 	type size struct {
 		n, t int
 		mode SubsetMode
@@ -104,13 +191,13 @@ func TestReusedOutcomesMatchSimulation(t *testing.T) {
 	sizes = append(sizes, size{6, 2, PrefixSubsets})
 
 	total := 0
-	for _, a := range algos {
+	for _, a := range shipped {
 		for _, sz := range sizes {
 			if a.third && 3*sz.t >= sz.n || 2*sz.t >= sz.n {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s/n=%d/t=%d/mode=%d", a.name, sz.n, sz.t, sz.mode), func(t *testing.T) {
-				total += resimulate(t, Config{
+				total += matchReference(t, Config{
 					N: sz.n, T: sz.t,
 					Synchrony: model.ES,
 					Factory:   a.factory,
@@ -148,14 +235,14 @@ func TestReusedOutcomesMatchSimulation(t *testing.T) {
 		}},
 	}
 	for _, b := range bases {
-		t.Run(b.name, func(t *testing.T) { total += resimulate(t, b.cfg) })
+		t.Run(b.name, func(t *testing.T) { total += matchReference(t, b.cfg) })
 	}
-	t.Logf("%d runs matched their fresh simulation", total)
+	t.Logf("%d runs matched the simulate-everything fold", total)
 }
 
-// TestAblatedViolationUnchanged checks that the explorer, reusing
-// outcomes, still reports the same first agreement violation of A_t+2
-// with a Phase 1 of t rounds as when it simulated every run: the ES
+// TestAblatedViolationUnchanged checks that the explorer, weighing
+// classes of runs, still reports the same first agreement violation of
+// A_t+2 with a Phase 1 of t rounds as when it simulated every run: the ES
 // prefix leaves p1 unheard in round 1, and the first violating serial
 // extension crashes p1 in round 2.
 func TestAblatedViolationUnchanged(t *testing.T) {
@@ -172,7 +259,7 @@ func TestAblatedViolationUnchanged(t *testing.T) {
 			FirstCrashRound: 2,
 			Mode:            mode,
 		}
-		resimulate(t, cfg)
+		matchReference(t, cfg)
 		res, err := Explore(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -189,21 +276,41 @@ func TestAblatedViolationUnchanged(t *testing.T) {
 	}
 }
 
-// TestSimulatedRunCount pins how many runs the explorer simulates at
-// n = 6, t = 2 over all receiver subsets: 92,929 of the 461,953 it
-// visits, for every worker count. A factory call per process per
-// simulation counts them.
+// counted wraps an algorithm instance to count the runs it starts: every
+// process sends in round 1 of a serial run, so each simulation calls
+// StartRound(1) once per process, whether the instance was built or
+// reset for it.
+type counted struct {
+	model.Algorithm
+	starts *atomic.Int64
+}
+
+func (c counted) StartRound(k model.Round) model.Payload {
+	if k == 1 {
+		c.starts.Add(1)
+	}
+	return c.Algorithm.StartRound(k)
+}
+
+func (c counted) Reset(v model.Value) { c.Algorithm.(model.Resetter).Reset(v) }
+
+// TestSimulatedRunCount pins how many runs the explorer visits and
+// simulates at n = 6, t = 2 over all receiver subsets: 92,929 classes, one
+// simulation each, for the 461,953 runs it counts, for every worker
+// count. Round-1 starts count the simulations, since a worker builds
+// each process's instance once and resets it for every later run.
 func TestSimulatedRunCount(t *testing.T) {
 	const n = 6
 	inner := core.New(core.Options{})
 	for _, workers := range []int{1, 2, 8} {
-		var built atomic.Int64
+		var starts, built atomic.Int64
 		res, err := Explore(Config{
 			N: n, T: 2,
 			Synchrony: model.ES,
 			Factory: func(ctx model.ProcessContext, v model.Value) (model.Algorithm, error) {
 				built.Add(1)
-				return inner(ctx, v)
+				a, err := inner(ctx, v)
+				return counted{Algorithm: a, starts: &starts}, err
 			},
 			Proposals: proposals(n),
 			Mode:      AllSubsets,
@@ -212,12 +319,76 @@ func TestSimulatedRunCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		simulated := built.Load() / n
-		if res.Runs != 461953 || simulated != 92929 {
-			t.Errorf("workers=%d: simulated %d of %d runs, want 92929 of 461953", workers, simulated, res.Runs)
+		simulated := starts.Load() / n
+		if res.Runs != 461953 || res.Visits != 92929 || simulated != 92929 || res.Simulated != 92929 {
+			t.Errorf("workers=%d: %d runs, %d visits, %d simulated (%d reported), want 461953, 92929, 92929",
+				workers, res.Runs, res.Visits, simulated, res.Simulated)
 		}
-		if 4*simulated > int64(res.Runs) {
-			t.Errorf("workers=%d: simulated %d runs, more than a quarter of %d", workers, simulated, res.Runs)
+		// The root run is simulated on a worker of its own; each pool
+		// worker then builds one instance per process.
+		if limit := int64(n * (1 + workers)); built.Load() > limit {
+			t.Errorf("workers=%d: %d instances built, want at most %d", workers, built.Load(), limit)
 		}
+	}
+}
+
+// TestResetMatchesFreshInstances runs every shipped algorithm over a
+// sequence of schedules twice: on instances a worker's reuse wrapper
+// resets from run to run, and on instances built fresh for every run. The
+// results, traces included, must be identical, so no state of one run
+// leaks into the next. The sequences are random ES schedules, which reach
+// past round t+2, and every serial run of the (5, 2) family with prefix
+// missing sets and crashes up to round t+2 ((5, 1) for the algorithms
+// that need t < n/3).
+func TestResetMatchesFreshInstances(t *testing.T) {
+	for _, a := range shipped {
+		t.Run(a.name, func(t *testing.T) {
+			n, tt := 5, 2
+			if a.third {
+				tt = 1
+			}
+			rng := rand.New(rand.NewSource(int64(len(a.name))))
+			var schedules []*sched.Schedule
+			for i := 0; i < 300; i++ {
+				gsr := model.Round(1 + rng.Intn(3*tt+4))
+				schedules = append(schedules, sched.RandomES(n, tt, gsr, sched.RandomOpts{Rng: rng}))
+			}
+			schedules = append(schedules, serialSchedules(t, Config{
+				N: n, T: tt, Factory: a.factory, Proposals: proposals(n),
+				MaxCrashRound: model.Round(tt + 2), Mode: PrefixSubsets,
+			})...)
+
+			var built atomic.Int64
+			u := &reuse{
+				factory: func(ctx model.ProcessContext, v model.Value) (model.Algorithm, error) {
+					built.Add(1)
+					return a.factory(ctx, v)
+				},
+				algs: make([]model.Algorithm, n),
+			}
+			var fresh, reused sim.Simulator
+			for i, s := range schedules {
+				props := make([]model.Value, n)
+				for j := range props {
+					props[j] = model.Value(rng.Intn(3))
+				}
+				cfg := sim.Config{Synchrony: model.ES, Schedule: s, Proposals: props, Factory: a.factory, SkipValidation: true}
+				want, err := fresh.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Factory = u.build
+				got, err := reused.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("run %d on %v, proposals %v: a reset instance gave\n%+v\nand fresh ones\n%+v", i, s, props, *got, *want)
+				}
+			}
+			if built.Load() != int64(n) {
+				t.Fatalf("%d instances built over %d runs, want %d: Reset unused", built.Load(), len(schedules), n)
+			}
+		})
 	}
 }

@@ -218,5 +218,20 @@ type Algorithm interface {
 // proposal.
 type Factory func(ctx ProcessContext, proposal Value) (Algorithm, error)
 
+// Resetter is implemented by algorithm instances that can start a new run
+// without being rebuilt. Reset(proposal) returns the instance to the state
+// its factory built for the same ProcessContext and that proposal: every
+// field a run changed is restored, and nothing of the earlier run (an
+// estimate, a suspicion, a decision, a sub-instance built on demand) can
+// show in the next one. A payload the instance returned before the reset
+// is never mutated by it (see Payload). Reset must not be called while a
+// run still drives the instance, and it assumes the factory would have
+// accepted the proposal: it cannot report an error. The explorer's
+// workers reuse their instances this way, one wrapper around the
+// configured Factory each, so a simulated run builds none.
+type Resetter interface {
+	Reset(proposal Value)
+}
+
 // MaxProcesses bounds n so that PIDSet fits in a machine word.
 const MaxProcesses = 64

@@ -87,7 +87,15 @@ func RandomES(n, t int, gsr model.Round, o RandomOpts) *Schedule {
 	}
 
 	quorum := n - t
+	// One round's delays are drawn receiver by receiver and applied in
+	// (from, to) order, so that the listed fates grow by appending: a
+	// stable counting sort by sender keeps each sender's receivers
+	// ascending. At most t senders are late to each receiver.
+	drawn := make([]listedFate, 0, n*t)
+	bySender := make([]listedFate, n*t)
+	offset := make([]int, n)
 	for r := model.Round(1); r < gsr; r++ {
+		drawn = drawn[:0]
 		for p := model.ProcessID(1); int(p) <= n; p++ {
 			if !s.CompletesRound(p, r) {
 				continue
@@ -117,9 +125,27 @@ func RandomES(n, t int, gsr model.Round, o RandomOpts) *Schedule {
 					s.Drop(r, q, p)
 				default:
 					span := int(gsr-r) + 2
-					s.Delay(r, q, p, r+1+model.Round(rng.Intn(span)))
+					drawn = append(drawn, listedFate{
+						key:  fateKey{round: r, from: q, to: p},
+						fate: Fate{Kind: Delayed, DeliverRound: r + 1 + model.Round(rng.Intn(span))},
+					})
 				}
 			}
+		}
+		clear(offset)
+		for _, d := range drawn {
+			offset[d.key.from-1]++
+		}
+		next := 0
+		for q, c := range offset {
+			offset[q], next = next, next+c
+		}
+		for _, d := range drawn {
+			bySender[offset[d.key.from-1]] = d
+			offset[d.key.from-1]++
+		}
+		for _, d := range bySender[:len(drawn)] {
+			s.SetFate(d.key.round, d.key.from, d.key.to, d.fate)
 		}
 	}
 

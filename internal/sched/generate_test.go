@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -66,6 +68,30 @@ func TestRandomESDeterministic(t *testing.T) {
 			if got := draw(seed); got != want {
 				t.Fatalf("seed %d, try %d: drew\n%s\nthen\n%s", seed, try, want, got)
 			}
+		}
+	}
+}
+
+// TestRandomESSchedulesPinned pins the schedules RandomES draws for seeds
+// 1–20 at three shapes, n = 64 included, by a digest of their String
+// forms: the order the generator applies its fates in must not change
+// what it builds.
+func TestRandomESSchedulesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		n, t int
+		gsr  model.Round
+		want string
+	}{
+		{5, 2, 4, "a10f1cdeb9a5bda51d7eedc735bcc87237eebca512a4e1a9a239393ef5d2ecf4"},
+		{7, 3, 6, "20d28fdeac28eb2d4f61ea1967a8c29b2b2aaedf9832652edabae34ff3290af9"},
+		{64, 31, 8, "a8347fc85893848c3b46fba693ae91c2a953e7cc4aa313bd5a52d11490b1aebf"},
+	} {
+		h := sha256.New()
+		for seed := int64(1); seed <= 20; seed++ {
+			fmt.Fprintln(h, RandomES(tc.n, tc.t, tc.gsr, RandomOpts{Rng: rand.New(rand.NewSource(seed))}).String())
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.want {
+			t.Errorf("RandomES(%d, %d, %d), seeds 1-20: digest %s, want %s", tc.n, tc.t, tc.gsr, got, tc.want)
 		}
 	}
 }

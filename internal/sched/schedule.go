@@ -240,7 +240,12 @@ func (s *Schedule) CrashWithReceivers(p model.ProcessID, r model.Round, receiver
 // Self-messages cannot be scheduled (they are always delivered in-round).
 func (s *Schedule) SetFate(r model.Round, from, to model.ProcessID, f Fate) *Schedule {
 	key := fateKey{round: r, from: from, to: to}
-	i, listed := slices.BinarySearchFunc(s.listed, key, compareListed)
+	// A key past the last listed one (a generator adding fates in key
+	// order) is appended without a search.
+	i, listed := len(s.listed), false
+	if i > 0 && compareKeys(s.listed[i-1].key, key) >= 0 {
+		i, listed = slices.BinarySearchFunc(s.listed, key, compareListed)
+	}
 	var c *cell
 	if from != to && to >= 1 && int(to) <= min(s.n, model.MaxProcesses) {
 		c = s.cellAt(r, from, true)
